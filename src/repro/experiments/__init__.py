@@ -1,8 +1,7 @@
 """Experiment drivers: one module per reproduced figure/claim.
 
 Shared by the examples, the test suite (shape assertions), and the
-benchmark harness (tables for EXPERIMENTS.md).  See DESIGN.md §3 for
-the experiment index.
+benchmark harness (``benchmarks/bench_*.py``, one per driver).
 """
 
 from . import (ablations, e1_dso_invocation, e2_gls_locality,

@@ -50,17 +50,39 @@ HTTP_PORT = 8080
 DEFAULT_CACHE_TTL = 300.0
 
 
+#: What may follow the object name in a GDN URL.  Whichever comes
+#: *first* says what the URL is; a later one is part of the file path
+#: (a package may well ship ``docs/manifest/readme.txt``).
+_ROUTES = ("/files/", "/manifest/", "/chunk/")
+
+
+def _route(rest: str) -> Tuple[Optional[str], str, str]:
+    """Split ``rest`` (a URL path less its ``/gdn``) at its first route
+    marker: (marker, object name, what follows), marker None if the
+    path has none."""
+    marker, at = None, -1
+    for candidate in _ROUTES:
+        found = rest.find(candidate)
+        if found >= 0 and (marker is None or found < at):
+            marker, at = candidate, found
+    if marker is None:
+        return None, rest, ""
+    return marker, rest[:at], rest[at + len(marker):]
+
+
 def parse_gdn_url(path: str) -> Tuple[str, Optional[str]]:
     """Split a GDN URL path into (object name, optional file path).
 
     >>> parse_gdn_url("/gdn/apps/graphics/Gimp/files/bin/gimp")
     ('/apps/graphics/Gimp', 'bin/gimp')
+    >>> parse_gdn_url("/gdn/apps/Gimp/files/docs/manifest/readme.txt")
+    ('/apps/Gimp', 'docs/manifest/readme.txt')
     """
     if not path.startswith("/gdn/"):
         raise ValueError("not a GDN URL: %r" % path)
     rest = path[len("/gdn"):]
-    if "/files/" in rest:
-        object_name, _sep, file_path = rest.partition("/files/")
+    marker, object_name, file_path = _route(rest)
+    if marker == "/files/":
         return object_name, file_path
     return rest.rstrip("/"), None
 
@@ -81,34 +103,35 @@ def parse_transfer_url(path: str) -> Optional[tuple]:
     ('manifest', '/apps/Gimp', 'bin/gimp', None, None)
     >>> parse_transfer_url("/gdn/apps/Gimp/chunk/3/bin/gimp?chunk_size=512")
     ('chunk', '/apps/Gimp', 'bin/gimp', 3, 512)
+    >>> parse_transfer_url("/gdn/apps/Gimp/files/src/chunk/io.c") is None
+    True
     """
     if not path.startswith("/gdn/"):
         return None
-    parsed = urllib.parse.urlparse(path)
-    rest = parsed.path[len("/gdn"):]
+    rest, _sep, query = path[len("/gdn"):].partition("?")
+    marker, object_name, tail = _route(rest)
+    if marker is None or marker == "/files/":
+        return None
     chunk_size = None
-    query = urllib.parse.parse_qs(parsed.query)
-    if "chunk_size" in query:
-        try:
-            chunk_size = int(query["chunk_size"][0])
-        except ValueError:
-            raise ValueError("bad chunk_size in %r" % path) from None
-    if "/manifest/" in rest:
-        object_name, _sep, file_path = rest.partition("/manifest/")
-        if not file_path:
+    if query:
+        values = urllib.parse.parse_qs(query).get("chunk_size")
+        if values:
+            try:
+                chunk_size = int(values[0])
+            except ValueError:
+                raise ValueError("bad chunk_size in %r" % path) from None
+    if marker == "/manifest/":
+        if not tail:
             raise ValueError("transfer URL names no file: %r" % path)
-        return ("manifest", object_name, file_path, None, chunk_size)
-    if "/chunk/" in rest:
-        object_name, _sep, tail = rest.partition("/chunk/")
-        index_text, _sep, file_path = tail.partition("/")
-        if not file_path:
-            raise ValueError("transfer URL names no file: %r" % path)
-        try:
-            index = int(index_text)
-        except ValueError:
-            raise ValueError("bad chunk index in %r" % path) from None
-        return ("chunk", object_name, file_path, index, chunk_size)
-    return None
+        return ("manifest", object_name, tail, None, chunk_size)
+    index_text, _sep, file_path = tail.partition("/")
+    if not file_path:
+        raise ValueError("transfer URL names no file: %r" % path)
+    try:
+        index = int(index_text)
+    except ValueError:
+        raise ValueError("bad chunk index in %r" % path) from None
+    return ("chunk", object_name, file_path, index, chunk_size)
 
 
 def render_listing(object_name: str, entries: list) -> str:

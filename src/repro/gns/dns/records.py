@@ -10,10 +10,18 @@ resource records with TTLs.
 from __future__ import annotations
 
 import enum
+import functools
 from typing import List, Tuple
 
 __all__ = ["RRType", "ResourceRecord", "normalize_name", "is_subdomain",
-           "name_labels", "parent_name", "DnsError"]
+           "name_labels", "parent_name", "DnsError", "NAME_MEMO_SIZE"]
+
+#: Entries in the name memos (:func:`normalize_name` here, the object
+#: name mapping in ``gns.gns``).  Names are pure functions of their
+#: spelling, so a memo entry is never wrong, only evicted (LRU); the
+#: bound keeps a run over an unbounded name space at a fixed footprint
+#: (two strings per entry, a few hundred KiB when full).
+NAME_MEMO_SIZE = 4096
 
 
 class DnsError(Exception):
@@ -30,24 +38,29 @@ class RRType(str, enum.Enum):
     CNAME = "CNAME"  # alias
 
 
+@functools.lru_cache(maxsize=NAME_MEMO_SIZE)
 def normalize_name(name: str) -> str:
     """Canonical form: lower-case, no surrounding dots, no empties.
 
-    The root is the empty string.
+    The root is the empty string.  Memoised: every layer of the name
+    service normalises defensively, so one warm resolution passes the
+    same spelling through here several times; it is validated once.
+    (A name that fails is not remembered and fails again next time.)
     """
     name = name.strip().lower().strip(".")
     if not name:
         return ""
-    labels = name.split(".")
-    for label in labels:
+    for label in name.split("."):
         if not label or len(label) > 63:
             raise DnsError("bad DNS label in %r" % name)
-        # Paper §5: DNS restricts name syntax; enforce it here.
-        if not all(c.isalnum() or c == "-" for c in label):
+        # Paper §5: DNS restricts name syntax; enforce it here
+        # (letters, digits and hyphens only).
+        plain = label.replace("-", "")
+        if plain and not plain.isalnum():
             raise DnsError("illegal character in DNS label %r" % label)
     if len(name) > 253:
         raise DnsError("DNS name too long: %r" % name)
-    return ".".join(labels)
+    return name
 
 
 def name_labels(name: str) -> List[str]:
@@ -91,7 +104,7 @@ class ResourceRecord:
     @classmethod
     def from_wire(cls, wire: dict) -> "ResourceRecord":
         try:
-            return cls(wire["name"], RRType(wire["type"]), wire["ttl"],
+            return cls(wire["name"], wire["type"], wire["ttl"],
                        wire["data"])
         except KeyError as exc:
             raise DnsError("bad record wire form: missing %s" % exc) from exc

@@ -7,13 +7,14 @@ makes the paper's DNS-based name service scale (§5: "This allows the
 DNS to cache entries at client-side resolvers"), and switching it off
 is the ablation in experiment E7.
 
-Simplification (documented in DESIGN.md): NS record data names a
-simulated host directly, so no glue A-record chasing is modelled.
+Simplification: NS record data names a simulated host directly, so no
+glue A-record chasing is modelled.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import (Dict, Generator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from ...sim.rpc import RpcTimeout, UdpRpcClient
 from ...sim.transport import Host
@@ -34,18 +35,24 @@ class ResolutionError(DnsError):
     """The resolver could not complete a resolution."""
 
 
-class ResolutionResult:
-    """Outcome of one resolution."""
+class ResolutionResult(NamedTuple):
+    """Outcome of one resolution.
 
-    def __init__(self, rcode: str, records: List[ResourceRecord],
-                 from_cache: bool):
-        self.rcode = rcode
-        self.records = records
-        self.from_cache = from_cache
+    Immutable, ``records`` included: a cached answer is parsed once
+    and the same object is handed to every caller that hits it.
+    """
+
+    rcode: str
+    records: Tuple[ResourceRecord, ...]
+    from_cache: bool
 
     @property
     def ok(self) -> bool:
         return self.rcode == Rcode.NOERROR and bool(self.records)
+
+
+def _parse(wires: Sequence[dict]) -> Tuple[ResourceRecord, ...]:
+    return tuple(ResourceRecord.from_wire(wire) for wire in wires)
 
 
 class CachingResolver:
@@ -61,8 +68,9 @@ class CachingResolver:
         self.root_hints = list(root_hints)
         self.cache_enabled = cache_enabled
         self._client = UdpRpcClient(host, timeout=3.0, retries=2)
-        #: (name, type) -> (expires_at, rcode, [record wires])
-        self._cache: Dict[Tuple[str, str], Tuple[float, str, List[dict]]] = {}
+        #: (name, type) -> (expires_at, the answer as a hit returns it)
+        self._cache: Dict[Tuple[str, str],
+                          Tuple[float, ResolutionResult]] = {}
         self.queries_sent = 0
         self.cache_hits = 0
         self.resolutions = 0
@@ -70,30 +78,33 @@ class CachingResolver:
     # -- cache ---------------------------------------------------------------
 
     def _cache_get(self, qname: str, qtype: RRType
-                   ) -> Optional[Tuple[str, List[dict]]]:
+                   ) -> Optional[ResolutionResult]:
         if not self.cache_enabled:
             return None
-        entry = self._cache.get((qname, qtype.value))
+        key = (qname, qtype.value)
+        entry = self._cache.get(key)
         if entry is None:
             return None
-        expires_at, rcode, wires = entry
-        if self.world.now > expires_at:
-            del self._cache[(qname, qtype.value)]
+        if self.world.now > entry[0]:
+            del self._cache[key]
             return None
-        return rcode, wires
+        return entry[1]
 
     def _cache_put(self, qname: str, qtype: RRType, rcode: str,
-                   records: List[dict]) -> None:
+                   records: Tuple[ResourceRecord, ...]) -> None:
+        """Remember an answer, already parsed, until its TTL runs out:
+        a hit is a dict lookup and an expiry compare, nothing more."""
         if not self.cache_enabled:
             return
         if records:
-            ttl = min(record["ttl"] for record in records)
+            ttl = min(record.ttl for record in records)
         else:
             ttl = NEGATIVE_TTL
         if ttl <= 0:
             return
         self._cache[(qname, qtype.value)] = (
-            self.world.now + ttl, rcode, list(records))
+            self.world.now + ttl,
+            ResolutionResult(rcode, records, from_cache=True))
 
     def flush_cache(self) -> None:
         self._cache.clear()
@@ -104,10 +115,8 @@ class CachingResolver:
         name = qname
         while name:
             cached = self._cache_get(name, RRType.NS)
-            if cached is not None:
-                _rcode, wires = cached
-                if wires:
-                    return [(record["data"], DNS_PORT) for record in wires]
+            if cached is not None and cached.records:
+                return [(record.data, DNS_PORT) for record in cached.records]
             _first, _dot, name = name.partition(".")
         return list(self.root_hints)
 
@@ -120,15 +129,12 @@ class CachingResolver:
         ``result = yield from resolver.resolve("pkg.gdn.vu.nl", RRType.TXT)``
         """
         qname = normalize_name(name)
-        qtype = RRType(rtype)
+        qtype = rtype if type(rtype) is RRType else RRType(rtype)
         self.resolutions += 1
         cached = self._cache_get(qname, qtype)
         if cached is not None:
             self.cache_hits += 1
-            rcode, wires = cached
-            return ResolutionResult(
-                rcode, [ResourceRecord.from_wire(w) for w in wires],
-                from_cache=True)
+            return cached
         servers = self._best_cached_servers(qname)
         for _step in range(MAX_STEPS):
             reply = yield from self._query_any(servers, qname, qtype)
@@ -136,30 +142,31 @@ class CachingResolver:
             answers = reply.get("answers", [])
             referral = reply.get("referral", [])
             if rcode == Rcode.NXDOMAIN:
-                self._cache_put(qname, qtype, rcode, [])
-                return ResolutionResult(rcode, [], from_cache=False)
+                self._cache_put(qname, qtype, rcode, ())
+                return ResolutionResult(rcode, (), from_cache=False)
             if rcode != Rcode.NOERROR:
                 raise ResolutionError("server returned %s for %r"
                                       % (rcode, qname))
             if answers:
-                records = [ResourceRecord.from_wire(w) for w in answers]
+                records = _parse(answers)
                 cnames = [r for r in records if r.rtype == RRType.CNAME]
                 if cnames and qtype != RRType.CNAME:
                     # Follow the alias chain.
                     result = yield from self.resolve(cnames[0].data, qtype)
                     return result
-                self._cache_put(qname, qtype, rcode, answers)
+                self._cache_put(qname, qtype, rcode, records)
                 return ResolutionResult(rcode, records, from_cache=False)
             if referral:
                 # Cache the referral under the delegated name, then
                 # descend to the child zone's servers.
                 child = referral[0]["name"]
-                self._cache_put(child, RRType.NS, Rcode.NOERROR, referral)
-                servers = [(record["data"], DNS_PORT) for record in referral]
+                delegation = _parse(referral)
+                self._cache_put(child, RRType.NS, Rcode.NOERROR, delegation)
+                servers = [(record.data, DNS_PORT) for record in delegation]
                 continue
             # NODATA: the name exists without this record type.
-            self._cache_put(qname, qtype, rcode, [])
-            return ResolutionResult(rcode, [], from_cache=False)
+            self._cache_put(qname, qtype, rcode, ())
+            return ResolutionResult(rcode, (), from_cache=False)
         raise ResolutionError("referral loop resolving %r" % qname)
 
     def resolve_txt(self, name: str) -> Generator[object, object, str]:

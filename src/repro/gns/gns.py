@@ -15,11 +15,12 @@ prototype reproduced here follows the paper exactly:
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+import functools
+from typing import Generator
 
 from ..sim.transport import Host
 from ..sim.world import World
-from .dns.records import DnsError, RRType, normalize_name
+from .dns.records import NAME_MEMO_SIZE, DnsError, normalize_name
 from .dns.resolver import CachingResolver, ResolutionError
 
 __all__ = ["GlobeNameService", "GnsError", "object_name_to_dns",
@@ -36,13 +37,15 @@ class GnsError(Exception):
     """Raised for name-service failures (bad names, missing mappings)."""
 
 
+@functools.lru_cache(maxsize=NAME_MEMO_SIZE)
 def object_name_to_dns(object_name: str, zone: str) -> str:
     """Map a Globe object name to its DNS name in ``zone``.
 
     Path components are reversed and joined with dots, then suffixed
     with the zone — exactly the paper's scheme.  DNS syntax limits
     apply (the paper's first noted disadvantage): components must be
-    valid DNS labels.
+    valid DNS labels.  Memoised like :func:`normalize_name`: a popular
+    package's name is mapped once, not once per request.
     """
     if not object_name.startswith("/"):
         raise GnsError("object names are absolute paths: %r" % object_name)

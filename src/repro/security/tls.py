@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from ..core.marshal import pack
+from ..core.marshal import MarshalError, pack
 from ..sim.kernel import Event
 from ..sim.serde import encoded_size
 from ..sim.transport import Connection, ConnectionClosed
@@ -214,10 +214,17 @@ class SecureChannel:
                 self.integrity_failures += 1
                 self._inbox.put(SecurityError("malformed record"))
                 continue
+            # A forged frame can carry anything: a sequence number that
+            # is no number, a payload no sender could have marshalled.
+            # What cannot be MACed was not sent by the peer.
             expected_seq = self._seq_in + 1
-            mac = self._mac(self._recv_key, frame.get("s", -1),
-                            frame.get("p"))
-            if frame.get("s") != expected_seq or frame.get("m") != mac:
+            try:
+                genuine = (frame["s"] == expected_seq
+                           and frame.get("m") == self._mac(
+                               self._recv_key, expected_seq, frame.get("p")))
+            except MarshalError:
+                genuine = False
+            if not genuine:
                 self.integrity_failures += 1
                 self._inbox.put(SecurityError(
                     "record failed integrity check (tamper or replay)"))

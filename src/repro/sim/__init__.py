@@ -1,8 +1,8 @@
 """Simulation substrate: kernel, topology, network, transport, RPC.
 
 This package replaces the real Internet that the GDN paper deployed on
-with a deterministic discrete-event model (see DESIGN.md §4 for the
-substitution rationale).
+with a deterministic discrete-event model: a run is a pure function of
+its seed, which no deployment on real networks can offer.
 """
 
 from .deadlines import FifoDeadlinePool, OrderedDeadlinePool, shared_pool

@@ -8,8 +8,8 @@ significant improvements … less wide-area network traffic … and the
 response time for the end-user improved."
 
 We cannot redistribute the VU trace, so this generator reproduces the
-*heterogeneity* the study exploits (documented substitution, DESIGN.md
-§4): document popularity is Zipf; most documents change rarely while a
+*heterogeneity* the study exploits (a documented substitution):
+document popularity is Zipf; most documents change rarely while a
 minority changes often; readership is regionally skewed per document.
 The experiment then compares uniform strategies against per-document
 assignment on exactly this trace.

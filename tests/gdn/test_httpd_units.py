@@ -1,7 +1,10 @@
 """Unit tests for URL parsing, HTML rendering and access points."""
 
+import doctest
+
 import pytest
 
+from repro.gdn import httpd
 from repro.gdn.browser import nearest_access_point
 from repro.gdn.httpd import parse_gdn_url, render_listing
 
@@ -24,6 +27,20 @@ def test_parse_nested_file_path():
 
 def test_parse_trailing_slash():
     assert parse_gdn_url("/gdn/apps/Gimp/") == ("/apps/Gimp", None)
+
+
+def test_parse_file_url_whose_path_names_another_route():
+    assert parse_gdn_url("/gdn/apps/Gimp/files/docs/manifest/readme.txt") \
+        == ("/apps/Gimp", "docs/manifest/readme.txt")
+    assert parse_gdn_url("/gdn/apps/Gimp/files/src/chunk/io.c") == \
+        ("/apps/Gimp", "src/chunk/io.c")
+    assert parse_gdn_url("/gdn/apps/Gimp/files/a/files/b") == \
+        ("/apps/Gimp", "a/files/b")
+
+
+def test_url_doctests():
+    results = doctest.testmod(httpd)
+    assert results.attempted and not results.failed
 
 
 def test_parse_non_gdn_url_rejected():

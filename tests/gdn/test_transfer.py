@@ -95,6 +95,22 @@ def test_parse_transfer_url_forms():
         parse_transfer_url("/gdn/apps/Gimp/chunk/3/f?chunk_size=abc")
 
 
+def test_first_route_marker_decides_what_a_url_is():
+    # A file path may itself contain a directory called manifest or
+    # chunk (or files): only the marker that comes first routes.
+    assert parse_transfer_url(
+        "/gdn/apps/Gimp/files/docs/manifest/readme.txt") is None
+    assert parse_transfer_url("/gdn/apps/Gimp/files/src/chunk/io.c") is None
+    assert parse_transfer_url("/gdn/apps/Gimp/manifest/files/x") == \
+        ("manifest", "/apps/Gimp", "files/x", None, None)
+    assert parse_transfer_url("/gdn/apps/Gimp/chunk/2/docs/manifest/r") == \
+        ("chunk", "/apps/Gimp", "docs/manifest/r", 2, None)
+    assert parse_transfer_url("/gdn/apps/Gimp/manifest/a/chunk/1/b") == \
+        ("manifest", "/apps/Gimp", "a/chunk/1/b", None, None)
+    # A marker in the query string is not part of the path.
+    assert parse_transfer_url("/gdn/apps/Gimp?next=/manifest/x") is None
+
+
 # -- GOS chunk endpoints -----------------------------------------------------
 
 
@@ -186,6 +202,41 @@ def test_clean_download_round_trip(gdn):
     snapshot = gdn.world.metrics.snapshot()
     assert snapshot["xfer_clean.chunks_ok"] == count
     assert snapshot["xfer_clean.inflight_transfers"] == 0
+
+
+def test_file_paths_containing_route_words_are_served(gdn):
+    """Regression: ``/manifest/`` or ``/chunk/`` *inside* a file path
+    used to hijack a plain GET (404 "unknown package" / "bad transfer
+    URL"); such files must also stay reachable by chunked transfer."""
+    moderator = gdn.moderators["mod"]
+    files = {"docs/manifest/readme.txt": b"read me",
+             "src/chunk/io.c": b"int io;" * 900}
+
+    def publish():
+        yield from moderator.create_package(
+            "/apps/Gimp", files,
+            ReplicationScenario.single_server("gos-r0-0"))
+
+    gdn.run(publish(), host=moderator.host)
+    gdn.settle(5.0)
+    browser = gdn.add_browser("route-user", "r1/c0/m0/s1")
+    downloader = gdn.chunked_downloader(chunk_size=2048,
+                                        metrics_prefix="xfer_route")
+
+    def run():
+        plain = {}
+        for path in files:
+            plain[path] = yield from browser.get(
+                "/gdn/apps/Gimp/files/" + path)
+        chunked, _token = yield from downloader.download(
+            browser, "/apps/Gimp", "src/chunk/io.c")
+        return plain, chunked
+
+    plain, chunked = gdn.run(run(), host=browser.host)
+    for path, content in files.items():
+        assert plain[path].status == 200, plain[path].body
+        assert plain[path].body == content
+    assert chunked == files["src/chunk/io.c"]
 
 
 def test_resume_token_round_trips_through_wire_format(gdn):

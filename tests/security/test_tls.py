@@ -189,26 +189,41 @@ def test_client_without_cert_rejected_in_two_way_mode(world, pki):
     assert server_outcome["result"] == "refused"
 
 
-def test_tampered_record_detected(world, pki):
+@pytest.mark.parametrize("forged", [
+    {"s": 1, "p": {"evil": True}, "m": b"\x00" * 32},
+    # Frames whose MAC cannot even be computed: a sequence number
+    # that is no 64-bit number, or none at all, and payloads nothing
+    # could have marshalled.  Each used to escape the receive pump as
+    # OverflowError / AttributeError / MarshalError and end the run.
+    {"s": -1, "p": {"evil": True}, "m": b"\x00" * 32},
+    {"s": "1", "p": {"evil": True}, "m": b"\x00" * 32},
+    {"s": 1, "p": {1: "non-str key"}, "m": b"\x00" * 32},
+    {"s": 1, "p": {"evil": object()}, "m": b"\x00" * 32},
+], ids=["bad-mac", "negative-seq", "text-seq", "non-str-key",
+        "unmarshallable"])
+def test_tampered_record_detected(world, pki, forged):
     client_channel, server_channel = _secure_pair(world, pki)
 
     def attack():
         # Inject a forged frame directly on the underlying connection,
         # bypassing the secure channel (an on-path attacker on the TCP
-        # stream).
-        client_channel.conn.send({"s": 1, "p": {"evil": True},
-                                  "m": b"\x00" * 32})
+        # stream), ahead of a genuine record.
+        client_channel.conn.send(forged, size=64)
+        client_channel.send({"genuine": 1})
         yield world.sim.timeout(0)
 
     def victim():
         try:
             yield server_channel.recv()
         except SecurityError:
-            return "tamper detected"
+            # The pump survived the forgery and still serves the peer.
+            following = yield server_channel.recv()
+            return ("tamper detected", following)
 
     world.get_host("client-host").spawn(attack())
     proc = world.get_host("server-host").spawn(victim())
-    assert world.run_until(proc, limit=1e6) == "tamper detected"
+    assert world.run_until(proc, limit=1e6) == ("tamper detected",
+                                                {"genuine": 1})
     assert server_channel.integrity_failures == 1
 
 
