@@ -70,6 +70,41 @@ def _route(rest: str) -> Tuple[Optional[str], str, str]:
     return marker, rest[:at], rest[at + len(marker):]
 
 
+def _gdn_target(rest: str, marker: Optional[str], object_name: str,
+                tail: str) -> Tuple[str, Optional[str]]:
+    """(object name, optional file path) of a page or download URL,
+    from its path less ``/gdn`` and that path's :func:`_route` split."""
+    if marker == "/files/":
+        return object_name, tail
+    return rest.rstrip("/"), None
+
+
+def _transfer_target(path: str, marker: str, object_name: str, tail: str,
+                     query: str) -> tuple:
+    """The tuple :func:`parse_transfer_url` returns, from the
+    :func:`_route` split of a ``/manifest/`` or ``/chunk/`` URL."""
+    chunk_size = None
+    if query:
+        values = urllib.parse.parse_qs(query).get("chunk_size")
+        if values:
+            try:
+                chunk_size = int(values[0])
+            except ValueError:
+                raise ValueError("bad chunk_size in %r" % path) from None
+    if marker == "/manifest/":
+        if not tail:
+            raise ValueError("transfer URL names no file: %r" % path)
+        return ("manifest", object_name, tail, None, chunk_size)
+    index_text, _sep, file_path = tail.partition("/")
+    if not file_path:
+        raise ValueError("transfer URL names no file: %r" % path)
+    try:
+        index = int(index_text)
+    except ValueError:
+        raise ValueError("bad chunk index in %r" % path) from None
+    return ("chunk", object_name, file_path, index, chunk_size)
+
+
 def parse_gdn_url(path: str) -> Tuple[str, Optional[str]]:
     """Split a GDN URL path into (object name, optional file path).
 
@@ -81,10 +116,7 @@ def parse_gdn_url(path: str) -> Tuple[str, Optional[str]]:
     if not path.startswith("/gdn/"):
         raise ValueError("not a GDN URL: %r" % path)
     rest = path[len("/gdn"):]
-    marker, object_name, file_path = _route(rest)
-    if marker == "/files/":
-        return object_name, file_path
-    return rest.rstrip("/"), None
+    return _gdn_target(rest, *_route(rest))
 
 
 def parse_transfer_url(path: str) -> Optional[tuple]:
@@ -112,26 +144,7 @@ def parse_transfer_url(path: str) -> Optional[tuple]:
     marker, object_name, tail = _route(rest)
     if marker is None or marker == "/files/":
         return None
-    chunk_size = None
-    if query:
-        values = urllib.parse.parse_qs(query).get("chunk_size")
-        if values:
-            try:
-                chunk_size = int(values[0])
-            except ValueError:
-                raise ValueError("bad chunk_size in %r" % path) from None
-    if marker == "/manifest/":
-        if not tail:
-            raise ValueError("transfer URL names no file: %r" % path)
-        return ("manifest", object_name, tail, None, chunk_size)
-    index_text, _sep, file_path = tail.partition("/")
-    if not file_path:
-        raise ValueError("transfer URL names no file: %r" % path)
-    try:
-        index = int(index_text)
-    except ValueError:
-        raise ValueError("bad chunk index in %r" % path) from None
-    return ("chunk", object_name, file_path, index, chunk_size)
+    return _transfer_target(path, marker, object_name, tail, query)
 
 
 def render_listing(object_name: str, entries: list) -> str:
@@ -227,19 +240,25 @@ class GdnHttpd:
         if path.startswith("/gdn-search"):
             reply = yield from self._handle_search(path)
             return reply
-        try:
-            transfer = parse_transfer_url(path)
-        except ValueError:
-            self.errors += 1
-            return _response(404, "bad transfer URL: %s" % path)
-        if transfer is not None:
-            reply = yield from self._handle_transfer(*transfer)
-            return reply
-        try:
-            object_name, file_path = parse_gdn_url(path)
-        except ValueError:
+        if not path.startswith("/gdn/"):
             self.errors += 1
             return _response(404, "not a GDN URL: %s" % path)
+        # Routed once; both kinds of URL are read off the one split.
+        rest, sep, query = path[len("/gdn"):].partition("?")
+        marker, object_name, tail = _route(rest)
+        if marker is not None and marker != "/files/":
+            try:
+                transfer = _transfer_target(path, marker, object_name, tail,
+                                            query)
+            except ValueError:
+                self.errors += 1
+                return _response(404, "bad transfer URL: %s" % path)
+            reply = yield from self._handle_transfer(*transfer)
+            return reply
+        # A query string is no part of a page or download URL's
+        # syntax: it stays on the end of whatever the path names.
+        object_name, file_path = _gdn_target(
+            rest + sep + query, marker, object_name, tail + sep + query)
         try:
             oid_hex = yield from self.name_service.resolve(object_name)
         except GnsError:

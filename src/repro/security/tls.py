@@ -34,7 +34,7 @@ from typing import Any, Generator, Optional
 from ..core.marshal import MarshalError, pack
 from ..sim.kernel import Event
 from ..sim.serde import encoded_size
-from ..sim.transport import Connection, ConnectionClosed
+from ..sim.transport import Connection, ConnectionClosed, Inbox
 from .certs import Certificate, Credentials
 from .crypto import hmac_sha256, sha256
 
@@ -85,7 +85,7 @@ class CostModel:
 
 DEFAULT_COSTS = CostModel()
 
-_EOF = object()
+_CLOSED = "secure channel closed"
 
 
 class SecureChannel:
@@ -111,7 +111,7 @@ class SecureChannel:
         self.records_sent = 0
         self.integrity_failures = 0
         self._outbox = self.sim.store()
-        self._inbox = self.sim.store()
+        self._inbox = Inbox(self.sim)
         self._pumps = [self.host.spawn(self._send_pump()),
                        self.host.spawn(self._recv_pump())]
 
@@ -136,29 +136,19 @@ class SecureChannel:
         # not covered by the MAC; the receiver sanity-bounds it and
         # falls back to an honest walk when it is missing or forged.)
         frame = {"s": self._seq_out, "p": payload, "m": mac, "w": wire}
-        self._outbox.put((frame, wire))
+        # An idle send pump takes the record in this frame and arms
+        # its cost timer at once; a busy one finds it in the backlog.
+        self._outbox.put_inline((frame, wire))
         return wire
 
     def recv(self) -> Event:
-        """Event with the next verified payload; fails on close/tamper."""
-        result = self.sim.event()
-        result._defused = True
-        inner = self._inbox.get()
+        """Event with the next verified payload; fails on close/tamper.
 
-        def on_item(event: Event) -> None:
-            if result.triggered:
-                return
-            item = event._value
-            if item is _EOF:
-                self._inbox.put(_EOF)
-                result.fail(ConnectionClosed("secure channel closed"))
-            elif isinstance(item, SecurityError):
-                result.fail(item)
-            else:
-                result.succeed(item)
-
-        inner.add_callback(on_item)
-        return result
+        The same receive-side hand-off as a plain connection's
+        (:class:`~repro.sim.transport.Inbox`): the receive pump fires
+        this event from the frame its cost timer resumed it in.
+        """
+        return self._inbox.get()
 
     def close(self) -> None:
         if self.closed:
@@ -168,7 +158,7 @@ class SecureChannel:
         for pump in self._pumps:
             if pump.alive:
                 pump.kill()
-        self._inbox.put(_EOF)
+        self._inbox.close(_CLOSED)
 
     # -- internals ------------------------------------------------------------
 
@@ -186,7 +176,7 @@ class SecureChannel:
                 self.conn.send(frame, size=wire)
                 self.records_sent += 1
             except ConnectionClosed:
-                self._inbox.put(_EOF)
+                self._inbox.close(_CLOSED)
                 return
 
     def _recv_pump(self) -> Generator:
@@ -194,7 +184,7 @@ class SecureChannel:
             try:
                 frame = yield self.conn.recv()
             except ConnectionClosed:
-                self._inbox.put(_EOF)
+                self._inbox.close(_CLOSED)
                 return
             # Trust the carried size only inside a sane range: "w" is
             # not MAC-covered, so an on-path attacker could otherwise
@@ -212,7 +202,7 @@ class SecureChannel:
                 yield self.sim.timeout(cost)
             if not isinstance(frame, dict) or "s" not in frame:
                 self.integrity_failures += 1
-                self._inbox.put(SecurityError("malformed record"))
+                self._inbox.put_failure(SecurityError("malformed record"))
                 continue
             # A forged frame can carry anything: a sequence number that
             # is no number, a payload no sender could have marshalled.
@@ -226,11 +216,11 @@ class SecureChannel:
                 genuine = False
             if not genuine:
                 self.integrity_failures += 1
-                self._inbox.put(SecurityError(
+                self._inbox.put_failure(SecurityError(
                     "record failed integrity check (tamper or replay)"))
                 continue
             self._seq_in = expected_seq
-            self._inbox.put(frame["p"])
+            self._inbox.put_inline(frame["p"])
 
 
 # ---------------------------------------------------------------------------

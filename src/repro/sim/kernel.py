@@ -20,8 +20,10 @@ accordingly:
 
 * The scheduler is **two queues**: a FIFO *run queue*
   (:class:`collections.deque`) for events that fire at the current
-  instant — every ``Event.succeed``/``fail``, ``Store`` hand-off and
-  RPC completion — and a timer *heap* for events with a real delay.
+  instant — every ``Event.succeed``/``fail``, ``Store.put`` hand-off
+  and RPC completion (per-message transport hand-offs bypass it:
+  :meth:`Store.put_inline`) — and a timer *heap* for events with a
+  real delay.
   A zero-delay cascade costs an O(1) append/popleft per event instead
   of an O(log n) ``heappush``+``heappop`` against the timer heap.
   The two queues are merged by the global sequence number when a
@@ -361,16 +363,24 @@ class Process(Event):
 
     __slots__ = ("_generator", "_waiting_on")
 
-    def __init__(self, sim: "Simulator", generator: Generator):
+    def __init__(self, sim: "Simulator", generator: Generator,
+                 target: Optional[Event] = None):
+        """``target`` (see :meth:`Simulator.adopt`) is the event a
+        generator the caller already started has just yielded: the
+        process waits on it instead of kicking the generator off."""
         super().__init__(sim)
         if not hasattr(generator, "send"):
             raise SimulationError("process() requires a generator")
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
-        # Kick off at the current instant.
-        start = Event(sim)
-        start.add_callback(self._resume)
-        start.succeed()
+        self._waiting_on: Optional[Event] = target
+        if target is None:
+            # Kick off at the current instant.
+            target = Event(sim)
+            target.succeed()
+        elif not isinstance(target, Event):
+            raise SimulationError(
+                "process yielded %r, expected an Event" % (target,))
+        target.add_callback(self._resume)
 
     @property
     def alive(self) -> bool:
@@ -396,11 +406,22 @@ class Process(Event):
         Used by failure injection (host crashes): the generator is
         closed, pending waits are abandoned, and the process event
         succeeds with ``None`` so waiters are released.
+
+        Killing the process that is *executing* — a daemon crashing
+        its own host, or a receiver it resumed inline
+        (:meth:`Store.put_inline`) closing the channel it pumps — is
+        well defined too: the process is dead from this call on, but
+        a running generator cannot be closed (CPython raises
+        ``ValueError: generator already executing``), so
+        :meth:`_step` closes it when the current step returns.
+        Whatever that step still yields, returns or raises is dropped
+        and nothing after the kill point is ever resumed.
         """
         if not self.alive:
             return
         self._abandon_wait()
-        self._generator.close()
+        if not self._generator.gi_running:
+            self._generator.close()
         self.succeed(None)
 
     def _abandon_wait(self) -> None:
@@ -438,10 +459,21 @@ class Process(Event):
                 event._defused = True
                 target = self._generator.throw(event._value)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            if self._value is _PENDING:
+                self.succeed(stop.value)
             return
         except BaseException as exc:
-            self.fail(exc)
+            if self._value is _PENDING:
+                self.fail(exc)
+            elif not isinstance(exc, Exception):
+                raise
+            return
+        if self._value is not _PENDING:
+            # Killed during this very step (see kill()): the generator
+            # is suspended again, so it can be closed now.
+            self._generator.close()
+            if type(target) is Timeout and not target.callbacks:
+                target.cancel()  # armed after the kill, watched by nobody
             return
         if not isinstance(target, Event):
             error = SimulationError(
@@ -552,20 +584,33 @@ class Store:
 
         Same FIFO semantics as :meth:`put`, but when a getter is
         parked its callbacks run immediately inside the caller's frame
-        instead of through a run-queue event.  This is the pooled
-        per-datagram hand-off for paths where the producer is *already*
-        a kernel callback (a network-arrival timer delivering into a
-        socket inbox): the old ``put`` path charged one extra run-queue
-        event per datagram only to resume the waiter at the very next
+        instead of through a run-queue event.  This is the per-message
+        hand-off of both transports — a network-arrival timer
+        delivering into a ``UdpSocket`` inbox or a connection's
+        :class:`~repro.sim.transport.Inbox` — and of the TLS record
+        pumps standing between the two: ``put`` charged one run-queue
+        event per message only to resume the waiter at the very next
         scheduler step; firing it during the arrival callback keeps the
         observable resume instant (and the waiter's own downstream
         sends, and therefore every send-time RNG draw) at the same
         simulated time while dropping the event entirely.
 
-        Only for producers that tolerate the consumer's continuation
-        running re-entrantly under them — the transport delivery
-        closures do; general producer processes should keep ``put``.
-        A get against the backlog, and a ``put_inline`` with no parked
+        **Re-entrancy rule.**  The consumer's continuation runs
+        *under* the producer's frame, so resumption must flow one way,
+        away from the kernel callback that started it: arrival timer →
+        (record pump →) receiver → whatever the receiver runs before
+        it next yields.  That continuation may do anything a process
+        may do — send, reply, close channels, crash hosts — including
+        killing a process whose frame it runs under
+        (:meth:`Process.kill` defers closing a running generator).
+        What it must never do is cause such a process to be *resumed*:
+        a running generator cannot be re-entered.  Hence only
+        producers that are kernel callbacks, or were resumed by one
+        and resume nothing upstream of themselves, use this; anything
+        triggered from an arbitrary frame (an end of stream from
+        ``close()``, a reply waiter, a general producer process) keeps
+        ``put``/``succeed`` and goes through the run queue.  A get
+        against the backlog, and a ``put_inline`` with no parked
         getter, behave exactly like :meth:`put`/:meth:`get`.
         """
         getters = self._getters
@@ -766,6 +811,18 @@ class Simulator:
     def process(self, generator: Generator) -> Process:
         """Start running ``generator`` as a simulation process."""
         return Process(self, generator)
+
+    def adopt(self, generator: Generator, target: Event) -> Process:
+        """Continue, as a process, a generator the caller has already
+        run up to its first ``yield`` — ``target`` is what it yielded.
+
+        For callers that start work in their own frame and need a
+        process only if that work suspends (an RPC server running a
+        handler that usually answers without waiting): the start and
+        completion events of a :class:`Process` are then paid by the
+        requests that wait for something, not by every request.
+        """
+        return Process(self, generator, target)
 
     def store(self) -> Store:
         return Store(self)

@@ -16,9 +16,11 @@ Two flavours, matching the paper's split:
 Handlers are registered per method name and receive
 ``(context, args)``.  A handler may be a plain function or a generator
 (simulation process), so servers can perform further simulated I/O
-while serving a request.  Generator handlers are served in their own
-process — servers are concurrent; plain-function handlers take an
-inline fast path (no process spawn) since they cannot block.
+while serving a request.  Servers are concurrent: a request that has
+to wait is continued by a process of its own while the server goes on
+receiving.  A request that never waits — a plain function, or a
+generator answering from a cache — is served in the frame that
+received it and costs no process at all (see :class:`RpcServer`).
 
 Client-side deadlines are **pooled** (:mod:`repro.sim.deadlines`):
 instead of arming one guard :class:`~repro.sim.kernel.Timeout` per
@@ -214,6 +216,18 @@ class RpcContext:
 class RpcServer:
     """Serves named methods on a listening port.
 
+    There is one way a request runs: the connection's serve loop —
+    itself resumed inside the request's arrival event — drives
+    ``_serve_request`` in its own frame up to the first ``yield``.  A
+    request that finishes first has replied by then: no process, no
+    kernel event beyond the arrival.  One that yields (waiting for a
+    worker of a ``concurrency``-bounded server, its ``service_time``,
+    or whatever its handler waits for) is adopted from the event it
+    yielded (:meth:`~repro.sim.transport.Host.adopt`) as a process of
+    the host — killed if the host crashes — and the loop returns to
+    ``recv()`` at once, so later requests on the same connection are
+    never queued behind it.
+
     ``channel_factory`` (optional) post-processes each accepted
     connection — it is a function ``conn -> generator -> wrapped_conn``
     used by the TLS layer to run the server side of a handshake.  The
@@ -284,12 +298,21 @@ class RpcServer:
                 except Exception:
                     pass
                 return
+        host = self.host
         while True:
             try:
                 request = yield conn.recv()
             except ConnectionClosed:
                 return
-            self.host.spawn(self._serve_request(conn, request))
+            # Not `yield from`: that would hold every later request
+            # on this connection behind one that waits (an HTTPD's
+            # shared channel to its object server, behind a GOS read).
+            serving = self._serve_request(conn, request)
+            try:
+                waits_for = next(serving)
+            except StopIteration:
+                continue
+            host.adopt(serving, waits_for)
 
     def _serve_request(self, conn, request: dict) -> Generator:
         if self._semaphore is not None:

@@ -38,6 +38,7 @@ __all__ = [
     "UdpSocket",
     "TcpListener",
     "Connection",
+    "Inbox",
     "Datagram",
     "TransportError",
     "ConnectionClosed",
@@ -100,8 +101,11 @@ class Host:
         self.up = True
         self._udp_ports: Dict[int, "UdpSocket"] = {}
         self._tcp_listeners: Dict[int, "TcpListener"] = {}
-        self._connections: list["Connection"] = []
-        self._processes: list[Process] = []
+        # Insertion-ordered sets (dict keys): a process exit or a
+        # connection close removes its entry in O(1) however many a
+        # busy HTTPD has live, and crash() still kills in spawn order.
+        self._connections: Dict["Connection", None] = {}
+        self._processes: Dict[Process, None] = {}
         self._ephemeral = itertools.count(49152)
 
     def __repr__(self) -> str:
@@ -113,12 +117,24 @@ class Host:
         """Run ``generator`` as a process that dies if this host crashes."""
         if not self.up:
             raise HostDown("cannot spawn on crashed host %s" % self.name)
-        process = self.sim.process(generator)
-        self._processes.append(process)
-        process.add_callback(
-            lambda _event: self._processes.remove(process)
-            if process in self._processes else None)
+        return self._own(self.sim.process(generator))
+
+    def adopt(self, generator: Generator, target: Event) -> Process:
+        """:meth:`Simulator.adopt` for a generator started in the
+        caller's frame on this host: from its first suspension on it
+        is one of the host's processes and dies in a crash like any
+        spawned one."""
+        if not self.up:
+            raise HostDown("cannot adopt on crashed host %s" % self.name)
+        return self._own(self.sim.adopt(generator, target))
+
+    def _own(self, process: Process) -> Process:
+        self._processes[process] = None
+        process.add_callback(self._disown)
         return process
+
+    def _disown(self, process: Process) -> None:
+        self._processes.pop(process, None)
 
     # -- lifecycle --------------------------------------------------------
 
@@ -234,8 +250,8 @@ class Host:
         server_end = Connection(dst, self)
         client_end._peer = server_end
         server_end._peer = client_end
-        self._connections.append(client_end)
-        dst._connections.append(server_end)
+        self._connections[client_end] = None
+        dst._connections[server_end] = None
         listener._pending.put(server_end)
         return client_end
 
@@ -336,7 +352,90 @@ class TcpListener:
         self.host._tcp_listeners.pop(self.port, None)
 
 
-_EOF = object()
+class _Failure:
+    """A backlog entry of an :class:`Inbox` that fails the ``get()``
+    reaching it (a payload may be any object, exceptions included)."""
+
+    __slots__ = ("exception",)
+
+    def __init__(self, exception: Exception):
+        self.exception = exception
+
+
+class Inbox(Store):
+    """The receiving side of one direction of a reliable channel.
+
+    A :class:`~repro.sim.kernel.Store` whose ``get()`` is the
+    channel's ``recv()``: the event a receiver parks on is the very
+    event the producer fires, so a message costs no kernel event of
+    its own between arriving and resuming its receiver.  On top of
+    the store's FIFO it keeps the channel contract the replication
+    protocols rely on:
+
+    * data reaches receivers in the order it was put, whether it is
+      handed to a parked receiver or waits in the backlog;
+    * the end of the stream (:meth:`close`) is seen only after every
+      message put before it has been received, and then by *every*
+      later ``get()``;
+    * a failure put with :meth:`put_failure` fails exactly one
+      ``get()``, in its place in the order.
+
+    Producers that are kernel callbacks (an arrival timer) or were
+    resumed by one (a TLS record pump) deliver with
+    :meth:`~repro.sim.kernel.Store.put_inline`.  The end of the stream
+    and failures go through the run queue: they also come from
+    ``close()`` and ``send()`` calls made by arbitrary processes —
+    possibly the parked receiver's own channel dispatcher — which must
+    not find themselves resumed under their own frame.
+
+    ``get()`` events are pre-defused: a teardown notification must not
+    crash the simulation when the waiting process has itself been
+    killed (its host crashed between ``recv()`` and the EOF arriving).
+    """
+
+    __slots__ = ("_closed_because",)
+
+    def __init__(self, sim: Simulator):
+        super().__init__(sim)
+        self._closed_because: Optional[str] = None
+
+    def get(self) -> Event:
+        event = Event(self.sim)
+        event._defused = True
+        if self._items:
+            item = self._items.popleft()
+            if type(item) is _Failure:
+                event.fail(item.exception)
+            else:
+                event.succeed(item)
+        elif self._closed_because is not None:
+            event.fail(ConnectionClosed(self._closed_because))
+        else:
+            self._getters.append(event)
+        return event
+
+    def put_failure(self, exception: Exception) -> None:
+        """Fail the next ``get()`` (only that one) with ``exception``."""
+        getters = self._getters
+        while getters:
+            getter = getters.popleft()
+            if not getter.triggered:
+                getter.fail(exception)
+                return
+        self._items.append(_Failure(exception))
+
+    def close(self, because: str) -> None:
+        """End of stream: parked receivers fail with
+        :class:`ConnectionClosed` now, later ones once the backlog is
+        drained.  Idempotent; the first reason sticks."""
+        if self._closed_because is not None:
+            return
+        self._closed_because = because
+        getters = self._getters
+        while getters:
+            getter = getters.popleft()
+            if not getter.triggered:
+                getter.fail(ConnectionClosed(because))
 
 
 class Connection:
@@ -346,7 +445,7 @@ class Connection:
         self.local = local
         self.remote = remote
         self.sim = local.sim
-        self._inbox: Store = local.sim.store()
+        self._inbox = Inbox(local.sim)
         self._peer: Optional["Connection"] = None
         self._next_arrival = 0.0
         self.closed = False
@@ -378,9 +477,14 @@ class Connection:
         peer = self._peer
 
         def deliver(_event) -> None:
-            if peer is not None and not peer.closed and peer.local.up:
+            # Inline hand-off: the arrival timer's callback resumes a
+            # parked recv() directly (Store.put_inline), as a datagram
+            # does.  A straggler still in flight when the connection
+            # broke is dropped: once broken, every recv fails.
+            if (peer is not None and not peer.closed and not peer.broken
+                    and peer.local.up):
                 peer.bytes_received += wire
-                peer._inbox.put(payload)
+                peer._inbox.put_inline(payload)
 
         network = self.local.network
         base_delay = network.transfer_delay(self.local.site,
@@ -402,54 +506,19 @@ class Connection:
         """Event firing with the next message.
 
         Fails with :class:`ConnectionClosed` once the peer has closed
-        (after all in-flight messages have been drained).
+        (after all in-flight messages have been drained).  The event
+        returned *is* the one the arrival timer fires (see
+        :class:`Inbox`): a receiver parked here is resumed inside the
+        arrival callback's frame, at the arrival instant, with no
+        kernel event in between; a receiver that fell behind takes the
+        head of the backlog straight away.
         """
-        result = self.sim.event()
-        # Teardown notifications must not crash the simulation when the
-        # waiting process has itself been killed (e.g. its host crashed
-        # between issuing recv() and the EOF arriving).
-        result._defused = True
         if self.closed:
+            result = self.sim.event()
+            result._defused = True
             result.fail(ConnectionClosed("recv on closed connection"))
             return result
-        # Fast path: the inbox has a backlog, so no getter is parked
-        # (Store keeps at most one side non-empty) and the head item is
-        # ours — trigger the result directly instead of allocating a
-        # wrapper Store event plus a relay callback per message.
-        backlog = self._inbox._items
-        if backlog:
-            item = backlog[0]
-            if item is _EOF:  # left in place: every later recv sees it
-                result.fail(ConnectionClosed("peer closed %r" % self))
-            else:
-                backlog.popleft()
-                result.succeed(item)
-            return result
-        inner = self._inbox.get()
-
-        def on_item(event: Event) -> None:
-            if result.triggered:
-                return
-            item = event._value
-            if item is _EOF:
-                # Subsequent recv() must see EOF too.  Hand it to the
-                # next parked getter if one is waiting; otherwise
-                # re-queue it at the *head* — the same place the fast
-                # path leaves it — so an abrupt _break()'s EOF keeps
-                # outranking any straggler delivered behind it (once
-                # broken, every later recv fails; stragglers after a
-                # crash are dropped, not resurrected).
-                inbox = self._inbox
-                if inbox._getters:
-                    inbox.put(_EOF)
-                else:
-                    inbox._items.appendleft(_EOF)
-                result.fail(ConnectionClosed("peer closed %r" % self))
-            else:
-                result.succeed(item)
-
-        inner.add_callback(on_item)
-        return result
+        return self._inbox.get()
 
     # -- teardown ---------------------------------------------------------
 
@@ -466,11 +535,11 @@ class Connection:
             arrival = max(self.sim.now + base_delay, self._next_arrival)
             network.deliver(self.local.site, self.remote.site,
                             self.remote.name, HEADER_OVERHEAD,
-                            lambda _event: peer._inbox.put(_EOF)
+                            lambda _event: peer._inbox.close(
+                                "peer closed %r" % peer)
                             if not peer.closed else None,
                             reliable=True, at=arrival)
-        if self in self.local._connections:
-            self.local._connections.remove(self)
+        self.local._connections.pop(self, None)
 
     def _break(self) -> None:
         """Abrupt teardown (host crash): surviving ends see EOF."""
@@ -479,6 +548,5 @@ class Connection:
                 continue
             end.broken = True
             if end.local.up:
-                end._inbox.put(_EOF)
-            if end in end.local._connections:
-                end.local._connections.remove(end)
+                end._inbox.close("peer closed %r" % end)
+            end.local._connections.pop(end, None)

@@ -43,6 +43,46 @@ def test_compare_records_flags_regressions(gate):
     assert regressions[0]["change"] == pytest.approx(-0.4)
 
 
+def test_event_rate_is_gated_only_while_the_request_keeps_its_shape(gate):
+    # The committed request-path record before and after six of its
+    # twelve events per request were removed: faster per request,
+    # "slower" per event.
+    baseline = {"requests_per_sec": 13834.0, "events_per_sec": 166078.0,
+                "events_per_request": 12.0}
+    fewer_events = {"requests_per_sec": 16400.0, "events_per_sec": 98500.0,
+                    "events_per_request": 6.0}
+    rows, regressions = gate.compare_records("gdn_request_path", baseline,
+                                             fewer_events, threshold=0.30)
+    assert regressions == []
+    by_metric = {row["metric"]: row for row in rows}
+    assert by_metric["events_per_sec"]["change"] == pytest.approx(-0.407,
+                                                                  abs=1e-3)
+    assert by_metric["events_per_sec"]["events_per_request"] \
+        == (12.0, 6.0)
+    assert "not gated: events/request 12.00 -> 6.00" in gate._format_row(
+        by_metric["events_per_sec"], 0.30)
+    assert "events_per_request" not in by_metric["requests_per_sec"]
+
+    # ... but a request that got slower is still caught, by its own rate.
+    slower = dict(fewer_events, requests_per_sec=9000.0)
+    _rows, regressions = gate.compare_records("gdn_request_path", baseline,
+                                              slower, threshold=0.30)
+    assert [r["metric"] for r in regressions] == ["requests_per_sec"]
+
+    # Same shape (a shorter CI run moves the warm-up share by ~0.1 %),
+    # or no events_per_request in the record at all: gated as before.
+    same_shape = {"requests_per_sec": 13000.0, "events_per_sec": 98500.0,
+                  "events_per_request": 12.015}
+    _rows, regressions = gate.compare_records("gdn_request_path", baseline,
+                                              same_shape, threshold=0.30)
+    assert [r["metric"] for r in regressions] == ["events_per_sec"]
+    _rows, regressions = gate.compare_records(
+        "flash_crowd", {"events_per_sec": 86815.0},
+        {"events_per_sec": 50000.0, "events_per_request": 6.0},
+        threshold=0.30)
+    assert [r["metric"] for r in regressions] == ["events_per_sec"]
+
+
 def test_gate_passes_and_fails_end_to_end(gate, tmp_path, monkeypatch):
     monkeypatch.delenv("TRAJECTORY_SKIP", raising=False)
     baseline_dir = tmp_path / "baseline"

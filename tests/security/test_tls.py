@@ -316,3 +316,69 @@ def test_forged_record_size_cannot_stall_or_discount_the_pump(world, pki):
         # crossed the wire (the honest walk), not the forged claim.
         assert detected_at < 60.0, "forged w=%r stalled the pump" % forged_w
         assert server_channel.integrity_failures == 1
+
+
+def test_secure_channel_call_costs_seven_kernel_events(world, pki):
+    """An RPC over TLS arms six timers — a CPU charge in each of four
+    record-pump passes, two network arrivals — and costs those six
+    kernel events plus the caller's reply waiter: every other hand-off
+    (send -> send pump, arrival -> receive pump, pump -> receiver ->
+    handler / dispatcher) runs in the frame of the timer before it.
+    It was nineteen."""
+    from repro.sim.rpc import RpcChannel, RpcServer
+
+    a = world.host("client-host", "r0/c0/m0/s0")
+    b = world.host("server-host", "r0/c1/m0/s0")
+    server = RpcServer(b, 7443, channel_factory=server_factory(
+        pki["server"], require_client_cert=True))
+    server.register("whoami", lambda ctx, args: ctx.peer_principal)
+    server.start()
+    calls = 20
+
+    def client():
+        channel = yield from RpcChannel.open(
+            a, b, 7443,
+            channel_wrapper=client_wrapper(credentials=pki["client"]))
+        yield from channel.call("whoami", {})
+        events = world.sim.events_processed
+        timers = world.sim.timers_scheduled
+        for _ in range(calls):
+            principal = yield from channel.call("whoami", {})
+            assert principal == "modtool-1"
+        spent = (world.sim.events_processed - events,
+                 world.sim.timers_scheduled - timers)
+        channel.close()
+        return spent
+
+    assert world.run_until(a.spawn(client()), limit=1e6) \
+        == (7 * calls, 6 * calls)
+
+
+def test_receiver_may_close_the_channel_from_inside_the_pump(world, pki):
+    # The receive pump hands a verified payload to a parked recv() in
+    # its own frame; a receiver that reacts by closing the channel
+    # kills the (running) pump that resumed it.
+    client_channel, server_channel = _secure_pair(world, pki)
+
+    def sender():
+        client_channel.send({"last": True})
+        try:
+            yield client_channel.recv()
+        except ConnectionClosed:
+            return "peer hung up"
+
+    def receiver():
+        message = yield server_channel.recv()
+        server_channel.close()
+        assert not any(pump.alive for pump in server_channel._pumps)
+        try:
+            yield server_channel.recv()
+        except ConnectionClosed:
+            return message
+
+    proc = world.get_host("client-host").spawn(sender())
+    reader = world.get_host("server-host").spawn(receiver())
+    assert world.run_until(reader, limit=1e6) == {"last": True}
+    assert world.run_until(proc, limit=1e6) == "peer hung up"
+    world.run()
+    assert not world.get_host("server-host")._processes

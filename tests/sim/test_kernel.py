@@ -243,6 +243,111 @@ def test_kill_releases_waiters():
     assert sim.now == 1.0
 
 
+def test_kill_of_the_executing_process_is_well_defined():
+    # Regression: kill() on the process that is executing (here it
+    # kills itself; a daemon crashing its own host does the same)
+    # called close() on a running generator and escaped as CPython's
+    # "ValueError: generator already executing", ending the run.
+    sim = Simulator()
+    trail = []
+
+    def suicidal():
+        try:
+            yield sim.timeout(1.0)
+            me.kill()
+            assert not me.alive          # dead at once...
+            trail.append("rest of the step")
+            yield sim.timeout(50.0)      # ...and never resumed here
+            trail.append("resumed after the kill")
+        finally:
+            trail.append(("closed", sim.now))
+
+    def waiter():
+        value = yield me
+        return (value, sim.now)
+
+    me = sim.process(suicidal())
+    watcher = sim.process(waiter())
+    sim.run()
+    assert trail == ["rest of the step", ("closed", 1.0)]
+    assert watcher.value == (None, 1.0)
+    # The timer armed after the kill was withdrawn, not left to expire.
+    assert sim.now == 1.0 and sim.heap_size == 0
+
+
+@pytest.mark.parametrize("ending", ["returns", "raises"])
+def test_outcome_of_a_step_that_killed_its_process_is_dropped(ending):
+    sim = Simulator()
+
+    def suicidal():
+        yield sim.timeout(1.0)
+        me.kill()
+        if ending == "raises":
+            raise RuntimeError("raised by a process already dead")
+        return "returned by a process already dead"
+
+    me = sim.process(suicidal())
+    sim.run()                            # neither re-triggers nor raises
+    assert me.value is None
+
+
+def test_kill_from_a_continuation_resumed_inline_under_the_victim():
+    # The shape inline hand-off creates: a pump hands an item over in
+    # its own frame (Store.put_inline), the consumer resumes *under*
+    # the pump and tears the pump down.
+    sim = Simulator()
+    store = sim.store()
+    trail = []
+
+    def consumer():
+        value = yield store.get()
+        pump.kill()
+        trail.append(("consumed", value, sim.events_processed))
+        yield sim.timeout(1.0)
+        return "consumer finished"
+
+    def pumping():
+        yield sim.timeout(1.0)
+        before = sim.events_processed
+        store.put_inline("payload")
+        trail.append(("pump frame continues", sim.events_processed - before))
+        yield sim.timeout(10.0)
+        trail.append("pump resumed after the kill")
+
+    reader = sim.process(consumer())
+    pump = sim.process(pumping())
+    sim.run()
+    # The consumer ran inside the pump's step: no kernel event between
+    # the hand-off and its continuation.
+    assert trail == [("consumed", "payload", 3),
+                     ("pump frame continues", 0)]
+    assert reader.value == "consumer finished"
+    assert not pump.alive and sim.now == 2.0
+
+
+def test_adopted_generator_continues_from_the_event_it_yielded():
+    sim = Simulator()
+    trail = []
+
+    def work():
+        trail.append(("started", sim.events_processed))
+        value = yield sim.timeout(2.0, "woke")
+        trail.append((value, sim.now))
+        return "done"
+
+    generator = work()
+    target = next(generator)             # the caller's own frame
+    before = sim.events_processed
+    process = sim.adopt(generator, target)
+    sim.run()
+    assert trail == [("started", 0), ("woke", 2.0)]
+    assert process.value == "done"
+    # The timer and the completion: no start event was spent.
+    assert sim.events_processed - before == 2
+    with pytest.raises(SimulationError):
+        sim.adopt(work(), "not an event")
+
+
 def test_anyof_fires_on_first():
     sim = Simulator()
 

@@ -157,6 +157,205 @@ def test_server_concurrency_limit(world):
     assert duration >= 2.0  # serialised by the concurrency limit
 
 
+def test_single_worker_server_queues_in_arrival_order(world):
+    """concurrency=1 with a service time: a handler waiting for the
+    worker is suspended (and continued by its own process), so three
+    pipelined calls finish one service time apart, first come first."""
+    a = world.host("client", "r0/c0/m0/s0")
+    b = world.host("server", "r0/c0/m0/s1")
+    server = RpcServer(b, 7001, concurrency=1, service_time=0.5)
+    server.register("work", lambda ctx, args: args["n"])
+    server.start()
+    finished = []
+
+    def one(channel, n):
+        value = yield from channel.call("work", {"n": n})
+        finished.append((value, world.now))
+
+    def client():
+        channel = yield from RpcChannel.open(a, b, 7001)
+        start = world.now
+        calls = [world.sim.process(one(channel, n)) for n in range(3)]
+        for call in calls:
+            yield call
+        channel.close()
+        return start
+
+    start = world.run_until(a.spawn(client()), limit=100)
+    assert [n for n, _when in finished] == [0, 1, 2]
+    rtt = finished[0][1] - start - 0.5
+    assert 0.0 < rtt < 0.1
+    assert [when - start - rtt for _n, when in finished] \
+        == pytest.approx([0.5, 1.0, 1.5])
+    assert server.busy_time == pytest.approx(1.5)
+    world.run()
+    assert len(b._processes) == 1        # the accept loop, nothing else
+
+
+def test_channel_call_costs_three_kernel_events(world):
+    """One call = the request's arrival timer, the reply's arrival
+    timer and the caller's reply waiter.  Receiver, handler and reply
+    run inside the first, the dispatcher inside the second (it was
+    nine: plus a Store getter and a relay event per message, and a
+    start and a completion event for the per-request process)."""
+    a = world.host("client", "r0/c0/m0/s0")
+    b = world.host("server", "r0/c0/m0/s1")
+    _echo_server(world, b)
+    calls = 50
+
+    def client():
+        channel = yield from RpcChannel.open(a, b, 7000)
+        yield from channel.call("echo", {"text": "warm"})
+        events = world.sim.events_processed
+        timers = world.sim.timers_scheduled
+        for index in range(calls):
+            value = yield from channel.call("echo", {"text": index})
+            assert value == index
+        return (world.sim.events_processed - events,
+                world.sim.timers_scheduled - timers)
+
+    events, timers = world.run_until(a.spawn(client()), limit=100)
+    assert events == 3 * calls
+    assert timers == 2 * calls
+
+
+def test_handler_that_never_waits_is_served_without_a_process(world):
+    a = world.host("client", "r0/c0/m0/s0")
+    b = world.host("server", "r0/c0/m0/s1")
+    server = RpcServer(b, 7000)
+    owned = []
+
+    def plain(ctx, args):
+        owned.append(set(b._processes))
+        return "plain"
+
+    def generator_that_answers_from_memory(ctx, args):
+        owned.append(set(b._processes))
+        return "cached"
+        yield  # pragma: no cover - a generator function that never waits
+
+    server.register("plain", plain)
+    server.register("cached", generator_that_answers_from_memory)
+    server.start()
+
+    def client():
+        channel = yield from RpcChannel.open(a, b, 7000)
+        yield world.sim.timeout(0.1)     # the serve loop is up
+        resident = set(b._processes)
+        first = yield from channel.call("plain", {})
+        second = yield from channel.call("cached", {})
+        return resident, first, second
+
+    resident, first, second = world.run_until(a.spawn(client()), limit=100)
+    assert (first, second) == ("plain", "cached")
+    assert owned == [resident, resident]  # nothing spawned to serve them
+    assert server.requests_served == 2
+
+
+def test_pipelined_calls_are_not_head_of_line_blocked(world):
+    """Two calls on one channel, the first handler sleeping 1 s: the
+    second is received, served and answered meanwhile, so its reply
+    arrives first (a shared HTTPD->GOS channel depends on this)."""
+    a = world.host("client", "r0/c0/m0/s0")
+    b = world.host("server", "r0/c0/m0/s1")
+    _echo_server(world, b)
+    finished = []
+
+    def one(channel, method, args):
+        value = yield from channel.call(method, args)
+        finished.append((value, world.now))
+
+    def client():
+        channel = yield from RpcChannel.open(a, b, 7000)
+        start = world.now
+        slow = world.sim.process(one(channel, "slow", {"delay": 1.0}))
+        fast = world.sim.process(one(channel, "echo", {"text": "fast"}))
+        yield fast
+        yield slow
+        channel.close()
+        return start
+
+    start = world.run_until(a.spawn(client()), limit=100)
+    assert [value for value, _when in finished] == ["fast", "slept"]
+    assert finished[0][1] - start < 0.1
+    assert finished[1][1] - start >= 1.0
+
+
+def test_suspended_handler_dies_with_its_host(world):
+    """A handler that waits is continued by a process the host owns:
+    a crash kills it mid-wait (it never replies, never resumes) and
+    the host forgets it."""
+    from repro.sim.transport import ConnectionClosed
+
+    a = world.host("client", "r0/c0/m0/s0")
+    b = world.host("server", "r0/c0/m0/s1")
+    server = RpcServer(b, 7000)
+    trail = []
+
+    def slow(ctx, args):
+        trail.append(("waiting", len(b._processes)))
+        try:
+            yield world.sim.timeout(10.0)
+            trail.append("resumed on a dead host")
+        finally:
+            trail.append(("closed", world.now))
+
+    server.register("slow", slow)
+    server.start()
+
+    def client():
+        channel = yield from RpcChannel.open(a, b, 7000)
+        yield world.sim.timeout(0.1)     # the serve loop is up
+        resident = len(b._processes)
+        try:
+            yield from channel.call("slow", {})
+        except ConnectionClosed:
+            return resident
+
+    def controller():
+        yield world.sim.timeout(2.0)
+        trail.append(("in flight", len(b._processes)))
+        b.crash()
+
+    world.sim.process(controller())
+    resident = world.run_until(a.spawn(client()), limit=100)
+    world.run()
+    # Not yet a process while it ran in the serve loop's frame; one
+    # more than the resident daemons once it waited.
+    assert trail == [("waiting", resident), ("in flight", resident + 1),
+                     ("closed", 2.0)]
+    assert not b._processes
+    assert server.requests_served == 0
+
+
+def test_handler_may_crash_the_host_it_is_served_on(world):
+    # The handler runs in the serve loop's frame, inside the arrival
+    # event: crashing the host from there kills that (running) loop.
+    from repro.sim.transport import ConnectionClosed
+
+    a = world.host("client", "r0/c0/m0/s0")
+    b = world.host("server", "r0/c0/m0/s1")
+    server = RpcServer(b, 7000)
+
+    def poison(ctx, args):
+        b.crash()
+        return "the reply of a dead host goes nowhere"
+
+    server.register("poison", poison)
+    server.start()
+
+    def client():
+        channel = yield from RpcChannel.open(a, b, 7000)
+        try:
+            yield from channel.call("poison", {})
+        except ConnectionClosed:
+            return "server died"
+
+    assert world.run_until(a.spawn(client()), limit=100) == "server died"
+    world.run()
+    assert not b._processes and not b._connections
+
+
 def test_call_timeout(world):
     a = world.host("client", "r0/c0/m0/s0")
     b = world.host("server", "r0/c0/m0/s1")

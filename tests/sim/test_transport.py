@@ -6,7 +6,8 @@ from repro.sim.kernel import SimulationError
 from repro.sim.network import LinkParameters
 from repro.sim.topology import Level, Topology
 from repro.sim.transport import (ConnectionClosed, ConnectRefused,
-                                 ConnectTimeout, HostDown, TransportError)
+                                 ConnectTimeout, HostDown, Inbox,
+                                 TransportError)
 from repro.sim.world import World
 
 
@@ -244,6 +245,138 @@ def test_crash_breaks_connections_and_kills_processes(world):
     world.run(until=50)
     assert outcome == ["client saw break"]
     assert not server_proc.alive
+
+
+def test_daemon_crashing_its_own_host_dies_with_it(world):
+    # Regression: crash() kills every process of the host, including
+    # the one that called it; closing that running generator escaped
+    # as "ValueError: generator already executing".
+    a = world.host("a", "r0/c0/m0/s0")
+    b = world.host("b", "r0/c0/m0/s1")
+    listener = b.listen(80)
+    trail = []
+
+    def fault_injector():
+        conn = yield listener.accept()
+        yield conn.recv()
+        b.crash()
+        trail.append("crash returned")
+        yield world.sim.timeout(1.0)
+        trail.append("resumed on a dead host")
+
+    def bystander():
+        yield world.sim.timeout(100.0)
+        trail.append("bystander survived")
+
+    def client():
+        conn = yield from a.connect(b, 80)
+        conn.send("die")
+        try:
+            yield conn.recv()
+        except ConnectionClosed:
+            return "saw the crash"
+
+    daemon = b.spawn(fault_injector())
+    other = b.spawn(bystander())
+    proc = a.spawn(client())
+    assert world.run_until(proc, limit=50) == "saw the crash"
+    world.run()
+    assert trail == ["crash returned"]
+    assert not daemon.alive and not other.alive
+    assert not b._processes and not b._connections
+
+
+def test_crash_kills_processes_in_spawn_order(world):
+    a = world.host("a", "r0/c0/m0/s0")
+    order = []
+
+    def daemon(name):
+        try:
+            yield world.sim.timeout(100.0)
+        finally:
+            order.append(name)
+
+    names = ["first", "second", "third", "fourth"]
+    procs = [a.spawn(daemon(name)) for name in names]
+    world.run(until=1.0)
+    procs[1].kill()                      # an exit in the middle...
+    world.run(until=2.0)
+    assert list(a._processes) == [procs[0], procs[2], procs[3]]
+    a.crash()                            # ...leaves the order intact
+    assert order == ["second", "first", "third", "fourth"]
+    world.run()
+    assert not a._processes
+
+
+def test_parked_recv_is_resumed_inside_the_arrival_event(world):
+    """The connection path's hand-off: one kernel event (the arrival
+    timer) per message, the receiver resumed in that event's frame."""
+    a = world.host("a", "r0/c0/m0/s0")
+    b = world.host("b", "r0/c0/m0/s1")
+    listener = b.listen(80)
+    seen = []
+
+    def server():
+        conn = yield listener.accept()
+        while True:
+            message = yield conn.recv()
+            seen.append((message, world.sim.events_processed))
+
+    def client():
+        conn = yield from a.connect(b, 80)
+        yield world.sim.timeout(1.0)     # server parked in recv()
+        before = world.sim.events_processed
+        for index in range(3):
+            conn.send(index)
+        yield world.sim.timeout(1.0)
+        return before
+
+    b.spawn(server())
+    before = world.run_until(a.spawn(client()), limit=50)
+    assert seen == [(0, before + 1), (1, before + 2), (2, before + 3)]
+
+
+def test_inbox_keeps_data_failures_and_end_of_stream_in_order(world):
+    """The channel contract on the receive side, backlog and parked:
+    FIFO, a failure fails one get() in its place, end of stream only
+    after everything put before it — and then for every get()."""
+    sim = world.sim
+    inbox = Inbox(sim)
+    payload_that_is_an_exception = ValueError("just data")
+    inbox.put_inline("first")
+    inbox.put_failure(KeyError("tampered"))
+    inbox.put_inline(payload_that_is_an_exception)
+    inbox.close("stream ended")
+    inbox.close("a later reason does not replace the first")
+    outcomes = []
+
+    def reader():
+        for _ in range(5):
+            try:
+                outcomes.append((yield inbox.get()))
+            except (KeyError, ConnectionClosed) as exc:
+                outcomes.append((type(exc).__name__, str(exc)))
+
+    world.run_until(sim.process(reader()), limit=10)
+    assert outcomes == ["first", ("KeyError", "'tampered'"),
+                        payload_that_is_an_exception,
+                        ("ConnectionClosed", "stream ended"),
+                        ("ConnectionClosed", "stream ended")]
+
+    # Parked receivers: data is handed over in the producer's frame,
+    # a failure and the end of stream through the run queue.
+    inbox = Inbox(sim)
+    parked = [inbox.get() for _ in range(4)]
+    inbox.put_inline("now")
+    assert parked[0].processed and parked[0].value == "now"
+    inbox.put_failure(KeyError("one receiver only"))
+    assert parked[1].triggered and not parked[1].processed
+    inbox.close("over")
+    world.run()
+    assert [event.ok for event in parked] == [True, False, False, False]
+    assert isinstance(parked[1]._value, KeyError)
+    assert all(isinstance(event._value, ConnectionClosed)
+               for event in parked[2:])
 
 
 def test_spawn_on_crashed_host_rejected(world):
