@@ -13,8 +13,9 @@ subobjects; its composition depends on its role:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Generator, Optional
 
+from ..sim.rpc import ChannelPool
 from ..sim.transport import Host
 from .idl import Interface
 from .ids import ContactAddress, ObjectId
@@ -30,15 +31,17 @@ class LocalRepresentative:
     def __init__(self, host: Host, world, oid: ObjectId,
                  interface: Interface,
                  semantics: Optional[SemanticsSubobject],
-                 replication,
-                 channel_wrapper: Optional[Callable] = None,
+                 replication, pool: ChannelPool,
                  contact_address: Optional[ContactAddress] = None):
+        """``pool`` is the composing address space's one
+        :class:`~repro.sim.rpc.ChannelPool` (its runtime's or object
+        server's), shared by every representative composed there."""
         self.host = host
         self.oid = oid
         #: The address registered for this representative in the GLS
         #: (replicas only; client proxies are not registered).
         self.contact_address = contact_address
-        self.comm = CommunicationSubobject(host, world, channel_wrapper)
+        self.comm = CommunicationSubobject(world, pool)
         self.control = ControlSubobject(semantics, interface)
         self.replication = replication
         self.control.replication = replication
@@ -72,9 +75,13 @@ class LocalRepresentative:
         return reply
 
     def detach(self) -> None:
-        """Remove this representative from the address space."""
+        """Remove this representative from the address space.
+
+        Stops the replication subobject (a replica leaves its master,
+        best effort).  Connections are not touched: they belong to the
+        address space's channel pool and carry other representatives'
+        calls."""
         self.replication.stop()
-        self.comm.close()
 
     def __repr__(self) -> str:
         return ("LocalRepresentative(%r, %s/%s @ %s)"

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, Optional
 
+from ..sim.rpc import ChannelPool
 from ..sim.transport import Host
 from .ids import ContactAddress, ObjectId
 from .local_repr import LocalRepresentative
@@ -34,7 +35,17 @@ class BindError(Exception):
 
 
 class Runtime:
-    """Globe run-time system for one address space (one host)."""
+    """Globe run-time system for one address space (one host).
+
+    Owns the address space's :class:`~repro.sim.rpc.ChannelPool`
+    (``pool``): every representative it composes, and every tool built
+    on it, reaches a given peer endpoint over the same open channel.
+    A rebind — bindings are soft state under ``binding_ttl`` — composes
+    a new representative but opens no connection unless the GLS now
+    names a peer this address space has no channel to.  The pool holds
+    at most one channel per (peer host, port) ever contacted, until
+    :meth:`unbind_all`.
+    """
 
     def __init__(self, world, host: Host, location_service,
                  repository: ImplementationRepository,
@@ -57,12 +68,17 @@ class Runtime:
         self.host = host
         self.location_service = location_service
         self.repository = repository
-        self.channel_wrapper = channel_wrapper
+        self.pool = ChannelPool(host, channel_wrapper)
         self.binding_ttl = binding_ttl
         self.lookup_cache = lookup_cache
         self.bound: Dict[ObjectId, LocalRepresentative] = {}
         self._bound_at: Dict[ObjectId, float] = {}
         self.binds_performed = 0
+
+    def bind_metrics(self, registry, prefix: str) -> None:
+        registry.counter(prefix + ".binds",
+                         fn=lambda: self.binds_performed)
+        self.pool.bind_metrics(registry, prefix + ".channels")
 
     def bind(self, oid: ObjectId, cache_ttl: Optional[float] = None,
              refresh: bool = False
@@ -107,7 +123,7 @@ class Runtime:
             replication = PROTOCOLS[primary.protocol]["client"](addresses)
         representative = LocalRepresentative(
             self.host, self.world, oid, implementation.interface, semantics,
-            replication, channel_wrapper=self.channel_wrapper)
+            replication, self.pool)
         yield from representative.start()
         old = self.bound.get(oid)
         if old is not None:
@@ -124,5 +140,7 @@ class Runtime:
             representative.detach()
 
     def unbind_all(self) -> None:
+        """Drop every binding and close the address space's channels."""
         for oid in list(self.bound):
             self.unbind(oid)
+        self.pool.close()

@@ -17,10 +17,10 @@ A local representative is composed of four subobjects:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, Optional
+from typing import Any, Generator, Optional
 
-from ..sim.rpc import RpcChannel, RpcFault
-from ..sim.transport import ConnectionClosed, Host, TransportError
+from ..sim.rpc import ChannelPool
+from ..sim.transport import ConnectionClosed, TransportError
 from .idl import IdlError, Interface, Mode
 from .ids import ContactAddress, ObjectId
 from .marshal import (marshal_invocation, marshal_result,
@@ -77,72 +77,52 @@ class SemanticsSubobject:
 class CommunicationSubobject:
     """Point-to-point messaging to other local representatives.
 
-    System-provided (paper: "generally … taken from a library").  Keeps
-    one multiplexed channel per destination endpoint so repeated
-    invocations do not pay reconnection (or TLS re-handshake) costs,
-    and transparently reconnects once if an idle channel has died.
+    System-provided (paper: "generally … taken from a library").  It
+    owns no connection: messages travel over the address space's
+    :class:`~repro.sim.rpc.ChannelPool`, which keeps one multiplexed
+    channel per destination endpoint for *all* the representatives
+    composed there.  Repeated invocations, other representatives and
+    rebinds therefore pay no reconnection (or TLS re-handshake) cost,
+    and a channel that has died is reopened once, transparently.
 
-    ``channel_wrapper`` is the security hook: the TLS layer passes a
-    wrapper that runs a handshake on each fresh connection and tags it
-    with the authenticated peer principal.
+    The pool is also the security hook: its ``channel_wrapper`` (from
+    the TLS layer) runs a handshake on each fresh connection and tags
+    it with the authenticated peer principal.
     """
 
     #: RPC method name under which Globe object servers and other
     #: replica hosts expose DSO message routing.
     DSO_RPC_METHOD = "dso_message"
 
-    def __init__(self, host: Host, world,
-                 channel_wrapper: Optional[Callable] = None):
-        self.host = host
+    def __init__(self, world, pool: ChannelPool):
         self.world = world
-        self.channel_wrapper = channel_wrapper
-        self._channels: Dict[tuple, RpcChannel] = {}
+        self.pool = pool
         self.messages_sent = 0
-
-    def _endpoint(self, address: ContactAddress) -> tuple:
-        return (address.host_name, address.port)
-
-    def _open(self, address: ContactAddress
-              ) -> Generator[Any, Any, RpcChannel]:
-        endpoint = self._endpoint(address)
-        channel = self._channels.get(endpoint)
-        if channel is not None and not channel.conn.closed \
-                and not channel.conn.broken:
-            return channel
-        try:
-            remote = self.world.hosts[address.host_name]
-        except KeyError:
-            raise TransportError("unknown host %r" % address.host_name)
-        channel = yield from RpcChannel.open(
-            self.host, remote, address.port,
-            channel_wrapper=self.channel_wrapper)
-        self._channels[endpoint] = channel
-        return channel
 
     def send_dso_message(self, address: ContactAddress, oid: ObjectId,
                          message: dict) -> Generator[Any, Any, dict]:
         """Deliver one DSO protocol message; return the reply message.
 
-        Retries exactly once on a stale cached channel (the peer may
+        Retries exactly once on a stale pooled channel (the peer may
         have closed it); connection failures beyond that propagate.
         """
+        try:
+            remote = self.world.hosts[address.host_name]
+        except KeyError:
+            raise TransportError("unknown host %r" % address.host_name)
         args = {"oid": oid.hex, "msg": message}
+        pool = self.pool
         for attempt in (0, 1):
-            channel = yield from self._open(address)
+            channel = yield from pool.channel(remote, address.port)
             try:
                 self.messages_sent += 1
                 reply = yield from channel.call(self.DSO_RPC_METHOD, args)
                 return reply
             except ConnectionClosed:
-                self._channels.pop(self._endpoint(address), None)
+                pool.discard(channel)
                 if attempt == 1:
                     raise
         raise AssertionError("unreachable")
-
-    def close(self) -> None:
-        for channel in self._channels.values():
-            channel.close()
-        self._channels.clear()
 
 
 class ControlSubobject:

@@ -165,7 +165,7 @@ def run_policy_experiment(seed: int = 37) -> Dict:
             yield from rpc.call(
                 attacker.host, gdn.authority.host, gdn.authority.port,
                 "add_name", {"name": "/apps/Hijack", "oid": "a" * 40},
-                channel_wrapper=attacker.channel_wrapper)
+                channel_wrapper=attacker.runtime.pool.channel_wrapper)
             return "accepted", gdn.world.now - start
         except rpc.RpcFault:
             return "refused", gdn.world.now - start

@@ -361,6 +361,8 @@ class GdnDeployment:
                          service_time=service_time)
         httpd.start()
         httpd.bind_metrics(self.world.metrics, prefix="httpd.%s" % name)
+        httpd.runtime.bind_metrics(self.world.metrics,
+                                   prefix="httpd.%s.runtime" % name)
         self.httpds.append(httpd)
         return httpd
 
@@ -401,8 +403,10 @@ class GdnDeployment:
                     self.repository, channel_wrapper=wrapper),
             gos_registry,
             (self.authority.host.name, self.authority.port),
-            self._name_service(host), channel_wrapper=wrapper,
+            self._name_service(host),
             search_endpoint=(self.search.host.name, self.search.port))
+        tool.runtime.bind_metrics(self.world.metrics,
+                                  prefix="moderator.%s.runtime" % name)
         self.moderators[name] = tool
         return tool
 

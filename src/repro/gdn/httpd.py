@@ -352,7 +352,7 @@ class GdnHttpd:
         try:
             reply = yield from _rpc.call(
                 self.host, target, port, "search", {"query": query},
-                channel_wrapper=self.runtime.channel_wrapper)
+                channel_wrapper=self.runtime.pool.channel_wrapper)
         except _rpc.RpcError:
             self.errors += 1
             return _response(503, "search service unreachable")

@@ -15,12 +15,14 @@ exactly:
 
 All tool traffic runs over two-way-authenticated TLS channels, so
 object servers and the naming authority see the moderator's principal
-and can enforce §6.1's authorization requirements.
+and can enforce §6.1's authorization requirements.  The channels are
+those of the tool's runtime (its :class:`~repro.sim.rpc.ChannelPool`):
+commands and DSO invocations to one server share one connection.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional, Tuple
 
 from ..core.ids import ContactAddress, ObjectId
 from ..core.runtime import Runtime
@@ -44,7 +46,6 @@ class ModeratorTool:
                  gos_registry: Dict[str, Tuple[str, int]],
                  authority_endpoint: Tuple[str, int],
                  name_service,
-                 channel_wrapper: Optional[Callable] = None,
                  impl_id: str = PACKAGE_IMPL_ID,
                  search_endpoint: Optional[Tuple[str, int]] = None):
         """``gos_registry`` maps object-server names to (host, port);
@@ -57,7 +58,6 @@ class ModeratorTool:
         self.gos_registry = dict(gos_registry)
         self.authority_endpoint = tuple(authority_endpoint)
         self.name_service = name_service
-        self.channel_wrapper = channel_wrapper
         self.impl_id = impl_id
         self.search_endpoint = (tuple(search_endpoint)
                                 if search_endpoint else None)
@@ -69,47 +69,49 @@ class ModeratorTool:
 
     # -- plumbing ---------------------------------------------------------
 
+    def _call(self, endpoint: Tuple[str, int], method: str, args: dict
+              ) -> Generator:
+        """One call over the runtime's pooled channel to ``endpoint``:
+        a session of N commands opens each service's (two-way TLS)
+        connection once, not N times."""
+        host_name, port = endpoint
+        channel = yield from self.runtime.pool.channel(
+            self.world.hosts[host_name], port)
+        reply = yield from channel.call(method, args)
+        return reply
+
     def _gos_call(self, gos_name: str, method: str, args: dict
                   ) -> Generator:
         try:
-            host_name, port = self.gos_registry[gos_name]
+            endpoint = self.gos_registry[gos_name]
         except KeyError:
             raise ModerationError("unknown object server %r" % gos_name)
-        target = self.world.hosts[host_name]
         try:
-            reply = yield from rpc.call(
-                self.host, target, port, method, args,
-                channel_wrapper=self.channel_wrapper)
+            reply = yield from self._call(endpoint, method, args)
         except rpc.RpcFault as fault:
             raise ModerationError("%s on %s failed: %s"
                                   % (method, gos_name, fault))
         return reply
 
     def _authority_call(self, method: str, args: dict) -> Generator:
-        host_name, port = self.authority_endpoint
-        target = self.world.hosts[host_name]
         try:
-            reply = yield from rpc.call(
-                self.host, target, port, method, args,
-                channel_wrapper=self.channel_wrapper)
+            reply = yield from self._call(self.authority_endpoint,
+                                          method, args)
+        except rpc.RpcFault as fault:
+            raise ModerationError("%s failed: %s" % (method, fault))
+        return reply
+
+    def _search_call(self, method: str, args: dict) -> Generator:
+        if self.search_endpoint is None:
+            return None
+        try:
+            reply = yield from self._call(self.search_endpoint,
+                                          method, args)
         except rpc.RpcFault as fault:
             raise ModerationError("%s failed: %s" % (method, fault))
         return reply
 
     # -- operations -----------------------------------------------------------
-
-    def _search_call(self, method: str, args: dict) -> Generator:
-        if self.search_endpoint is None:
-            return None
-        host_name, port = self.search_endpoint
-        target = self.world.hosts[host_name]
-        try:
-            reply = yield from rpc.call(
-                self.host, target, port, method, args,
-                channel_wrapper=self.channel_wrapper)
-        except rpc.RpcFault as fault:
-            raise ModerationError("%s failed: %s" % (method, fault))
-        return reply
 
     @staticmethod
     def _implied_attributes(object_name: str) -> Dict[str, str]:

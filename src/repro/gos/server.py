@@ -33,7 +33,7 @@ from ..core.local_repr import LocalRepresentative
 from ..core.marshal import pack, unpack
 from ..core.replication.base import PROTOCOLS, ReplicationError
 from ..core.repository import ImplementationRepository
-from ..sim.rpc import RpcContext, RpcServer
+from ..sim.rpc import ChannelPool, RpcContext, RpcServer
 from ..sim.transport import Host
 from ..sim.world import World
 from .persistence import DiskStore, GosPersistence
@@ -58,7 +58,15 @@ class NotAuthorized(GosError):
 
 
 class GlobeObjectServer:
-    """An application-independent replica-hosting daemon."""
+    """An application-independent replica-hosting daemon.
+
+    One address space: the replicas hosted here share the server's
+    :class:`~repro.sim.rpc.ChannelPool` (``pool``), so a server with N
+    masters keeps one connection to each slave server (and a slave
+    server one to each master server), not N.  The pool holds at most
+    one channel per peer server contacted, until :meth:`shutdown`; a
+    host crash breaks them all and recovery reopens on demand.
+    """
 
     _instances = itertools.count(1)
 
@@ -79,8 +87,10 @@ class GlobeObjectServer:
         self.port = port
         #: Server-side security wrapper for incoming channels.
         self.channel_factory = channel_factory
-        #: Client-side wrapper replicas use to talk to their peers.
-        self.channel_wrapper = channel_wrapper
+        #: The server's one channel pool: every replica hosted here
+        #: reaches a given peer server over the same channel, opened
+        #: through the client-side ``channel_wrapper``.
+        self.pool = ChannelPool(host, channel_wrapper)
         self.authorizer = authorizer
         self.persistence = GosPersistence(
             world, disk if disk is not None else DiskStore(), host.name)
@@ -112,6 +122,7 @@ class GlobeObjectServer:
         registry.counter(base + ".requests_served",
                          fn=lambda: self.requests_served)
         registry.gauge(base + ".replicas", fn=lambda: len(self.replicas))
+        self.pool.bind_metrics(registry, base + ".channels")
         binder = getattr(self.location_service, "bind_metrics", None)
         if binder is not None:
             # The location service may be a GLS-lookup cache wrapper;
@@ -162,6 +173,9 @@ class GlobeObjectServer:
         for replica in self.replicas.values():
             replica.detach()
         self.replicas.clear()
+        # The replicas' best-effort leave messages (spawned by
+        # detach) go out afterwards, over one reopened channel.
+        self.pool.close()
         self.stop()
 
     def recover(self) -> Generator:
@@ -203,7 +217,7 @@ class GlobeObjectServer:
         representative = LocalRepresentative(
             self.host, self.world, oid, implementation.interface,
             implementation.make_semantics(), replication,
-            channel_wrapper=self.channel_wrapper, contact_address=address)
+            self.pool, contact_address=address)
         return representative
 
     def create_local_replica(self, oid: Optional[ObjectId], impl_id: str,

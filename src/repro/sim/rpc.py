@@ -7,7 +7,9 @@ Two flavours, matching the paper's split:
   naming authority and moderator tools.  Channels can be wrapped by a
   security layer (see ``channel_factory`` / ``channel_wrapper``): the
   TLS module provides wrappers that perform an authenticated handshake
-  and attach the peer's verified identity to every request.
+  and attach the peer's verified identity to every request.  Long-lived
+  components keep their channels in a :class:`ChannelPool`, one open
+  channel per peer endpoint per address space.
 
 * :class:`UdpRpcServer` / :class:`UdpRpcClient` — RPC over datagrams
   with timeout/retry, used by the Globe Location Service (§6.3 of the
@@ -73,6 +75,7 @@ __all__ = [
     "RpcServer",
     "RpcChannel",
     "call",
+    "ChannelPool",
     "UdpRpcServer",
     "UdpRpcClient",
 ]
@@ -289,20 +292,19 @@ class RpcServer:
         if self.channel_factory is not None:
             try:
                 conn = yield from self.channel_factory(conn)
-            except (TransportError, Exception) as exc:
-                # Handshake failures (bad certs etc.) terminate service.
-                if isinstance(exc, ConnectionClosed):
-                    return
-                try:
-                    conn.close()
-                except Exception:
-                    pass
+            except Exception:  # noqa: BLE001 - bad certs, lost peer, ...
+                # Handshake failures terminate service.
+                conn.close()
                 return
         host = self.host
         while True:
             try:
                 request = yield conn.recv()
             except ConnectionClosed:
+                # End of stream: release this end too, or the accepted
+                # connection (and a secure channel's pumps) would stay
+                # with the host for the rest of its life.
+                conn.close()
                 return
             # Not `yield from`: that would hold every later request
             # on this connection behind one that waits (an HTTPD's
@@ -363,6 +365,8 @@ class RpcChannel:
         self.host = host
         self.conn = conn
         self.sim = host.sim
+        #: ``(peer host name, port)`` of a channel made by :meth:`open`.
+        self.endpoint: Optional[tuple] = None
         self.calls = 0
         self.timeouts = 0
         self.faults = 0
@@ -392,8 +396,14 @@ class RpcChannel:
         """``channel = yield from RpcChannel.open(host, dst, port)``."""
         conn = yield from host.connect(dst, port)
         if channel_wrapper is not None:
-            conn = yield from channel_wrapper(conn)
-        return cls(host, conn)
+            try:
+                conn = yield from channel_wrapper(conn)
+            except Exception:
+                conn.close()  # a failed handshake leaves nothing open
+                raise
+        channel = cls(host, conn)
+        channel.endpoint = (dst.name, port)
+        return channel
 
     def _dispatch_loop(self) -> Generator:
         while True:
@@ -541,6 +551,108 @@ def call(src: Host, dst: Host, port: int, method: str,
     finally:
         channel.close()
     return value
+
+
+class ChannelPool:
+    """The open channels of one address space: one per (peer, port).
+
+    ``channel = yield from pool.channel(remote_host, port)`` returns
+    the :class:`RpcChannel` this address space has to that endpoint,
+    opening it first if there is none.  What a connection costs (a
+    round trip, under TLS two plus the RSA operations) is then paid
+    once per peer, not once per representative or per rebind.
+
+    * Every channel is opened through the pool's one
+      ``channel_wrapper``, so a pool carries exactly one authenticated
+      principal; two address spaces on one host never share a channel.
+    * Concurrent requests for an endpoint that is not open share one
+      handshake: the first caller opens in its own frame, later ones
+      park on pre-defused events it fires (the pending-call idiom), so
+      a caller that died meanwhile is passed over silently and a
+      leader killed mid-open still releases its followers.
+    * A closed or broken channel is dropped and reopened on next use;
+      a caller that learns of a channel's death first (its call raised
+      :class:`ConnectionClosed`) reports it with :meth:`discard`.
+
+    There is no size limit and no idle timer: a pool holds at most
+    (peers × ports) channels, until :meth:`close`.
+    """
+
+    def __init__(self, host: Host,
+                 channel_wrapper: Optional[Callable] = None):
+        self.host = host
+        self.channel_wrapper = channel_wrapper
+        #: Connections opened / requests answered without opening one.
+        self.opens = 0
+        self.reuses = 0
+        self._channels: Dict[tuple, RpcChannel] = {}
+        self._opening: Dict[tuple, list] = {}  # endpoint -> followers
+
+    @property
+    def open_channels(self) -> int:
+        return len(self._channels)
+
+    def bind_metrics(self, registry, prefix: str) -> None:
+        registry.counter(prefix + ".opens", fn=lambda: self.opens)
+        registry.counter(prefix + ".reuses", fn=lambda: self.reuses)
+        registry.gauge(prefix + ".open_channels",
+                       fn=lambda: self.open_channels)
+
+    def channel(self, remote: Host, port: int
+                ) -> Generator[Event, Any, RpcChannel]:
+        """The open channel to ``remote:port``, opened if need be."""
+        endpoint = (remote.name, port)
+        channel = self._channels.get(endpoint)
+        if channel is not None:
+            conn = channel.conn
+            if not (conn.closed or conn.broken):
+                self.reuses += 1
+                return channel
+            self.discard(channel)
+        followers = self._opening.get(endpoint)
+        if followers is not None:
+            self.reuses += 1
+            follower = Event(self.host.sim)
+            follower._defused = True
+            followers.append(follower)
+            channel = yield follower
+            return channel
+        self._opening[endpoint] = followers = []
+        try:
+            channel = yield from RpcChannel.open(
+                self.host, remote, port, self.channel_wrapper)
+        except BaseException as exc:
+            del self._opening[endpoint]
+            # A leader killed mid-open unwinds through here with
+            # GeneratorExit; its followers must still be released, but
+            # never with something that would tear their own
+            # generators down.
+            failure = (exc if isinstance(exc, Exception) else
+                       ConnectionClosed("open of %s:%d abandoned"
+                                        % endpoint))
+            for follower in followers:
+                follower.fail(failure)
+            raise
+        del self._opening[endpoint]
+        self.opens += 1
+        self._channels[endpoint] = channel
+        for follower in followers:
+            follower.succeed(channel)
+        return channel
+
+    def discard(self, channel: RpcChannel) -> None:
+        """Close ``channel`` and forget it, so the next request for
+        its endpoint opens a new one.  A channel the pool has already
+        replaced is closed without disturbing its successor."""
+        if self._channels.get(channel.endpoint) is channel:
+            del self._channels[channel.endpoint]
+        channel.close()
+
+    def close(self) -> None:
+        """Close every open channel, failing their in-flight calls."""
+        channels, self._channels = self._channels, {}
+        for channel in channels.values():
+            channel.close()
 
 
 # ---------------------------------------------------------------------------

@@ -528,7 +528,10 @@ class Connection:
             return
         self.closed = True
         peer = self._peer
-        if peer is not None and not peer.closed:
+        # A broken connection's surviving end already saw end of
+        # stream (:meth:`_break`): a FIN would only be metered and
+        # dropped on its way to a dead or cut-off peer.
+        if peer is not None and not peer.closed and not self.broken:
             network = self.local.network
             base_delay = network.transfer_delay(
                 self.local.site, self.remote.site, HEADER_OVERHEAD)

@@ -7,6 +7,8 @@ to Globe Object Servers, and replica-side representatives execute them
 against semantics subobjects.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.ids import ObjectId
@@ -364,3 +366,202 @@ def test_cache_against_master_slave_pulls_from_nearest(bed):
         return lr.replication.bound.role
 
     assert bed.run(use(), host=runtime.host) == "slave"
+
+
+# -- the shared-channel model -------------------------------------------------
+#
+# All representatives of one address space reach a peer over ONE FIFO
+# channel (the address space's ChannelPool), where each used to have a
+# connection of its own.  That changes the channel model the protocols
+# run over, so it is tested, not assumed: replicas converge, and no
+# update is applied twice or out of version order.
+
+
+def _watch_applied(lr):
+    """Log what ``lr`` is pushed (``received``) and every version /
+    sequence number it moves to (``applied``)."""
+    replication = lr.replication
+    attribute = ("version" if hasattr(replication, "version")
+                 else "applied_seq")
+    log = SimpleNamespace(received=[], applied=[])
+    handle = replication.handle_message
+
+    def watching(message, ctx):
+        if message["type"] in ("state_push", "op_push"):
+            log.received.append(message.get("version", message.get("seq")))
+        before = getattr(replication, attribute)
+        reply = yield from handle(message, ctx)
+        after = getattr(replication, attribute)
+        if after != before:
+            log.applied.append(after)
+        return reply
+
+    replication.handle_message = watching
+    return log
+
+
+def _strictly_increasing(versions):
+    return all(a < b for a, b in zip(versions, versions[1:]))
+
+
+def test_all_protocols_share_one_channel_per_peer(bed):
+    """One client address space bound to a client/server, a
+    master/slave, an actively replicated and a cached object whose
+    replicas sit on the same two object servers: every message
+    between two address spaces rides their one channel."""
+    bed.register_counter()
+    home = bed.gos("gos-home", "r0/c0/m0/s0")
+    away = bed.gos("gos-away", "r1/c0/m0/s0")
+    plain = _create_object(bed, home, "client_server", role="server")
+    cached = _create_object(bed, home, "client_server", role="server")
+    master = _create_object(bed, home, "master_slave", role="master")
+    slave = _add_replica(bed, away, master.oid, master.contact_address,
+                         "master_slave", "slave")
+    sequencer = _create_object(bed, home, "active", role="master",
+                               impl="test.counter")
+    replica = _add_replica(bed, away, sequencer.oid,
+                           sequencer.contact_address, "active", "replica",
+                           impl="test.counter")
+    slave_log, replica_log = _watch_applied(slave), _watch_applied(replica)
+    runtime = bed.runtime("client-1", "r0/c0/m0/s1")
+    rounds = 6
+
+    def writer(server_lr, method, args_for, cache_ttl=None):
+        lr = yield from runtime.bind(server_lr.oid, cache_ttl=cache_ttl)
+        for round_ in range(rounds):
+            yield from lr.invoke(method, args_for(round_))
+        return lr
+
+    def put(round_):
+        return {"key": "k%d" % round_, "value": str(round_)}
+
+    writers = [
+        runtime.host.spawn(writer(plain, "put", put)),
+        runtime.host.spawn(writer(cached, "put", put, cache_ttl=60.0)),
+        runtime.host.spawn(writer(master, "put", put)),
+        runtime.host.spawn(writer(sequencer, "increment",
+                                  lambda round_: {"by": round_ + 1})),
+    ]
+    bed.world.run()
+    assert all(proc.ok for proc in writers)
+    expected = {"k%d" % r: str(r) for r in range(rounds)}
+    assert plain.semantics.data == expected
+    assert cached.semantics.data == expected
+    assert master.semantics.data == slave.semantics.data == expected
+    assert sequencer.semantics.count == replica.semantics.count == 21
+    for log in (slave_log, replica_log):
+        assert log.applied[-1] == rounds
+        assert _strictly_increasing(log.applied)
+
+    def cached_read():
+        lr = yield from runtime.bind(cached.oid, cache_ttl=60.0)
+        keys = yield from lr.invoke("keys")
+        return keys
+
+    assert bed.run(cached_read(), host=runtime.host) == sorted(expected)
+    # client -> home; home -> away (pushes); away -> home (joins).
+    assert [pool.opens for pool in (runtime.pool, home.pool, away.pool)] \
+        == [1, 1, 1]
+
+
+def _two_masters_one_slave_server(bed, protocol, slave_role, impl):
+    masters = bed.gos("gos-masters", "r0/c0/m0/s0")
+    slaves = bed.gos("gos-slaves", "r1/c0/m0/s0")
+    pairs = []
+    for _ in range(2):
+        master = _create_object(bed, masters, protocol, role="master",
+                                impl=impl)
+        copy = _add_replica(bed, slaves, master.oid, master.contact_address,
+                            protocol, slave_role, impl=impl)
+        pairs.append((master, copy, _watch_applied(copy)))
+    return masters, slaves, pairs
+
+
+def _interleaved_writes(bed, masters, pairs, method, args_for, writes,
+                        gap=0.01, during=None):
+    """Local writes at both masters, strictly alternating, ``gap``
+    apart — each spawns an asynchronous push to the same slave server."""
+    def drive():
+        for index in range(writes):
+            for master, _copy, _log in pairs:
+                yield from master.invoke(method, args_for(index))
+            yield bed.world.sim.timeout(gap)
+            if during is not None:
+                during()
+
+    bed.run(drive(), host=masters.host)
+    bed.world.run()
+
+
+def test_interleaved_pushes_from_two_masters_share_a_channel(bed):
+    masters, slaves, pairs = _two_masters_one_slave_server(
+        bed, "master_slave", "slave", "test.kv")
+    writes = 8
+    _interleaved_writes(
+        bed, masters, pairs, "put",
+        lambda index: {"key": "k", "value": str(index)}, writes)
+    assert masters.pool.opens == 1       # both masters, one connection
+    for master, copy, log in pairs:
+        assert master.replication.push_failures == 0
+        assert copy.semantics.data == master.semantics.data \
+            == {"k": str(writes - 1)}
+        # Each version once, in order.
+        assert log.received == log.applied == list(range(1, writes + 1))
+
+
+def test_interleaved_op_pushes_from_two_sequencers_share_a_channel(bed):
+    bed.register_counter()
+    masters, slaves, pairs = _two_masters_one_slave_server(
+        bed, "active", "replica", "test.counter")
+    writes = 8
+    _interleaved_writes(bed, masters, pairs, "increment",
+                        lambda index: {"by": index + 1}, writes)
+    assert masters.pool.opens == 1
+    for sequencer, replica, log in pairs:
+        assert sequencer.replication.push_failures == 0
+        assert replica.semantics.count == sequencer.semantics.count == 36
+        assert log.received == log.applied == list(range(1, writes + 1))
+        assert not replica.replication.holdback
+
+
+@pytest.mark.parametrize("protocol, slave_role, impl, method, args_for", [
+    ("master_slave", "slave", "test.kv", "put",
+     lambda index: {"key": "k%d" % index, "value": "v"}),
+    ("active", "replica", "test.counter", "increment",
+     lambda index: {"by": index + 1}),
+])
+def test_shared_channel_dying_mid_push(bed, protocol, slave_role, impl,
+                                       method, args_for):
+    """The one connection both masters push over is lost while pushes
+    are in flight: some were applied and only their acknowledgements
+    died, some never arrived.  Each is sent again, once, over the one
+    channel the pool reopens (in a new order: the first push after the
+    loss leads the reopen).  The copies drop what they already have
+    and apply the rest in version order."""
+    bed.register_counter()
+    masters, slaves, pairs = _two_masters_one_slave_server(
+        bed, protocol, slave_role, impl)
+    writes = 10
+    cut_at = []
+
+    def cut():
+        applied = len(pairs[0][2].applied)
+        if applied >= 3 and not cut_at:
+            (channel,) = masters.pool._channels.values()
+            # In flight: pushes applied but not yet acknowledged, and
+            # pushes still on their way.
+            assert len(channel._pending) > 2 * (applied - 1)
+            cut_at.append(applied)
+            channel.conn._break()        # what a crash or partition does
+
+    _interleaved_writes(bed, masters, pairs, method, args_for, writes,
+                        gap=0.05, during=cut)
+    assert cut_at and masters.pool.opens == 2    # reopened exactly once
+    for master, copy, log in pairs:
+        assert master.replication.push_failures == 0
+        assert copy.semantics.snapshot_state() \
+            == master.semantics.snapshot_state()
+        assert len(log.received) > writes        # some came twice ...
+        assert len(set(log.received)) == writes
+        assert log.applied[-1] == writes         # ... none applied twice
+        assert _strictly_increasing(log.applied)

@@ -70,8 +70,7 @@ def test_comm_reuses_channels_per_endpoint():
         lr = yield from runtime.bind(server_lr.oid)
         for i in range(5):
             yield from lr.invoke("put", {"key": "k%d" % i, "value": "v"})
-        comm = lr.comm
-        return len(comm._channels), comm.messages_sent
+        return runtime.pool.open_channels, lr.comm.messages_sent
 
     channels, messages = bed.run(use(), host=runtime.host)
     assert channels == 1  # one multiplexed channel, five invocations

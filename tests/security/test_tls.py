@@ -382,3 +382,76 @@ def test_receiver_may_close_the_channel_from_inside_the_pump(world, pki):
     assert world.run_until(proc, limit=1e6) == "peer hung up"
     world.run()
     assert not world.get_host("server-host")._processes
+
+
+def _tls_rpc_server(world, pki, host, client_auth="required"):
+    from repro.sim.rpc import RpcServer
+
+    server = RpcServer(host, 7443, channel_factory=server_factory(
+        pki["server"], client_auth=client_auth))
+    server.register("whoami", lambda ctx, args: ctx.peer_principal)
+    server.start()
+    world.run()
+    return server
+
+
+def test_served_secure_channels_are_released_at_end_of_stream(world, pki):
+    """Regression: a served secure channel was never closed on end of
+    stream, so its connection *and* its parked send pump stayed with
+    the host — 200 open/call/close cycles took (connections,
+    processes) from (5, 8) to (205, 206)."""
+    from repro.sim import rpc
+
+    a = world.host("client-host", "r0/c0/m0/s0")
+    b = world.host("server-host", "r0/c1/m0/s0")
+    _tls_rpc_server(world, pki, b)
+    baseline = (len(b._connections), len(b._processes))
+    wrapper = client_wrapper(credentials=pki["client"])
+    cycles = 1000
+
+    def client():
+        for _ in range(cycles):
+            principal = yield from rpc.call(a, b, 7443, "whoami", {},
+                                            channel_wrapper=wrapper)
+            assert principal == "modtool-1"
+
+    world.run_until(a.spawn(client()), limit=1e7)
+    world.run()
+    assert (len(b._connections), len(b._processes)) == baseline
+    assert (len(a._connections), len(a._processes)) == (0, 0)
+
+
+def test_failed_handshakes_leave_nothing_open_on_either_side(world, pki):
+    """A handshake that ends badly — the client does not trust the
+    server, has no certificate for a server that demands one, or is
+    gone half way — releases the accepted connection and the
+    connecting one."""
+    from repro.sim import rpc
+
+    a = world.host("client-host", "r0/c0/m0/s0")
+    b = world.host("server-host", "r0/c1/m0/s0")
+    _tls_rpc_server(world, pki, b)
+    baseline = (len(b._connections), len(b._processes))
+
+    def attempt(wrapper):
+        try:
+            yield from rpc.call(a, b, 7443, "whoami", {},
+                                channel_wrapper=wrapper)
+        except HandshakeError:
+            return "refused"
+
+    def abandon():
+        conn = yield from a.connect(b, 7443)
+        conn.send({"type": "hello", "nonce": b"\x00" * 16,
+                   "encryption": True}, size=48)
+        yield conn.recv()                # the server hello
+        conn.close()                     # ... and never answer it
+
+    for wrapper in (client_wrapper(credentials=pki["rogue"]),
+                    client_wrapper(trust=pki["browser"])):
+        assert world.run_until(a.spawn(attempt(wrapper)),
+                               limit=1e6) == "refused"
+    world.run_until(a.spawn(abandon()), limit=1e6)
+    world.run()
+    assert (len(b._connections), len(b._processes)) == baseline
+    assert (len(a._connections), len(a._processes)) == (0, 0)

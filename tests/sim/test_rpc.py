@@ -3,8 +3,8 @@
 import pytest
 
 from repro.sim import rpc
-from repro.sim.rpc import (RpcChannel, RpcFault, RpcServer, RpcTimeout,
-                           UdpRpcClient, UdpRpcServer)
+from repro.sim.rpc import (ChannelPool, RpcChannel, RpcFault, RpcServer,
+                           RpcTimeout, UdpRpcClient, UdpRpcServer)
 from repro.sim.topology import Level, Topology
 from repro.sim.world import World
 
@@ -864,3 +864,254 @@ def test_channel_timeouts_share_the_simulator_pool(world):
     assert pool.live == 0
     world.run()
     assert len(pool) == 0
+
+
+# -- the accept side releases what it accepted ------------------------------
+
+
+def test_served_connections_are_released_at_end_of_stream(world):
+    """Regression: the serve loop returned on end-of-stream without
+    closing its own end, so every connection a server ever accepted
+    (and its inbox) stayed with the host for life — 3 000 one-shot
+    calls left 3 010 entries behind."""
+    a = world.host("client", "r0/c0/m0/s0")
+    b = world.host("server", "r0/c0/m0/s1")
+    _echo_server(world, b)
+    world.run()
+    baseline = (len(b._connections), len(b._processes))
+    cycles = 1000
+
+    def client():
+        for index in range(cycles):
+            value = yield from rpc.call(a, b, 7000, "echo", {"text": index})
+            assert value == index
+
+    world.run_until(a.spawn(client()), limit=1e6)
+    world.run()                         # the last FIN lands
+    assert (len(b._connections), len(b._processes)) == baseline
+    assert (len(a._connections), len(a._processes)) == (0, 0)
+
+
+# -- ChannelPool: one channel per peer endpoint per address space -----------
+
+
+def _pool_bed(world):
+    a = world.host("client", "r0/c0/m0/s0")
+    b = world.host("server", "r0/c1/m0/s0")
+    _echo_server(world, b)
+    return a, b, ChannelPool(a)
+
+
+def test_pool_hands_out_the_one_open_channel(world):
+    a, b, pool = _pool_bed(world)
+    _echo_server(world, b, port=7001)
+
+    def client():
+        first = yield from pool.channel(b, 7000)
+        connects = world.sim.events_processed
+        second = yield from pool.channel(b, 7000)
+        assert world.sim.events_processed == connects   # no kernel event
+        other_port = yield from pool.channel(b, 7001)
+        value = yield from second.call("echo", {"text": "hi"})
+        return first is second, other_port is first, value
+
+    assert world.run_until(a.spawn(client()), limit=100) \
+        == (True, False, "hi")
+    assert (pool.opens, pool.reuses, pool.open_channels) == (2, 1, 2)
+    assert len(b._connections) == 2
+
+
+def test_pool_concurrent_opens_share_one_handshake(world):
+    a, b, pool = _pool_bed(world)
+    got = []
+
+    def caller(text):
+        channel = yield from pool.channel(b, 7000)
+        got.append(channel)
+        value = yield from channel.call("echo", {"text": text})
+        return value
+
+    callers = [a.spawn(caller(index)) for index in range(4)]
+    world.run()
+    assert [proc.value for proc in callers] == [0, 1, 2, 3]
+    assert all(channel is got[0] for channel in got)
+    assert (pool.opens, pool.reuses) == (1, 3)
+    assert len(b._connections) == 1 and not pool._opening
+
+
+def test_pool_failed_open_fails_its_followers_and_is_forgotten(world):
+    from repro.sim.transport import ConnectRefused
+
+    a = world.host("client", "r0/c0/m0/s0")
+    b = world.host("server", "r0/c1/m0/s0")
+    pool = ChannelPool(a)
+
+    def caller():
+        try:
+            yield from pool.channel(b, 7000)
+        except ConnectRefused:
+            return "refused"
+
+    callers = [a.spawn(caller()) for _ in range(3)]
+    world.run()
+    assert [proc.value for proc in callers] == ["refused"] * 3
+    assert (pool.opens, pool.open_channels) == (0, 0)
+    assert not pool._opening
+    _echo_server(world, b)
+
+    def retry():
+        channel = yield from pool.channel(b, 7000)
+        value = yield from channel.call("echo", {"text": "up"})
+        return value
+
+    assert world.run_until(a.spawn(retry()), limit=100) == "up"
+    assert pool.opens == 1
+
+
+def test_pool_leader_killed_mid_open_releases_followers(world):
+    from repro.sim.transport import ConnectionClosed
+
+    a, b, pool = _pool_bed(world)
+
+    def leader():
+        yield from pool.channel(b, 7000)
+
+    def follower():
+        try:
+            yield from pool.channel(b, 7000)
+        except ConnectionClosed:
+            channel = yield from pool.channel(b, 7000)
+            value = yield from channel.call("echo", {"text": "again"})
+            return value
+
+    leading = a.spawn(leader())
+    following = a.spawn(follower())
+    world.run(until=world.now + 1e-6)    # both parked on the open
+    assert pool._opening
+    leading.kill()
+    assert world.run_until(following, limit=100) == "again"
+    assert (pool.opens, pool.open_channels) == (1, 1)
+
+
+def _reopen_after(world, pool, a, b, disturb):
+    """Open and use the pooled channel, ``disturb`` it, then have
+    three concurrent callers use the pool again."""
+    def warm():
+        channel = yield from pool.channel(b, 7000)
+        yield from channel.call("echo", {"text": "warm"})
+        return channel
+
+    old = world.run_until(a.spawn(warm()), limit=100)
+    disturb(old)
+    got = []
+
+    def caller(text):
+        channel = yield from pool.channel(b, 7000)
+        got.append(channel)
+        value = yield from channel.call("echo", {"text": text})
+        return value
+
+    callers = [a.spawn(caller(index)) for index in range(3)]
+    world.run()
+    assert [proc.value for proc in callers] == [0, 1, 2]
+    assert got[0] is not old and all(ch is got[0] for ch in got)
+    assert pool.opens == 2               # reopened exactly once
+    assert pool.open_channels == 1
+    return old
+
+
+def test_pool_reopens_once_after_server_crash_and_restart(world):
+    a, b, pool = _pool_bed(world)
+
+    def crash_and_restart(_channel):
+        b.crash()
+        b.restart()
+        _echo_server(world, b)
+
+    old = _reopen_after(world, pool, a, b, crash_and_restart)
+    assert old.conn.closed               # the dead one was not left open
+    assert len(a._connections) == 1
+
+
+def test_pool_reopens_once_after_partition_heal(world):
+    from repro.sim.transport import ConnectionClosed
+
+    a, b, pool = _pool_bed(world)
+
+    def partition_and_heal(channel):
+        network = world.network
+        cut_off = a.site.parent.parent    # the client's country
+        network.partition_domain(cut_off)
+
+        def try_through():
+            try:
+                yield from channel.call("echo", {"text": "lost"})
+            except ConnectionClosed:
+                return "broken"
+
+        assert world.run_until(a.spawn(try_through()),
+                               limit=100) == "broken"
+        network.heal_domain(cut_off)
+
+    _reopen_after(world, pool, a, b, partition_and_heal)
+
+
+def test_pool_discard_of_a_replaced_channel_spares_its_successor(world):
+    a, b, pool = _pool_bed(world)
+
+    def client():
+        old = yield from pool.channel(b, 7000)
+        pool.discard(old)
+        new = yield from pool.channel(b, 7000)
+        pool.discard(old)                # a late report about the old one
+        again = yield from pool.channel(b, 7000)
+        value = yield from again.call("echo", {"text": "alive"})
+        return new is again, value
+
+    assert world.run_until(a.spawn(client()), limit=100) == (True, "alive")
+    assert pool.opens == 2
+
+
+def test_pool_close_closes_every_channel(world):
+    from repro.sim.transport import ConnectionClosed
+
+    a, b, pool = _pool_bed(world)
+    _echo_server(world, b, port=7001)
+    world.run()
+    baseline = (len(b._connections), len(b._processes))
+
+    def client():
+        first = yield from pool.channel(b, 7000)
+        second = yield from pool.channel(b, 7001)
+        yield from second.call("echo", {"text": "x"})
+        in_flight = world.sim.process(
+            first.call("slow", {"delay": 5.0}))
+        yield world.sim.timeout(0.5)
+        pool.close()
+        try:
+            yield in_flight
+        except ConnectionClosed:
+            return first.conn.closed and second.conn.closed
+
+    assert world.run_until(a.spawn(client()), limit=100) is True
+    world.run()
+    assert pool.open_channels == 0
+    assert (len(a._connections), len(a._processes)) == (0, 0)
+    assert (len(b._connections), len(b._processes)) == baseline
+
+
+def test_pool_counters_bind_to_registry(world):
+    from repro.analysis.telemetry import MetricsRegistry
+
+    a, b, pool = _pool_bed(world)
+    registry = MetricsRegistry()
+    pool.bind_metrics(registry, "pool")
+
+    def client():
+        for _ in range(3):
+            yield from pool.channel(b, 7000)
+
+    world.run_until(a.spawn(client()), limit=100)
+    assert registry.get("pool.opens").value == 1
+    assert registry.get("pool.reuses").value == 2
+    assert registry.get("pool.open_channels").value == 1
