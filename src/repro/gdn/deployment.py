@@ -186,6 +186,9 @@ class GdnDeployment:
                                           secondaries=secondary_endpoints)
         self.dns_primary.start()
         self.root_hints = [(root_host.name, DNS_PORT)]
+        for server in [self.dns_root, self.dns_tld, self.dns_primary,
+                       *self.dns_secondaries]:
+            server.bind_metrics(world.metrics, "dns.%s" % server.host.name)
 
     def _add_repository_hosts(self) -> None:
         for index, region in enumerate(self._regions()):
@@ -534,7 +537,9 @@ class GdnDeployment:
         self.world.run(until=self.world.now + duration)
 
     def initial_sync(self) -> None:
-        """Complete initial DNS secondary transfers."""
+        """Complete initial DNS secondary transfers — the one time each
+        secondary is sent the whole GDN Zone; every update after it
+        reaches them as the records it changed."""
         for secondary in self.dns_secondaries:
             self.run(secondary.initial_transfers(), host=secondary.host)
 

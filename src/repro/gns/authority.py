@@ -10,6 +10,9 @@ from clients."  Requirements implemented here:
 * updates to the zone are *batched* ("The number of updates to our
   zone can be kept low by batching them"): requests are queued and one
   DNS UPDATE message carries the whole batch, signed with TSIG (§6.3).
+  The primary commits a batch under one serial and the secondaries
+  fetch it as one change set, so a batch costs one transfer per
+  secondary, the size of the batch — not of the zone.
 
 Callers' RPCs complete when their batch has been committed to the
 primary, so a successful ``add_name`` means the name is live.

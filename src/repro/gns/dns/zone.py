@@ -4,16 +4,31 @@ A zone owns all names at or under its origin except those it has
 delegated away with NS records.  ``answer`` implements the
 authoritative lookup algorithm the servers use: exact answer, CNAME
 chain start, referral at a zone cut, NODATA, or NXDOMAIN.
+
+Every change is journalled.  The mutators note each record they really
+added or removed, in order; :meth:`Zone.bump_serial` seals what was
+noted under the new serial.  A copy at serial ``s`` is brought up to
+date by replaying the sealed change sets ``s + 1 ..`` in serial order
+(:meth:`Zone.deltas_since`, :meth:`Zone.apply_delta` — RFC 1995 IXFR),
+so replication costs what changed, not what the zone holds.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import collections
+from typing import Deque, Dict, List, Optional, Tuple
 
 from .records import (DnsError, RRType, ResourceRecord, is_subdomain,
                       normalize_name, parent_name)
 
-__all__ = ["Zone", "Rcode", "ZoneAnswer"]
+__all__ = ["Zone", "Rcode", "ZoneAnswer", "JOURNAL_DEPTH"]
+
+#: Sealed change sets a zone keeps for incremental transfer.  A copy
+#: that fell further behind than this (or has nothing yet) is sent the
+#: whole zone instead, so the bound costs a lagging secondary one full
+#: transfer, never correctness; it keeps a zone that is updated forever
+#: at a fixed footprint (one small tuple per record changed).
+JOURNAL_DEPTH = 64
 
 
 class Rcode:
@@ -24,6 +39,8 @@ class Rcode:
     REFUSED = "REFUSED"
     NOTAUTH = "NOTAUTH"
     BADSIG = "BADSIG"
+    FORMERR = "FORMERR"
+    NOTZONE = "NOTZONE"
 
 
 class ZoneAnswer:
@@ -53,6 +70,15 @@ class Zone:
         self.default_ttl = default_ttl
         self.serial = serial
         self._records: Dict[Tuple[str, str], List[ResourceRecord]] = {}
+        #: Owner name -> number of rrsets at it (NODATA vs NXDOMAIN).
+        self._owners: Dict[str, int] = {}
+        #: Changes since the last seal: (added?, record), in order.  A
+        #: zone's initial contents wait here for its first commit;
+        #: replaying them onto a copy that has them changes nothing.
+        self._pending: List[Tuple[bool, ResourceRecord]] = []
+        #: Sealed change sets in wire form, oldest first, consecutive
+        #: serials ending at ``self.serial``.
+        self._journal: Deque[dict] = collections.deque(maxlen=JOURNAL_DEPTH)
 
     def __repr__(self) -> str:
         return "Zone(%r, serial=%d)" % (self.origin or ".", self.serial)
@@ -65,23 +91,43 @@ class Zone:
             raise DnsError("%r is outside zone %r" % (name, self.origin))
         return name
 
+    def _drop_rrset(self, key: Tuple[str, str]) -> None:
+        del self._records[key]
+        name = key[0]
+        self._owners[name] -= 1
+        if not self._owners[name]:
+            del self._owners[name]
+
     def add_record(self, record: ResourceRecord) -> None:
         self._check_in_zone(record.name)
-        rrset = self._records.setdefault(record.key(), [])
-        if record not in rrset:
-            rrset.append(record)
+        key = record.key()
+        rrset = self._records.get(key)
+        if rrset is None:
+            rrset = self._records[key] = []
+            self._owners[record.name] = self._owners.get(record.name, 0) + 1
+        elif record in rrset:
+            return
+        rrset.append(record)
+        self._pending.append((True, record))
 
     def remove_rrset(self, name: str, rtype: RRType) -> bool:
-        name = self._check_in_zone(name)
-        return self._records.pop((name, RRType(rtype).value), None) is not None
+        key = (self._check_in_zone(name), RRType(rtype).value)
+        rrset = self._records.get(key)
+        if rrset is None:
+            return False
+        self._drop_rrset(key)
+        self._pending.extend((False, record) for record in rrset)
+        return True
 
     def remove_record(self, record: ResourceRecord) -> bool:
-        rrset = self._records.get(record.key())
+        key = record.key()
+        rrset = self._records.get(key)
         if not rrset or record not in rrset:
             return False
         rrset.remove(record)
         if not rrset:
-            del self._records[record.key()]
+            self._drop_rrset(key)
+        self._pending.append((False, record))
         return True
 
     def rrset(self, name: str, rtype: RRType) -> List[ResourceRecord]:
@@ -89,13 +135,20 @@ class Zone:
         return list(self._records.get((name, RRType(rtype).value), []))
 
     def names(self) -> set:
-        return {name for name, _rtype in self._records}
+        return set(self._owners)
 
     def record_count(self) -> int:
         return sum(len(rrset) for rrset in self._records.values())
 
     def bump_serial(self) -> int:
+        """Commit: seal the changes made since the last commit under
+        the next serial."""
         self.serial += 1
+        self._journal.append({
+            "serial": self.serial,
+            "changes": [[added, record.to_wire()]
+                        for added, record in self._pending]})
+        self._pending = []
         return self.serial
 
     # -- authoritative lookup -------------------------------------------------
@@ -133,14 +186,47 @@ class Zone:
         cname = self.rrset(qname, RRType.CNAME)
         if cname and qtype != RRType.CNAME:
             return ZoneAnswer(Rcode.NOERROR, cname)
-        if qname in self.names():
+        if qname in self._owners:
             return ZoneAnswer(Rcode.NOERROR, [])  # NODATA
         return ZoneAnswer(Rcode.NXDOMAIN, [])
 
     # -- zone transfer ----------------------------------------------------------
 
+    def deltas_since(self, serial: int) -> Optional[List[dict]]:
+        """The sealed change sets after ``serial``, oldest first (none
+        for a copy that is up to date) — or ``None`` where the journal
+        cannot take a copy from ``serial`` to here: it no longer
+        reaches back that far, or this zone never issued ``serial``."""
+        behind = self.serial - serial
+        if not behind:
+            return []
+        journal = self._journal
+        if not 0 < behind <= len(journal) \
+                or journal[-behind]["serial"] != serial + 1:
+            return None
+        return list(journal)[-behind:]
+
+    def apply_delta(self, delta: dict) -> None:
+        """Replay the change set that follows this copy's serial, all
+        or nothing: every record is parsed and zone-checked before the
+        first is applied.  The replay is journalled like any other
+        change, so a copy can feed further copies."""
+        if delta["serial"] != self.serial + 1:
+            raise DnsError("change set %d does not follow serial %d"
+                           % (delta["serial"], self.serial))
+        changes = [(added, ResourceRecord.from_wire(wire))
+                   for added, wire in delta["changes"]]
+        for _added, record in changes:
+            self._check_in_zone(record.name)
+        for added, record in changes:
+            if added:
+                self.add_record(record)
+            else:
+                self.remove_record(record)
+        self.bump_serial()
+
     def to_wire(self) -> dict:
-        """Full zone contents (AXFR payload)."""
+        """Full zone contents (the full-transfer payload)."""
         return {
             "origin": self.origin,
             "primary": self.primary_host,
@@ -153,9 +239,11 @@ class Zone:
 
     @classmethod
     def from_wire(cls, wire: dict) -> "Zone":
+        """A copy at the wire's serial, with nothing journalled yet."""
         zone = cls(wire["origin"], wire["primary"],
                    default_ttl=wire.get("default_ttl", 300),
                    serial=wire["serial"])
         for record_wire in wire.get("records", []):
             zone.add_record(ResourceRecord.from_wire(record_wire))
+        zone._pending = []
         return zone

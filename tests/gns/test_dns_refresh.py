@@ -7,12 +7,14 @@ from repro.sim.topology import Level, Topology
 from repro.sim.world import World
 
 
-def _build(world, refresh_interval=None):
+def _build(world, refresh_interval=None, names=("a",)):
     primary_host = world.host("dns-primary", "r0/c0/m0/s0")
     primary = AuthoritativeServer(world, primary_host,
                                   require_tsig_for_updates=False)
     zone = Zone("example.nl", primary_host="dns-primary")
-    zone.add_record(ResourceRecord("a.example.nl", RRType.TXT, 60, "v1"))
+    for name in names:
+        zone.add_record(ResourceRecord("%s.example.nl" % name, RRType.TXT,
+                                       60, "v1"))
     # No secondaries wired for NOTIFY: refresh is the only channel.
     primary.add_primary_zone(zone, secondaries=[])
     primary.start()
@@ -42,13 +44,34 @@ def test_refresh_picks_up_missed_updates():
     assert secondary.transfers_fetched >= 1
 
 
-def test_refresh_is_cheap_when_unchanged():
+def _idle_refresh_cost(zone_size):
+    """(bytes on the wire, records shipped, transfers answered) over
+    five idle refresh rounds of a ``zone_size``-name zone."""
     world = World(topology=Topology.balanced(2, 1, 1, 1), seed=8)
-    _primary, secondary = _build(world, refresh_interval=20.0)
+    primary, secondary = _build(
+        world, refresh_interval=20.0,
+        names=["n%d" % index for index in range(zone_size)])
+    assert secondary.zones["example.nl"].record_count() == zone_size
+    meter = world.network.meter
+    bytes_before, sent_before = meter.total_bytes, primary.records_sent
+    served_before = primary.transfers_served
     fetched_before = secondary.transfers_fetched
-    world.run(until=world.now + 100.0)
-    # Several refresh rounds ran; none replaced the zone.
+    world.run(until=world.now + 110.0)
+    # Five rounds asked; none moved the copy.
+    assert primary.transfers_served - served_before == 5
     assert secondary.transfers_fetched == fetched_before
+    assert primary.full_transfers == 1  # the initial sync, still
+    return (meter.total_bytes - bytes_before,
+            primary.records_sent - sent_before)
+
+
+def test_refresh_is_cheap_when_unchanged():
+    small, large = _idle_refresh_cost(2), _idle_refresh_cost(400)
+    # An up-to-date copy is sent an empty answer: not one record, and
+    # the same bytes whether the zone holds two names or four hundred.
+    assert small[1] == large[1] == 0
+    assert small[0] == large[0]
+    assert small[0] < 5 * 400  # a few hundred bytes a round trip
 
 
 def test_no_refresh_without_interval():

@@ -202,6 +202,67 @@ def test_unsigned_update_rejected(bed):
         "evil.apps." + GDN_ZONE, RRType.TXT)
 
 
+def _send_update(bed, message):
+    from repro.sim.rpc import UdpRpcClient
+    client_host = bed.world.hosts.get("authority") \
+        or bed.world.host("authority", "r0/c0/m0/s1")
+    client = UdpRpcClient(client_host)
+    return run(bed.world,
+               client.call(bed.primary_host, DNS_PORT, "update",
+                           sign_message(message, KEY)),
+               host=client_host)
+
+
+def test_update_is_applied_whole_or_not_at_all(bed):
+    """RFC 2136 §3.4: a signed update whose second add is outside the
+    zone leaves records, serial and journal untouched — and answers
+    with an rcode, not a leaked exception."""
+    zone = bed.primary.zones[GDN_ZONE]
+    zone.bump_serial()  # seal the bed's initial record
+    before = zone.to_wire()
+    reply = _send_update(bed, {
+        "zone": GDN_ZONE,
+        "deletes": [{"name": "gimp.apps." + GDN_ZONE, "type": "TXT"}],
+        "adds": [{"name": "tetex.apps." + GDN_ZONE, "type": "TXT",
+                  "ttl": 300, "data": "globe-oid=bb"},
+                 {"name": "tetex.apps.elsewhere.org", "type": "TXT",
+                  "ttl": 300, "data": "globe-oid=cc"}]})
+    assert reply == {"rcode": Rcode.NOTZONE}
+    assert zone.to_wire() == before
+    assert zone.deltas_since(before["serial"]) == []
+    assert bed.primary.updates_rejected == 1
+    assert bed.primary.updates_applied == 0
+    # Nothing half-applied waits to ride in the next commit either.
+    reply = _send_update(bed, {"zone": GDN_ZONE, "deletes": [], "adds": []})
+    assert reply["rcode"] == Rcode.NOERROR
+    (delta,) = zone.deltas_since(before["serial"])
+    assert delta["changes"] == []
+    bed.world.run(until=bed.world.now + 10)
+    assert bed.secondary.zones[GDN_ZONE].rrset("gimp.apps." + GDN_ZONE,
+                                               RRType.TXT)
+
+
+@pytest.mark.parametrize("adds, deletes", [
+    ([{"name": "x." + GDN_ZONE, "type": "TXT", "ttl": 300}], []),  # no data
+    ([{"name": "x." + GDN_ZONE, "type": "BOGUS", "ttl": 300,
+       "data": "d"}], []),
+    ([{"name": "bad_label." + GDN_ZONE, "type": "TXT", "ttl": 300,
+       "data": "d"}], []),
+    ([], [{"name": "gimp.apps." + GDN_ZONE, "type": "BOGUS"}]),
+    ([], [{"type": "TXT"}]),
+])
+def test_malformed_update_is_refused_before_anything_is_applied(
+        bed, adds, deletes):
+    zone = bed.primary.zones[GDN_ZONE]
+    before = zone.to_wire()
+    valid_add = {"name": "ok.apps." + GDN_ZONE, "type": "TXT", "ttl": 300,
+                 "data": "globe-oid=dd"}
+    reply = _send_update(bed, {"zone": GDN_ZONE, "deletes": deletes,
+                               "adds": [valid_add] + adds})
+    assert reply == {"rcode": Rcode.FORMERR}
+    assert zone.to_wire() == before
+
+
 def test_update_to_secondary_not_authoritative(bed):
     client_host = bed.world.host("authority", "r0/c0/m0/s1")
     from repro.sim.rpc import UdpRpcClient
