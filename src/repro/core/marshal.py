@@ -17,6 +17,7 @@ from typing import Any, Callable, Dict, List, Tuple
 __all__ = [
     "pack",
     "unpack",
+    "unpack_sequence",
     "marshal_invocation",
     "unmarshal_invocation",
     "marshal_result",
@@ -136,6 +137,22 @@ def _subclass_encoder(value: Any) -> Callable[[Any, _Append], None]:
 def unpack(data: bytes) -> Any:
     """Decode a value previously produced by :func:`pack`."""
     return _decode_rest(data, 0)
+
+
+def unpack_sequence(data: bytes) -> List[Any]:
+    """Decode a concatenation of :func:`pack` encodings, in order.
+
+    ``unpack_sequence(b"".join(map(pack, values))) == values``: an
+    append-only log kept as its encodings grows by concatenation and is
+    decoded only when it is read.
+    """
+    values = []
+    offset = 0
+    end = len(data)
+    while offset < end:
+        value, offset = _decode(data, offset)
+        values.append(value)
+    return values
 
 
 def _decode_rest(data: bytes, offset: int) -> Any:

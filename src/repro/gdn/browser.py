@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Generator, List, Optional, Tuple
 
-from ..sim.rpc import RpcChannel, RpcFault
+from ..sim.rpc import ChannelPool
 from ..sim.topology import Topology
 from ..sim.transport import ConnectionClosed, Host
 from ..sim.world import World
@@ -58,20 +58,11 @@ class Browser:
         self.world = world
         self.host = host
         self.access_point = access_point
-        self.channel_wrapper = channel_wrapper
-        self._channel: Optional[RpcChannel] = None
+        #: The one channel to the access point, reopened when it breaks;
+        #: concurrent requests that find it broken share one reopen.
+        self._pool = ChannelPool(host, channel_wrapper)
         self.requests_made = 0
         self.bytes_received = 0
-
-    def _open_channel(self) -> Generator[object, object, RpcChannel]:
-        if self._channel is not None and not self._channel.conn.closed \
-                and not getattr(self._channel.conn, "broken", False):
-            return self._channel
-        channel = yield from RpcChannel.open(
-            self.host, self.access_point.host, self.access_point.port,
-            channel_wrapper=self.channel_wrapper)
-        self._channel = channel
-        return channel
 
     def get(self, path: str, timeout: Optional[float] = None
             ) -> Generator[object, object, HttpResponse]:
@@ -82,18 +73,20 @@ class Browser:
         so a crashed access point can't hang the download.
         """
         start = self.world.now
-        channel = yield from self._open_channel()
-        try:
-            reply = yield from channel.call("http", {"method": "GET",
-                                                     "path": path},
-                                            timeout=timeout)
-        except ConnectionClosed:
-            # Reconnect once: the access point may have restarted.
-            self._channel = None
-            channel = yield from self._open_channel()
-            reply = yield from channel.call("http", {"method": "GET",
-                                                     "path": path},
-                                            timeout=timeout)
+        access_point = self.access_point
+        args = {"method": "GET", "path": path}
+        for attempt in (0, 1):
+            channel = yield from self._pool.channel(access_point.host,
+                                                    access_point.port)
+            try:
+                reply = yield from channel.call("http", args,
+                                                timeout=timeout)
+                break
+            except ConnectionClosed:
+                # Reconnect once: the access point may have restarted.
+                self._pool.discard(channel)
+                if attempt == 1:
+                    raise
         self.requests_made += 1
         body = reply.get("body", b"")
         self.bytes_received += (len(body)
@@ -110,6 +103,4 @@ class Browser:
         return response
 
     def close(self) -> None:
-        if self._channel is not None:
-            self._channel.close()
-            self._channel = None
+        self._pool.close()

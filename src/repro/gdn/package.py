@@ -12,14 +12,23 @@ attribute-based search support via package attributes, and version
 management via a monotonically increasing content version plus
 per-file digests (which also serve the §6.1 integrity requirement —
 users can verify what they downloaded).
+
+The version history is append-only and travels with every state
+transfer and checkpoint, so it is kept in the form it is shipped and
+stored in: one ``bytes`` value, the concatenated
+:func:`~repro.core.marshal.pack` encodings of its entries.  A write
+appends one encoding; snapshots, pushes, restores and checkpoints carry
+the ``bytes`` as it is; only ``getHistory`` decodes it.  What a write
+costs in marshalling therefore does not grow with the writes before it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..core.idl import mutating, read_only
+from ..core.marshal import pack, unpack_sequence
 from ..core.subobjects import SemanticsSubobject
 
 __all__ = ["PackageSemantics", "PACKAGE_IMPL_ID", "HISTORY_RETENTION",
@@ -43,8 +52,9 @@ class PackageSemantics(SemanticsSubobject):
         self._files: Dict[str, bytes] = {}
         self._attributes: Dict[str, str] = {}
         self._content_version = 0
-        #: Op log: one entry per mutation (version, op, path, digest).
-        self._history: List[dict] = []
+        #: Op log: one packed entry per mutation (version, op, path,
+        #: size, digest), concatenated.
+        self._history = b""
         #: Superseded contents, keyed "path@version", bounded FIFO.
         self._retained: Dict[str, bytes] = {}
         self._retained_order: List[str] = []
@@ -57,7 +67,7 @@ class PackageSemantics(SemanticsSubobject):
         if data is not None:
             entry["size"] = len(data)
             entry["digest"] = hashlib.sha256(data).hexdigest()
-        self._history.append(entry)
+        self._history += pack(entry)
 
     def _retain(self, path: str, data: bytes, version: int) -> None:
         """Keep contents superseded *by* mutation ``version``, bounded."""
@@ -190,7 +200,7 @@ class PackageSemantics(SemanticsSubobject):
     @read_only
     def getHistory(self) -> List[dict]:
         """The mutation log: version, operation, path, size, digest."""
-        return [dict(entry) for entry in self._history]
+        return unpack_sequence(self._history)
 
     @read_only
     def totalSize(self) -> int:
@@ -203,16 +213,20 @@ class PackageSemantics(SemanticsSubobject):
             "files": dict(self._files),
             "attributes": dict(self._attributes),
             "version": self._content_version,
-            "history": [dict(entry) for entry in self._history],
+            "history": self._history,
             "retained": dict(self._retained),
             "retained_order": list(self._retained_order),
         }
 
     def restore_state(self, state: dict) -> None:
+        history = state.get("history", b"")
+        if not isinstance(history, bytes):
+            raise TypeError("package history must be packed bytes, got %s"
+                            % type(history).__name__)
         self._files = dict(state["files"])
         self._attributes = dict(state.get("attributes", {}))
         self._content_version = state.get("version", 0)
-        self._history = [dict(entry) for entry in state.get("history", [])]
+        self._history = history
         self._retained = dict(state.get("retained", {}))
         self._retained_order = list(state.get("retained_order", []))
 

@@ -10,7 +10,7 @@ from repro.core.idl import Mode
 from repro.core import marshal
 from repro.core.marshal import (MarshalError, marshal_invocation,
                                 marshal_result, pack, unmarshal_invocation,
-                                unmarshal_result, unpack)
+                                unmarshal_result, unpack, unpack_sequence)
 from repro.gns.dns.records import RRType
 from tests.core import marshal_oracle as oracle
 
@@ -137,7 +137,8 @@ def test_subclasses_and_corner_values_encode_as_before(value):
     {1: "x"}, {None: 1}, {"a": 1, 2: 3}, {b"k": 1}, {("t",): 1},
     object(), {"k": object()}, [1, {2, 3}], bytearray(b"x"),
     memoryview(b"x"), 1j, {"deep": [{"k": {4: 5}}]}, Mode.READ,
-], ids=repr)
+], ids=lambda value: "memoryview(%r)" % value.tobytes()
+    if isinstance(value, memoryview) else repr(value))  # no heap address
 def test_what_the_seed_encoder_refused_is_still_refused(value):
     with pytest.raises(MarshalError):
         oracle.pack(value)
@@ -190,3 +191,42 @@ def test_envelope_decoders_refuse_other_messages():
                     marshal_invocation("m", {}) + b"x"):
         with pytest.raises(MarshalError):
             unmarshal_invocation(payload)
+
+
+# -- unpack_sequence: a concatenation of encodings ---------------------------
+
+
+def test_unpack_sequence_reads_every_value_in_order():
+    values = [{"version": 1, "op": "add"}, None, b"raw", [1, (2, "x")], -7]
+    assert unpack_sequence(b"".join(pack(value) for value in values)) == \
+        values
+
+
+def test_unpack_sequence_of_nothing_is_empty():
+    assert unpack_sequence(b"") == []
+
+
+@pytest.mark.parametrize("data", [b"?", b"S\x00\x00\x00\x05abc",
+                                  pack(1) + b"M\x00\x00\x00\x01",
+                                  pack("x") + b"\xff"], ids=repr)
+def test_unpack_sequence_refuses_corrupt_input(data):
+    with pytest.raises(MarshalError):
+        unpack_sequence(data)
+
+
+@given(st.lists(_values, max_size=6))
+def test_unpack_sequence_property(values):
+    assert unpack_sequence(b"".join(map(pack, values))) == values
+
+
+@given(st.lists(_values, min_size=1, max_size=6), st.data())
+def test_unpack_sequence_rejects_a_cut_inside_a_value(values, data):
+    encodings = [pack(value) for value in values]
+    index = data.draw(st.integers(min_value=0, max_value=len(values) - 1))
+    if len(encodings[index]) < 2:
+        encodings[index] = pack(str(values[index]))  # room to cut inside
+    inside = data.draw(st.integers(min_value=1,
+                                   max_value=len(encodings[index]) - 1))
+    cut = sum(len(encoding) for encoding in encodings[:index]) + inside
+    with pytest.raises(MarshalError):
+        unpack_sequence(b"".join(encodings)[:cut])
