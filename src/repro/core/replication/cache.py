@@ -6,8 +6,12 @@ The caching subobject keeps a full local copy of the object state.
 Reads execute locally while the copy is fresh (its age is below the
 TTL); a stale copy is revalidated with a ``pull`` carrying the cached
 version, so an unchanged object costs only a small round-trip rather
-than a state transfer.  Writes are forwarded to the authoritative copy
-and invalidate the cache.
+than a state transfer, and a changed one costs the writes it missed,
+squashed into one change set (whole state only when the replica's
+journal no longer reaches back to the cached version).  Writes are
+forwarded to the authoritative copy and invalidate the cache.  The
+cache journals what it replays, so it answers downstream pulls the
+same way.
 
 This is the protocol that turns a GDN-enabled HTTPD into a replica of
 popular packages without any moderator action.
@@ -19,15 +23,14 @@ from typing import Any, Generator, List, Optional
 
 from ..idl import Mode
 from ..ids import ContactAddress
-from .base import (ReplicationError, ReplicationSubobject,
-                   register_protocol)
+from .base import JournalledCopy, ReplicationError, register_protocol
 
 __all__ = ["CachingClient"]
 
 PROTOCOL = "cache"
 
 
-class CachingClient(ReplicationSubobject):
+class CachingClient(JournalledCopy):
     """A pull-based caching local representative."""
 
     protocol = PROTOCOL
@@ -42,7 +45,6 @@ class CachingClient(ReplicationSubobject):
                              or self.find_role(addresses, "server")
                              or self.bound)
         self.ttl = ttl
-        self.version = -1
         self.fetched_at: Optional[float] = None
         self.pulls = 0
         self.revalidations = 0
@@ -62,16 +64,8 @@ class CachingClient(ReplicationSubobject):
 
     def _refresh(self) -> Generator:
         self.pulls += 1
-        reply = yield from self._send(self.bound, {
-            "type": "pull", "have_version": self.version})
-        kind = reply.get("type")
-        if kind == "fresh":
+        if (yield from self._pull(self.bound)) == "fresh":
             self.revalidations += 1
-        elif kind == "state":
-            self._restore(reply["state"])
-            self.version = reply["version"]
-        else:
-            raise ReplicationError("unexpected pull reply %r" % kind)
         self.fetched_at = self._now
 
     # -- the standard interface ---------------------------------------------
@@ -95,10 +89,7 @@ class CachingClient(ReplicationSubobject):
         # A cache can itself answer pulls (e.g. browsers behind a
         # GDN-proxy), but only while fresh; anything else is refused.
         if message.get("type") == "pull" and self.is_fresh():
-            if message.get("have_version", -1) >= self.version:
-                return {"type": "fresh", "version": self.version}
-            return {"type": "state", "version": self.version,
-                    "state": self._snapshot()}
+            return self._answer_pull(message)
         return {"type": "error", "reason": "cache cannot serve this"}
         yield  # pragma: no cover
 

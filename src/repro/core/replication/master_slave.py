@@ -3,14 +3,20 @@
 One replica is the *master*; any number of *slaves* hold copies.
 Reads execute at whichever replica the client is bound to (normally
 the nearest one, found via the GLS); writes are forwarded to the
-master, which executes them and pushes fresh state to all slaves.
+master, which executes them and pushes what each one changed — one
+change set, sealed under the next version — to all slaves.  A write
+therefore ships what it changed, not the package it changed.
 
 Push is asynchronous by default — the client's write completes when
 the master has executed it, and slaves converge shortly after
-(configure ``sync_push=True`` for write-through behaviour).  Slaves
-joining later, or rejoining after a reboot, fetch state with a `join`
-message, which is also how a Globe Object Server reconstructs replicas
-(§4).
+(configure ``sync_push=True`` for write-through behaviour).  Pushes may
+be lost, late, doubled or overtaken: a slave replays a change set only
+onto the version just before it, and on a gap (or a push from another
+incarnation of the master) it ``pull``-s what it misses, which the
+master answers from its journal or, when that cannot reach back, with
+whole state.  Slaves joining later, or rejoining after a reboot, fetch
+whole state with a `join` message, which is also how a Globe Object
+Server reconstructs replicas (§4).
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from ...sim.rpc import RpcFault, RpcTimeout
 from ...sim.transport import TransportError
 from ..idl import Mode
 from ..ids import ContactAddress
-from .base import (ReplicationError, ReplicationSubobject,
+from .base import (JournalledCopy, ReplicationError, ReplicationSubobject,
                    register_protocol)
 
 __all__ = ["MasterSlaveClient", "MasterSlaveMaster", "MasterSlaveSlave"]
@@ -93,25 +99,28 @@ class MasterSlaveClient(ReplicationSubobject):
         yield  # pragma: no cover
 
 
-class MasterSlaveMaster(ReplicationSubobject):
-    """The authoritative replica: applies writes, pushes state."""
+class MasterSlaveMaster(JournalledCopy):
+    """The authoritative replica: applies writes, pushes change sets."""
 
     protocol = PROTOCOL
     role = "master"
 
     def __init__(self, sync_push: bool = False):
-        super().__init__()
+        super().__init__(version=0)
         self.sync_push = sync_push
-        self.version = 0
         self.slaves: Dict[tuple, ContactAddress] = {}
         self.push_failures = 0
 
     def protocol_state(self) -> dict:
-        return {"version": self.version,
+        return {"version": self.version, "epoch": self.epoch,
                 "slaves": [address.to_wire()
                            for address in self.slaves.values()]}
 
     def restore_protocol_state(self, state: dict) -> None:
+        # Restored from a checkpoint: a new incarnation, since writes
+        # after that checkpoint may have reached slaves and been lost
+        # here, and their versions are about to be issued again.
+        self.epoch = state.get("epoch", 0) + 1
         self.version = state.get("version", 0)
         for wire in state.get("slaves", []):
             address = ContactAddress.from_wire(wire)
@@ -143,17 +152,14 @@ class MasterSlaveMaster(ReplicationSubobject):
         if kind == "join":
             address = ContactAddress.from_wire(message["ca"])
             self.slaves[address.key()] = address
-            return {"type": "state", "version": self.version,
-                    "state": self._snapshot()}
+            return self._stamp({"type": "state", "version": self.version,
+                                "state": self._snapshot()})
         if kind == "leave":
             address = ContactAddress.from_wire(message["ca"])
             self.slaves.pop(address.key(), None)
             return {"type": "ack"}
         if kind == "pull":
-            if message.get("have_version", -1) >= self.version:
-                return {"type": "fresh", "version": self.version}
-            return {"type": "state", "version": self.version,
-                    "state": self._snapshot()}
+            return self._answer_pull(message)
         return {"type": "error", "reason": "unsupported message %r" % kind}
 
     # -- write path -----------------------------------------------------------
@@ -161,29 +167,25 @@ class MasterSlaveMaster(ReplicationSubobject):
     def _apply_write(self, payload: bytes) -> Generator[Any, Any, bytes]:
         self.writes_local += 1
         result = self.control.execute(payload)
-        self.version += 1
+        changes = self._seal()
         if self.slaves:
-            state = self._snapshot()
-            version = self.version
-            pushes = [self.lr.host.spawn(self._push_one(address, version,
-                                                        state))
+            push = self._stamp({"type": "state_push",
+                                "version": self.version, "deltas": changes})
+            pushes = [self.lr.host.spawn(self._push_one(address, push))
                       for address in list(self.slaves.values())]
             if self.sync_push:
-                for push in pushes:
-                    yield push
+                for process in pushes:
+                    yield process
         return result
 
-    def _push_one(self, address: ContactAddress, version: int,
-                  state: bytes) -> Generator:
+    def _push_one(self, address: ContactAddress, push: dict) -> Generator:
         try:
-            yield from self._send(address, {"type": "state_push",
-                                            "version": version,
-                                            "state": state})
+            yield from self._send(address, push)
         except Exception:  # noqa: BLE001 - slave may be down; it rejoins
             self.push_failures += 1
 
 
-class MasterSlaveSlave(ReplicationSubobject):
+class MasterSlaveSlave(JournalledCopy):
     """A read-serving copy that forwards writes to the master."""
 
     protocol = PROTOCOL
@@ -192,7 +194,6 @@ class MasterSlaveSlave(ReplicationSubobject):
     def __init__(self, master: ContactAddress):
         super().__init__()
         self.master = master
-        self.version = -1
 
     def start(self) -> Generator:
         """Join the master and fetch initial state."""
@@ -203,8 +204,7 @@ class MasterSlaveSlave(ReplicationSubobject):
             "type": "join", "ca": my_address.to_wire()})
         if reply.get("type") != "state":
             raise ReplicationError("join did not return state")
-        self._restore(reply["state"])
-        self.version = reply["version"]
+        self._install(reply)
 
     def stop(self) -> None:
         # Leaving is best-effort and asynchronous; the master also
@@ -243,15 +243,19 @@ class MasterSlaveSlave(ReplicationSubobject):
                 self.master, message["payload"], mode)
             return {"type": "result", "payload": payload}
         if kind == "state_push":
-            if message["version"] > self.version:
-                self._restore(message["state"])
-                self.version = message["version"]
+            pushed = (message.get("epoch", 0), message["version"])
+            if pushed == (self.epoch, self.version + 1):
+                self._apply(message["version"], message["deltas"])
+            elif pushed > (self.epoch, self.version):
+                # A push went missing or was overtaken, or the master
+                # is a new incarnation: ask for what this copy misses.
+                try:
+                    yield from self._pull(self.master)
+                except (ReplicationError,) + _TRANSIENT:
+                    pass  # the next push asks again
             return {"type": "ack"}
         if kind == "pull":
-            if message.get("have_version", -1) >= self.version:
-                return {"type": "fresh", "version": self.version}
-            return {"type": "state", "version": self.version,
-                    "state": self._snapshot()}
+            return self._answer_pull(message)
         return {"type": "error", "reason": "unsupported message %r" % kind}
 
 

@@ -73,6 +73,21 @@ class SemanticsSubobject:
     def restore_replication_state(self, state: dict) -> None:
         self.restore_state(state)
 
+    # A replica that journals writes ships each one as a change set:
+    # ``take_changes`` seals what changed since it was last called,
+    # ``apply_changes`` replays one onto a copy, and ``squash_changes``
+    # folds consecutive ones into one.  The defaults have no deltas:
+    # a change set is the whole replication state.
+
+    def take_changes(self) -> Any:
+        return self.replication_state()
+
+    def apply_changes(self, changes: Any) -> None:
+        self.restore_replication_state(changes)
+
+    def squash_changes(self, change_sets: list) -> Any:
+        return change_sets[-1]
+
 
 class CommunicationSubobject:
     """Point-to-point messaging to other local representatives.

@@ -20,6 +20,13 @@ stored in: one ``bytes`` value, the concatenated
 appends one encoding; snapshots, pushes, restores and checkpoints carry
 the ``bytes`` as it is; only ``getHistory`` decodes it.  What a write
 costs in marshalling therefore does not grow with the writes before it.
+
+A write also ships only what it changed.  The mutators note the files
+set and deleted, the attributes set and where the op log stood, last
+write wins per file; :meth:`PackageSemantics.take_changes` seals them
+into one change set (the file ``bytes`` shared, not copied) and
+:meth:`~PackageSemantics.apply_changes` replays one onto a copy, which
+is how master/slave replication and caches keep their copies current.
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ class PackageSemantics(SemanticsSubobject):
         #: Superseded contents, keyed "path@version", bounded FIFO.
         self._retained: Dict[str, bytes] = {}
         self._retained_order: List[str] = []
+        self._forget_changes()
 
     # -- version management (§8 future work, implemented) --------------------
 
@@ -89,6 +97,8 @@ class PackageSemantics(SemanticsSubobject):
             raise ValueError("file contents must be bytes")
         previous = self._files.get(path)
         self._files[path] = data
+        self._changed_files[path] = data
+        self._deleted.pop(path, None)
         self._log("add", path, data)
         if previous is not None:
             self._retain(path, previous, self._content_version)
@@ -100,6 +110,8 @@ class PackageSemantics(SemanticsSubobject):
         previous = self._files.pop(path, None)
         if previous is None:
             return False
+        self._changed_files.pop(path, None)
+        self._deleted[path] = None
         self._log("del", path, None)
         self._retain(path, previous, self._content_version)
         return True
@@ -124,6 +136,7 @@ class PackageSemantics(SemanticsSubobject):
     def setAttribute(self, key: str, value: str) -> None:
         """Set a searchable package attribute (e.g. ``category``)."""
         self._attributes[key] = value
+        self._changed_attributes[key] = value
         self._log("attr", key, None)
 
     # -- retrieval (open to all GDN users) -------------------------------------
@@ -229,6 +242,7 @@ class PackageSemantics(SemanticsSubobject):
         self._history = history
         self._retained = dict(state.get("retained", {}))
         self._retained_order = list(state.get("retained_order", []))
+        self._forget_changes()
 
     def replication_state(self) -> dict:
         """State shipped to slaves and caches.
@@ -243,3 +257,64 @@ class PackageSemantics(SemanticsSubobject):
         state["retained"] = {}
         state["retained_order"] = []
         return state
+
+    # -- change sets (replication by what a write changed) ------------------------
+
+    def _forget_changes(self) -> None:
+        """Start noting changes afresh from the state as it stands."""
+        self._changed_files: Dict[str, bytes] = {}
+        self._deleted: Dict[str, None] = {}  # ordered set of paths
+        self._changed_attributes: Dict[str, str] = {}
+        self._history_mark = len(self._history)
+
+    def take_changes(self) -> dict:
+        """What changed since the last call, as one change set: files
+        set, paths deleted, attributes set (each omitted when empty),
+        the op-log entries appended and the content version reached."""
+        changes = {"version": self._content_version,
+                   "history": self._history[self._history_mark:]}
+        if self._changed_files:
+            changes["files"] = self._changed_files
+        if self._deleted:
+            changes["deleted"] = list(self._deleted)
+        if self._changed_attributes:
+            changes["attributes"] = self._changed_attributes
+        self._forget_changes()
+        return changes
+
+    def apply_changes(self, changes: dict) -> None:
+        """Replay a change set onto this copy.  What it replays is not
+        this copy's to ship again, so it notes nothing."""
+        for path in changes.get("deleted", ()):
+            self._files.pop(path, None)
+        self._files.update(changes.get("files", {}))
+        self._attributes.update(changes.get("attributes", {}))
+        self._history += changes["history"]
+        self._content_version = changes["version"]
+        self._forget_changes()
+
+    def squash_changes(self, change_sets: List[dict]) -> dict:
+        """Consecutive change sets as one, last write wins per file."""
+        if len(change_sets) == 1:
+            return change_sets[0]
+        files: Dict[str, bytes] = {}
+        deleted: Dict[str, None] = {}
+        attributes: Dict[str, str] = {}
+        for changes in change_sets:
+            for path in changes.get("deleted", ()):
+                files.pop(path, None)
+                deleted[path] = None
+            for path, data in changes.get("files", {}).items():
+                files[path] = data
+                deleted.pop(path, None)
+            attributes.update(changes.get("attributes", {}))
+        squashed = {"version": change_sets[-1]["version"],
+                    "history": b"".join(changes["history"]
+                                        for changes in change_sets)}
+        if files:
+            squashed["files"] = files
+        if deleted:
+            squashed["deleted"] = list(deleted)
+        if attributes:
+            squashed["attributes"] = attributes
+        return squashed

@@ -10,25 +10,19 @@ added or removed, in order; :meth:`Zone.bump_serial` seals what was
 noted under the new serial.  A copy at serial ``s`` is brought up to
 date by replaying the sealed change sets ``s + 1 ..`` in serial order
 (:meth:`Zone.deltas_since`, :meth:`Zone.apply_delta` — RFC 1995 IXFR),
-so replication costs what changed, not what the zone holds.
+so replication costs what changed, not what the zone holds.  The
+sealed change sets live in a :class:`~repro.core.journal.Journal`.
 """
 
 from __future__ import annotations
 
-import collections
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from ...core.journal import JOURNAL_DEPTH, Journal
 from .records import (DnsError, RRType, ResourceRecord, is_subdomain,
                       normalize_name, parent_name)
 
 __all__ = ["Zone", "Rcode", "ZoneAnswer", "JOURNAL_DEPTH"]
-
-#: Sealed change sets a zone keeps for incremental transfer.  A copy
-#: that fell further behind than this (or has nothing yet) is sent the
-#: whole zone instead, so the bound costs a lagging secondary one full
-#: transfer, never correctness; it keeps a zone that is updated forever
-#: at a fixed footprint (one small tuple per record changed).
-JOURNAL_DEPTH = 64
 
 
 class Rcode:
@@ -68,7 +62,6 @@ class Zone:
         self.origin = normalize_name(origin)
         self.primary_host = primary_host
         self.default_ttl = default_ttl
-        self.serial = serial
         self._records: Dict[Tuple[str, str], List[ResourceRecord]] = {}
         #: Owner name -> number of rrsets at it (NODATA vs NXDOMAIN).
         self._owners: Dict[str, int] = {}
@@ -76,12 +69,16 @@ class Zone:
         #: zone's initial contents wait here for its first commit;
         #: replaying them onto a copy that has them changes nothing.
         self._pending: List[Tuple[bool, ResourceRecord]] = []
-        #: Sealed change sets in wire form, oldest first, consecutive
-        #: serials ending at ``self.serial``.
-        self._journal: Deque[dict] = collections.deque(maxlen=JOURNAL_DEPTH)
+        #: Sealed change sets in wire form, one per serial up to
+        #: ``self.serial``.
+        self._journal = Journal(serial)
 
     def __repr__(self) -> str:
         return "Zone(%r, serial=%d)" % (self.origin or ".", self.serial)
+
+    @property
+    def serial(self) -> int:
+        return self._journal.version
 
     # -- record management ----------------------------------------------------
 
@@ -143,13 +140,13 @@ class Zone:
     def bump_serial(self) -> int:
         """Commit: seal the changes made since the last commit under
         the next serial."""
-        self.serial += 1
-        self._journal.append({
-            "serial": self.serial,
+        serial = self._journal.version + 1
+        self._journal.append(serial, {
+            "serial": serial,
             "changes": [[added, record.to_wire()]
                         for added, record in self._pending]})
         self._pending = []
-        return self.serial
+        return serial
 
     # -- authoritative lookup -------------------------------------------------
 
@@ -197,14 +194,7 @@ class Zone:
         for a copy that is up to date) — or ``None`` where the journal
         cannot take a copy from ``serial`` to here: it no longer
         reaches back that far, or this zone never issued ``serial``."""
-        behind = self.serial - serial
-        if not behind:
-            return []
-        journal = self._journal
-        if not 0 < behind <= len(journal) \
-                or journal[-behind]["serial"] != serial + 1:
-            return None
-        return list(journal)[-behind:]
+        return self._journal.since(serial)
 
     def apply_delta(self, delta: dict) -> None:
         """Replay the change set that follows this copy's serial, all

@@ -266,8 +266,15 @@ class GlobeObjectServer:
         state = record.get("state")
         if state is not None:
             representative.semantics.restore_state(unpack(state))
-        representative.replication.restore_protocol_state(
-            record.get("protocol_state", {}))
+        replication = representative.replication
+        protocol_state = record.get("protocol_state", {})
+        replication.restore_protocol_state(protocol_state)
+        if pack(replication.protocol_state()) != pack(protocol_state):
+            # The replica came back as a new incarnation (a master's
+            # epoch): make that durable before it serves, or a second
+            # crash would bring back this incarnation's number for the
+            # next one.
+            yield from self._save(oid_hex, representative)
         if record["role"] in ("slave", "replica"):
             # Re-join the master to catch up on missed updates.
             try:
@@ -285,6 +292,10 @@ class GlobeObjectServer:
         representative = self.replicas.get(oid_hex)
         if representative is None:  # removed while checkpoint queued
             return
+        yield from self._save(oid_hex, representative)
+
+    def _save(self, oid_hex: str, representative: LocalRepresentative
+              ) -> Generator:
         record = dict(self._records[oid_hex])
         record["state"] = pack(representative.semantics.snapshot_state())
         record["protocol_state"] = \

@@ -138,7 +138,8 @@ def test_subclasses_and_corner_values_encode_as_before(value):
     object(), {"k": object()}, [1, {2, 3}], bytearray(b"x"),
     memoryview(b"x"), 1j, {"deep": [{"k": {4: 5}}]}, Mode.READ,
 ], ids=lambda value: "memoryview(%r)" % value.tobytes()
-    if isinstance(value, memoryview) else repr(value))  # no heap address
+    if isinstance(value, memoryview)
+    else "object()" if type(value) is object else repr(value))  # no heap address
 def test_what_the_seed_encoder_refused_is_still_refused(value):
     with pytest.raises(MarshalError):
         oracle.pack(value)

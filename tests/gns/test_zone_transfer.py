@@ -12,14 +12,15 @@ from unittest import mock
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import journal as journal_module
 from repro.gns.dns.records import ResourceRecord, RRType
 from repro.gns.dns.server import DNS_PORT, AuthoritativeServer
-from repro.gns.dns import zone as zone_module
 from repro.gns.dns.zone import JOURNAL_DEPTH, Zone
 from repro.sim.network import LinkParameters
 from repro.sim.rpc import UdpRpcClient
 from repro.sim.topology import Topology
 from repro.sim.world import World
+from tests.lossy import DatagramMeddler
 
 ZONE = "example.nl"
 PRIMARY_SITE = "r0/c0/m0/s0"
@@ -379,40 +380,6 @@ def test_direct_mutation_and_bump_serial_reach_the_secondary_as_a_delta():
 
 # -- (8) any updates, any losses ----------------------------------------------
 
-class Dropper:
-    """Loses the replication datagrams whose send order is in
-    ``doomed`` and holds those in ``late`` back for a second (less than
-    a call's timeout, far more than a flight: what was sent after them
-    overtakes them).  A replication datagram is whatever passes
-    between primary and secondary, in either direction — NOTIFYs,
-    transfer requests, answers and the retries of each.  The updates
-    themselves always arrive."""
-
-    def __init__(self, bed, doomed, late=()):
-        self.network = bed.world.network
-        self.secondary_site = bed.secondary_host.site
-        self.doomed = set(doomed)
-        self.late = set(late)
-        self.sent = 0
-        self.deliver = self.network.deliver
-        self.network.deliver = self
-
-    def __call__(self, src_site, dst_site, dst_host, size, deliver_fn,
-                 **options):
-        if src_site is self.secondary_site or dst_site is self.secondary_site:
-            index, self.sent = self.sent, self.sent + 1
-            if index in self.doomed:
-                self.network.meter.record_drop()
-                return False
-            if index in self.late:
-                options["extra_delay"] = 1.0
-        return self.deliver(src_site, dst_site, dst_host, size, deliver_fn,
-                            **options)
-
-    def stop(self):
-        self.doomed = self.late = ()
-
-
 OPS = st.lists(
     st.tuples(st.sampled_from(["add", "delete"]), st.sampled_from("abc"),
               st.sampled_from(["v1", "v2"])),
@@ -426,14 +393,20 @@ GAPS = [0.0, 0.1, 0.2, 0.4, 0.8, CALL_GIVES_UP]
 
 
 def _run_lossy(updates, doomed=(), late=(), by_refresh=False, seed=5,
-               journal_depth=JOURNAL_DEPTH):
-    """``updates`` is a list of (ops, gap after them)."""
+               journal_depth=JOURNAL_DEPTH, doubled=()):
+    """``updates`` is a list of (ops, gap after them).  The replication
+    datagrams — whatever passes between primary and secondary, in
+    either direction: NOTIFYs, transfer requests, answers and the
+    retries of each — meet the fates ``doomed``, ``late`` and
+    ``doubled`` by send order; the updates themselves always
+    arrive."""
     # Links jitter by up to half their latency.  A short journal makes
     # full transfers part of the mix.
-    with mock.patch.object(zone_module, "JOURNAL_DEPTH", journal_depth):
+    with mock.patch.object(journal_module, "JOURNAL_DEPTH", journal_depth):
         bed = Bed(seed=seed, refresh_interval=30.0 if by_refresh else None,
                   jitter=0.5)
-    dropper = Dropper(bed, doomed, late)
+    dropper = DatagramMeddler(bed.world.network, bed.secondary_host.site,
+                              doomed, late, doubled)
     serial = bed.secondary.zones[ZONE].serial
     for ops, gap in updates:
         bed.update(adds=[txt(label, data) for kind, label, data in ops
@@ -461,11 +434,13 @@ def _run_lossy(updates, doomed=(), late=(), by_refresh=False, seed=5,
                         min_size=1, max_size=6),
        doomed=st.sets(st.integers(0, 30), max_size=12),
        late=st.sets(st.integers(0, 30), max_size=12),
+       doubled=st.sets(st.integers(0, 30), max_size=6),
        by_refresh=st.booleans(), seed=st.integers(0, 7),
        journal_depth=st.sampled_from([1, 2, JOURNAL_DEPTH]))
 def test_any_updates_and_any_losses_then_one_delivered_round_converge(
-        updates, doomed, late, by_refresh, seed, journal_depth):
-    _run_lossy(updates, doomed, late, by_refresh, seed, journal_depth)
+        updates, doomed, late, doubled, by_refresh, seed, journal_depth):
+    _run_lossy(updates, doomed, late, by_refresh, seed, journal_depth,
+               doubled)
 
 
 # Counterexamples to plausible wrong secondaries (one that replays

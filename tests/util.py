@@ -159,3 +159,90 @@ class Counter(SemanticsSubobject):
 
     def restore_state(self, state: dict) -> None:
         self.count = state["count"]
+
+
+class PackageBed(GlobeBed):
+    """One package DSO, master/slave: the master in r0, a slave in r1,
+    a writer beside the master and a caching reader beside the slave
+    (bound to the slave, its nearest replica)."""
+
+    MASTER_SITE = "r0/c0/m0/s0"
+    SLAVE_SITE = "r1/c0/m0/s0"
+
+    def __init__(self, seed=5, sync_push=False, checkpoint_on_write=False,
+                 cache_ttl=0.5):
+        from repro.core.repository import Implementation
+        from repro.gdn.package import PACKAGE_IMPL_ID, PackageSemantics
+
+        super().__init__(seed=seed)
+        self.repository.register(Implementation(
+            PACKAGE_IMPL_ID, PackageSemantics, code_size=10_000))
+        self.cache_ttl = cache_ttl
+        self.master_gos = self.gos("gos-master", self.MASTER_SITE,
+                                   checkpoint_on_write=checkpoint_on_write)
+        self.slave_gos = self.gos("gos-slave", self.SLAVE_SITE)
+
+        def build():
+            master = yield from self.master_gos.create_local_replica(
+                None, PACKAGE_IMPL_ID, "master_slave", "master",
+                protocol_options={"sync_push": sync_push})
+            yield from self.slave_gos.create_local_replica(
+                master.oid, PACKAGE_IMPL_ID, "master_slave", "slave",
+                master=master.contact_address)
+            return master.oid
+
+        self.oid = self.run(build())
+        self.writer = self.runtime("writer", "r0/c0/m0/s1")
+        self.reader = self.runtime("reader", "r1/c0/m0/s1")
+        self.gls.sort_site = self.reader.host.site
+
+    @property
+    def master(self):
+        return self.master_gos.replicas[self.oid.hex]
+
+    @property
+    def slave(self):
+        return self.slave_gos.replicas[self.oid.hex]
+
+    @property
+    def cache(self):
+        return self.reader.bound[self.oid]
+
+    def write(self, method, **args):
+        """One write, through the master's object server; returns when
+        the master has answered."""
+        def invoke():
+            lr = yield from self.writer.bind(self.oid)
+            return (yield from lr.invoke(method, args))
+
+        return self.run(invoke(), host=self.writer.host)
+
+    def read(self):
+        """One read through the caching reader (a pull when stale)."""
+        def invoke():
+            lr = yield from self.reader.bind(self.oid,
+                                             cache_ttl=self.cache_ttl)
+            return (yield from lr.invoke("getVersion"))
+
+        return self.run(invoke(), host=self.reader.host)
+
+    def settle(self, duration=10.0):
+        self.world.run(until=self.world.now + duration)
+
+    def restart_slave(self):
+        """Crash the slave's machine and bring it back: its object
+        server reconstructs the slave, which re-joins the master."""
+        self.slave_gos.host.crash()
+        self.slave_gos.host.restart()
+        self.run(self.slave_gos.recover(), host=self.slave_gos.host)
+
+
+def package_contents(lr):
+    """Everything a package copy holds that replication must carry."""
+    semantics = lr.semantics
+    return {"files": dict(semantics._files),
+            "attributes": semantics.getAttributes(),
+            "content_version": semantics.getVersion(),
+            "history": semantics.getHistory(),
+            "version": lr.replication.version,
+            "epoch": lr.replication.epoch}
