@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List
 
-__all__ = ["Series", "TrafficDelta", "percentile"]
+__all__ = ["Series", "percentile"]
 
 
 def percentile(values: Iterable[float], p: float) -> float:
@@ -83,41 +83,3 @@ class Series:
                 "median": self.median, "p95": self.p(95),
                 "max": self.maximum}
 
-
-class TrafficDelta:
-    """Traffic accounted between two points in simulated time.
-
-    A thin convenience over a
-    :class:`~repro.sim.network.TrafficMeter`'s level-keyed ledgers;
-    for phase-scoped traffic use the meter's registry counters through
-    :meth:`TrafficMeter.wide_area_delta` instead.
-    """
-
-    def __init__(self, meter):
-        self.meter = meter
-        self._start_bytes: Dict = {}
-        self._start_messages: Dict = {}
-        self.restart()
-
-    def restart(self) -> None:
-        self._start_bytes = dict(self.meter.bytes_by_level)
-        self._start_messages = dict(self.meter.messages_by_level)
-
-    def bytes_by_level(self) -> Dict:
-        return {level: self.meter.bytes_by_level[level]
-                - self._start_bytes[level] for level in self._start_bytes}
-
-    def total_bytes(self) -> int:
-        return sum(self.bytes_by_level().values())
-
-    def wide_area_bytes(self, min_level=None) -> int:
-        if min_level is None:
-            from ..sim.topology import Level
-            min_level = Level.REGION
-        return sum(count for level, count in self.bytes_by_level().items()
-                   if level >= min_level)
-
-    def messages(self) -> int:
-        return sum(self.meter.messages_by_level[level]
-                   - self._start_messages[level]
-                   for level in self._start_messages)

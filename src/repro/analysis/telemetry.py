@@ -227,10 +227,6 @@ class Histogram(Instrument):
         return self.sum / self.count if self.count else 0.0
 
     @property
-    def total(self) -> float:
-        return self.sum
-
-    @property
     def minimum(self) -> float:
         return self._min if self.count else 0.0
 
@@ -264,13 +260,6 @@ class Histogram(Instrument):
                     break
         # Clamp: the extreme buckets cannot out-range the exact extremes.
         return min(max(value, self.minimum), self.maximum)
-
-    def quantile(self, fraction: float) -> float:
-        return self.p(fraction * 100.0)
-
-    @property
-    def median(self) -> float:
-        return self.p(50)
 
     def summary(self) -> Dict[str, float]:
         """Flat summary; all-zero (never raising) when empty."""

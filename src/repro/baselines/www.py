@@ -35,9 +35,6 @@ class WwwServer:
     def publish(self, path: str, data: bytes) -> None:
         self.documents[path] = data
 
-    def remove(self, path: str) -> bool:
-        return self.documents.pop(path, None) is not None
-
     def start(self) -> None:
         server = RpcServer(self.host, self.port)
         server.register("http", self._handle_http)
@@ -78,8 +75,3 @@ class WwwClient:
         reply = yield from self._channel.call("http", {"path": path})
         self.requests_made += 1
         return reply.get("status"), reply.get("body"), self.world.now - start
-
-    def close(self) -> None:
-        if self._channel is not None:
-            self._channel.close()
-            self._channel = None

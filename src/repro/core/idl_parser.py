@@ -29,7 +29,7 @@ from typing import Dict, List
 
 from .idl import Interface, MethodSpec, Mode
 
-__all__ = ["parse_idl", "parse_idl_file", "check_implements", "IdlSyntaxError",
+__all__ = ["parse_idl", "check_implements", "IdlSyntaxError",
            "IdlComplianceError"]
 
 
@@ -105,11 +105,6 @@ def parse_idl(text: str) -> Dict[str, ParsedInterface]:
     if not interfaces:
         raise IdlSyntaxError("no interface definitions found")
     return interfaces
-
-
-def parse_idl_file(path: str) -> Dict[str, ParsedInterface]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_idl(handle.read())
 
 
 def check_implements(semantics_class: type,

@@ -61,10 +61,6 @@ class ObjectId:
     def hex(self) -> str:
         return self._data.hex()
 
-    @property
-    def data(self) -> bytes:
-        return self._data
-
     def shard(self, buckets: int) -> int:
         """Stable hash partition in ``range(buckets)``.
 

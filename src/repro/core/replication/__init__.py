@@ -12,7 +12,7 @@ Importing this package registers all built-in protocols in
 
 from . import active, cache, client_server, master_slave  # noqa: F401
 from .base import (PROTOCOLS, ReplicationError, ReplicationSubobject,
-                   protocol_names, register_protocol)
+                   register_protocol)
 from .active import ActiveClient, ActiveReplica, ActiveSequencer
 from .cache import CachingClient
 from .client_server import ClientServerClient, ClientServerServer
@@ -21,7 +21,7 @@ from .master_slave import (MasterSlaveClient, MasterSlaveMaster,
 
 __all__ = [
     "PROTOCOLS", "ReplicationError", "ReplicationSubobject",
-    "protocol_names", "register_protocol",
+    "register_protocol",
     "ActiveClient", "ActiveReplica", "ActiveSequencer",
     "CachingClient", "ClientServerClient", "ClientServerServer",
     "MasterSlaveClient", "MasterSlaveMaster", "MasterSlaveSlave",

@@ -44,7 +44,7 @@ from ..journal import Journal
 from ..marshal import pack, unpack
 
 __all__ = ["ReplicationSubobject", "JournalledCopy", "ReplicationError",
-           "PROTOCOLS", "register_protocol", "protocol_names"]
+           "PROTOCOLS", "register_protocol"]
 
 
 class ReplicationError(Exception):
@@ -58,10 +58,6 @@ PROTOCOLS: Dict[str, dict] = {}
 def register_protocol(name: str, client_factory, role_factories: dict) -> None:
     """Register a replication protocol's client and replica factories."""
     PROTOCOLS[name] = {"client": client_factory, "roles": role_factories}
-
-
-def protocol_names() -> List[str]:
-    return sorted(PROTOCOLS)
 
 
 class ReplicationSubobject:

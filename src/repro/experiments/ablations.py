@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..analysis.metrics import Series, TrafficDelta
+from ..analysis.metrics import Series
 from ..analysis.tables import Table, format_bytes, format_seconds
 from ..core.ids import ContactAddress
 from ..gls.service import GlsClient
@@ -67,7 +67,7 @@ def _consistency_run(mode: str, write_count: int, reads_per_write: int,
         httpd.cache_policy = lambda _name: scenario.cache_ttl
 
     browser = gdn.add_browser("user", "r1/c0/m0/s1")
-    traffic = TrafficDelta(gdn.world.network.meter)
+    traffic = gdn.world.metrics.window("a1-workload", now=gdn.world.now)
     stale = 0
     reads = 0
     latency = Series("read")
@@ -94,7 +94,8 @@ def _consistency_run(mode: str, write_count: int, reads_per_write: int,
     gdn.run(workload(), host=moderator.host)
     return {"mode": ("eager push (master/slave)" if mode == "push"
                      else "lazy pull (TTL cache)"),
-            "wan_bytes": traffic.wide_area_bytes(),
+            "wan_bytes": gdn.world.network.meter.wide_area_delta(
+                traffic.close(gdn.world.now)),
             "stale": stale, "reads": reads, "latency": latency}
 
 
@@ -137,7 +138,8 @@ def _mobility_run(store_level: Level, moves: int, lookups_per_move: int,
     # A user in the same country looks the object up between moves.
     user_host = world.host("user", "r0/c0/m1/s1")
     user = GlsClient(world, user_host, tree)
-    traffic = TrafficDelta(world.network.meter)
+    meter = world.network.meter
+    bytes_before = meter.total_bytes
     lookup_latency = Series("lookup")
     update_latency = Series("update")
     hops = Series("hops")
@@ -170,7 +172,7 @@ def _mobility_run(store_level: Level, moves: int, lookups_per_move: int,
     return {"store_level": store_level.name,
             "lookup": lookup_latency, "hops": hops,
             "update": update_latency,
-            "wan_bytes": traffic.total_bytes()}
+            "wan_bytes": meter.total_bytes - bytes_before}
 
 
 def run_mobility_ablation(seed: int = 43, moves: int = 8,
@@ -216,7 +218,9 @@ def _transport_run(transport: str, lookups: int, seed: int) -> dict:
     oid_hex = world.run_until(gos_host.spawn(register()), limit=1e7)
     user_host = world.host("user", "r1/c1/m1/s1")
     user = GlsClient(world, user_host, tree)
-    traffic = TrafficDelta(world.network.meter)
+    meter = world.network.meter
+    bytes_before, messages_before = (meter.total_bytes,
+                                     meter.total_messages)
     latency = Series("lookup")
 
     def resolve():
@@ -227,8 +231,8 @@ def _transport_run(transport: str, lookups: int, seed: int) -> dict:
 
     world.run_until(user_host.spawn(resolve()), limit=1e9)
     return {"transport": transport.upper(), "latency": latency,
-            "bytes": traffic.total_bytes(),
-            "messages": traffic.messages()}
+            "bytes": meter.total_bytes - bytes_before,
+            "messages": meter.total_messages - messages_before}
 
 
 def run_transport_ablation(seed: int = 47, lookups: int = 20) -> Dict:

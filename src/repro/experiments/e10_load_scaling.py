@@ -5,22 +5,21 @@ in a particular software package and multiple machines are needed to
 handle such a load."
 
 Servers here are finite: each HTTPD has a worker pool and a fixed CPU
-service time per request.  A *population of browsers* (a closed-loop
-:class:`~repro.workloads.cohort.CohortScenario`, the paper's "very
-large number of people") hammers one popular package at increasing
-offered load, against
+service time per request.  A closed-loop *population of browsers* (the
+paper's "very large number of people") hammers one popular package at
+increasing offered load, against
 
 * a single access point backed by the only replica, and
 * an access point + replica in every region.
 
 The offered load stays the x-axis: a point's population is sized so
 ``clients / think_time`` equals the offered rate.  At the default
-population (``offered × THINK_TIME`` browsers) the cohorts run in
-byte-identical *equivalence mode* — exactly the reference closed-loop
-clients, multiplexed — while a ``browsers=`` override in the
-hundred-thousands flips the same scenario into the O(1)-per-cohort
-statistical engine, extending the curve to populations the per-client
-engine cannot hold.
+population (``offered × THINK_TIME`` browsers) every browser is its
+own client generator (:class:`~repro.workloads.scenario
+.ClosedLoopScenario`), while a ``browsers=`` override in the
+hundred-thousands drives O(1) aggregated cohorts
+(:class:`~repro.workloads.cohort.CohortScenario`) instead, extending
+the curve to populations the per-client engine cannot hold.
 
 Reported per offered load: achieved throughput and mean/p95 response
 time.  Expected shape: the single server saturates at roughly
@@ -41,6 +40,7 @@ from ..sim.topology import Topology
 from ..workloads.cohort import CohortScenario
 from ..workloads.loadgen import LoadStats
 from ..workloads.packages import synthetic_file
+from ..workloads.scenario import ClosedLoopScenario
 
 __all__ = ["run_load_scaling_experiment", "format_result", "assert_shape"]
 
@@ -54,10 +54,9 @@ SERVICE_TIME = 0.040  # seconds -> one HTTPD saturates at ~100 req/s
 #: Mean browser think time at the default population size.
 THINK_TIME = 10.0
 
-#: Populations up to this size run the cohorts in byte-identical
-#: equivalence mode (the reference per-client replay); beyond it the
-#: O(1) statistical engine takes over.
-EQUIVALENCE_MAX = 2048
+#: Populations up to this size run one client generator per browser;
+#: larger ones run as O(1) aggregated cohorts.
+PER_CLIENT_MAX = 2048
 
 
 def _run_deployment(replicate: bool, offered_load: float, seed: int,
@@ -98,11 +97,11 @@ def _run_deployment(replicate: bool, offered_load: float, seed: int,
 
     clients = (browsers if browsers is not None
                else max(1, round(offered_load * THINK_TIME)))
-    scenario = CohortScenario(clients, clients / offered_load,
-                              duration=request_count / offered_load,
-                              sites=gdn.world.topology.sites,
-                              label="e10-load",
-                              equivalence=clients <= EQUIVALENCE_MAX)
+    engine = (ClosedLoopScenario if clients <= PER_CLIENT_MAX
+              else CohortScenario)
+    scenario = engine(clients, clients / offered_load,
+                      duration=request_count / offered_load,
+                      sites=gdn.world.topology.sites, label="e10-load")
     # On the world registry: the latency histogram (O(1) streaming, no
     # sample list at 10^5-request scale) lives beside the HTTPD/GOS
     # counters this deployment bound.
@@ -167,5 +166,12 @@ def assert_shape(result: Dict) -> None:
     assert worst_single["offered"] > result["capacity_one"]
     assert worst_replicated["latency"].mean \
         < worst_single["latency"].mean / 2
+    assert worst_replicated["achieved"] > worst_single["achieved"]
+    # Below one server's capacity, both deployments serve what the
+    # browsers offer.
+    for row in result["rows"]:
+        if row["offered"] <= result["capacity_one"]:
+            assert abs(row["achieved"] - row["offered"]) \
+                <= 0.1 * row["offered"], row
     # At low load both behave comparably (no replication penalty).
     assert replicated[0]["latency"].mean < single[0]["latency"].mean * 1.5

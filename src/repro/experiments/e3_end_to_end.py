@@ -26,11 +26,12 @@ latency is the stats bundle's streaming histogram.
 
 A ``population=`` override appends a *flash-crowd coda* to the GDN
 leg: after the trace replay, the same deployment serves a closed-loop
-:class:`~repro.workloads.cohort.CohortScenario` browser population
-drawing from the same Zipf mix.  Small populations run in
-byte-identical equivalence mode; populations in the hundred-thousands
-flip to the O(1) statistical cohorts, extending the figure past what
-a per-client engine could hold.
+browser population drawing from the same Zipf mix.  Populations up to
+:data:`PER_CLIENT_MAX` run one client generator per browser
+(:class:`~repro.workloads.scenario.ClosedLoopScenario`); populations in
+the hundred-thousands run as O(1) aggregated cohorts
+(:class:`~repro.workloads.cohort.CohortScenario`), extending the figure
+past what a per-client engine could hold.
 """
 
 from __future__ import annotations
@@ -48,16 +49,17 @@ from ..workloads.cohort import CohortScenario
 from ..workloads.loadgen import LoadStats
 from ..workloads.packages import PackageSpec, generate_corpus
 from ..workloads.population import ClientPopulation, RequestStream
-from ..workloads.scenario import RequestMix, TraceScenario
+from ..workloads.scenario import (ClosedLoopScenario, RequestMix,
+                                  TraceScenario)
 
 __all__ = ["run_end_to_end_experiment", "format_result"]
 
 #: Wall-clock length of the optional flash-crowd coda on the GDN leg.
 POPULATION_DURATION = 20.0
 
-#: Populations up to this size replay byte-identical per-client
-#: cohorts; larger ones use the O(1) statistical engine.
-EQUIVALENCE_MAX = 2048
+#: Populations up to this size run one client generator per browser;
+#: larger ones run as O(1) aggregated cohorts.
+PER_CLIENT_MAX = 2048
 
 
 def _topology() -> Topology:
@@ -190,12 +192,12 @@ def _drive_population(gdn, corpus: List[PackageSpec], browsers: int,
     issues about ``target_requests`` over the drive, keeping the coda
     comparable across population sizes."""
     think = browsers * POPULATION_DURATION / target_requests
-    scenario = CohortScenario(browsers, think,
-                              duration=POPULATION_DURATION,
-                              sites=gdn.world.topology.sites,
-                              mix=RequestMix(len(corpus), alpha=1.0),
-                              label="e3-population",
-                              equivalence=browsers <= EQUIVALENCE_MAX)
+    engine = (ClosedLoopScenario if browsers <= PER_CLIENT_MAX
+              else CohortScenario)
+    scenario = engine(browsers, think, duration=POPULATION_DURATION,
+                      sites=gdn.world.topology.sites,
+                      mix=RequestMix(len(corpus), alpha=1.0),
+                      label="e3-population")
     stats = LoadStats(registry=gdn.world.metrics, prefix="e3-population")
 
     def one_request(arrival):

@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Optional
 
-from ..analysis.metrics import Series, TrafficDelta
+from ..analysis.metrics import Series
 from ..analysis.tables import Table, format_bytes, format_seconds
 from ..baselines.uniform import UNIFORM_STRATEGIES
 from ..core.ids import ObjectId
@@ -77,7 +77,9 @@ def _run_strategy(strategy: str, seed: int, document_count: int,
 
     ttl_by_name: Dict[str, Optional[float]] = {}
     oid_by_doc: Dict[int, ObjectId] = {}
-    distribution = TrafficDelta(gdn.world.network.meter)
+    meter = gdn.world.network.meter
+    distribution = gdn.world.metrics.window("distribution",
+                                            now=gdn.world.now)
 
     def publish():
         for doc in documents:
@@ -95,13 +97,14 @@ def _run_strategy(strategy: str, seed: int, document_count: int,
 
     gdn.run(publish(), host=moderator.host)
     gdn.settle(10.0)
-    distribution_bytes = distribution.wide_area_bytes()
+    distribution_bytes = meter.wide_area_delta(
+        distribution.close(gdn.world.now))
     for httpd in gdn.httpds:
         httpd.cache_policy = lambda name: ttl_by_name.get(name)
 
     # -- replay state ----------------------------------------------------
     replay_start = gdn.world.now
-    serving = TrafficDelta(gdn.world.network.meter)
+    serving = gdn.world.metrics.window("serving", now=replay_start)
     read_latency = Series("read-latency")
     current_version: Dict[int, int] = {doc.index: 0 for doc in documents}
     prefix_to_version: Dict[int, Dict[bytes, int]] = {
@@ -171,7 +174,7 @@ def _run_strategy(strategy: str, seed: int, document_count: int,
 
     gdn.run(driver(), limit=1e9)
     reads = sum(1 for request in stream if request.kind == "read")
-    serving_bytes = serving.wide_area_bytes()
+    serving_bytes = meter.wide_area_delta(serving.close(gdn.world.now))
     return {
         "strategy": strategy,
         "distribution_bytes": distribution_bytes,

@@ -15,12 +15,12 @@ service.  This module puts a cache in front of the per-host
   object fails fast instead of walking the GLS tree every time.
   Capacity is bounded; the least-recently-used entry is evicted.
 * **Singleflight coalescing.**  N concurrent misses for one OID
-  collapse into a single in-flight upstream lookup: the first miss
+  collapse into a single in-flight upstream lookup
+  (:class:`~repro.sim.kernel.Singleflight`): the first miss
   becomes the *leader* and performs the lookup inside its own
-  generator; later misses park on pre-defused kernel
-  :class:`~repro.sim.kernel.Event` waiters (the RPC-channel idiom — a
-  crashed waiter host cannot crash the simulation) and the leader fans
-  the result out to all of them when it lands.
+  generator; later misses park behind it (a crashed waiter host cannot
+  crash the simulation) and the leader fans the result out to all of
+  them when it lands.
 * **Serve-stale during partitions.**  When the upstream lookup times
   out or the transport fails (the GLS partition signature) and an
   expired positive entry is still within ``stale_window``, the stale
@@ -46,8 +46,8 @@ in-flight / parked-waiter gauges that the benchmarks assert drain to
 zero after a run.
 
 The cache is *also* a location-service wrapper: ``register`` /
-``unregister`` / ``close`` delegate to the upstream client, and a
-registration change invalidates the corresponding entry — a replica
+``unregister`` delegate to the upstream client, and a registration
+change invalidates the corresponding entry — a replica
 added or moved through this host is visible to its own lookups
 immediately, not after a TTL.
 """
@@ -55,9 +55,9 @@ immediately, not after a TTL.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Generator, List, Optional
 
-from ..sim.kernel import Event, Simulator, _PENDING
+from ..sim.kernel import Simulator, Singleflight
 from ..sim.rpc import RpcTimeout
 from ..sim.transport import TransportError
 
@@ -93,8 +93,8 @@ class GlsLookupCache:
 
     ``upstream`` is anything exposing the
     :class:`~repro.gls.service.GlsClient` generator surface
-    (``lookup`` mandatory; ``register``/``unregister``/``close``
-    optional, delegated).  One cache serves one host's runtime — the
+    (``lookup`` mandatory; ``register``/``unregister`` optional,
+    delegated).  One cache serves one host's runtime — the
     cached wire lists are nearest-first *for the host that fetched
     them*, so sharing a cache across sites would hand browsers a
     wrong-distance replica ordering.
@@ -124,10 +124,8 @@ class GlsLookupCache:
         self.refresh_ahead = refresh_ahead
         self.hot_threshold = hot_threshold
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
-        #: key -> parked waiter Events behind that key's in-flight
-        #: upstream lookup (the leader itself does not park).
-        self._inflight: Dict[str, List[Event]] = {}
-        self._waiting = 0
+        #: One upstream lookup in flight per key; misses behind it park.
+        self.flights = Singleflight(sim, abandoned=TransportError)
         self.metrics_prefix: Optional[str] = None
         self.hits = 0
         self.misses = 0
@@ -167,9 +165,9 @@ class GlsLookupCache:
                          fn=lambda: self.invalidations)
         registry.gauge(prefix + ".occupancy",
                        fn=lambda: len(self._entries))
-        registry.gauge(prefix + ".inflight",
-                       fn=lambda: len(self._inflight))
-        registry.gauge(prefix + ".waiters", fn=lambda: self._waiting)
+        flights = self.flights
+        registry.gauge(prefix + ".inflight", fn=lambda: flights.inflight)
+        registry.gauge(prefix + ".waiters", fn=lambda: flights.parked)
         upstream_lookups = getattr(self.upstream, "lookups", None)
         if upstream_lookups is not None:
             registry.counter(prefix + ".upstream_lookups",
@@ -205,79 +203,44 @@ class GlsLookupCache:
                 self._maybe_refresh(entry)
             return list(entry.wires)
         self.misses += 1
-        waiters = self._inflight.get(oid_hex)
-        if waiters is not None:
-            # Singleflight: park behind the in-flight leader.  The
-            # waiter is pre-defused so a failure fanned out after this
-            # process died (host crash) passes silently, mirroring the
-            # RPC pending-call discipline.
+        waiter = self.flights.follow(oid_hex)
+        if waiter is not None:
             self.coalesced += 1
-            waiter = Event(self.sim)
-            waiter._defused = True
-            waiters.append(waiter)
-            self._waiting += 1
             wires = yield waiter
             return list(wires)
-        wires = yield from self._fetch(oid_hex, ttl,
-                                       stale_ok=not refresh,
-                                       count_self=True)
+        wires = yield from self.flights.lead(
+            oid_hex, self._fetch(oid_hex, ttl, stale_ok=not refresh,
+                                 count_self=True))
         return list(wires)
 
     def _fetch(self, oid_hex: str, ttl: Optional[float],
                stale_ok: bool, count_self: bool
                ) -> Generator[Any, Any, List[dict]]:
-        """Leader path: one upstream lookup, fanned out to waiters.
+        """The leader's work: one upstream lookup, stored.
 
         On an upstream-unreachable failure with serve-stale enabled and
         an eligible expired entry, the stale wires are served (and the
-        entry re-armed for ``stale_holdoff``) instead of raising;
-        otherwise the failure is fanned out to every parked waiter and
-        re-raised.
+        entry re-armed for ``stale_holdoff``) instead of raising; the
+        singleflight hands the leader's answer or failure to every
+        parked waiter.
         """
-        waiters: List[Event] = []
-        self._inflight[oid_hex] = waiters
         try:
             wires = yield from self.upstream.lookup(oid_hex)
-        except BaseException as exc:
-            if self._inflight.get(oid_hex) is waiters:
-                del self._inflight[oid_hex]
-            stale = None
-            if stale_ok and self.serve_stale \
-                    and isinstance(exc, STALE_ELIGIBLE):
-                stale = self._stale_entry(oid_hex)
-            if stale is not None:
-                # Flag and re-arm: follow-up requests during the
-                # outage are stale *hits* for the holdoff window, not
-                # fresh upstream timeouts.
-                stale.stale = True
-                stale.expires = self.sim.now + self.stale_holdoff
-                self.stale_served += len(waiters) + (1 if count_self
-                                                     else 0)
-                self._resolve(waiters, stale.wires)
-                return list(stale.wires)
-            # A process killed mid-lookup unwinds through here with a
-            # non-Exception (GeneratorExit); waiters must still be
-            # released, but never with something that would tear their
-            # own generators down.
-            failure = (exc if isinstance(exc, Exception) else
-                       TransportError("lookup leader aborted for %r"
-                                      % oid_hex))
-            for waiter in waiters:
-                if waiter._value is _PENDING:
-                    self._waiting -= 1
-                    waiter.fail(failure)
-            raise
-        if self._inflight.get(oid_hex) is waiters:
-            del self._inflight[oid_hex]
+        except STALE_ELIGIBLE:
+            stale = (self._stale_entry(oid_hex)
+                     if stale_ok and self.serve_stale else None)
+            if stale is None:
+                raise
+            # Flag and re-arm: follow-up requests during the outage
+            # are stale *hits* for the holdoff window, not fresh
+            # upstream timeouts.
+            stale.stale = True
+            stale.expires = self.sim.now + self.stale_holdoff
+            self.stale_served += (self.flights.waiting(oid_hex)
+                                  + (1 if count_self else 0))
+            return stale.wires
         self._store(oid_hex, wires, ttl)
-        self._resolve(waiters, wires)
         return wires
-
-    def _resolve(self, waiters: List[Event], wires: List[dict]) -> None:
-        for waiter in waiters:
-            if waiter._value is _PENDING:
-                self._waiting -= 1
-                waiter.succeed(wires)
 
     def _stale_entry(self, oid_hex: str) -> Optional[_Entry]:
         """The expired-but-servable entry for a key, if any.
@@ -321,7 +284,7 @@ class GlsLookupCache:
         driven); at most one background refresh per entry at a time."""
         if entry.refreshing or entry.ttl <= 0.0 \
                 or entry.hits < self.hot_threshold \
-                or entry.key in self._inflight:
+                or entry.key in self.flights:
             return
         if entry.expires - self.sim.now > self.refresh_ahead * entry.ttl:
             return
@@ -337,8 +300,9 @@ class GlsLookupCache:
             # itself counts none: no request rode the leader) or fans
             # the failure out; either way the entry ages normally and
             # the next miss takes over.
-            yield from self._fetch(oid_hex, ttl, stale_ok=True,
-                                   count_self=False)
+            yield from self.flights.lead(
+                oid_hex, self._fetch(oid_hex, ttl, stale_ok=True,
+                                     count_self=False))
         except Exception:
             pass
         finally:
@@ -355,9 +319,6 @@ class GlsLookupCache:
             return True
         return False
 
-    def clear(self) -> None:
-        self._entries.clear()
-
     def register(self, oid_hex: Optional[str], ca_wire: dict,
                  store_level: int = 0) -> Generator[Any, Any, str]:
         """Delegate to the upstream client, then invalidate: a replica
@@ -372,8 +333,3 @@ class GlsLookupCache:
         value = yield from self.upstream.unregister(oid_hex, ca_wire)
         self.invalidate(oid_hex)
         return value
-
-    def close(self) -> None:
-        close = getattr(self.upstream, "close", None)
-        if close is not None:
-            close()

@@ -69,16 +69,6 @@ class MaintainerTool:
         self.updates_applied += 1
         return version
 
-    def set_attribute(self, object_name: str, key: str, value: str
-                      ) -> Generator:
-        representative = yield from self._bind(object_name)
-        try:
-            yield from representative.invoke("setAttribute",
-                                             {"key": key, "value": value})
-        except Exception as exc:  # noqa: BLE001
-            raise MaintenanceError(
-                "update of %r refused: %s" % (object_name, exc)) from exc
-
     def restore_file(self, object_name: str, path: str, version: int
                      ) -> Generator:
         """Roll one file back to a retained earlier version (§8's

@@ -67,15 +67,6 @@ class NodeHandle:
         index = ObjectId.from_hex(oid_hex).shard(len(self.endpoints))
         return self.endpoints[index]
 
-    def to_wire(self) -> dict:
-        return {"path": self.domain_path,
-                "endpoints": [list(e) for e in self.endpoints]}
-
-    @classmethod
-    def from_wire(cls, data: dict) -> "NodeHandle":
-        return cls(data["path"],
-                   [tuple(e) for e in data["endpoints"]])
-
     def __repr__(self) -> str:
         return ("NodeHandle(%r, %d subnode(s))"
                 % (self.domain_path or "<root>", len(self.endpoints)))

@@ -124,6 +124,3 @@ class GlsClient:
             args["auth"] = sign_mutation(self.auth_key, "delete", oid_hex,
                                          ca_wire)
         yield from self._call(self.leaf, oid_hex, "delete", args)
-
-    def close(self) -> None:
-        self._client.close()

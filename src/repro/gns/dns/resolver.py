@@ -204,6 +204,3 @@ class CachingResolver:
                 last_error = exc
         raise ResolutionError(
             "no DNS server reachable for %r: %s" % (qname, last_error))
-
-    def close(self) -> None:
-        self._client.close()

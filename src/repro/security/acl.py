@@ -90,9 +90,6 @@ class PrincipalRegistry:
         self.grant(principal, Role.MAINTAINER)
         self._maintained.setdefault(principal, set()).add(oid_hex)
 
-    def revoke_package(self, principal: str, oid_hex: str) -> None:
-        self._maintained.get(principal, set()).discard(oid_hex)
-
     def maintains(self, principal: Optional[str], oid_hex: str) -> bool:
         if principal is None:
             return False

@@ -99,10 +99,6 @@ class PublicKey:
         self.n = n
         self.e = e
 
-    @property
-    def bits(self) -> int:
-        return self.n.bit_length()
-
     def to_wire(self) -> dict:
         return {"n": self.n, "e": self.e}
 

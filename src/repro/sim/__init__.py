@@ -8,7 +8,8 @@ its seed, which no deployment on real networks can offer.
 from .deadlines import FifoDeadlinePool, OrderedDeadlinePool, shared_pool
 from .failures import FailureInjector
 from .kernel import (AllOf, AnyOf, Event, Interrupt, Process, Resource,
-                     SimulationError, Simulator, Store, Timeout)
+                     SimulationError, Simulator, Singleflight, Store,
+                     Timeout)
 from .network import LinkParameters, Network, NetworkError, TrafficMeter
 from .rpc import (RpcChannel, RpcContext, RpcError, RpcFault, RpcServer,
                   RpcTimeout, UdpRpcClient, UdpRpcServer, call)
@@ -21,7 +22,7 @@ from .world import World
 
 __all__ = [
     "AllOf", "AnyOf", "Event", "Interrupt", "Process", "Resource",
-    "SimulationError", "Simulator", "Store", "Timeout",
+    "SimulationError", "Simulator", "Singleflight", "Store", "Timeout",
     "FifoDeadlinePool", "OrderedDeadlinePool", "shared_pool",
     "LinkParameters", "Network", "NetworkError", "TrafficMeter",
     "RpcChannel", "RpcContext", "RpcError", "RpcFault", "RpcServer",

@@ -36,6 +36,9 @@ accordingly:
   :class:`collections.deque`, so serving a waiter is O(1) instead of
   the O(n) ``list.pop(0)``; a ``put`` with a parked getter hands the
   item straight to it (no queue round-trip).
+* :class:`Singleflight` collapses concurrent requests for one key
+  into one in-flight run (the GLS lookup cache's upstream lookups, a
+  channel pool's handshakes).
 * Telemetry is pull-only: the kernel keeps plain ``int`` counters
   (events processed, timers scheduled/cancelled) and
   :meth:`Simulator.bind_metrics` exposes them as function-backed
@@ -87,6 +90,7 @@ __all__ = [
     "AllOf",
     "Store",
     "Resource",
+    "Singleflight",
     "Interrupt",
     "SimulationError",
 ]
@@ -655,10 +659,6 @@ class Resource:
         self._in_use = 0
         self._waiters: deque[Event] = deque()
 
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
     def acquire(self) -> Event:
         event = Event(self.sim)
         if self._in_use < self.capacity:
@@ -678,6 +678,87 @@ class Resource:
             waiter.succeed()
             return
         self._in_use -= 1
+
+
+class Singleflight:
+    """Concurrent requests for one key share one in-flight run.
+
+    The first caller for a key becomes its *leader* and runs the work
+    in its own frame (``yield from``, no process of its own); callers
+    arriving while it runs become *followers* and park on pre-defused
+    events the leader fires with its outcome — its value for all of
+    them, or the exception it raised::
+
+        waiter = flights.follow(key)
+        if waiter is not None:
+            value = yield waiter                # a follower
+        else:
+            value = yield from flights.lead(key, work())
+
+    A follower whose process died meanwhile (a host crash) is passed
+    over silently: its waiter is pre-defused.  A leader killed
+    mid-flight unwinds with ``GeneratorExit``, which must never reach
+    a follower's generator; its followers are released with the
+    ``abandoned`` exception instead, and the key is free again.
+    Followers resume in the order they parked.  :attr:`inflight` (keys
+    whose leader runs) and :attr:`parked` (followers waiting) are plain
+    counts, for gauges and for "drained back to zero" checks.
+    """
+
+    __slots__ = ("sim", "abandoned", "parked", "_followers")
+
+    def __init__(self, sim: "Simulator", abandoned: type):
+        self.sim = sim
+        #: Exception class raised in the followers of a killed leader.
+        self.abandoned = abandoned
+        self.parked = 0
+        self._followers: dict = {}  # key -> parked waiter Events
+
+    @property
+    def inflight(self) -> int:
+        return len(self._followers)
+
+    def __contains__(self, key) -> bool:
+        return key in self._followers
+
+    def waiting(self, key) -> int:
+        """Followers parked on ``key``'s leader (0 if none runs)."""
+        return len(self._followers.get(key, ()))
+
+    def follow(self, key) -> Optional[Event]:
+        """Park on ``key``'s running leader: the waiter to ``yield``,
+        or ``None`` if no leader runs (the caller should lead)."""
+        followers = self._followers.get(key)
+        if followers is None:
+            return None
+        waiter = Event(self.sim)
+        waiter._defused = True
+        followers.append(waiter)
+        self.parked += 1
+        return waiter
+
+    def lead(self, key, work: Generator) -> Generator[Event, Any, Any]:
+        """Run ``work`` in the caller's frame as ``key``'s leader and
+        fan its value, or the exception it raised, out to every
+        follower that parked meanwhile."""
+        followers: list = []
+        self._followers[key] = followers
+        try:
+            value = yield from work
+        except BaseException as exc:
+            del self._followers[key]
+            self.parked -= len(followers)
+            failure = (exc if isinstance(exc, Exception) else
+                       self.abandoned("the leader for %r was abandoned"
+                                      % (key,)))
+            for waiter in followers:
+                waiter.fail(failure)
+            raise
+        del self._followers[key]
+        self.parked -= len(followers)
+        for waiter in followers:
+            waiter.succeed(value)
+        return value
 
 
 class Simulator:
@@ -863,11 +944,6 @@ class Simulator:
     def timers_scheduled(self) -> int:
         """Timeouts ever armed (the timer-churn numerator)."""
         return self._timers_scheduled
-
-    @property
-    def timers_cancelled(self) -> int:
-        """Timeouts withdrawn before firing (guard-timer churn)."""
-        return self._timers_cancelled
 
     @property
     def stale_timer_count(self) -> int:

@@ -35,9 +35,8 @@ timeouts with the simulator-wide shared pool.  A pooled expiry fires
 at exactly the ``(time, seq)`` position the per-call timer would have
 occupied (each call reserves a sequence number where it used to arm a
 timer), and a dead waiter's expiry passes silently — the observable
-semantics of the per-call guards, which remain available as the
-reference implementation (``UdpRpcClient(..., pooled=False)``, via
-:func:`_arm_deadline`).
+semantics of one guard timer per call, which the tests pin against
+frozen per-call-timer runs.
 
 Envelope sizes are **memoised**: request and reply envelopes have a
 fixed dict shape, so their wire size is a precomputed constant plus
@@ -48,8 +47,8 @@ point, and UDP retries re-send a same-sized envelope without
 re-measuring.
 
 Telemetry: servers and clients keep plain-int counters on the hot path
-(``requests_served``; ``calls``/``retries``/``timeouts``/``faults``)
-and expose them to a :class:`~repro.analysis.telemetry
+(``requests_served``; ``calls``/``retries``/``timeouts``/``faults``);
+clients and pools expose theirs to a :class:`~repro.analysis.telemetry
 .MetricsRegistry` through ``bind_metrics`` as function-backed
 instruments, so per-phase windows can report RPC activity without the
 request path ever touching an instrument object.
@@ -61,8 +60,8 @@ import itertools
 from typing import Any, Callable, Dict, Generator, Optional
 
 from .deadlines import FifoDeadlinePool, shared_pool
-from .kernel import Event, Simulator
-from .retry import FixedRetry, RetryPolicy, jitter_rng
+from .kernel import Event, Singleflight
+from .retry import FixedRetry, RetryPolicy
 from .serde import CONTAINER_ITEM_OVERHEAD, SCALAR_SIZE, encoded_size
 from .transport import (Connection, ConnectionClosed, Host, TransportError,
                         UdpSocket)
@@ -165,32 +164,11 @@ def _expire_waiter(waiter: Event) -> None:
 
     The failure is pre-defused: if the waiter was already answered, or
     the waiting process died in the meantime (host crash), the expiry
-    passes silently instead of crashing the simulation.  This is the
-    expiry action for both the pooled and the per-call guard paths.
+    passes silently instead of crashing the simulation.
     """
     if not waiter.triggered:
         waiter.defuse()
         waiter.fail(_DeadlineExpired())
-
-
-def _arm_deadline(sim: Simulator, waiter: Event, delay: float):
-    """Arm a dedicated guard timer that fails ``waiter`` on expiry.
-
-    The per-call-timer *reference implementation* of the guard
-    discipline — one heap push per call, cancelled on reply.  The hot
-    paths use deadline pools instead (:mod:`repro.sim.deadlines`);
-    this stays as the behavioural baseline the pooled path is pinned
-    byte-identical against (``UdpRpcClient(..., pooled=False)``).
-    Returns the timer so the caller can :meth:`Timeout.cancel` it once
-    the reply arrives.
-    """
-    deadline = sim.timeout(delay)
-
-    def expire(_event: Event) -> None:
-        _expire_waiter(waiter)
-
-    deadline.add_callback(expire)
-    return deadline
 
 
 class RpcContext:
@@ -260,10 +238,6 @@ class RpcServer:
 
     def register(self, method: str, handler: Callable) -> None:
         self.handlers[method] = handler
-
-    def bind_metrics(self, registry, prefix: str) -> None:
-        registry.counter(prefix + ".requests_served",
-                         fn=lambda: self.requests_served)
 
     def start(self) -> None:
         self._listener = self.host.listen(self.port)
@@ -370,13 +344,11 @@ class RpcChannel:
         self.calls = 0
         self.timeouts = 0
         self.faults = 0
-        self.retries_sent = 0
         self._pending: Dict[int, Event] = {}
         self._size_cache: Dict[str, int] = {}  # method -> envelope base
         # Guarded calls register their mixed per-call timeouts with the
         # simulator-wide pool: one armed kernel timer for all of them.
         self._deadlines = shared_pool(host.sim)
-        self._jitter_rng = None  # lazily seeded, policy-guarded calls only
         self._dispatcher = host.spawn(self._dispatch_loop())
 
     def bind_metrics(self, registry, prefix: str) -> None:
@@ -386,8 +358,6 @@ class RpcChannel:
         registry.counter(prefix + ".calls", fn=lambda: self.calls)
         registry.counter(prefix + ".timeouts", fn=lambda: self.timeouts)
         registry.counter(prefix + ".faults", fn=lambda: self.faults)
-        registry.counter(prefix + ".retries",
-                         fn=lambda: self.retries_sent)
 
     @classmethod
     def open(cls, host: Host, dst: Host, port: int,
@@ -425,21 +395,10 @@ class RpcChannel:
                 waiter.fail(RpcFault(kind, message))
 
     def call(self, method: str, args: Optional[dict] = None,
-             size: Optional[int] = None, timeout: Optional[float] = None,
-             policy: Optional[RetryPolicy] = None
+             size: Optional[int] = None, timeout: Optional[float] = None
              ) -> Generator[Event, Any, Any]:
-        """``value = yield from channel.call("method", {...})``.
-
-        With ``policy=`` the call is guarded per attempt by the
-        policy's timeout and re-issued on :class:`RpcTimeout` under
-        its backoff/budget discipline (an explicit ``timeout=``
-        overrides the per-attempt guard).  Without a policy the
-        single-shot behaviour is unchanged.
-        """
-        if policy is not None:
-            value = yield from self._call_with_policy(method, args, size,
-                                                      timeout, policy)
-            return value
+        """``value = yield from channel.call("method", {...})``, raising
+        :class:`RpcTimeout` if ``timeout`` is given and passes first."""
         request_id = next(_request_ids)
         args = args if args is not None else {}
         request = {"id": request_id, "method": method,
@@ -481,41 +440,6 @@ class RpcChannel:
         finally:
             self._deadlines.cancel(guard)  # nothing stranded on reply
         return value
-
-    def _call_with_policy(self, method: str, args: Optional[dict],
-                          size: Optional[int], timeout: Optional[float],
-                          policy: RetryPolicy
-                          ) -> Generator[Event, Any, Any]:
-        """Guarded, retried call: each attempt is a fresh request id
-        under the policy's per-attempt timeout; timed-out attempts are
-        re-issued after the policy's backoff delay, budget permitting.
-        Connection loss is not retried here — the channel is dead and
-        the owner must reconnect."""
-        per_attempt = timeout if timeout is not None else policy.timeout
-        last_error: Optional[Exception] = None
-        for attempt in range(policy.attempts):
-            if attempt:
-                budget = policy.budget
-                if budget is not None and not budget.spend(self.sim.now):
-                    break
-                delay = policy.retry_delay(attempt, self._policy_jitter)
-                if delay > 0.0:
-                    yield self.sim.timeout(delay)
-                self.retries_sent += 1
-            try:
-                value = yield from self.call(method, args, size=size,
-                                             timeout=per_attempt)
-                return value
-            except RpcTimeout as exc:
-                last_error = exc
-        raise last_error
-
-    def _policy_jitter(self):
-        """Lazily-seeded jitter RNG (host-name keyed, deterministic)."""
-        rng = self._jitter_rng
-        if rng is None:
-            rng = self._jitter_rng = jitter_rng(self.host.name)
-        return rng
 
     def close(self) -> None:
         """Close the channel, failing any in-flight calls.
@@ -566,10 +490,10 @@ class ChannelPool:
       ``channel_wrapper``, so a pool carries exactly one authenticated
       principal; two address spaces on one host never share a channel.
     * Concurrent requests for an endpoint that is not open share one
-      handshake: the first caller opens in its own frame, later ones
-      park on pre-defused events it fires (the pending-call idiom), so
-      a caller that died meanwhile is passed over silently and a
-      leader killed mid-open still releases its followers.
+      handshake (:class:`~repro.sim.kernel.Singleflight`): the
+      first caller opens in its own frame and later ones park behind
+      it, so a caller that died meanwhile is passed over silently and
+      a leader killed mid-open still releases its followers.
     * A closed or broken channel is dropped and reopened on next use;
       a caller that learns of a channel's death first (its call raised
       :class:`ConnectionClosed`) reports it with :meth:`discard`.
@@ -586,7 +510,8 @@ class ChannelPool:
         self.opens = 0
         self.reuses = 0
         self._channels: Dict[tuple, RpcChannel] = {}
-        self._opening: Dict[tuple, list] = {}  # endpoint -> followers
+        #: One open in flight per endpoint; later requests park on it.
+        self.flights = Singleflight(host.sim, abandoned=ConnectionClosed)
 
     @property
     def open_channels(self) -> int:
@@ -609,35 +534,21 @@ class ChannelPool:
                 self.reuses += 1
                 return channel
             self.discard(channel)
-        followers = self._opening.get(endpoint)
-        if followers is not None:
+        follower = self.flights.follow(endpoint)
+        if follower is not None:
             self.reuses += 1
-            follower = Event(self.host.sim)
-            follower._defused = True
-            followers.append(follower)
             channel = yield follower
             return channel
-        self._opening[endpoint] = followers = []
-        try:
-            channel = yield from RpcChannel.open(
-                self.host, remote, port, self.channel_wrapper)
-        except BaseException as exc:
-            del self._opening[endpoint]
-            # A leader killed mid-open unwinds through here with
-            # GeneratorExit; its followers must still be released, but
-            # never with something that would tear their own
-            # generators down.
-            failure = (exc if isinstance(exc, Exception) else
-                       ConnectionClosed("open of %s:%d abandoned"
-                                        % endpoint))
-            for follower in followers:
-                follower.fail(failure)
-            raise
-        del self._opening[endpoint]
+        channel = yield from self.flights.lead(
+            endpoint, self._open(remote, port, endpoint))
+        return channel
+
+    def _open(self, remote: Host, port: int, endpoint: tuple
+              ) -> Generator[Event, Any, RpcChannel]:
+        channel = yield from RpcChannel.open(self.host, remote, port,
+                                             self.channel_wrapper)
         self.opens += 1
         self._channels[endpoint] = channel
-        for follower in followers:
-            follower.succeed(channel)
         return channel
 
     def discard(self, channel: RpcChannel) -> None:
@@ -677,10 +588,6 @@ class UdpRpcServer:
 
     def register(self, method: str, handler: Callable) -> None:
         self.handlers[method] = handler
-
-    def bind_metrics(self, registry, prefix: str) -> None:
-        registry.counter(prefix + ".requests_served",
-                         fn=lambda: self.requests_served)
 
     def start(self) -> None:
         self._socket = self.host.udp_socket(self.port)
@@ -761,13 +668,10 @@ class UdpRpcClient:
     order, so a guarded attempt costs a deque append and an O(1)
     cancel instead of any kernel heap traffic (backoff delays happen
     *between* attempts and never change the guard spacing).
-    ``pooled=False`` falls back to a dedicated guard timer per attempt
-    (:func:`_arm_deadline`): the reference implementation determinism
-    tests pin the pool against.
     """
 
     def __init__(self, host: Host, timeout: float = 0.5, retries: int = 3,
-                 pooled: bool = True, policy: Optional[RetryPolicy] = None):
+                 policy: Optional[RetryPolicy] = None):
         self.host = host
         self.sim = host.sim
         if policy is None:
@@ -788,9 +692,8 @@ class UdpRpcClient:
         #: actually sent (storm diagnosis); ``None`` keeps the hot
         #: path free of bookkeeping.
         self.retry_log: Optional[list] = None
-        self.deadline_pool = (FifoDeadlinePool(host.sim, self.timeout,
-                                               _expire_waiter)
-                              if pooled else None)
+        self.deadline_pool = FifoDeadlinePool(host.sim, self.timeout,
+                                              _expire_waiter)
         self._socket = host.udp_socket()
         self._pending: Dict[int, Event] = {}
         self._size_cache: Dict[str, int] = {}  # method -> envelope base
@@ -804,8 +707,7 @@ class UdpRpcClient:
         registry.counter(prefix + ".faults", fn=lambda: self.faults)
         registry.counter(prefix + ".budget_denied",
                          fn=lambda: self.budget_denied)
-        if self.deadline_pool is not None:
-            self.deadline_pool.bind_metrics(registry, prefix + ".deadlines")
+        self.deadline_pool.bind_metrics(registry, prefix + ".deadlines")
 
     def _jitter(self):
         """The policy's per-client jitter RNG, created on first use so
@@ -907,10 +809,7 @@ class UdpRpcClient:
                 self.retries_sent += 1
                 if self.retry_log is not None:
                     self.retry_log.append(self.sim.now)
-            if pool is not None:
-                guard = pool.add(waiter)
-            else:
-                guard = _arm_deadline(self.sim, waiter, self.timeout)
+            guard = pool.add(waiter)
             try:
                 value = yield waiter
             except _DeadlineExpired:
@@ -922,11 +821,7 @@ class UdpRpcClient:
                 self.faults += 1
                 raise
             finally:
-                # A successful call leaves nothing pending behind.
-                if pool is not None:
-                    pool.cancel(guard)
-                else:
-                    guard.cancel()
+                pool.cancel(guard)  # nothing pending behind a reply
             return value
         self.timeouts_hit += 1
         raise last_error

@@ -11,17 +11,11 @@ one site into a single **cohort** driven by one generator:
   :class:`~repro.workloads.scenario.ClosedLoopScenario` (same
   constructor vocabulary, same :class:`~repro.workloads.scenario
   .Scenario` driving contract) that groups its clients into per-site
-  cohorts of at most ``cohort_size``.
-* **Equivalence mode** (``equivalence=True``) — every client keeps its
-  own forked RNG and per-client quota, but the cohort multiplexes all
-  their think-timer wake-ups through one wake-ordered heap and a
-  single armed kernel timer.  The observable behaviour is pinned
-  byte-identical against k independent ``ClosedLoopScenario._client``
-  generators (for exponential think times, whose wake instants are
-  almost-surely distinct); it exists to *prove* the aggregation
-  machinery honest at small k.
-* **Statistical mode** (the default) — :class:`AggregatedPopulation`
-  keeps only a *count* of thinking clients and draws the cohort's next
+  cohorts of at most ``cohort_size``.  Callers that want per-client
+  attribution at small populations drive ``ClosedLoopScenario``
+  itself; a cohort is for populations that engine cannot hold.
+* :class:`AggregatedPopulation` — the cohort engine: it keeps only a
+  *count* of thinking clients and draws the cohort's next
   issue instant from the order statistics of k exponential think
   timers: the minimum of ``n`` independent ``Exp(1/T)`` draws is
   ``Exp(n/T)``, and memorylessness lets the pending draw be discarded
@@ -42,7 +36,6 @@ many same-instant, same-site-pair messages.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from heapq import heappop, heappush
@@ -117,8 +110,8 @@ class DiurnalProfile:
 class AggregatedPopulation:
     """k merged closed-loop clients at one site, O(1) state in k.
 
-    The order-statistics engine behind :class:`CohortScenario`'s
-    statistical mode, usable standalone.  One instance models ``k``
+    The order-statistics engine behind :class:`CohortScenario`,
+    usable standalone.  One instance models ``k``
     think-issue-wait clients sharing a site, a request mix and an RNG:
 
     * **exponential** think — the cohort tracks only how many clients
@@ -143,7 +136,8 @@ class AggregatedPopulation:
     ``clients × requests_per_client`` total issues (per-client
     attribution is meaningless for merged clients).  ``duration``
     retires all thinkers at the deadline and lets in-flight requests
-    drain, like the reference scenario's per-client deadline check.
+    drain, as :class:`~repro.workloads.scenario.ClosedLoopScenario`'s
+    clients stop at their deadline.
     """
 
     def __init__(self, sim: Simulator, request: RequestFn,
@@ -386,7 +380,7 @@ class AggregatedPopulation:
 
     def _on_deadline(self, _event: Event) -> None:
         # All thinkers retire at the deadline; in-flight requests
-        # drain (the reference clients' per-wake deadline check, taken
+        # drain (ClosedLoopScenario's per-client deadline stop, taken
         # all at once).
         self._thinking = 0
         self._wakes.clear()
@@ -404,173 +398,6 @@ class AggregatedPopulation:
             done.succeed()
 
 
-class _Slot:
-    """One exact-mode client: its own RNG, site, quota and guard."""
-
-    __slots__ = ("site", "rng", "issued", "cycle_started", "stalled")
-
-    def __init__(self, site: Optional[Domain], rng: random.Random):
-        self.site = site
-        self.rng = rng
-        self.issued = 0
-        self.cycle_started = 0.0
-        self.stalled = 0
-
-
-class _ExactCohort:
-    """k reference clients multiplexed through one wake heap.
-
-    Equivalence mode: every slot replays ``ClosedLoopScenario._client``
-    step for step — same fork, same draw order, same quota/deadline
-    checks in the same places — but all k think timers share one
-    armed kernel :class:`Timeout` over a ``(wake, order, slot)`` heap.
-    With exponential think times wake instants are almost surely
-    distinct, so heap order is wake order and the merged drive is
-    byte-identical to k independent client generators (the pinning
-    tests hold it to that).
-    """
-
-    def __init__(self, scenario: "CohortScenario", sim: Simulator,
-                 request: RequestFn, slots: List[_Slot],
-                 stats: LoadStats, counter: List[int]):
-        self.scenario = scenario
-        self.sim = sim
-        self.request = request
-        self.slots = slots
-        self.stats = stats
-        self.counter = counter
-        self.deadline: Optional[float] = None
-        self._heap: list = []
-        self._order = itertools.count()
-        self._armed: Optional[Timeout] = None
-        self._armed_at = 0.0
-        self._live = len(slots)
-        self._in_flight = 0
-        self._done: Optional[Event] = None
-
-    def run(self) -> Generator:
-        scenario = self.scenario
-        if scenario.duration is not None:
-            self.deadline = self.sim.now + scenario.duration
-        for slot in self.slots:
-            arrival = self._begin_cycle(slot)
-            if arrival is not None:
-                self._launch(slot, arrival)
-        self._maybe_arm()
-        if self._live > 0 or self._in_flight > 0:
-            self._done = self.sim.event()
-            yield self._done
-
-    # -- the reference client loop, split at its yield points ------------
-
-    def _begin_cycle(self, slot: _Slot) -> Optional[Arrival]:
-        """Top of the reference loop: quota check, think draw; either
-        parks the slot on the wake heap (returns None) or reaches the
-        issue point and returns the arrival to run."""
-        scenario = self.scenario
-        sim = self.sim
-        if scenario.requests_per_client is not None \
-                and slot.issued >= scenario.requests_per_client:
-            self._retire(slot)
-            return None
-        slot.cycle_started = sim.now
-        delay = scenario._think_delay(slot.rng)
-        if delay > 0:
-            self._park(slot, sim.now + delay)
-            return None
-        if self.deadline is not None and sim.now >= self.deadline:
-            self._retire(slot)
-            return None
-        return self._issue(slot)
-
-    def _issue(self, slot: _Slot) -> Arrival:
-        scenario = self.scenario
-        if scenario.mix is not None:
-            rank, kind = scenario.mix.draw(slot.rng)
-        else:
-            rank, kind = 0, "read"
-        index = self.counter[0]
-        self.counter[0] += 1
-        arrival = Arrival(index, self.sim.now, slot.site, rank, kind)
-        self.stats.note_issued()
-        slot.issued += 1
-        return arrival
-
-    def _launch(self, slot: _Slot, arrival: Arrival) -> None:
-        self._in_flight += 1
-        self.sim.process(self._run_one(slot, arrival))
-
-    def _run_one(self, slot: _Slot, arrival: Arrival) -> Generator:
-        sim = self.sim
-        while True:
-            yield from measured(sim, self.request, arrival, self.stats)
-            if self.deadline is not None:
-                if sim.now == slot.cycle_started:
-                    slot.stalled += 1
-                    if slot.stalled >= 1000:
-                        raise ValueError(
-                            "duration-bound closed loop made no "
-                            "simulated-time progress for 1000 cycles "
-                            "(zero think time and zero-time requests "
-                            "can never reach the deadline)")
-                else:
-                    slot.stalled = 0
-            arrival = self._begin_cycle(slot)
-            if arrival is None:
-                break
-        self._in_flight -= 1
-        self._check_done()
-
-    # -- the shared wake timer --------------------------------------------
-
-    def _park(self, slot: _Slot, wake: float) -> None:
-        heappush(self._heap, (wake, next(self._order), slot))
-        armed = self._armed
-        if armed is None or wake < self._armed_at:
-            if armed is not None:
-                armed.cancel()
-            self._arm(wake)
-
-    def _arm(self, wake: float) -> None:
-        timer = self.sim.timeout_at(wake)
-        timer.add_callback(self._on_wake)
-        self._armed = timer
-        self._armed_at = wake
-
-    def _maybe_arm(self) -> None:
-        if self._heap:
-            self._arm(self._heap[0][0])
-        else:
-            self._armed = None
-
-    def _on_wake(self, _event: Event) -> None:
-        self._armed = None
-        sim = self.sim
-        heap = self._heap
-        now = sim.now
-        while heap and heap[0][0] <= now:
-            _wake, _order, slot = heappop(heap)
-            # The reference's post-sleep deadline check.
-            if self.deadline is not None and now >= self.deadline:
-                self._retire(slot)
-                continue
-            self._launch(slot, self._issue(slot))
-        self._maybe_arm()
-        self._check_done()
-
-    # -- lifecycle --------------------------------------------------------
-
-    def _retire(self, slot: _Slot) -> None:
-        self._live -= 1
-
-    def _check_done(self) -> None:
-        if self._live == 0 and self._in_flight == 0 \
-                and self._done is not None:
-            done = self._done
-            self._done = None
-            done.succeed()
-
-
 class CohortScenario(Scenario):
     """A closed-loop population driven as per-site aggregated cohorts.
 
@@ -578,23 +405,17 @@ class CohortScenario(Scenario):
     .ClosedLoopScenario` (clients, think_time, requests_per_client /
     duration, sites, mix, think, phases), plus:
 
-    * ``cohort_size`` — at most this many clients share one driver;
+    * ``cohort_size`` — at most this many clients share one
+      :class:`AggregatedPopulation` driver (one RNG fork per cohort);
       clients are placed round-robin over ``sites`` exactly like the
       reference scenario and grouped per site.
-    * ``equivalence`` — ``True`` runs the exact per-client replay
-      (:class:`_ExactCohort`: one RNG fork per client in client-index
-      order, byte-identical to ``ClosedLoopScenario`` for exponential
-      think); ``False`` (default) runs the O(1)-per-cohort
-      order-statistics engine (:class:`AggregatedPopulation`, one fork
-      per cohort).
     * ``profile`` — an optional :class:`DiurnalProfile` scaling the
-      statistical cohorts' issue rate over the drive (exponential
-      think only).
+      cohorts' issue rate over the drive (exponential think only).
 
-    Statistical mode trades per-client attribution (every cohort
-    pools its quota and draws think times from one stream) for state
-    that no longer grows with the population — the only O(k) cost
-    left is the requests the k clients actually make.
+    A cohort trades per-client attribution (it pools its quota and
+    draws think times from one stream) for state that no longer grows
+    with the population — the only O(k) cost left is the requests the
+    k clients actually make.
     """
 
     def __init__(self, clients: int, think_time: float,
@@ -606,7 +427,6 @@ class CohortScenario(Scenario):
                  duration: Optional[float] = None,
                  phases: Optional[Sequence[Tuple[float, str]]] = None,
                  cohort_size: int = 4096,
-                 equivalence: bool = False,
                  profile: Optional[DiurnalProfile] = None):
         if clients < 1:
             raise ValueError("need at least one client")
@@ -623,13 +443,10 @@ class CohortScenario(Scenario):
             raise ValueError("think must be 'exponential' or 'fixed'")
         if cohort_size < 1:
             raise ValueError("cohort_size must be >= 1")
-        if profile is not None:
-            if equivalence:
-                raise ValueError("profiles apply to statistical "
-                                 "cohorts only")
-            if think != "exponential" or think_time == 0.0:
-                raise ValueError("activity profiles need exponential "
-                                 "think times")
+        if profile is not None and (think != "exponential"
+                                    or think_time == 0.0):
+            raise ValueError("activity profiles need exponential think "
+                             "times")
         self.clients = clients
         self.think_time = think_time
         self.requests_per_client = requests_per_client
@@ -639,7 +456,6 @@ class CohortScenario(Scenario):
         self.think = think
         self.label = label
         self.cohort_size = cohort_size
-        self.equivalence = equivalence
         self.profile = profile
         self.phases = self._validated_phases(phases)
 
@@ -649,36 +465,11 @@ class CohortScenario(Scenario):
             return None
         return self.clients * self.requests_per_client
 
-    def _think_delay(self, rng: random.Random) -> float:
-        # Identical to ClosedLoopScenario._think_delay (equivalence
-        # mode replays it draw for draw).
-        if self.think_time == 0.0:
-            return 0.0
-        if self.think == "fixed":
-            return self.think_time
-        return rng.expovariate(1.0 / self.think_time)
-
     def build(self, sim: Simulator, request: RequestFn,
               rng: random.Random, stats: LoadStats) -> List[Generator]:
         counter = [0]
         site_count = len(self.sites) if self.sites else 1
         drivers: List[Generator] = []
-        if self.equivalence:
-            # Fork per client in client-index order — the same RNG
-            # tree ClosedLoopScenario.build grows, so slot i's draws
-            # are bit-identical to reference client i's.
-            rngs = [self._fork(rng) for _ in range(self.clients)]
-            for site_index in range(site_count):
-                site = self.sites[site_index] if self.sites else None
-                slots = [_Slot(site, rngs[client])
-                         for client in range(site_index, self.clients,
-                                             site_count)]
-                for low in range(0, len(slots), self.cohort_size):
-                    cohort = _ExactCohort(
-                        self, sim, request,
-                        slots[low:low + self.cohort_size], stats, counter)
-                    drivers.append(cohort.run())
-            return drivers
         for site_index in range(site_count):
             # Round-robin placement head-count, computed directly.
             total = (self.clients // site_count

@@ -550,10 +550,15 @@ class ClosedLoopScenario(Scenario):
                 break
             cycle_started = sim.now
             delay = self._think_delay(rng)
+            if deadline is not None and sim.now + delay >= deadline:
+                # This wake would come at or past the deadline: the
+                # client sleeps only until then and stops, so the drive
+                # ends with the deadline and its last in-flight request.
+                if deadline > sim.now:
+                    yield sim.timeout_at(deadline)
+                break
             if delay > 0:
                 yield sim.timeout(delay)
-            if deadline is not None and sim.now >= deadline:
-                break
             if self.mix is not None:
                 rank, kind = self.mix.draw(rng)
             else:

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis.metrics import Series, TrafficDelta, percentile
+from repro.analysis.metrics import Series, percentile
 from repro.analysis.tables import Table, format_bytes, format_seconds
+from repro.analysis.telemetry import MetricsRegistry
 from repro.sim.network import TrafficMeter
 from repro.sim.topology import Level
 
@@ -49,16 +50,22 @@ def test_series_empty_rejected():
 
 
 def test_traffic_delta_windows():
+    # Traffic between two instants is a registry window over the
+    # meter's bound per-level counters.
     meter = TrafficMeter()
+    registry = MetricsRegistry()
+    meter.bind_metrics(registry)
     meter.record(Level.WORLD, 100)
-    delta = TrafficDelta(meter)
+    window = registry.window("w")
     meter.record(Level.WORLD, 50)
     meter.record(Level.SITE, 10)
-    assert delta.total_bytes() == 60
-    assert delta.wide_area_bytes() == 50
-    assert delta.messages() == 2
-    delta.restart()
-    assert delta.total_bytes() == 0
+    assert meter.wide_area_delta(window) == 50
+    assert meter.wide_area_delta(window, min_level=Level.SITE) == 60
+    meter.record(Level.WORLD, 7)
+    assert meter.wide_area_delta(window.close()) == 57
+    meter.record(Level.WORLD, 1000)   # after close: not counted
+    assert meter.wide_area_delta(window) == 57
+    assert meter.wide_area_delta(registry.window("fresh")) == 0
 
 
 def test_format_helpers():

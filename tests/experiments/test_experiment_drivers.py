@@ -38,6 +38,20 @@ def test_e3_driver():
     assert "GDN" in e3_end_to_end.format_result(result)
 
 
+def test_e3_population_coda_serves_its_target_rate():
+    # 100 browsers run one client generator each; their think time is
+    # sized to issue the trace's 40 requests over the 20 s drive, and
+    # the drive ends with its deadline, so the coda reads ~2 req/s.
+    result = e3_end_to_end.run_end_to_end_experiment(
+        package_count=4, read_count=40, population=100)
+    coda = result["population"]
+    assert coda["browsers"] == 100 and coda["failed"] == 0
+    assert 30 <= coda["ok"] <= 50
+    assert coda["throughput"] == pytest.approx(
+        coda["ok"] / e3_end_to_end.POPULATION_DURATION, rel=0.05)
+    assert "flash-crowd coda" in e3_end_to_end.format_result(result)
+
+
 def test_e4_driver():
     result = e4_security.run_security_overhead_experiment()
     e4_security.assert_shape(result)

@@ -78,7 +78,7 @@ def run_lookup(sim, cache, oid_hex, **kwargs):
 def drained(cache):
     """The after-run invariant: no in-flight records, no parked
     waiters left behind."""
-    return not cache._inflight and cache._waiting == 0
+    return cache.flights.inflight == 0 and cache.flights.parked == 0
 
 
 # -- TTL, negative caching, LRU ------------------------------------------

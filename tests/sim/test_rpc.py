@@ -1,5 +1,7 @@
 """Unit tests for connection and datagram RPC."""
 
+import hashlib
+
 import pytest
 
 from repro.sim import rpc
@@ -808,38 +810,44 @@ def test_udp_guarded_calls_pool_timer_churn(world):
     assert world.sim.stale_timer_count == 0
 
 
+#: What the per-call-guard-timer client (one kernel timer armed per
+#: attempt, cancelled on reply) produced for the run below, recorded
+#: before that reference path was retired: sha256 of ``repr`` of the
+#: completion trail, the final clock, retries sent, calls timed out.
+PER_CALL_GUARDS_UNDER_LOSS = (
+    "0bd4715af1a60198aef8609da5bbe33447a07d01782a1f21bf9f2428ace25e5e",
+    150.31943933333397, 253, 41)
+
+
 def test_pooled_and_per_call_guards_are_byte_identical_under_loss(world):
     # The pooled client must replay *exactly* like the per-call-timer
-    # reference implementation — same completion times, same retry and
-    # timeout counts — even when heavy loss exercises every expiry
-    # path.  (The broader trace-replay pin lives in
+    # reference run — same completion times, same retry and timeout
+    # counts — even when heavy loss exercises every expiry path.  (The
+    # broader trace-replay pin lives in
     # tests/workloads/test_scenario_engine.py.)
-    def one_run(pooled):
-        w = World(topology=Topology.balanced(2, 2, 2, 2), seed=3)
-        w.network.params.loss[Level.WORLD] = 0.5
-        a = w.host("client", "r0/c0/m0/s0")
-        b = w.host("node", "r1/c0/m0/s0")
-        _udp_server(w, b)
-        client = UdpRpcClient(a, timeout=0.4, retries=3, pooled=pooled)
-        trail = []
+    w = World(topology=Topology.balanced(2, 2, 2, 2), seed=3)
+    w.network.params.loss[Level.WORLD] = 0.5
+    a = w.host("client", "r0/c0/m0/s0")
+    b = w.host("node", "r1/c0/m0/s0")
+    _udp_server(w, b)
+    client = UdpRpcClient(a, timeout=0.4, retries=3)
+    trail = []
 
-        def caller():
-            for index in range(150):
-                try:
-                    value = yield from client.call(b, 5300, "lookup",
-                                                   {"key": "k%d" % index})
-                    trail.append((w.now, "ok", value["found"]))
-                except RpcTimeout:
-                    trail.append((w.now, "timeout", index))
+    def caller():
+        for index in range(150):
+            try:
+                value = yield from client.call(b, 5300, "lookup",
+                                               {"key": "k%d" % index})
+                trail.append((w.now, "ok", value["found"]))
+            except RpcTimeout:
+                trail.append((w.now, "timeout", index))
 
-        proc = a.spawn(caller())
-        w.run_until(proc, limit=1e6)
-        return trail, w.now, client.retries_sent, client.timeouts_hit
-
-    pooled = one_run(True)
-    reference = one_run(False)
-    assert pooled == reference
-    assert pooled[2] > 0  # the loss actually exercised retries
+    proc = a.spawn(caller())
+    w.run_until(proc, limit=1e6)
+    pooled = (hashlib.sha256(repr(trail).encode()).hexdigest(), w.now,
+              client.retries_sent, client.timeouts_hit)
+    assert pooled == PER_CALL_GUARDS_UNDER_LOSS
+    assert sum(1 for _t, outcome, _v in trail if outcome == "ok") == 109
 
 
 def test_channel_timeouts_share_the_simulator_pool(world):
@@ -936,7 +944,7 @@ def test_pool_concurrent_opens_share_one_handshake(world):
     assert [proc.value for proc in callers] == [0, 1, 2, 3]
     assert all(channel is got[0] for channel in got)
     assert (pool.opens, pool.reuses) == (1, 3)
-    assert len(b._connections) == 1 and not pool._opening
+    assert len(b._connections) == 1 and not pool.flights.inflight
 
 
 def test_pool_failed_open_fails_its_followers_and_is_forgotten(world):
@@ -956,7 +964,7 @@ def test_pool_failed_open_fails_its_followers_and_is_forgotten(world):
     world.run()
     assert [proc.value for proc in callers] == ["refused"] * 3
     assert (pool.opens, pool.open_channels) == (0, 0)
-    assert not pool._opening
+    assert not pool.flights.inflight
     _echo_server(world, b)
 
     def retry():
@@ -987,7 +995,7 @@ def test_pool_leader_killed_mid_open_releases_followers(world):
     leading = a.spawn(leader())
     following = a.spawn(follower())
     world.run(until=world.now + 1e-6)    # both parked on the open
-    assert pool._opening
+    assert pool.flights.inflight
     leading.kill()
     assert world.run_until(following, limit=100) == "again"
     assert (pool.opens, pool.open_channels) == (1, 1)

@@ -1,67 +1,30 @@
 """Tests for aggregated client cohorts (CohortScenario et al.).
 
-The load-bearing claims, in order: (1) equivalence mode is
-byte-identical to ``ClosedLoopScenario`` — same LoadStats, same
-latency-histogram state, same elapsed time — at small k, including
-over a real networked request path using ``deliver_burst``; (2) the
-statistical mode's throughput matches the closed-form expectation and
-honours quota/duration bounds; (3) the diurnal profile actually
-modulates the issue rate.
+The load-bearing claims, in order: (1) the cohorts' throughput
+matches the closed-form expectation and honours quota/duration bounds;
+(2) the diurnal profile actually modulates the issue rate.
 """
 
 import random
 
 import pytest
 
-from repro.sim.network import LinkParameters
 from repro.sim.topology import Topology
 from repro.sim.world import World
 from repro.workloads.cohort import (AggregatedPopulation, CohortScenario,
                                     DiurnalProfile)
 from repro.workloads.loadgen import LoadStats
-from repro.workloads.scenario import ClosedLoopScenario, RequestMix
 
 
-def drive(scenario, *, seed=7, rng_seed=1234, limit=1e9, networked=False):
+def drive(scenario, *, seed=7, rng_seed=1234, limit=1e9):
     """Run one scenario in a fresh world; return a comparison
     fingerprint (stats summary, histogram state, elapsed)."""
     world = World(topology=Topology.balanced(2, 2, 2, 2), seed=seed)
     sim = world.sim
 
-    if networked:
-        # A real request path so event interleaving matters: each
-        # request downloads 4 fragments the server sends as one
-        # same-pair burst (deliver_burst under the hood).
-        server_site = world.topology.site("r1/c1/m1/s1")
-        server = world.host("server", server_site)
-        server_sock = server.udp_socket(80)
-        hosts = {}
-        for site in world.topology.sites:
-            hosts[site.path] = world.host("client@" + site.path, site)
-
-        def serve():
-            while True:
-                datagram = yield server_sock.recv()
-                reply_port, fragments = datagram.payload
-                server_sock.send_burst(
-                    datagram.src_host, reply_port,
-                    [(("frag", i), 2048) for i in range(fragments)])
-        server.spawn(serve())
-
-        def do_one(arrival):
-            host = hosts[arrival.site.path]
-            sock = host.udp_socket()
-            sock.send_to(server, 80, (sock.port, 4), size=64)
-            got = 0
-            while got < 4:
-                yield sock.recv()
-                got += 1
-            sock.close()
-            return True
-    else:
-        def do_one(arrival):
-            yield sim.timeout(0.01 + 0.001 * (arrival.rank % 5))
-            return True
+    def do_one(arrival):
+        yield sim.timeout(0.01 + 0.001 * (arrival.rank % 5))
+        return True
 
     stats = LoadStats()
     elapsed = world.run_until(
@@ -72,103 +35,7 @@ def drive(scenario, *, seed=7, rng_seed=1234, limit=1e9, networked=False):
     return (stats.summary(), stats.latency.state(), elapsed), stats, world
 
 
-def sites_of(world):
-    return world.topology.sites
-
-
-MIX = dict(object_count=8, alpha=1.0, write_fraction=0.25)
-
-
-# -- equivalence mode: byte-identical to ClosedLoopScenario ------------------
-
-
-def test_equivalence_pin_quota_mode():
-    reference = ClosedLoopScenario(9, 0.5, requests_per_client=4,
-                                   mix=RequestMix(**MIX))
-    cohort = CohortScenario(9, 0.5, requests_per_client=4,
-                            mix=RequestMix(**MIX), cohort_size=4,
-                            equivalence=True)
-    assert drive(reference)[0] == drive(cohort)[0]
-
-
-def test_equivalence_pin_duration_mode():
-    reference = ClosedLoopScenario(7, 0.3, duration=5.0,
-                                   mix=RequestMix(**MIX))
-    cohort = CohortScenario(7, 0.3, duration=5.0, mix=RequestMix(**MIX),
-                            cohort_size=3, equivalence=True)
-    assert drive(reference)[0] == drive(cohort)[0]
-
-
-def test_equivalence_pin_networked_with_burst_delivery():
-    """The headline pin: aggregated cohorts + batched same-pair
-    delivery vs per-client generators + (still batched) delivery,
-    over a real UDP fragment-download path.  Event interleaving, RNG
-    draw order and network metering all have to line up for this to
-    hold byte-identical."""
-    world_args = dict(networked=True)
-    reference = ClosedLoopScenario(8, 0.4, requests_per_client=3,
-                                   mix=RequestMix(**MIX),
-                                   sites=Topology.balanced(2, 2, 2, 2).sites)
-    # Sites must belong to the driven world; build per drive instead.
-
-    def scenario_factory(equivalent):
-        def build(world):
-            sites = world.topology.sites
-            if equivalent:
-                return CohortScenario(8, 0.4, requests_per_client=3,
-                                      mix=RequestMix(**MIX), sites=sites,
-                                      cohort_size=2, equivalence=True)
-            return ClosedLoopScenario(8, 0.4, requests_per_client=3,
-                                      mix=RequestMix(**MIX), sites=sites)
-        return build
-
-    def run(factory):
-        world = World(topology=Topology.balanced(2, 2, 2, 2), seed=7)
-        sim = world.sim
-        scenario = factory(world)
-        server_site = world.topology.site("r1/c1/m1/s1")
-        server = world.host("server", server_site)
-        server_sock = server.udp_socket(80)
-        hosts = {site.path: world.host("c@" + site.path, site)
-                 for site in world.topology.sites}
-
-        def serve():
-            while True:
-                datagram = yield server_sock.recv()
-                reply_port, fragments = datagram.payload
-                server_sock.send_burst(
-                    datagram.src_host, reply_port,
-                    [(("frag", i), 2048) for i in range(fragments)])
-        server.spawn(serve())
-
-        def do_one(arrival):
-            host = hosts[arrival.site.path]
-            sock = host.udp_socket()
-            sock.send_to(server, 80, (sock.port, 4), size=64)
-            for _ in range(4):
-                yield sock.recv()
-            sock.close()
-            return True
-
-        stats = LoadStats()
-        elapsed = world.run_until(
-            sim.process(scenario.drive(sim, do_one,
-                                       rng=random.Random(99),
-                                       stats=stats)), limit=1e9)
-        return (stats.summary(), stats.latency.state(), elapsed,
-                world.network.meter.snapshot())
-
-    assert run(scenario_factory(True)) == run(scenario_factory(False))
-
-
-def test_equivalence_single_client_cohort():
-    reference = ClosedLoopScenario(1, 0.2, requests_per_client=5)
-    cohort = CohortScenario(1, 0.2, requests_per_client=5,
-                            cohort_size=1, equivalence=True)
-    assert drive(reference)[0] == drive(cohort)[0]
-
-
-# -- statistical mode ---------------------------------------------------------
+# -- the cohort engine --------------------------------------------------------
 
 
 def test_statistical_quota_is_exact():
@@ -294,6 +161,7 @@ def test_profile_slots_and_boundaries():
     assert profile.next_boundary(0.0) == 10.0
     assert profile.next_boundary(10.0) == 20.0
     assert profile.next_boundary(39.9) == pytest.approx(40.0)
+    assert profile.mean_multiplier() == 0.4375
 
 
 def test_profile_sinusoidal_shape():
@@ -333,9 +201,6 @@ def test_profile_rejected_for_fixed_or_zero_think():
                        profile=DiurnalProfile([1.0]))
     with pytest.raises(ValueError):
         CohortScenario(10, 0.0, duration=1.0,
-                       profile=DiurnalProfile([1.0]))
-    with pytest.raises(ValueError):
-        CohortScenario(10, 1.0, duration=1.0, equivalence=True,
                        profile=DiurnalProfile([1.0]))
 
 
