@@ -27,8 +27,9 @@ from ..workloads.packages import synthetic_file
 
 __all__ = [
     "run_consistency_ablation", "format_consistency",
-    "run_mobility_ablation", "format_mobility",
-    "run_transport_ablation", "format_transport",
+    "assert_consistency_shape",
+    "run_mobility_ablation", "format_mobility", "assert_mobility_shape",
+    "run_transport_ablation", "format_transport", "assert_transport_shape",
 ]
 
 
@@ -120,6 +121,14 @@ def format_consistency(result: Dict) -> str:
     return table.render()
 
 
+def assert_consistency_shape(result: Dict) -> None:
+    """Push keeps replicas perfectly fresh; pull trades staleness for
+    demand-driven traffic."""
+    push, pull = result["rows"]
+    assert push["stale"] == 0
+    assert pull["stale"] > 0
+
+
 # ---------------------------------------------------------------------------
 # A2: mobile objects and the storage level of contact addresses
 # ---------------------------------------------------------------------------
@@ -197,6 +206,14 @@ def format_mobility(result: Dict) -> str:
     return table.render()
 
 
+def assert_mobility_shape(result: Dict) -> None:
+    """§3.5: an address stored at the country node makes each move
+    cheaper and shortens the pointer chase."""
+    leaf, country = result["rows"]
+    assert country["update"].mean < leaf["update"].mean
+    assert country["hops"].mean <= leaf["hops"].mean
+
+
 # ---------------------------------------------------------------------------
 # A3: GLS over UDP vs TCP
 # ---------------------------------------------------------------------------
@@ -253,3 +270,11 @@ def format_transport(result: Dict) -> str:
                       format_seconds(row["latency"].p(95)),
                       format_bytes(row["bytes"]), row["messages"])
     return table.render()
+
+
+def assert_transport_shape(result: Dict) -> None:
+    """The paper chose UDP "for efficiency reasons": TCP pays a
+    handshake per directory-node hop."""
+    udp, tcp = result["rows"]
+    assert tcp["latency"].mean > 1.5 * udp["latency"].mean
+    assert tcp["bytes"] > udp["bytes"]

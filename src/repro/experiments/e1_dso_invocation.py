@@ -28,7 +28,8 @@ from ..gdn.scenario import ReplicationScenario
 from ..sim.topology import Topology
 from ..workloads.packages import synthetic_file
 
-__all__ = ["run_dso_invocation_experiment", "format_result"]
+__all__ = ["run_dso_invocation_experiment", "format_result",
+           "assert_shape"]
 
 _FILES = {"README": synthetic_file("e1-readme", 2_000),
           "bin/tool": synthetic_file("e1-binary", 64_000)}
@@ -118,3 +119,13 @@ def format_result(result: Dict) -> str:
                       format_seconds(row["read_large"]),
                       row["note"])
     return table.render()
+
+
+def assert_shape(result: Dict) -> None:
+    """The figure's claim: the stack itself is free in simulated time,
+    remote invocations cost what the network separation costs."""
+    rows = {row["representative"]: row for row in result["rows"]}
+    same_site = rows["client role, same site"]["read_small"]
+    assert rows["cache role (fresh copy)"]["read_small"] == 0.0
+    assert same_site > 0.0
+    assert rows["client role, cross world"]["read_small"] > 100 * same_site

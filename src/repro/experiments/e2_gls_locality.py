@@ -31,7 +31,7 @@ from ..sim.world import World
 from ..workloads.loadgen import LoadStats
 from ..workloads.scenario import ClosedLoopScenario
 
-__all__ = ["run_gls_locality_experiment", "format_result"]
+__all__ = ["run_gls_locality_experiment", "format_result", "assert_shape"]
 
 _CLIENT_SITES = [
     (Level.SITE, "r0/c0/m0/s0"),
@@ -107,7 +107,7 @@ def format_result(result: Dict) -> str:
     return table.render()
 
 
-def assert_proportionality(result: Dict) -> None:
+def assert_shape(result: Dict) -> None:
     """The figure's claim: monotone growth with distance."""
     hops = [row["hops"] for row in result["rows"]]
     latencies = [row["latency"] for row in result["rows"]]

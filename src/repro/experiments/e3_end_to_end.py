@@ -52,7 +52,7 @@ from ..workloads.population import ClientPopulation, RequestStream
 from ..workloads.scenario import (ClosedLoopScenario, RequestMix,
                                   TraceScenario)
 
-__all__ = ["run_end_to_end_experiment", "format_result"]
+__all__ = ["run_end_to_end_experiment", "format_result", "assert_shape"]
 
 #: Wall-clock length of the optional flash-crowd coda on the GDN leg.
 POPULATION_DURATION = 20.0
@@ -308,3 +308,13 @@ def format_result(result: Dict) -> str:
                         format_seconds(pop["latency"].p(95)),
                         pop["ok"], pop["failed"]))
     return rendered
+
+
+def assert_shape(result: Dict) -> None:
+    """The paper's positioning: the GDN serves from nearby replicas, so
+    it is well under the single-origin Web in user latency and serving
+    traffic, and it ships less than indiscriminate mirroring up front."""
+    www, mirror, gdn = result["rows"]
+    assert gdn["latency"].mean < 0.7 * www["latency"].mean
+    assert gdn["serving_wan"] < www["serving_wan"]
+    assert gdn["setup_wan"] <= mirror["setup_wan"]

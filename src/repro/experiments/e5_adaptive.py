@@ -39,7 +39,7 @@ from ..workloads.packages import synthetic_file
 from ..workloads.webtrace import make_web_trace
 
 __all__ = ["run_adaptive_replication_experiment", "format_result",
-           "STRATEGIES"]
+           "assert_shape", "STRATEGIES"]
 
 STRATEGIES = ["NoRepl", "CacheTTL", "ReplAll", "Adaptive"]
 
@@ -215,3 +215,16 @@ def format_result(result: Dict) -> str:
                       "%d/%d" % (row["stale_reads"], row["reads"]),
                       row["replicas"])
     return table.render()
+
+
+def assert_shape(result: Dict) -> None:
+    """Pierre et al.'s conclusion: per-object assignment generates less
+    wide-area traffic than every uniform strategy, improves response
+    time over the no-replication Web baseline, and approaches
+    replicate-everything latency at a fraction of its replica count."""
+    rows = {row["strategy"]: row for row in result["rows"]}
+    adaptive = rows["Adaptive"]
+    for name, row in rows.items():
+        assert adaptive["wan_bytes"] <= row["wan_bytes"], name
+    assert adaptive["latency"].mean < 0.6 * rows["NoRepl"]["latency"].mean
+    assert adaptive["replicas"] < rows["ReplAll"]["replicas"]

@@ -1,9 +1,13 @@
 """Smoke tests for every experiment driver, at reduced scale.
 
-These protect the benchmark harness: each driver must run, produce a
-formatted table, and keep the qualitative shape its benchmark asserts
-(the benches re-check at full scale).
+Each driver must run, produce a formatted table, and keep the
+qualitative shape of the paper's claim (the golden test in
+``test_paper_tables.py`` checks every claim at full scale).  The claim
+checks that carry a numeric bound are also fed doctored results, so a
+check that stopped checking would fail here.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,7 +30,7 @@ def test_e1_driver():
 def test_e2_driver():
     result = e2_gls_locality.run_gls_locality_experiment(
         lookups_per_point=2)
-    e2_gls_locality.assert_proportionality(result)
+    e2_gls_locality.assert_shape(result)
     assert "WORLD" in e2_gls_locality.format_result(result)
 
 
@@ -36,6 +40,30 @@ def test_e3_driver():
     www, mirror, gdn = result["rows"]
     assert gdn["latency"].mean < www["latency"].mean
     assert "GDN" in e3_end_to_end.format_result(result)
+
+
+def _e3_rows(www_ms=268.7, gdn_ms=118.3, www_serving=25.5,
+             gdn_serving=15.1, mirror_setup=3.9, gdn_setup=3.6):
+    """An E3 result carrying only what its claim reads (MiB, ms), at
+    the committed table's values unless overridden."""
+    def row(setup, serving, mean_ms):
+        return {"setup_wan": setup * 2 ** 20,
+                "serving_wan": serving * 2 ** 20,
+                "latency": SimpleNamespace(mean=mean_ms / 1e3)}
+    return {"rows": [row(0.0, www_serving, www_ms),
+                     row(mirror_setup, 14.1, 93.3),
+                     row(gdn_setup, gdn_serving, gdn_ms)]}
+
+
+@pytest.mark.parametrize("doctored", [
+    {"gdn_ms": 0.7 * 268.7},            # latency not well under WWW's
+    {"gdn_serving": 25.5},              # serving no cheaper than WWW
+    {"gdn_setup": 4.0},                 # set-up dearer than mirroring
+], ids=["latency", "serving-wan", "setup-wan"])
+def test_e3_claim_rejects_a_doctored_result(doctored):
+    e3_end_to_end.assert_shape(_e3_rows())
+    with pytest.raises(AssertionError):
+        e3_end_to_end.assert_shape(_e3_rows(**doctored))
 
 
 def test_e3_population_coda_serves_its_target_rate():
@@ -81,6 +109,25 @@ def test_e7_driver():
         name_count=8, batch_windows=(0.0, 1.0))
     e7_gns_resolution.assert_shape(result)
     assert "warm cache" in e7_gns_resolution.format_result(result)
+
+
+def _e7_result(updates=(40, 1, 1)):
+    """An E7 result at the committed table's values: 40 names added
+    with batch windows 0.0, 0.5 and 2.0 s."""
+    return {"name_count": 40,
+            "batching": [{"window": window, "updates": count}
+                         for window, count in zip((0.0, 0.5, 2.0),
+                                                  updates)],
+            "cold": SimpleNamespace(mean=0.2383),
+            "warm": SimpleNamespace(mean=0.0), "stable_after_move": True}
+
+
+@pytest.mark.parametrize("updates", [(39, 1, 1), (40, 2, 1), (40, 1, 3)],
+                         ids=["unbatched", "half-second", "two-seconds"])
+def test_e7_claim_rejects_a_doctored_result(updates):
+    e7_gns_resolution.assert_shape(_e7_result())
+    with pytest.raises(AssertionError):
+        e7_gns_resolution.assert_shape(_e7_result(updates))
 
 
 def test_e8_driver():

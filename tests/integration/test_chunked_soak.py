@@ -42,16 +42,23 @@ PAYLOAD = synthetic_file("big-tarball", CHUNK * CHUNKS)
 FAULT_AT = 10.0
 FAULT_ENDS = 40.0
 
+#: Two partitions of the clients' site, ``(start, duration)`` into the
+#: drive: the first while every first-wave transfer is mid-chunk, the
+#: second catching a later wave after the first ones finished.
+TWO_PARTITIONS = ((4.0, 20.0), (55.0, 15.0))
+
 CLIENTS = 2
 REQUESTS_EACH = 3
 
 
-def _run_soak(resume, fault, policy=None, budget_burst=16.0, seed=13):
+def _run_soak(resume, fault, policy=None, budget_burst=16.0, seed=13,
+              partitions=((FAULT_AT, FAULT_ENDS - FAULT_AT),)):
     """Drive budgeted chunked downloads across a fault; return
     ``(report, downloader, gdn)``.
 
     ``fault`` is ``"crash"`` (the single serving GOS reboots) or
-    ``"partition"`` (the clients' site drops off the network).
+    ``"partition"`` (the clients' site drops off the network during
+    each ``(start, duration)`` of ``partitions``).
     """
     topology = Topology.balanced(regions=2, countries=1, cities=1,
                                  sites=2)
@@ -119,8 +126,9 @@ def _run_soak(resume, fault, policy=None, budget_burst=16.0, seed=13):
         soak.crash_restart(gos.host, base + FAULT_AT, base + FAULT_ENDS,
                            recover=lambda: gos.host.spawn(gos.recover()))
     elif fault == "partition":
-        soak.partition(gdn.world.topology.site("r1/c0/m0/s0"),
-                       base + FAULT_AT, FAULT_ENDS - FAULT_AT)
+        for start, duration in partitions:
+            soak.partition(gdn.world.topology.site("r1/c0/m0/s0"),
+                           base + start, duration)
     else:
         raise ValueError(fault)
     soak.chunked_transfer_invariant(
@@ -160,12 +168,21 @@ def test_crash_mid_transfer_fails_without_resume():
 # -- partition-mid-transfer ---------------------------------------------------
 
 
-def test_partition_mid_transfer_completes_with_resume():
-    report, downloader, _gdn = _run_soak(resume=True, fault="partition")
+def _completes_through_partitions(**partitions):
+    report, downloader, _gdn = _run_soak(resume=True, fault="partition",
+                                         **partitions)
     assert report.ok, report.failures
     assert downloader.resumes > 0
     assert report.stats.ok == CLIENTS * REQUESTS_EACH
     assert downloader.refetch_ratio() <= 0.1
+
+
+def test_partition_mid_transfer_completes_with_resume():
+    _completes_through_partitions()
+
+
+def test_two_partitions_mid_transfer_complete_with_resume():
+    _completes_through_partitions(partitions=TWO_PARTITIONS)
 
 
 def test_partition_mid_transfer_fails_without_resume():

@@ -531,6 +531,24 @@ def test_cancellation_compacts_heap():
     assert sim.events_processed == 0
 
 
+def test_cancellation_compacts_heap_under_guard_churn():
+    # The RPC deadline pattern: arm a long guard, wait briefly, cancel.
+    # Without compaction the heap would hold every dead guard at once.
+    sim = Simulator()
+    guards = 20_000
+
+    def churn():
+        for _ in range(guards):
+            guard = sim.timeout(1000.0)
+            yield sim.timeout(0.001)
+            guard.cancel()
+
+    sim.process(churn())
+    sim.run()
+    assert sim.peak_heap_size < guards // 10
+    assert sim.stale_timer_count == 0
+
+
 def test_peek_and_run_skip_cancelled_head():
     sim = Simulator()
     first = sim.timeout(1.0)

@@ -794,12 +794,16 @@ def test_udp_guarded_calls_pool_timer_churn(world):
             yield from client.call(b, 5300, "lookup", {"key": "k%d" % index})
 
     before = world.sim.timers_scheduled
+    events_before = world.sim.events_processed
     proc = a.spawn(run())
     world.run_until(proc, limit=1000)
     scheduled = world.sim.timers_scheduled - before
     # Two delivery timers per round trip + well under one guard arm
     # per call (the pool re-arms roughly once per timeout interval).
     assert scheduled / calls < 2.2, scheduled
+    # The inline inbox hand-off: no run-queue event per datagram.
+    events = world.sim.events_processed - events_before
+    assert events / calls < 4.0, events
     pool = client.deadline_pool
     assert pool.armed_total == calls
     assert pool.timer_arms < calls / 10

@@ -2,7 +2,8 @@
 
 The load-bearing claims, in order: (1) the cohorts' throughput
 matches the closed-form expectation and honours quota/duration bounds;
-(2) the diurnal profile actually modulates the issue rate.
+(2) the kernel's cost follows activity, not population; (3) the diurnal
+profile actually modulates the issue rate.
 """
 
 import random
@@ -14,6 +15,7 @@ from repro.sim.world import World
 from repro.workloads.cohort import (AggregatedPopulation, CohortScenario,
                                     DiurnalProfile)
 from repro.workloads.loadgen import LoadStats
+from repro.workloads.scenario import RequestMix
 
 
 def drive(scenario, *, seed=7, rng_seed=1234, limit=1e9):
@@ -136,6 +138,64 @@ def test_statistical_sites_round_robin_headcount():
     # each.
     assert sorted(seen.values(), reverse=True) == [3, 3, 2, 2]
     assert stats.issued == 10
+
+
+def _burst_download_run(population, duration=120.0, requests=5_000,
+                        fragments=8):
+    """A diurnal cohort population of ``population`` users issuing about
+    ``requests`` fragment downloads in ``duration`` (think time grows
+    with population), each answered by one origin with one burst.
+    Returns kernel events and timers per request, and the peak heap."""
+    world = World(topology=Topology.balanced(4, 4, 4, 4), seed=42)
+    sim = world.sim
+    sites = world.topology.sites
+    server_sock = world.host("origin", sites[0]).udp_socket(80)
+
+    def serve():
+        while True:
+            datagram = yield server_sock.recv()
+            reply_port, count = datagram.payload
+            server_sock.send_burst(datagram.src_host, reply_port,
+                                   [(("frag", index), 4096)
+                                    for index in range(count)])
+
+    server_sock.host.spawn(serve())
+    hosts = {site.path: world.host("client@" + site.path, site)
+             for site in sites[1:]}
+
+    def download(arrival):
+        sock = hosts[arrival.site.path].udp_socket()
+        sock.send_to(server_sock.host, 80, (sock.port, fragments), size=64)
+        for _ in range(fragments):
+            yield sock.recv()
+        sock.close()
+        return True
+
+    profile = DiurnalProfile.sinusoidal(slots=24, floor=0.2,
+                                        period=duration)
+    think = population * profile.mean_multiplier() * duration / requests
+    scenario = CohortScenario(population, think, duration=duration,
+                              sites=sites[1:], cohort_size=8192,
+                              mix=RequestMix(1024, alpha=1.0,
+                                             write_fraction=0.0),
+                              profile=profile)
+    stats = LoadStats()
+    world.run_until(sim.process(scenario.drive(
+        sim, download, rng=random.Random(7), stats=stats)), limit=1e12)
+    assert stats.in_flight == 0
+    assert stats.issued == pytest.approx(requests, rel=0.05)
+    return (sim.events_processed / stats.issued,
+            sim.timers_scheduled / stats.issued, sim.peak_heap_size)
+
+
+def test_kernel_cost_follows_activity_not_population():
+    # A thousand times the users at the same activity: the kernel does
+    # the same work per request and holds the same number of timers.
+    small_events, small_timers, small_heap = _burst_download_run(1_000)
+    large_events, large_timers, large_heap = _burst_download_run(1_000_000)
+    assert large_events == pytest.approx(small_events, rel=0.01)
+    assert large_timers == pytest.approx(small_timers, rel=0.01)
+    assert large_heap == pytest.approx(small_heap, rel=0.05)
 
 
 # -- diurnal profile ----------------------------------------------------------
