@@ -9,7 +9,7 @@ certificate authority.  Verifiers trust a set of root CAs.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from .crypto import CryptoError, PublicKey, RsaKeyPair, sha256
 
@@ -52,14 +52,18 @@ class Certificate:
         }
 
     @classmethod
-    def from_wire(cls, wire: dict) -> "Certificate":
+    def from_wire(cls, wire: Any) -> "Certificate":
+        """Parse; a missing or mistyped field is a CertificateError."""
         try:
-            return cls(wire["subject"], PublicKey.from_wire(wire["key"]),
+            cert = cls(wire["subject"], PublicKey.from_wire(wire["key"]),
                        wire["issuer"], wire.get("attributes"),
                        wire.get("signature", 0))
-        except KeyError as exc:
-            raise CertificateError("bad certificate: missing %s"
-                                   % exc) from exc
+            if not (isinstance(cert.subject, str) and isinstance(
+                    cert.issuer, str) and isinstance(cert.signature, int)):
+                raise TypeError("a field of the wrong type")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CertificateError("bad certificate: %r" % exc) from exc
+        return cert
 
     def wire_size(self) -> int:
         """Approximate DER size; charged when certs cross the wire."""

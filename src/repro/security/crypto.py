@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import hmac as _hmac
 import random
-from typing import Optional, Tuple
 
 __all__ = ["RsaKeyPair", "PublicKey", "sha256", "hmac_sha256",
            "generate_prime", "CryptoError"]
@@ -76,20 +75,6 @@ def generate_prime(bits: int, rng: random.Random) -> int:
 # -- RSA -------------------------------------------------------------------------
 
 
-def _egcd(a: int, b: int) -> Tuple[int, int, int]:
-    if a == 0:
-        return b, 0, 1
-    g, y, x = _egcd(b % a, a)
-    return g, x - (b // a) * y, y
-
-
-def _modinv(a: int, m: int) -> int:
-    g, x, _y = _egcd(a % m, m)
-    if g != 1:
-        raise CryptoError("no modular inverse")
-    return x % m
-
-
 class PublicKey:
     """An RSA public key (n, e)."""
 
@@ -148,7 +133,7 @@ class RsaKeyPair:
             phi = (p - 1) * (q - 1)
             if phi % e == 0:
                 continue
-            d = _modinv(e, phi)
+            d = pow(e, -1, phi)  # phi % e != 0 and e is prime: invertible
             return cls(n, e, d)
 
     def sign(self, data: bytes) -> int:

@@ -4,7 +4,8 @@
 protected and authenticated communication … all TCP connections between
 GDN parties are replaced by connections secured via the TLS protocol."
 
-The handshake is a faithful miniature of TLS-with-RSA-key-transport:
+The handshake is a faithful miniature of TLS-with-RSA-key-transport
+(a malformed message fails it with :class:`HandshakeError`):
 
 1. ``hello``         client nonce, desired cipher options
 2. ``server-hello``  server nonce + certificate (server always
@@ -20,7 +21,13 @@ as a per-byte CPU cost (the payload is not actually scrambled — the
 simulator has no on-path eavesdropper), which is exactly the knob the
 paper worries about: "we are paying for something we do not need:
 confidentiality".  ``encryption=False`` gives the integrity-only
-variant for that ablation (experiment E4).
+variant for that ablation (experiment E4).  That CPU is delay on the
+record's one arrival timer: each end spends ``record_cost(w)`` per
+record, one record at a time, and a record is verified and handed over
+once both ends are done with it — an instant the receiving record layer
+computes as the record is sent (:attr:`~repro.sim.transport.Inbox.admit`).
+End of stream waits for the last record; one still being verified when
+the connection breaks is lost like one on the wire.
 
 A :class:`SecureChannel` exposes ``send``/``recv``/``close`` plus
 ``peer_principal`` and is accepted anywhere a raw connection is (the
@@ -29,13 +36,13 @@ RPC layer's ``channel_wrapper``/``channel_factory`` hooks).
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Generator, NoReturn, Optional
 
 from ..core.marshal import MarshalError, pack
 from ..sim.kernel import Event
 from ..sim.serde import encoded_size
 from ..sim.transport import Connection, ConnectionClosed, Inbox
-from .certs import Certificate, Credentials
+from .certs import Certificate, CertificateError, Credentials
 from .crypto import hmac_sha256, sha256
 
 __all__ = ["SecureChannel", "SecurityError", "HandshakeError", "CostModel",
@@ -43,10 +50,8 @@ __all__ = ["SecureChannel", "SecurityError", "HandshakeError", "CostModel",
 
 _MAC_SIZE = 32
 _RECORD_OVERHEAD = 5  # TLS record header
-#: Upper bound on a record's carried wire size ("w") the receiver
-#: will believe without re-measuring — comfortably above any honest
-#: record in this reproduction, far below what a spoofed declared
-#: size would need to stall a recv pump meaningfully.
+#: Largest carried record size ("w") a receiver believes: above any
+#: honest record here, far below what would stall it meaningfully.
 _MAX_CARRIED_RECORD_SIZE = 1 << 24  # 16 MiB
 
 
@@ -77,150 +82,128 @@ class CostModel:
         self.mac_per_byte = mac_per_byte
 
     def record_cost(self, size: int, encryption: bool) -> float:
-        cost = size * self.mac_per_byte
-        if encryption:
-            cost += size * self.encrypt_per_byte
-        return cost
+        return size * self.mac_per_byte + (
+            size * self.encrypt_per_byte if encryption else 0.0)
 
 
 DEFAULT_COSTS = CostModel()
+_END = object()  # the end of stream, to _RecordLayer.admit
 
-_CLOSED = "secure channel closed"
+
+def _mac(key: bytes, seq: int, payload: Any) -> bytes:
+    return hmac_sha256(key, pack(payload) + seq.to_bytes(8, "big"))
+
+
+class _RecordLayer(Inbox):
+    """A secure channel's record layer: its cipher choice and costs, and
+    its receiving side, installed as the connection's inbox.  The client
+    installs it before the server sends ``finished``, so records right
+    behind that are admitted too (``handshake_reply`` passes it as is)."""
+
+    __slots__ = ("_key", "encryption", "costs", "_seq", "_busy",
+                 "_clear_admit", "_clear_put", "integrity_failures")
+
+    def __init__(self, conn: Connection, key: bytes, encryption: bool,
+                 costs: CostModel, handshake_reply: bool = False):
+        super().__init__(conn.sim)
+        self._key = key
+        self.encryption = encryption
+        self.costs = costs
+        self._seq = 0
+        self._busy = 0.0  # when this end is done with its last record
+        self._clear_admit = self._clear_put = handshake_reply
+        self.integrity_failures = 0
+        conn.receive_into(self)
+
+    def admit(self, arrival: float, frame: Any = _END) -> float:
+        if frame is _END:
+            return max(arrival, self._busy)
+        if self._clear_admit:
+            self._clear_admit = False
+            return arrival
+        # The carried size "w" spares a walk of the payload, but it is
+        # not MAC-covered: a forged petabyte would stall every record
+        # queued behind it, a negative size would be free.  Outside a
+        # sane range the receiver measures what was actually sent.
+        size = frame.get("w") if isinstance(frame, dict) else None
+        if not (isinstance(size, int)
+                and 0 <= size <= _MAX_CARRIED_RECORD_SIZE):
+            size = encoded_size(frame)
+        self._busy = max(arrival, self._busy) + self.costs.record_cost(
+            size, self.encryption)
+        return self._busy
+
+    def put_inline(self, frame: Any) -> None:
+        if self._clear_put:
+            self._clear_put = False
+            Inbox.put_inline(self, frame)
+            return
+        # A forged frame can carry anything (a sequence number that is
+        # no number, a payload no sender could have marshalled): what
+        # cannot be MACed was not sent by the peer.
+        seq = self._seq + 1
+        try:
+            genuine = (isinstance(frame, dict) and frame.get("s") == seq
+                       and frame.get("m") == _mac(self._key, seq,
+                                                  frame.get("p")))
+        except MarshalError:
+            genuine = False
+        if genuine:
+            self._seq = seq
+            Inbox.put_inline(self, frame["p"])
+        else:
+            self.integrity_failures += 1
+            self.put_failure(SecurityError(
+                "record failed integrity check (tamper or replay)"))
 
 
 class SecureChannel:
     """An authenticated, integrity-protected channel over a connection."""
 
-    def __init__(self, conn: Connection, send_key: bytes, recv_key: bytes,
-                 peer_certificate: Optional[Certificate], encryption: bool,
-                 costs: CostModel):
+    def __init__(self, conn: Connection, send_key: bytes,
+                 records: _RecordLayer, peer_principal: Optional[str]):
         self.conn = conn
-        self.host = conn.local
-        self.sim = conn.sim
-        self.encryption = encryption
-        self.costs = costs
-        self.peer_certificate = peer_certificate
         #: Authenticated identity of the peer (None if unauthenticated).
-        self.peer_principal = (peer_certificate.subject
-                               if peer_certificate else None)
+        self.peer_principal = peer_principal
         self._send_key = send_key
-        self._recv_key = recv_key
         self._seq_out = 0
-        self._seq_in = 0
+        self._busy = 0.0  # when this end is done with its last record
+        self._records = records
         self.closed = False
-        self.records_sent = 0
-        self.integrity_failures = 0
-        self._outbox = self.sim.store()
-        self._inbox = Inbox(self.sim)
-        self._pumps = [self.host.spawn(self._send_pump()),
-                       self.host.spawn(self._recv_pump())]
-
-    # -- data path ----------------------------------------------------------
 
     @property
     def broken(self) -> bool:
         return self.conn.broken
 
+    @property
+    def integrity_failures(self) -> int:
+        return self._records.integrity_failures
+
     def send(self, payload: Any, size: Optional[int] = None) -> int:
-        """Queue an authenticated record; returns the charged size."""
+        """Send an authenticated record; returns the charged size."""
         if self.closed:
             raise ConnectionClosed("send on closed secure channel")
         body = size if size is not None else encoded_size(payload)
         wire = body + _MAC_SIZE + _RECORD_OVERHEAD
         self._seq_out += 1
-        mac = self._mac(self._send_key, self._seq_out, payload)
-        # The record carries its own wire size ("w"): the sender
-        # already measured the payload once, so the receiving pump
-        # charges CPU from the carried size instead of re-walking the
-        # nested payload per record.  ("w" is framing metadata — it is
-        # not covered by the MAC; the receiver sanity-bounds it and
-        # falls back to an honest walk when it is missing or forged.)
-        frame = {"s": self._seq_out, "p": payload, "m": mac, "w": wire}
-        # An idle send pump takes the record in this frame and arms
-        # its cost timer at once; a busy one finds it in the backlog.
-        self._outbox.put_inline((frame, wire))
+        frame = {"s": self._seq_out, "p": payload,
+                 "m": _mac(self._send_key, self._seq_out, payload), "w": wire}
+        departure = max(self.conn.sim.now, self._busy) + \
+            self._records.costs.record_cost(wire, self._records.encryption)
+        self.conn.send(frame, size=wire, departure=departure)
+        self._busy = departure
         return wire
 
     def recv(self) -> Event:
-        """Event with the next verified payload; fails on close/tamper.
-
-        The same receive-side hand-off as a plain connection's
-        (:class:`~repro.sim.transport.Inbox`): the receive pump fires
-        this event from the frame its cost timer resumed it in.
-        """
-        return self._inbox.get()
+        """Event with the next verified payload; fails on close/tamper."""
+        return self._records.get()
 
     def close(self) -> None:
         if self.closed:
             return
         self.closed = True
         self.conn.close()
-        for pump in self._pumps:
-            if pump.alive:
-                pump.kill()
-        self._inbox.close(_CLOSED)
-
-    # -- internals ------------------------------------------------------------
-
-    def _mac(self, key: bytes, seq: int, payload: Any) -> bytes:
-        canonical = pack(payload) + seq.to_bytes(8, "big")
-        return hmac_sha256(key, canonical)
-
-    def _send_pump(self) -> Generator:
-        while True:
-            frame, wire = yield self._outbox.get()
-            cost = self.costs.record_cost(wire, self.encryption)
-            if cost > 0:
-                yield self.sim.timeout(cost)
-            try:
-                self.conn.send(frame, size=wire)
-                self.records_sent += 1
-            except ConnectionClosed:
-                self._inbox.close(_CLOSED)
-                return
-
-    def _recv_pump(self) -> Generator:
-        while True:
-            try:
-                frame = yield self.conn.recv()
-            except ConnectionClosed:
-                self._inbox.close(_CLOSED)
-                return
-            # Trust the carried size only inside a sane range: "w" is
-            # not MAC-covered, so an on-path attacker could otherwise
-            # declare a petabyte record (stalling this pump — and all
-            # legitimate records behind it — on a fabricated CPU
-            # charge) or a negative one (free processing).  Out-of-
-            # range or missing values pay the honest walk of what was
-            # actually received, which an attacker cannot inflate.
-            size = (frame.get("w") if isinstance(frame, dict) else None)
-            if not (isinstance(size, int)
-                    and 0 <= size <= _MAX_CARRIED_RECORD_SIZE):
-                size = encoded_size(frame)
-            cost = self.costs.record_cost(size, self.encryption)
-            if cost > 0:
-                yield self.sim.timeout(cost)
-            if not isinstance(frame, dict) or "s" not in frame:
-                self.integrity_failures += 1
-                self._inbox.put_failure(SecurityError("malformed record"))
-                continue
-            # A forged frame can carry anything: a sequence number that
-            # is no number, a payload no sender could have marshalled.
-            # What cannot be MACed was not sent by the peer.
-            expected_seq = self._seq_in + 1
-            try:
-                genuine = (frame["s"] == expected_seq
-                           and frame.get("m") == self._mac(
-                               self._recv_key, expected_seq, frame.get("p")))
-            except MarshalError:
-                genuine = False
-            if not genuine:
-                self.integrity_failures += 1
-                self._inbox.put_failure(SecurityError(
-                    "record failed integrity check (tamper or replay)"))
-                continue
-            self._seq_in = expected_seq
-            self._inbox.put_inline(frame["p"])
+        self._records.close("secure channel closed")
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +215,27 @@ def _derive_keys(premaster: int, client_nonce: bytes, server_nonce: bytes):
     material = sha256(premaster.to_bytes(64, "big") + client_nonce
                       + server_nonce)
     return (sha256(material + b"c2s"), sha256(material + b"s2c"))
+
+
+def _fail(conn: Connection, reason: Any, alert: str = "") -> NoReturn:
+    """End the handshake: send ``alert`` (if any), close, raise."""
+    if alert:
+        conn.send({"type": "alert", "reason": alert}, size=32)
+    conn.close()
+    raise HandshakeError(reason)
+
+
+def _expect(conn: Connection, message: Any, kind: str, alert: str = "",
+            **fields: type) -> dict:
+    """``message`` if it is a ``kind`` message whose ``fields`` have
+    the given types; an alert or anything else fails the handshake."""
+    if isinstance(message, dict) and message.get("type") == "alert":
+        _fail(conn, message.get("reason", "alert"))
+    if not (isinstance(message, dict) and message.get("type") == kind
+            and all(isinstance(message.get(name), cls)
+                    for name, cls in fields.items())):
+        _fail(conn, "malformed %s" % kind, alert)
+    return message
 
 
 def client_wrapper(credentials: Optional[Credentials] = None,
@@ -260,21 +264,19 @@ def client_wrapper(credentials: Optional[Credentials] = None,
             server_hello = yield conn.recv()
         except ConnectionClosed:
             raise HandshakeError("server closed during handshake")
-        if server_hello.get("type") == "alert":
-            raise HandshakeError(server_hello.get("reason", "alert"))
-        server_cert = Certificate.from_wire(server_hello["cert"])
+        server_nonce = _expect(conn, server_hello, "server-hello",
+                               nonce=bytes)["nonce"]
+        try:
+            server_cert = Certificate.from_wire(server_hello.get("cert"))
+        except CertificateError as exc:
+            _fail(conn, str(exc))
         yield sim.timeout(costs.rsa_public_op)  # verify the certificate
         if not verifier.trusts(server_cert):
-            conn.close()
-            raise HandshakeError("untrusted server certificate %r"
-                                 % server_cert.subject)
-        if expected_server is not None \
-                and server_cert.subject != expected_server:
-            conn.close()
-            raise HandshakeError(
-                "server identity mismatch: expected %r, got %r"
-                % (expected_server, server_cert.subject))
-        server_nonce = server_hello["nonce"]
+            _fail(conn, "untrusted server certificate %r"
+                  % server_cert.subject)
+        if expected_server not in (None, server_cert.subject):
+            _fail(conn, "server identity mismatch: expected %r, got %r"
+                  % (expected_server, server_cert.subject))
         negotiated_encryption = bool(server_hello.get("encryption",
                                                       encryption))
         premaster = rng.getrandbits(256)
@@ -284,8 +286,7 @@ def client_wrapper(credentials: Optional[Credentials] = None,
         size = 96
         client_auth = server_hello.get("client_auth", "none")
         if client_auth == "required" and credentials is None:
-            conn.close()
-            raise HandshakeError("server demands a client certificate")
+            _fail(conn, "server demands a client certificate")
         if client_auth in ("required", "optional") and credentials is not None:
             transcript = sha256(client_nonce + server_nonce)
             yield sim.timeout(costs.rsa_private_op)  # sign the transcript
@@ -295,19 +296,16 @@ def client_wrapper(credentials: Optional[Credentials] = None,
         conn.send(exchange, size=size)
         send_key, recv_key = _derive_keys(premaster, client_nonce,
                                           server_nonce)
+        records = _RecordLayer(conn, recv_key, negotiated_encryption, costs,
+                               handshake_reply=True)
         try:
             finished = yield conn.recv()
         except ConnectionClosed:
             raise HandshakeError("server rejected the handshake")
-        if finished.get("type") == "alert":
-            raise HandshakeError(finished.get("reason", "alert"))
-        expected = hmac_sha256(recv_key, client_nonce + server_nonce)
-        if finished.get("type") != "finished" \
-                or finished.get("mac") != expected:
-            conn.close()
-            raise HandshakeError("bad finished MAC from server")
-        return SecureChannel(conn, send_key, recv_key, server_cert,
-                             negotiated_encryption, costs)
+        if _expect(conn, finished, "finished").get("mac") != hmac_sha256(
+                recv_key, client_nonce + server_nonce):
+            _fail(conn, "bad finished MAC from server")
+        return SecureChannel(conn, send_key, records, server_cert.subject)
 
     return wrap
 
@@ -343,11 +341,8 @@ def server_factory(credentials: Credentials,
             hello = yield conn.recv()
         except ConnectionClosed:
             raise HandshakeError("client closed during handshake")
-        if hello.get("type") != "hello":
-            conn.send({"type": "alert", "reason": "bad hello"}, size=32)
-            conn.close()
-            raise HandshakeError("malformed client hello")
-        client_nonce = hello["nonce"]
+        client_nonce = _expect(conn, hello, "hello", alert="bad hello",
+                               nonce=bytes)["nonce"]
         negotiated_encryption = encryption and bool(
             hello.get("encryption", True))
         server_nonce = bytes(rng.getrandbits(8) for _ in range(16))
@@ -360,36 +355,34 @@ def server_factory(credentials: Credentials,
             exchange = yield conn.recv()
         except ConnectionClosed:
             raise HandshakeError("client abandoned the handshake")
-        if exchange.get("type") != "key-exchange":
-            conn.close()
-            raise HandshakeError("malformed key exchange")
+        _expect(conn, exchange, "key-exchange", premaster=int)
         yield sim.timeout(costs.rsa_private_op)  # RSA-decrypt premaster
         premaster = credentials.keypair.decrypt_int(exchange["premaster"])
         client_cert: Optional[Certificate] = None
         wire = exchange.get("cert")
         if wire is None and client_auth == "required":
-            conn.send({"type": "alert",
-                       "reason": "client certificate required"}, size=32)
-            conn.close()
-            raise HandshakeError("client presented no certificate")
+            _fail(conn, "client presented no certificate",
+                  alert="client certificate required")
         if wire is not None and client_auth != "none":
-            client_cert = Certificate.from_wire(wire)
             transcript = sha256(client_nonce + server_nonce)
             yield sim.timeout(2 * costs.rsa_public_op)  # cert + signature
-            if not credentials.trusts(client_cert) \
-                    or not client_cert.public_key.verify(
-                        transcript, exchange.get("signature", 0)):
-                conn.send({"type": "alert",
-                           "reason": "client authentication failed"},
-                          size=32)
-                conn.close()
-                raise HandshakeError("client authentication failed")
+            signature = exchange.get("signature")
+            try:
+                client_cert = Certificate.from_wire(wire)
+            except CertificateError:
+                pass
+            if not (client_cert and isinstance(signature, int)
+                    and credentials.trusts(client_cert)
+                    and client_cert.public_key.verify(transcript, signature)):
+                _fail(conn, "client authentication failed",
+                      alert="client authentication failed")
         recv_key, send_key = _derive_keys(premaster, client_nonce,
                                           server_nonce)
+        records = _RecordLayer(conn, recv_key, negotiated_encryption, costs)
         conn.send({"type": "finished",
                    "mac": hmac_sha256(send_key, client_nonce + server_nonce)},
                   size=48)
-        return SecureChannel(conn, send_key, recv_key, client_cert,
-                             negotiated_encryption, costs)
+        return SecureChannel(conn, send_key, records,
+                             client_cert.subject if client_cert else None)
 
     return wrap

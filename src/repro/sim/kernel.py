@@ -591,8 +591,8 @@ class Store:
         instead of through a run-queue event.  This is the per-message
         hand-off of both transports — a network-arrival timer
         delivering into a ``UdpSocket`` inbox or a connection's
-        :class:`~repro.sim.transport.Inbox` — and of the TLS record
-        pumps standing between the two: ``put`` charged one run-queue
+        :class:`~repro.sim.transport.Inbox` (a TLS record layer
+        verifies in between): ``put`` charged one run-queue
         event per message only to resume the waiter at the very next
         scheduler step; firing it during the arrival callback keeps the
         observable resume instant (and the waiter's own downstream
@@ -602,7 +602,7 @@ class Store:
         **Re-entrancy rule.**  The consumer's continuation runs
         *under* the producer's frame, so resumption must flow one way,
         away from the kernel callback that started it: arrival timer →
-        (record pump →) receiver → whatever the receiver runs before
+        receiver → whatever the receiver runs before
         it next yields.  That continuation may do anything a process
         may do — send, reply, close channels, crash hosts — including
         killing a process whose frame it runs under

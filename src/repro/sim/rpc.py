@@ -276,8 +276,8 @@ class RpcServer:
                 request = yield conn.recv()
             except ConnectionClosed:
                 # End of stream: release this end too, or the accepted
-                # connection (and a secure channel's pumps) would stay
-                # with the host for the rest of its life.
+                # connection would stay with the host for the rest of
+                # its life.
                 conn.close()
                 return
             # Not `yield from`: that would hold every later request

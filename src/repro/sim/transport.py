@@ -380,8 +380,7 @@ class Inbox(Store):
     * a failure put with :meth:`put_failure` fails exactly one
       ``get()``, in its place in the order.
 
-    Producers that are kernel callbacks (an arrival timer) or were
-    resumed by one (a TLS record pump) deliver with
+    Producers that are kernel callbacks (an arrival timer) deliver with
     :meth:`~repro.sim.kernel.Store.put_inline`.  The end of the stream
     and failures go through the run queue: they also come from
     ``close()`` and ``send()`` calls made by arbitrary processes —
@@ -394,6 +393,10 @@ class Inbox(Store):
     """
 
     __slots__ = ("_closed_because",)
+
+    #: A subclass's hook (the TLS record layer), called as the peer sends:
+    #: ``admit(arrival[, payload])`` (none: end of stream) -> when to put.
+    admit = None
 
     def __init__(self, sim: Simulator):
         super().__init__(sim)
@@ -458,11 +461,12 @@ class Connection:
 
     # -- data transfer -----------------------------------------------------
 
-    def send(self, payload: Any, size: Optional[int] = None) -> int:
+    def send(self, payload: Any, size: Optional[int] = None,
+             departure: Optional[float] = None) -> int:
         """Send a message; returns the wire size charged.
 
         Raises :class:`ConnectionClosed` if this end is closed/broken.
-        Delivery is asynchronous; FIFO order is preserved.
+        Delivery from ``departure`` (default: now) is asynchronous, FIFO.
         """
         if self.closed or self.broken:
             raise ConnectionClosed("send on closed connection %r" % self)
@@ -481,22 +485,24 @@ class Connection:
             # parked recv() directly (Store.put_inline), as a datagram
             # does.  A straggler still in flight when the connection
             # broke is dropped: once broken, every recv fails.
-            if (peer is not None and not peer.closed and not peer.broken
-                    and peer.local.up):
+            if not peer.closed and not peer.broken and peer.local.up:
                 peer.bytes_received += wire
                 peer._inbox.put_inline(payload)
 
         network = self.local.network
         base_delay = network.transfer_delay(self.local.site,
                                             self.remote.site, wire)
-        arrival = max(self.sim.now + base_delay, self._next_arrival)
+        arrival = max((self.sim.now if departure is None else departure)
+                      + base_delay, self._next_arrival)
         self._next_arrival = arrival
-        # Deliver at exactly the pacing clock's timestamp: recomputing
-        # the delay (a second jitter draw, or a float-rounding ULP)
-        # could land an earlier message after a later one.
+        admit = peer._inbox.admit
+        # Deliver at exactly the pacing clock's timestamp (or its
+        # admission): recomputing the delay (a second jitter draw, or a
+        # float-rounding ULP) could reorder messages.
         delivered = network.deliver(self.local.site, self.remote.site,
                                     self.remote.name, wire, deliver,
-                                    reliable=True, at=arrival)
+                                    reliable=True, at=arrival if admit is None
+                                    else admit(arrival, payload))
         if not delivered:
             self._break()
             raise ConnectionClosed("connection to %s lost" % self.remote.name)
@@ -536,13 +542,23 @@ class Connection:
             base_delay = network.transfer_delay(
                 self.local.site, self.remote.site, HEADER_OVERHEAD)
             arrival = max(self.sim.now + base_delay, self._next_arrival)
+            admit = peer._inbox.admit
             network.deliver(self.local.site, self.remote.site,
                             self.remote.name, HEADER_OVERHEAD,
                             lambda _event: peer._inbox.close(
                                 "peer closed %r" % peer)
                             if not peer.closed else None,
-                            reliable=True, at=arrival)
+                            reliable=True,
+                            at=arrival if admit is None else admit(arrival))
         self.local._connections.pop(self, None)
+
+    def receive_into(self, inbox: Inbox) -> None:
+        """Receive into ``inbox`` from now on, what arrived first."""
+        old, self._inbox = self._inbox, inbox
+        for item in old._items:
+            inbox.put_inline(item)
+        if old._closed_because is not None:
+            inbox.close(old._closed_because)
 
     def _break(self) -> None:
         """Abrupt teardown (host crash): surviving ends see EOF."""
