@@ -363,19 +363,29 @@ class Process(Event):
     fails, the exception is thrown into the generator.  The process
     event itself succeeds with the generator's return value, or fails
     with its uncaught exception.
+
+    Lifecycle in kernel events: :meth:`Simulator.process` starts with
+    one run-queue event, :meth:`Simulator.start` with none; each resume
+    is the awaited event firing.  Returned or killed with nobody
+    waiting (no callbacks), a process is processed at once — never
+    enqueued, no sequence number; a later ``yield`` of it resumes via
+    :meth:`Event.add_callback`'s bridge.  One that raises always fires,
+    so failures surface.  A host's process leaves its host's set
+    (``_owner``) as it ends.
     """
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator", "_waiting_on", "_owner")
 
     def __init__(self, sim: "Simulator", generator: Generator,
                  target: Optional[Event] = None):
-        """``target`` (see :meth:`Simulator.adopt`) is the event a
+        """``target`` (see :meth:`Simulator.start`) is the event a
         generator the caller already started has just yielded: the
         process waits on it instead of kicking the generator off."""
         super().__init__(sim)
         if not hasattr(generator, "send"):
             raise SimulationError("process() requires a generator")
         self._generator = generator
+        self._owner: Optional[dict] = None
         self._waiting_on: Optional[Event] = target
         if target is None:
             # Kick off at the current instant.
@@ -408,8 +418,8 @@ class Process(Event):
         """Terminate the process immediately without resuming it.
 
         Used by failure injection (host crashes): the generator is
-        closed, pending waits are abandoned, and the process event
-        succeeds with ``None`` so waiters are released.
+        closed, pending waits are abandoned, and the process ends with
+        ``None`` so waiters are released (silently if there are none).
 
         Killing the process that is *executing* — a daemon crashing
         its own host, or a receiver it resumed inline
@@ -426,7 +436,21 @@ class Process(Event):
         self._abandon_wait()
         if not self._generator.gi_running:
             self._generator.close()
-        self.succeed(None)
+        self._end(True, None)
+
+    def _end(self, ok: bool, value: Any) -> None:
+        """Leave the owner's set; fire only if failed or waited on."""
+        if self._owner is not None:
+            self._owner.pop(self, None)
+            self._owner = None
+        if not ok:
+            self.fail(value)
+        elif self.callbacks:
+            self.succeed(value)
+        else:
+            self._ok = True
+            self._value = value
+            self.callbacks = None
 
     def _abandon_wait(self) -> None:
         """Stop watching the awaited event; reap a now-orphaned timer."""
@@ -464,11 +488,11 @@ class Process(Event):
                 target = self._generator.throw(event._value)
         except StopIteration as stop:
             if self._value is _PENDING:
-                self.succeed(stop.value)
+                self._end(True, stop.value)
             return
         except BaseException as exc:
             if self._value is _PENDING:
-                self.fail(exc)
+                self._end(False, exc)
             elif not isinstance(exc, Exception):
                 raise
             return
@@ -483,7 +507,7 @@ class Process(Event):
             error = SimulationError(
                 "process yielded %r, expected an Event" % (target,))
             self._generator.close()
-            self.fail(error)
+            self._end(False, error)
             return
         self._waiting_on = target
         target.add_callback(self._resume)
@@ -893,16 +917,16 @@ class Simulator:
         """Start running ``generator`` as a simulation process."""
         return Process(self, generator)
 
-    def adopt(self, generator: Generator, target: Event) -> Process:
-        """Continue, as a process, a generator the caller has already
-        run up to its first ``yield`` — ``target`` is what it yielded.
-
-        For callers that start work in their own frame and need a
-        process only if that work suspends (an RPC server running a
-        handler that usually answers without waiting): the start and
-        completion events of a :class:`Process` are then paid by the
-        requests that wait for something, not by every request.
-        """
+    def start(self, generator: Generator) -> Optional[Process]:
+        """Run ``generator`` in the caller's frame up to its first
+        ``yield``; the process continuing it from there, or ``None`` if
+        it finished without waiting.  No start event: for work nobody
+        waits on (a request served or issued), only its waits cost.
+        What it raises before its first ``yield`` reaches the caller."""
+        try:
+            target = next(generator)
+        except StopIteration:
+            return None
         return Process(self, generator, target)
 
     def store(self) -> Store:

@@ -18,11 +18,12 @@ Two flavours, matching the paper's split:
 Handlers are registered per method name and receive
 ``(context, args)``.  A handler may be a plain function or a generator
 (simulation process), so servers can perform further simulated I/O
-while serving a request.  Servers are concurrent: a request that has
-to wait is continued by a process of its own while the server goes on
-receiving.  A request that never waits — a plain function, or a
-generator answering from a cache — is served in the frame that
-received it and costs no process at all (see :class:`RpcServer`).
+while serving a request.  Both servers serve a request as one
+generator started in the frame that received it (``Host.start``): one
+that never waits costs no kernel event beyond its arrival, one that
+waits (a GLS walk, a GOS read) is a process from that wait until it
+replies.  A payload that is no RPC envelope is dropped, or answered
+with a fault by a channel server.
 
 Client-side deadlines are **pooled** (:mod:`repro.sim.deadlines`):
 instead of arming one guard :class:`~repro.sim.kernel.Timeout` per
@@ -189,6 +190,42 @@ class RpcContext:
                 % (self.src_host, self.peer_principal))
 
 
+def _answer(handlers: Dict[str, Callable], ctx: RpcContext,
+            request: dict) -> Generator[Event, Any, dict]:
+    """The reply envelope to ``request``, from the handler it names."""
+    request_id = request.get("id")
+    method = request.get("method", "")
+    handler = handlers.get(method) if type(method) is str else None
+    if handler is None:
+        return {"id": request_id, "ok": False,
+                "error": ("NoSuchMethod", method)}
+    try:
+        value = handler(ctx, request.get("args", {}))
+        if hasattr(value, "send"):  # generator: simulate it
+            value = yield from value
+    except Exception as exc:  # noqa: BLE001 - faults cross the wire
+        return {"id": request_id, "ok": False,
+                "error": (type(exc).__name__, str(exc))}
+    return {"id": request_id, "ok": True, "value": value}
+
+
+def _settle(pending: Dict[int, Event], reply: Any) -> None:
+    """Hand ``reply`` to the call waiting for it; drop a payload that
+    is no reply envelope or that no call waits for (a late reply)."""
+    if type(reply) is not dict or type(reply.get("id")) is not int:
+        return
+    waiter = pending.pop(reply["id"], None)
+    if waiter is None or waiter.triggered:
+        return
+    if reply.get("ok"):
+        waiter.succeed(reply.get("value"))
+        return
+    error = reply.get("error", ("RpcError", "?"))
+    kind, message = (error if type(error) in (tuple, list) and len(error) == 2
+                     else ("RpcError", repr(error)))
+    waiter.fail(RpcFault(kind, message))
+
+
 # ---------------------------------------------------------------------------
 # Connection-oriented RPC
 # ---------------------------------------------------------------------------
@@ -198,16 +235,15 @@ class RpcServer:
     """Serves named methods on a listening port.
 
     There is one way a request runs: the connection's serve loop —
-    itself resumed inside the request's arrival event — drives
-    ``_serve_request`` in its own frame up to the first ``yield``.  A
-    request that finishes first has replied by then: no process, no
-    kernel event beyond the arrival.  One that yields (waiting for a
-    worker of a ``concurrency``-bounded server, its ``service_time``,
-    or whatever its handler waits for) is adopted from the event it
-    yielded (:meth:`~repro.sim.transport.Host.adopt`) as a process of
-    the host — killed if the host crashes — and the loop returns to
-    ``recv()`` at once, so later requests on the same connection are
-    never queued behind it.
+    itself resumed inside the request's arrival event — starts
+    ``_serve_request`` in its own frame (:meth:`~repro.sim.transport
+    .Host.start`).  A request that finishes without waiting has replied
+    by then: no process, no kernel event beyond the arrival.  One that
+    yields (for a worker of a ``concurrency``-bounded server, its
+    ``service_time``, or whatever its handler waits for) is a process
+    of the host from there — killed if the host crashes — and the loop
+    returns to ``recv()`` at once, so later requests on the same
+    connection are never queued behind it.
 
     ``channel_factory`` (optional) post-processes each accepted
     connection — it is a function ``conn -> generator -> wrapped_conn``
@@ -283,12 +319,7 @@ class RpcServer:
             # Not `yield from`: that would hold every later request
             # on this connection behind one that waits (an HTTPD's
             # shared channel to its object server, behind a GOS read).
-            serving = self._serve_request(conn, request)
-            try:
-                waits_for = next(serving)
-            except StopIteration:
-                continue
-            host.adopt(serving, waits_for)
+            host.start(self._serve_request(conn, request))
 
     def _serve_request(self, conn, request: dict) -> Generator:
         if self._semaphore is not None:
@@ -297,34 +328,22 @@ class RpcServer:
             if self.service_time > 0.0:
                 self.busy_time += self.service_time
                 yield self.host.sim.timeout(self.service_time)
-            yield from self._dispatch(conn, request)
+            if type(request) is dict:
+                ctx = RpcContext(
+                    src_host=request.get("src", "?"),
+                    peer_principal=getattr(conn, "peer_principal", None))
+                reply = yield from _answer(self.handlers, ctx, request)
+            else:  # no RPC envelope, so no id to answer to
+                reply = {"id": None, "ok": False, "error": (
+                    "MalformedRequest", "not an RPC envelope")}
+            self.requests_served += 1
+            try:
+                conn.send(reply, size=_reply_size(reply))
+            except ConnectionClosed:
+                pass
         finally:
             if self._semaphore is not None:
                 self._semaphore.release()
-
-    def _dispatch(self, conn, request: dict) -> Generator:
-        request_id = request.get("id")
-        method = request.get("method", "")
-        handler = self.handlers.get(method)
-        ctx = RpcContext(src_host=request.get("src", "?"),
-                         peer_principal=getattr(conn, "peer_principal", None))
-        if handler is None:
-            reply = {"id": request_id, "ok": False,
-                     "error": ("NoSuchMethod", method)}
-        else:
-            try:
-                value = handler(ctx, request.get("args", {}))
-                if hasattr(value, "send"):  # generator: simulate it
-                    value = yield from value
-                reply = {"id": request_id, "ok": True, "value": value}
-            except Exception as exc:  # noqa: BLE001 - faults cross the wire
-                reply = {"id": request_id, "ok": False,
-                         "error": (type(exc).__name__, str(exc))}
-        self.requests_served += 1
-        try:
-            conn.send(reply, size=_reply_size(reply))
-        except ConnectionClosed:
-            pass
 
 
 class RpcChannel:
@@ -385,14 +404,7 @@ class RpcChannel:
                         event.fail(ConnectionClosed("channel closed"))
                 self._pending.clear()
                 return
-            waiter = self._pending.pop(reply.get("id"), None)
-            if waiter is None or waiter.triggered:
-                continue
-            if reply.get("ok"):
-                waiter.succeed(reply.get("value"))
-            else:
-                kind, message = reply.get("error", ("RpcError", "?"))
-                waiter.fail(RpcFault(kind, message))
+            _settle(self._pending, reply)
 
     def call(self, method: str, args: Optional[dict] = None,
              size: Optional[int] = None, timeout: Optional[float] = None
@@ -604,52 +616,21 @@ class UdpRpcServer:
                 datagram = yield self._socket.recv()
             except TransportError:
                 return
-            request = datagram.payload
-            request_id = request.get("id")
-            handler = self.handlers.get(request.get("method", ""))
-            ctx = RpcContext(src_host=datagram.src_host.name, transport="udp")
-            if handler is None:
-                self._reply(datagram,
-                            {"id": request_id, "ok": False,
-                             "error": ("NoSuchMethod",
-                                       request.get("method", ""))})
-                continue
-            # Fast path: a plain-function handler cannot block, so it
-            # is answered inline — no process spawn per request.
-            try:
-                value = handler(ctx, request.get("args", {}))
-            except Exception as exc:  # noqa: BLE001 - faults cross the wire
-                self._reply(datagram,
-                            {"id": request_id, "ok": False,
-                             "error": (type(exc).__name__, str(exc))})
-                continue
-            if hasattr(value, "send"):  # generator: serve concurrently
-                self.host.spawn(self._serve_async(datagram, request_id,
-                                                  value))
-            else:
-                self._reply(datagram,
-                            {"id": request_id, "ok": True, "value": value})
+            self.host.start(self._serve(datagram))
 
-    def _serve_async(self, datagram, request_id, handler_gen) -> Generator:
-        try:
-            value = yield from handler_gen
-            reply = {"id": request_id, "ok": True, "value": value}
-        except Exception as exc:  # noqa: BLE001
-            reply = {"id": request_id, "ok": False,
-                     "error": (type(exc).__name__, str(exc))}
-        self._reply(datagram, reply)
-
-    def _reply(self, datagram, reply: dict) -> None:
-        # Count only when the reply datagram actually goes out: if
-        # stop() or a crash closed the socket while a generator handler
-        # was still working, the request was *not* served — counting it
-        # would drift served-vs-answered accounting in soak reports.
+    def _serve(self, datagram) -> Generator:
+        request = datagram.payload
+        if type(request) is not dict:
+            return  # not an RPC envelope: dropped, like a lost datagram
+        ctx = RpcContext(src_host=datagram.src_host.name, transport="udp")
+        reply = yield from _answer(self.handlers, ctx, request)
+        # Served only if the reply goes out: stop() or a crash may have
+        # closed the socket while the handler waited.
         socket = self._socket
-        if socket is None or socket.closed:
-            return
-        socket.send_to(datagram.src_host, datagram.src_port, reply,
-                       size=_reply_size(reply))
-        self.requests_served += 1
+        if socket is not None and not socket.closed:
+            socket.send_to(datagram.src_host, datagram.src_port, reply,
+                           size=_reply_size(reply))
+            self.requests_served += 1
 
 
 class UdpRpcClient:
@@ -742,15 +723,7 @@ class UdpRpcClient:
                 datagram = yield self._socket.recv()
             except TransportError:
                 return
-            reply = datagram.payload
-            waiter = self._pending.pop(reply.get("id"), None)
-            if waiter is None or waiter.triggered:
-                continue
-            if reply.get("ok"):
-                waiter.succeed(reply.get("value"))
-            else:
-                kind, message = reply.get("error", ("RpcError", "?"))
-                waiter.fail(RpcFault(kind, message))
+            _settle(self._pending, datagram.payload)
 
     def call(self, dst: Host, port: int, method: str,
              args: Optional[dict] = None

@@ -119,22 +119,23 @@ class Host:
             raise HostDown("cannot spawn on crashed host %s" % self.name)
         return self._own(self.sim.process(generator))
 
-    def adopt(self, generator: Generator, target: Event) -> Process:
-        """:meth:`Simulator.adopt` for a generator started in the
-        caller's frame on this host: from its first suspension on it
-        is one of the host's processes and dies in a crash like any
-        spawned one."""
+    def start(self, generator: Generator) -> Optional[Process]:
+        """:meth:`Simulator.start` on this host: once it waits, one of
+        the host's processes — or killed there, if its first step
+        crashed this host."""
         if not self.up:
-            raise HostDown("cannot adopt on crashed host %s" % self.name)
-        return self._own(self.sim.adopt(generator, target))
-
-    def _own(self, process: Process) -> Process:
-        self._processes[process] = None
-        process.add_callback(self._disown)
+            raise HostDown("cannot start on crashed host %s" % self.name)
+        process = self.sim.start(generator)
+        if process is not None and self.up:
+            self._own(process)
+        elif process is not None:
+            process.kill()
         return process
 
-    def _disown(self, process: Process) -> None:
-        self._processes.pop(process, None)
+    def _own(self, process: Process) -> Process:
+        self._processes[process] = None  # left as it ends (Process._end)
+        process._owner = self._processes
+        return process
 
     # -- lifecycle --------------------------------------------------------
 
@@ -145,8 +146,7 @@ class Host:
         self.up = False
         self.network.set_host_down(self.name, True)
         for process in list(self._processes):
-            process.kill()
-        self._processes.clear()
+            process.kill()  # each leaves _processes as it dies
         for connection in list(self._connections):
             connection._break()
         self._connections.clear()

@@ -252,7 +252,7 @@ class AggregatedPopulation:
 
     def _launch(self, arrival: Arrival) -> None:
         self._in_flight += 1
-        self.sim.process(self._measure_one(arrival))
+        self.sim.start(self._measure_one(arrival))
 
     def _launch_loop(self, arrival: Arrival) -> None:
         self._in_flight += 1

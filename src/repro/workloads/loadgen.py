@@ -444,7 +444,7 @@ class LoadGenerator:
                 yield self.sim.timeout(arrival.time - self.sim.now)
             self.stats.note_issued()
             issued += 1
-            self.sim.process(self._measure(arrival))
+            self.sim.start(self._measure(arrival))
         self._target = issued
         if self._finished < issued:
             # Wait for in-flight stragglers — woken exactly once by the

@@ -291,3 +291,104 @@ def test_lookup_latency_proportional_to_distance(deployment):
     near_time = run(world, timed_lookup(near), host=near)
     far_time = run(world, timed_lookup(far), host=far)
     assert far_time > near_time * 3
+
+
+# -- what a walk costs the kernel -------------------------------------------
+
+
+def _registered(world, tree):
+    gos_host = world.host("gos-1", "r0/c0/m0/s0")
+    client = GlsClient(world, gos_host, tree)
+    return run(world, client.register(None, ca_wire(world, gos_host)),
+               host=gos_host)
+
+
+def test_a_lookup_found_here_is_served_with_no_process(deployment):
+    world, tree = deployment
+    oid_hex = _registered(world, tree)
+    leaf = tree.node_for("r0/c0/m0/s0", oid_hex)
+    handle_lookup = leaf._server.handlers["lookup"]
+    owned = []
+
+    def watched(ctx, args):
+        owned.append(len(leaf.host._processes))
+        reply = yield from handle_lookup(ctx, args)
+        return reply
+
+    leaf._server.handlers["lookup"] = watched
+    user = world.host("user-1", "r0/c0/m0/s0")
+    user_client = GlsClient(world, user, tree)
+    world.run()
+    resident = len(leaf.host._processes)
+    before = world.sim.events_processed
+    reply = world.run_until(user.start(user_client.lookup_detailed(oid_hex)),
+                            limit=1e6)
+    assert reply["found"] == "r0/c0/m0/s0"
+    assert owned == [resident]
+    # The request's arrival, the reply's arrival, the caller's waiter.
+    assert world.sim.events_processed - before == 3
+    assert len(leaf.host._processes) == resident
+
+
+def test_a_nine_node_walk_costs_its_messages_and_its_waiters(deployment):
+    """Up four levels to the root, down four: nine requests, nine
+    replies, nine waiters resumed by a reply (the caller and the eight
+    nodes that forwarded).  No process starts or ends: it was 46 with a
+    start and an end event for each node's handler."""
+    world, tree = deployment
+    oid_hex = _registered(world, tree)
+    user = world.host("user-1", "r1/c0/m0/s0")
+    user_client = GlsClient(world, user, tree)
+    world.run()
+    resident = {host: len(host._processes) for host in world.hosts.values()}
+    before = world.sim.events_processed
+    reply = world.run_until(user.start(user_client.lookup_detailed(oid_hex)),
+                            limit=1e6)
+    assert (reply["found"], reply["hops"]) == ("r0/c0/m0/s0", 8)
+    assert world.sim.events_processed - before == 9 + 9 + 9
+    assert resident == {host: len(host._processes)
+                        for host in world.hosts.values()}
+
+
+def test_a_node_that_crashes_its_own_host_mid_walk_is_killed(deployment):
+    """The datagram twin of an RpcServer handler crashing its host: the
+    handler, started in the arrival's frame, is killed at its first
+    wait, at the crash instant; the walk ends in the callers' retries
+    and nothing is left behind."""
+    from repro.sim.rpc import RpcTimeout
+
+    world, tree = deployment
+    oid_hex = _registered(world, tree)
+    city = tree.node_for("r1/c0/m0", oid_hex)
+    handle_lookup = city._server.handlers["lookup"]
+    trail = []
+
+    def poisoned(ctx, args):
+        city.host.crash()
+        trail.append(("crashed", world.now))
+        try:
+            yield world.sim.timeout(0.01)   # say, a write to its disk
+            trail.append("resumed on a dead host")
+            reply = yield from handle_lookup(ctx, args)
+            return reply
+        finally:
+            trail.append(("closed", world.now))
+
+    city._server.handlers["lookup"] = poisoned
+    user = world.host("user-1", "r1/c0/m0/s0")
+    user_client = GlsClient(world, user, tree)
+
+    def lookup():
+        try:
+            yield from user_client.lookup_detailed(oid_hex)
+        except (GlsError, RpcTimeout) as exc:
+            return type(exc).__name__, world.now
+
+    outcome = run(world, lookup(), host=user)
+    world.run()
+    assert outcome[0] in ("GlsError", "RpcTimeout")
+    crashed_at = trail[0][1]
+    assert trail == [("crashed", crashed_at), ("closed", crashed_at)]
+    assert outcome[1] > crashed_at
+    assert not city.host.up and not city.host._processes
+    assert world.sim.heap_size == 0

@@ -335,17 +335,96 @@ def test_adopted_generator_continues_from_the_event_it_yielded():
         trail.append((value, sim.now))
         return "done"
 
-    generator = work()
-    target = next(generator)             # the caller's own frame
-    before = sim.events_processed
-    process = sim.adopt(generator, target)
+    process = sim.start(work())          # runs here, up to its yield
+    assert trail == [("started", 0)]
     sim.run()
     assert trail == [("started", 0), ("woke", 2.0)]
     assert process.value == "done"
-    # The timer and the completion: no start event was spent.
-    assert sim.events_processed - before == 2
+    # The timer alone: no start event, and an end nobody waits on is
+    # silent.
+    assert sim.events_processed == 1
+
+    def yields_garbage():
+        yield "not an event"
+
     with pytest.raises(SimulationError):
-        sim.adopt(work(), "not an event")
+        sim.start(yields_garbage())
+
+
+def test_start_of_a_generator_that_never_yields_makes_no_process():
+    sim = Simulator()
+    trail = []
+
+    def answers_at_once():
+        trail.append(sim.now)
+        return "answered"
+        yield  # pragma: no cover - a generator function that never waits
+
+    assert sim.start(answers_at_once()) is None
+    assert trail == [0.0]
+    assert (sim.ready_size, sim.heap_size, sim.events_processed) == (0, 0, 0)
+
+
+def test_a_finished_process_nobody_waits_on_costs_no_event():
+    sim = Simulator()
+
+    def work():
+        yield sim.timeout(1.0)
+        return "done"
+
+    def sleeper():
+        yield sim.timeout(50.0)
+
+    finished = sim.process(work())
+    sim.run()
+    assert finished.processed and finished.value == "done"
+    assert sim.events_processed == 2     # its start and its timer
+
+    victim = sim.start(sleeper())
+    seq = sim.reserve_seq()
+    victim.kill()
+    # Not enqueued, and no sequence number drawn for the end.
+    assert sim.reserve_seq() == seq + 1
+    assert victim.processed and victim.value is None
+    assert sim.ready_size == 0 and sim.heap_size == 0
+    sim.run()
+    assert sim.events_processed == 2 and sim.now == 1.0
+
+
+def test_waiting_on_a_process_that_ended_silently_resumes_via_the_bridge():
+    sim = Simulator()
+
+    def quick():
+        yield sim.timeout(1.0)
+        return "early"
+
+    ended = sim.process(quick())
+    sim.run()
+    assert ended.processed               # ended with nobody waiting
+
+    def waiter():
+        value = yield ended
+        first = yield AnyOf(sim, [ended, sim.timeout(5.0)])
+        every = yield AllOf(sim, [ended])
+        return value, list(first.values()), list(every.values()), sim.now
+
+    process = sim.process(waiter())
+    sim.run()
+    assert process.value == ("early", ["early"], ["early"], 1.0)
+
+
+def test_a_process_that_raises_surfaces_though_nobody_waits_on_it():
+    sim = Simulator()
+
+    def broken():
+        yield sim.timeout(1.0)
+        raise RuntimeError("unhandled")
+
+    process = sim.start(broken())
+    with pytest.raises(RuntimeError, match="unhandled"):
+        sim.run()
+    assert not process.ok
+    assert sim.events_processed == 2     # the timer and the failure
 
 
 def test_anyof_fires_on_first():

@@ -778,6 +778,146 @@ def test_udp_server_stop_mid_serve_is_not_counted(world):
     assert server.requests_served == 1
 
 
+def test_udp_generator_handler_is_served_like_a_channel_request(world):
+    """A datagram's handler runs in the arrival's frame: one that
+    answers from memory is no process, one that waits becomes one only
+    from its wait, and either way the host holds nothing afterwards."""
+    a = world.host("client", "r0/c0/m0/s0")
+    b = world.host("node", "r0/c0/m0/s1")
+    server = UdpRpcServer(b, 5300)
+    owned = []
+
+    def from_memory(ctx, args):
+        owned.append(len(b._processes))
+        return "cached"
+        yield  # pragma: no cover - a generator function that never waits
+
+    def waits(ctx, args):
+        owned.append(len(b._processes))
+        yield world.sim.timeout(0.05)
+        owned.append(len(b._processes))
+        return "waited"
+
+    server.register("cached", from_memory)
+    server.register("waits", waits)
+    server.start()
+    client = UdpRpcClient(a)
+
+    def caller():
+        yield world.sim.timeout(0.1)     # the serve loop is up
+        resident = len(b._processes)
+        events = world.sim.events_processed
+        first = yield from client.call(b, 5300, "cached", {})
+        cached_events = world.sim.events_processed - events
+        events = world.sim.events_processed
+        second = yield from client.call(b, 5300, "waits", {})
+        waited_events = world.sim.events_processed - events
+        return resident, first, second, cached_events, waited_events
+
+    resident, first, second, cached, waited = world.run_until(
+        a.spawn(caller()), limit=100)
+    assert (first, second) == ("cached", "waited")
+    assert owned == [resident, resident, resident + 1]
+    # Arrival, reply arrival, the caller's waiter; the handler that
+    # waits adds only the timer it waits on.
+    assert (cached, waited) == (3, 4)
+    assert len(b._processes) == resident
+    assert server.requests_served == 2
+
+
+# -- a payload that is not an RPC envelope ----------------------------------
+
+
+def test_udp_server_drops_a_payload_that_is_no_request(world):
+    # Regression: one "junk" datagram raised AttributeError out of the
+    # serve loop and ended the whole run.
+    a = world.host("client", "r0/c0/m0/s0")
+    b = world.host("node", "r0/c0/m0/s1")
+    server = _udp_server(world, b)
+    rogue = a.udp_socket()
+    client = UdpRpcClient(a)
+
+    def caller():
+        for junk in ("junk", ["id", 1], None):
+            rogue.send_to(b, 5300, junk)
+        yield world.sim.timeout(0.1)
+        value = yield from client.call(b, 5300, "lookup", {"key": "ok"})
+        return value
+
+    assert world.run_until(a.spawn(caller()), limit=100) == {"found": "OK"}
+    assert server.requests_served == 1   # the junk was never answered
+
+
+def test_udp_client_drops_a_payload_that_is_no_reply(world):
+    a = world.host("client", "r0/c0/m0/s0")
+    b = world.host("node", "r0/c0/m0/s1")
+    _udp_server(world, b)
+    rogue = b.udp_socket()
+    client = UdpRpcClient(a)
+
+    def caller():
+        port = client._socket.port
+        for junk in ("junk", {"id": [1]}, {"id": 10 ** 9, "ok": True}):
+            rogue.send_to(a, port, junk)
+        yield world.sim.timeout(0.1)
+        value = yield from client.call(b, 5300, "lookup", {"key": "ok"})
+        return value
+
+    assert world.run_until(a.spawn(caller()), limit=100) == {"found": "OK"}
+
+
+def test_channel_server_answers_a_payload_that_is_no_request(world):
+    a = world.host("client", "r0/c0/m0/s0")
+    b = world.host("server", "r0/c0/m0/s1")
+    _echo_server(world, b)
+
+    def client():
+        conn = yield from a.connect(b, 7000)
+        conn.send("junk")
+        fault = yield conn.recv()
+        conn.send({"id": 1, "method": ["echo"]})   # no method name
+        unknown = yield conn.recv()
+        conn.send({"id": 2, "method": "echo", "args": {"text": "still up"},
+                   "src": a.name})
+        reply = yield conn.recv()
+        conn.close()
+        return fault, unknown, reply
+
+    fault, unknown, reply = world.run_until(a.spawn(client()), limit=100)
+    assert fault == {"id": None, "ok": False,
+                     "error": ("MalformedRequest", "not an RPC envelope")}
+    assert unknown == {"id": 1, "ok": False,
+                       "error": ("NoSuchMethod", ["echo"])}
+    assert reply == {"id": 2, "ok": True, "value": "still up"}
+
+
+def test_channel_dispatcher_drops_a_payload_that_is_no_reply(world):
+    a = world.host("client", "r0/c0/m0/s0")
+    b = world.host("server", "r0/c0/m0/s1")
+    listener = b.listen(7000)
+
+    def impostor():
+        conn = yield listener.accept()
+        request = yield conn.recv()
+        conn.send("junk")
+        conn.send({"id": request["id"], "ok": False, "error": "no pair"})
+        request = yield conn.recv()
+        conn.send({"id": request["id"], "ok": True, "value": "answered"})
+
+    def client():
+        channel = yield from RpcChannel.open(a, b, 7000)
+        try:
+            yield from channel.call("first", {})
+        except RpcFault as fault:
+            first = fault.kind
+        value = yield from channel.call("second", {})
+        return first, value
+
+    b.spawn(impostor())
+    assert world.run_until(a.spawn(client()), limit=100) \
+        == ("RpcError", "answered")
+
+
 def test_udp_guarded_calls_pool_timer_churn(world):
     # The tentpole's acceptance numbers: guarded calls must no longer
     # cost one kernel timer each.  An echo round trip schedules two

@@ -379,6 +379,57 @@ def test_inbox_keeps_data_failures_and_end_of_stream_in_order(world):
                for event in parked[2:])
 
 
+def test_a_host_forgets_its_processes_as_they_end_or_die(world):
+    """Ownership is a slot each process clears as it ends — returned,
+    raised or killed by a crash — at no kernel event of its own."""
+    a = world.host("a", "r0/c0/m0/s0")
+    sim = world.sim
+
+    def sleeps(delay):
+        yield sim.timeout(delay)
+
+    def breaks():
+        yield sim.timeout(1.0)
+        raise ValueError("handled below")
+
+    a.spawn(sleeps(1.0))
+    started = a.start(sleeps(1.0))
+    broken = a.start(breaks())
+    broken.defuse()
+    assert len(a._processes) == 3
+    world.run()
+    assert not a._processes
+    assert not started.alive and not broken.ok
+    # The spawn's start event, three timers and the failure.
+    assert sim.events_processed == 5
+
+    daemons = [a.spawn(sleeps(100.0)), a.start(sleeps(100.0))]
+    world.run(until=world.now + 1.0)
+    a.crash()
+    assert not a._processes
+    assert not any(daemon.alive for daemon in daemons)
+
+
+def test_start_on_a_host_its_first_step_crashed_kills_it(world):
+    a = world.host("a", "r0/c0/m0/s0")
+    trail = []
+
+    def crashes_its_host():
+        a.crash()
+        try:
+            yield world.sim.timeout(5.0)
+            trail.append("resumed on a dead host")
+        finally:
+            trail.append(("closed", world.now))
+
+    process = a.start(crashes_its_host())
+    assert trail == [("closed", 0.0)]
+    assert not process.alive and not a._processes
+    assert world.sim.heap_size == 0       # its timer was withdrawn
+    with pytest.raises(HostDown):
+        a.start(crashes_its_host())
+
+
 def test_spawn_on_crashed_host_rejected(world):
     a = world.host("a", "r0/c0/m0/s0")
     a.crash()
