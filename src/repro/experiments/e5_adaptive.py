@@ -163,7 +163,7 @@ def _run_strategy(strategy: str, seed: int, document_count: int,
             target_time = replay_start + request.time
             if target_time > gdn.world.now:
                 yield gdn.world.sim.timeout(target_time - gdn.world.now)
-            doc = documents[request.object_index]
+            doc = documents[request.rank]
             if request.kind == "read":
                 gdn.world.sim.process(do_read(request, doc))
             else:

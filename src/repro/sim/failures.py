@@ -27,14 +27,18 @@ class FailureInjector:
     def _note(self, kind: str, target: str) -> None:
         self.log.append((self.world.now, kind, target))
 
+    def _until(self, when: float) -> Generator:
+        """Sleep to exactly ``when`` (``timeout(when - now)`` can land
+        one ULP off); a past ``when`` does not wait."""
+        if when > self.world.now:
+            yield self.world.sim.timeout_at(when)
+
     # -- host failures ------------------------------------------------------
 
     def crash_host_at(self, host: Host, when: float) -> None:
         """Hard-crash ``host`` at absolute simulation time ``when``."""
         def fire() -> Generator:
-            delay = when - self.world.now
-            if delay > 0:
-                yield self.world.sim.timeout(delay)
+            yield from self._until(when)
             self._note("crash", host.name)
             host.crash()
         self.world.sim.process(fire())
@@ -48,9 +52,7 @@ class FailureInjector:
         substrate, reproducing §4's reboot-reconstruction requirement.
         """
         def fire() -> Generator:
-            delay = when - self.world.now
-            if delay > 0:
-                yield self.world.sim.timeout(delay)
+            yield from self._until(when)
             self._note("restart", host.name)
             host.restart()
             if recover is not None:
@@ -70,9 +72,7 @@ class FailureInjector:
                          duration: float) -> None:
         """Cut ``domain`` off from the rest of the world for ``duration``."""
         def fire() -> Generator:
-            delay = start - self.world.now
-            if delay > 0:
-                yield self.world.sim.timeout(delay)
+            yield from self._until(start)
             self._note("partition", domain.path)
             self.world.network.partition_domain(domain)
             yield self.world.sim.timeout(duration)
@@ -103,14 +103,12 @@ class FailureInjector:
             raise ValueError("window end must come after start")
 
         def fire() -> Generator:
-            delay = start - self.world.now
-            if delay > 0:
-                yield self.world.sim.timeout(delay)
+            yield from self._until(start)
             loss = self.world.network.params.loss
             prior = loss[level]
             loss[level] = probability
             self._note("loss=%g" % probability, level.name)
-            yield self.world.sim.timeout(end - self.world.now)
+            yield from self._until(end)
             loss[level] = prior
             self._note("loss=%g" % prior, level.name)
         self.world.sim.process(fire())

@@ -785,6 +785,21 @@ class Singleflight:
         return value
 
 
+class _StopMark:
+    """The ``done`` of a loop no process ends (see
+    :meth:`Simulator._dispatch`): only its ``_value`` is read."""
+
+    __slots__ = ("_value",)
+
+    def __init__(self, value: Any):
+        self._value = value
+
+
+_NEVER = _StopMark(_PENDING)  # run(): stop only on until or drain
+_FIRED = _StopMark(None)      # step(): stop after the first event
+_INF = float("inf")
+
+
 class Simulator:
     """The event loop: a run queue of same-instant events + a timer heap.
 
@@ -810,8 +825,9 @@ class Simulator:
     pass, keeping the amortised cost of a cancellation O(1).  Run-queue
     entries are never cancelled (only pending timers are), so the run
     queue needs no invalidation machinery.  Compaction replaces the
-    heap list, so the execution loops re-read ``self._heap`` every
-    iteration; the run queue is only ever mutated in place.
+    heap list, so the event loop (:meth:`_dispatch`) re-reads
+    ``self._heap`` every iteration; the run queue is only ever mutated
+    in place.
     """
 
     def __init__(self):
@@ -998,56 +1014,17 @@ class Simulator:
         self._discard_stale_head()
         return self._heap[0][0] if self._heap else float("inf")
 
-    # The event-processing body is deliberately duplicated inline in
-    # step() / run() / run_until_complete(): this is the hottest code
-    # in the repo and a shared helper would cost a Python call per
-    # event.  Keep the three copies textually identical.
+    def _dispatch(self, until: float, done: "Event | _StopMark") -> bool:
+        """The one event loop: fire events in ``(time, seq)`` order
+        until ``done`` has triggered (True), or until the queues drain
+        or the next event lies past ``until`` (False).
 
-    def step(self) -> None:
-        """Process exactly one event (skipping cancelled timers).
-
-        Raises ``IndexError`` when nothing is scheduled at all, as the
-        single-heap scheduler did.
+        ``done`` is tested *after* each event, so an already-triggered
+        ``done`` fires exactly one event (:meth:`step`) and a never
+        triggered one runs to ``until`` (:meth:`run`).  The three entry
+        points differ only in these two arguments: the stop test is
+        the ``_value`` check each event pays anyway.
         """
-        ready = self._ready
-        heap = self._heap
-        while heap and heap[0][2] is None:
-            heappop(heap)
-            self._stale -= 1
-        if ready:
-            head = heap[0] if heap else None
-            # A timer that ties the current instant fires first only
-            # if it was scheduled first (smaller sequence number).
-            if head is not None and head[0] <= self.now \
-                    and head[1] < ready[0][0]:
-                heappop(heap)
-                event = head[2]
-            else:
-                event = ready.popleft()[1]
-        else:
-            when, _seq, event = heappop(heap)
-            self.now = when
-        if event._value is _PENDING:  # self-triggering event (Timeout)
-            event._ok = True
-            event._value = event._auto_value
-            event._entry = None
-        callbacks = event.callbacks
-        event.callbacks = None
-        self._event_count += 1
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            raise event._value
-
-    def run(self, until: Optional[float] = None) -> None:
-        """Run until the queues are empty or ``sim.now`` would pass
-        ``until``.
-
-        When stopped by ``until`` the clock is advanced exactly to it,
-        so follow-up ``run`` calls observe a consistent timeline.
-        """
-        if until is not None and until < self.now:
-            raise SimulationError("cannot run backwards in time")
         ready = self._ready
         # Re-read self._heap each iteration: cancellation may compact
         # it (replacing the list) from inside an event callback.  The
@@ -1059,22 +1036,21 @@ class Simulator:
                 heappop(heap)
                 self._stale -= 1
                 continue
-            if ready:
+            if ready and self.now <= until:
+                # A timer that ties the current instant fires first
+                # only if it was scheduled first (smaller sequence).
                 if head is not None and head[0] <= self.now \
                         and head[1] < ready[0][0]:
                     heappop(heap)
                     event = head[2]
                 else:
                     event = ready.popleft()[1]
-            elif head is not None:
-                if until is not None and head[0] > until:
-                    self.now = until
-                    return
+            elif head is not None and head[0] <= until:
                 heappop(heap)
                 self.now = head[0]
                 event = head[2]
             else:
-                break
+                return False
             if event._value is _PENDING:  # self-triggering (Timeout)
                 event._ok = True
                 event._value = event._auto_value
@@ -1086,8 +1062,32 @@ class Simulator:
                 callback(event)
             if not event._ok and not event._defused:
                 raise event._value
-        if until is not None:
-            self.now = until
+            if done._value is not _PENDING:
+                return True
+
+    def step(self) -> None:
+        """Process exactly one event (skipping cancelled timers).
+
+        Raises ``IndexError`` when nothing is scheduled at all, as the
+        single-heap scheduler did.
+        """
+        if not self._dispatch(_INF, _FIRED):
+            raise IndexError("step() with nothing scheduled")
+
+    def run(self, until: Optional[float] = None) -> None:
+        """Run until the queues are empty or ``sim.now`` would pass
+        ``until``.
+
+        When stopped by ``until`` the clock is advanced exactly to it,
+        so follow-up ``run`` calls observe a consistent timeline.
+        """
+        if until is None:
+            self._dispatch(_INF, _NEVER)
+            return
+        if until < self.now:
+            raise SimulationError("cannot run backwards in time")
+        self._dispatch(until, _NEVER)
+        self.now = until
 
     def run_until_complete(self, process: Process,
                            limit: float = float("inf")) -> Any:
@@ -1097,39 +1097,8 @@ class Simulator:
         event queues drain or time passes ``limit`` first, a
         :class:`SimulationError` is raised.
         """
-        ready = self._ready
-        # `process._value is _PENDING` inlines `not process.triggered`:
-        # this check runs once per processed event.
-        while process._value is _PENDING:
-            heap = self._heap
-            head = heap[0] if heap else None
-            if head is not None and head[2] is None:
-                heappop(heap)
-                self._stale -= 1
-                continue
-            if ready and self.now <= limit:
-                if head is not None and head[0] <= self.now \
-                        and head[1] < ready[0][0]:
-                    heappop(heap)
-                    event = head[2]
-                else:
-                    event = ready.popleft()[1]
-            elif head is not None and head[0] <= limit:
-                heappop(heap)
-                self.now = head[0]
-                event = head[2]
-            else:
-                raise SimulationError(
-                    "process did not complete (deadlock or time limit)")
-            if event._value is _PENDING:  # self-triggering (Timeout)
-                event._ok = True
-                event._value = event._auto_value
-                event._entry = None
-            callbacks = event.callbacks
-            event.callbacks = None
-            self._event_count += 1
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                raise event._value
+        if process._value is _PENDING \
+                and not self._dispatch(limit, process):
+            raise SimulationError(
+                "process did not complete (deadlock or time limit)")
         return process.value

@@ -59,8 +59,8 @@ class Domain:
         # A domain's ancestry is fixed at construction (parents are
         # never re-assigned), so the root-to-self chain and the path
         # string can be computed once here instead of walking the tree
-        # per query — lca/separation and Request construction sit on
-        # hot per-message paths at thousand-site scale.
+        # per query — lca/separation and region lookups sit on hot
+        # per-message paths at thousand-site scale.
         if parent is None:
             self._lineage: tuple = (self,)
             self._path = ""
@@ -97,8 +97,8 @@ class Domain:
         a usable grouping key instead of an IndexError.
 
         The result is memoised on first call: ancestry is immutable,
-        and ``Request.__init__`` resolves a region per request on the
-        hot workload path.
+        and ``RequestStream.reads_by_region`` resolves a region per
+        request.
         """
         region = self._region
         if region is None:

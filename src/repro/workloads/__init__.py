@@ -5,11 +5,11 @@ from .loadgen import (Arrival, ArrivalSchedule, BurstSchedule,
                       FlashCrowdSchedule, LoadGenerator, LoadStats,
                       PoissonSchedule, UniformSchedule)
 from .packages import PackageSpec, generate_corpus, synthetic_file
-from .population import ClientPopulation, Request, RequestStream
+from .population import ClientPopulation, RequestStream
 from .scenario import (TRACE_DIR, ClosedLoopScenario, HybridScenario,
                        OpenLoopScenario, RequestMix, Scenario, Soak,
-                       SoakReport, TraceEvent, TraceScenario, bundled_trace,
-                       load_trace, record_stream, save_trace)
+                       SoakReport, TraceScenario, bundled_trace, load_trace,
+                       save_trace)
 from .webtrace import WebDocument, make_web_trace
 from .zipf import ZipfSampler
 
@@ -18,10 +18,9 @@ __all__ = [
     "Arrival", "ArrivalSchedule", "BurstSchedule", "FlashCrowdSchedule",
     "LoadGenerator", "LoadStats", "PoissonSchedule", "UniformSchedule",
     "PackageSpec", "generate_corpus", "synthetic_file",
-    "ClientPopulation", "Request", "RequestStream",
+    "ClientPopulation", "RequestStream",
     "TRACE_DIR", "ClosedLoopScenario", "HybridScenario", "OpenLoopScenario",
-    "RequestMix", "Scenario", "Soak", "SoakReport", "TraceEvent",
-    "TraceScenario", "bundled_trace", "load_trace", "record_stream",
-    "save_trace",
+    "RequestMix", "Scenario", "Soak", "SoakReport", "TraceScenario",
+    "bundled_trace", "load_trace", "save_trace",
     "WebDocument", "make_web_trace", "ZipfSampler",
 ]

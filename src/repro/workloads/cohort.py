@@ -7,13 +7,14 @@ timer per simulated browser, which caps realistic populations around
 10^3–10^4.  This module merges *k* statistically identical clients at
 one site into a single **cohort** driven by one generator:
 
-* :class:`CohortScenario` — a drop-in sibling of
+* :class:`CohortScenario` — a
   :class:`~repro.workloads.scenario.ClosedLoopScenario` (same
-  constructor vocabulary, same :class:`~repro.workloads.scenario
-  .Scenario` driving contract) that groups its clients into per-site
-  cohorts of at most ``cohort_size``.  Callers that want per-client
-  attribution at small populations drive ``ClosedLoopScenario``
-  itself; a cohort is for populations that engine cannot hold.
+  constructor vocabulary and checks, same :class:`~repro.workloads
+  .scenario.Scenario` driving contract) that groups its clients into
+  per-site cohorts of at most ``cohort_size``.  Callers that want
+  per-client attribution at small populations drive
+  ``ClosedLoopScenario`` itself; a cohort is for populations that
+  engine cannot hold.
 * :class:`AggregatedPopulation` — the cohort engine: it keeps only a
   *count* of thinking clients and draws the cohort's next
   issue instant from the order statistics of k exponential think
@@ -43,8 +44,9 @@ from typing import Generator, List, Optional, Sequence, Tuple
 
 from ..sim.kernel import Event, Simulator, Timeout
 from ..sim.topology import Domain
-from .loadgen import Arrival, LoadStats, measured
-from .scenario import RequestFn, RequestMix, Scenario
+from .loadgen import Arrival, LoadStats, draw, measured
+from .scenario import (ClosedLoopScenario, RequestFn, RequestMix,
+                       _check_closed_loop)
 
 __all__ = ["DiurnalProfile", "AggregatedPopulation", "CohortScenario"]
 
@@ -107,6 +109,15 @@ class DiurnalProfile:
         return sum(self.multipliers) / len(self.multipliers)
 
 
+def _check_profile(profile: Optional[DiurnalProfile], think: str,
+                   think_time: float) -> None:
+    if profile is not None and (think != "exponential"
+                                or think_time == 0.0):
+        raise ValueError("activity profiles need exponential think "
+                         "times (there is no rate to scale "
+                         "otherwise)")
+
+
 class AggregatedPopulation:
     """k merged closed-loop clients at one site, O(1) state in k.
 
@@ -149,24 +160,9 @@ class AggregatedPopulation:
                  requests_per_client: Optional[int] = None,
                  duration: Optional[float] = None,
                  profile: Optional[DiurnalProfile] = None):
-        if clients < 1:
-            raise ValueError("need at least one client")
-        if (requests_per_client is None) == (duration is None):
-            raise ValueError("bound the clients with either "
-                             "requests_per_client or duration")
-        if requests_per_client is not None and requests_per_client < 1:
-            raise ValueError("need at least one request per client")
-        if duration is not None and duration <= 0:
-            raise ValueError("duration must be positive")
-        if think_time < 0:
-            raise ValueError("think time cannot be negative")
-        if think not in ("exponential", "fixed"):
-            raise ValueError("think must be 'exponential' or 'fixed'")
-        if profile is not None and (think != "exponential"
-                                    or think_time == 0.0):
-            raise ValueError("activity profiles need exponential think "
-                             "times (there is no rate to scale "
-                             "otherwise)")
+        _check_closed_loop(clients, think_time, requests_per_client,
+                           duration, think)
+        _check_profile(profile, think, think_time)
         self.sim = sim
         self.request = request
         self.rng = rng
@@ -227,10 +223,7 @@ class AggregatedPopulation:
     # -- issuing ---------------------------------------------------------
 
     def _draw_arrival(self) -> Arrival:
-        if self.mix is not None:
-            rank, kind = self.mix.draw(self.rng)
-        else:
-            rank, kind = 0, "read"
+        rank, kind = draw(self.mix, self.rng)
         index = self.counter[0]
         self.counter[0] += 1
         arrival = Arrival(index, self.sim.now, self.site, rank, kind)
@@ -398,12 +391,12 @@ class AggregatedPopulation:
             done.succeed()
 
 
-class CohortScenario(Scenario):
+class CohortScenario(ClosedLoopScenario):
     """A closed-loop population driven as per-site aggregated cohorts.
 
-    The constructor vocabulary of :class:`~repro.workloads.scenario
-    .ClosedLoopScenario` (clients, think_time, requests_per_client /
-    duration, sites, mix, think, phases), plus:
+    A :class:`~repro.workloads.scenario.ClosedLoopScenario` (clients,
+    think_time, requests_per_client / duration, sites, mix, think,
+    phases, and their checks) built as cohorts, plus:
 
     * ``cohort_size`` — at most this many clients share one
       :class:`AggregatedPopulation` driver (one RNG fork per cohort);
@@ -428,42 +421,13 @@ class CohortScenario(Scenario):
                  phases: Optional[Sequence[Tuple[float, str]]] = None,
                  cohort_size: int = 4096,
                  profile: Optional[DiurnalProfile] = None):
-        if clients < 1:
-            raise ValueError("need at least one client")
-        if (requests_per_client is None) == (duration is None):
-            raise ValueError("bound the clients with either "
-                             "requests_per_client or duration")
-        if requests_per_client is not None and requests_per_client < 1:
-            raise ValueError("need at least one request per client")
-        if duration is not None and duration <= 0:
-            raise ValueError("duration must be positive")
-        if think_time < 0:
-            raise ValueError("think time cannot be negative")
-        if think not in ("exponential", "fixed"):
-            raise ValueError("think must be 'exponential' or 'fixed'")
+        super().__init__(clients, think_time, requests_per_client, sites,
+                         mix, think, label, duration, phases)
         if cohort_size < 1:
             raise ValueError("cohort_size must be >= 1")
-        if profile is not None and (think != "exponential"
-                                    or think_time == 0.0):
-            raise ValueError("activity profiles need exponential think "
-                             "times")
-        self.clients = clients
-        self.think_time = think_time
-        self.requests_per_client = requests_per_client
-        self.duration = duration
-        self.sites = list(sites) if sites is not None else None
-        self.mix = mix
-        self.think = think
-        self.label = label
+        _check_profile(profile, think, think_time)
         self.cohort_size = cohort_size
         self.profile = profile
-        self.phases = self._validated_phases(phases)
-
-    @property
-    def count(self) -> Optional[int]:
-        if self.requests_per_client is None:
-            return None
-        return self.clients * self.requests_per_client
 
     def build(self, sim: Simulator, request: RequestFn,
               rng: random.Random, stats: LoadStats) -> List[Generator]:

@@ -21,11 +21,15 @@ Three pieces:
   constant rate) and :class:`FlashCrowdSchedule` (piecewise-constant
   Poisson: a base rate, then a spike at ``peak_rate``).  All yield
   absolute simulation times and are deterministic per supplied RNG.
-* **Request population** — optional Zipf object popularity (via
-  :class:`.zipf.ZipfSampler`) and per-request site placement drawn
-  from a topology's sites, so load lands where clients live.
-* **The driver** — :class:`LoadGenerator` spawns one simulation
-  process per arrival, measures each request's latency, and accounts
+* **The request record** — :class:`Arrival` (index, time, site, rank,
+  kind) is the one record of a request in the workload layer: the
+  driver issues it, a :class:`~repro.workloads.population
+  .RequestStream` holds it, and a trace file stores it.  Its site is
+  drawn from a topology's sites, so load lands where clients live;
+  its object rank and kind come from an optional request mix
+  (:func:`draw`).
+* **The driver** — :class:`LoadGenerator` starts one request per
+  arrival, measures each request's latency, and accounts
   successes, application failures and errors in :class:`LoadStats` —
   a bundle of telemetry-registry instruments whose latency histogram
   streams in O(1) per request (no sample list at 10⁵+ scale).  Runs
@@ -43,11 +47,11 @@ Typical use::
 
 where ``do_one(arrival)`` is a generator performing one request
 against the system under test; it may use ``arrival.site`` (a
-:class:`~repro.sim.topology.Domain`) and ``arrival.rank`` (a Zipf
-popularity rank, 0 = hottest).  Return ``False`` to record an
-application-level failure; any exception is recorded under its type
-name.  The driver never waits for a request to finish before issuing
-the next one — that is the point.
+:class:`~repro.sim.topology.Domain`), ``arrival.rank`` (the object's
+popularity rank, 0 = hottest) and ``arrival.kind``.  Return ``False``
+to record an application-level failure; any exception is recorded
+under its type name.  The driver never waits for a request to finish
+before issuing the next one — that is the point.
 """
 
 from __future__ import annotations
@@ -55,12 +59,11 @@ from __future__ import annotations
 import itertools
 import random
 from typing import (Any, Callable, Dict, Generator, Iterator, List,
-                    Optional, Sequence)
+                    Optional, Sequence, Tuple)
 
 from ..analysis.telemetry import MetricsRegistry
 from ..sim.kernel import Event, Simulator
 from ..sim.topology import Domain
-from .zipf import ZipfSampler
 
 __all__ = [
     "Arrival",
@@ -71,12 +74,21 @@ __all__ = [
     "FlashCrowdSchedule",
     "LoadStats",
     "LoadGenerator",
+    "draw",
     "measured",
 ]
 
 
 class Arrival:
-    """One scheduled request: when, from where, for what."""
+    """One request: when, from where, for what.
+
+    The workload layer's only request record: schedules and mixes draw
+    it, closed-loop clients and cohorts issue it, a
+    :class:`~repro.workloads.population.RequestStream` holds it, and
+    :func:`~repro.workloads.scenario.save_trace` /
+    :func:`~repro.workloads.scenario.load_trace` store it (``index`` is
+    then its line in the trace).
+    """
 
     __slots__ = ("index", "time", "site", "rank", "kind")
 
@@ -92,13 +104,26 @@ class Arrival:
         #: request kind, "read" or "write" (traces and mixes set it).
         self.kind = kind
 
-    def __repr__(self) -> str:
+    @property
+    def site_path(self) -> Optional[str]:
+        """The site as a path string (what a trace file stores)."""
         if self.site is None:
-            where = "-"
-        else:
-            where = getattr(self.site, "path", self.site)
+            return None
+        return getattr(self.site, "path", self.site)
+
+    def __repr__(self) -> str:
         return ("Arrival(#%d %.3fs %s obj%d @ %s)"
-                % (self.index, self.time, self.kind, self.rank, where))
+                % (self.index, self.time, self.kind, self.rank,
+                   self.site_path or "-"))
+
+
+def draw(mix: Optional[Any], rng: random.Random) -> Tuple[int, str]:
+    """One ``(rank, kind)`` draw: from ``mix`` (an object with
+    ``draw(rng)``, see :class:`.scenario.RequestMix`) when given, else
+    object 0, read."""
+    if mix is None:
+        return 0, "read"
+    return mix.draw(rng)
 
 
 class ArrivalSchedule:
@@ -339,12 +364,11 @@ class LoadStats:
 class LoadGenerator:
     """Open-loop driver: issue requests on schedule, never wait.
 
-    Each arrival spawns its own simulation process running
-    ``request(arrival)``; the driver sleeps only between arrival
-    times, then waits for the stragglers.  ``sites`` (Domains or site
-    path strings resolved against ``topology``) are sampled uniformly
-    per request; ``popularity`` (a :class:`ZipfSampler`) assigns each
-    request an object rank.  Both are optional — a single-site,
+    Each arrival starts its own request running ``request(arrival)``;
+    the driver sleeps only between arrival times, then waits for the
+    stragglers.  ``sites`` are sampled uniformly per request; ``mix``
+    (a :class:`.scenario.RequestMix`) assigns each request an object
+    rank and a kind.  Both are optional — a single-site,
     single-object workload needs neither.
 
     The run is bounded either by ``count`` (exactly that many
@@ -359,14 +383,13 @@ class LoadGenerator:
                  count: Optional[int] = None,
                  rng: Optional[random.Random] = None,
                  sites: Optional[Sequence[Domain]] = None,
-                 popularity: Optional[ZipfSampler] = None,
                  stats: Optional[LoadStats] = None,
                  arrivals: Optional[Sequence[Arrival]] = None,
                  mix: Optional[Any] = None,
                  duration: Optional[float] = None):
         if arrivals is not None:
-            # A prebuilt arrival stream (trace replay, request mixes)
-            # replaces the schedule/sites/popularity drawing entirely.
+            # A prebuilt arrival stream (trace replay) replaces the
+            # schedule/sites/mix drawing entirely.
             if duration is not None:
                 raise ValueError("duration does not apply to prebuilt "
                                  "arrivals")
@@ -394,10 +417,8 @@ class LoadGenerator:
         self.rng = rng or random.Random(0)
         self.sites: Optional[List[Domain]] = (list(sites) if sites is not None
                                               else None)
-        self.popularity = popularity
         #: optional request mix: an object with ``draw(rng) -> (rank,
-        #: kind)`` (see :class:`.scenario.RequestMix`); takes
-        #: precedence over ``popularity`` and also sets arrival kinds.
+        #: kind)`` (see :class:`.scenario.RequestMix`).
         self.mix = mix
         self.stats = stats if stats is not None else LoadStats()
         # Completion is tracked per generator, not via `stats`: a
@@ -420,11 +441,7 @@ class LoadGenerator:
         for index, time in enumerate(times):
             site = (self.sites[self.rng.randrange(len(self.sites))]
                     if self.sites else None)
-            if self.mix is not None:
-                rank, kind = self.mix.draw(self.rng)
-            else:
-                rank = self.popularity.sample() if self.popularity else 0
-                kind = "read"
+            rank, kind = draw(self.mix, self.rng)
             yield Arrival(index, time, site, rank, kind)
 
     def run(self) -> Generator[Event, Any, float]:

@@ -13,33 +13,17 @@ import random
 from typing import Dict, Iterator, List, Optional
 
 from ..sim.topology import Domain, Topology
+from .loadgen import Arrival
 from .zipf import ZipfSampler
 
-__all__ = ["Request", "RequestStream", "ClientPopulation"]
-
-
-class Request:
-    """One client action in a workload."""
-
-    __slots__ = ("time", "kind", "site", "object_index", "region")
-
-    def __init__(self, time: float, kind: str, site: Domain,
-                 object_index: int):
-        self.time = time
-        self.kind = kind  # "read" or "write"
-        self.site = site
-        self.object_index = object_index
-        self.region = site.region().path
-
-    def __repr__(self) -> str:
-        return ("Request(%.2fs %s obj%d @ %s)"
-                % (self.time, self.kind, self.object_index, self.site.path))
+__all__ = ["RequestStream", "ClientPopulation"]
 
 
 class RequestStream:
-    """A finite, time-sorted list of requests plus summary stats."""
+    """A finite, time-sorted list of :class:`~repro.workloads.loadgen
+    .Arrival`\\ s plus per-object usage summaries."""
 
-    def __init__(self, requests: List[Request]):
+    def __init__(self, requests: List[Arrival]):
         # Generated and replayed streams are already time-ordered;
         # verify that in one linear pass and only pay the sort for the
         # genuinely unsorted caller.
@@ -52,24 +36,23 @@ class RequestStream:
         else:
             self.requests = list(requests)
 
-    def __iter__(self) -> Iterator[Request]:
+    def __iter__(self) -> Iterator[Arrival]:
         return iter(self.requests)
 
     def __len__(self) -> int:
         return len(self.requests)
 
-    def reads_by_region(self, object_index: int) -> Dict[str, int]:
+    def reads_by_region(self, rank: int) -> Dict[str, int]:
         counts: Dict[str, int] = {}
         for request in self.requests:
-            if request.kind == "read" \
-                    and request.object_index == object_index:
-                counts[request.region] = counts.get(request.region, 0) + 1
+            if request.kind == "read" and request.rank == rank:
+                region = request.site.region().path
+                counts[region] = counts.get(region, 0) + 1
         return counts
 
-    def writes(self, object_index: int) -> int:
+    def writes(self, rank: int) -> int:
         return sum(1 for request in self.requests
-                   if request.kind == "write"
-                   and request.object_index == object_index)
+                   if request.kind == "write" and request.rank == rank)
 
 
 class ClientPopulation:
@@ -106,26 +89,24 @@ class ClientPopulation:
         sites = list(region.sites())
         return sites[self.rng.randrange(len(sites))]
 
-    def _site_for(self, object_index: int) -> Domain:
+    def _site_for(self, rank: int) -> Domain:
         if self.rng.random() < self.home_share:
-            return self._site_in(self.home_region[object_index])
+            return self._site_in(self.home_region[rank])
         return self._site_in(
             self.regions[self.rng.randrange(len(self.regions))])
 
     def generate(self, request_count: int,
                  request_rate: float = 10.0) -> RequestStream:
         """A deterministic stream of ``request_count`` requests."""
-        requests: List[Request] = []
+        requests: List[Arrival] = []
         now = 0.0
-        for _ in range(request_count):
+        for index in range(request_count):
             now += self.rng.expovariate(request_rate)
-            object_index = self.popularity.sample()
-            is_write = (self.rng.random()
-                        < self.write_fraction[object_index])
-            if is_write:
-                site = self._site_in(self.home_region[object_index])
-                requests.append(Request(now, "write", site, object_index))
+            rank = self.popularity.sample()
+            if self.rng.random() < self.write_fraction[rank]:
+                site = self._site_in(self.home_region[rank])
+                requests.append(Arrival(index, now, site, rank, "write"))
             else:
-                site = self._site_for(object_index)
-                requests.append(Request(now, "read", site, object_index))
+                site = self._site_for(rank)
+                requests.append(Arrival(index, now, site, rank, "read"))
         return RequestStream(requests)

@@ -16,8 +16,9 @@ Four scenario families:
   read/write kinds.
 * :class:`TraceScenario` — replay of a recorded or synthetic trace:
   a :class:`~repro.workloads.population.RequestStream`, a list of
-  :class:`TraceEvent`, or a CSV/JSONL trace file written by
-  :func:`save_trace`.  Same seed + same trace ⇒ identical stats.
+  :class:`~repro.workloads.loadgen.Arrival`\\ s, or a CSV/JSONL trace
+  file written by :func:`save_trace`.  Same seed + same trace ⇒
+  identical stats.
 * :class:`ClosedLoopScenario` — a population of think-time clients;
   each waits for its own previous request before thinking and issuing
   the next.  The classic interactive-user model, for experiments where
@@ -51,8 +52,12 @@ Every scenario is driven the same way::
                        stats=stats)), limit=1e9)
 
 where ``do_one(arrival)`` is a generator performing one request; the
-arrival carries ``site``, ``rank`` (object index) and ``kind``
-("read"/"write").
+:class:`~repro.workloads.loadgen.Arrival` carries ``index``, ``time``,
+``site``, ``rank`` (object index) and ``kind`` ("read"/"write").  It is
+the one request record throughout: a synthesized
+:class:`~repro.workloads.population.RequestStream` holds Arrivals, a
+trace file stores them (:func:`save_trace`), and every driver issues
+them.
 """
 
 from __future__ import annotations
@@ -70,15 +75,13 @@ from ..sim.topology import Domain, Topology
 from ..sim.transport import Host
 from ..sim.world import World
 from .loadgen import (Arrival, ArrivalSchedule, LoadGenerator, LoadStats,
-                      measured)
+                      draw, measured)
 from .population import RequestStream
 from .zipf import ZipfSampler
 
 __all__ = [
     "TRACE_DIR",
-    "TraceEvent",
     "bundled_trace",
-    "record_stream",
     "save_trace",
     "load_trace",
     "RequestMix",
@@ -110,91 +113,58 @@ def bundled_trace(name: str) -> pathlib.Path:
 
 
 # -- trace format -----------------------------------------------------------
-
-class TraceEvent:
-    """One line of a trace: relative time, kind, object, origin site."""
-
-    __slots__ = ("time", "kind", "object_index", "site")
-
-    def __init__(self, time: float, kind: str, object_index: int,
-                 site: Union[Domain, str, None] = None):
-        self.time = time
-        self.kind = kind
-        self.object_index = object_index
-        self.site = site
-
-    @property
-    def site_path(self) -> Optional[str]:
-        if self.site is None:
-            return None
-        return getattr(self.site, "path", self.site)
-
-    def __repr__(self) -> str:
-        return ("TraceEvent(%.3fs %s obj%d @ %s)"
-                % (self.time, self.kind, self.object_index,
-                   self.site_path or "-"))
-
-
-def record_stream(stream: Iterable) -> List[TraceEvent]:
-    """Adapt a :class:`RequestStream` (or any iterable of objects with
-    ``time``/``kind``/``object_index``/``site``) into trace events."""
-    return [TraceEvent(request.time, request.kind, request.object_index,
-                       request.site)
-            for request in stream]
-
+#
+# One line per request: relative ``time``, ``kind``, ``object`` (the
+# arrival's rank) and ``site`` (a path, or empty).
 
 def save_trace(path: Union[str, pathlib.Path],
-               events: Iterable[TraceEvent]) -> None:
+               arrivals: Iterable[Arrival]) -> None:
     """Write a trace file; format picked by suffix (.csv or .jsonl).
 
     The recorder half of trace replay: synthesize a workload once
-    (e.g. via :class:`~repro.workloads.population.ClientPopulation`
-    and :func:`record_stream`), save it, and replay the identical
-    stream across runs and PRs.
+    (e.g. a :class:`~repro.workloads.population.ClientPopulation`
+    stream), save it, and replay the identical stream across runs and
+    revisions.
     """
     path = pathlib.Path(path)
     if path.suffix == ".csv":
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["time", "kind", "object", "site"])
-            for event in events:
-                writer.writerow(["%r" % event.time, event.kind,
-                                 event.object_index, event.site_path or ""])
+            for arrival in arrivals:
+                writer.writerow(["%r" % arrival.time, arrival.kind,
+                                 arrival.rank, arrival.site_path or ""])
     elif path.suffix == ".jsonl":
         with path.open("w") as fh:
-            for event in events:
+            for arrival in arrivals:
                 fh.write(json.dumps({
-                    "time": event.time, "kind": event.kind,
-                    "object": event.object_index,
-                    "site": event.site_path}) + "\n")
+                    "time": arrival.time, "kind": arrival.kind,
+                    "object": arrival.rank,
+                    "site": arrival.site_path}) + "\n")
     else:
         raise ValueError("unknown trace format %r (use .csv or .jsonl)"
                          % path.suffix)
 
 
-def load_trace(path: Union[str, pathlib.Path]) -> List[TraceEvent]:
-    """Read a trace file written by :func:`save_trace`."""
+def load_trace(path: Union[str, pathlib.Path]) -> List[Arrival]:
+    """Read a trace file written by :func:`save_trace`; each arrival's
+    ``index`` is its line among the trace's requests (from 0) and its
+    site the stored path string."""
     path = pathlib.Path(path)
-    events: List[TraceEvent] = []
     if path.suffix == ".csv":
         with path.open(newline="") as fh:
-            for row in csv.DictReader(fh):
-                events.append(TraceEvent(float(row["time"]), row["kind"],
-                                         int(row["object"]),
-                                         row["site"] or None))
+            rows = [(float(row["time"]), row["kind"], int(row["object"]),
+                     row["site"] or None) for row in csv.DictReader(fh)]
     elif path.suffix == ".jsonl":
         with path.open() as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                raw = json.loads(line)
-                events.append(TraceEvent(float(raw["time"]), raw["kind"],
-                                         int(raw["object"]),
-                                         raw.get("site")))
+            raws = [json.loads(line) for line in fh if line.strip()]
+        rows = [(float(raw["time"]), raw["kind"], int(raw["object"]),
+                 raw.get("site")) for raw in raws]
     else:
         raise ValueError("unknown trace format %r (use .csv or .jsonl)"
                          % path.suffix)
-    return events
+    return [Arrival(index, time, site, rank, kind)
+            for index, (time, kind, rank, site) in enumerate(rows)]
 
 
 # -- request mixes ----------------------------------------------------------
@@ -236,6 +206,38 @@ class RequestMix:
 
 
 # -- the scenario abstraction -----------------------------------------------
+
+def _phase_driver(sim: Simulator, registry,
+                  marks: Sequence[Tuple[float, str]],
+                  start: float = 0.0) -> Generator:
+    """Open each ``(offset, label)`` mark's phase window at exactly
+    ``start + offset`` (absolute marks: ``start=0``)."""
+    for offset, label in marks:
+        when = start + offset
+        if when > sim.now:
+            yield sim.timeout_at(when)
+        registry.phase(label, now=sim.now)
+
+
+def _check_closed_loop(clients: int, think_time: float,
+                       requests_per_client: Optional[int],
+                       duration: Optional[float], think: str) -> None:
+    """The argument checks every closed-loop driver shares
+    (:class:`ClosedLoopScenario` and the cohorts built on it)."""
+    if clients < 1:
+        raise ValueError("need at least one client")
+    if (requests_per_client is None) == (duration is None):
+        raise ValueError("bound the clients with either "
+                         "requests_per_client or duration")
+    if requests_per_client is not None and requests_per_client < 1:
+        raise ValueError("need at least one request per client")
+    if duration is not None and duration <= 0:
+        raise ValueError("duration must be positive")
+    if think_time < 0:
+        raise ValueError("think time cannot be negative")
+    if think not in ("exponential", "fixed"):
+        raise ValueError("think must be 'exponential' or 'fixed'")
+
 
 class Scenario:
     """A declarative description of one load pattern.
@@ -285,7 +287,7 @@ class Scenario:
             # its window before the first arrival is issued.
             stats.registry.end_phase(now=sim.now)
             phase_proc = sim.process(
-                self._phase_driver(sim, stats.registry, start))
+                _phase_driver(sim, stats.registry, self.phases, start))
         processes = [sim.process(driver)
                      for driver in self.build(sim, request, rng, stats)]
         for process in processes:
@@ -295,14 +297,6 @@ class Scenario:
                 phase_proc.kill()
             stats.registry.end_phase(now=sim.now)
         return sim.now - start
-
-    def _phase_driver(self, sim: Simulator, registry,
-                      start: float) -> Generator:
-        for offset, label in self.phases:
-            when = start + offset
-            if when > sim.now:
-                yield sim.timeout_at(when)
-            registry.phase(label, now=sim.now)
 
     @staticmethod
     def _validated_phases(
@@ -335,8 +329,8 @@ class OpenLoopScenario(Scenario):
 
     A thin declarative wrapper over :class:`LoadGenerator`: any
     :class:`~repro.workloads.loadgen.ArrivalSchedule` plus optional
-    site placement and a :class:`RequestMix` (or ``popularity``
-    sampler) for multi-object workloads.
+    site placement and a :class:`RequestMix` for multi-object
+    workloads.
 
     Bound the run with either ``count`` (exactly that many arrivals)
     or ``duration`` (arrivals until that much simulated time has
@@ -351,7 +345,6 @@ class OpenLoopScenario(Scenario):
     def __init__(self, schedule: ArrivalSchedule, count: Optional[int] = None,
                  sites: Optional[Sequence[Domain]] = None,
                  mix: Optional[RequestMix] = None,
-                 popularity: Optional[Any] = None,
                  label: str = "open-loop",
                  duration: Optional[float] = None,
                  phases: Optional[Sequence[Tuple[float, str]]] = None):
@@ -365,7 +358,6 @@ class OpenLoopScenario(Scenario):
         self.duration = duration
         self.sites = list(sites) if sites is not None else None
         self.mix = mix
-        self.popularity = popularity
         self.label = label
         #: ``[(offset, label), ...]`` marks opening named phase
         #: windows on the stats registry (see :class:`Scenario`).
@@ -375,7 +367,6 @@ class OpenLoopScenario(Scenario):
               rng: random.Random, stats: LoadStats) -> List[Generator]:
         generator = LoadGenerator(sim, self.schedule, request, self.count,
                                   rng=self._fork(rng), sites=self.sites,
-                                  popularity=self.popularity,
                                   stats=stats, mix=self.mix,
                                   duration=self.duration)
         return [generator.run()]
@@ -395,19 +386,20 @@ class TraceScenario(Scenario):
       order.  For A/B comparisons where queueing effects would drown
       the per-request signal.
 
-    Arrivals carry the trace's site, object index (as
-    ``arrival.rank``) and kind.  Sites are resolved against
-    ``topology`` when one is supplied; otherwise Domains pass through
-    as-is and plain path strings are handed to the request callable
-    unresolved (site-path keyed helpers like
+    ``events`` are :class:`~repro.workloads.loadgen.Arrival`\\ s with
+    times relative to the start of the drive; each is issued as a copy
+    with its time offset and its site resolved.  Sites are resolved
+    against ``topology`` when one is supplied; otherwise Domains pass
+    through as-is and plain path strings are handed to the request
+    callable unresolved (site-path keyed helpers like
     ``GdnDeployment.browser_pool`` accept both).
     """
 
-    def __init__(self, events: Iterable[TraceEvent],
+    def __init__(self, events: Iterable[Arrival],
                  topology: Optional[Topology] = None,
                  pacing: str = "trace",
                  label: str = "trace"):
-        self.events = list(events)
+        self.events = sorted(events, key=lambda event: event.time)
         if not self.events:
             raise ValueError("trace is empty")
         if pacing not in ("trace", "sequential"):
@@ -421,7 +413,7 @@ class TraceScenario(Scenario):
                     label: str = "trace") -> "TraceScenario":
         """Replay a synthesized :class:`RequestStream` (webtrace,
         population) — the bridge from the §3.1 generators."""
-        return cls(record_stream(stream), pacing=pacing, label=label)
+        return cls(stream, pacing=pacing, label=label)
 
     @classmethod
     def from_file(cls, path: Union[str, pathlib.Path],
@@ -435,16 +427,18 @@ class TraceScenario(Scenario):
         return len(self.events)
 
     def arrivals(self, sim: Simulator) -> List[Arrival]:
+        """The trace as issued: times offset by ``sim.now``, sites
+        resolved."""
         start = sim.now
-        arrivals = []
-        for index, event in enumerate(self.events):
-            site = event.site
-            if self.topology is not None and isinstance(site, str):
-                site = self.topology.site(site)
-            arrivals.append(Arrival(index, start + event.time, site,
-                                    event.object_index, event.kind))
-        arrivals.sort(key=lambda a: a.time)
-        return arrivals
+        return [Arrival(event.index, start + event.time,
+                        self._resolve(event.site), event.rank, event.kind)
+                for event in self.events]
+
+    def _resolve(self, site: Union[Domain, str, None]
+                 ) -> Union[Domain, str, None]:
+        if self.topology is not None and isinstance(site, str):
+            return self.topology.site(site)
+        return site
 
     def build(self, sim: Simulator, request: RequestFn,
               rng: random.Random, stats: LoadStats) -> List[Generator]:
@@ -490,19 +484,8 @@ class ClosedLoopScenario(Scenario):
                  label: str = "closed-loop",
                  duration: Optional[float] = None,
                  phases: Optional[Sequence[Tuple[float, str]]] = None):
-        if clients < 1:
-            raise ValueError("need at least one client")
-        if (requests_per_client is None) == (duration is None):
-            raise ValueError("bound the clients with either "
-                             "requests_per_client or duration")
-        if requests_per_client is not None and requests_per_client < 1:
-            raise ValueError("need at least one request per client")
-        if duration is not None and duration <= 0:
-            raise ValueError("duration must be positive")
-        if think_time < 0:
-            raise ValueError("think time cannot be negative")
-        if think not in ("exponential", "fixed"):
-            raise ValueError("think must be 'exponential' or 'fixed'")
+        _check_closed_loop(clients, think_time, requests_per_client,
+                           duration, think)
         self.clients = clients
         self.think_time = think_time
         self.requests_per_client = requests_per_client
@@ -559,10 +542,7 @@ class ClosedLoopScenario(Scenario):
                 break
             if delay > 0:
                 yield sim.timeout(delay)
-            if self.mix is not None:
-                rank, kind = self.mix.draw(rng)
-            else:
-                rank, kind = 0, "read"
+            rank, kind = draw(self.mix, rng)
             index = counter[0]
             counter[0] += 1
             arrival = Arrival(index, sim.now, site, rank, kind)
@@ -592,7 +572,8 @@ class HybridScenario(Scenario):
     The §3.1 picture in one run: a closed-loop population of regulars
     browsing with think times *plus* an open-loop flash crowd that
     does not care how the system is coping — all accounted in the
-    same :class:`LoadStats`.
+    same :class:`LoadStats`.  The members' ``phases=`` marks are merged
+    into the hybrid's own (every member starts with the drive).
     """
 
     def __init__(self, scenarios: Sequence[Scenario],
@@ -601,6 +582,9 @@ class HybridScenario(Scenario):
             raise ValueError("need at least one scenario")
         self.scenarios = list(scenarios)
         self.label = label
+        self.phases = self._validated_phases(
+            [mark for scenario in self.scenarios
+             for mark in scenario.phases or ()])
 
     @property
     def count(self) -> Optional[int]:
@@ -878,13 +862,6 @@ class Soak:
                           "recovered"))
         return sorted(marks)
 
-    def _phase_driver(self, marks: List[Tuple[float, str]]) -> Generator:
-        registry = self.stats.registry
-        for when, label in marks:
-            if when > self.world.now:
-                yield self.world.sim.timeout(when - self.world.now)
-            registry.phase(label, now=self.world.now)
-
     def run(self, limit: float = 1e9) -> SoakReport:
         registry = self.stats.registry
         marks = self._phase_marks()
@@ -896,7 +873,8 @@ class Soak:
         registry.phase("pre-fault" if marks else "steady",
                        now=self.world.now)
         if marks:
-            self.world.sim.process(self._phase_driver(marks))
+            self.world.sim.process(
+                _phase_driver(self.world.sim, registry, marks))
         driver = self.world.sim.process(
             self.scenario.drive(self.world.sim, self.request,
                                 rng=self.rng, stats=self.stats))

@@ -55,7 +55,7 @@ def test_gdn_soak():
     def workload():
         for count, request in enumerate(stream):
             browser = browser_for(request.site.path)
-            spec = corpus[request.object_index]
+            spec = corpus[request.rank]
             if count % 17 == 3:
                 response = yield from browser.get(
                     "/gdn-search?category=%s" % spec.name.split("/")[2])

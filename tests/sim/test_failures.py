@@ -57,3 +57,20 @@ def test_loss_setting_validated(world):
         injector.set_loss(Level.WORLD, 1.5)
     injector.set_loss(Level.WORLD, 0.25)
     assert world.network.params.loss[Level.WORLD] == 0.25
+
+
+def test_faults_fire_at_exactly_the_instant_given(world):
+    # Regression: sleeping timeout(when - now) from t=0.2 woke at
+    # 0.8999999999999999 for when=0.9; every fault must land on the
+    # instant it was given, bit for bit.
+    host = world.host("victim", "r0/c0/m0/s0")
+    injector = FailureInjector(world)
+    world.run(until=0.2)
+    injector.crash_restart(host, crash_at=0.9, restart_at=1.3)
+    injector.partition_domain(world.topology.domain("r1/c0"), 0.9, 1.0)
+    injector.loss_window(Level.WORLD, 0.5, 0.9, 1.3)
+    world.run(until=3.0)
+    assert sorted((t, kind) for t, kind, _ in injector.log) == [
+        (0.9, "crash"), (0.9, "loss=0.5"), (0.9, "partition"),
+        (1.3, "loss=0"), (1.3, "restart"), (1.9, "heal")]
+    assert world.network.params.loss[Level.WORLD] == 0.0

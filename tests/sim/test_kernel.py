@@ -787,6 +787,59 @@ def test_run_until_limit_with_pending_ready_events():
         sim.run_until_complete(process, limit=2.0)
 
 
+def _mixed_schedule(sim, log):
+    """Timers, same-instant triggers, a reserved seq and a cancellation;
+    returns the process that finishes last."""
+    def tag(name):
+        return lambda _event: log.append((sim.now, name))
+
+    for index, delay in enumerate([0.0, 1.0, 0.5, 1.0, 2.0]):
+        sim.timeout(delay).add_callback(tag("timer%d" % index))
+    sim.event().succeed().add_callback(tag("ready"))  # ties timer0
+    reserved = sim.reserve_seq()
+    doomed = sim.timeout(1.2)
+    doomed.add_callback(tag("cancelled"))
+
+    def chain():
+        yield sim.timeout(1.0)
+        log.append((sim.now, "woke"))
+        sim.event().succeed().add_callback(tag("cascade"))
+        doomed.cancel()
+        sim.timeout(1.0).add_callback(tag("late"))
+        # Armed after "late", yet fires ahead of it: its seq is older.
+        yield sim.timeout_at(2.0, seq=reserved)
+        log.append((sim.now, "reserved"))
+        yield sim.timeout(1.0)
+        log.append((sim.now, "last"))
+
+    return sim.process(chain())
+
+
+@pytest.mark.parametrize("driver", ["run", "step", "run_until_complete"])
+def test_every_driver_fires_one_order(driver):
+    def fired(drive):
+        sim = Simulator()
+        log = []
+        last = _mixed_schedule(sim, log)
+        drive(sim, last)
+        return log, sim.now, sim.events_processed
+
+    def by_steps(sim, _last):
+        with pytest.raises(IndexError):
+            while True:
+                sim.step()
+
+    drivers = {"run": lambda sim, _last: sim.run(),
+               "step": by_steps,
+               "run_until_complete": Simulator.run_until_complete}
+    log, now, events = fired(drivers[driver])
+    assert (log, now, events) == fired(drivers["run"])
+    assert [name for _time, name in log] == [
+        "timer0", "ready", "timer2", "timer1", "timer3", "woke",
+        "cascade", "timer4", "reserved", "late", "last"]
+    assert now == 3.0 and (1.2, "cancelled") not in log
+
+
 def test_determinism_two_runs_identical():
     def build():
         sim = Simulator()

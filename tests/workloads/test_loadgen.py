@@ -10,7 +10,7 @@ from repro.sim.topology import Topology
 from repro.sim.world import World
 from repro.workloads.loadgen import (FlashCrowdSchedule, LoadGenerator,
                                      PoissonSchedule, UniformSchedule)
-from repro.workloads.zipf import ZipfSampler
+from repro.workloads.scenario import RequestMix
 
 
 def test_uniform_schedule_is_exact():
@@ -139,18 +139,21 @@ def test_loadgen_places_sites_and_ranks():
     rng = random.Random(11)
     seen_sites = set()
     seen_ranks = set()
+    seen_kinds = set()
 
     def request(arrival):
         seen_sites.add(arrival.site.path)
         seen_ranks.add(arrival.rank)
+        seen_kinds.add(arrival.kind)
         yield sim.timeout(0.001)
 
     gen = LoadGenerator(sim, PoissonSchedule(100.0), request, 200, rng=rng,
                         sites=topology.sites,
-                        popularity=ZipfSampler(20, 1.0, rng))
+                        mix=RequestMix(20, 1.0, write_fraction=0.2))
     sim.run_until_complete(sim.process(gen.run()), limit=100)
     assert len(seen_sites) == 4  # all sites drawn
     assert 0 in seen_ranks and len(seen_ranks) > 3
+    assert seen_kinds == {"read", "write"}
     assert gen.stats.ok == 200
 
 

@@ -9,13 +9,12 @@ from repro.sim.kernel import Simulator
 from repro.sim.rpc import UdpRpcServer, UdpRpcClient
 from repro.sim.topology import Topology
 from repro.sim.world import World
-from repro.workloads.loadgen import (BurstSchedule, LoadStats,
+from repro.workloads.loadgen import (Arrival, BurstSchedule, LoadStats,
                                      PoissonSchedule, UniformSchedule)
 from repro.workloads.population import ClientPopulation
 from repro.workloads.scenario import (ClosedLoopScenario, HybridScenario,
                                       OpenLoopScenario, RequestMix, Soak,
-                                      TraceEvent, TraceScenario, load_trace,
-                                      record_stream, save_trace)
+                                      TraceScenario, load_trace, save_trace)
 
 
 def _drive(sim, scenario, request, seed=1, stats=None):
@@ -30,14 +29,18 @@ def _drive(sim, scenario, request, seed=1, stats=None):
 
 @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
 def test_trace_file_roundtrip(tmp_path, suffix):
-    events = [TraceEvent(0.25 * i, "write" if i % 4 == 0 else "read",
-                         i % 3, "r0/c0/m0/s%d" % (i % 2))
-              for i in range(12)]
+    site = Topology.balanced(1, 1, 1, 2).site("r0/c0/m0/s0")
+    arrivals = [Arrival(i, 0.25 * i, [site, "r0/c0/m0/s1", None][i % 3],
+                        i % 4, "write" if i % 4 == 0 else "read")
+                for i in range(12)]
     path = tmp_path / ("trace%s" % suffix)
-    save_trace(path, events)
+    save_trace(path, arrivals)
     back = load_trace(path)
-    assert [(e.time, e.kind, e.object_index, e.site_path) for e in back] \
-        == [(e.time, e.kind, e.object_index, e.site_path) for e in events]
+    # A Domain is stored as its path; index is the line in the trace.
+    assert [(a.index, a.time, a.kind, a.rank, a.site_path) for a in back] \
+        == [(a.index, a.time, a.kind, a.rank, a.site_path)
+            for a in arrivals]
+    assert all(a.site is None or isinstance(a.site, str) for a in back)
 
 
 def test_trace_format_validation(tmp_path):
@@ -50,16 +53,21 @@ def test_trace_format_validation(tmp_path):
 
 
 def test_record_stream_adapts_population():
+    # A population's stream is Arrivals already: it replays as is.
     topology = Topology.balanced(2, 1, 1, 2)
     population = ClientPopulation(topology, 5, random.Random(3),
                                   write_fraction=[0.5] * 5)
     stream = population.generate(40)
-    events = record_stream(stream)
-    assert len(events) == 40
-    assert all(e.kind in ("read", "write") for e in events)
-    assert any(e.kind == "write" for e in events)
-    # Sites survive as Domains straight from the stream.
-    assert events[0].site_path == stream.requests[0].site.path
+    assert [a.index for a in stream] == list(range(40))
+    assert all(a.kind in ("read", "write") for a in stream)
+    assert any(a.kind == "write" for a in stream)
+    # Sites survive as Domains straight from the stream, offset in time.
+    sim = Simulator()
+    sim.run(until=2.0)
+    replayed = TraceScenario.from_stream(stream).arrivals(sim)
+    assert [(a.index, a.site, a.rank, a.kind) for a in replayed] \
+        == [(a.index, a.site, a.rank, a.kind) for a in stream]
+    assert [a.time for a in replayed] == [2.0 + a.time for a in stream]
 
 
 # -- trace replay -----------------------------------------------------------
@@ -70,7 +78,7 @@ def test_trace_replay_determinism_from_file(tmp_path):
     population = ClientPopulation(topology, 8, random.Random(11),
                                   write_fraction=[0.2] * 8)
     path = tmp_path / "trace.jsonl"
-    save_trace(path, record_stream(population.generate(60)))
+    save_trace(path, population.generate(60))
 
     def one_run():
         sim = Simulator()
@@ -94,7 +102,7 @@ def test_trace_replay_determinism_from_file(tmp_path):
 
 def test_trace_replay_respects_timestamps():
     sim = Simulator()
-    events = [TraceEvent(1.0, "read", 0), TraceEvent(3.0, "read", 1)]
+    events = [Arrival(0, 1.0, None, 0), Arrival(1, 3.0, None, 1)]
     issued_at = []
 
     def request(arrival):
@@ -107,7 +115,7 @@ def test_trace_replay_respects_timestamps():
 
 def test_trace_scenario_site_resolution():
     topology = Topology.balanced(1, 1, 1, 2)
-    events = [TraceEvent(0.0, "read", 0, "r0/c0/m0/s1")]
+    events = [Arrival(0, 0.0, "r0/c0/m0/s1", 0)]
     sim = Simulator()
     resolved = TraceScenario(events, topology=topology).arrivals(sim)
     assert resolved[0].site is topology.site("r0/c0/m0/s1")
@@ -117,7 +125,7 @@ def test_trace_scenario_site_resolution():
 
 def test_sequential_pacing_never_overlaps():
     sim = Simulator()
-    events = [TraceEvent(0.0, "read", i) for i in range(5)]
+    events = [Arrival(i, 0.0, None, i) for i in range(5)]
     active = []
     peak = []
 
@@ -645,6 +653,21 @@ def test_bundled_trace_file_not_found():
         bundled_trace("no_such_trace.jsonl")
 
 
+def test_readme_snippet_regenerates_mixed_small(tmp_path, monkeypatch):
+    """The recording recipe in traces/README.md writes the committed
+    mixed_small.jsonl byte for byte: the trace format is pinned."""
+    import re
+
+    from repro.workloads import scenario
+
+    committed = scenario.bundled_trace("mixed_small.jsonl").read_bytes()
+    readme = (scenario.TRACE_DIR / "README.md").read_text()
+    snippet = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    monkeypatch.setattr(scenario, "TRACE_DIR", tmp_path)
+    exec(compile(snippet, "traces/README.md", "exec"), {})
+    assert (tmp_path / "my_trace.jsonl").read_bytes() == committed
+
+
 def test_closed_loop_duration_zero_progress_raises_not_hangs():
     """Zero think time + zero-time requests can never reach a duration
     deadline; the client must surface the livelock as an error."""
@@ -761,6 +784,50 @@ def test_scenario_phases_close_foreign_open_window():
         == ["someone-elses-setup", "mine"]
 
 
+def test_hybrid_scenario_keeps_its_members_phases():
+    # Regression: HybridScenario.build ignored its members' phases=, so
+    # the drive ended with no phase windows at all.
+    sim = Simulator()
+
+    def request(arrival):
+        yield sim.timeout(0.001)
+
+    stats = LoadStats()
+    scenario = HybridScenario([
+        OpenLoopScenario(UniformSchedule(10.0), 5,
+                         phases=[(0.0, "warmup"), (0.2, "steady")]),
+        ClosedLoopScenario(clients=1, think_time=0.01,
+                           requests_per_client=2, phases=[(0.1, "mid")])])
+    assert scenario.phases == [(0.0, "warmup"), (0.1, "mid"),
+                               (0.2, "steady")]
+    _drive(sim, scenario, request, stats=stats)
+    assert [w.label for w in stats.registry.phases] \
+        == ["warmup", "mid", "steady"]
+    assert HybridScenario([OpenLoopScenario(UniformSchedule(10.0), 5)]) \
+        .phases is None
+
+
+def test_soak_phase_opens_at_exactly_the_fault_instant():
+    # Regression: the soak's phase driver slept timeout(when - now) and
+    # opened "during-fault" one ULP before the partition it describes.
+    world, client_host, server_host, _server = _echo_world()
+    client = UdpRpcClient(client_host)
+
+    def request(arrival):
+        value = yield from client.call(server_host, 5300, "echo", {"x": 1})
+        return value == 1
+
+    world.run(until=0.2)
+    soak = Soak(world, OpenLoopScenario(UniformSchedule(10.0), 12),
+                request, settle=0.0)
+    soak.partition(world.topology.domain("r0/c0/m0/s1"), 0.9, 0.3)
+    report = soak.run()
+    starts = {w.label: w.started_at for w in report.phases}
+    assert starts == {"pre-fault": 0.2, "during-fault": 0.9,
+                      "recovered": 1.2}
+    assert [t for t, _kind, _target in report.fault_log] == [0.9, 1.2]
+
+
 # -- window-scoped soak invariants -------------------------------------------
 
 def _partitioned_fallback_soak():
@@ -858,7 +925,7 @@ def test_flash_crowd_trace_shape_and_replay_determinism():
     # The spike carries most of the trace at ~15x the base rate, and
     # is dominated by the announced object (rank 0).
     assert len(in_spike) > 2 * len(outside)
-    spike_hot = sum(1 for e in in_spike if e.object_index == 0)
+    spike_hot = sum(1 for e in in_spike if e.rank == 0)
     assert spike_hot >= 0.7 * len(in_spike)
     assert {e.kind for e in events} == {"read", "write"}
 

@@ -145,42 +145,46 @@ def test_web_trace_deterministic(topology):
     docs_b, stream_b = make_web_trace(topology, random.Random(3),
                                       document_count=10, request_count=100)
     assert [d.size for d in docs_a] == [d.size for d in docs_b]
-    assert [(r.time, r.kind, r.object_index) for r in stream_a] == \
-        [(r.time, r.kind, r.object_index) for r in stream_b]
+    assert [(r.time, r.kind, r.rank) for r in stream_a] == \
+        [(r.time, r.kind, r.rank) for r in stream_b]
 
 
 def test_request_region_derived_defensively():
-    # Regression: Request.region hard-indexed ancestors()[3], which
+    # Regression: a request's region hard-indexed ancestors()[3], which
     # raised IndexError for sites on shallower-than-5-level
     # hierarchies.  It must use the defensive region lookup instead.
     from repro.sim.topology import Domain, Level
-    from repro.workloads.population import Request
+    from repro.workloads.loadgen import Arrival
+    from repro.workloads.population import RequestStream
 
     full = Topology.balanced(2, 1, 1, 2).site("r1/c0/m0/s1")
-    assert Request(0.0, "read", full, 0).region == "r1"
-
     city = Domain("metropolis", Level.CITY)
     shallow = Domain("campus", Level.SITE, city)
-    request = Request(1.0, "read", shallow, 0)  # must not raise
-    assert request.region == shallow.region().path
+    stream = RequestStream([Arrival(0, 0.0, full, 0),
+                            Arrival(1, 1.0, shallow, 0),  # must not raise
+                            Arrival(2, 2.0, shallow, 0, "write")])
+    assert stream.reads_by_region(0) == {"r1": 1,
+                                         shallow.region().path: 1}
+    assert stream.writes(0) == 1 and stream.writes(1) == 0
 
 
 def test_request_stream_skips_sort_when_already_ordered():
     # RequestStream keeps already-ordered input as-is (no re-sort) and
     # still sorts genuinely unordered input.
-    from repro.workloads.population import Request, RequestStream
+    from repro.workloads.loadgen import Arrival
+    from repro.workloads.population import RequestStream
 
     site = Topology.balanced(1, 1, 1, 1).site("r0/c0/m0/s0")
-    ordered = [Request(float(i), "read", site, i) for i in range(10)]
+    ordered = [Arrival(i, float(i), site, i) for i in range(10)]
     stream = RequestStream(ordered)
     assert [request.time for request in stream] == [float(i)
                                                     for i in range(10)]
     # Ties count as ordered (stable either way).
-    tied = [Request(1.0, "read", site, i) for i in range(4)]
-    assert [request.object_index for request in RequestStream(tied)] \
+    tied = [Arrival(i, 1.0, site, i) for i in range(4)]
+    assert [request.rank for request in RequestStream(tied)] \
         == [0, 1, 2, 3]
 
-    shuffled = [Request(float(t), "read", site, i)
+    shuffled = [Arrival(i, float(t), site, i)
                 for i, t in enumerate([5, 2, 9, 1, 7])]
     resorted = RequestStream(shuffled)
     assert [request.time for request in resorted] == [1.0, 2.0, 5.0, 7.0, 9.0]
