@@ -8,9 +8,12 @@ other words, the cost of a look up increases proportional to the
 distance between client and nearest representative."
 
 One object is registered at a fixed site; clients at increasing
-separation resolve it.  The series reports hops (directory-node
-messages) and simulated latency per separation level — the figure's
-x-axis is exactly the domain-hierarchy distance.
+separation resolve it.  The series reports hops (steps from one
+directory node to the next) and simulated latency per separation
+level — the figure's x-axis is exactly the domain-hierarchy distance.
+A lookup is forwarded along the walk and answered once, so a walk of h
+hops costs h + 2 messages: the client's request, h forwards and the
+reply from the node holding the record.
 
 Telemetry: one shared ``LoadStats`` on ``world.metrics``, with one
 registry *phase window* per separation level — each row's latency and

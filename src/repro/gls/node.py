@@ -17,6 +17,17 @@ The wire protocol between client ↔ node and node ↔ node is datagram RPC
 * ``insert_pointer`` / ``delete_pointer`` — upward path maintenance;
 * ``delete``       — remove a contact address, unlinking empty paths.
 
+A lookup is *forwarded*: a node that does not hold the contact
+addresses passes the caller's request on to its parent or to a pointer
+child (a :class:`~repro.sim.rpc.Forward`), and the node that holds the
+record answers the caller directly.  A walk of n nodes is n requests
+and one reply; no node on the way keeps a process, a pending call or a
+deadline, and a forward that is lost costs the caller's timeout and
+retry.  Mutations (insert, delete, pointer updates) are acknowledged
+per hop: each node calls the next and answers its caller once the rest
+of the chain has.  Over connections (ablation A3, ``transport="tcp"``)
+every hop is a nested call, lookups included.
+
 Invariant maintained throughout: **a node holds a record for an OID if
 and only if its parent (transitively up to the root) holds a forwarding
 pointer leading to it.**  Pointer propagation therefore stops as soon
@@ -29,7 +40,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..core.ids import ObjectId
-from ..sim.rpc import RpcContext, UdpRpcClient, UdpRpcServer
+from ..sim.rpc import Forward, RpcContext, UdpRpcClient, UdpRpcServer
 from ..sim.stable import DiskStore, StableStore
 from ..sim.topology import Domain, Level
 from ..sim.transport import Host
@@ -41,8 +52,10 @@ __all__ = ["NodeHandle", "DirectoryNode", "GLS_PORT", "GlsNodeError"]
 
 GLS_PORT = 5300
 
-#: Node-to-node datagram RPC must out-wait a whole recursive resolution
-#: below it, so the per-hop timeout is generous.
+#: Node-to-node datagram RPC carries the mutation chains only (lookups
+#: are forwarded), and must out-wait the whole rest of the chain above
+#: it — its persists and its own calls — so the per-hop timeout is
+#: generous.
 _NODE_RPC_TIMEOUT = 5.0
 _NODE_RPC_RETRIES = 2
 
@@ -175,13 +188,17 @@ class DirectoryNode:
 
     # -- helpers -------------------------------------------------------------
 
-    def _call(self, handle: NodeHandle, oid_hex: str, method: str,
-              args: dict) -> Generator[Any, Any, Any]:
+    def _endpoint(self, handle: NodeHandle, oid_hex: str
+                  ) -> Tuple[Host, int]:
         host_name, port = handle.pick(oid_hex)
         try:
-            target = self.world.hosts[host_name]
+            return self.world.hosts[host_name], port
         except KeyError:
             raise GlsNodeError("unknown directory host %r" % host_name)
+
+    def _call(self, handle: NodeHandle, oid_hex: str, method: str,
+              args: dict) -> Generator[Any, Any, Any]:
+        target, port = self._endpoint(handle, oid_hex)
         if self.transport == "tcp":
             from ..sim import rpc as _rpc
             value = yield from _rpc.call(self.host, target, port, method,
@@ -210,15 +227,13 @@ class DirectoryNode:
                     "found": self.domain.path,
                     "found_level": int(self.level)}
         if record is not None and record.forwarding_pointers:
-            child_path = self._choose_pointer(record)
-            reply = yield from self._call(
-                self.children[child_path], oid_hex, "lookup_down",
-                {"oid": oid_hex, "hops": hops + 1})
+            reply = yield from self._pass_on(
+                self.children[self._choose_pointer(record)], oid_hex,
+                "lookup_down", hops + 1)
             return reply
         if self.parent is not None:
-            reply = yield from self._call(
-                self.parent, oid_hex, "lookup",
-                {"oid": oid_hex, "hops": hops + 1})
+            reply = yield from self._pass_on(self.parent, oid_hex, "lookup",
+                                             hops + 1)
             return reply
         return {"cas": [], "hops": hops, "found": None, "found_level": None}
 
@@ -233,13 +248,24 @@ class DirectoryNode:
                     "found": self.domain.path,
                     "found_level": int(self.level)}
         if record is not None and record.forwarding_pointers:
-            child_path = self._choose_pointer(record)
-            reply = yield from self._call(
-                self.children[child_path], oid_hex, "lookup_down",
-                {"oid": oid_hex, "hops": hops + 1})
+            reply = yield from self._pass_on(
+                self.children[self._choose_pointer(record)], oid_hex,
+                "lookup_down", hops + 1)
             return reply
         # Tree inconsistency (e.g. lost delete): report not-found.
         return {"cas": [], "hops": hops, "found": None, "found_level": None}
+
+    def _pass_on(self, handle: NodeHandle, oid_hex: str, method: str,
+                 hops: int) -> Generator:
+        """The next step of a walk: over datagrams a :class:`Forward`
+        (the node that holds the record answers the caller), over
+        connections a nested call whose reply this node relays."""
+        args = {"oid": oid_hex, "hops": hops}
+        if self.transport == "udp":
+            target, port = self._endpoint(handle, oid_hex)
+            return Forward(target, port, method, args)
+        reply = yield from self._call(handle, oid_hex, method, args)
+        return reply
 
     def _choose_pointer(self, record: NodeRecord) -> str:
         """Pick one forwarding pointer; "one is chosen at random"."""

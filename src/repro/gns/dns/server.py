@@ -38,6 +38,7 @@ from __future__ import annotations
 import functools
 from typing import Dict, Generator, List, Optional, Tuple
 
+from ...sim.kernel import Process
 from ...sim.rpc import RpcContext, UdpRpcClient, UdpRpcServer
 from ...sim.transport import Host
 from ...sim.world import World
@@ -80,6 +81,7 @@ class AuthoritativeServer:
         self.primary_endpoint: Dict[str, Tuple[str, int]] = {}
         self._server: Optional[UdpRpcServer] = None
         self._client: Optional[UdpRpcClient] = None
+        self._refresher: Optional[Process] = None
         self.queries_served = 0
         self.updates_applied = 0
         self.updates_rejected = 0
@@ -111,7 +113,7 @@ class AuthoritativeServer:
         self._server = server
         self._client = UdpRpcClient(self.host, timeout=3.0, retries=2)
         if self.refresh_interval is not None:
-            self.host.spawn(self._refresh_loop())
+            self._refresher = self.host.spawn(self._refresh_loop())
 
     def _refresh_loop(self) -> Generator:
         """Periodically bring each secondary zone up to its primary's
@@ -123,6 +125,9 @@ class AuthoritativeServer:
                     yield from self._fetch_zone(origin)
 
     def stop(self) -> None:
+        if self._refresher is not None:
+            self._refresher.kill()
+            self._refresher = None
         if self._server is not None:
             self._server.stop()
             self._server = None

@@ -15,6 +15,14 @@ Two flavours, matching the paper's split:
   with timeout/retry, used by the Globe Location Service (§6.3 of the
   paper: "For efficiency reasons this is based on UDP").
 
+A datagram handler may answer with a :class:`Forward` instead of a
+value: the server passes the request on to another server as one
+datagram that keeps the caller's request id, ``src`` and return
+address, so whichever server finally answers replies straight to the
+caller.  The forwarding server keeps nothing — no process, no pending
+call, no deadline — and a forward that is lost is recovered by the
+caller's own retry, exactly like a lost first request.
+
 Handlers are registered per method name and receive
 ``(context, args)``.  A handler may be a plain function or a generator
 (simulation process), so servers can perform further simulated I/O
@@ -76,6 +84,7 @@ __all__ = [
     "RpcChannel",
     "call",
     "ChannelPool",
+    "Forward",
     "UdpRpcServer",
     "UdpRpcClient",
 ]
@@ -190,9 +199,25 @@ class RpcContext:
                 % (self.src_host, self.peer_principal))
 
 
+class Forward:
+    """A datagram handler's answer: pass the request on to
+    ``dst:port`` as a call of ``method`` with ``args``, for the next
+    server to answer the caller directly (see the module docstring).
+    A connection server answers a ``Forward`` with a fault."""
+
+    __slots__ = ("dst", "port", "method", "args")
+
+    def __init__(self, dst: Host, port: int, method: str, args: dict):
+        self.dst = dst
+        self.port = port
+        self.method = method
+        self.args = args
+
+
 def _answer(handlers: Dict[str, Callable], ctx: RpcContext,
-            request: dict) -> Generator[Event, Any, dict]:
-    """The reply envelope to ``request``, from the handler it names."""
+            request: dict) -> Generator[Event, Any, Any]:
+    """The reply envelope to ``request``, from the handler it names —
+    or, on a datagram server, the handler's :class:`Forward`."""
     request_id = request.get("id")
     method = request.get("method", "")
     handler = handlers.get(method) if type(method) is str else None
@@ -203,6 +228,10 @@ def _answer(handlers: Dict[str, Callable], ctx: RpcContext,
         value = handler(ctx, request.get("args", {}))
         if hasattr(value, "send"):  # generator: simulate it
             value = yield from value
+        if type(value) is Forward:
+            if ctx.transport == "udp":
+                return value
+            raise TypeError("only a datagram server forwards a request")
     except Exception as exc:  # noqa: BLE001 - faults cross the wire
         return {"id": request_id, "ok": False,
                 "error": (type(exc).__name__, str(exc))}
@@ -587,8 +616,9 @@ class UdpRpcServer:
     """Serves named methods over datagrams.
 
     No connection state; each request datagram carries a request id and
-    the reply is sent to the source socket.  Lost requests or replies
-    are handled by client retry.
+    the reply is sent to the source socket — the return address, which
+    a forwarded request keeps from its caller.  Lost requests, forwards
+    or replies are handled by client retry.
     """
 
     def __init__(self, host: Host, port: int):
@@ -603,17 +633,17 @@ class UdpRpcServer:
 
     def start(self) -> None:
         self._socket = self.host.udp_socket(self.port)
-        self.host.spawn(self._serve_loop())
+        self.host.spawn(self._serve_loop(self._socket))
 
     def stop(self) -> None:
         if self._socket is not None:
             self._socket.close()
             self._socket = None
 
-    def _serve_loop(self) -> Generator:
+    def _serve_loop(self, socket: UdpSocket) -> Generator:
         while True:
             try:
-                datagram = yield self._socket.recv()
+                datagram = yield socket.recv()
             except TransportError:
                 return
             self.host.start(self._serve(datagram))
@@ -627,10 +657,20 @@ class UdpRpcServer:
         # Served only if the reply goes out: stop() or a crash may have
         # closed the socket while the handler waited.
         socket = self._socket
-        if socket is not None and not socket.closed:
+        if socket is None or socket.closed:
+            return
+        if type(reply) is Forward:
+            src = request.get("src", "?")
+            socket.send_to(reply.dst, reply.port,
+                           {"id": request.get("id"), "method": reply.method,
+                            "args": reply.args, "src": src},
+                           size=_request_size(reply.method, src,
+                                              encoded_size(reply.args)),
+                           reply_to=datagram)
+        else:
             socket.send_to(datagram.src_host, datagram.src_port, reply,
                            size=_reply_size(reply))
-            self.requests_served += 1
+        self.requests_served += 1
 
 
 class UdpRpcClient:
@@ -679,7 +719,7 @@ class UdpRpcClient:
         self._pending: Dict[int, Event] = {}
         self._size_cache: Dict[str, int] = {}  # method -> envelope base
         self._jitter_rng = None  # lazily seeded from the host name
-        host.spawn(self._dispatch_loop())
+        host.spawn(self._dispatch_loop(self._socket))
 
     def bind_metrics(self, registry, prefix: str) -> None:
         registry.counter(prefix + ".calls", fn=lambda: self.calls)
@@ -710,17 +750,17 @@ class UdpRpcClient:
         if self._socket.closed and self.host.up:
             self._socket = self.host.udp_socket()
             orphans, self._pending = self._pending, {}
-            self.host.spawn(self._dispatch_loop())
+            self.host.spawn(self._dispatch_loop(self._socket))
             for waiter in orphans.values():
                 if not waiter.triggered:
                     waiter.defuse()
                     waiter.fail(
                         ConnectionClosed("socket lost in host restart"))
 
-    def _dispatch_loop(self) -> Generator:
+    def _dispatch_loop(self, socket: UdpSocket) -> Generator:
         while True:
             try:
-                datagram = yield self._socket.recv()
+                datagram = yield socket.recv()
             except TransportError:
                 return
             _settle(self._pending, datagram.payload)

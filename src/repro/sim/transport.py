@@ -266,14 +266,24 @@ class UdpSocket:
         self.closed = False
 
     def send_to(self, dst: Host, dst_port: int, payload: Any,
-                size: Optional[int] = None) -> None:
-        """Fire-and-forget datagram; may be silently lost."""
+                size: Optional[int] = None,
+                reply_to: Optional[Datagram] = None) -> None:
+        """Fire-and-forget datagram; may be silently lost.
+
+        It leaves from this socket, but with ``reply_to`` it carries
+        that received datagram's return address instead of this
+        socket's: a forwarded request, answered straight to its caller.
+        """
         if self.closed:
             raise TransportError("socket is closed")
         if not self.host.up:  # inline _require_up (per-datagram path)
             raise HostDown("host %s is down" % self.host.name)
         wire = (size if size is not None else encoded_size(payload))
         wire += HEADER_OVERHEAD
+        if reply_to is None:
+            src_host, src_port = self.host, self.port
+        else:
+            src_host, src_port = reply_to.src_host, reply_to.src_port
 
         def deliver(_event) -> None:
             # Inline hand-off: the arrival timer's callback resumes a
@@ -282,7 +292,7 @@ class UdpSocket:
             target = dst._udp_ports.get(dst_port)
             if target is not None and not target.closed and dst.up:
                 target._inbox.put_inline(
-                    Datagram(self.host, self.port, payload, wire))
+                    Datagram(src_host, src_port, payload, wire))
 
         self.host.network.deliver(self.host.site, dst.site, dst.name,
                                   wire, deliver, reliable=False)
@@ -328,8 +338,20 @@ class UdpSocket:
         return self._inbox.get()
 
     def close(self) -> None:
+        """Unbind; a receiver parked in :meth:`recv` fails with
+        :class:`TransportError`.  Pre-defused like :meth:`Inbox.get`,
+        and a getter nobody watches any more (its process was killed)
+        is dropped without an event."""
+        if self.closed:
+            return
         self.closed = True
         self.host._udp_ports.pop(self.port, None)
+        getters = self._inbox._getters
+        while getters:
+            getter = getters.popleft()
+            if getter.callbacks and not getter.triggered:
+                getter._defused = True
+                getter.fail(TransportError("socket is closed"))
 
 
 class TcpListener:

@@ -331,23 +331,57 @@ def test_a_lookup_found_here_is_served_with_no_process(deployment):
 
 
 def test_a_nine_node_walk_costs_its_messages_and_its_waiters(deployment):
-    """Up four levels to the root, down four: nine requests, nine
-    replies, nine waiters resumed by a reply (the caller and the eight
-    nodes that forwarded).  No process starts or ends: it was 46 with a
-    start and an end event for each node's handler."""
+    """Up four levels to the root, down four: nine requests (the
+    caller's and eight forwards), one reply from the node holding the
+    record straight to the caller, one waiter resumed — 11 events and
+    10 messages.  It was 27 and 18 when every node waited on its own
+    upstream call, and 46 before that.  At no step does a node on the
+    way hold a process, a pending call or a deadline."""
     world, tree = deployment
     oid_hex = _registered(world, tree)
     user = world.host("user-1", "r1/c0/m0/s0")
     user_client = GlsClient(world, user, tree)
     world.run()
+    nodes = [node for subnodes in tree.nodes.values() for node in subnodes]
     resident = {host: len(host._processes) for host in world.hosts.values()}
+    handled = {node: node.lookups_handled for node in nodes}
     before = world.sim.events_processed
+    messages = world.network.meter.total_messages
+    walk = user.start(user_client.lookup_detailed(oid_hex))
+    while not walk.triggered:
+        world.sim.step()
+        for node in nodes:
+            assert len(node.host._processes) == resident[node.host]
+            assert not node._client._pending
+            assert node._client.deadline_pool.live == 0
+    reply = walk.value
+    assert (reply["found"], reply["hops"]) == ("r0/c0/m0/s0", 8)
+    assert world.sim.events_processed - before == 9 + 1 + 1
+    assert world.network.meter.total_messages - messages == 9 + 1
+    walked = sorted(node.domain.path for node in nodes
+                    if node.lookups_handled == handled[node] + 1)
+    assert walked == ["", "r0", "r0/c0", "r0/c0/m0", "r0/c0/m0/s0",
+                      "r1", "r1/c0", "r1/c0/m0", "r1/c0/m0/s0"]
+    assert sum(node.lookups_handled - handled[node] for node in nodes) == 9
+
+
+def test_a_nine_node_tcp_walk_still_nests_its_calls():
+    """Ablation A3's arm keeps connect-call-close per hop: the same
+    walk costs 95 events and 45 messages, as it did before lookups
+    were forwarded over datagrams."""
+    world = make_world()
+    tree = GlsTree(world, transport="tcp")
+    oid_hex = _registered(world, tree)
+    user = world.host("user-1", "r1/c0/m0/s0")
+    user_client = GlsClient(world, user, tree)
+    world.run()
+    before = world.sim.events_processed
+    messages = world.network.meter.total_messages
     reply = world.run_until(user.start(user_client.lookup_detailed(oid_hex)),
                             limit=1e6)
     assert (reply["found"], reply["hops"]) == ("r0/c0/m0/s0", 8)
-    assert world.sim.events_processed - before == 9 + 9 + 9
-    assert resident == {host: len(host._processes)
-                        for host in world.hosts.values()}
+    assert world.sim.events_processed - before == 95
+    assert world.network.meter.total_messages - messages == 45
 
 
 def test_a_node_that_crashes_its_own_host_mid_walk_is_killed(deployment):
@@ -392,3 +426,27 @@ def test_a_node_that_crashes_its_own_host_mid_walk_is_killed(deployment):
     assert outcome[1] > crashed_at
     assert not city.host.up and not city.host._processes
     assert world.sim.heap_size == 0
+
+
+def test_a_directory_node_survives_stop_start_cycles(deployment):
+    """Regression: a node stopped before its serve loop first ran ended
+    the run with AttributeError, and every stop left its server's and
+    its client's loops parked with the host."""
+    world, tree = deployment
+    leaf = tree.nodes["r0/c0/m0/s0"][0]
+    leaf.stop()     # before its loops first ran
+    leaf.start()
+    world.run()
+    oid_hex = _registered(world, tree)
+    world.run()
+    resident, heap = len(leaf.host._processes), world.sim.heap_size
+    for _cycle in range(5):
+        leaf.stop()
+        leaf.start()
+        world.run()
+    assert len(leaf.host._processes) == resident
+    assert world.sim.heap_size == heap
+    user = world.host("user-1", "r0/c0/m0/s1")
+    reply = run(world, GlsClient(world, user, tree).lookup_detailed(oid_hex),
+                host=user)
+    assert reply["found"] == "r0/c0/m0/s0"

@@ -10,6 +10,12 @@ service and verify, after every settle, that
 2. every currently registered contact address is resolvable from any
    site, and
 3. fully unregistered objects leave no residue anywhere.
+
+Lookups are forwarded node to node and answered once, so a lookup that
+loses a datagram anywhere on its walk is recovered by the caller's own
+retry and by nothing else.  A second property runs the same schedules,
+then resolves every object while a fifth of the REGION and WORLD
+datagrams are lost.
 """
 
 import random
@@ -20,8 +26,9 @@ from hypothesis import strategies as st
 from repro.core.ids import ContactAddress, ObjectId
 from repro.gls.service import GlsClient
 from repro.gls.tree import GlsTree
-from repro.sim.topology import Topology
+from repro.sim.topology import Level, Topology
 from repro.sim.world import World
+from tests.util import check_pointer_invariant
 
 SITES = ["r0/c0/m0/s0", "r0/c0/m1/s0", "r0/c1/m0/s0",
          "r1/c0/m0/s0", "r1/c1/m1/s1"]
@@ -34,30 +41,9 @@ _schedules = st.lists(
     min_size=1, max_size=5)
 
 
-def _check_pointer_invariant(tree: GlsTree) -> None:
-    for path, subnodes in tree.nodes.items():
-        for node in subnodes:
-            for oid_hex, record in node.records.items():
-                assert not record.empty, \
-                    "empty record left at %r" % path
-                # Every pointer names a child holding a record.
-                for child_path in record.forwarding_pointers:
-                    child = tree.node_for(child_path, oid_hex)
-                    assert oid_hex in child.records, \
-                        "dangling pointer %s -> %s" % (path, child_path)
-                # Every non-root record is reachable from its parent.
-                if node.parent is not None:
-                    parent = tree.node_for(node.parent.domain_path,
-                                           oid_hex)
-                    assert path in parent.records[oid_hex] \
-                        .forwarding_pointers, \
-                        "unreachable record at %r" % path
-
-
-@settings(max_examples=15, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(schedule=_schedules)
-def test_random_schedules_preserve_invariants(schedule):
+def _apply(schedule):
+    """A world with ``schedule`` registered and unregistered, and the
+    sites each object is still registered at."""
     world = World(topology=Topology.balanced(2, 2, 2, 2), seed=99)
     tree = GlsTree(world)
     clients = {}
@@ -87,28 +73,69 @@ def test_random_schedules_preserve_invariants(schedule):
                 live[oid_hex].discard(site)
 
     world.run_until(world.sim.process(driver()), limit=1e9)
-    _check_pointer_invariant(tree)
+    return world, tree, live
 
-    # Every surviving registration resolves from everywhere; fully
-    # removed objects resolve nowhere.
-    prober_host = world.host("prober", "r1/c0/m1/s0")
-    prober = GlsClient(world, prober_host, tree)
+
+def _resolve_all(world, prober, live):
+    """The sites each object in ``live`` resolves to from ``prober``."""
 
     def probe():
         outcomes = {}
-        for oid_hex, sites in live.items():
+        for oid_hex in live:
             reply = yield from prober.lookup_detailed(oid_hex)
             outcomes[oid_hex] = {w["site"] for w in reply["cas"]}
         return outcomes
 
-    outcomes = world.run_until(prober_host.spawn(probe()), limit=1e9)
+    return world.run_until(prober.host.spawn(probe()), limit=1e9)
+
+
+def _check_resolution(tree, live, outcomes):
     for oid_hex, sites in live.items():
         if sites:
             assert outcomes[oid_hex], "live object unresolvable"
-            assert outcomes[oid_hex].issubset(sites | set())
+            assert outcomes[oid_hex].issubset(sites)
         else:
             assert not outcomes[oid_hex], "ghost object resolvable"
             # And no residue in any node.
             for subnodes in tree.nodes.values():
                 for node in subnodes:
                     assert oid_hex not in node.records
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(schedule=_schedules)
+def test_random_schedules_preserve_invariants(schedule):
+    world, tree, live = _apply(schedule)
+    check_pointer_invariant(tree)
+
+    # Every surviving registration resolves from everywhere; fully
+    # removed objects resolve nowhere.
+    prober_host = world.host("prober", "r1/c0/m1/s0")
+    prober = GlsClient(world, prober_host, tree)
+    _check_resolution(tree, live, _resolve_all(world, prober, live))
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(schedule=_schedules)
+def test_lookups_over_a_lossy_network_resolve_through_caller_retries(
+        schedule):
+    world, tree, live = _apply(schedule)
+    loss = world.network.params.loss
+    loss[Level.REGION] = loss[Level.WORLD] = 0.2
+    # A walk from the prober crosses up to seven lossy links; thirty
+    # retries leave a lookup about one chance in a million to fail.
+    prober_host = world.host("prober", "r1/c0/m1/s0")
+    prober = GlsClient(world, prober_host, tree, timeout=2.0, retries=30)
+    dropped = world.network.meter.dropped_messages
+    for _round in range(4):
+        _check_resolution(tree, live, _resolve_all(world, prober, live))
+    check_pointer_invariant(tree)
+    # Each lost datagram cost its lookup one attempt, which the prober
+    # retried; no directory node retried anything.
+    dropped = world.network.meter.dropped_messages - dropped
+    assert (dropped > 0) == (prober._client.retries_sent > 0)
+    assert prober._client.retries_sent <= dropped
+    assert all(node._client.retries_sent == 0
+               for subnodes in tree.nodes.values() for node in subnodes)

@@ -83,3 +83,36 @@ def test_no_refresh_without_interval():
     world.run(until=world.now + 200.0)
     assert not secondary.zones["example.nl"].rrset("c.example.nl",
                                                    RRType.TXT)
+
+
+def test_stop_ends_the_refresh_loop():
+    # Regression: stop() left the refresh loop waking every interval
+    # for ever, each wake raising (and swallowing) AttributeError on
+    # the cleared client.
+    world = World(topology=Topology.balanced(2, 1, 1, 1), seed=8)
+    primary, secondary = _build(world, refresh_interval=20.0)
+    host = secondary.host
+    served = primary.transfers_served
+    secondary.stop()
+    world.run(until=world.now + 200.0)
+    assert primary.transfers_served == served
+    assert not host._processes
+    assert world.sim.heap_size == 0
+
+
+def test_stop_start_cycles_leave_nothing_behind():
+    world = World(topology=Topology.balanced(2, 1, 1, 1), seed=8)
+    primary, secondary = _build(world, refresh_interval=20.0)
+    host = secondary.host
+    secondary.stop()
+    for _cycle in range(5):
+        secondary.start()
+        secondary.stop()
+    world.run(until=world.now + 100.0)
+    assert not host._processes
+    assert world.sim.heap_size == 0
+    # Started once more, it refreshes again.
+    served = primary.transfers_served
+    secondary.start()
+    world.run(until=world.now + 50.0)
+    assert primary.transfers_served - served == 2

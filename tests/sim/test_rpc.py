@@ -8,6 +8,7 @@ from repro.sim import rpc
 from repro.sim.rpc import (ChannelPool, RpcChannel, RpcFault, RpcServer,
                            RpcTimeout, UdpRpcClient, UdpRpcServer)
 from repro.sim.topology import Level, Topology
+from repro.sim.transport import TransportError
 from repro.sim.world import World
 
 
@@ -823,6 +824,148 @@ def test_udp_generator_handler_is_served_like_a_channel_request(world):
     assert (cached, waited) == (3, 4)
     assert len(b._processes) == resident
     assert server.requests_served == 2
+
+
+# -- forwarded datagram requests ---------------------------------------------
+
+
+def _relay(world, host, next_host, port=5300):
+    """A server that passes every ``lookup`` on to ``next_host``."""
+    server = UdpRpcServer(host, port)
+    server.register("lookup", lambda ctx, args: rpc.Forward(
+        next_host, port, "lookup", dict(args, relayed=True)))
+    server.start()
+    return server
+
+
+def test_a_forward_is_answered_straight_to_the_caller(world):
+    a = world.host("client", "r0/c0/m0/s0")
+    b = world.host("relay", "r0/c1/m0/s0")
+    c = world.host("node", "r1/c0/m0/s0")
+    relay = _relay(world, b, c)
+    sources = []
+    last = UdpRpcServer(c, 5300)
+
+    def answer(ctx, args):
+        sources.append(ctx.src_host)
+        return sorted(args)
+
+    last.register("lookup", answer)
+    last.start()
+    client = UdpRpcClient(a)
+    world.run()
+    resident = len(b._processes)
+    events = world.sim.events_processed
+    messages = world.network.meter.total_messages
+    value = world.run_until(a.start(client.call(b, 5300, "lookup",
+                                                {"key": "x"})), limit=100)
+    assert value == ["key", "relayed"]
+    assert sources == ["client"]   # the caller, not the relay
+    # Request, forward and reply arrivals, then the caller's waiter.
+    assert world.sim.events_processed - events == 4
+    assert world.network.meter.total_messages - messages == 3
+    assert (relay.requests_served, last.requests_served) == (1, 1)
+    assert len(b._processes) == resident
+
+
+def test_a_lost_forward_is_recovered_by_the_callers_retry(world):
+    a = world.host("client", "r0/c0/m0/s0")
+    b = world.host("relay", "r0/c1/m0/s0")
+    c = world.host("node", "r1/c0/m0/s0")
+    _relay(world, b, c)
+    _udp_server(world, c)
+    client = UdpRpcClient(a, timeout=1.0, retries=2)
+    c.crash()   # the first forward is lost on its way to a dead host
+
+    def revive():
+        yield world.sim.timeout(0.5)
+        c.restart()
+        _udp_server(world, c)
+
+    world.sim.process(revive())
+    value = world.run_until(a.start(client.call(b, 5300, "lookup",
+                                                {"key": "x"})), limit=100)
+    assert value == {"found": "X"}
+    assert client.retries_sent == 1
+    world.run()
+    assert world.sim.heap_size == 0
+
+
+def test_a_channel_server_answers_a_forward_with_a_fault(world):
+    a = world.host("client", "r0/c0/m0/s0")
+    b = world.host("server", "r0/c0/m0/s1")
+    server = RpcServer(b, 7000)
+    server.register("lookup", lambda ctx, args: rpc.Forward(a, 7000,
+                                                            "lookup", args))
+    server.start()
+
+    def caller():
+        try:
+            yield from rpc.call(a, b, 7000, "lookup", {})
+        except RpcFault as fault:
+            return fault.kind
+
+    assert world.run_until(a.spawn(caller()), limit=100) == "TypeError"
+
+
+# -- a stopped datagram service ----------------------------------------------
+
+
+def test_closing_a_udp_socket_fails_its_parked_receiver(world):
+    # Regression: close() left a recv() parked forever.
+    a = world.host("node", "r0/c0/m0/s0")
+    socket = a.udp_socket(5300)
+    outcome = []
+
+    def receiver():
+        try:
+            yield socket.recv()
+        except TransportError as exc:
+            outcome.append(str(exc))
+
+    world.sim.process(receiver())
+    world.run()
+    socket.close()
+    world.run()
+    assert outcome == ["socket is closed"]
+    socket.close()   # idempotent
+    assert a._udp_ports == {}
+
+
+def test_udp_server_start_stop_cycles_leave_nothing_running(world):
+    # Regression: each stop() left its serve loop parked on the closed
+    # socket, so five cycles left five loops with the host.
+    b = world.host("node", "r0/c0/m0/s1")
+    world.run()
+    resident, heap = len(b._processes), world.sim.heap_size
+    server = _udp_server(world, b)
+    for _cycle in range(5):
+        world.run()
+        server.stop()
+        server.start()
+    world.run()
+    assert len(b._processes) == resident + 1   # the live server's loop
+    server.stop()
+    client = UdpRpcClient(b)
+    client.close()
+    world.run()
+    assert len(b._processes) == resident
+    assert world.sim.heap_size == heap
+
+
+def test_udp_server_stopped_before_its_loop_runs_restarts(world):
+    # Regression: the first loop, not yet started when stop() cleared
+    # the server's socket, ended the run with AttributeError.
+    a = world.host("client", "r0/c0/m0/s0")
+    b = world.host("node", "r0/c0/m0/s1")
+    server = _udp_server(world, b)
+    server.stop()
+    world.run()
+    server.start()
+    client = UdpRpcClient(a)
+    value = world.run_until(a.start(client.call(b, 5300, "lookup",
+                                                {"key": "ok"})), limit=100)
+    assert value == {"found": "OK"}
 
 
 # -- a payload that is not an RPC envelope ----------------------------------

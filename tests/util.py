@@ -246,3 +246,26 @@ def package_contents(lr):
             "history": semantics.getHistory(),
             "version": lr.replication.version,
             "epoch": lr.replication.epoch}
+
+
+def check_pointer_invariant(tree) -> None:
+    """The GLS's structural invariant (§3.5), at every directory node
+    of ``tree``: a node holds a record for an OID if and only if its
+    parent holds a forwarding pointer to it, and no record is empty."""
+    for path, subnodes in tree.nodes.items():
+        for node in subnodes:
+            for oid_hex, record in node.records.items():
+                assert not record.empty, \
+                    "empty record left at %r" % path
+                # Every pointer names a child holding a record.
+                for child_path in record.forwarding_pointers:
+                    child = tree.node_for(child_path, oid_hex)
+                    assert oid_hex in child.records, \
+                        "dangling pointer %s -> %s" % (path, child_path)
+                # Every non-root record is reachable from its parent.
+                if node.parent is not None:
+                    parent = tree.node_for(node.parent.domain_path,
+                                           oid_hex)
+                    assert path in parent.records[oid_hex] \
+                        .forwarding_pointers, \
+                        "unreachable record at %r" % path
