@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ..sim.rpc import RpcChannel, RpcContext, RpcServer
-from ..sim.topology import Topology
+from ..sim.topology import nearest_first
 from ..sim.transport import Host
 from ..sim.world import World
 
@@ -124,9 +124,9 @@ class MirrorNetwork:
     # -- client side -----------------------------------------------------------
 
     def nearest_mirror(self, host: Host) -> MirrorServer:
-        return min(self.mirrors,
-                   key=lambda mirror: (int(Topology.separation(
-                       host.site, mirror.host.site)), mirror.host.name))
+        return nearest_first(host.site, self.mirrors,
+                             lambda mirror: mirror.host.site,
+                             tie=lambda mirror: mirror.host.name)[0]
 
     def fetch(self, client: Host, path: str
               ) -> Generator[object, object, Tuple[int, object, float]]:

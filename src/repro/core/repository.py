@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Optional, Set, Tuple, Type
 
 from ..sim.serde import HEADER_OVERHEAD
-from ..sim.topology import Topology
+from ..sim.topology import Topology, nearest_first
 from ..sim.transport import Host
 from .idl import Interface
 from .subobjects import SemanticsSubobject
@@ -87,15 +87,10 @@ class ImplementationRepository:
         return (host.name, impl_id) in self._cached
 
     def _nearest_repo(self, host: Host) -> Optional[Host]:
-        best = None
-        best_level = None
-        for repo in self._repo_hosts:
-            if not repo.up:
-                continue
-            level = Topology.separation(host.site, repo.site)
-            if best_level is None or level < best_level:
-                best, best_level = repo, level
-        return best
+        live = [repo for repo in self._repo_hosts if repo.up]
+        if not live:
+            return None
+        return nearest_first(host.site, live, lambda repo: repo.site)[0]
 
     def load(self, host: Host, impl_id: str
              ) -> Generator[Any, Any, Implementation]:

@@ -5,7 +5,8 @@ prototype:
 
 * resolver caching makes repeated name resolutions nearly free
   ("DNS … cache entries at client-side resolvers");
-* multiple authoritative servers spread the query load over regions;
+* multiple authoritative servers spread the query load over regions:
+  each resolver asks its own region's server;
 * the naming authority batches zone updates ("The number of updates to
   our zone can be kept low by batching them");
 * two-level naming stability: moving replicas touches only the GLS,
@@ -87,45 +88,56 @@ def run_gns_resolution_experiment(seed: int = 29, name_count: int = 40,
                              rng=gdn.world.rng_for("e7-register")))
     gdn.settle(5.0)
 
-    user_host = gdn.world.host("user", "r2/c1/m0/s1")
-    gns = gdn._name_service(user_host)
-
-    def resolve(arrival):
-        yield from gns.resolve("/apps/pkg%03d" % arrival.index)
-
-    # One user resolving every name twice: first pass cold, second
-    # pass entirely out of the resolver cache.  One shared stats
-    # bundle on the deployment registry; each pass is a phase window
-    # and its latency histogram is the window's delta.
+    # One user per region, each resolving every name twice: first pass
+    # cold, second pass entirely out of its resolver cache.  One shared
+    # stats bundle on the deployment registry; each pass is a phase
+    # window and its latency histogram is the window's delta.
+    users = {region.name: gdn._name_service(gdn.world.host(
+                 "user-" + region.name, "%s/c1/m0/s1" % region.name))
+             for region in topology.world.children.values()}
+    servers = [gdn.dns_primary, *gdn.dns_secondaries]
     stats = LoadStats(registry=gdn.metrics, prefix="e7")
 
     def resolve_pass(label):
-        scenario = ClosedLoopScenario(clients=1, think_time=0.0,
-                                      requests_per_client=name_count,
-                                      label="gns-" + label)
+        """Run the pass region by region; return its latency window and
+        the GDN Zone queries each server answered, by asking region."""
         window = gdn.metrics.phase(label, now=gdn.world.now)
-        gdn.run(scenario.drive(gdn.world.sim, resolve,
-                               rng=gdn.world.rng_for("e7-" + label),
-                               stats=stats))
+        load = {}
+        for region, gns in users.items():
+            before = [server.queries_served for server in servers]
+            scenario = ClosedLoopScenario(clients=1, think_time=0.0,
+                                          requests_per_client=name_count,
+                                          label="gns-%s-%s" % (label, region))
+            gdn.run(scenario.drive(
+                gdn.world.sim,
+                lambda arrival, gns=gns: gns.resolve(
+                    "/apps/pkg%03d" % arrival.index),
+                rng=gdn.world.rng_for("e7-%s-%s" % (label, region)),
+                stats=stats))
+            load[region] = [server.queries_served - count
+                            for server, count in zip(servers, before)]
         window.close(now=gdn.world.now)
         point = stats.phase_summary(window)
-        assert point["ok"] == name_count
-        return window.delta(stats.latency.name)
+        assert point["ok"] == name_count * len(users)
+        return window.delta(stats.latency.name), load
 
-    result["cold"] = resolve_pass("cold")
-    result["warm"] = resolve_pass("warm")
+    result["users"] = len(users)
+    result["cold"], result["load"] = resolve_pass("cold")
+    result["warm"] = resolve_pass("warm")[0]
     gdn.metrics.end_phase(now=gdn.world.now)
-    result["queries_sent"] = gns.resolver.queries_sent
-    result["cache_hits"] = gns.resolver.cache_hits
-
-    # Load spreads over the secondaries (the §5 scaling argument).
-    result["primary_queries"] = gdn.dns_primary.queries_served
-    result["secondary_queries"] = [secondary.queries_served for secondary
-                                   in gdn.dns_secondaries]
+    resolvers = [gns.resolver for gns in users.values()]
+    result["queries_sent"] = sum(r.queries_sent for r in resolvers)
+    result["cache_hits"] = sum(r.cache_hits for r in resolvers)
+    # Which server each resolver asks (the §5 scaling argument: load
+    # spreads over the zone's servers by the asker's region).
+    result["servers"] = [server.host.name for server in servers]
+    result["server_regions"] = [server.host.site.region().name
+                                for server in servers]
 
     # -- two-level naming stability ------------------------------------------
     # Resolving again after "replica movement" (a pure GLS-side event)
     # is a cache hit: the name layer never saw it.
+    gns = users["r2"]
     hits_before = gns.resolver.cache_hits
     after_move = ClosedLoopScenario(clients=1, think_time=0.0,
                                     requests_per_client=1,
@@ -150,8 +162,9 @@ def format_result(result: Dict) -> str:
 
     table = Table(["resolver state", "mean resolve", "p95 resolve",
                    "DNS queries"],
-                  title="name resolution from a distant region "
-                        "(%d names)" % result["name_count"])
+                  title="name resolution, one user in each of %d regions "
+                        "(%d names each)" % (result["users"],
+                                             result["name_count"]))
     cold, warm = result["cold"], result["warm"]
     total_queries = result["queries_sent"]
     table.add_row("cold cache", format_seconds(cold.mean),
@@ -160,9 +173,12 @@ def format_result(result: Dict) -> str:
                   format_seconds(warm.p(95)),
                   "0 (all %d hits)" % result["cache_hits"])
     parts.append(table.render())
-    parts.append("authoritative load: primary=%d secondaries=%s"
-                 % (result["primary_queries"],
-                    result["secondary_queries"]))
+    table = Table(["asking region"] + result["servers"],
+                  title="authoritative load: GDN Zone queries answered "
+                        "in the cold pass")
+    for region, counts in result["load"].items():
+        table.add_row(region, *counts)
+    parts.append(table.render())
     parts.append("name mapping survives replica movement (cache hit): %s"
                  % result["stable_after_move"])
     return "\n\n".join(parts)
@@ -178,4 +194,9 @@ def assert_shape(result: Dict) -> None:
             assert row["updates"] == 1, row
     # Warm-cache resolution is much faster than cold.
     assert result["warm"].mean < result["cold"].mean / 5
+    # Each region's queries are answered by that region's own server.
+    for region, counts in result["load"].items():
+        for server_region, count in zip(result["server_regions"], counts):
+            assert (count > 0) == (server_region == region), \
+                (region, result["servers"], counts)
     assert result["stable_after_move"]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, Generator, List, Optional, Tuple
 
 from ..sim.rpc import ChannelPool
-from ..sim.topology import Topology
+from ..sim.topology import nearest_first
 from ..sim.transport import ConnectionClosed, Host
 from ..sim.world import World
 from .httpd import GdnHttpd
@@ -25,11 +25,9 @@ def nearest_access_point(host: Host, httpds: List[GdnHttpd]) -> GdnHttpd:
     """Pick the topologically nearest HTTPD from the published list."""
     if not httpds:
         raise ValueError("no access points published")
-    return min(
-        httpds,
-        key=lambda httpd: (int(Topology.separation(host.site,
-                                                   httpd.host.site)),
-                           httpd.host.name))
+    return nearest_first(host.site, httpds,
+                         lambda httpd: httpd.host.site,
+                         tie=lambda httpd: httpd.host.name)[0]
 
 
 class HttpResponse:

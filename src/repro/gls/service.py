@@ -14,7 +14,7 @@ from typing import Any, Dict, Generator, List, Optional
 
 from ..core.ids import ObjectId
 from ..sim.rpc import RpcFault, UdpRpcClient
-from ..sim.topology import Topology
+from ..sim.topology import Domain, TopologyError, nearest_first
 from ..sim.transport import Host
 from ..sim.world import World
 from .auth import sign_mutation
@@ -85,18 +85,15 @@ class GlsClient:
         from this host, so ``bind`` picks the closest replica.
         """
         reply = yield from self.lookup_detailed(oid_hex)
-        wires = list(reply.get("cas", []))
+        topology = self.world.topology
 
-        def distance(wire: dict) -> int:
-            site_path = wire.get("site", "")
+        def site_of(wire: dict) -> Optional[Domain]:
             try:
-                site = self.world.topology.site(site_path)
-            except Exception:  # noqa: BLE001 - unknown site sorts last
-                return 99
-            return int(Topology.separation(self.host.site, site))
+                return topology.site(wire.get("site", ""))
+            except TopologyError:  # an unknown site sorts last
+                return None
 
-        wires.sort(key=distance)
-        return wires
+        return nearest_first(self.host.site, reply.get("cas", ()), site_of)
 
     # -- registration -------------------------------------------------------------
 

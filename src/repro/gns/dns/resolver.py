@@ -17,6 +17,7 @@ from typing import (Dict, Generator, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 from ...sim.rpc import RpcTimeout, UdpRpcClient
+from ...sim.topology import nearest_first
 from ...sim.transport import Host
 from ...sim.world import World
 from .records import DnsError, RRType, ResourceRecord, normalize_name
@@ -179,19 +180,25 @@ class CachingResolver:
 
     def _query_any(self, servers: List[Tuple[str, int]], qname: str,
                    qtype: RRType) -> Generator:
-        """Try candidate servers until one answers.
+        """Try candidate servers nearest-first until one answers.
 
-        The starting point rotates per query, spreading load across a
-        zone's authoritative servers (how the paper's GDN Zone
-        "distribute[s] the load by creating multiple authoritative name
-        servers", §5) while dead servers are simply skipped.
+        The paper's GDN Zone "distribute[s] the load by creating
+        multiple authoritative name servers" (§5): each resolver asks
+        the one nearest to it, so load spreads by the asker's region
+        and resolution stays regional.  Ties keep NS-record order; a
+        dead server is skipped and a silent one costs a timeout before
+        the next nearest is asked.  A name added at the primary is
+        therefore visible to a region's resolvers once that region's
+        server has applied the update (one NOTIFY and transfer later).
         """
         last_error: Optional[Exception] = None
+        hosts = self.world.hosts
         if len(servers) > 1:
-            offset = self.queries_sent % len(servers)
-            servers = servers[offset:] + servers[:offset]
+            servers = nearest_first(
+                self.host.site, servers,
+                lambda server: getattr(hosts.get(server[0]), "site", None))
         for host_name, port in servers:
-            target = self.world.hosts.get(host_name)
+            target = hosts.get(host_name)
             if target is None or not target.up:
                 continue
             try:

@@ -138,12 +138,16 @@ class _DeadlinePool:
         """Withdraw a pending deadline; True if it was still pending.
 
         O(1): the entry is only marked; the container discards it when
-        it surfaces.  Cancelling an expired (or already cancelled)
-        entry is a harmless no-op, mirroring :meth:`Timeout.cancel`.
+        it surfaces.  Its payload is dropped at once, though: a guard
+        holds its call's waiter and through it the reply, which must
+        not live on until the deadline passes.  Cancelling an expired
+        (or already cancelled) entry is a harmless no-op, mirroring
+        :meth:`Timeout.cancel`.
         """
         if entry[_DEAD]:
             return False
         entry[_DEAD] = True
+        entry[_PAYLOAD] = None
         self._live -= 1
         self.cancelled_total += 1
         return True

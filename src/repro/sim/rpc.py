@@ -764,6 +764,7 @@ class UdpRpcClient:
             except TransportError:
                 return
             _settle(self._pending, datagram.payload)
+            del datagram  # parked on recv(), the loop must not pin a reply
 
     def call(self, dst: Host, port: int, method: str,
              args: Optional[dict] = None

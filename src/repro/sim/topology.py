@@ -20,9 +20,12 @@ and inspected eagerly in tests.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Dict, Iterator, List, Optional
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    TypeVar)
 
-__all__ = ["Level", "Domain", "Topology", "TopologyError"]
+__all__ = ["Level", "Domain", "Topology", "TopologyError", "nearest_first"]
+
+T = TypeVar("T")
 
 
 class TopologyError(Exception):
@@ -249,3 +252,29 @@ class Topology:
         two sites are in different world regions.
         """
         return cls.lca(a, b).level
+
+
+#: Where an item whose site is unknown sorts: past ``Level.WORLD``.
+_UNKNOWN = len(Level)
+
+
+def nearest_first(origin: Domain, items: Iterable[T],
+                  site_of: Callable[[T], Optional[Domain]],
+                  tie: Optional[Callable[[T], Any]] = None) -> List[T]:
+    """``items`` ordered by the separation of their site from
+    ``origin``, nearest first.
+
+    The one server-choice order of the GDN: access points (§4),
+    replica contact addresses, implementation repositories, mirrors and
+    the GDN Zone's name servers (§5) are all tried nearest-first.
+    Items at equal separation keep their input order, or are ordered by
+    ``tie`` when it is given; an item whose ``site_of`` is None (an
+    unknown host or site) sorts after every known one.
+    """
+    def separation(item: T) -> int:
+        site = site_of(item)
+        return _UNKNOWN if site is None else Topology.separation(origin, site)
+
+    if tie is None:
+        return sorted(items, key=separation)
+    return sorted(items, key=lambda item: (separation(item), tie(item)))

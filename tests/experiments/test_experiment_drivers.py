@@ -111,23 +111,31 @@ def test_e7_driver():
     assert "warm cache" in e7_gns_resolution.format_result(result)
 
 
-def _e7_result(updates=(40, 1, 1)):
+def _e7_result(updates=(40, 1, 1), load=None):
     """An E7 result at the committed table's values: 40 names added
-    with batch windows 0.0, 0.5 and 2.0 s."""
+    with batch windows 0.0, 0.5 and 2.0 s, and each region's cold
+    queries answered by its own server."""
     return {"name_count": 40,
             "batching": [{"window": window, "updates": count}
                          for window, count in zip((0.0, 0.5, 2.0),
                                                   updates)],
-            "cold": SimpleNamespace(mean=0.2383),
-            "warm": SimpleNamespace(mean=0.0), "stable_after_move": True}
+            "cold": SimpleNamespace(mean=0.0915),
+            "warm": SimpleNamespace(mean=0.0), "stable_after_move": True,
+            "servers": ["dns-gdn-primary", "dns-gdn-sec1", "dns-gdn-sec2"],
+            "server_regions": ["r0", "r1", "r2"],
+            "load": load or {"r0": [40, 0, 0], "r1": [0, 40, 0],
+                             "r2": [0, 0, 40]}}
 
 
-@pytest.mark.parametrize("updates", [(39, 1, 1), (40, 2, 1), (40, 1, 3)],
-                         ids=["unbatched", "half-second", "two-seconds"])
-def test_e7_claim_rejects_a_doctored_result(updates):
+@pytest.mark.parametrize("doctored", [
+    {"updates": (39, 1, 1)}, {"updates": (40, 2, 1)},
+    {"updates": (40, 1, 3)},
+    {"load": {"r0": [40, 0, 0], "r1": [0, 40, 0], "r2": [13, 0, 27]}},
+], ids=["unbatched", "half-second", "two-seconds", "cross-region"])
+def test_e7_claim_rejects_a_doctored_result(doctored):
     e7_gns_resolution.assert_shape(_e7_result())
     with pytest.raises(AssertionError):
-        e7_gns_resolution.assert_shape(_e7_result(updates))
+        e7_gns_resolution.assert_shape(_e7_result(**doctored))
 
 
 def test_e8_driver():

@@ -15,14 +15,15 @@ import pytest
 
 from repro.experiments import TABLES
 
+from tests.experiments import runs
+
 RESULTS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" \
     / "results"
 
 
-@pytest.mark.parametrize("table", TABLES,
-                         ids=[table.stem.split("_")[0] for table in TABLES])
+@pytest.mark.parametrize("table", TABLES, ids=[runs.key(t) for t in TABLES])
 def test_paper_table_matches_committed_golden(table):
-    result = table.run()
+    result = runs.result(table)
     rendered = table.render(result) + "\n"
     committed = (RESULTS / ("%s.txt" % table.stem)).read_text()
     assert rendered == committed, (

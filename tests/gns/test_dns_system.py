@@ -73,6 +73,19 @@ class DnsBed:
                                [("dns-root", DNS_PORT)],
                                cache_enabled=cache_enabled)
 
+    def in_sync(self):
+        return (self.secondary.zones[GDN_ZONE].serial
+                == self.primary.zones[GDN_ZONE].serial)
+
+    def catch_up(self, limit=60.0):
+        """Step the world until r1's secondary holds the primary's
+        serial: a resolver asks its nearest server, so an r1 resolver
+        sees an update one NOTIFY and zone transfer after the primary."""
+        deadline = self.world.now + limit
+        while not self.in_sync():
+            assert self.world.now < deadline, "secondary never caught up"
+            self.world.sim.step()
+
 
 @pytest.fixture
 def bed():

@@ -107,6 +107,7 @@ def test_authority_add_name_end_to_end(bed):
     reply = run(bed.world, add_and_resolve(), host=tool_host)
     assert reply["dns_name"] == "emacs.editors.apps." + GDN_ZONE
 
+    bed.catch_up()  # the r1 user asks r1's secondary
     resolver = bed.resolver("user-1", "r1/c0/m0/s1")
     gns = GlobeNameService(bed.world, resolver.host, resolver, zone=GDN_ZONE)
     oid_hex = run(bed.world, gns.resolve("/apps/editors/Emacs"),
@@ -184,6 +185,7 @@ def test_two_level_naming_stability(bed):
                                          "oid": "5a"})
 
     run(bed.world, add(), host=tool_host)
+    bed.catch_up()  # the r1 user asks r1's secondary
     resolver = bed.resolver("user-1", "r1/c0/m0/s1")
     gns = GlobeNameService(bed.world, resolver.host, resolver, zone=GDN_ZONE)
 

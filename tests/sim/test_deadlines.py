@@ -9,12 +9,18 @@ deadlines and once with plain per-call timers, and require identical
 firing orders.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.analysis.telemetry import MetricsRegistry
 from repro.sim.deadlines import (FifoDeadlinePool, OrderedDeadlinePool,
                                  shared_pool)
 from repro.sim.kernel import Simulator
+from repro.sim.rpc import RpcChannel, RpcServer, UdpRpcClient, UdpRpcServer
+from repro.sim.topology import Topology
+from repro.sim.world import World
 
 
 def _collector(order, sim, label):
@@ -332,3 +338,50 @@ def test_ordered_pool_rejects_negative_delay_without_poisoning():
     pool.add(_collector(order, sim, "good"), 1.0)
     sim.run()
     assert [label for label, _t in order] == ["good"]
+
+
+# -- a cancelled guard lets go of its call ----------------------------------
+
+
+class _Reply:
+    """A reply object a weak reference can watch."""
+
+    wire_size = 64
+
+
+@pytest.mark.parametrize("transport", ["udp", "channel"])
+def test_a_returned_call_frees_its_reply_before_the_deadline(transport):
+    """A guard holds its call's waiter, and the waiter its reply: once
+    the call returns, cancelling the guard must let the reply go, not
+    keep it until the (long) deadline passes."""
+    world = World(topology=Topology.balanced(regions=1, countries=1,
+                                             cities=1, sites=2), seed=1)
+    client_host = world.host("client", "r0/c0/m0/s0")
+    server_host = world.host("server", "r0/c0/m0/s1")
+    replies = []
+
+    def answer(ctx, args):
+        replies.append(weakref.ref(reply := _Reply()))
+        return reply
+
+    server = (UdpRpcServer if transport == "udp" else RpcServer)(
+        server_host, 7000)
+    server.register("get", answer)
+    server.start()
+
+    def call():
+        if transport == "udp":
+            client = UdpRpcClient(client_host, timeout=60.0)
+            reply = yield from client.call(server_host, 7000, "get", {})
+        else:
+            channel = yield from RpcChannel.open(client_host, server_host,
+                                                 7000)
+            reply = yield from channel.call("get", {}, timeout=60.0)
+            channel.close()
+        return type(reply).__name__
+
+    assert world.run_until(client_host.spawn(call())) == "_Reply"
+    world.run(until=world.now + 1.0)  # well before the 60 s deadline
+    gc.collect()
+    (ref,) = replies
+    assert ref() is None

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.topology import Domain, Level, Topology, TopologyError
+from repro.sim.topology import (Domain, Level, Topology, TopologyError,
+                                nearest_first)
 
 
 @pytest.fixture
@@ -38,6 +39,29 @@ def test_separation_levels(topo):
     assert Topology.separation(vu, topo.site("eu/nl/rot/eur")) == Level.COUNTRY
     assert Topology.separation(vu, topo.site("eu/de/ber/tu")) == Level.REGION
     assert Topology.separation(vu, topo.site("na/us/nyc/nyu")) == Level.WORLD
+
+
+def test_nearest_first_orders_by_separation(topo):
+    vu = topo.site("eu/nl/ams/vu")
+    paths = ["na/us/nyc/nyu", "eu/de/ber/tu", "eu/nl/rot/eur",
+             "eu/nl/ams/uva", "eu/nl/ams/vu"]
+    ordered = nearest_first(vu, paths, topo.site)
+    assert ordered == list(reversed(paths))
+
+
+def test_nearest_first_ties_keep_input_order_or_follow_tie(topo):
+    vu = topo.site("eu/nl/ams/vu")
+    far = ["na/us/sfo/ucb", "na/us/nyc/nyu"]  # both at WORLD distance
+    assert nearest_first(vu, far, topo.site) == far
+    assert nearest_first(vu, far, topo.site, tie=str) == sorted(far)
+
+
+def test_nearest_first_puts_unknown_sites_last(topo):
+    vu = topo.site("eu/nl/ams/vu")
+    sites = {"near": topo.site("eu/nl/ams/uva"),
+             "far": topo.site("na/us/nyc/nyu")}
+    ordered = nearest_first(vu, ["lost", "far", "gone", "near"], sites.get)
+    assert ordered == ["near", "far", "lost", "gone"]
 
 
 def test_lca_is_shared_ancestor(topo):

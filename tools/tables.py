@@ -46,7 +46,7 @@ def main(names: List[str]) -> int:
         except AssertionError as error:
             status = 1
             print("%s: the paper's claim no longer holds: %r"
-                  % (table.key, error), file=sys.stderr)
+                  % (table.stem, error), file=sys.stderr)
     return status
 
 
