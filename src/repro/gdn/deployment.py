@@ -16,13 +16,13 @@ components at chosen sites, and drive simulated users against it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Generator, List, Optional, Union
 
 from ..core.repository import Implementation, ImplementationRepository
 from ..core.runtime import Runtime
 from ..gls.tree import GlsTree
 from ..gls.service import GlsClient
-from ..gns.authority import AUTHORITY_PORT, NamingAuthority
+from ..gns.authority import NamingAuthority
 from ..gns.dns.records import ResourceRecord, RRType
 from ..gns.dns.resolver import CachingResolver
 from ..gns.dns.server import DNS_PORT, AuthoritativeServer
@@ -31,7 +31,7 @@ from ..gns.gns import DEFAULT_GDN_ZONE, GlobeNameService
 from ..gos.server import DEFAULT_GOS_PORT, GlobeObjectServer
 from ..security.acl import GdnPolicy, PrincipalRegistry, Role, role_attribute
 from ..security.certs import CertificateAuthority, Credentials
-from ..security.tls import CostModel, client_wrapper, server_factory
+from ..security.tls import client_wrapper, server_factory
 from ..sim.network import LinkParameters
 from ..sim.stable import DiskStore
 from ..sim.topology import Domain, Topology
@@ -42,6 +42,7 @@ from .cache import GlsLookupCache
 from .httpd import HTTP_PORT, GdnHttpd
 from .moderator import ModeratorTool
 from .package import PACKAGE_IMPL_ID, PackageSemantics
+from .search import SearchService
 
 __all__ = ["GdnDeployment", "BrowserPool"]
 
@@ -50,18 +51,18 @@ class GdnDeployment:
     """One fully wired Globe Distribution Network."""
 
     def __init__(self, topology: Optional[Topology] = None, seed: int = 0,
-                 secure: bool = True, encryption: bool = True,
-                 gls_partition: Union[int, Dict[str, int]] = 1,
-                 batch_window: float = 0.2,
+                 secure: bool = True, batch_window: float = 0.2,
                  link_params: Optional[LinkParameters] = None,
-                 tls_costs: Optional[CostModel] = None,
-                 package_code_size: int = 80_000,
-                 gls_cache: Union[bool, Dict, None] = None,
+                 gls_cache: Optional[Dict] = None,
                  retry_policy=None):
-        """``gls_cache`` turns on the flash-crowd GLS-lookup cache for
-        every GDN host (``True`` = defaults, a dict = keyword options
-        for :class:`~repro.gdn.cache.GlsLookupCache`, e.g.
-        ``{"ttl": 30.0, "serve_stale": True}``).  ``None`` (the
+        """``secure`` gives each GDN host, moderator and maintainer
+        one certificate for its role (:meth:`_principal`) and puts
+        every channel under TLS (:meth:`_server_tls`, :meth:`_client_tls`).
+
+        ``gls_cache`` turns on the flash-crowd GLS-lookup cache for
+        every GDN host: a dict of keyword options for
+        :class:`~repro.gdn.cache.GlsLookupCache` (``{}`` = defaults,
+        e.g. ``{"ttl": 30.0, "serve_stale": True}``).  ``None`` (the
         default) keeps the direct-lookup path byte-identical to the
         uncached reference deployment.
 
@@ -73,8 +74,6 @@ class GdnDeployment:
         self.world = World(topology=topology or Topology.balanced(2, 2, 2, 2),
                            params=link_params, seed=seed)
         self.secure = secure
-        self.encryption = encryption
-        self.tls_costs = tls_costs or CostModel()
         self.disk = DiskStore()
         self.zone = DEFAULT_GDN_ZONE
 
@@ -99,23 +98,31 @@ class GdnDeployment:
 
         # -- naming + location infrastructure -------------------------------
         self._build_dns()
-        self.gls = GlsTree(self.world, partition=gls_partition,
-                           auth_key=self.gls_key, disk=self.disk)
+        self.gls = GlsTree(self.world, auth_key=self.gls_key, disk=self.disk)
         self.repository = ImplementationRepository(self.world)
         self.repository.register(Implementation(
-            PACKAGE_IMPL_ID, PackageSemantics,
-            code_size=package_code_size))
-        self._add_repository_hosts()
-        self._build_authority(batch_window)
-        self._build_search()
+            PACKAGE_IMPL_ID, PackageSemantics, code_size=80_000))
+        for index, region in enumerate(self._regions()):
+            self.repository.add_repository_host(self.world.host(
+                "implrepo-%d" % index, self._first_site(region)))
+        first_site = self._first_site(self._regions()[0])
+        host = self.world.host("gns-authority", first_site)
+        self.authority = NamingAuthority(
+            self.world, host, primary=self.dns_primary.endpoint,
+            tsig_key=self.tsig_key, zone=self.zone,
+            channel_factory=self._server_tls(host, "required"),
+            authorizer=self.policy and self.policy.authority_authorizer,
+            batch_window=batch_window)
+        self.authority.start()
+        host = self.world.host("gdn-search", first_site)
+        self.search = SearchService(
+            self.world, host, channel_factory=self._server_tls(host,
+                                                               "optional"),
+            authorizer=self.policy and self.policy.authority_authorizer)
+        self.search.start()
 
         # -- flash-crowd serving layer (GLS-lookup cache) ------------------
-        if gls_cache is None or gls_cache is False:
-            self._cache_options: Optional[Dict] = None
-        elif gls_cache is True:
-            self._cache_options = {}
-        else:
-            self._cache_options = dict(gls_cache)
+        self._cache_options = None if gls_cache is None else dict(gls_cache)
         self.lookup_caches: Dict[str, GlsLookupCache] = {}
 
         # -- application component registries -----------------------------------
@@ -190,76 +197,44 @@ class GdnDeployment:
                        *self.dns_secondaries]:
             server.bind_metrics(world.metrics, "dns.%s" % server.host.name)
 
-    def _add_repository_hosts(self) -> None:
-        for index, region in enumerate(self._regions()):
-            host = self.world.host("implrepo-%d" % index,
-                                   self._first_site(region))
-            self.repository.add_repository_host(host)
+    # -- principals (§6.1) ---------------------------------------------------
 
-    def _build_authority(self, batch_window: float) -> None:
-        host = self.world.host("gns-authority",
-                               self._first_site(self._regions()[0]))
-        factory = None
-        authorizer = None
-        if self.secure:
-            credentials = self._gdn_host_credentials(host)
-            factory = server_factory(credentials, client_auth="required",
-                                     encryption=self.encryption,
-                                     costs=self.tls_costs)
-            authorizer = self.policy.authority_authorizer
-        self.authority = NamingAuthority(
-            self.world, host, primary=self.dns_primary.endpoint,
-            tsig_key=self.tsig_key, zone=self.zone,
-            channel_factory=factory, authorizer=authorizer,
-            batch_window=batch_window)
-        self.authority.start()
-
-    def _build_search(self) -> None:
-        from .search import SearchService
-
-        host = self.world.host("gdn-search",
-                               self._first_site(self._regions()[0]))
-        factory = None
-        authorizer = None
-        if self.secure:
-            credentials = self._gdn_host_credentials(host)
-            factory = server_factory(credentials, client_auth="optional",
-                                     encryption=self.encryption,
-                                     costs=self.tls_costs)
-            authorizer = self.policy.authority_authorizer
-        self.search = SearchService(self.world, host,
-                                    channel_factory=factory,
-                                    authorizer=authorizer)
-        self.search.start()
-
-    # -- credentials -----------------------------------------------------------
-
-    def _gdn_host_credentials(self, host: Host) -> Credentials:
+    def _principal(self, name: str, role: Role) -> Optional[Credentials]:
+        """``name``'s certificate for ``role``, issued on first use
+        (None when the deployment is not secured).  Every role but
+        MAINTAINER is granted in the registry with it; a maintainer's
+        rights are its package grants (:meth:`grant_maintainer`)."""
         if not self.secure:
-            raise ValueError("deployment is not secured")
-        if host.name not in self._credentials:
+            return None
+        credentials = self._credentials.get(name)
+        if credentials is None:
             credentials = Credentials.issue_for(
-                host.name, self.ca, self.world.rng_for("cred-%s" % host.name),
-                role_attribute(Role.GDN_HOST))
-            self.registry.grant(host.name, Role.GDN_HOST)
-            self._credentials[host.name] = credentials
-        return self._credentials[host.name]
+                name, self.ca, self.world.rng_for("cred-%s" % name),
+                role_attribute(role))
+            if role is not Role.MAINTAINER:
+                self.registry.grant(name, role)
+            self._credentials[name] = credentials
+        return credentials
 
-    def _gdn_client_wrapper(self, host: Host) -> Optional[Callable]:
-        """Two-way TLS wrapper for a GDN host's outbound channels."""
+    def _server_tls(self, host: Host, client_auth: str
+                    ) -> Optional[Callable]:
+        """The channel factory of a GDN host's service: TLS under the
+        host's GDN_HOST certificate, ``client_auth`` toward callers."""
+        credentials = self._principal(host.name, Role.GDN_HOST)
+        if credentials is None:
+            return None
+        return server_factory(credentials, client_auth=client_auth)
+
+    def _client_tls(self, name: Optional[str], role: Role
+                    ) -> Optional[Callable]:
+        """The channel wrapper of ``name``'s outbound channels: two-way
+        TLS under its ``role`` certificate, or — for an anonymous user
+        machine (``name`` None, ``role`` USER) — server-auth TLS."""
         if not self.secure:
             return None
-        return client_wrapper(credentials=self._gdn_host_credentials(host),
-                              encryption=self.encryption,
-                              costs=self.tls_costs)
-
-    def _anonymous_wrapper(self) -> Optional[Callable]:
-        """One-way (server-auth) TLS wrapper for user machines."""
-        if not self.secure:
-            return None
-        return client_wrapper(trust=self.public_trust,
-                              encryption=self.encryption,
-                              costs=self.tls_costs)
+        if name is None:
+            return client_wrapper(trust=self.public_trust)
+        return client_wrapper(credentials=self._principal(name, role))
 
     # -- component factories ------------------------------------------------------
 
@@ -290,13 +265,21 @@ class GdnDeployment:
 
     def _runtime(self, host: Host, gdn_host: bool,
                  binding_ttl: Optional[float] = None) -> Runtime:
-        wrapper = (self._gdn_client_wrapper(host) if gdn_host
-                   else self._anonymous_wrapper())
+        """An HTTPD's (``gdn_host``) or a user-machine proxy's runtime."""
+        wrapper = (self._client_tls(host.name, Role.GDN_HOST) if gdn_host
+                   else self._client_tls(None, Role.USER))
         client = self._gls_client(host, authenticated=gdn_host)
-        return Runtime(self.world, host, client,
-                       self.repository, channel_wrapper=wrapper,
-                       binding_ttl=binding_ttl,
+        return Runtime(self.world, host, client, self.repository,
+                       channel_wrapper=wrapper, binding_ttl=binding_ttl,
                        lookup_cache=self._lookup_cache(host, client))
+
+    def _tool_runtime(self, host: Host, role: Role) -> Runtime:
+        """A moderator's or maintainer's runtime: channels under its
+        ``role`` certificate, unauthenticated GLS lookups, no cache."""
+        return Runtime(self.world, host,
+                       self._gls_client(host, authenticated=False),
+                       self.repository,
+                       channel_wrapper=self._client_tls(host.name, role))
 
     def _name_service(self, host: Host) -> GlobeNameService:
         resolver = CachingResolver(self.world, host, self.root_hints)
@@ -306,23 +289,15 @@ class GdnDeployment:
                 port: int = DEFAULT_GOS_PORT) -> GlobeObjectServer:
         """Add a Globe Object Server at ``site``."""
         host = self.world.host(name, site)
-        factory = None
-        wrapper = None
-        authorizer = None
-        if self.secure:
-            credentials = self._gdn_host_credentials(host)
-            factory = server_factory(credentials, client_auth="optional",
-                                     encryption=self.encryption,
-                                     costs=self.tls_costs)
-            wrapper = self._gdn_client_wrapper(host)
-            authorizer = self.policy.gos_authorizer
+        factory = self._server_tls(host, "optional")
         client = self._gls_client(host, authenticated=True)
         gos = GlobeObjectServer(
             self.world, host, self.repository,
             self._lookup_cache(host, client) or client, port=port,
-            channel_factory=factory, channel_wrapper=wrapper,
-            authorizer=authorizer, disk=self.disk,
-            checkpoint_on_write=True)
+            channel_factory=factory,
+            channel_wrapper=self._client_tls(host.name, Role.GDN_HOST),
+            authorizer=self.policy and self.policy.gos_authorizer,
+            disk=self.disk, checkpoint_on_write=True)
         gos.start()
         gos.bind_metrics(self.world.metrics, prefix="gos.%s" % name)
         self.repository.preload(host, PACKAGE_IMPL_ID)
@@ -347,17 +322,12 @@ class GdnDeployment:
             host = self.world.host(name, site)
         else:
             raise ValueError("need a site or a GOS to colocate with")
-        factory = None
-        if self.secure:
-            credentials = self._gdn_host_credentials(host)
-            factory = server_factory(credentials, client_auth="none",
-                                     encryption=self.encryption,
-                                     costs=self.tls_costs)
         httpd = GdnHttpd(self.world, host,
                          self._runtime(host, gdn_host=True,
                                        binding_ttl=binding_ttl),
                          self._name_service(host), port=port,
-                         channel_factory=factory, cache_policy=cache_policy,
+                         channel_factory=self._server_tls(host, "none"),
+                         cache_policy=cache_policy,
                          search_endpoint=(self.search.host.name,
                                           self.search.port),
                          concurrency=concurrency,
@@ -370,16 +340,13 @@ class GdnDeployment:
         return httpd
 
     def add_proxy(self, name: str, site: Union[str, Domain],
-                  port: int = HTTP_PORT,
-                  cache_policy: Optional[Callable] = None) -> GdnHttpd:
+                  port: int = HTTP_PORT) -> GdnHttpd:
         """Add a GDN-proxy on a user machine (§4): same software, no
         GDN credentials, plain HTTP toward the local browser."""
         host = self.world.host(name, site)
         proxy = GdnHttpd(self.world, host,
                          self._runtime(host, gdn_host=False),
-                         self._name_service(host), port=port,
-                         channel_factory=None, cache_policy=cache_policy,
-                         is_gdn_host=False)
+                         self._name_service(host), port=port)
         proxy.start()
         return proxy
 
@@ -387,24 +354,9 @@ class GdnDeployment:
                       ) -> ModeratorTool:
         """Add a moderator (tool + credentials + registry entry)."""
         host = self.world.host(name, site)
-        wrapper = None
-        if self.secure:
-            credentials = Credentials.issue_for(
-                name, self.ca, self.world.rng_for("cred-%s" % name),
-                role_attribute(Role.MODERATOR))
-            self.registry.grant(name, Role.MODERATOR)
-            self._credentials[name] = credentials
-            wrapper = client_wrapper(credentials=credentials,
-                                     encryption=self.encryption,
-                                     costs=self.tls_costs)
-        gos_registry = {gos_name: (gos.host.name, gos.port)
-                        for gos_name, gos in self.object_servers.items()}
         tool = ModeratorTool(
-            self.world, host,
-            Runtime(self.world, host,
-                    self._gls_client(host, authenticated=False),
-                    self.repository, channel_wrapper=wrapper),
-            gos_registry,
+            self.world, host, self._tool_runtime(host, Role.MODERATOR),
+            self.object_servers,
             (self.authority.host.name, self.authority.port),
             self._name_service(host),
             search_endpoint=(self.search.host.name, self.search.port))
@@ -423,24 +375,11 @@ class GdnDeployment:
         from .maintainer import MaintainerTool
 
         host = self.world.host(name, site)
-        wrapper = None
-        if self.secure:
-            credentials = Credentials.issue_for(
-                name, self.ca, self.world.rng_for("cred-%s" % name),
-                role_attribute(Role.MAINTAINER))
-            self._credentials[name] = credentials
-            wrapper = client_wrapper(credentials=credentials,
-                                     encryption=self.encryption,
-                                     costs=self.tls_costs)
-            for oid_hex in maintains or []:
-                self.registry.grant_package(name, oid_hex)
-        tool = MaintainerTool(
-            self.world, host,
-            Runtime(self.world, host,
-                    self._gls_client(host, authenticated=False),
-                    self.repository, channel_wrapper=wrapper),
-            self._name_service(host))
-        return tool
+        runtime = self._tool_runtime(host, Role.MAINTAINER)
+        for oid_hex in maintains or []:
+            self.grant_maintainer(name, oid_hex)
+        return MaintainerTool(self.world, host, runtime,
+                              self._name_service(host))
 
     def grant_maintainer(self, principal: str, oid_hex: str) -> None:
         """Administrator action: extend a maintainer's package set."""
@@ -454,7 +393,7 @@ class GdnDeployment:
         if access_point is None:
             access_point = nearest_access_point(host, self.httpds)
         browser = Browser(self.world, host, access_point,
-                          channel_wrapper=self._anonymous_wrapper())
+                          channel_wrapper=self._client_tls(None, Role.USER))
         self.browsers[name] = browser
         return browser
 

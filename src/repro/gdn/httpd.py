@@ -56,6 +56,20 @@ DEFAULT_CACHE_TTL = 300.0
 _ROUTES = ("/files/", "/manifest/", "/chunk/")
 
 
+#: What each kind of GDN URL invokes on the package DSO: (method,
+#: content type of the 200 reply, 404 body when the invocation fails
+#: — formatted with the file path, None for a page, and object name).
+_SERVED = {
+    "page": ("listContents", "text/html", "no file %s in %s"),
+    "file": ("getFileContents", "application/octet-stream",
+             "no file %s in %s"),
+    "manifest": ("getFileManifest", "application/json",
+                 "no such file or chunk: %s in %s"),
+    "chunk": ("getFileChunk", "application/octet-stream",
+              "no such file or chunk: %s in %s"),
+}
+
+
 def _route(rest: str) -> Tuple[Optional[str], str, str]:
     """Split ``rest`` (a URL path less its ``/gdn``) at its first route
     marker: (marker, object name, what follows), marker None if the
@@ -172,15 +186,14 @@ class GdnHttpd:
                  channel_factory: Optional[Callable] = None,
                  cache_policy: Optional[Callable[[str],
                                                  Optional[float]]] = None,
-                 is_gdn_host: bool = True,
                  search_endpoint: Optional[Tuple[str, int]] = None,
                  concurrency: Optional[int] = None,
                  service_time: float = 0.0):
         """``cache_policy(object_name)`` returns the cache TTL for a
-        package (None = bind as a pure client proxy).  ``is_gdn_host``
-        is False for GDN-proxy servers running on user machines (§4) —
-        functionally identical, but they hold no GDN credentials, so
-        object servers treat them as anonymous users."""
+        package (None = bind as a pure client proxy).  A GDN-proxy on
+        a user machine (§4) is the same daemon: what sets it apart is
+        its ``runtime``, whose channels carry no GDN credentials, so
+        object servers treat it as an anonymous user."""
         self.world = world
         self.host = host
         self.runtime = runtime
@@ -188,7 +201,6 @@ class GdnHttpd:
         self.port = port
         self.channel_factory = channel_factory
         self.cache_policy = cache_policy or (lambda _name: DEFAULT_CACHE_TTL)
-        self.is_gdn_host = is_gdn_host
         self.search_endpoint = (tuple(search_endpoint)
                                 if search_endpoint else None)
         #: Finite-capacity serving: worker pool size and per-request
@@ -248,75 +260,48 @@ class GdnHttpd:
         marker, object_name, tail = _route(rest)
         if marker is not None and marker != "/files/":
             try:
-                transfer = _transfer_target(path, marker, object_name, tail,
-                                            query)
+                kind, object_name, file_path, index, chunk_size = (
+                    _transfer_target(path, marker, object_name, tail, query))
             except ValueError:
                 self.errors += 1
                 return _response(404, "bad transfer URL: %s" % path)
-            reply = yield from self._handle_transfer(*transfer)
+            args = {"path": file_path}
+            if kind == "chunk":
+                args["index"] = index
+            if chunk_size is not None:
+                args["chunk_size"] = chunk_size
+            reply = yield from self._serve(kind, object_name, args)
             return reply
         # A query string is no part of a page or download URL's
         # syntax: it stays on the end of whatever the path names.
         object_name, file_path = _gdn_target(
             rest + sep + query, marker, object_name, tail + sep + query)
-        try:
-            oid_hex = yield from self.name_service.resolve(object_name)
-        except GnsError:
-            self.errors += 1
-            return _response(404, "unknown package %s" % object_name)
-        oid = ObjectId.from_hex(oid_hex)
-        ttl = self.cache_policy(object_name)
         if file_path is None:
-            method, args = "listContents", {}
+            reply = yield from self._serve("page", object_name, {})
         else:
-            method, args = "getFileContents", {"path": file_path}
-        try:
-            value = yield from self._invoke_with_rebind(oid, ttl, method,
-                                                        args)
-        except BindError:
-            self.errors += 1
-            return _response(503, "package currently unreachable")
-        except _REBINDABLE:
-            self.errors += 1
-            return _response(503, "package replicas unreachable")
-        except RemoteInvocationError:
-            self.errors += 1
-            return _response(404, "no file %s in %s"
-                             % (file_path, object_name))
-        if file_path is None:
-            body = render_listing(object_name, value)
-            self.bytes_served += len(body)
-            return _response(200, body, content_type="text/html")
-        self.bytes_served += len(value)
-        return _response(200, value,
-                         content_type="application/octet-stream")
+            reply = yield from self._serve("file", object_name,
+                                           {"path": file_path})
+        return reply
 
-    def _handle_transfer(self, kind: str, object_name: str, file_path: str,
-                         index: Optional[int],
-                         chunk_size: Optional[int]) -> Generator:
-        """Serve a chunked-transfer request (manifest or one chunk).
+    def _serve(self, kind: str, object_name: str, args: dict) -> Generator:
+        """Serve a package page, a file, or a chunked transfer's
+        manifest or chunk (``kind``, a key of :data:`_SERVED`).
 
-        Same binding/rebind discipline as whole-file GETs, so a chunk
-        fetch transparently fails over to another replica — the
-        property resumable downloads lean on mid-crash.
+        Every kind takes the same binding/rebind discipline, so a
+        chunk fetch transparently fails over to another replica as a
+        whole-file GET does — the property resumable downloads lean on
+        mid-crash.
         """
         try:
             oid_hex = yield from self.name_service.resolve(object_name)
         except GnsError:
             self.errors += 1
             return _response(404, "unknown package %s" % object_name)
-        oid = ObjectId.from_hex(oid_hex)
-        ttl = self.cache_policy(object_name)
-        if kind == "manifest":
-            method, args = "getFileManifest", {"path": file_path}
-        else:
-            method, args = "getFileChunk", {"path": file_path,
-                                            "index": index}
-        if chunk_size is not None:
-            args["chunk_size"] = chunk_size
+        method, content_type, missing = _SERVED[kind]
         try:
-            value = yield from self._invoke_with_rebind(oid, ttl, method,
-                                                        args)
+            value = yield from self._invoke_with_rebind(
+                ObjectId.from_hex(oid_hex), self.cache_policy(object_name),
+                method, args)
         except BindError:
             self.errors += 1
             return _response(503, "package currently unreachable")
@@ -325,14 +310,12 @@ class GdnHttpd:
             return _response(503, "package replicas unreachable")
         except RemoteInvocationError:
             self.errors += 1
-            return _response(404, "no such file or chunk: %s in %s"
-                             % (file_path, object_name))
-        if kind == "manifest":
-            self.bytes_served += encoded_size(value)
-            return _response(200, value, content_type="application/json")
-        self.bytes_served += len(value)
-        return _response(200, value,
-                         content_type="application/octet-stream")
+            return _response(404, missing % (args.get("path"), object_name))
+        if kind == "page":
+            value = render_listing(object_name, value)
+        self.bytes_served += (encoded_size(value) if kind == "manifest"
+                              else len(value))
+        return _response(200, value, content_type=content_type)
 
     def _handle_search(self, path: str) -> Generator:
         """Attribute-based search (§8): ``/gdn-search?category=graphics``.

@@ -22,10 +22,11 @@ commands and DSO invocations to one server share one connection.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Mapping, Optional, Tuple
 
 from ..core.ids import ContactAddress, ObjectId
 from ..core.runtime import Runtime
+from ..gos.server import GlobeObjectServer
 from ..sim import rpc
 from ..sim.transport import Host
 from ..sim.world import World
@@ -43,22 +44,21 @@ class ModeratorTool:
     """One moderator's command-line tool, as a driveable object."""
 
     def __init__(self, world: World, host: Host, runtime: Runtime,
-                 gos_registry: Dict[str, Tuple[str, int]],
+                 object_servers: Mapping[str, GlobeObjectServer],
                  authority_endpoint: Tuple[str, int],
                  name_service,
-                 impl_id: str = PACKAGE_IMPL_ID,
                  search_endpoint: Optional[Tuple[str, int]] = None):
-        """``gos_registry`` maps object-server names to (host, port);
-        ``name_service`` resolves object names (a GlobeNameService);
-        ``search_endpoint`` (optional) is the attribute-search service
-        packages are indexed in."""
+        """``object_servers`` maps object-server names to the servers,
+        read at each command (not copied), so a server added after the
+        tool can host replicas; ``name_service`` resolves object names
+        (a GlobeNameService); ``search_endpoint`` (optional) is the
+        attribute-search service packages are indexed in."""
         self.world = world
         self.host = host
         self.runtime = runtime
-        self.gos_registry = dict(gos_registry)
+        self.object_servers = object_servers
         self.authority_endpoint = tuple(authority_endpoint)
         self.name_service = name_service
-        self.impl_id = impl_id
         self.search_endpoint = (tuple(search_endpoint)
                                 if search_endpoint else None)
         #: Local catalog of packages this moderator manages:
@@ -82,12 +82,12 @@ class ModeratorTool:
 
     def _gos_call(self, gos_name: str, method: str, args: dict
                   ) -> Generator:
-        try:
-            endpoint = self.gos_registry[gos_name]
-        except KeyError:
+        gos = self.object_servers.get(gos_name)
+        if gos is None:
             raise ModerationError("unknown object server %r" % gos_name)
         try:
-            reply = yield from self._call(endpoint, method, args)
+            reply = yield from self._call((gos.host.name, gos.port), method,
+                                          args)
         except rpc.RpcFault as fault:
             raise ModerationError("%s on %s failed: %s"
                                   % (method, gos_name, fault))
@@ -139,7 +139,7 @@ class ModeratorTool:
         # Step 1-2: first replica; the GLS allocates the OID.
         created = yield from self._gos_call(
             scenario.master_gos, "create_object",
-            {"impl_id": self.impl_id, "protocol": scenario.protocol,
+            {"impl_id": PACKAGE_IMPL_ID, "protocol": scenario.protocol,
              "role": scenario.master_role})
         oid = ObjectId.from_hex(created["oid"])
         master_ca = created["ca"]
@@ -160,7 +160,7 @@ class ModeratorTool:
         for gos_name in scenario.slave_gos:
             yield from self._gos_call(
                 gos_name, "create_replica",
-                {"oid": oid.hex, "impl_id": self.impl_id,
+                {"oid": oid.hex, "impl_id": PACKAGE_IMPL_ID,
                  "protocol": scenario.protocol,
                  "role": scenario.slave_role, "master": master_ca})
         # Step 4: register the name, then index searchable attributes.
@@ -198,7 +198,7 @@ class ModeratorTool:
                                   % (gos_name, object_name))
         yield from self._gos_call(
             gos_name, "create_replica",
-            {"oid": entry["oid"], "impl_id": self.impl_id,
+            {"oid": entry["oid"], "impl_id": PACKAGE_IMPL_ID,
              "protocol": scenario.protocol, "role": scenario.slave_role,
              "master": entry["master_ca"]})
         scenario.slave_gos.append(gos_name)

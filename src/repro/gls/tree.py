@@ -28,7 +28,6 @@ class GlsTree:
                  auth_key: Optional[bytes] = None,
                  port: int = GLS_PORT,
                  disk: Optional[DiskStore] = None,
-                 host_prefix: str = "glsnode",
                  transport: str = "udp"):
         """``partition`` is either a global subnode count or a mapping
         from domain path (e.g. ``""`` for the root) to subnode count;
@@ -39,7 +38,6 @@ class GlsTree:
         self.auth_key = auth_key
         self.port = port
         self.disk = disk if disk is not None else DiskStore()
-        self.host_prefix = host_prefix
         self.transport = transport
         #: domain path -> list of subnodes (the logical node).
         self.nodes: Dict[str, List[DirectoryNode]] = {}
@@ -56,7 +54,7 @@ class GlsTree:
 
     def _host_name(self, domain: Domain, index: int) -> str:
         label = domain.path.replace("/", ".") or "root"
-        return "%s-%s-%d" % (self.host_prefix, label, index)
+        return "glsnode-%s-%d" % (label, index)
 
     def _build(self) -> None:
         topology = self.world.topology

@@ -40,6 +40,9 @@ AUTHORITY_PORT = 5355
 #: because of the two-level naming scheme (§5), so a long TTL is safe.
 NAME_TTL = 3600
 
+#: Most name mutations one zone UPDATE carries.
+MAX_BATCH = 50
+
 
 class _PendingOp:
     """One queued name mutation awaiting its batch commit."""
@@ -63,7 +66,7 @@ class NamingAuthority:
                  port: int = AUTHORITY_PORT,
                  channel_factory: Optional[Callable] = None,
                  authorizer: Optional[Callable[[RpcContext], bool]] = None,
-                 batch_window: float = 0.5, max_batch: int = 50):
+                 batch_window: float = 0.5):
         self.world = world
         self.host = host
         self.primary = tuple(primary)
@@ -73,7 +76,6 @@ class NamingAuthority:
         self.channel_factory = channel_factory
         self.authorizer = authorizer
         self.batch_window = batch_window
-        self.max_batch = max_batch
         self._queue = world.sim.store()
         self._carry_get: Optional[Event] = None
         self._client: Optional[UdpRpcClient] = None
@@ -146,7 +148,7 @@ class NamingAuthority:
             first = yield get_event
             batch: List[_PendingOp] = [first]
             deadline = self.world.now + self.batch_window
-            while len(batch) < self.max_batch:
+            while len(batch) < MAX_BATCH:
                 remaining = deadline - self.world.now
                 if remaining <= 0:
                     break

@@ -311,8 +311,7 @@ def client_wrapper(credentials: Optional[Credentials] = None,
 
 
 def server_factory(credentials: Credentials,
-                   require_client_cert: bool = False,
-                   client_auth: Optional[str] = None,
+                   client_auth: str = "none",
                    encryption: bool = True,
                    costs: CostModel = DEFAULT_COSTS):
     """Channel factory performing the server side of the handshake.
@@ -326,11 +325,8 @@ def server_factory(credentials: Credentials,
     * ``"required"`` — two-way authentication only (moderator-facing
       services, arrow 3).
 
-    ``require_client_cert=True`` is shorthand for ``"required"``.
     Returns a function usable as ``channel_factory`` in the RPC layer.
     """
-    if client_auth is None:
-        client_auth = "required" if require_client_cert else "none"
     if client_auth not in ("none", "optional", "required"):
         raise HandshakeError("bad client_auth mode %r" % client_auth)
 

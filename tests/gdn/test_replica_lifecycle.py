@@ -8,7 +8,10 @@ pointers stays consistent, and lookups from that region walk back to
 the master.
 """
 
+import pytest
+
 from repro.gdn.deployment import GdnDeployment
+from repro.gdn.moderator import ModerationError
 from repro.gdn.scenario import ReplicationScenario
 from repro.gls.service import GlsClient
 from repro.sim.topology import Topology
@@ -64,3 +67,21 @@ def test_add_and_drop_a_replica_moves_lookups_in_and_out_of_a_region():
     after = lookup()
     assert (after["found"], after["hops"]) == (master_site, before["hops"])
     assert moderator.catalog[PACKAGE]["scenario"].slave_gos == []
+
+
+def test_a_moderator_places_replicas_on_object_servers_added_after_it():
+    gdn = GdnDeployment(topology=Topology.balanced(2, 2, 2, 2), seed=5)
+    gdn.standard_fleet(gos_per_region=1)
+    gdn.initial_sync()
+    moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
+    late = gdn.add_gos("gos-late", "r1/c1/m0/s0")
+    oid = gdn.run(moderator.create_package(
+        PACKAGE, FILES, ReplicationScenario.master_slave("gos-r0-0", [])),
+        host=moderator.host)
+    gdn.run(moderator.add_replica(PACKAGE, "gos-late"), host=moderator.host)
+    gdn.settle(2.0)
+    assert oid.hex in late.replicas
+    assert moderator.catalog[PACKAGE]["scenario"].slave_gos == ["gos-late"]
+    with pytest.raises(ModerationError, match="unknown object server"):
+        gdn.run(moderator.add_replica(PACKAGE, "gos-nowhere"),
+                host=moderator.host)

@@ -116,7 +116,7 @@ def test_authority_add_name_end_to_end(bed):
 
 
 def test_authority_batches_updates(bed):
-    authority = _authority(bed, batch_window=1.0, max_batch=50)
+    authority = _authority(bed, batch_window=1.0)
     tool_host = bed.world.host("modtool", "r0/c1/m0/s1")
     updates_before = bed.primary.updates_applied
 

@@ -126,7 +126,7 @@ def _collisions(times, bucket=0.010):
 def test_cache_disabled_replay_is_byte_identical():
     first, gdn, _retries = _replay(None)
     assert not gdn.lookup_caches
-    second, _gdn, _retries2 = _replay(False)
+    second, _gdn, _retries2 = _replay(None)
     assert first == second
     summary = first[0]
     assert summary["issued"] == 140
@@ -136,7 +136,7 @@ def test_cache_disabled_replay_is_byte_identical():
 
 def test_cache_on_serves_identically_with_fewer_lookups():
     baseline, gdn_off, _r0 = _replay(None)
-    cached, gdn_on, _r1 = _replay(True)
+    cached, gdn_on, _r1 = _replay({})
     assert cached[0]["issued"] == baseline[0]["issued"] == 140
     assert cached[0]["ok"] == baseline[0]["ok"]
     assert cached[0]["failed"] == baseline[0]["failed"]

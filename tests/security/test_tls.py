@@ -37,14 +37,13 @@ def world():
     return World(topology=Topology.balanced(2, 2, 2, 2), seed=13)
 
 
-def _secure_pair(world, pki, require_client_cert=False, encryption=True,
+def _secure_pair(world, pki, client_auth="none", encryption=True,
                  client_credentials="client"):
     """Handshake a channel pair; returns (client_channel, server_channel)."""
     a = world.host("client-host", "r0/c0/m0/s0")
     b = world.host("server-host", "r0/c1/m0/s0")
     listener = b.listen(443)
-    factory = server_factory(pki["server"],
-                             require_client_cert=require_client_cert,
+    factory = server_factory(pki["server"], client_auth=client_auth,
                              encryption=encryption)
     result = {}
 
@@ -77,7 +76,7 @@ def test_one_way_auth_identities(world, pki):
 
 def test_two_way_auth_identities(world, pki):
     client_channel, server_channel = _secure_pair(world, pki,
-                                                  require_client_cert=True)
+                                                  client_auth="required")
     assert client_channel.peer_principal == "gos-1"
     assert server_channel.peer_principal == "modtool-1"
 
@@ -162,7 +161,7 @@ def test_client_without_cert_rejected_in_two_way_mode(world, pki):
     a = world.host("client-host", "r0/c0/m0/s0")
     b = world.host("server-host", "r0/c0/m0/s1")
     listener = b.listen(443)
-    factory = server_factory(pki["server"], require_client_cert=True)
+    factory = server_factory(pki["server"], client_auth="required")
     server_outcome = {}
 
     def server():
@@ -434,7 +433,7 @@ def test_secure_channel_call_costs_seven_kernel_events(world, pki):
     a = world.host("client-host", "r0/c0/m0/s0")
     b = world.host("server-host", "r0/c1/m0/s0")
     server = RpcServer(b, 7443, channel_factory=server_factory(
-        pki["server"], require_client_cert=True))
+        pki["server"], client_auth="required"))
     server.register("whoami", lambda ctx, args: ctx.peer_principal)
     server.start()
     calls = 20
@@ -510,7 +509,7 @@ def _record_timeline(pki, encryption):
     a = world.host("client-host", "r0/c0/m0/s0")
     b = world.host("server-host", "r0/c1/m0/s0")
     listener = b.listen(443)
-    factory = server_factory(pki["server"], require_client_cert=True,
+    factory = server_factory(pki["server"], client_auth="required",
                              encryption=encryption)
     wrap = client_wrapper(credentials=pki["client"], encryption=encryption)
     timeline = []
