@@ -6,14 +6,18 @@ Importing this package registers all built-in protocols in
 * ``client_server`` — single authoritative server (paper §7);
 * ``master_slave`` — master applies writes, pushes state to slaves
   (paper §7);
-* ``active`` — sequencer-ordered operation multicast (§3.3);
 * ``cache`` — TTL-based client-side caching / lazy replication (§3.3).
+
+§3.3's active replication (every replica executes every write, in a
+sequencer's order) is not reproduced: no experiment, workload or
+example creates an actively replicated object, and a write's
+operation is barely smaller than the change set ``master_slave``
+pushes for it (``benchmarks/README.md``).
 """
 
-from . import active, cache, client_server, master_slave  # noqa: F401
+from . import cache, client_server, master_slave  # noqa: F401
 from .base import (PROTOCOLS, ReplicationError, ReplicationSubobject,
                    register_protocol)
-from .active import ActiveClient, ActiveReplica, ActiveSequencer
 from .cache import CachingClient
 from .client_server import ClientServerClient, ClientServerServer
 from .master_slave import (MasterSlaveClient, MasterSlaveMaster,
@@ -22,7 +26,6 @@ from .master_slave import (MasterSlaveClient, MasterSlaveMaster,
 __all__ = [
     "PROTOCOLS", "ReplicationError", "ReplicationSubobject",
     "register_protocol",
-    "ActiveClient", "ActiveReplica", "ActiveSequencer",
     "CachingClient", "ClientServerClient", "ClientServerServer",
     "MasterSlaveClient", "MasterSlaveMaster", "MasterSlaveSlave",
 ]

@@ -20,7 +20,6 @@ deltas     pull response: the change sets since ``have_version``,
 fresh      pull response: your copy is already current
 state_push master pushes one write's change set (``version``,
            ``deltas``) to a slave
-op_push    sequencer pushes an ordered write invocation (active repl.)
 ack        acknowledgement
 ========== ===============================================================
 

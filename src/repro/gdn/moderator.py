@@ -162,7 +162,7 @@ class ModeratorTool:
                 gos_name, "create_replica",
                 {"oid": oid.hex, "impl_id": PACKAGE_IMPL_ID,
                  "protocol": scenario.protocol,
-                 "role": scenario.slave_role, "master": master_ca})
+                 "role": "slave", "master": master_ca})
         # Step 4: register the name, then index searchable attributes.
         yield from self._authority_call(
             "add_name", {"name": object_name, "oid": oid.hex})
@@ -199,7 +199,7 @@ class ModeratorTool:
         yield from self._gos_call(
             gos_name, "create_replica",
             {"oid": entry["oid"], "impl_id": PACKAGE_IMPL_ID,
-             "protocol": scenario.protocol, "role": scenario.slave_role,
+             "protocol": scenario.protocol, "role": "slave",
              "master": entry["master_ca"]})
         scenario.slave_gos.append(gos_name)
 

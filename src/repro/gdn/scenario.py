@@ -18,12 +18,17 @@ __all__ = ["ReplicationScenario", "ObjectUsage", "ScenarioAdvisor"]
 
 
 class ReplicationScenario:
-    """How and where one DSO is replicated."""
+    """How and where one DSO is replicated.
+
+    ``protocol`` is ``client_server`` (one server, no extra replicas)
+    or ``master_slave`` (a master on ``master_gos``, a slave on each of
+    ``slave_gos``); §3.3's active replication is not reproduced.
+    """
 
     def __init__(self, protocol: str, master_gos: str,
                  slave_gos: Optional[List[str]] = None,
                  cache_ttl: Optional[float] = None):
-        if protocol not in ("client_server", "master_slave", "active"):
+        if protocol not in ("client_server", "master_slave"):
             raise ValueError("unknown replication protocol %r" % protocol)
         self.protocol = protocol
         self.master_gos = master_gos
@@ -37,10 +42,6 @@ class ReplicationScenario:
     @property
     def master_role(self) -> str:
         return "server" if self.protocol == "client_server" else "master"
-
-    @property
-    def slave_role(self) -> str:
-        return "replica" if self.protocol == "active" else "slave"
 
     @property
     def replica_count(self) -> int:

@@ -162,7 +162,6 @@ class DirectoryNode:
         server.register("insert_pointer", self._handle_insert_pointer)
         server.register("delete", self._handle_delete)
         server.register("delete_pointer", self._handle_delete_pointer)
-        server.register("stats", self._handle_stats)
         server.start()
         self._server = server
         self._client = UdpRpcClient(self.host, timeout=_NODE_RPC_TIMEOUT,
@@ -375,17 +374,3 @@ class DirectoryNode:
         else:
             yield from self._persist(oid_hex)
         return {"unlinked_at": self.domain.path}
-
-    # -- introspection ------------------------------------------------------------
-
-    def _handle_stats(self, ctx: RpcContext, args: dict) -> dict:
-        return {
-            "path": self.domain.path,
-            "index": self.index,
-            "records": len(self.records),
-            "lookups": self.lookups_handled,
-            "inserts": self.inserts_handled,
-            "deletes": self.deletes_handled,
-            "pointer_updates": self.pointer_updates,
-            "rejected": self.rejected_mutations,
-        }

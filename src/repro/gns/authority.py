@@ -92,7 +92,6 @@ class NamingAuthority:
                            channel_factory=self.channel_factory)
         server.register("add_name", self._handle_add_name)
         server.register("remove_name", self._handle_remove_name)
-        server.register("stats", self._handle_stats)
         server.start()
         self._server = server
         self._client = UdpRpcClient(self.host, timeout=3.0, retries=2)
@@ -131,12 +130,6 @@ class NamingAuthority:
         serial = yield done
         self.names_removed += 1
         return {"dns_name": dns_name, "serial": serial}
-
-    def _handle_stats(self, ctx: RpcContext, args: dict) -> dict:
-        return {"updates_sent": self.updates_sent,
-                "names_added": self.names_added,
-                "names_removed": self.names_removed,
-                "rejected": self.requests_rejected}
 
     # -- batching -------------------------------------------------------------------
 

@@ -46,7 +46,7 @@ DEFAULT_GOS_PORT = 7100
 OP_CONTROL = "control"   # create/remove replicas, checkpointing
 OP_MODIFY = "modify"     # state-modifying invocations and state updates
 
-_WRITE_MESSAGE_TYPES = {"state_push", "op_push"}
+_WRITE_MESSAGE_TYPES = {"state_push"}
 
 
 class GosError(Exception):
@@ -275,7 +275,7 @@ class GlobeObjectServer:
             # crash would bring back this incarnation's number for the
             # next one.
             yield from self._save(oid_hex, representative)
-        if record["role"] in ("slave", "replica"):
+        if record["role"] == "slave":
             # Re-join the master to catch up on missed updates.
             try:
                 yield from representative.start()

@@ -8,7 +8,7 @@ measure recovery behaviour (experiment E8) deterministically.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+from typing import Callable, Dict, Generator, Optional
 
 from .topology import Domain, Level
 from .transport import Host
@@ -23,6 +23,10 @@ class FailureInjector:
     def __init__(self, world: World):
         self.world = world
         self.log: list[tuple[float, str, str]] = []
+        #: Per level: the loss rate before its first open window, and
+        #: the open windows' rates in the order they opened.
+        self._base_loss: Dict[Level, float] = {}
+        self._open_windows: Dict[Level, Dict[object, float]] = {}
 
     def _note(self, kind: str, target: str) -> None:
         self.log.append((self.world.now, kind, target))
@@ -91,11 +95,13 @@ class FailureInjector:
                     start: float, end: float) -> None:
         """Make ``level`` crossings lossy for ``[start, end)`` only.
 
-        Unlike :meth:`set_loss`, the prior loss rate is captured when
-        the window opens and restored when it closes, so soaks can
-        script *transient* link degradation — a flaky transit window a
-        chunked transfer must ride out — without permanently altering
-        the topology's link parameters.
+        Unlike :meth:`set_loss`, the window leaves the link as it found
+        it, so soaks can script *transient* link degradation — a flaky
+        transit window a chunked transfer must ride out — without
+        permanently altering the topology's link parameters.  Windows
+        may overlap: the link runs at the rate of the latest-opened
+        window still open, and at the rate it had before the first of
+        them once none is.
         """
         if not 0.0 <= probability <= 1.0:
             raise ValueError("probability must be in [0, 1]")
@@ -105,10 +111,15 @@ class FailureInjector:
         def fire() -> Generator:
             yield from self._until(start)
             loss = self.world.network.params.loss
-            prior = loss[level]
-            loss[level] = probability
+            windows = self._open_windows.setdefault(level, {})
+            if not windows:
+                self._base_loss[level] = loss[level]
+            window = object()
+            windows[window] = loss[level] = probability
             self._note("loss=%g" % probability, level.name)
             yield from self._until(end)
-            loss[level] = prior
-            self._note("loss=%g" % prior, level.name)
+            del windows[window]
+            loss[level] = next(reversed(windows.values()),
+                               self._base_loss[level])
+            self._note("loss=%g" % loss[level], level.name)
         self.world.sim.process(fire())

@@ -222,81 +222,6 @@ def test_sync_push_makes_slaves_consistent_before_return(bed):
     assert data_at_return == {"sync": "now"}
 
 
-# -- active replication -------------------------------------------------------
-
-
-def test_active_replication_applies_ops_everywhere(bed):
-    bed.register_counter()
-    seq_gos = bed.gos("gos-seq", "r0/c0/m0/s0")
-    rep_gos = bed.gos("gos-rep", "r1/c0/m0/s0")
-    seq_lr = _create_object(bed, seq_gos, "active", role="master",
-                            impl="test.counter")
-    rep_lr = _add_replica(bed, rep_gos, seq_lr.oid, seq_lr.contact_address,
-                          "active", "replica", impl="test.counter")
-    runtime = bed.runtime("client-1", "r0/c1/m0/s0")
-
-    def use():
-        lr = yield from runtime.bind(seq_lr.oid)
-        for _ in range(5):
-            yield from lr.invoke("increment", {"by": 2})
-        value = yield from lr.invoke("value")
-        return value
-
-    assert bed.run(use(), host=runtime.host) == 10
-    bed.world.run(until=bed.world.now + 10)
-    assert rep_lr.semantics.count == 10
-    assert rep_lr.replication.applied_seq == 5
-
-
-def test_active_replica_serves_reads_locally(bed):
-    bed.register_counter()
-    seq_gos = bed.gos("gos-seq", "r0/c0/m0/s0")
-    rep_gos = bed.gos("gos-rep", "r1/c0/m0/s0")
-    seq_lr = _create_object(bed, seq_gos, "active", role="master",
-                            impl="test.counter")
-    rep_lr = _add_replica(bed, rep_gos, seq_lr.oid, seq_lr.contact_address,
-                          "active", "replica", impl="test.counter")
-    bed.gls.sort_site = bed.world.topology.site("r1/c0/m0/s1")
-    runtime = bed.runtime("client-1", "r1/c0/m0/s1")
-
-    def use():
-        lr = yield from runtime.bind(seq_lr.oid)
-        yield from lr.invoke("value")
-        return lr.replication.bound.role
-
-    assert bed.run(use(), host=runtime.host) == "replica"
-    assert rep_lr.replication.reads_local >= 1
-
-
-def test_active_holdback_applies_in_order(bed):
-    """Out-of-order op delivery must not corrupt replica state."""
-    from repro.core.marshal import marshal_invocation
-
-    bed.register_counter()
-    seq_gos = bed.gos("gos-seq", "r0/c0/m0/s0")
-    rep_gos = bed.gos("gos-rep", "r0/c0/m0/s1")
-    seq_lr = _create_object(bed, seq_gos, "active", role="master",
-                            impl="test.counter")
-    rep_lr = _add_replica(bed, rep_gos, seq_lr.oid, seq_lr.contact_address,
-                          "active", "replica", impl="test.counter")
-    repl = rep_lr.replication
-
-    def deliver(seq, by):
-        message = {"type": "op_push", "seq": seq,
-                   "payload": marshal_invocation("increment", {"by": by})}
-        return bed.run(repl.handle_message(message, None))
-
-    deliver(3, 100)   # future op: held back
-    assert rep_lr.semantics.count == 0
-    deliver(1, 1)     # in order: applied immediately
-    assert rep_lr.semantics.count == 1
-    deliver(2, 10)    # fills the gap: 2 then 3 drain
-    assert rep_lr.semantics.count == 111
-    assert repl.applied_seq == 3
-    deliver(2, 10)    # duplicate: ignored
-    assert rep_lr.semantics.count == 111
-
-
 # -- caching -----------------------------------------------------------------
 
 
@@ -378,22 +303,19 @@ def test_cache_against_master_slave_pulls_from_nearest(bed):
 
 
 def _watch_applied(lr):
-    """Log what ``lr`` is pushed (``received``) and every version /
-    sequence number it moves to (``applied``)."""
+    """Log what ``lr`` is pushed (``received``) and every version it
+    moves to (``applied``)."""
     replication = lr.replication
-    attribute = ("version" if hasattr(replication, "version")
-                 else "applied_seq")
     log = SimpleNamespace(received=[], applied=[])
     handle = replication.handle_message
 
     def watching(message, ctx):
-        if message["type"] in ("state_push", "op_push"):
-            log.received.append(message.get("version", message.get("seq")))
-        before = getattr(replication, attribute)
+        if message["type"] == "state_push":
+            log.received.append(message["version"])
+        before = replication.version
         reply = yield from handle(message, ctx)
-        after = getattr(replication, attribute)
-        if after != before:
-            log.applied.append(after)
+        if replication.version != before:
+            log.applied.append(replication.version)
         return reply
 
     replication.handle_message = watching
@@ -406,10 +328,9 @@ def _strictly_increasing(versions):
 
 def test_all_protocols_share_one_channel_per_peer(bed):
     """One client address space bound to a client/server, a
-    master/slave, an actively replicated and a cached object whose
-    replicas sit on the same two object servers: every message
-    between two address spaces rides their one channel."""
-    bed.register_counter()
+    master/slave and a cached object whose replicas sit on the same
+    two object servers: every message between two address spaces
+    rides their one channel."""
     home = bed.gos("gos-home", "r0/c0/m0/s0")
     away = bed.gos("gos-away", "r1/c0/m0/s0")
     plain = _create_object(bed, home, "client_server", role="server")
@@ -417,12 +338,7 @@ def test_all_protocols_share_one_channel_per_peer(bed):
     master = _create_object(bed, home, "master_slave", role="master")
     slave = _add_replica(bed, away, master.oid, master.contact_address,
                          "master_slave", "slave")
-    sequencer = _create_object(bed, home, "active", role="master",
-                               impl="test.counter")
-    replica = _add_replica(bed, away, sequencer.oid,
-                           sequencer.contact_address, "active", "replica",
-                           impl="test.counter")
-    slave_log, replica_log = _watch_applied(slave), _watch_applied(replica)
+    slave_log = _watch_applied(slave)
     runtime = bed.runtime("client-1", "r0/c0/m0/s1")
     rounds = 6
 
@@ -439,8 +355,6 @@ def test_all_protocols_share_one_channel_per_peer(bed):
         runtime.host.spawn(writer(plain, "put", put)),
         runtime.host.spawn(writer(cached, "put", put, cache_ttl=60.0)),
         runtime.host.spawn(writer(master, "put", put)),
-        runtime.host.spawn(writer(sequencer, "increment",
-                                  lambda round_: {"by": round_ + 1})),
     ]
     bed.world.run()
     assert all(proc.ok for proc in writers)
@@ -448,10 +362,8 @@ def test_all_protocols_share_one_channel_per_peer(bed):
     assert plain.semantics.data == expected
     assert cached.semantics.data == expected
     assert master.semantics.data == slave.semantics.data == expected
-    assert sequencer.semantics.count == replica.semantics.count == 21
-    for log in (slave_log, replica_log):
-        assert log.applied[-1] == rounds
-        assert _strictly_increasing(log.applied)
+    assert slave_log.applied[-1] == rounds
+    assert _strictly_increasing(slave_log.applied)
 
     def cached_read():
         lr = yield from runtime.bind(cached.oid, cache_ttl=60.0)
@@ -509,26 +421,9 @@ def test_interleaved_pushes_from_two_masters_share_a_channel(bed):
         assert log.received == log.applied == list(range(1, writes + 1))
 
 
-def test_interleaved_op_pushes_from_two_sequencers_share_a_channel(bed):
-    bed.register_counter()
-    masters, slaves, pairs = _two_masters_one_slave_server(
-        bed, "active", "replica", "test.counter")
-    writes = 8
-    _interleaved_writes(bed, masters, pairs, "increment",
-                        lambda index: {"by": index + 1}, writes)
-    assert masters.pool.opens == 1
-    for sequencer, replica, log in pairs:
-        assert sequencer.replication.push_failures == 0
-        assert replica.semantics.count == sequencer.semantics.count == 36
-        assert log.received == log.applied == list(range(1, writes + 1))
-        assert not replica.replication.holdback
-
-
 @pytest.mark.parametrize("protocol, slave_role, impl, method, args_for", [
     ("master_slave", "slave", "test.kv", "put",
      lambda index: {"key": "k%d" % index, "value": "v"}),
-    ("active", "replica", "test.counter", "increment",
-     lambda index: {"by": index + 1}),
 ])
 def test_shared_channel_dying_mid_push(bed, protocol, slave_role, impl,
                                        method, args_for):
@@ -538,7 +433,6 @@ def test_shared_channel_dying_mid_push(bed, protocol, slave_role, impl,
     channel the pool reopens (in a new order: the first push after the
     loss leads the reopen).  The copies drop what they already have
     and apply the rest in version order."""
-    bed.register_counter()
     masters, slaves, pairs = _two_masters_one_slave_server(
         bed, protocol, slave_role, impl)
     writes = 10

@@ -61,11 +61,14 @@ def build(sim=None, delay=1.0, **options):
     return sim, upstream, cache
 
 
-def run_lookup(sim, cache, oid_hex, **kwargs):
-    """Drive one cached lookup to completion, returning its value."""
+def run_lookup(sim, cache, oid_hex, at=None, **kwargs):
+    """Drive one cached lookup, issued at sim-time ``at`` (default:
+    now), to completion, returning its value."""
     out = {}
 
     def driver():
+        if at is not None:
+            yield sim.timeout_at(at)
         out["value"] = yield from cache.lookup(oid_hex, **kwargs)
 
     sim.process(driver())
@@ -97,10 +100,14 @@ def test_fresh_hit_within_ttl():
 def test_entry_expires_after_ttl():
     sim, upstream, cache = build(ttl=60.0)
     run_lookup(sim, cache, "oid-1")
-    sim.run(until=sim.now + 61.0)
-    run_lookup(sim, cache, "oid-1")
+    expires = cache._entries["oid-1"].expires
+    run_lookup(sim, cache, "oid-1", at=expires)   # expired at the instant
     assert upstream.lookups == 2
     assert cache.misses == 2
+    sim.run(until=sim.now + 61.0)
+    run_lookup(sim, cache, "oid-1")
+    assert upstream.lookups == 3
+    assert cache.misses == 3
 
 
 def test_per_lookup_ttl_override():
@@ -299,8 +306,15 @@ def test_serve_stale_recovers_after_outage():
 def test_stale_window_bounds_eligibility():
     sim, upstream, cache = build(serve_stale=True, stale_window=100.0)
     run_lookup(sim, cache, "oid-1", ttl=10.0)
-    sim.run(until=sim.now + 200.0)     # long past ttl + stale_window
     upstream.fail_with = RpcTimeout("gls partitioned")
+    # The upstream timeout lands at exactly expires + stale_window:
+    # still inside the window.
+    last_servable = cache._entries["oid-1"].expires + 100.0
+    assert run_lookup(sim, cache, "oid-1",
+                      at=last_servable - upstream.delay) == WIRES
+    assert sim.now == last_servable
+    assert cache.stale_served == 1
+    sim.run(until=sim.now + 200.0)     # long past ttl + stale_window
     with pytest.raises(RpcTimeout):
         run_lookup(sim, cache, "oid-1")
 

@@ -12,15 +12,14 @@ def test_scenario_roles():
     assert single.replica_count == 1
     replicated = ReplicationScenario.master_slave("gos-a", ["gos-b"])
     assert replicated.master_role == "master"
-    assert replicated.slave_role == "slave"
+    assert replicated.slave_gos == ["gos-b"]
     assert replicated.replica_count == 2
-    active = ReplicationScenario("active", "gos-a", ["gos-b"])
-    assert active.slave_role == "replica"
 
 
 def test_scenario_validation():
-    with pytest.raises(ValueError):
-        ReplicationScenario("gossip", "gos-a")
+    for protocol in ("gossip", "active"):   # §3.3 active: not reproduced
+        with pytest.raises(ValueError):
+            ReplicationScenario(protocol, "gos-a")
     with pytest.raises(ValueError):
         ReplicationScenario("client_server", "gos-a", ["gos-b"])
 

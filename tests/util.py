@@ -108,11 +108,6 @@ class GlobeBed:
                                                 code_size=10_000))
         self.disk = None
 
-    def register_counter(self):
-        from repro.core.repository import Implementation
-        self.repository.register(Implementation("test.counter", Counter,
-                                                code_size=5_000))
-
     def gos(self, name, site, port=7100, **kwargs):
         from repro.gos.persistence import DiskStore
         from repro.gos.server import GlobeObjectServer
