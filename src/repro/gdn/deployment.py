@@ -291,9 +291,11 @@ class GdnDeployment:
         host = self.world.host(name, site)
         factory = self._server_tls(host, "optional")
         client = self._gls_client(host, authenticated=True)
+        # Not ``cache or client``: a cache is falsy while it is empty.
+        cache = self._lookup_cache(host, client)
         gos = GlobeObjectServer(
             self.world, host, self.repository,
-            self._lookup_cache(host, client) or client, port=port,
+            client if cache is None else cache, port=port,
             channel_factory=factory,
             channel_wrapper=self._client_tls(host.name, Role.GDN_HOST),
             authorizer=self.policy and self.policy.gos_authorizer,

@@ -4,10 +4,9 @@ The GDN ships large free-software packages across an unreliable wide
 area (§1, §6.1), yet a whole-file ``GET`` is all-or-nothing: a crash
 or partition mid-download wastes everything already received.  This
 module fetches large files as per-chunk requests against the
-manifest/chunk endpoints (``PackageSemantics.getFileManifest`` /
-``getFileChunk``, exposed through the GOS and the GDN-HTTPD URL
-scheme), verifying each chunk against its manifest digest as it
-arrives, and records progress in a :class:`ResumeToken` that survives
+GDN-HTTPD's manifest/chunk URL scheme (the HTTPD invokes the package
+DSO's ``getFileManifest`` / ``getFileChunk``), verifying each chunk
+against its manifest digest as it arrives, and records progress in a :class:`ResumeToken` that survives
 the client: a browser that crashes or loses its replica mid-transfer
 re-binds — possibly to a *different* replica via the GLS, including a
 serve-stale cached binding — and resumes from the last verified chunk

@@ -145,8 +145,6 @@ class GlobeObjectServer:
         server.register("remove_replica", self._handle_remove_replica)
         server.register("list_replicas", self._handle_list_replicas)
         server.register("checkpoint", self._handle_checkpoint)
-        server.register("get_manifest", self._handle_get_manifest)
-        server.register("get_chunk", self._handle_get_chunk)
         server.register("ping", lambda ctx, args: "pong")
         server.start()
         self._server = server
@@ -339,35 +337,6 @@ class GlobeObjectServer:
                 or (kind == "invoke" and message.get("mode") == "write")):
             self.host.spawn(self._checkpoint_one(oid_hex))
         return reply
-
-    def _handle_get_manifest(self, ctx: RpcContext, args: dict) -> Generator:
-        """Chunk manifest for one file of a locally hosted replica.
-
-        Reads carry no authorization (like read-mode ``dso_message``):
-        §6.1 makes retrieval open to all GDN users.
-        """
-        representative = self.replicas.get(args.get("oid", ""))
-        if representative is None:
-            raise GosError("no replica for %s here"
-                           % args.get("oid", "")[:12])
-        kwargs = {"path": args["path"]}
-        if args.get("chunk_size") is not None:
-            kwargs["chunk_size"] = args["chunk_size"]
-        manifest = yield from representative.invoke(
-            "getFileManifest", kwargs)
-        return manifest
-
-    def _handle_get_chunk(self, ctx: RpcContext, args: dict) -> Generator:
-        """One chunk of one file of a locally hosted replica."""
-        representative = self.replicas.get(args.get("oid", ""))
-        if representative is None:
-            raise GosError("no replica for %s here"
-                           % args.get("oid", "")[:12])
-        kwargs = {"path": args["path"], "index": args["index"]}
-        if args.get("chunk_size") is not None:
-            kwargs["chunk_size"] = args["chunk_size"]
-        chunk = yield from representative.invoke("getFileChunk", kwargs)
-        return chunk
 
     def _handle_create_object(self, ctx: RpcContext, args: dict) -> Generator:
         """Create the *first* replica; the GLS allocates the OID."""

@@ -5,7 +5,7 @@ with a deterministic discrete-event model: a run is a pure function of
 its seed, which no deployment on real networks can offer.
 """
 
-from .deadlines import FifoDeadlinePool, OrderedDeadlinePool, shared_pool
+from .deadlines import DeadlinePool, shared_pool
 from .failures import FailureInjector
 from .kernel import (AllOf, AnyOf, Event, Interrupt, Process, Resource,
                      SimulationError, Simulator, Singleflight, Store,
@@ -23,7 +23,7 @@ from .world import World
 __all__ = [
     "AllOf", "AnyOf", "Event", "Interrupt", "Process", "Resource",
     "SimulationError", "Simulator", "Singleflight", "Store", "Timeout",
-    "FifoDeadlinePool", "OrderedDeadlinePool", "shared_pool",
+    "DeadlinePool", "shared_pool",
     "LinkParameters", "Network", "NetworkError", "TrafficMeter",
     "RpcChannel", "RpcContext", "RpcError", "RpcFault", "RpcServer",
     "RpcTimeout", "UdpRpcClient", "UdpRpcServer", "call",

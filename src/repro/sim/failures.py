@@ -18,11 +18,20 @@ __all__ = ["FailureInjector"]
 
 
 class FailureInjector:
-    """Schedules failures against a :class:`~repro.sim.world.World`."""
+    """Schedules failures against a :class:`~repro.sim.world.World`.
+
+    Fault windows on one target compose: a host stays down while any
+    of its crash windows is open, and a domain stays cut off while any
+    of its partition windows is.  The log records every window's edges
+    as scheduled.
+    """
 
     def __init__(self, world: World):
         self.world = world
         self.log: list[tuple[float, str, str]] = []
+        #: Open crash windows per host, open partition windows per domain.
+        self._crashes: Dict[Host, int] = {}
+        self._partitions: Dict[Domain, int] = {}
         #: Per level: the loss rate before its first open window, and
         #: the open windows' rates in the order they opened.
         self._base_loss: Dict[Level, float] = {}
@@ -39,49 +48,55 @@ class FailureInjector:
 
     # -- host failures ------------------------------------------------------
 
-    def crash_host_at(self, host: Host, when: float) -> None:
-        """Hard-crash ``host`` at absolute simulation time ``when``."""
-        def fire() -> Generator:
-            yield from self._until(when)
-            self._note("crash", host.name)
-            host.crash()
-        self.world.sim.process(fire())
-
-    def restart_host_at(self, host: Host, when: float,
-                        recover: Optional[Callable[[], None]] = None) -> None:
-        """Restart ``host`` at ``when``; then run ``recover()``.
+    def crash_restart(self, host: Host, crash_at: float, restart_at: float,
+                      recover: Optional[Callable[[], None]] = None) -> None:
+        """Hard-crash ``host`` at ``crash_at``, restart it at
+        ``restart_at`` and then run ``recover()``.
 
         ``recover`` is where a component re-creates its daemons — e.g.
         ``gos.restart()`` reloads replica state from the persistence
         substrate, reproducing §4's reboot-reconstruction requirement.
+        When windows on one host overlap, the host comes back (and
+        ``recover`` runs, once) only when the last of them closes: the
+        ``recover`` of that window is the one that runs.
         """
-        def fire() -> Generator:
-            yield from self._until(when)
+        if restart_at <= crash_at:
+            raise ValueError("restart must come after crash")
+
+        def crash() -> Generator:
+            yield from self._until(crash_at)
+            self._note("crash", host.name)
+            self._crashes[host] = self._crashes.get(host, 0) + 1
+            host.crash()
+
+        def restart() -> Generator:
+            yield from self._until(restart_at)
             self._note("restart", host.name)
+            self._crashes[host] -= 1
+            if self._crashes[host]:
+                return  # another window still holds the host down
             host.restart()
             if recover is not None:
                 recover()
-        self.world.sim.process(fire())
-
-    def crash_restart(self, host: Host, crash_at: float, restart_at: float,
-                      recover: Optional[Callable[[], None]] = None) -> None:
-        if restart_at <= crash_at:
-            raise ValueError("restart must come after crash")
-        self.crash_host_at(host, crash_at)
-        self.restart_host_at(host, restart_at, recover)
+        self.world.sim.process(crash())
+        self.world.sim.process(restart())
 
     # -- network failures ---------------------------------------------------
 
     def partition_domain(self, domain: Domain, start: float,
                          duration: float) -> None:
-        """Cut ``domain`` off from the rest of the world for ``duration``."""
+        """Cut ``domain`` off from the rest of the world for ``duration``
+        (and for longer, while another of its windows is open)."""
         def fire() -> Generator:
             yield from self._until(start)
             self._note("partition", domain.path)
+            self._partitions[domain] = self._partitions.get(domain, 0) + 1
             self.world.network.partition_domain(domain)
             yield self.world.sim.timeout(duration)
             self._note("heal", domain.path)
-            self.world.network.heal_domain(domain)
+            self._partitions[domain] -= 1
+            if not self._partitions[domain]:
+                self.world.network.heal_domain(domain)
         self.world.sim.process(fire())
 
     def set_loss(self, level: Level, probability: float) -> None:

@@ -37,10 +37,11 @@ Client-side deadlines are **pooled** (:mod:`repro.sim.deadlines`):
 instead of arming one guard :class:`~repro.sim.kernel.Timeout` per
 call, each client registers its deadline with a pool that keeps a
 single kernel timer armed for the earliest pending deadline.
-:class:`UdpRpcClient` uses one fixed ``timeout``, so its deadlines
-expire in FIFO order and its pool is a deque — zero heap traffic per
-call/retry; :meth:`RpcChannel.call` registers its mixed per-call
-timeouts with the simulator-wide shared pool.  A pooled expiry fires
+:class:`UdpRpcClient` owns a pool and always adds its one fixed
+``timeout``, so its deadlines expire in the order they were added —
+zero kernel heap traffic per call/retry; :meth:`RpcChannel.call`
+registers its mixed per-call timeouts with the simulator-wide shared
+pool.  A pooled expiry fires
 at exactly the ``(time, seq)`` position the per-call timer would have
 occupied (each call reserves a sequence number where it used to arm a
 timer), and a dead waiter's expiry passes silently — the observable
@@ -68,7 +69,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Dict, Generator, Optional
 
-from .deadlines import FifoDeadlinePool, shared_pool
+from .deadlines import DeadlinePool, shared_pool
 from .kernel import Event, Singleflight
 from .retry import FixedRetry, RetryPolicy
 from .serde import CONTAINER_ITEM_OVERHEAD, SCALAR_SIZE, encoded_size
@@ -684,10 +685,11 @@ class UdpRpcClient:
     .ExponentialBackoff`.
 
     Every attempt is guarded by a deadline from the client's own
-    :class:`~repro.sim.deadlines.FifoDeadlinePool` — the policy's one
-    fixed per-attempt ``timeout`` means deadlines expire in FIFO
-    order, so a guarded attempt costs a deque append and an O(1)
-    cancel instead of any kernel heap traffic (backoff delays happen
+    :class:`~repro.sim.deadlines.DeadlinePool`, always added with the
+    policy's one fixed per-attempt ``timeout``: deadlines then expire
+    in the order they were added and the pool never shelves a timer,
+    so a guarded attempt costs a small heap push and an O(1) cancel
+    instead of any kernel heap traffic (backoff delays happen
     *between* attempts and never change the guard spacing).
     """
 
@@ -713,8 +715,7 @@ class UdpRpcClient:
         #: actually sent (storm diagnosis); ``None`` keeps the hot
         #: path free of bookkeeping.
         self.retry_log: Optional[list] = None
-        self.deadline_pool = FifoDeadlinePool(host.sim, self.timeout,
-                                              _expire_waiter)
+        self.deadline_pool = DeadlinePool(host.sim, _expire_waiter)
         self._socket = host.udp_socket()
         self._pending: Dict[int, Event] = {}
         self._size_cache: Dict[str, int] = {}  # method -> envelope base
@@ -823,7 +824,7 @@ class UdpRpcClient:
                 self.retries_sent += 1
                 if self.retry_log is not None:
                     self.retry_log.append(self.sim.now)
-            guard = pool.add(waiter)
+            guard = pool.add(waiter, self.timeout)
             try:
                 value = yield waiter
             except _DeadlineExpired:

@@ -2,8 +2,8 @@
 
 from .cohort import AggregatedPopulation, CohortScenario, DiurnalProfile
 from .loadgen import (Arrival, ArrivalSchedule, BurstSchedule,
-                      FlashCrowdSchedule, LoadGenerator, LoadStats,
-                      PoissonSchedule, UniformSchedule)
+                      FlashCrowdSchedule, LoadStats, PoissonSchedule,
+                      UniformSchedule)
 from .packages import PackageSpec, generate_corpus, synthetic_file
 from .population import ClientPopulation, RequestStream
 from .scenario import (TRACE_DIR, ClosedLoopScenario, HybridScenario,
@@ -16,7 +16,7 @@ from .zipf import ZipfSampler
 __all__ = [
     "AggregatedPopulation", "CohortScenario", "DiurnalProfile",
     "Arrival", "ArrivalSchedule", "BurstSchedule", "FlashCrowdSchedule",
-    "LoadGenerator", "LoadStats", "PoissonSchedule", "UniformSchedule",
+    "LoadStats", "PoissonSchedule", "UniformSchedule",
     "PackageSpec", "generate_corpus", "synthetic_file",
     "ClientPopulation", "RequestStream",
     "TRACE_DIR", "ClosedLoopScenario", "HybridScenario", "OpenLoopScenario",

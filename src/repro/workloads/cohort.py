@@ -12,9 +12,9 @@ one site into a single **cohort** driven by one generator:
   constructor vocabulary and checks, same :class:`~repro.workloads
   .scenario.Scenario` driving contract) that groups its clients into
   per-site cohorts of at most ``cohort_size``.  Callers that want
-  per-client attribution at small populations drive
-  ``ClosedLoopScenario`` itself; a cohort is for populations that
-  engine cannot hold.
+  per-client attribution at small populations, or a fixed or zero
+  think time, drive ``ClosedLoopScenario`` itself; a cohort is for
+  populations that engine cannot hold.
 * :class:`AggregatedPopulation` — the cohort engine: it keeps only a
   *count* of thinking clients and draws the cohort's next
   issue instant from the order statistics of k exponential think
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 import random
-from heapq import heappop, heappush
 from typing import Generator, List, Optional, Sequence, Tuple
 
 from ..sim.kernel import Event, Simulator, Timeout
@@ -109,13 +108,12 @@ class DiurnalProfile:
         return sum(self.multipliers) / len(self.multipliers)
 
 
-def _check_profile(profile: Optional[DiurnalProfile], think: str,
-                   think_time: float) -> None:
-    if profile is not None and (think != "exponential"
-                                or think_time == 0.0):
-        raise ValueError("activity profiles need exponential think "
-                         "times (there is no rate to scale "
-                         "otherwise)")
+def _reject_zero_think(think_time: float) -> None:
+    """A cohort's think time is exponential: its mean must be
+    positive."""
+    if think_time == 0.0:
+        raise ValueError("a cohort needs a positive think time; drive "
+                         "zero think through ClosedLoopScenario")
 
 
 class AggregatedPopulation:
@@ -123,25 +121,17 @@ class AggregatedPopulation:
 
     The order-statistics engine behind :class:`CohortScenario`,
     usable standalone.  One instance models ``k``
-    think-issue-wait clients sharing a site, a request mix and an RNG:
-
-    * **exponential** think — the cohort tracks only how many clients
-      are currently thinking; the next issue fires after
-      ``Exp(thinking · a(now) / T)`` where ``a`` is the optional
-      :class:`DiurnalProfile` multiplier.  The pending draw is redrawn
-      whenever the thinking count or the profile rate changes
-      (memorylessness makes the discard free), exactly as
-      :class:`~repro.workloads.loadgen.FlashCrowdSchedule` samples its
-      piecewise-constant Poisson process.
-    * **fixed** think — deterministic wake instants kept in a heap of
-      ``(time, count)`` groups; all clients waking at one instant
-      issue as one burst (the lockstep traffic shape
-      :meth:`~repro.sim.network.Network.deliver_burst` batches).
-      Profiles do not apply to fixed think (no rate to scale) and are
-      rejected.
-    * **zero** think — completion-driven inline loops, no timers at
-      all, with the same stalled-cycle livelock guard as
-      :class:`~repro.workloads.scenario.ClosedLoopScenario`.
+    think-issue-wait clients sharing a site, a request mix and an RNG,
+    each thinking an exponential time of mean ``think_time`` (> 0).
+    The cohort tracks only how many clients are currently thinking;
+    the next issue fires after ``Exp(thinking · a(now) / T)`` where
+    ``a`` is the optional :class:`DiurnalProfile` multiplier.  The
+    pending draw is redrawn whenever the thinking count or the profile
+    rate changes (memorylessness makes the discard free), exactly as
+    :class:`~repro.workloads.loadgen.FlashCrowdSchedule` samples its
+    piecewise-constant Poisson process.  Fixed and zero think times
+    have no rate to merge; :class:`~repro.workloads.scenario
+    .ClosedLoopScenario` drives them per client.
 
     Quotas are pooled: ``requests_per_client`` bounds the cohort at
     ``clients × requests_per_client`` total issues (per-client
@@ -156,13 +146,12 @@ class AggregatedPopulation:
                  think_time: float, stats: LoadStats,
                  counter: Optional[List[int]] = None,
                  mix: Optional[RequestMix] = None,
-                 think: str = "exponential",
                  requests_per_client: Optional[int] = None,
                  duration: Optional[float] = None,
                  profile: Optional[DiurnalProfile] = None):
         _check_closed_loop(clients, think_time, requests_per_client,
-                           duration, think)
-        _check_profile(profile, think, think_time)
+                           duration)
+        _reject_zero_think(think_time)
         self.sim = sim
         self.request = request
         self.rng = rng
@@ -172,7 +161,6 @@ class AggregatedPopulation:
         self.stats = stats
         self.counter = counter if counter is not None else [0]
         self.mix = mix
-        self.think = think
         self.requests_per_client = requests_per_client
         self.duration = duration
         self.profile = profile
@@ -184,8 +172,6 @@ class AggregatedPopulation:
         self._start = 0.0
         self._deadline: Optional[float] = None
         self._issue_timer: Optional[Timeout] = None
-        self._armed_at = 0.0
-        self._wakes: list = []  # fixed think: heap of (time, count)
         self._done: Optional[Event] = None
 
     # -- the driver process ---------------------------------------------
@@ -199,23 +185,7 @@ class AggregatedPopulation:
             self._deadline = sim.now + self.duration
             guard = sim.timeout_at(self._deadline)
             guard.add_callback(self._on_deadline)
-        if self.think_time == 0.0:
-            # Zero think: every client is permanently in flight;
-            # completion-driven inline loops, no timers.
-            launch = self.clients
-            if self._quota is not None:
-                launch = min(launch, self._quota)
-            self._thinking -= launch
-            if self._quota is not None and launch == self._quota:
-                self._thinking = 0  # never-launched clients retire
-            for _ in range(launch):
-                self._launch_loop(self._draw_arrival())
-        elif self.think == "fixed":
-            heappush(self._wakes, (sim.now + self.think_time,
-                                   self.clients))
-            self._rearm_fixed()
-        else:
-            self._rearm()
+        self._rearm()
         if self._thinking > 0 or self._in_flight > 0:
             self._done = sim.event()
             yield self._done
@@ -247,52 +217,16 @@ class AggregatedPopulation:
         self._in_flight += 1
         self.sim.start(self._measure_one(arrival))
 
-    def _launch_loop(self, arrival: Arrival) -> None:
-        self._in_flight += 1
-        self.sim.process(self._run_loop(arrival))
-
     def _measure_one(self, arrival: Arrival) -> Generator:
         yield from measured(self.sim, self.request, arrival, self.stats)
         self._in_flight -= 1
         if self._may_issue():
             # The client returns to the thinking pool.
             self._thinking += 1
-            if self.think == "fixed":
-                heappush(self._wakes,
-                         (self.sim.now + self.think_time, 1))
-                self._rearm_fixed()
-            else:
-                self._rearm()
+            self._rearm()
         self._check_done()
 
-    def _run_loop(self, arrival: Arrival) -> Generator:
-        # Zero-think inline loop: issue, wait, reissue immediately —
-        # the reference client's delay==0 path, including its
-        # duration-bound livelock guard.
-        sim = self.sim
-        stalled = 0
-        cycle_started = sim.now
-        while True:
-            yield from measured(sim, self.request, arrival, self.stats)
-            if self._deadline is not None:
-                if sim.now == cycle_started:
-                    stalled += 1
-                    if stalled >= 1000:
-                        raise ValueError(
-                            "duration-bound cohort made no "
-                            "simulated-time progress for 1000 cycles "
-                            "(zero think time and zero-time requests "
-                            "can never reach the deadline)")
-                else:
-                    stalled = 0
-            if not self._may_issue():
-                break
-            cycle_started = sim.now
-            arrival = self._draw_arrival()
-        self._in_flight -= 1
-        self._check_done()
-
-    # -- exponential think: order-statistics arming ----------------------
+    # -- order-statistics arming ------------------------------------------
 
     def _rearm(self) -> None:
         timer = self._issue_timer
@@ -339,36 +273,6 @@ class AggregatedPopulation:
         self._rearm()
         self._check_done()
 
-    # -- fixed think: grouped wake heap ----------------------------------
-
-    def _rearm_fixed(self) -> None:
-        if not self._wakes:
-            return
-        head = self._wakes[0][0]
-        timer = self._issue_timer
-        if timer is not None:
-            if self._armed_at <= head:
-                return
-            timer.cancel()
-        timer = self.sim.timeout_at(head)
-        timer.add_callback(self._on_fixed_wake)
-        self._issue_timer = timer
-        self._armed_at = head
-
-    def _on_fixed_wake(self, _event: Event) -> None:
-        self._issue_timer = None
-        now = self.sim.now
-        waking = 0
-        while self._wakes and self._wakes[0][0] <= now:
-            waking += heappop(self._wakes)[1]
-        for _ in range(waking):
-            self._thinking -= 1
-            if not self._may_issue():
-                continue  # the client retires (deadline/quota)
-            self._launch(self._draw_arrival())
-        self._rearm_fixed()
-        self._check_done()
-
     # -- lifecycle --------------------------------------------------------
 
     def _on_deadline(self, _event: Event) -> None:
@@ -376,7 +280,6 @@ class AggregatedPopulation:
         # drain (ClosedLoopScenario's per-client deadline stop, taken
         # all at once).
         self._thinking = 0
-        self._wakes.clear()
         timer = self._issue_timer
         if timer is not None:
             timer.cancel()
@@ -395,15 +298,16 @@ class CohortScenario(ClosedLoopScenario):
     """A closed-loop population driven as per-site aggregated cohorts.
 
     A :class:`~repro.workloads.scenario.ClosedLoopScenario` (clients,
-    think_time, requests_per_client / duration, sites, mix, think,
-    phases, and their checks) built as cohorts, plus:
+    think_time, requests_per_client / duration, sites, mix, phases,
+    and their checks) built as cohorts, with exponential think times of
+    a positive mean, plus:
 
     * ``cohort_size`` — at most this many clients share one
       :class:`AggregatedPopulation` driver (one RNG fork per cohort);
       clients are placed round-robin over ``sites`` exactly like the
       reference scenario and grouped per site.
     * ``profile`` — an optional :class:`DiurnalProfile` scaling the
-      cohorts' issue rate over the drive (exponential think only).
+      cohorts' issue rate over the drive.
 
     A cohort trades per-client attribution (it pools its quota and
     draws think times from one stream) for state that no longer grows
@@ -415,17 +319,16 @@ class CohortScenario(ClosedLoopScenario):
                  requests_per_client: Optional[int] = None,
                  sites: Optional[Sequence[Domain]] = None,
                  mix: Optional[RequestMix] = None,
-                 think: str = "exponential",
                  label: str = "cohort",
                  duration: Optional[float] = None,
                  phases: Optional[Sequence[Tuple[float, str]]] = None,
                  cohort_size: int = 4096,
                  profile: Optional[DiurnalProfile] = None):
         super().__init__(clients, think_time, requests_per_client, sites,
-                         mix, think, label, duration, phases)
+                         mix, label=label, duration=duration, phases=phases)
+        _reject_zero_think(think_time)
         if cohort_size < 1:
             raise ValueError("cohort_size must be >= 1")
-        _check_profile(profile, think, think_time)
         self.cohort_size = cohort_size
         self.profile = profile
 
@@ -446,7 +349,6 @@ class CohortScenario(ClosedLoopScenario):
                 cohort = AggregatedPopulation(
                     sim, request, self._fork(rng), site, size,
                     self.think_time, stats, counter, mix=self.mix,
-                    think=self.think,
                     requests_per_client=self.requests_per_client,
                     duration=self.duration, profile=self.profile)
                 drivers.append(cohort.run())

@@ -23,26 +23,26 @@ Three pieces:
   absolute simulation times and are deterministic per supplied RNG.
 * **The request record** — :class:`Arrival` (index, time, site, rank,
   kind) is the one record of a request in the workload layer: the
-  driver issues it, a :class:`~repro.workloads.population
+  drivers issue it, a :class:`~repro.workloads.population
   .RequestStream` holds it, and a trace file stores it.  Its site is
   drawn from a topology's sites, so load lands where clients live;
   its object rank and kind come from an optional request mix
   (:func:`draw`).
-* **The driver** — :class:`LoadGenerator` starts one request per
-  arrival, measures each request's latency, and accounts
-  successes, application failures and errors in :class:`LoadStats` —
-  a bundle of telemetry-registry instruments whose latency histogram
-  streams in O(1) per request (no sample list at 10⁵+ scale).  Runs
-  are bounded by ``count`` or by ``duration`` (simulated seconds).
+* **The accounting** — :func:`measured` runs one request and records
+  its outcome in :class:`LoadStats`: successes, application failures
+  and errors, and latency in a telemetry-registry histogram that
+  streams in O(1) per request (no sample list at 10⁵+ scale).
 
-Typical use::
+The open-loop driver itself is
+:class:`~repro.workloads.scenario.OpenLoopScenario` (and
+:class:`~repro.workloads.scenario.TraceScenario` for prebuilt
+arrivals).  Typical use::
 
     stats = LoadStats()
-    gen = LoadGenerator(world.sim, PoissonSchedule(rate=500.0),
-                        request=do_one, count=100_000,
-                        rng=world.rng_for("load"),
-                        sites=topology.sites, stats=stats)
-    elapsed = world.run_until(world.sim.process(gen.run()))
+    scenario = OpenLoopScenario(PoissonSchedule(rate=500.0),
+                                count=100_000, sites=topology.sites)
+    elapsed = world.run_until(world.sim.process(scenario.drive(
+        world.sim, do_one, rng=world.rng_for("load"), stats=stats)))
     print(stats.summary(), stats.throughput(elapsed))
 
 where ``do_one(arrival)`` is a generator performing one request
@@ -58,11 +58,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import (Any, Callable, Dict, Generator, Iterator, List,
-                    Optional, Sequence, Tuple)
+from typing import (Any, Callable, Dict, Generator, Iterator, Optional,
+                    Tuple)
 
 from ..analysis.telemetry import MetricsRegistry
-from ..sim.kernel import Event, Simulator
+from ..sim.kernel import Simulator
 from ..sim.topology import Domain
 
 __all__ = [
@@ -73,7 +73,6 @@ __all__ = [
     "BurstSchedule",
     "FlashCrowdSchedule",
     "LoadStats",
-    "LoadGenerator",
     "draw",
     "measured",
 ]
@@ -359,124 +358,6 @@ class LoadStats:
             "p50": latency.p(50),
             "p95": latency.p(95),
         }
-
-
-class LoadGenerator:
-    """Open-loop driver: issue requests on schedule, never wait.
-
-    Each arrival starts its own request running ``request(arrival)``;
-    the driver sleeps only between arrival times, then waits for the
-    stragglers.  ``sites`` are sampled uniformly per request; ``mix``
-    (a :class:`.scenario.RequestMix`) assigns each request an object
-    rank and a kind.  Both are optional — a single-site,
-    single-object workload needs neither.
-
-    The run is bounded either by ``count`` (exactly that many
-    arrivals) or by ``duration`` (issue arrivals until the schedule
-    passes ``start + duration`` of simulated time — the open-ended
-    soak mode, where the request total is an outcome, not an input).
-    """
-
-    def __init__(self, sim: Simulator,
-                 schedule: Optional[ArrivalSchedule],
-                 request: Callable[[Arrival], Generator],
-                 count: Optional[int] = None,
-                 rng: Optional[random.Random] = None,
-                 sites: Optional[Sequence[Domain]] = None,
-                 stats: Optional[LoadStats] = None,
-                 arrivals: Optional[Sequence[Arrival]] = None,
-                 mix: Optional[Any] = None,
-                 duration: Optional[float] = None):
-        if arrivals is not None:
-            # A prebuilt arrival stream (trace replay) replaces the
-            # schedule/sites/mix drawing entirely.
-            if duration is not None:
-                raise ValueError("duration does not apply to prebuilt "
-                                 "arrivals")
-            self._prebuilt: Optional[List[Arrival]] = list(arrivals)
-            if count is None:
-                count = len(self._prebuilt)
-            elif count != len(self._prebuilt):
-                raise ValueError("count does not match the arrival list")
-        else:
-            if schedule is None:
-                raise ValueError("need a schedule or prebuilt arrivals")
-            if (count is None) == (duration is None):
-                raise ValueError(
-                    "bound the run with either count or duration")
-            self._prebuilt = None
-        if count is not None and count < 1:
-            raise ValueError("count must be >= 1")
-        if duration is not None and duration <= 0:
-            raise ValueError("duration must be positive")
-        self.sim = sim
-        self.schedule = schedule
-        self.request = request
-        self.count = count
-        self.duration = duration
-        self.rng = rng or random.Random(0)
-        self.sites: Optional[List[Domain]] = (list(sites) if sites is not None
-                                              else None)
-        #: optional request mix: an object with ``draw(rng) -> (rank,
-        #: kind)`` (see :class:`.scenario.RequestMix`).
-        self.mix = mix
-        self.stats = stats if stats is not None else LoadStats()
-        # Completion is tracked per generator, not via `stats`: a
-        # LoadStats may be shared across several runs to aggregate,
-        # which must not make a later run think it finished early.
-        # The target is unknown until the (possibly duration-cut)
-        # arrival loop ends.
-        self._finished = 0
-        self._target: Optional[int] = None
-        self._idle: Optional[Event] = None
-
-    def arrivals(self) -> Iterator[Arrival]:
-        """The lazily generated arrival stream (consumed by ``run``)."""
-        if self._prebuilt is not None:
-            return iter(self._prebuilt)
-        return self._drawn_arrivals()
-
-    def _drawn_arrivals(self) -> Iterator[Arrival]:
-        times = self.schedule.times(self.count, self.sim.now, self.rng)
-        for index, time in enumerate(times):
-            site = (self.sites[self.rng.randrange(len(self.sites))]
-                    if self.sites else None)
-            rank, kind = draw(self.mix, self.rng)
-            yield Arrival(index, time, site, rank, kind)
-
-    def run(self) -> Generator[Event, Any, float]:
-        """The driver process; returns elapsed simulated seconds.
-
-        ``elapsed = yield from gen.run()`` inside a process, or
-        ``sim.process(gen.run())`` to run it standalone.
-        """
-        start = self.sim.now
-        deadline = (start + self.duration if self.duration is not None
-                    else None)
-        issued = 0
-        for arrival in self.arrivals():
-            if deadline is not None and arrival.time > deadline:
-                break
-            if arrival.time > self.sim.now:
-                yield self.sim.timeout(arrival.time - self.sim.now)
-            self.stats.note_issued()
-            issued += 1
-            self.sim.start(self._measure(arrival))
-        self._target = issued
-        if self._finished < issued:
-            # Wait for in-flight stragglers — woken exactly once by the
-            # last completion, no polling loop.
-            self._idle = self.sim.event()
-            yield self._idle
-        return self.sim.now - start
-
-    def _measure(self, arrival: Arrival) -> Generator:
-        yield from measured(self.sim, self.request, arrival, self.stats)
-        self._finished += 1
-        if self._idle is not None and self._target is not None \
-                and self._finished >= self._target:
-            self._idle.succeed()
-            self._idle = None
 
 
 def measured(sim: Simulator, request: Callable[[Arrival], Generator],

@@ -5,8 +5,9 @@ study (§3.1) and the flash-crowd / partitioning scenarios all hinge on
 heterogeneous, time-varying request streams.  Before this module each
 experiment built its own request loop; now they all describe *what*
 the workload is as a :class:`Scenario` and let the engine drive it
-through :class:`~repro.workloads.loadgen.LoadGenerator`-style
-accounting into one shared :class:`LoadStats`.
+through one open-loop driver and one accounting contract
+(:func:`~repro.workloads.loadgen.measured`) into one shared
+:class:`LoadStats`.
 
 Four scenario families:
 
@@ -16,8 +17,8 @@ Four scenario families:
   read/write kinds.
 * :class:`TraceScenario` — replay of a recorded or synthetic trace:
   a :class:`~repro.workloads.population.RequestStream`, a list of
-  :class:`~repro.workloads.loadgen.Arrival`\\ s, or a CSV/JSONL trace
-  file written by :func:`save_trace`.  Same seed + same trace ⇒
+  :class:`~repro.workloads.loadgen.Arrival`\\ s, or a JSONL trace file
+  written by :func:`save_trace`.  Same seed + same trace ⇒
   identical stats.
 * :class:`ClosedLoopScenario` — a population of think-time clients;
   each waits for its own previous request before thinking and issuing
@@ -62,7 +63,6 @@ them.
 
 from __future__ import annotations
 
-import csv
 import json
 import pathlib
 import random
@@ -74,8 +74,7 @@ from ..sim.kernel import Simulator
 from ..sim.topology import Domain, Topology
 from ..sim.transport import Host
 from ..sim.world import World
-from .loadgen import (Arrival, ArrivalSchedule, LoadGenerator, LoadStats,
-                      draw, measured)
+from .loadgen import Arrival, ArrivalSchedule, LoadStats, draw, measured
 from .population import RequestStream
 from .zipf import ZipfSampler
 
@@ -119,52 +118,38 @@ def bundled_trace(name: str) -> pathlib.Path:
 
 def save_trace(path: Union[str, pathlib.Path],
                arrivals: Iterable[Arrival]) -> None:
-    """Write a trace file; format picked by suffix (.csv or .jsonl).
+    """Write a ``.jsonl`` trace file, one JSON object per request.
 
     The recorder half of trace replay: synthesize a workload once
     (e.g. a :class:`~repro.workloads.population.ClientPopulation`
     stream), save it, and replay the identical stream across runs and
     revisions.
     """
-    path = pathlib.Path(path)
-    if path.suffix == ".csv":
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "kind", "object", "site"])
-            for arrival in arrivals:
-                writer.writerow(["%r" % arrival.time, arrival.kind,
-                                 arrival.rank, arrival.site_path or ""])
-    elif path.suffix == ".jsonl":
-        with path.open("w") as fh:
-            for arrival in arrivals:
-                fh.write(json.dumps({
-                    "time": arrival.time, "kind": arrival.kind,
-                    "object": arrival.rank,
-                    "site": arrival.site_path}) + "\n")
-    else:
-        raise ValueError("unknown trace format %r (use .csv or .jsonl)"
-                         % path.suffix)
+    with _jsonl(path).open("w") as fh:
+        for arrival in arrivals:
+            fh.write(json.dumps({
+                "time": arrival.time, "kind": arrival.kind,
+                "object": arrival.rank,
+                "site": arrival.site_path}) + "\n")
 
 
 def load_trace(path: Union[str, pathlib.Path]) -> List[Arrival]:
     """Read a trace file written by :func:`save_trace`; each arrival's
     ``index`` is its line among the trace's requests (from 0) and its
     site the stored path string."""
+    with _jsonl(path).open() as fh:
+        raws = [json.loads(line) for line in fh if line.strip()]
+    return [Arrival(index, float(raw["time"]), raw.get("site"),
+                    int(raw["object"]), raw["kind"])
+            for index, raw in enumerate(raws)]
+
+
+def _jsonl(path: Union[str, pathlib.Path]) -> pathlib.Path:
     path = pathlib.Path(path)
-    if path.suffix == ".csv":
-        with path.open(newline="") as fh:
-            rows = [(float(row["time"]), row["kind"], int(row["object"]),
-                     row["site"] or None) for row in csv.DictReader(fh)]
-    elif path.suffix == ".jsonl":
-        with path.open() as fh:
-            raws = [json.loads(line) for line in fh if line.strip()]
-        rows = [(float(raw["time"]), raw["kind"], int(raw["object"]),
-                 raw.get("site")) for raw in raws]
-    else:
-        raise ValueError("unknown trace format %r (use .csv or .jsonl)"
+    if path.suffix != ".jsonl":
+        raise ValueError("unknown trace format %r (use .jsonl)"
                          % path.suffix)
-    return [Arrival(index, time, site, rank, kind)
-            for index, (time, kind, rank, site) in enumerate(rows)]
+    return path
 
 
 # -- request mixes ----------------------------------------------------------
@@ -219,9 +204,68 @@ def _phase_driver(sim: Simulator, registry,
         registry.phase(label, now=sim.now)
 
 
+def _drawn_arrivals(sim: Simulator, schedule: ArrivalSchedule,
+                    count: Optional[int],
+                    sites: Optional[Sequence[Domain]],
+                    mix: Optional[RequestMix],
+                    rng: random.Random) -> Iterable[Arrival]:
+    """Arrivals drawn lazily, one per schedule time: the time, then a
+    uniformly drawn site (when ``sites`` are given), then the mix's
+    ``(rank, kind)``, all from ``rng``."""
+    times = schedule.times(count, sim.now, rng)
+    for index, time in enumerate(times):
+        site = sites[rng.randrange(len(sites))] if sites else None
+        rank, kind = draw(mix, rng)
+        yield Arrival(index, time, site, rank, kind)
+
+
+def _open_loop(sim: Simulator, request: RequestFn,
+               arrivals: Iterable[Arrival], stats: LoadStats,
+               duration: Optional[float] = None
+               ) -> Generator[Any, Any, float]:
+    """The open-loop driver: start one measured request per arrival at
+    its time, never waiting for one to finish; then wait for the
+    stragglers and return the elapsed simulated seconds.
+
+    With ``duration`` the first arrival past ``start + duration`` ends
+    the issuing.  Completion is counted per drive, not through
+    ``stats``: a :class:`LoadStats` shared by several drives must not
+    make a later one think it finished early.
+    """
+    start = sim.now
+    deadline = start + duration if duration is not None else None
+    finished = 0
+    target: Optional[int] = None
+    idle = None
+
+    def measure(arrival: Arrival) -> Generator:
+        nonlocal finished, idle
+        yield from measured(sim, request, arrival, stats)
+        finished += 1
+        if idle is not None and finished >= target:
+            idle.succeed()
+            idle = None
+
+    issued = 0
+    for arrival in arrivals:
+        if deadline is not None and arrival.time > deadline:
+            break
+        if arrival.time > sim.now:
+            yield sim.timeout(arrival.time - sim.now)
+        stats.note_issued()
+        issued += 1
+        sim.start(measure(arrival))
+    target = issued
+    if finished < issued:
+        # Woken exactly once, by the last completion: no polling loop.
+        idle = sim.event()
+        yield idle
+    return sim.now - start
+
+
 def _check_closed_loop(clients: int, think_time: float,
                        requests_per_client: Optional[int],
-                       duration: Optional[float], think: str) -> None:
+                       duration: Optional[float]) -> None:
     """The argument checks every closed-loop driver shares
     (:class:`ClosedLoopScenario` and the cohorts built on it)."""
     if clients < 1:
@@ -235,8 +279,6 @@ def _check_closed_loop(clients: int, think_time: float,
         raise ValueError("duration must be positive")
     if think_time < 0:
         raise ValueError("think time cannot be negative")
-    if think not in ("exponential", "fixed"):
-        raise ValueError("think must be 'exponential' or 'fixed'")
 
 
 class Scenario:
@@ -327,10 +369,10 @@ class Scenario:
 class OpenLoopScenario(Scenario):
     """Scheduled arrivals that never wait for the system.
 
-    A thin declarative wrapper over :class:`LoadGenerator`: any
-    :class:`~repro.workloads.loadgen.ArrivalSchedule` plus optional
-    site placement and a :class:`RequestMix` for multi-object
-    workloads.
+    Any :class:`~repro.workloads.loadgen.ArrivalSchedule`, with sites
+    drawn uniformly per arrival from ``sites`` and an object rank and
+    kind from an optional :class:`RequestMix`.  Both are optional: a
+    single-site, single-object workload needs neither.
 
     Bound the run with either ``count`` (exactly that many arrivals)
     or ``duration`` (arrivals until that much simulated time has
@@ -351,6 +393,8 @@ class OpenLoopScenario(Scenario):
         if (count is None) == (duration is None):
             raise ValueError("bound the scenario with either count "
                              "or duration")
+        if count is not None and count < 1:
+            raise ValueError("count must be >= 1")
         if duration is not None and duration <= 0:
             raise ValueError("duration must be positive")
         self.schedule = schedule
@@ -365,11 +409,9 @@ class OpenLoopScenario(Scenario):
 
     def build(self, sim: Simulator, request: RequestFn,
               rng: random.Random, stats: LoadStats) -> List[Generator]:
-        generator = LoadGenerator(sim, self.schedule, request, self.count,
-                                  rng=self._fork(rng), sites=self.sites,
-                                  stats=stats, mix=self.mix,
-                                  duration=self.duration)
-        return [generator.run()]
+        arrivals = _drawn_arrivals(sim, self.schedule, self.count,
+                                   self.sites, self.mix, self._fork(rng))
+        return [_open_loop(sim, request, arrivals, stats, self.duration)]
 
 
 class TraceScenario(Scenario):
@@ -418,7 +460,7 @@ class TraceScenario(Scenario):
     @classmethod
     def from_file(cls, path: Union[str, pathlib.Path],
                   topology: Optional[Topology] = None) -> "TraceScenario":
-        """Replay a recorded CSV/JSONL trace file."""
+        """Replay a recorded JSONL trace file."""
         return cls(load_trace(path), topology=topology,
                    label="trace:%s" % pathlib.Path(path).name)
 
@@ -445,9 +487,7 @@ class TraceScenario(Scenario):
         arrivals = self.arrivals(sim)
         if self.pacing == "sequential":
             return [self._sequential(sim, request, arrivals, stats)]
-        generator = LoadGenerator(sim, None, request, arrivals=arrivals,
-                                  rng=self._fork(rng), stats=stats)
-        return [generator.run()]
+        return [_open_loop(sim, request, arrivals, stats)]
 
     @staticmethod
     def _sequential(sim: Simulator, request: RequestFn,
@@ -485,7 +525,9 @@ class ClosedLoopScenario(Scenario):
                  duration: Optional[float] = None,
                  phases: Optional[Sequence[Tuple[float, str]]] = None):
         _check_closed_loop(clients, think_time, requests_per_client,
-                           duration, think)
+                           duration)
+        if think not in ("exponential", "fixed"):
+            raise ValueError("think must be 'exponential' or 'fixed'")
         self.clients = clients
         self.think_time = think_time
         self.requests_per_client = requests_per_client

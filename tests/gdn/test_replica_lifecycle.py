@@ -85,3 +85,36 @@ def test_a_moderator_places_replicas_on_object_servers_added_after_it():
     with pytest.raises(ModerationError, match="unknown object server"):
         gdn.run(moderator.add_replica(PACKAGE, "gos-nowhere"),
                 host=moderator.host)
+
+
+def test_dropping_a_replica_invalidates_its_hosts_lookup_cache_at_once():
+    # The dropped slave's GOS unregisters through its host's lookup
+    # cache, which the colocated HTTPD shares: the cached binding to
+    # the dropped replica goes with the unregister, not after its TTL.
+    gdn = GdnDeployment(topology=Topology.balanced(2, 2, 2, 2), seed=5,
+                        secure=False, gls_cache={})
+    gdn.standard_fleet(gos_per_region=1)
+    gdn.initial_sync()
+    moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
+    oid = gdn.run(moderator.create_package(
+        PACKAGE, FILES,
+        ReplicationScenario.master_slave("gos-r0-0", ["gos-r1-0"])),
+        host=moderator.host)
+    gdn.settle(2.0)
+    slave = gdn.object_servers["gos-r1-0"].host
+    cache = gdn.lookup_caches[slave.name]
+
+    def hosts():
+        return [wire["host"] for wire in
+                gdn.run(cache.lookup(oid.hex), host=slave)]
+
+    assert hosts() == [slave.name]
+    expires = gdn.world.now + cache.ttl
+    invalidations = cache.invalidations
+    gdn.run(moderator.drop_replica(PACKAGE, "gos-r1-0"), host=moderator.host)
+    assert cache.invalidations == invalidations + 1
+    assert oid.hex not in cache._entries
+    assert gdn.world.now < expires
+    misses = cache.misses
+    assert hosts() == ["gos-r0-0"]
+    assert cache.misses == misses + 1

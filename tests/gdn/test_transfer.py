@@ -4,19 +4,15 @@ import hashlib
 
 import pytest
 
-from repro.core.repository import Implementation
 from repro.gdn.deployment import GdnDeployment
 from repro.gdn.httpd import parse_transfer_url
-from repro.gdn.package import (DEFAULT_CHUNK_SIZE, PACKAGE_IMPL_ID,
-                               PackageSemantics)
+from repro.gdn.package import DEFAULT_CHUNK_SIZE, PackageSemantics
 from repro.gdn.scenario import ReplicationScenario
 from repro.gdn.transfer import (ChunkedDownloader, IntegrityError,
                                 ResumeToken, TransferBudgetExhausted,
                                 TransferError)
-from repro.sim import rpc
 from repro.sim.retry import ExponentialBackoff, RetryBudget
 from repro.sim.topology import Topology
-from tests.util import GlobeBed
 
 PAYLOAD = bytes(range(256)) * 120  # 30720 bytes
 SMALL = b"tiny file"
@@ -109,50 +105,6 @@ def test_first_route_marker_decides_what_a_url_is():
         ("manifest", "/apps/Gimp", "a/chunk/1/b", None, None)
     # A marker in the query string is not part of the path.
     assert parse_transfer_url("/gdn/apps/Gimp?next=/manifest/x") is None
-
-
-# -- GOS chunk endpoints -----------------------------------------------------
-
-
-def test_gos_manifest_and_chunk_endpoints():
-    bed = GlobeBed()
-    bed.repository.register(Implementation(
-        PACKAGE_IMPL_ID, PackageSemantics, code_size=10_000))
-    gos = bed.gos("gos-1", "r0/c0/m0/s0")
-    tool = bed.world.host("tool", "r0/c0/m0/s1")
-
-    def drive():
-        lr = yield from gos.create_local_replica(
-            None, PACKAGE_IMPL_ID, "client_server", "server")
-        yield from lr.invoke("addFile", {"path": "big.bin",
-                                         "data": PAYLOAD})
-        manifest = yield from rpc.call(
-            tool, gos.host, gos.port, "get_manifest",
-            {"oid": lr.oid.hex, "path": "big.bin", "chunk_size": 4096})
-        chunk = yield from rpc.call(
-            tool, gos.host, gos.port, "get_chunk",
-            {"oid": lr.oid.hex, "path": "big.bin", "index": 1,
-             "chunk_size": 4096})
-        return manifest, chunk
-
-    manifest, chunk = bed.run(drive(), host=tool)
-    assert manifest["chunk_count"] == -(-len(PAYLOAD) // 4096)
-    assert chunk == PAYLOAD[4096:8192]
-
-
-def test_gos_chunk_endpoints_fault_on_unknown_oid():
-    bed = GlobeBed()
-    gos = bed.gos("gos-1", "r0/c0/m0/s0")
-    tool = bed.world.host("tool", "r0/c0/m0/s1")
-
-    def drive():
-        try:
-            yield from rpc.call(tool, gos.host, gos.port, "get_manifest",
-                                {"oid": "ff" * 16, "path": "x"})
-        except rpc.RpcFault as fault:
-            return fault.kind
-
-    assert bed.run(drive(), host=tool) == "GosError"
 
 
 # -- ChunkedDownloader end to end -------------------------------------------

@@ -160,3 +160,30 @@ def test_dns_spoofing_misdirects_but_cannot_forge(gdn):
     # ...but the GLS has no (authenticated) registration for it, so the
     # victim gets nothing — and certainly not forged package contents.
     assert outcome == "misdirected-but-unbound"
+
+
+def test_overlapping_crash_windows_hold_the_host_down_until_the_last():
+    # Regression: the first window's restart brought the host back
+    # while the second still held it down, and the second restart then
+    # ran recover() on a live host: "TCP port 7100 already listening".
+    deployment = GdnDeployment(seed=3, secure=False)
+    deployment.standard_fleet()
+    deployment.initial_sync()
+    gos = deployment.object_servers["gos-r0-0"]
+    injector = FailureInjector(deployment.world)
+    recovered = []
+
+    def recover():
+        recovered.append(deployment.world.now)
+        deployment.recover_gos("gos-r0-0")
+
+    t0 = deployment.world.now
+    injector.crash_restart(gos.host, t0 + 1.0, t0 + 10.0, recover)
+    injector.crash_restart(gos.host, t0 + 5.0, t0 + 15.0, recover)
+    deployment.world.run(until=t0 + 12.0)
+    assert not gos.host.up
+    deployment.world.run(until=t0 + 20.0)
+    assert gos.host.up
+    assert recovered == [t0 + 15.0]
+    assert [kind for _t, kind, _host in injector.log] == [
+        "crash", "crash", "restart", "restart"]

@@ -15,8 +15,7 @@ import weakref
 import pytest
 
 from repro.analysis.telemetry import MetricsRegistry
-from repro.sim.deadlines import (FifoDeadlinePool, OrderedDeadlinePool,
-                                 shared_pool)
+from repro.sim.deadlines import DeadlinePool, shared_pool
 from repro.sim.kernel import Simulator
 from repro.sim.rpc import RpcChannel, RpcServer, UdpRpcClient, UdpRpcServer
 from repro.sim.topology import Topology
@@ -32,8 +31,8 @@ def _collector(order, sim, label):
 
 def test_fifo_pool_keeps_one_kernel_timer_for_many_deadlines():
     sim = Simulator()
-    pool = FifoDeadlinePool(sim, 10.0)
-    entries = [pool.add(lambda: None) for _ in range(500)]
+    pool = DeadlinePool(sim)
+    entries = [pool.add(lambda: None, 10.0) for _ in range(500)]
     # 500 pending deadlines, one armed kernel timer.
     assert pool.live == 500
     assert sim.heap_size == 1
@@ -53,19 +52,21 @@ def test_fifo_steady_state_arms_once_per_timeout_window():
     # The kernel timer should be re-armed roughly once per timeout
     # interval, not once per call.
     sim = Simulator()
-    pool = FifoDeadlinePool(sim, 1.0)
+    pool = DeadlinePool(sim)
 
     def churn():
         for _ in range(1000):
-            entry = pool.add(lambda: None)
+            entry = pool.add(lambda: None, 1.0)
             yield sim.timeout(0.01)  # "reply" long before the deadline
             pool.cancel(entry)
 
     sim.process(churn())
     sim.run()
     # 1000 guarded calls over 10 simulated seconds with a 1s timeout:
-    # on the order of ten kernel arms, not a thousand.
+    # on the order of ten kernel arms, not a thousand.  One delay never
+    # undercuts the armed deadline, so nothing is ever shelved.
     assert pool.timer_arms <= 20
+    assert pool.timer_shelved == 0
     assert pool.expired_total == 0
     assert pool.live == 0 and len(pool) == 0
 
@@ -73,15 +74,15 @@ def test_fifo_steady_state_arms_once_per_timeout_window():
 def test_fifo_pool_rejects_negative_delay_but_allows_zero():
     from repro.sim.kernel import SimulationError
 
+    sim = Simulator()
+    pool = DeadlinePool(sim)
     with pytest.raises(SimulationError):
-        FifoDeadlinePool(Simulator(), -1.0)
+        pool.add(lambda: None, -1.0)
     # Zero is degenerate but legal: guards expire at the instant they
     # are armed (FIFO ordering still holds on a monotonic clock).
-    sim = Simulator()
-    pool = FifoDeadlinePool(sim, 0.0)
     order = []
-    pool.add(_collector(order, sim, "a"))
-    pool.add(_collector(order, sim, "b"))
+    pool.add(_collector(order, sim, "a"), 0.0)
+    pool.add(_collector(order, sim, "b"), 0.0)
     sim.run()
     assert [label for label, _t in order] == ["a", "b"]
     assert all(t == 0.0 for _label, t in order)
@@ -96,11 +97,11 @@ def _fifo_tie_order(pooled):
     sim = Simulator()
     order = []
     if pooled:
-        pool = FifoDeadlinePool(sim, 1.0)
-        pool.add(_collector(order, sim, "guard-a"))
+        pool = DeadlinePool(sim)
+        pool.add(_collector(order, sim, "guard-a"), 1.0)
         sim.timeout_at(1.0).add_callback(
             lambda _e: order.append(("between", sim.now)))
-        pool.add(_collector(order, sim, "guard-b"))
+        pool.add(_collector(order, sim, "guard-b"), 1.0)
     else:
         for label in ("guard-a", None, "guard-b"):
             if label is None:
@@ -124,11 +125,11 @@ def test_fifo_same_instant_expiries_interleave_exactly_like_timers():
 
 def test_fifo_cancelled_middle_entry_is_skipped():
     sim = Simulator()
-    pool = FifoDeadlinePool(sim, 1.0)
+    pool = DeadlinePool(sim)
     order = []
-    pool.add(_collector(order, sim, "a"))
-    doomed = pool.add(_collector(order, sim, "b"))
-    pool.add(_collector(order, sim, "c"))
+    pool.add(_collector(order, sim, "a"), 1.0)
+    doomed = pool.add(_collector(order, sim, "b"), 1.0)
+    pool.add(_collector(order, sim, "c"), 1.0)
     pool.cancel(doomed)
     sim.run()
     assert [label for label, _t in order] == ["a", "c"]
@@ -138,11 +139,11 @@ def test_fifo_cancelled_middle_entry_is_skipped():
 
 def test_cancel_is_idempotent_and_noop_after_expiry():
     sim = Simulator()
-    pool = FifoDeadlinePool(sim, 1.0)
-    entry = pool.add(lambda: None)
+    pool = DeadlinePool(sim)
+    entry = pool.add(lambda: None, 1.0)
     assert pool.cancel(entry) is True
     assert pool.cancel(entry) is False  # second cancel: no double count
-    expired = pool.add(lambda: None)
+    expired = pool.add(lambda: None, 1.0)
     sim.run()
     assert pool.expired_total == 1
     assert pool.cancel(expired) is False  # already fired
@@ -163,7 +164,7 @@ def _ordered_tie_order(pooled):
         yield sim.timeout(0.5)
         # All of these meet at t = 2.0 with interleaved seqs.
         if pooled:
-            pool = OrderedDeadlinePool(sim)
+            pool = DeadlinePool(sim)
             pool.add(_collector(order, sim, "guard-late-armed"), 1.5)
             sim.timeout_at(2.0).add_callback(note("plain-1"))
             pool.add(_collector(order, sim, "guard-2"), 1.5)
@@ -205,7 +206,7 @@ def test_ordered_same_instant_expiries_interleave_exactly_like_timers():
 
 def test_ordered_pool_shelves_and_reclaims_on_undercut():
     sim = Simulator()
-    pool = OrderedDeadlinePool(sim)
+    pool = DeadlinePool(sim)
     order = []
     pool.add(_collector(order, sim, "slow"), 10.0)
     assert pool.timer_arms == 1
@@ -232,7 +233,7 @@ def test_ordered_pool_shelves_and_reclaims_on_undercut():
 
 def test_ordered_pool_orphaned_shelved_timer_is_a_noop():
     sim = Simulator()
-    pool = OrderedDeadlinePool(sim)
+    pool = DeadlinePool(sim)
     order = []
     doomed = pool.add(_collector(order, sim, "doomed"), 2.0)
     pool.add(_collector(order, sim, "fast"), 1.0)   # shelves "doomed"
@@ -249,7 +250,7 @@ def test_ordered_pool_orphaned_shelved_timer_is_a_noop():
 
 def test_ordered_pool_tie_keeps_armed_timer():
     sim = Simulator()
-    pool = OrderedDeadlinePool(sim)
+    pool = DeadlinePool(sim)
     order = []
     pool.add(_collector(order, sim, "first"), 3.0)
     pool.add(_collector(order, sim, "second"), 3.0)  # tie: no re-arm
@@ -264,13 +265,13 @@ def test_ordered_pool_tie_keeps_armed_timer():
 
 def test_dead_prefix_is_discarded_when_the_armed_timer_fires():
     sim = Simulator()
-    pool = FifoDeadlinePool(sim, 1.0)
+    pool = DeadlinePool(sim)
     fired = []
-    entries = [pool.add(lambda: fired.append(True)) for _ in range(10)]
+    entries = [pool.add(lambda: fired.append(True), 1.0) for _ in range(10)]
     for entry in entries:
         pool.cancel(entry)
     # All ten deadlines were cancelled, but lazily: the entries sit in
-    # the deque until the armed timer fires and sweeps the dead prefix.
+    # the heap until the armed timer fires and sweeps the dead prefix.
     assert len(pool) == 10 and pool.live == 0
     sim.run()
     assert fired == []
@@ -282,10 +283,10 @@ def test_dead_prefix_is_discarded_when_the_armed_timer_fires():
 def test_pool_metrics_bind_and_drain():
     sim = Simulator()
     registry = MetricsRegistry()
-    pool = FifoDeadlinePool(sim, 1.0)
+    pool = DeadlinePool(sim)
     pool.bind_metrics(registry, "pool")
-    kept = pool.add(lambda: None)
-    pool.add(lambda: None)
+    kept = pool.add(lambda: None, 1.0)
+    pool.add(lambda: None, 1.0)
     pool.cancel(kept)
     assert registry.get("pool.armed").value == 2
     assert registry.get("pool.cancelled").value == 1
@@ -304,19 +305,19 @@ def test_shared_pool_is_one_per_simulator():
     pool_a = shared_pool(sim_a)
     assert shared_pool(sim_a) is pool_a
     assert shared_pool(sim_b) is not pool_a
-    assert isinstance(pool_a, OrderedDeadlinePool)
+    assert isinstance(pool_a, DeadlinePool)
 
 
 def test_expiry_callback_errors_surface_like_timer_callbacks():
     # A failing expiry callback propagates out of run(), exactly as a
     # failing per-call timer callback would.
     sim = Simulator()
-    pool = FifoDeadlinePool(sim, 1.0)
+    pool = DeadlinePool(sim)
 
     def boom():
         raise RuntimeError("expiry exploded")
 
-    pool.add(boom)
+    pool.add(boom, 1.0)
     with pytest.raises(RuntimeError, match="expiry exploded"):
         sim.run()
 
@@ -329,7 +330,7 @@ def test_ordered_pool_rejects_negative_delay_without_poisoning():
     from repro.sim.kernel import SimulationError
 
     sim = Simulator()
-    pool = OrderedDeadlinePool(sim)
+    pool = DeadlinePool(sim)
     order = []
     with pytest.raises(SimulationError):
         pool.add(_collector(order, sim, "bad"), -0.5)

@@ -90,3 +90,25 @@ def test_overlapping_loss_windows_restore_the_base_rate(world):
     assert rates == [0.5, 0.2, 0.2, 0.0]
     assert [kind for _t, kind, _level in injector.log] == [
         "loss=0.5", "loss=0.2", "loss=0.2", "loss=0"]
+
+
+def test_overlapping_partitions_of_one_domain_heal_with_the_last():
+    # Regression: the network keeps a set of partitioned domains, so
+    # the first window's heal lifted the cut while the second window
+    # still had five seconds to run.
+    world = World(topology=Topology.balanced(2, 1, 1, 2), seed=1)
+    injector = FailureInjector(world)
+    r1 = world.topology.domain("r1")
+    injector.partition_domain(r1, 0.0, 10.0)
+    injector.partition_domain(r1, 5.0, 10.0)
+    inside = world.topology.site("r1/c0/m0/s0")
+    outside = world.topology.site("r0/c0/m0/s0")
+    reached = []
+    for when in (2.0, 7.0, 12.0, 16.0):
+        world.run(until=when)
+        reached.append(world.network.deliver(inside, outside, "h", 1,
+                                             lambda _e: None))
+    assert reached == [False, False, False, True]
+    assert [(t, kind) for t, kind, _ in injector.log] == [
+        (0.0, "partition"), (5.0, "partition"), (10.0, "heal"),
+        (15.0, "heal")]

@@ -144,3 +144,40 @@ def test_options_lists_the_keyword_options_no_call_passes(tmp_path, capsys):
         "census: 5 of 10 keyword options under %s never passed"
         % (tmp_path / "src"),
     ]
+
+
+def test_traffic_lists_the_functions_no_entry_point_reaches(
+        tmp_path, monkeypatch, capsys):
+    # The real entry points: the thirteen tables, the eight examples and
+    # the five gdnbench workloads, none of them run here.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    kinds = [label.split()[0] for label, _run in census.traffic()]
+    assert [kinds.count(kind) for kind in ("table", "example", "workload")] \
+        == [13, 8, 5]
+    # On a fixture tree: what the entries reach is off the list, and an
+    # entry that raises is reported without hiding the rest.
+    package = tmp_path / "src" / "fixture_pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(MODULE)
+    monkeypatch.syspath_prepend(str(tmp_path / "src"))
+
+    def fixture_traffic():
+        from fixture_pkg import mod
+        return [("example called", mod.called),
+                ("example broken", lambda: 1 / 0),
+                ("workload shape", lambda: mod.Shape().area())]
+
+    monkeypatch.setattr(census, "traffic", fixture_traffic)
+    assert census.main(["--traffic", "--src", str(tmp_path / "src")]) == 1
+    captured = capsys.readouterr()
+    assert "example broken failed" in captured.err
+    assert captured.out.splitlines() == [
+        "fixture_pkg/mod.py:14  never  (4 lines)",
+        "fixture_pkg/mod.py:15  never.nested_never  (2 lines)",
+        "fixture_pkg/mod.py:20  decorated_called  (3 lines)",
+        "fixture_pkg/mod.py:25  generator_called  (2 lines)",
+        "fixture_pkg/mod.py:33  Shape.unused_method  (2 lines)",
+        "census: 5 of 9 functions under %s never reached by the 3 tables, "
+        "examples and workloads (11 lines)" % (tmp_path / "src"),
+    ]

@@ -68,36 +68,6 @@ def test_statistical_duration_stops_issuing_at_deadline():
     assert fingerprint[2] < 11.0
 
 
-def test_statistical_zero_think_quota():
-    scenario = CohortScenario(20, 0.0, requests_per_client=10,
-                              cohort_size=8)
-    _fingerprint, stats, _world = drive(scenario)
-    assert stats.issued == 200
-    assert stats.ok == 200
-
-
-def test_statistical_fixed_think_issues_in_lockstep_bursts():
-    issue_times = []
-    world = World(topology=Topology.balanced(1, 1, 1, 1), seed=2)
-    sim = world.sim
-
-    def do_one(arrival):
-        issue_times.append(sim.now)
-        yield sim.timeout(0.001)
-        return True
-
-    stats = LoadStats()
-    cohort = AggregatedPopulation(
-        sim, do_one, random.Random(4), None, clients=50, think_time=5.0,
-        stats=stats, think="fixed", requests_per_client=2)
-    world.run_until(sim.process(cohort.run()), limit=1e9)
-    assert stats.issued == 100
-    # First wave: all 50 clients wake at exactly t=5.0.
-    assert issue_times[:50] == [5.0] * 50
-    # Second wave: 5s after the first completions.
-    assert issue_times[50:] == [pytest.approx(10.001)] * 50
-
-
 def test_statistical_many_cohorts_share_one_arrival_counter():
     scenario = CohortScenario(100, 0.01, requests_per_client=1,
                               cohort_size=10)
@@ -128,7 +98,7 @@ def test_statistical_sites_round_robin_headcount():
         yield sim.timeout(0.001)
         return True
 
-    scenario = CohortScenario(10, 0.0, requests_per_client=1,
+    scenario = CohortScenario(10, 0.01, requests_per_client=1,
                               sites=sites, cohort_size=2)
     stats = LoadStats()
     world.run_until(sim.process(
@@ -256,10 +226,13 @@ def test_profile_modulates_issue_rate():
 
 
 def test_profile_rejected_for_fixed_or_zero_think():
-    with pytest.raises(ValueError):
+    # A cohort's think time is exponential: there is no fixed-think
+    # option to combine with a profile, and zero think has no rate to
+    # scale.  Both belong to the per-client ClosedLoopScenario.
+    with pytest.raises(TypeError):
         CohortScenario(10, 1.0, duration=1.0, think="fixed",
                        profile=DiurnalProfile([1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ClosedLoopScenario"):
         CohortScenario(10, 0.0, duration=1.0,
                        profile=DiurnalProfile([1.0]))
 
@@ -278,7 +251,12 @@ def test_cohort_scenario_validation():
         CohortScenario(1, -1.0, requests_per_client=1)
     with pytest.raises(ValueError):
         CohortScenario(1, 1.0, requests_per_client=1, cohort_size=0)
-    with pytest.raises(ValueError):
-        CohortScenario(1, 1.0, requests_per_client=1, think="uniform")
+    with pytest.raises(TypeError):
+        CohortScenario(1, 1.0, requests_per_client=1, think="fixed")
+    with pytest.raises(ValueError, match="ClosedLoopScenario"):
+        CohortScenario(1, 0.0, requests_per_client=1)
+    with pytest.raises(ValueError, match="ClosedLoopScenario"):
+        AggregatedPopulation(None, None, random.Random(0), None, 1, 0.0,
+                             LoadStats(), requests_per_client=1)
     assert CohortScenario(3, 1.0, requests_per_client=2).count == 6
     assert CohortScenario(3, 1.0, duration=2.0).count is None

@@ -1,4 +1,5 @@
-"""Tests for the open-loop load generator and its schedules."""
+"""Tests for the arrival schedules and the open-loop driver behind
+OpenLoopScenario and TraceScenario."""
 
 import random
 
@@ -8,9 +9,19 @@ from repro.sim.kernel import Simulator
 from repro.sim.rpc import UdpRpcClient, UdpRpcServer
 from repro.sim.topology import Topology
 from repro.sim.world import World
-from repro.workloads.loadgen import (FlashCrowdSchedule, LoadGenerator,
+from repro.workloads.loadgen import (Arrival, FlashCrowdSchedule, LoadStats,
                                      PoissonSchedule, UniformSchedule)
-from repro.workloads.scenario import RequestMix
+from repro.workloads.scenario import (OpenLoopScenario, RequestMix,
+                                      TraceScenario)
+
+
+def _drive(sim, scenario, request, rng=None, stats=None):
+    """Drive ``scenario`` to completion; (stats, elapsed)."""
+    stats = stats if stats is not None else LoadStats()
+    elapsed = sim.run_until_complete(
+        sim.process(scenario.drive(sim, request, rng=rng, stats=stats)),
+        limit=1000)
+    return stats, elapsed
 
 
 def test_uniform_schedule_is_exact():
@@ -56,24 +67,27 @@ def test_flash_crowd_never_skips_the_spike():
 
 def test_loadgen_shared_stats_does_not_end_runs_early():
     # Regression: completion used to compare the *shared* stats
-    # counter against this generator's count, so a reused LoadStats
-    # made a later run return while requests were still in flight.
-    from repro.workloads.loadgen import LoadStats
-
+    # counter against this drive's count, so a reused LoadStats made a
+    # later run return while requests were still in flight.  Trace
+    # replay shares the driver, so it must wait for its own requests
+    # too.
     sim = Simulator()
     stats = LoadStats()
 
     def request(arrival):
         yield sim.timeout(10.0)
 
-    first = LoadGenerator(sim, UniformSchedule(100.0), request, 5,
-                          stats=stats)
-    sim.run_until_complete(sim.process(first.run()), limit=1000)
+    _drive(sim, OpenLoopScenario(UniformSchedule(100.0), 5), request,
+           stats=stats)
     assert stats.finished == 5
-    second = LoadGenerator(sim, UniformSchedule(100.0), request, 5,
-                           stats=stats)
-    elapsed = sim.run_until_complete(sim.process(second.run()), limit=1000)
+    _, elapsed = _drive(sim, OpenLoopScenario(UniformSchedule(100.0), 5),
+                        request, stats=stats)
     assert stats.finished == 10  # the second run waited for its own 5
+    assert elapsed == pytest.approx(10.0 + 4 / 100.0)
+    trace = TraceScenario([Arrival(i, i / 100.0, None, 0)
+                           for i in range(5)])
+    _, elapsed = _drive(sim, trace, request, stats=stats)
+    assert stats.finished == 15
     assert elapsed == pytest.approx(10.0 + 4 / 100.0)
 
 
@@ -86,6 +100,13 @@ def test_schedule_validation():
         FlashCrowdSchedule(1.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         FlashCrowdSchedule(1.0, 2.0, 0.0, 0.0)
+    # The open-loop driver's bounds: a count or a duration, not both.
+    with pytest.raises(ValueError):
+        OpenLoopScenario(UniformSchedule(1.0), 0)
+    with pytest.raises(ValueError):
+        OpenLoopScenario(UniformSchedule(1.0), 5, duration=1.0)
+    with pytest.raises(ValueError):
+        OpenLoopScenario(UniformSchedule(1.0), duration=0.0)
 
 
 def test_loadgen_open_loop_overlaps_requests():
@@ -99,16 +120,15 @@ def test_loadgen_open_loop_overlaps_requests():
         yield sim.timeout(1.0)  # service takes longer than the gap
         active.remove(arrival.index)
 
-    gen = LoadGenerator(sim, UniformSchedule(10.0), request, 20)
-    process = sim.process(gen.run())
-    elapsed = sim.run_until_complete(process, limit=100)
+    stats, elapsed = _drive(sim, OpenLoopScenario(UniformSchedule(10.0), 20),
+                            request)
     # Open loop: arrivals kept coming while earlier ones were in
     # service, so concurrency well above 1 was reached.
     assert max(peak) > 5
-    assert gen.stats.ok == 20
-    assert gen.stats.failed == 0
-    assert gen.stats.latency.count == 20
-    assert gen.stats.latency.mean == pytest.approx(1.0)
+    assert stats.ok == 20
+    assert stats.failed == 0
+    assert stats.latency.count == 20
+    assert stats.latency.mean == pytest.approx(1.0)
     assert elapsed == pytest.approx(19 / 10.0 + 1.0)
 
 
@@ -123,13 +143,13 @@ def test_loadgen_accounts_failures_and_errors():
             raise RuntimeError("boom")
         return True
 
-    gen = LoadGenerator(sim, UniformSchedule(100.0), request, 9)
-    sim.run_until_complete(sim.process(gen.run()), limit=100)
-    assert gen.stats.ok == 3
-    assert gen.stats.failed == 6
-    assert gen.stats.errors == {"RuntimeError": 3}
-    assert gen.stats.latency.count == 3
-    summary = gen.stats.summary()
+    stats, _ = _drive(sim, OpenLoopScenario(UniformSchedule(100.0), 9),
+                      request)
+    assert stats.ok == 3
+    assert stats.failed == 6
+    assert stats.errors == {"RuntimeError": 3}
+    assert stats.latency.count == 3
+    summary = stats.summary()
     assert summary["issued"] == 9 and summary["ok"] == 3
 
 
@@ -147,14 +167,14 @@ def test_loadgen_places_sites_and_ranks():
         seen_kinds.add(arrival.kind)
         yield sim.timeout(0.001)
 
-    gen = LoadGenerator(sim, PoissonSchedule(100.0), request, 200, rng=rng,
-                        sites=topology.sites,
-                        mix=RequestMix(20, 1.0, write_fraction=0.2))
-    sim.run_until_complete(sim.process(gen.run()), limit=100)
+    scenario = OpenLoopScenario(PoissonSchedule(100.0), 200,
+                                sites=topology.sites,
+                                mix=RequestMix(20, 1.0, write_fraction=0.2))
+    stats, _ = _drive(sim, scenario, request, rng=rng)
     assert len(seen_sites) == 4  # all sites drawn
     assert 0 in seen_ranks and len(seen_ranks) > 3
     assert seen_kinds == {"read", "write"}
-    assert gen.stats.ok == 200
+    assert stats.ok == 200
 
 
 def test_loadgen_10k_requests_leave_no_stale_timers():
@@ -174,12 +194,14 @@ def test_loadgen_10k_requests_leave_no_stale_timers():
         value = yield from client.call(b, 5300, "echo", {"x": arrival.index})
         return value == arrival.index
 
-    gen = LoadGenerator(world.sim, PoissonSchedule(2000.0), request, 10_000,
-                        rng=world.rng_for("loadgen-10k"))
-    process = world.sim.process(gen.run())
+    stats = LoadStats()
+    process = world.sim.process(OpenLoopScenario(
+        PoissonSchedule(2000.0), 10_000).drive(
+            world.sim, request, rng=world.rng_for("loadgen-10k"),
+            stats=stats))
     world.run_until(process, limit=1e6)
     world.run()  # drain the driver's own completion event
-    assert gen.stats.ok == 10_000
+    assert stats.ok == 10_000
     assert world.sim.stale_timer_count == 0
     assert world.sim.heap_size == 0
     # The heap never grew anywhere near one-entry-per-request.

@@ -27,7 +27,7 @@ def _drive(sim, scenario, request, seed=1, stats=None):
 
 # -- trace format -----------------------------------------------------------
 
-@pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+@pytest.mark.parametrize("suffix", [".jsonl"])
 def test_trace_file_roundtrip(tmp_path, suffix):
     site = Topology.balanced(1, 1, 1, 2).site("r0/c0/m0/s0")
     arrivals = [Arrival(i, 0.25 * i, [site, "r0/c0/m0/s1", None][i % 3],

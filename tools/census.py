@@ -16,6 +16,17 @@ subprocess the tests start is not seen.  The listing is a to-do list,
 not a verdict: each entry gets a test, or is deleted if nothing
 references it.
 
+``--traffic`` runs no tests either.  It profiles the program's own
+entry points instead, in this process: every table of
+:data:`repro.experiments.TABLES` (run, render, check), every example
+under ``examples/`` at ``GDN_EXAMPLE_SCALE=small``, and every
+``gdnbench`` workload driven once at smoke scale (seed 11, untraced).
+It lists the functions under ``src/`` none of them reaches: each is
+reached by tests alone, or, when the plain census lists it too, by
+nothing.
+
+    PYTHONPATH=src python3 tools/census.py --traffic
+
 ``--options`` runs no tests.  It lists every keyword option (a
 parameter with a default) of a ``def`` under ``src/`` that no call in
 ``src/``, ``examples/`` or ``gdnbench/`` (the siblings of ``--src``)
@@ -38,8 +49,11 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
+import io
 import os
 import pathlib
+import runpy
 import sys
 import threading
 from typing import Callable, Dict, List, NamedTuple, Set, Tuple
@@ -82,20 +96,25 @@ def functions(src: pathlib.Path) -> Dict[Tuple[str, int], Function]:
 
 def called_code(run: Callable[[], object]) -> Set[Tuple[str, int]]:
     """``(real file path, co_firstlineno)`` of every Python function
-    that started running while ``run()`` ran."""
+    that started running while ``run()`` ran.  A census run inside
+    another (a test of this tool under the tier-1 census) passes every
+    event on to the outer hook and hands it back afterwards."""
     seen: Set = set()
+    outer = sys.getprofile()
 
-    def hook(frame, event, _arg):
+    def hook(frame, event, arg):
         if event == "call":
             seen.add(frame.f_code)
+        if outer is not None:
+            outer(frame, event, arg)
 
     threading.setprofile(hook)
     sys.setprofile(hook)
     try:
         run()
     finally:
-        sys.setprofile(None)
-        threading.setprofile(None)
+        sys.setprofile(outer)
+        threading.setprofile(outer)
     real: Dict[str, str] = {}
     keys = set()
     for code in seen:
@@ -118,6 +137,73 @@ def census(src: pathlib.Path, run: Callable[[], object]
     lines = {(function.path, line) for function in uncalled
              for line in range(function.first, function.last + 1)}
     return len(defined), uncalled, len(lines)
+
+
+#: ``gdnbench`` drives each workload with ``--smoke``'s request divisor;
+#: the seed is the benchmark's own.
+TRAFFIC_SEED = 11
+TRAFFIC_SCALE = 50
+
+
+def traffic() -> List[Tuple[str, Callable[[], object]]]:
+    """``(label, run)`` for every non-test entry point of the program:
+    each paper table, each example at small scale, and each ``gdnbench``
+    workload at smoke scale.  Nothing runs until a ``run`` is called,
+    but the program is imported: call this under the profile hook, so
+    what runs at import time counts as reached."""
+    for path in (ROOT, ROOT / "src"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    from gdnbench import drive
+    from gdnbench.workloads import WORKLOADS
+    from repro.experiments import TABLES
+
+    entries: List[Tuple[str, Callable[[], object]]] = []
+    for paper in TABLES:
+        def run_table(paper=paper) -> None:
+            result = paper.run()
+            paper.render(result)
+            paper.check(result)
+        entries.append(("table " + paper.stem, run_table))
+    for example in sorted((ROOT / "examples").glob("*.py")):
+        entries.append(("example " + example.name,
+                        lambda example=example: _run_example(example)))
+    for workload in WORKLOADS:
+        entries.append(("workload " + workload,
+                        lambda workload=workload: drive.run(
+                            workload, TRAFFIC_SEED, TRAFFIC_SCALE, False)))
+    return entries
+
+
+def _run_example(path: pathlib.Path) -> None:
+    """Run one example as ``__main__`` at small scale, its narrative
+    swallowed; a nonzero exit raises."""
+    saved = os.environ.get("GDN_EXAMPLE_SCALE")
+    os.environ["GDN_EXAMPLE_SCALE"] = "small"
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            runpy.run_path(str(path), run_name="__main__")
+    except SystemExit as done:
+        if done.code not in (None, 0):
+            raise RuntimeError("%s exited %r" % (path.name, done.code))
+    finally:
+        if saved is None:
+            del os.environ["GDN_EXAMPLE_SCALE"]
+        else:
+            os.environ["GDN_EXAMPLE_SCALE"] = saved
+
+
+def run_all(entries: List[Tuple[str, Callable[[], object]]]) -> List[str]:
+    """Run every entry; the labels of those that raised (reported on
+    stderr), so one failure does not hide what the rest reach."""
+    failed = []
+    for label, run in entries:
+        try:
+            run()
+        except Exception as error:  # noqa: BLE001 - reported
+            failed.append(label)
+            print("census: %s failed: %r" % (label, error), file=sys.stderr)
+    return failed
 
 
 class Option(NamedTuple):
@@ -268,6 +354,9 @@ def main(argv=None) -> int:
     parser.add_argument("--options", action="store_true",
                         help="list keyword options no call passes; "
                              "runs no tests")
+    parser.add_argument("--traffic", action="store_true",
+                        help="list functions no table, example or "
+                             "workload reaches; runs no tests")
     parser.add_argument("pytest_args", nargs="*",
                         help="arguments for pytest.main (after --)")
     options = parser.parse_args(argv)
@@ -282,6 +371,20 @@ def main(argv=None) -> int:
         print("census: %d of %d keyword options under %s never passed"
               % (len(unused), total, src))
         return 0
+    if options.traffic:
+        entries: List[Tuple[str, Callable[[], object]]] = []
+        failed: List[str] = []
+
+        def run_traffic() -> None:
+            entries.extend(traffic())
+            failed.extend(run_all(entries))
+
+        total, uncalled, lines = census(src, run_traffic)
+        _print_uncalled(src, uncalled)
+        print("census: %d of %d functions under %s never reached by the "
+              "%d tables, examples and workloads (%d lines)"
+              % (len(uncalled), total, src, len(entries), lines))
+        return 1 if failed else 0
     import pytest
 
     outcome = []
@@ -291,14 +394,18 @@ def main(argv=None) -> int:
     if outcome and outcome[0] != 0:
         print("census: pytest exited %s; counts are of a partial run"
               % outcome[0], file=sys.stderr)
+    _print_uncalled(src, uncalled)
+    print("census: %d of %d functions under %s never called (%d lines)"
+          % (len(uncalled), total, src, lines))
+    return 0 if not outcome or outcome[0] == 0 else 1
+
+
+def _print_uncalled(src: pathlib.Path, uncalled: List[Function]) -> None:
     base = os.path.realpath(src)
     for function in uncalled:
         print("%s:%d  %s  (%d lines)"
               % (os.path.relpath(function.path, base), function.first,
                  function.qualname, function.last - function.first + 1))
-    print("census: %d of %d functions under %s never called (%d lines)"
-          % (len(uncalled), total, src, lines))
-    return 0 if not outcome or outcome[0] == 0 else 1
 
 
 if __name__ == "__main__":
