@@ -15,7 +15,7 @@ package must be importable first.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List
+from typing import Iterable, List
 
 __all__ = ["Series", "percentile"]
 
@@ -50,9 +50,6 @@ class Series:
     def add(self, value: float) -> None:
         self.samples.append(value)
 
-    def extend(self, values: Iterable[float]) -> None:
-        self.samples.extend(values)
-
     @property
     def count(self) -> int:
         return len(self.samples)
@@ -63,23 +60,5 @@ class Series:
             raise ValueError("no samples in %r" % self.name)
         return sum(self.samples) / len(self.samples)
 
-    @property
-    def total(self) -> float:
-        return sum(self.samples)
-
     def p(self, q: float) -> float:
         return percentile(self.samples, q)
-
-    @property
-    def median(self) -> float:
-        return self.p(50)
-
-    @property
-    def maximum(self) -> float:
-        return max(self.samples)
-
-    def summary(self) -> Dict[str, float]:
-        return {"count": self.count, "mean": self.mean,
-                "median": self.median, "p95": self.p(95),
-                "max": self.maximum}
-

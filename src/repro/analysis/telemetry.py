@@ -106,11 +106,11 @@ class Counter(Instrument):
     def value(self) -> float:
         return self._fn() if self._fn is not None else self._value
 
-    def inc(self, amount: float = 1) -> None:
+    def inc(self) -> None:
         if self._fn is not None:
             raise TelemetryError(
                 "%r is function-backed; increment the source" % self.name)
-        self._value += amount
+        self._value += 1
 
     def _state(self) -> float:
         return self.value
@@ -427,8 +427,8 @@ class MetricsRegistry:
               fn: Optional[Callable[[], float]] = None) -> Gauge:
         return self._register(name, Gauge, fn=fn)
 
-    def histogram(self, name: str, max_error: float = 0.01) -> Histogram:
-        return self._register(name, Histogram, max_error=max_error)
+    def histogram(self, name: str) -> Histogram:
+        return self._register(name, Histogram)
 
     def get(self, name: str) -> Instrument:
         try:

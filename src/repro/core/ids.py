@@ -81,9 +81,6 @@ class ObjectId:
     def __repr__(self) -> str:
         return "ObjectId(%s...)" % self.hex[:12]
 
-    def wire_size(self) -> int:
-        return _OID_BYTES
-
 
 class ContactAddress:
     """Where and how a local representative can be contacted (§3.4).

@@ -35,12 +35,10 @@ class Implementation:
 
     def __init__(self, impl_id: str,
                  semantics_class: Type[SemanticsSubobject],
-                 code_size: int = DEFAULT_CODE_SIZE,
-                 semantics_args: Optional[dict] = None):
+                 code_size: int = DEFAULT_CODE_SIZE):
         self.impl_id = impl_id
         self.semantics_class = semantics_class
         self.code_size = code_size
-        self.semantics_args = semantics_args or {}
 
     @property
     def interface(self) -> Interface:
@@ -48,7 +46,7 @@ class Implementation:
 
     def make_semantics(self) -> SemanticsSubobject:
         """A fresh semantics subobject instance."""
-        return self.semantics_class(**self.semantics_args)
+        return self.semantics_class()
 
     def __repr__(self) -> str:
         return "Implementation(%s)" % self.impl_id

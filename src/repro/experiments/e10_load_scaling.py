@@ -12,14 +12,11 @@ increasing offered load, against
 * a single access point backed by the only replica, and
 * an access point + replica in every region.
 
-The offered load stays the x-axis: a point's population is sized so
-``clients / think_time`` equals the offered rate.  At the default
-population (``offered × THINK_TIME`` browsers) every browser is its
-own client generator (:class:`~repro.workloads.scenario
-.ClosedLoopScenario`), while a ``browsers=`` override in the
-hundred-thousands drives O(1) aggregated cohorts
-(:class:`~repro.workloads.cohort.CohortScenario`) instead, extending
-the curve to populations the per-client engine cannot hold.
+The offered load stays the x-axis: a point's population of
+``offered × THINK_TIME`` browsers thinks ``THINK_TIME`` seconds on
+average, so ``clients / think_time`` equals the offered rate.  Every
+browser is its own client generator (:class:`~repro.workloads.scenario
+.ClosedLoopScenario`).
 
 Reported per offered load: achieved throughput and mean/p95 response
 time.  Expected shape: the single server saturates at roughly
@@ -31,13 +28,12 @@ single-server knee.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..analysis.tables import Table, format_seconds
 from ..gdn.deployment import GdnDeployment
 from ..gdn.scenario import ReplicationScenario
 from ..sim.topology import Topology
-from ..workloads.cohort import CohortScenario
 from ..workloads.loadgen import LoadStats
 from ..workloads.packages import synthetic_file
 from ..workloads.scenario import ClosedLoopScenario
@@ -51,17 +47,12 @@ _FILE = "release.tar.gz"
 WORKERS = 4
 SERVICE_TIME = 0.040  # seconds -> one HTTPD saturates at ~100 req/s
 
-#: Mean browser think time at the default population size.
+#: Mean browser think time.
 THINK_TIME = 10.0
-
-#: Populations up to this size run one client generator per browser;
-#: larger ones run as O(1) aggregated cohorts.
-PER_CLIENT_MAX = 2048
 
 
 def _run_deployment(replicate: bool, offered_load: float, seed: int,
-                    request_count: int,
-                    browsers: Optional[int] = None) -> dict:
+                    request_count: int) -> dict:
     topology = Topology.balanced(regions=3, countries=1, cities=1, sites=2)
     gdn = GdnDeployment(topology=topology, seed=seed, secure=False)
     for index, region in enumerate(gdn._regions()):
@@ -95,13 +86,11 @@ def _run_deployment(replicate: bool, offered_load: float, seed: int,
             PACKAGE, _FILE)
         return response.ok
 
-    clients = (browsers if browsers is not None
-               else max(1, round(offered_load * THINK_TIME)))
-    engine = (ClosedLoopScenario if clients <= PER_CLIENT_MAX
-              else CohortScenario)
-    scenario = engine(clients, clients / offered_load,
-                      duration=request_count / offered_load,
-                      sites=gdn.world.topology.sites, label="e10-load")
+    clients = max(1, round(offered_load * THINK_TIME))
+    scenario = ClosedLoopScenario(clients, clients / offered_load,
+                                  duration=request_count / offered_load,
+                                  sites=gdn.world.topology.sites,
+                                  label="e10-load")
     # On the world registry: the latency histogram (O(1) streaming, no
     # sample list at 10^5-request scale) lives beside the HTTPD/GOS
     # counters this deployment bound.
@@ -121,18 +110,11 @@ def _run_deployment(replicate: bool, offered_load: float, seed: int,
 
 def run_load_scaling_experiment(seed: int = 61,
                                 loads=(40.0, 90.0, 160.0),
-                                request_count: int = 400,
-                                browsers: Optional[int] = None) -> Dict:
-    """``browsers`` overrides the per-point population size (the think
-    time stretches to keep the offered rate on the x-axis); pass e.g.
-    ``200_000`` to run the curve against a statistical cohort
-    population no per-client engine could hold."""
+                                request_count: int = 400) -> Dict:
     rows: List[dict] = []
     for offered in loads:
-        rows.append(_run_deployment(False, offered, seed, request_count,
-                                    browsers=browsers))
-        rows.append(_run_deployment(True, offered, seed, request_count,
-                                    browsers=browsers))
+        rows.append(_run_deployment(False, offered, seed, request_count))
+        rows.append(_run_deployment(True, offered, seed, request_count))
     return {"rows": rows, "requests": request_count,
             "capacity_one": WORKERS / SERVICE_TIME}
 

@@ -23,15 +23,6 @@ Telemetry: each system's world carries one registry; the setup and
 serving stages are *phase windows* over the network meter's per-level
 byte counters (``meter.wide_area_delta(window)``), and download
 latency is the stats bundle's streaming histogram.
-
-A ``population=`` override appends a *flash-crowd coda* to the GDN
-leg: after the trace replay, the same deployment serves a closed-loop
-browser population drawing from the same Zipf mix.  Populations up to
-:data:`PER_CLIENT_MAX` run one client generator per browser
-(:class:`~repro.workloads.scenario.ClosedLoopScenario`); populations in
-the hundred-thousands run as O(1) aggregated cohorts
-(:class:`~repro.workloads.cohort.CohortScenario`), extending the figure
-past what a per-client engine could hold.
 """
 
 from __future__ import annotations
@@ -45,21 +36,12 @@ from ..baselines.www import WwwClient, WwwServer
 from ..gdn.deployment import GdnDeployment
 from ..gdn.scenario import ObjectUsage, ScenarioAdvisor
 from ..sim.topology import Topology
-from ..workloads.cohort import CohortScenario
 from ..workloads.loadgen import LoadStats
 from ..workloads.packages import PackageSpec, generate_corpus
 from ..workloads.population import ClientPopulation, RequestStream
-from ..workloads.scenario import (ClosedLoopScenario, RequestMix,
-                                  TraceScenario)
+from ..workloads.scenario import TraceScenario
 
 __all__ = ["run_end_to_end_experiment", "format_result", "assert_shape"]
-
-#: Wall-clock length of the optional flash-crowd coda on the GDN leg.
-POPULATION_DURATION = 20.0
-
-#: Populations up to this size run one client generator per browser;
-#: larger ones run as O(1) aggregated cohorts.
-PER_CLIENT_MAX = 2048
 
 
 def _topology() -> Topology:
@@ -184,38 +166,8 @@ def _run_mirror(corpus: List[PackageSpec], stream: RequestStream,
             "latency": stats.latency}
 
 
-def _drive_population(gdn, corpus: List[PackageSpec], browsers: int,
-                      target_requests: int, browser_for) -> dict:
-    """Flash-crowd coda: the GDN deployment that just served the trace
-    now faces a closed-loop browser population drawing from the same
-    Zipf popularity.  The think time is stretched so the population
-    issues about ``target_requests`` over the drive, keeping the coda
-    comparable across population sizes."""
-    think = browsers * POPULATION_DURATION / target_requests
-    engine = (ClosedLoopScenario if browsers <= PER_CLIENT_MAX
-              else CohortScenario)
-    scenario = engine(browsers, think, duration=POPULATION_DURATION,
-                      sites=gdn.world.topology.sites,
-                      mix=RequestMix(len(corpus), alpha=1.0),
-                      label="e3-population")
-    stats = LoadStats(registry=gdn.world.metrics, prefix="e3-population")
-
-    def one_request(arrival):
-        spec = corpus[arrival.rank]
-        response = yield from browser_for(arrival.site.path).download(
-            spec.name, spec.largest_file)
-        return response.ok
-
-    elapsed = gdn.run(scenario.drive(
-        gdn.world.sim, one_request,
-        rng=gdn.world.rng_for("e3-population"), stats=stats), limit=1e9)
-    return {"browsers": browsers, "throughput": stats.throughput(elapsed),
-            "latency": stats.latency, "ok": stats.ok,
-            "failed": stats.failed}
-
-
 def _run_gdn(corpus: List[PackageSpec], stream: RequestStream,
-             seed: int, population: int = 0) -> dict:
+             seed: int) -> dict:
     gdn = GdnDeployment(topology=_topology(), seed=seed, secure=False)
     gdn.standard_fleet(gos_per_region=1)
     gdn.initial_sync()
@@ -259,31 +211,20 @@ def _run_gdn(corpus: List[PackageSpec], stream: RequestStream,
            "serving_wan": meter.wide_area_delta(
                serving.close(gdn.world.now)),
            "latency": stats.latency}
-    if population:
-        row["population"] = _drive_population(gdn, corpus, population,
-                                              len(stream), browser_for)
     browser_for.close()
     return row
 
 
 def run_end_to_end_experiment(seed: int = 3, package_count: int = 12,
-                              read_count: int = 250,
-                              population: int = 0) -> Dict:
-    """``population`` > 0 adds the flash-crowd coda to the GDN leg —
-    pass e.g. ``100_000`` to drive the deployment with a statistical
-    browser population after the paired trace comparison."""
+                              read_count: int = 250) -> Dict:
     corpus, stream = _workload(seed, package_count, read_count)
     rows = [
         _run_www(corpus, stream, seed),
         _run_mirror(corpus, stream, seed),
-        _run_gdn(corpus, stream, seed, population=population),
+        _run_gdn(corpus, stream, seed),
     ]
-    result = {"rows": rows, "packages": package_count,
-              "reads": read_count,
-              "corpus_bytes": sum(spec.total_size for spec in corpus)}
-    if population:
-        result["population"] = rows[-1]["population"]
-    return result
+    return {"rows": rows, "packages": package_count, "reads": read_count,
+            "corpus_bytes": sum(spec.total_size for spec in corpus)}
 
 
 def format_result(result: Dict) -> str:
@@ -298,16 +239,7 @@ def format_result(result: Dict) -> str:
                       format_bytes(row["serving_wan"]),
                       format_seconds(row["latency"].mean),
                       format_seconds(row["latency"].p(95)))
-    rendered = table.render()
-    pop = result.get("population")
-    if pop:
-        rendered += ("\nGDN flash-crowd coda: %d browsers, %.1f req/s, "
-                     "mean %s / p95 %s, %d ok / %d failed"
-                     % (pop["browsers"], pop["throughput"],
-                        format_seconds(pop["latency"].mean),
-                        format_seconds(pop["latency"].p(95)),
-                        pop["ok"], pop["failed"]))
-    return rendered
+    return table.render()
 
 
 def assert_shape(result: Dict) -> None:

@@ -20,12 +20,12 @@ large (512 KiB) payload.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..analysis.tables import Table, format_seconds
 from ..security.acl import Role, role_attribute
 from ..security.certs import CertificateAuthority, Credentials
-from ..security.tls import CostModel, client_wrapper, server_factory
+from ..security.tls import client_wrapper, server_factory
 from ..sim.topology import Topology
 from ..sim.world import World
 from ..workloads.packages import synthetic_file
@@ -37,13 +37,12 @@ LARGE = 512 * 1024
 
 
 def _measure_config(label: str, seed: int, secure: bool,
-                    client_auth: str = "none", encryption: bool = True,
-                    costs: Optional[CostModel] = None) -> dict:
+                    client_auth: str = "none", encryption: bool = True
+                    ) -> dict:
     world = World(topology=Topology.balanced(2, 1, 1, 1), seed=seed)
     a = world.host("client", "r0/c0/m0/s0")
     b = world.host("server", "r1/c0/m0/s0")
     listener = b.listen(443)
-    costs = costs or CostModel()
 
     wrap_client = None
     wrap_server = None
@@ -55,9 +54,9 @@ def _measure_config(label: str, seed: int, secure: bool,
         client_creds = Credentials.issue_for(
             "client", ca, rng, role_attribute(Role.GDN_HOST))
         wrap_server = server_factory(server_creds, client_auth=client_auth,
-                                     encryption=encryption, costs=costs)
+                                     encryption=encryption)
         wrap_client = client_wrapper(credentials=client_creds,
-                                     encryption=encryption, costs=costs)
+                                     encryption=encryption)
 
     result = {}
 

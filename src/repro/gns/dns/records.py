@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import enum
 import functools
-from typing import List, Tuple
+from typing import Tuple
 
 __all__ = ["RRType", "ResourceRecord", "normalize_name", "is_subdomain",
-           "name_labels", "parent_name", "DnsError", "NAME_MEMO_SIZE"]
+           "parent_name", "DnsError", "NAME_MEMO_SIZE"]
 
 #: Entries in the name memos (:func:`normalize_name` here, the object
 #: name mapping in ``gns.gns``).  Names are pure functions of their
@@ -62,9 +62,6 @@ def normalize_name(name: str) -> str:
         raise DnsError("DNS name too long: %r" % name)
     return name
 
-
-def name_labels(name: str) -> List[str]:
-    return name.split(".") if name else []
 
 
 def is_subdomain(name: str, ancestor: str) -> bool:

@@ -1,11 +1,10 @@
 """Globe Object Servers: application-independent replica hosting (§4)."""
 
-from .persistence import DiskStore, GosPersistence
 from .server import (DEFAULT_GOS_PORT, GlobeObjectServer, GosError,
                      NotAuthorized, OP_CONTROL, OP_MODIFY)
 
 __all__ = [
-    "DiskStore", "GosPersistence", "DEFAULT_GOS_PORT",
+    "DEFAULT_GOS_PORT",
     "GlobeObjectServer", "GosError", "NotAuthorized",
     "OP_CONTROL", "OP_MODIFY",
 ]

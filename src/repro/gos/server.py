@@ -17,10 +17,13 @@ whether control commands and state-modifying messages are accepted.
 The GDN layer wires this to TLS-authenticated channels; unit tests can
 leave it open.
 
-Persistence (§4): replica state is checkpointed to simulated stable
-storage; :meth:`GlobeObjectServer.recover` reconstructs all replicas
-after a host reboot — slaves additionally re-join their master to catch
-up on writes missed while down.
+Persistence (§4): "Globe Object Servers allow replicas to save their
+state during a reboot and reconstruct themselves afterwards."  Replica
+state is checkpointed to the ``gos`` namespace of the host's simulated
+disk (a :class:`~repro.sim.stable.StableStore`);
+:meth:`GlobeObjectServer.recover` reconstructs all replicas after a
+host reboot — slaves additionally re-join their master to catch up on
+writes missed while down.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from ..core.marshal import pack, unpack
 from ..core.replication.base import PROTOCOLS, ReplicationError
 from ..core.repository import ImplementationRepository
 from ..sim.rpc import ChannelPool, RpcContext, RpcServer
+from ..sim.stable import DiskStore, StableStore
 from ..sim.transport import Host
 from ..sim.world import World
-from .persistence import DiskStore, GosPersistence
 
 __all__ = ["GlobeObjectServer", "GosError", "NotAuthorized"]
 
@@ -92,8 +95,9 @@ class GlobeObjectServer:
         #: through the client-side ``channel_wrapper``.
         self.pool = ChannelPool(host, channel_wrapper)
         self.authorizer = authorizer
-        self.persistence = GosPersistence(
-            world, disk if disk is not None else DiskStore(), host.name)
+        self.persistence = StableStore(
+            world, disk if disk is not None else DiskStore(), host.name,
+            "gos")
         self.replicas: Dict[str, LocalRepresentative] = {}
         self._records: Dict[str, dict] = {}
         self._server: Optional[RpcServer] = None
@@ -221,7 +225,6 @@ class GlobeObjectServer:
     def create_local_replica(self, oid: Optional[ObjectId], impl_id: str,
                              protocol: str, role: str,
                              master: Optional[ContactAddress] = None,
-                             register: bool = True,
                              protocol_options: Optional[dict] = None
                              ) -> Generator[Any, Any, LocalRepresentative]:
         """Create and start a replica on this server (in-process API).
@@ -233,25 +236,22 @@ class GlobeObjectServer:
         the GLS").
         """
         master_wire = master.to_wire() if master else None
-        if oid is None:
+        allocate = oid is None  # the GLS registers it as it allocates
+        if allocate:
             oid_hex = yield from self.location_service.register(
                 None, self._make_contact_address(
                     protocol, role, impl_id).to_wire())
             oid = ObjectId.from_hex(oid_hex)
-            registered = True
-        else:
-            registered = False
         representative = yield from self._compose_replica(
             oid, impl_id, protocol, role, master_wire, protocol_options)
-        if register and not registered:
+        if not allocate:
             yield from self.location_service.register(
                 oid.hex, representative.contact_address.to_wire())
         yield from representative.start()
         self.replicas[oid.hex] = representative
         self._records[oid.hex] = {
             "impl_id": impl_id, "protocol": protocol, "role": role,
-            "master": master_wire, "registered": bool(register),
-            "options": dict(protocol_options or {}),
+            "master": master_wire, "options": dict(protocol_options or {}),
         }
         yield from self._checkpoint_one(oid.hex)
         return representative
@@ -280,9 +280,8 @@ class GlobeObjectServer:
             except (ReplicationError, Exception):  # noqa: BLE001
                 pass  # master may be down; checkpointed state stands
         self.replicas[oid_hex] = representative
-        if record.get("registered"):
-            yield from self.location_service.register(
-                oid_hex, representative.contact_address.to_wire())
+        yield from self.location_service.register(
+            oid_hex, representative.contact_address.to_wire())
 
     # -- checkpointing -----------------------------------------------------
 

@@ -6,7 +6,7 @@ from .certs import (Certificate, CertificateAuthority, CertificateError,
                     Credentials)
 from .crypto import (CryptoError, PublicKey, RsaKeyPair, generate_prime,
                      hmac_sha256, sha256)
-from .tls import (CostModel, HandshakeError, SecureChannel, SecurityError,
+from .tls import (HandshakeError, SecureChannel, SecurityError,
                   client_wrapper, server_factory)
 
 __all__ = [
@@ -15,6 +15,6 @@ __all__ = [
     "Certificate", "CertificateAuthority", "CertificateError", "Credentials",
     "CryptoError", "PublicKey", "RsaKeyPair", "generate_prime",
     "hmac_sha256", "sha256",
-    "CostModel", "HandshakeError", "SecureChannel", "SecurityError",
+    "HandshakeError", "SecureChannel", "SecurityError",
     "client_wrapper", "server_factory",
 ]

@@ -92,13 +92,6 @@ class CertificateAuthority:
         self.issued.append(subject)
         return certificate
 
-    def verify(self, certificate: Certificate) -> bool:
-        """Check that this CA signed the certificate."""
-        if certificate.issuer != self.name:
-            return False
-        return self.keypair.public.verify(certificate.signable(),
-                                          certificate.signature)
-
 
 def verify_against_roots(certificate: Certificate,
                          roots: List[Certificate]) -> bool:

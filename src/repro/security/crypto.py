@@ -102,9 +102,6 @@ class PublicKey:
             raise CryptoError("message out of range for this key")
         return pow(message, self.e, self.n)
 
-    def fingerprint(self) -> str:
-        return sha256(("%d:%d" % (self.n, self.e)).encode()).hex()[:16]
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, PublicKey)
                 and (self.n, self.e) == (other.n, other.e))

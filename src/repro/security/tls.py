@@ -45,8 +45,8 @@ from ..sim.transport import Connection, ConnectionClosed, Inbox
 from .certs import Certificate, CertificateError, Credentials
 from .crypto import hmac_sha256, sha256
 
-__all__ = ["SecureChannel", "SecurityError", "HandshakeError", "CostModel",
-           "client_wrapper", "server_factory"]
+__all__ = ["SecureChannel", "SecurityError", "HandshakeError",
+           "client_wrapper", "server_factory", "record_cost"]
 
 _MAC_SIZE = 32
 _RECORD_OVERHEAD = 5  # TLS record header
@@ -63,30 +63,22 @@ class HandshakeError(SecurityError):
     """Authentication failed while establishing a channel."""
 
 
-class CostModel:
-    """CPU costs of cryptographic operations (seconds).
-
-    Defaults approximate year-2000 commodity hardware, where the
-    paper's concern about "superfluous encryption" was real: ~8 ms per
-    RSA private-key operation, ~20 MB/s symmetric encryption,
-    ~100 MB/s HMAC.
-    """
-
-    def __init__(self, rsa_private_op: float = 0.008,
-                 rsa_public_op: float = 0.0005,
-                 encrypt_per_byte: float = 5.0e-8,
-                 mac_per_byte: float = 1.0e-8):
-        self.rsa_private_op = rsa_private_op
-        self.rsa_public_op = rsa_public_op
-        self.encrypt_per_byte = encrypt_per_byte
-        self.mac_per_byte = mac_per_byte
-
-    def record_cost(self, size: int, encryption: bool) -> float:
-        return size * self.mac_per_byte + (
-            size * self.encrypt_per_byte if encryption else 0.0)
+#: CPU costs of cryptographic operations (seconds).  They approximate
+#: year-2000 commodity hardware, where the paper's concern about
+#: "superfluous encryption" was real: ~8 ms per RSA private-key
+#: operation, ~20 MB/s symmetric encryption, ~100 MB/s HMAC.
+RSA_PRIVATE_OP = 0.008
+RSA_PUBLIC_OP = 0.0005
+ENCRYPT_PER_BYTE = 5.0e-8
+MAC_PER_BYTE = 1.0e-8
 
 
-DEFAULT_COSTS = CostModel()
+def record_cost(size: int, encryption: bool) -> float:
+    """CPU seconds one end spends on a record of ``size`` bytes."""
+    return size * MAC_PER_BYTE + (
+        size * ENCRYPT_PER_BYTE if encryption else 0.0)
+
+
 _END = object()  # the end of stream, to _RecordLayer.admit
 
 
@@ -95,20 +87,19 @@ def _mac(key: bytes, seq: int, payload: Any) -> bytes:
 
 
 class _RecordLayer(Inbox):
-    """A secure channel's record layer: its cipher choice and costs, and
-    its receiving side, installed as the connection's inbox.  The client
+    """A secure channel's record layer: its cipher choice and its
+    receiving side, installed as the connection's inbox.  The client
     installs it before the server sends ``finished``, so records right
     behind that are admitted too (``handshake_reply`` passes it as is)."""
 
-    __slots__ = ("_key", "encryption", "costs", "_seq", "_busy",
+    __slots__ = ("_key", "encryption", "_seq", "_busy",
                  "_clear_admit", "_clear_put", "integrity_failures")
 
     def __init__(self, conn: Connection, key: bytes, encryption: bool,
-                 costs: CostModel, handshake_reply: bool = False):
+                 handshake_reply: bool = False):
         super().__init__(conn.sim)
         self._key = key
         self.encryption = encryption
-        self.costs = costs
         self._seq = 0
         self._busy = 0.0  # when this end is done with its last record
         self._clear_admit = self._clear_put = handshake_reply
@@ -129,7 +120,7 @@ class _RecordLayer(Inbox):
         if not (isinstance(size, int)
                 and 0 <= size <= _MAX_CARRIED_RECORD_SIZE):
             size = encoded_size(frame)
-        self._busy = max(arrival, self._busy) + self.costs.record_cost(
+        self._busy = max(arrival, self._busy) + record_cost(
             size, self.encryption)
         return self._busy
 
@@ -189,7 +180,7 @@ class SecureChannel:
         frame = {"s": self._seq_out, "p": payload,
                  "m": _mac(self._send_key, self._seq_out, payload), "w": wire}
         departure = max(self.conn.sim.now, self._busy) + \
-            self._records.costs.record_cost(wire, self._records.encryption)
+            record_cost(wire, self._records.encryption)
         self.conn.send(frame, size=wire, departure=departure)
         self._busy = departure
         return wire
@@ -241,8 +232,7 @@ def _expect(conn: Connection, message: Any, kind: str, alert: str = "",
 def client_wrapper(credentials: Optional[Credentials] = None,
                    trust: Optional[Credentials] = None,
                    expected_server: Optional[str] = None,
-                   encryption: bool = True,
-                   costs: CostModel = DEFAULT_COSTS):
+                   encryption: bool = True):
     """Channel wrapper performing the client side of the handshake.
 
     ``credentials`` (optional) are offered when the server demands
@@ -270,7 +260,7 @@ def client_wrapper(credentials: Optional[Credentials] = None,
             server_cert = Certificate.from_wire(server_hello.get("cert"))
         except CertificateError as exc:
             _fail(conn, str(exc))
-        yield sim.timeout(costs.rsa_public_op)  # verify the certificate
+        yield sim.timeout(RSA_PUBLIC_OP)  # verify the certificate
         if not verifier.trusts(server_cert):
             _fail(conn, "untrusted server certificate %r"
                   % server_cert.subject)
@@ -280,7 +270,7 @@ def client_wrapper(credentials: Optional[Credentials] = None,
         negotiated_encryption = bool(server_hello.get("encryption",
                                                       encryption))
         premaster = rng.getrandbits(256)
-        yield sim.timeout(costs.rsa_public_op)  # RSA-encrypt premaster
+        yield sim.timeout(RSA_PUBLIC_OP)  # RSA-encrypt premaster
         encrypted = server_cert.public_key.encrypt_int(premaster)
         exchange = {"type": "key-exchange", "premaster": encrypted}
         size = 96
@@ -289,14 +279,14 @@ def client_wrapper(credentials: Optional[Credentials] = None,
             _fail(conn, "server demands a client certificate")
         if client_auth in ("required", "optional") and credentials is not None:
             transcript = sha256(client_nonce + server_nonce)
-            yield sim.timeout(costs.rsa_private_op)  # sign the transcript
+            yield sim.timeout(RSA_PRIVATE_OP)  # sign the transcript
             exchange["cert"] = credentials.certificate.to_wire()
             exchange["signature"] = credentials.keypair.sign(transcript)
             size += credentials.certificate.wire_size()
         conn.send(exchange, size=size)
         send_key, recv_key = _derive_keys(premaster, client_nonce,
                                           server_nonce)
-        records = _RecordLayer(conn, recv_key, negotiated_encryption, costs,
+        records = _RecordLayer(conn, recv_key, negotiated_encryption,
                                handshake_reply=True)
         try:
             finished = yield conn.recv()
@@ -312,8 +302,7 @@ def client_wrapper(credentials: Optional[Credentials] = None,
 
 def server_factory(credentials: Credentials,
                    client_auth: str = "none",
-                   encryption: bool = True,
-                   costs: CostModel = DEFAULT_COSTS):
+                   encryption: bool = True):
     """Channel factory performing the server side of the handshake.
 
     ``client_auth`` selects the authentication mode toward callers:
@@ -352,7 +341,7 @@ def server_factory(credentials: Credentials,
         except ConnectionClosed:
             raise HandshakeError("client abandoned the handshake")
         _expect(conn, exchange, "key-exchange", premaster=int)
-        yield sim.timeout(costs.rsa_private_op)  # RSA-decrypt premaster
+        yield sim.timeout(RSA_PRIVATE_OP)  # RSA-decrypt premaster
         premaster = credentials.keypair.decrypt_int(exchange["premaster"])
         client_cert: Optional[Certificate] = None
         wire = exchange.get("cert")
@@ -361,7 +350,7 @@ def server_factory(credentials: Credentials,
                   alert="client certificate required")
         if wire is not None and client_auth != "none":
             transcript = sha256(client_nonce + server_nonce)
-            yield sim.timeout(2 * costs.rsa_public_op)  # cert + signature
+            yield sim.timeout(2 * RSA_PUBLIC_OP)  # cert + signature
             signature = exchange.get("signature")
             try:
                 client_cert = Certificate.from_wire(wire)
@@ -374,7 +363,7 @@ def server_factory(credentials: Credentials,
                       alert="client authentication failed")
         recv_key, send_key = _derive_keys(premaster, client_nonce,
                                           server_nonce)
-        records = _RecordLayer(conn, recv_key, negotiated_encryption, costs)
+        records = _RecordLayer(conn, recv_key, negotiated_encryption)
         conn.send({"type": "finished",
                    "mac": hmac_sha256(send_key, client_nonce + server_nonce)},
                   size=48)

@@ -91,24 +91,12 @@ __all__ = [
     "Store",
     "Resource",
     "Singleflight",
-    "Interrupt",
     "SimulationError",
 ]
 
 
 class SimulationError(Exception):
     """Raised for misuse of the simulation kernel."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process generator by :meth:`Process.interrupt`.
-
-    The ``cause`` attribute carries the value passed to ``interrupt``.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 _PENDING = object()
@@ -295,11 +283,9 @@ class BatchTimeout:
     fires every callback at exactly the position a dedicated per-entry
     :class:`Timeout` would have given it.  Entries at later instants
     re-arm through :meth:`Simulator.timeout_at` with their reserved
-    sequence number, which preserves their positions exactly.
-
-    A head entry whose instant is *now* is admitted straight to the
-    run queue (:meth:`Simulator._enqueue_reserved`) — the same-instant
-    vector never touches the heap at all.
+    sequence number, which preserves their positions exactly.  So
+    does a head entry whose instant is *now*: it is armed like any
+    other, and fires at its reserved ``(now, seq)`` position.
 
     Batch entries are not individually cancellable (network arrivals
     never are); cancel nothing or build per-entry :class:`Timeout`\\ s.
@@ -325,18 +311,7 @@ class BatchTimeout:
 
     def _arm(self) -> None:
         at, seq, _callback = self._entries[self._index]
-        sim = self.sim
-        if at <= sim.now:
-            # Same-instant head: run-queue admission at the reserved
-            # position — no heap traffic for an immediate batch.
-            event = Event(sim)
-            event._ok = True
-            event._value = None
-            event.add_callback(self._fire)
-            sim._enqueue_reserved(seq, event)
-        else:
-            timer = Timeout(sim, 0.0, at=at, seq=seq)
-            timer.add_callback(self._fire)
+        Timeout(self.sim, 0.0, at=at, seq=seq).add_callback(self._fire)
 
     def _fire(self, event: Event) -> None:
         # Consume the head entry, then every later entry sharing the
@@ -400,20 +375,6 @@ class Process(Event):
     def alive(self) -> bool:
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a
-        process twice before it handles the first interrupt is allowed
-        (both are delivered in order).
-        """
-        if not self.alive:
-            raise SimulationError("cannot interrupt a finished process")
-        bridge = Event(self.sim)
-        bridge._defused = True
-        bridge.add_callback(self._deliver_interrupt)
-        bridge.fail(Interrupt(cause))
-
     def kill(self) -> None:
         """Terminate the process immediately without resuming it.
 
@@ -466,12 +427,6 @@ class Process(Event):
             if not waiting.callbacks and type(waiting) is Timeout:
                 waiting.cancel()
         self._waiting_on = None
-
-    def _deliver_interrupt(self, bridge: Event) -> None:
-        if not self.alive:
-            return
-        self._abandon_wait()
-        self._step(bridge)
 
     def _resume(self, event: Event) -> None:
         self._waiting_on = None
@@ -860,29 +815,6 @@ class Simulator:
         if len(self._heap) > self.peak_heap_size:
             self.peak_heap_size = len(self._heap)
         return entry
-
-    def _enqueue_reserved(self, seq: int, event: Event) -> None:
-        """Admit a pre-triggered event to the run queue at a *reserved*
-        sequence position (:meth:`reserve_seq`).
-
-        The run queue is kept in ascending sequence order by
-        construction (every ``_enqueue`` draws a fresh, larger
-        number), so a reserved admission is only legal while the
-        reserved number is still newer than everything queued — i.e.
-        immediately after reserving, before any other event is
-        enqueued.  :class:`BatchTimeout` uses this to land a
-        same-instant batch head in the run queue without touching the
-        timer heap.  ``event`` must already carry its outcome
-        (``_ok``/``_value`` set); it is processed like any triggered
-        event.
-        """
-        ready = self._ready
-        if ready and ready[-1][0] >= seq:
-            raise SimulationError(
-                "reserved seq %d is older than the run-queue tail" % seq)
-        ready.append((seq, event))
-        if len(ready) > self.peak_ready_size:
-            self.peak_ready_size = len(ready)
 
     def reserve_seq(self) -> int:
         """Draw the next global sequence number without scheduling.

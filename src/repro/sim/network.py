@@ -253,9 +253,6 @@ class Network:
             delay *= 1.0 + self.rng.uniform(0, self.params.jitter_fraction)
         return delay
 
-    def rtt(self, site_a: Domain, site_b: Domain) -> float:
-        return 2.0 * self.latency(site_a, site_b)
-
     # -- delivery ------------------------------------------------------
 
     def deliver(self, src_site: Domain, dst_site: Domain, dst_host: str,
@@ -315,8 +312,7 @@ class Network:
 
     def deliver_burst(self, src_site: Domain, dst_site: Domain,
                       dst_host: str, messages,
-                      reliable: bool = False,
-                      extra_delay: float = 0.0) -> int:
+                      reliable: bool = False) -> int:
         """Schedule a same-site-pair burst of datagrams under **one**
         kernel timer.
 
@@ -365,11 +361,10 @@ class Network:
             delay = latency + size / bandwidth
             if jitter:
                 delay *= 1.0 + rng.uniform(0, jitter)
-            # `delay + extra_delay` first, then `now +`: the float
-            # rounding a scalar `deliver` gets from Timeout(delay +
-            # extra_delay), reproduced exactly.
-            entries.append([now + (delay + extra_delay),
-                            sim.reserve_seq(), deliver_fn])
+            # `now + delay`: the instant a scalar `deliver` gets from
+            # Timeout(delay + extra_delay) with no extra delay, since
+            # `delay + 0.0 == delay` exactly.
+            entries.append([now + delay, sim.reserve_seq(), deliver_fn])
         self.burst_calls += 1
         self.burst_messages += len(entries)
         if not entries:

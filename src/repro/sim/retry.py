@@ -78,14 +78,14 @@ class RetryBudget:
         self.granted = 0
         self.denied = 0
 
-    def spend(self, now: float, amount: float = 1.0) -> bool:
-        """Try to spend ``amount`` tokens at simulated time ``now``."""
+    def spend(self, now: float) -> bool:
+        """Try to spend one token at simulated time ``now``."""
         if now > self._last:
             self.tokens = min(self.burst,
                               self.tokens + (now - self._last) * self.rate)
             self._last = now
-        if self.tokens >= amount:
-            self.tokens -= amount
+        if self.tokens >= 1.0:
+            self.tokens -= 1.0
             self.granted += 1
             return True
         self.denied += 1

@@ -62,9 +62,6 @@ class World:
         self.hosts[name] = host
         return host
 
-    def get_host(self, name: str) -> Host:
-        return self.hosts[name]
-
     # -- determinism helpers ----------------------------------------------
 
     def rng_for(self, label: str) -> random.Random:

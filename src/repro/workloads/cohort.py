@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Generator, List, Optional, Sequence, Tuple
+from typing import Generator, List, Optional, Sequence
 
 from ..sim.kernel import Event, Simulator, Timeout
 from ..sim.topology import Domain
@@ -298,8 +298,8 @@ class CohortScenario(ClosedLoopScenario):
     """A closed-loop population driven as per-site aggregated cohorts.
 
     A :class:`~repro.workloads.scenario.ClosedLoopScenario` (clients,
-    think_time, requests_per_client / duration, sites, mix, phases,
-    and their checks) built as cohorts, with exponential think times of
+    think_time, requests_per_client / duration, sites, mix, and their
+    checks) built as cohorts, with exponential think times of
     a positive mean, plus:
 
     * ``cohort_size`` — at most this many clients share one
@@ -321,11 +321,10 @@ class CohortScenario(ClosedLoopScenario):
                  mix: Optional[RequestMix] = None,
                  label: str = "cohort",
                  duration: Optional[float] = None,
-                 phases: Optional[Sequence[Tuple[float, str]]] = None,
                  cohort_size: int = 4096,
                  profile: Optional[DiurnalProfile] = None):
         super().__init__(clients, think_time, requests_per_client, sites,
-                         mix, label=label, duration=duration, phases=phases)
+                         mix, label=label, duration=duration)
         _reject_zero_think(think_time)
         if cohort_size < 1:
             raise ValueError("cohort_size must be >= 1")

@@ -18,7 +18,8 @@ Three pieces:
 
 * **Arrival schedules** — :class:`UniformSchedule` (deterministic
   constant rate), :class:`PoissonSchedule` (memoryless arrivals at a
-  constant rate) and :class:`FlashCrowdSchedule` (piecewise-constant
+  constant rate), :class:`BurstSchedule` (every arrival at one
+  instant) and :class:`FlashCrowdSchedule` (piecewise-constant
   Poisson: a base rate, then a spike at ``peak_rate``).  All yield
   absolute simulation times and are deterministic per supplied RNG.
 * **The request record** — :class:`Arrival` (index, time, site, rank,
@@ -265,7 +266,7 @@ class LoadStats:
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 prefix: str = "load", max_error: float = 0.01):
+                 prefix: str = "load"):
         self.registry = registry if registry is not None \
             else MetricsRegistry()
         self.prefix = self.registry.unique_prefix(prefix)
@@ -281,8 +282,7 @@ class LoadStats:
                               fn=lambda: self._failed)
         self.registry.counter(self.prefix + ".errors",
                               fn=lambda: sum(self.errors.values()))
-        self.latency = self.registry.histogram(self.prefix + ".latency",
-                                               max_error=max_error)
+        self.latency = self.registry.histogram(self.prefix + ".latency")
 
     # -- recording (the accounting contract of ``measured``) ------------
 

@@ -60,10 +60,14 @@ class PackageSpec:
                 % (self.name, len(self.file_sizes), self.total_size))
 
 
+#: A package holds 1 to ``2 * FILES_PER_PACKAGE - 1`` files.
+FILES_PER_PACKAGE = 4
+#: Shape (sigma of the underlying normal) of the log-normal file sizes.
+SIZE_SIGMA = 1.2
+
+
 def generate_corpus(count: int, rng: random.Random,
-                    mean_file_size: int = 50_000,
-                    files_per_package: int = 4,
-                    sigma: float = 1.2) -> List[PackageSpec]:
+                    mean_file_size: int = 50_000) -> List[PackageSpec]:
     """``count`` packages with log-normal file sizes.
 
     Names combine real free-software stems with category paths, then
@@ -80,10 +84,10 @@ def generate_corpus(count: int, rng: random.Random,
             stem = "pkg%04d" % index
         category = _CATEGORIES[index % len(_CATEGORIES)]
         name = "/apps/%s/%s" % (category, stem)
-        file_count = max(1, 1 + rng.randrange(2 * files_per_package - 1))
+        file_count = max(1, 1 + rng.randrange(2 * FILES_PER_PACKAGE - 1))
         files: Dict[str, int] = {"README": 256 + rng.randrange(2048)}
         for file_index in range(file_count - 1):
-            size = max(64, int(rng.lognormvariate(mu, sigma)))
+            size = max(64, int(rng.lognormvariate(mu, SIZE_SIGMA)))
             files["data/part%02d" % file_index] = size
         specs.append(PackageSpec(name, files))
     return specs

@@ -34,12 +34,14 @@ mode, where the request total is an outcome of the run).
 
 :class:`Soak` composes any scenario with
 :class:`~repro.sim.failures.FailureInjector` faults (host
-crash/restart, partitions) and end-of-run invariant checks — the
-long-haul harness behind ``examples/soak.py``.  Every soak is sliced
-into telemetry *phase windows* (pre-fault / during-fault / recovered)
-on the stats bundle's :class:`~repro.analysis.telemetry
-.MetricsRegistry`, so the report can answer "what was p95 latency
-*while* the partition was up?" without bespoke counters.
+crash/restart, partitions, loss windows) and end-of-run invariant
+checks — the long-haul harness behind ``examples/soak.py``.  Every
+soak is sliced into telemetry *phase windows* (pre-fault /
+during-fault / recovered) on the stats bundle's
+:class:`~repro.analysis.telemetry.MetricsRegistry`, so the report can
+answer "what was p95 latency *while* the partition was up?" without
+bespoke counters.  That slicing is the one way a drive opens phase
+windows; a plain scenario opens none.
 
 A small corpus of recorded traces is committed under
 :data:`TRACE_DIR` (see ``traces/README.md``) for cross-PR replay
@@ -193,12 +195,10 @@ class RequestMix:
 # -- the scenario abstraction -----------------------------------------------
 
 def _phase_driver(sim: Simulator, registry,
-                  marks: Sequence[Tuple[float, str]],
-                  start: float = 0.0) -> Generator:
-    """Open each ``(offset, label)`` mark's phase window at exactly
-    ``start + offset`` (absolute marks: ``start=0``)."""
-    for offset, label in marks:
-        when = start + offset
+                  marks: Sequence[Tuple[float, str]]) -> Generator:
+    """Open each ``(when, label)`` mark's phase window at exactly the
+    absolute instant ``when``."""
+    for when, label in marks:
         if when > sim.now:
             yield sim.timeout_at(when)
         registry.phase(label, now=sim.now)
@@ -288,25 +288,10 @@ class Scenario:
     processes that jointly drive the load; :meth:`drive` is the
     engine: it spawns them, waits for all of them (and their
     in-flight requests), and returns the elapsed simulated seconds.
-
-    Any scenario can carry **phase marks** (:attr:`phases`, exposed as
-    a ``phases=`` constructor argument on the open- and closed-loop
-    scenarios): a sequence of ``(offset_seconds, label)`` pairs, each
-    opening a named phase window on the stats bundle's
-    :class:`~repro.analysis.telemetry.MetricsRegistry` that many
-    seconds after the drive starts.  Consecutive marks tile the run
-    exactly like a :class:`Soak`'s automatic fault slicing — but
-    without having to wrap the scenario in a ``Soak`` — so
-    ``stats.phase_summary(window)`` can answer "what was p95 during
-    the spike?" for a plain load run.  The windows land in
-    ``stats.registry.phases`` when the drive finishes (a phase someone
-    else left open is closed first, and marks beyond the end of the
-    run are dropped).
+    Phase windows come from a :class:`Soak` around the scenario.
     """
 
     label = "scenario"
-    #: Optional ``[(offset_seconds, label), ...]`` phase marks.
-    phases: Optional[List[Tuple[float, str]]] = None
 
     def build(self, sim: Simulator, request: RequestFn,
               rng: random.Random, stats: LoadStats) -> List[Generator]:
@@ -321,42 +306,11 @@ class Scenario:
         rng = rng if rng is not None else random.Random(0)
         stats = stats if stats is not None else LoadStats()
         start = sim.now
-        phase_proc = None
-        if self.phases:
-            # Close any foreign open phase so this scenario's windows
-            # are cleanly attributable (mirrors Soak.run).  Spawned
-            # *before* the load drivers: an offset-0 mark must open
-            # its window before the first arrival is issued.
-            stats.registry.end_phase(now=sim.now)
-            phase_proc = sim.process(
-                _phase_driver(sim, stats.registry, self.phases, start))
         processes = [sim.process(driver)
                      for driver in self.build(sim, request, rng, stats)]
         for process in processes:
             yield process
-        if phase_proc is not None:
-            if phase_proc.alive:  # marks beyond the end of the run
-                phase_proc.kill()
-            stats.registry.end_phase(now=sim.now)
         return sim.now - start
-
-    @staticmethod
-    def _validated_phases(
-            phases: Optional[Sequence[Tuple[float, str]]]
-    ) -> Optional[List[Tuple[float, str]]]:
-        """Normalise ``phases=``: non-negative offsets, sorted."""
-        if phases is None:
-            return None
-        marks: List[Tuple[float, str]] = []
-        for offset, label in phases:
-            offset = float(offset)
-            if offset < 0:
-                raise ValueError("phase offsets are relative to the "
-                                 "start of the drive; %r is negative"
-                                 % offset)
-            marks.append((offset, str(label)))
-        marks.sort(key=lambda mark: mark[0])
-        return marks or None
 
     @staticmethod
     def _fork(rng: random.Random) -> random.Random:
@@ -378,18 +332,13 @@ class OpenLoopScenario(Scenario):
     or ``duration`` (arrivals until that much simulated time has
     passed — open-ended soaks stop on the clock; :attr:`count` is then
     ``None`` because the total is an outcome of the run).
-
-    ``phases=[(0.0, "warmup"), (5.0, "spike"), ...]`` marks named
-    telemetry phase windows at offsets from the start of the drive —
-    no :class:`Soak` wrapper needed (see :class:`Scenario`).
     """
 
     def __init__(self, schedule: ArrivalSchedule, count: Optional[int] = None,
                  sites: Optional[Sequence[Domain]] = None,
                  mix: Optional[RequestMix] = None,
                  label: str = "open-loop",
-                 duration: Optional[float] = None,
-                 phases: Optional[Sequence[Tuple[float, str]]] = None):
+                 duration: Optional[float] = None):
         if (count is None) == (duration is None):
             raise ValueError("bound the scenario with either count "
                              "or duration")
@@ -403,9 +352,6 @@ class OpenLoopScenario(Scenario):
         self.sites = list(sites) if sites is not None else None
         self.mix = mix
         self.label = label
-        #: ``[(offset, label), ...]`` marks opening named phase
-        #: windows on the stats registry (see :class:`Scenario`).
-        self.phases = self._validated_phases(phases)
 
     def build(self, sim: Simulator, request: RequestFn,
               rng: random.Random, stats: LoadStats) -> List[Generator]:
@@ -464,10 +410,6 @@ class TraceScenario(Scenario):
         return cls(load_trace(path), topology=topology,
                    label="trace:%s" % pathlib.Path(path).name)
 
-    @property
-    def count(self) -> int:
-        return len(self.events)
-
     def arrivals(self, sim: Simulator) -> List[Arrival]:
         """The trace as issued: times offset by ``sim.now``, sites
         resolved."""
@@ -511,9 +453,6 @@ class ClosedLoopScenario(Scenario):
     ``duration`` (clients keep looping until that much simulated time
     has passed, then finish their in-flight request and stop — the
     open-ended soak mode; :attr:`count` is then ``None``).
-
-    ``phases=`` marks named telemetry phase windows at offsets from
-    the start of the drive, as on :class:`OpenLoopScenario`.
     """
 
     def __init__(self, clients: int, think_time: float,
@@ -522,8 +461,7 @@ class ClosedLoopScenario(Scenario):
                  mix: Optional[RequestMix] = None,
                  think: str = "exponential",
                  label: str = "closed-loop",
-                 duration: Optional[float] = None,
-                 phases: Optional[Sequence[Tuple[float, str]]] = None):
+                 duration: Optional[float] = None):
         _check_closed_loop(clients, think_time, requests_per_client,
                            duration)
         if think not in ("exponential", "fixed"):
@@ -536,9 +474,6 @@ class ClosedLoopScenario(Scenario):
         self.mix = mix
         self.think = think
         self.label = label
-        #: ``[(offset, label), ...]`` marks opening named phase
-        #: windows on the stats registry (see :class:`Scenario`).
-        self.phases = self._validated_phases(phases)
 
     @property
     def count(self) -> Optional[int]:
@@ -614,8 +549,7 @@ class HybridScenario(Scenario):
     The §3.1 picture in one run: a closed-loop population of regulars
     browsing with think times *plus* an open-loop flash crowd that
     does not care how the system is coping — all accounted in the
-    same :class:`LoadStats`.  The members' ``phases=`` marks are merged
-    into the hybrid's own (every member starts with the drive).
+    same :class:`LoadStats`.
     """
 
     def __init__(self, scenarios: Sequence[Scenario],
@@ -624,9 +558,6 @@ class HybridScenario(Scenario):
             raise ValueError("need at least one scenario")
         self.scenarios = list(scenarios)
         self.label = label
-        self.phases = self._validated_phases(
-            [mark for scenario in self.scenarios
-             for mark in scenario.phases or ()])
 
     @property
     def count(self) -> Optional[int]:
@@ -647,6 +578,15 @@ class HybridScenario(Scenario):
 
 
 # -- soak runs: load + faults + invariants + phase windows ------------------
+
+#: The largest failed fraction :meth:`Soak.serve_stale_invariant` allows
+#: among the requests issued inside the fault window.
+SERVE_STALE_MAX_ERROR_RATE = 0.05
+
+#: The most bytes :meth:`Soak.chunked_transfer_invariant` lets a soak
+#: re-fetch per byte applied.
+REFETCH_BOUND = 1.0
+
 
 class SoakReport:
     """Outcome of one :class:`Soak` run.
@@ -724,8 +664,9 @@ class Soak:
     bundle's registry: ``pre-fault`` until the first scheduled fault
     begins, ``during-fault`` until the last one ends (restart /
     partition heal), and ``recovered`` to the end of the settle
-    period.  A fault-free soak gets a single ``steady`` phase.  Extra
-    boundaries can be added with :meth:`mark_phase`.  Create the stats
+    period.  A fault-free soak gets a single ``steady`` phase, and a
+    boundary the run does not reach (a fault that outlasts the settle
+    period) opens no window.  Create the stats
     as ``LoadStats(registry=world.metrics)`` to capture kernel,
     network and server instruments in the same windows.
     """
@@ -745,7 +686,6 @@ class Soak:
         self.injector = FailureInjector(world)
         self.invariants: List[Tuple[str, Callable, Optional[str]]] = []
         self._fault_spans: List[Tuple[float, float]] = []
-        self._extra_marks: List[Tuple[float, str]] = []
 
     # -- fault schedule (thin FailureInjector passthroughs) -------------
 
@@ -766,10 +706,6 @@ class Soak:
         self.injector.loss_window(level, probability, start, end)
         self._fault_spans.append((start, end))
 
-    def mark_phase(self, when: float, label: str) -> None:
-        """Open a custom phase window at absolute time ``when``."""
-        self._extra_marks.append((when, label))
-
     # -- invariants ------------------------------------------------------
 
     def invariant(self, name: str, check: Callable,
@@ -779,8 +715,8 @@ class Soak:
         Plain invariants take no arguments.  With ``phase=`` the
         invariant is **window-scoped**: ``check`` receives the closed
         :class:`~repro.analysis.telemetry.PhaseWindow` of the named
-        phase (``"during-fault"``, ``"recovered"``, or a
-        :meth:`mark_phase` label) so it can assert on what happened
+        phase (``"pre-fault"``, ``"during-fault"``, ``"recovered"`` or
+        ``"steady"``) so it can assert on what happened
         *inside* that window — e.g. "error rate during the partition
         stayed under 30%" via ``stats.phase_summary(window)``.  A
         window-scoped invariant fails if the run produced no phase
@@ -789,7 +725,6 @@ class Soak:
         self.invariants.append((name, check, phase))
 
     def serve_stale_invariant(self, caches: Sequence = (),
-                              max_error_rate: float = 0.05,
                               require_stale_hits: bool = True,
                               phase: str = "during-fault",
                               name: str = "serve-stale-availability"
@@ -798,7 +733,8 @@ class Soak:
 
         Window-scoped on the fault phase: requests issued while the
         location service is partitioned must still mostly succeed —
-        the failed fraction stays at or below ``max_error_rate`` —
+        the failed fraction stays at or below
+        :data:`SERVE_STALE_MAX_ERROR_RATE` —
         and, when ``require_stale_hits`` is set and metrics-bound
         :class:`~repro.gdn.cache.GlsLookupCache` instances are given,
         at least one of them must have answered from a stale entry
@@ -818,11 +754,11 @@ class Soak:
                 raise AssertionError("no requests issued during %r"
                                      % phase)
             rate = row["failed"] / issued
-            if rate > max_error_rate:
+            if rate > SERVE_STALE_MAX_ERROR_RATE:
                 raise AssertionError(
                     "error rate %.1f%% during %r exceeds %.1f%% "
                     "(failed %d of %d)"
-                    % (rate * 100, phase, max_error_rate * 100,
+                    % (rate * 100, phase, SERVE_STALE_MAX_ERROR_RATE * 100,
                        row["failed"], issued))
             if require_stale_hits:
                 bound = [cache for cache in caches
@@ -839,7 +775,6 @@ class Soak:
         self.invariant(name, check, phase=phase)
 
     def chunked_transfer_invariant(self, downloader,
-                                   refetch_bound: float = 1.0,
                                    min_completed: Optional[int] = None
                                    ) -> None:
         """The resilient-transfer invariants (crash/partition soaks).
@@ -853,7 +788,7 @@ class Soak:
         * ``no-duplicate-chunk-application`` — no chunk was applied
           to a reassembly twice, across crash/resume boundaries;
         * ``refetch-bounded`` — bytes re-fetched stayed at or below
-          ``refetch_bound`` × bytes applied: resumption actually
+          :data:`REFETCH_BOUND` × bytes applied: resumption actually
           saved the work already done.
 
         A no-resume downloader under the same fault schedule fails
@@ -881,11 +816,11 @@ class Soak:
 
         def refetch_bounded():
             ratio = downloader.refetch_ratio()
-            if ratio > refetch_bound:
+            if ratio > REFETCH_BOUND:
                 raise AssertionError(
                     "re-fetched %.2fx the applied bytes (bound %.2fx: "
                     "%d refetched vs %d applied)"
-                    % (ratio, refetch_bound, downloader.bytes_refetched,
+                    % (ratio, REFETCH_BOUND, downloader.bytes_refetched,
                        downloader.bytes_applied))
             return True
 
@@ -896,13 +831,11 @@ class Soak:
     # -- the run ---------------------------------------------------------
 
     def _phase_marks(self) -> List[Tuple[float, str]]:
-        marks = list(self._extra_marks)
-        if self._fault_spans:
-            marks.append((min(start for start, _ in self._fault_spans),
-                          "during-fault"))
-            marks.append((max(end for _, end in self._fault_spans),
-                          "recovered"))
-        return sorted(marks)
+        if not self._fault_spans:
+            return []
+        return [(min(start for start, _ in self._fault_spans),
+                 "during-fault"),
+                (max(end for _, end in self._fault_spans), "recovered")]
 
     def run(self, limit: float = 1e9) -> SoakReport:
         registry = self.stats.registry
@@ -914,40 +847,38 @@ class Soak:
         phases_before = len(registry.phases)
         registry.phase("pre-fault" if marks else "steady",
                        now=self.world.now)
-        if marks:
-            self.world.sim.process(
-                _phase_driver(self.world.sim, registry, marks))
+        marker = (self.world.sim.process(
+            _phase_driver(self.world.sim, registry, marks))
+            if marks else None)
         driver = self.world.sim.process(
             self.scenario.drive(self.world.sim, self.request,
                                 rng=self.rng, stats=self.stats))
         elapsed = self.world.run_until(driver, limit=limit)
         if self.settle > 0:
             self.world.run(until=self.world.now + self.settle)
+        if marker is not None:
+            # A mark past the end of the run must not open a window
+            # in whatever drives the world next.
+            marker.kill()
         registry.end_phase(now=self.world.now)
         phases = registry.phases[phases_before:]
         failures: List[Tuple[str, str]] = []
         for name, check, phase in self.invariants:
-            if phase is None:
-                targets: List[Any] = [None]
-            else:
-                # Every window carrying the label is checked (repeated
-                # mark_phase labels produce several); a violation in
-                # any one of them fails the invariant.
-                targets = [w for w in phases if w.label == phase]
-                if not targets:
+            window = None
+            if phase is not None:
+                window = next((w for w in phases if w.label == phase),
+                              None)
+                if window is None:
                     failures.append(
                         (name, "no phase window labelled %r (phases: %s)"
                          % (phase, [w.label for w in phases])))
                     continue
-            for window in targets:
-                try:
-                    outcome = check() if window is None else check(window)
-                except Exception as exc:  # noqa: BLE001 - reported
-                    failures.append(
-                        (name, "%s: %s" % (type(exc).__name__, exc)))
-                    break
-                if outcome is False:
-                    failures.append((name, "returned False"))
-                    break
+            try:
+                outcome = check() if window is None else check(window)
+            except Exception as exc:  # noqa: BLE001 - reported
+                failures.append((name, "%s: %s" % (type(exc).__name__, exc)))
+                continue
+            if outcome is False:
+                failures.append((name, "returned False"))
         return SoakReport(self.stats, elapsed, list(self.injector.log),
                           failures, len(self.invariants), phases=phases)

@@ -25,6 +25,11 @@ from .population import ClientPopulation, RequestStream
 
 __all__ = ["WebDocument", "make_web_trace"]
 
+#: Shares of documents in the "hot" and "occasional" update classes;
+#: the rest are static.
+HOT_FRACTION = 0.10
+OCCASIONAL_FRACTION = 0.25
+
 
 class WebDocument:
     """One page of the departmental site."""
@@ -46,9 +51,7 @@ def make_web_trace(topology: Topology, rng: random.Random,
                    document_count: int = 60,
                    request_count: int = 3000,
                    alpha: float = 0.9,
-                   home_share: float = 0.75,
-                   hot_fraction: float = 0.10,
-                   occasional_fraction: float = 0.25):
+                   home_share: float = 0.75):
     """Build (documents, request stream) for the E5 experiment.
 
     Update classes give per-document write fractions: static pages
@@ -59,9 +62,9 @@ def make_web_trace(topology: Topology, rng: random.Random,
     write_fraction: List[float] = []
     for index in range(document_count):
         draw = rng.random()
-        if draw < hot_fraction:
+        if draw < HOT_FRACTION:
             update_class, fraction = "hot", 0.15
-        elif draw < hot_fraction + occasional_fraction:
+        elif draw < HOT_FRACTION + OCCASIONAL_FRACTION:
             update_class, fraction = "occasional", 0.02
         else:
             update_class, fraction = "static", 0.0

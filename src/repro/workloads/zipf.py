@@ -61,6 +61,3 @@ class ZipfSampler:
         own the randomness (e.g. a shared
         :class:`~repro.workloads.scenario.RequestMix`)."""
         return bisect.bisect_left(self._cdf, (rng or self.rng).random())
-
-    def sample_many(self, count: int) -> List[int]:
-        return [self.sample() for _ in range(count)]

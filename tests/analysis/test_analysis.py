@@ -36,12 +36,11 @@ def test_percentile_within_bounds_property(data, p):
 
 def test_series_summary():
     series = Series("latency")
-    series.extend([0.1, 0.2, 0.3, 0.4])
-    summary = series.summary()
-    assert summary["count"] == 4
-    assert summary["mean"] == pytest.approx(0.25)
-    assert summary["max"] == 0.4
-    assert series.total == pytest.approx(1.0)
+    for value in [0.1, 0.2, 0.3, 0.4]:
+        series.add(value)
+    assert series.count == 4
+    assert series.mean == pytest.approx(0.25)
+    assert series.p(100) == 0.4
 
 
 def test_series_empty_rejected():

@@ -13,11 +13,16 @@ from repro.analysis.telemetry import (Counter, Gauge, Histogram,
 
 # -- counters and gauges -----------------------------------------------------
 
+def bump(counter, times):
+    for _ in range(times):
+        counter.inc()
+
+
 def test_counter_and_gauge_basics():
     registry = MetricsRegistry()
     counter = registry.counter("c")
     counter.inc()
-    counter.inc(4)
+    bump(counter, 4)
     assert counter.value == 5
     gauge = registry.gauge("g")
     gauge.set(7)
@@ -151,12 +156,12 @@ def test_window_deltas_for_each_instrument_kind():
     counter = registry.counter("c")
     gauge = registry.gauge("g")
     hist = registry.histogram("h")
-    counter.inc(10)
+    bump(counter, 10)
     gauge.set(1)
     hist.record(1.0)
 
     window = registry.window("during", now=2.0)
-    counter.inc(5)
+    bump(counter, 5)
     gauge.set(9)
     hist.record(3.0)
     hist.record(4.0)
@@ -177,7 +182,7 @@ def test_window_handles_instruments_created_mid_window():
     registry = MetricsRegistry()
     window = registry.window("w")
     late = registry.counter("late")
-    late.inc(3)
+    bump(late, 3)
     window.close()
     assert window.delta("late") == 3
 
@@ -188,13 +193,13 @@ def test_phase_chain_tiles_the_run_and_sums_to_totals():
     hist = registry.histogram("lat")
 
     registry.phase("warmup", now=0.0)
-    counter.inc(3)
+    bump(counter, 3)
     hist.extend([1.0, 2.0])
     registry.phase("fault", now=10.0)
-    counter.inc(7)
+    bump(counter, 7)
     hist.extend([5.0, 6.0, 7.0])
     registry.phase("recovery", now=20.0)
-    counter.inc(2)
+    bump(counter, 2)
     hist.record(1.5)
     registry.end_phase(now=30.0)
 
@@ -217,10 +222,10 @@ def test_phase_chain_tiles_the_run_and_sums_to_totals():
 
 def test_window_summary_renders_all_instruments():
     registry = MetricsRegistry()
-    registry.counter("c").inc(2)
+    bump(registry.counter("c"), 2)
     registry.histogram("h").record(1.0)
     window = registry.window("w", now=0.0)
-    registry.get("c").inc(3)
+    bump(registry.get("c"), 3)
     window.close(now=1.0)
     summary = window.summary()
     assert summary["c"] == 3
@@ -229,7 +234,7 @@ def test_window_summary_renders_all_instruments():
 
 def test_registry_snapshot_shape():
     registry = MetricsRegistry()
-    registry.counter("c").inc(2)
+    bump(registry.counter("c"), 2)
     registry.gauge("g").set(4)
     registry.histogram("h").extend([1.0, 2.0])
     snap = registry.snapshot()

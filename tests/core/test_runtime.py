@@ -126,7 +126,7 @@ def test_rebind_with_unchanged_gls_answer_opens_no_connection(bed):
     The rebind and the next invocation cost the three kernel events of
     one channel call — no SYN, no FIN, no accept, no process start."""
     server_lr = _object_on(bed)
-    gos_host = bed.world.get_host("gos-1")
+    gos_host = bed.world.hosts["gos-1"]
     runtime = bed.runtime("client-1", "r0/c0/m0/s1")
     sim = bed.world.sim
 
@@ -166,7 +166,7 @@ def test_concurrent_binds_to_one_server_share_one_handshake(bed):
     assert [user.value for user in users] == ["0", "1", "2"]
     assert runtime.pool.opens == 1
     assert len(runtime.host._connections) == 1
-    assert len(bed.world.get_host("gos-1")._connections) == 1
+    assert len(bed.world.hosts["gos-1"]._connections) == 1
 
 
 def test_runtimes_with_different_credentials_never_share_a_channel(bed):

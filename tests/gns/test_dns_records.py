@@ -3,8 +3,7 @@
 import pytest
 
 from repro.gns.dns.records import (DnsError, ResourceRecord, RRType,
-                                   is_subdomain, name_labels, normalize_name,
-                                   parent_name)
+                                   is_subdomain, normalize_name, parent_name)
 from repro.gns.dns.zone import JOURNAL_DEPTH, Rcode, Zone
 
 
@@ -37,8 +36,6 @@ def test_subdomain_relation():
 
 
 def test_labels_and_parent():
-    assert name_labels("a.b.c") == ["a", "b", "c"]
-    assert name_labels("") == []
     assert parent_name("a.b.c") == "b.c"
     assert parent_name("c") == ""
     with pytest.raises(DnsError):

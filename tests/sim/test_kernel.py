@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.sim.kernel import (AllOf, AnyOf, Interrupt, SimulationError,
-                              Simulator)
+from repro.sim.kernel import AllOf, AnyOf, SimulationError, Simulator
 
 
 def test_timeout_advances_clock():
@@ -181,38 +180,6 @@ def test_process_return_value_chains():
     process = sim.process(outer())
     sim.run()
     assert process.value == 14
-
-
-def test_interrupt_delivers_cause():
-    sim = Simulator()
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as interrupt:
-            return ("interrupted", interrupt.cause, sim.now)
-
-    process = sim.process(sleeper())
-
-    def interrupter():
-        yield sim.timeout(1.0)
-        process.interrupt("wake up")
-
-    sim.process(interrupter())
-    sim.run()
-    assert process.value == ("interrupted", "wake up", 1.0)
-
-
-def test_interrupt_finished_process_rejected():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(0.1)
-
-    process = sim.process(quick())
-    sim.run()
-    with pytest.raises(SimulationError):
-        process.interrupt()
 
 
 def test_kill_releases_waiters():

@@ -19,7 +19,7 @@ def world():
 
 def test_host_creation_and_lookup(world):
     host = world.host("alpha", "r0/c0/m0/s0")
-    assert world.get_host("alpha") is host
+    assert world.hosts["alpha"] is host
     with pytest.raises(ValueError):
         world.host("alpha", "r0/c0/m0/s1")
 
@@ -122,7 +122,7 @@ def test_connect_costs_a_round_trip(world):
 
     proc = a.spawn(client())
     connected_at = world.run_until(proc, limit=100)
-    assert connected_at >= world.network.rtt(a.site, b.site)
+    assert connected_at >= 2 * world.network.latency(a.site, b.site)
 
 
 def test_connect_refused_when_no_listener(world):

@@ -179,5 +179,96 @@ def test_traffic_lists_the_functions_no_entry_point_reaches(
         "fixture_pkg/mod.py:25  generator_called  (2 lines)",
         "fixture_pkg/mod.py:33  Shape.unused_method  (2 lines)",
         "census: 5 of 9 functions under %s never reached by the 3 tables, "
-        "examples and workloads (11 lines)" % (tmp_path / "src"),
+        "examples, workloads and ladder rungs (11 lines)"
+        % (tmp_path / "src"),
     ]
+
+
+def test_traffic_runs_each_ladder_rung_once(monkeypatch):
+    # Only the ladder builds a UniformSchedule: no table, example or
+    # workload does, so a census without the rungs listed it unreached.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    entries = dict(census.traffic())
+    from gdnbench.ladder import RUNGS
+    assert [label for label in entries if label.startswith("rung ")] \
+        == ["rung " + name for name in RUNGS]
+    src = pathlib.Path(census.ROOT) / "src"
+    _total, uncalled, _lines = census.census(
+        src, entries["rung workloads.scenario.drive"])
+    unreached = {function.qualname for function in uncalled}
+    assert "UniformSchedule.times" not in unreached
+    assert "ZipfSampler.sample" in unreached  # what the rung does not run
+
+
+CHECK_MODULE = MODULE + '''
+
+    def __len__(self):
+        return 7
+
+    def abstract(self):
+        """Subclasses say."""
+        raise NotImplementedError
+'''
+
+
+def _check(tmp_path, monkeypatch, keep):
+    """``--traffic --check`` on the fixture tree, with ``keep`` as the
+    keep file and entry points that reach ``called`` and ``Shape.area``."""
+    package = tmp_path / "src" / "fixture_pkg"
+    package.mkdir(parents=True, exist_ok=True)
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(CHECK_MODULE)
+    monkeypatch.syspath_prepend(str(tmp_path / "src"))
+    for name in ("fixture_pkg", "fixture_pkg.mod"):  # another test's tree
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    (tmp_path / "keep.txt").write_text(keep)
+    monkeypatch.setattr(census, "KEEP_FILE", tmp_path / "keep.txt")
+
+    def fixture_traffic():
+        from fixture_pkg import mod
+        return [("example called", mod.called),
+                ("workload shape", lambda: mod.Shape().area())]
+
+    monkeypatch.setattr(census, "traffic", fixture_traffic)
+    return census.main(["--traffic", "--check", "--src",
+                        str(tmp_path / "src")])
+
+
+KEEP = """\
+# path  Qualname  reason
+fixture_pkg/mod.py  never  the paper's section 9
+fixture_pkg/mod.py  never.nested_never  the paper's section 9
+fixture_pkg/mod.py  decorated_called  ROADMAP item 1
+fixture_pkg/mod.py  generator_called  teardown
+"""
+
+
+def test_check_fails_on_an_unexplained_function(
+        tmp_path, monkeypatch, capsys):
+    # Shape.__len__ (a dunder) and Shape.abstract (only raises) are
+    # exempt by rule; with a reason for each of the rest, the check
+    # passes.
+    keep = KEEP + "fixture_pkg/mod.py  Shape.unused_method  a test oracle\n"
+    assert _check(tmp_path, monkeypatch, keep) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == ("census: 2 exempt by rule, 5 kept with a reason, "
+                       "0 unexplained; 0 stale keep entries")
+    assert _check(tmp_path, monkeypatch, KEEP) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "census: unexplained: fixture_pkg/mod.py  Shape.unused_method" \
+        in out
+    assert out[-1].endswith("1 unexplained; 0 stale keep entries")
+
+
+def test_check_fails_on_a_stale_keep_entry(tmp_path, monkeypatch, capsys):
+    # One entry names a function the entry point now reaches, one a
+    # function that is gone.
+    keep = (KEEP + "fixture_pkg/mod.py  Shape.unused_method  a test oracle\n"
+            "fixture_pkg/mod.py  called  ROADMAP item 2\n"
+            "fixture_pkg/mod.py  deleted_long_ago  teardown\n")
+    assert _check(tmp_path, monkeypatch, keep) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "census: stale keep entry: fixture_pkg/mod.py  called" in out
+    assert ("census: stale keep entry: fixture_pkg/mod.py  deleted_long_ago"
+            in out)
+    assert out[-1].endswith("0 unexplained; 2 stale keep entries")

@@ -109,8 +109,8 @@ class GlobeBed:
         self.disk = None
 
     def gos(self, name, site, port=7100, **kwargs):
-        from repro.gos.persistence import DiskStore
         from repro.gos.server import GlobeObjectServer
+        from repro.sim.stable import DiskStore
 
         if self.disk is None:
             self.disk = DiskStore()

@@ -705,107 +705,7 @@ def test_soak_phases_exclude_foreign_open_windows():
     assert sum(row["issued"] for row in rows) == 10
 
 
-# -- phases= on plain scenarios ----------------------------------------------
-
-def test_open_loop_phases_mark_named_windows():
-    """A plain open-loop scenario slices itself into named phase
-    windows — no Soak wrapper — and the deltas tile the run."""
-    sim = Simulator()
-
-    def request(arrival):
-        yield sim.timeout(0.005)
-
-    stats = LoadStats()
-    scenario = OpenLoopScenario(UniformSchedule(100.0), 100,
-                                phases=[(0.0, "warmup"), (0.5, "steady")])
-    stats2, _elapsed = _drive(sim, scenario, request, stats=stats)
-    labels = [window.label for window in stats.registry.phases]
-    assert labels == ["warmup", "steady"]
-    rows = [stats.phase_summary(window)
-            for window in stats.registry.phases]
-    # Uniform arrivals every 10ms: 50 land in [0, 0.5), the rest after.
-    assert rows[0]["issued"] == 50
-    assert rows[1]["issued"] == 50
-    assert sum(row["issued"] for row in rows) == stats.issued == 100
-    assert sum(row["ok"] for row in rows) == stats.ok == 100
-    # Windows carry timestamps, so per-phase throughput is computable.
-    assert rows[0]["duration"] == pytest.approx(0.5)
-    assert rows[0]["throughput"] > 0
-
-
-def test_closed_loop_phases_and_marks_past_the_end():
-    """phases= works on closed-loop scenarios too; a mark beyond the
-    end of the run is dropped rather than left dangling."""
-    sim = Simulator()
-
-    def request(arrival):
-        yield sim.timeout(0.01)
-
-    stats = LoadStats()
-    scenario = ClosedLoopScenario(clients=2, think_time=0.05,
-                                  requests_per_client=5,
-                                  phases=[(0.0, "all"), (1e6, "never")])
-    _drive(sim, scenario, request, stats=stats)
-    labels = [window.label for window in stats.registry.phases]
-    assert labels == ["all"]
-    window = stats.registry.phases[0]
-    assert stats.phase_summary(window)["issued"] == 10
-    # The dangling mark's sleeper was reaped (its t=1e6 timer was
-    # cancelled with it): draining leaves nothing scheduled.
-    sim.run()
-    assert sim.peek() == float("inf")
-    assert sim.now < 1e6
-
-
-def test_phases_validation_and_ordering():
-    with pytest.raises(ValueError, match="negative"):
-        OpenLoopScenario(UniformSchedule(10.0), 5,
-                         phases=[(-1.0, "bad")])
-    scenario = OpenLoopScenario(UniformSchedule(10.0), 5,
-                                phases=[(0.4, "late"), (0.0, "early")])
-    assert scenario.phases == [(0.0, "early"), (0.4, "late")]
-    assert OpenLoopScenario(UniformSchedule(10.0), 5).phases is None
-
-
-def test_scenario_phases_close_foreign_open_window():
-    """A phase left open on a shared registry before the drive must be
-    closed first, so the scenario's own windows tile cleanly."""
-    sim = Simulator()
-
-    def request(arrival):
-        yield sim.timeout(0.001)
-
-    stats = LoadStats()
-    stats.registry.phase("someone-elses-setup")
-    scenario = OpenLoopScenario(UniformSchedule(100.0), 10,
-                                phases=[(0.0, "mine")])
-    _drive(sim, scenario, request, stats=stats)
-    assert [w.label for w in stats.registry.phases] \
-        == ["someone-elses-setup", "mine"]
-
-
-def test_hybrid_scenario_keeps_its_members_phases():
-    # Regression: HybridScenario.build ignored its members' phases=, so
-    # the drive ended with no phase windows at all.
-    sim = Simulator()
-
-    def request(arrival):
-        yield sim.timeout(0.001)
-
-    stats = LoadStats()
-    scenario = HybridScenario([
-        OpenLoopScenario(UniformSchedule(10.0), 5,
-                         phases=[(0.0, "warmup"), (0.2, "steady")]),
-        ClosedLoopScenario(clients=1, think_time=0.01,
-                           requests_per_client=2, phases=[(0.1, "mid")])])
-    assert scenario.phases == [(0.0, "warmup"), (0.1, "mid"),
-                               (0.2, "steady")]
-    _drive(sim, scenario, request, stats=stats)
-    assert [w.label for w in stats.registry.phases] \
-        == ["warmup", "mid", "steady"]
-    assert HybridScenario([OpenLoopScenario(UniformSchedule(10.0), 5)]) \
-        .phases is None
-
+# -- the soak's phase marks --------------------------------------------------
 
 def test_soak_phase_opens_at_exactly_the_fault_instant():
     # Regression: the soak's phase driver slept timeout(when - now) and
@@ -826,6 +726,38 @@ def test_soak_phase_opens_at_exactly_the_fault_instant():
     assert starts == {"pre-fault": 0.2, "during-fault": 0.9,
                       "recovered": 1.2}
     assert [t for t, _kind, _target in report.fault_log] == [0.9, 1.2]
+
+
+def test_soak_marks_past_its_end_open_no_window_in_a_later_drive():
+    # Regression: Soak.run never stopped its phase-mark process, so a
+    # "recovered" mark past the end of the soak opened a window in the
+    # middle of the next, unrelated drive on the same world.
+    world = World(topology=Topology.balanced(2, 1, 1, 2), seed=1)
+
+    def request(arrival):
+        yield world.sim.timeout(0.1)
+        return True
+
+    soak = Soak(world, ClosedLoopScenario(1, 0.0, requests_per_client=5),
+                request, settle=1.0)
+    soak.partition(world.topology.site("r1/c0/m0/s0"), world.now + 0.2,
+                   30.0)
+    report = soak.run()
+    assert world.now == pytest.approx(1.5)
+    assert [w.label for w in report.phases] == ["pre-fault", "during-fault"]
+
+    later = ClosedLoopScenario(1, 0.0, requests_per_client=4)
+
+    def slow(arrival):
+        yield world.sim.timeout(10.0)
+        return True
+
+    world.run_until(world.sim.process(later.drive(world.sim, slow)),
+                    limit=1e9)
+    assert world.now > 30.2
+    assert world.metrics.current_phase is None
+    assert [w.label for w in world.metrics.phases] \
+        == ["pre-fault", "during-fault"]
 
 
 # -- window-scoped soak invariants -------------------------------------------
@@ -950,37 +882,6 @@ def test_flash_crowd_trace_shape_and_replay_determinism():
     first = one_run()
     assert first == one_run()
     assert first[0]["issued"] == 140
-
-
-def test_window_invariants_check_every_matching_window():
-    """Repeated phase labels (two mark_phase calls with one name)
-    produce several windows; a window-scoped invariant must be judged
-    against all of them, not silently only the last."""
-    world, client_host, server_host, _server = _echo_world()
-    client = UdpRpcClient(client_host)
-
-    def request(arrival):
-        value = yield from client.call(server_host, 5300, "echo",
-                                       {"x": arrival.index})
-        return value == arrival.index
-
-    soak = Soak(world, OpenLoopScenario(UniformSchedule(10.0), 40),
-                request, settle=0.0)
-    base = world.now
-    soak.mark_phase(base + 1.0, "burst")
-    soak.mark_phase(base + 2.0, "burst")
-    seen_starts = []
-    soak.invariant("sees every burst window",
-                   lambda window: seen_starts.append(window.started_at)
-                   or True, phase="burst")
-    soak.invariant("fails on the first burst window",
-                   lambda window: window.started_at != base + 1.0,
-                   phase="burst")
-    report = soak.run()
-    assert seen_starts == [base + 1.0, base + 2.0]
-    failed = dict(report.failures)
-    assert "fails on the first burst window" in failed
-    assert "sees every burst window" not in failed
 
 
 def test_deadline_pool_trace_replay_matches_per_call_timers():

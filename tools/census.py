@@ -19,13 +19,23 @@ references it.
 ``--traffic`` runs no tests either.  It profiles the program's own
 entry points instead, in this process: every table of
 :data:`repro.experiments.TABLES` (run, render, check), every example
-under ``examples/`` at ``GDN_EXAMPLE_SCALE=small``, and every
-``gdnbench`` workload driven once at smoke scale (seed 11, untraced).
-It lists the functions under ``src/`` none of them reaches: each is
-reached by tests alone, or, when the plain census lists it too, by
-nothing.
+under ``examples/`` at ``GDN_EXAMPLE_SCALE=small``, every ``gdnbench``
+workload driven once at smoke scale (seed 11, untraced), and every rung
+of ``gdnbench.ladder.RUNGS`` built and called once (seed 11).  It lists
+the functions under ``src/`` none of them reaches: each is reached by
+tests alone, or, when the plain census lists it too, by nothing.
 
-    PYTHONPATH=src python3 tools/census.py --traffic
+    PYTHONPATH=src python3 tools/census.py --traffic [--check]
+
+With ``--check`` every unreached function must be explained, and the
+run exits 1 if one is not.  A function is exempt by rule if it is a
+dunder method or its body (past a docstring) is one ``raise``.  Any
+other must have a line ``path  Qualname  reason`` in :data:`KEEP_FILE`
+(fields apart by two or more spaces, the path relative to ``src/``),
+whose reason names the paper section it reproduces, the ROADMAP item
+that will call it, its safety role (teardown, fault handling, input
+checks) or the test it is an oracle for.  A keep line whose function
+is gone, or is now reached, is stale and fails the check too.
 
 ``--options`` runs no tests.  It lists every keyword option (a
 parameter with a default) of a ``def`` under ``src/`` that no call in
@@ -53,6 +63,7 @@ import contextlib
 import io
 import os
 import pathlib
+import re
 import runpy
 import sys
 import threading
@@ -66,6 +77,20 @@ class Function(NamedTuple):
     first: int      # first line (a decorator's, if any): co_firstlineno
     last: int
     qualname: str
+    exempt: bool    # a dunder method, or a body that only raises
+
+
+def _exempt(node: ast.AST) -> bool:
+    """A dunder method, or a body that is one ``raise`` (after an
+    optional docstring)."""
+    if node.name.startswith("__") and node.name.endswith("__"):
+        return True
+    body = node.body
+    if (body and isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant)
+            and isinstance(body[0].value.value, str)):
+        body = body[1:]
+    return len(body) == 1 and isinstance(body[0], ast.Raise)
 
 
 def functions(src: pathlib.Path) -> Dict[Tuple[str, int], Function]:
@@ -81,7 +106,8 @@ def functions(src: pathlib.Path) -> Dict[Tuple[str, int], Function]:
                                               child.decorator_list])
                 qualname = ".".join(scope + [child.name])
                 found[(path, first)] = Function(path, first,
-                                                child.end_lineno, qualname)
+                                                child.end_lineno, qualname,
+                                                _exempt(child))
                 visit(child, path, scope + [child.name])
             elif isinstance(child, ast.ClassDef):
                 visit(child, path, scope + [child.name])
@@ -147,14 +173,15 @@ TRAFFIC_SCALE = 50
 
 def traffic() -> List[Tuple[str, Callable[[], object]]]:
     """``(label, run)`` for every non-test entry point of the program:
-    each paper table, each example at small scale, and each ``gdnbench``
-    workload at smoke scale.  Nothing runs until a ``run`` is called,
-    but the program is imported: call this under the profile hook, so
-    what runs at import time counts as reached."""
+    each paper table, each example at small scale, each ``gdnbench``
+    workload at smoke scale and each ladder rung.  Nothing runs until a
+    ``run`` is called, but the program is imported: call this under the
+    profile hook, so what runs at import time counts as reached."""
     for path in (ROOT, ROOT / "src"):
         if str(path) not in sys.path:
             sys.path.insert(0, str(path))
     from gdnbench import drive
+    from gdnbench.ladder import RUNGS
     from gdnbench.workloads import WORKLOADS
     from repro.experiments import TABLES
 
@@ -172,7 +199,16 @@ def traffic() -> List[Tuple[str, Callable[[], object]]]:
         entries.append(("workload " + workload,
                         lambda workload=workload: drive.run(
                             workload, TRAFFIC_SEED, TRAFFIC_SCALE, False)))
+    for rung, build in RUNGS.items():
+        entries.append(("rung " + rung,
+                        lambda build=build: _run_rung(build)))
     return entries
+
+
+def _run_rung(build: Callable) -> None:
+    """Build one ladder rung and make one call through it."""
+    _sim, run = build(TRAFFIC_SEED)
+    run(1, None)
 
 
 def _run_example(path: pathlib.Path) -> None:
@@ -204,6 +240,41 @@ def run_all(entries: List[Tuple[str, Callable[[], object]]]) -> List[str]:
             failed.append(label)
             print("census: %s failed: %r" % (label, error), file=sys.stderr)
     return failed
+
+
+#: Why each unreached, non-exempt function stays (see ``--check``).
+KEEP_FILE = ROOT / "tools" / "census_keep.txt"
+
+
+def read_keep(path: pathlib.Path) -> Dict[Tuple[str, str], str]:
+    """``(path under src/, qualname) -> reason`` for each line of a keep
+    file; ``#`` comments and blank lines are skipped."""
+    keep: Dict[Tuple[str, str], str] = {}
+    for number, line in enumerate(path.read_text().splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = re.split(r"\s{2,}", line, maxsplit=2)
+        if len(fields) != 3:
+            raise ValueError("%s:%d: want 'path  Qualname  reason', got %r"
+                             % (path, number, line))
+        keep[(fields[0], fields[1])] = fields[2]
+    return keep
+
+
+def check_keep(src: pathlib.Path, uncalled: List[Function],
+               keep: Dict[Tuple[str, str], str]
+               ) -> Tuple[List[Tuple[str, str]], List[Tuple[str, str]]]:
+    """``(path under src/, qualname)`` of the unreached functions that
+    are neither exempt nor kept, and of the keep entries whose function
+    is gone or reached."""
+    base = os.path.realpath(src)
+    unreached = {(os.path.relpath(function.path, base), function.qualname):
+                 function for function in uncalled}
+    unexplained = [key for key, function in unreached.items()
+                   if not function.exempt and key not in keep]
+    stale = sorted(key for key in keep if key not in unreached)
+    return unexplained, stale
 
 
 class Option(NamedTuple):
@@ -355,8 +426,13 @@ def main(argv=None) -> int:
                         help="list keyword options no call passes; "
                              "runs no tests")
     parser.add_argument("--traffic", action="store_true",
-                        help="list functions no table, example or "
-                             "workload reaches; runs no tests")
+                        help="list functions no table, example, "
+                             "workload or ladder rung reaches; runs no "
+                             "tests")
+    parser.add_argument("--check", action="store_true",
+                        help="with --traffic: exit 1 unless every "
+                             "unreached function is exempt or kept, and "
+                             "every keep entry is still unreached")
     parser.add_argument("pytest_args", nargs="*",
                         help="arguments for pytest.main (after --)")
     options = parser.parse_args(argv)
@@ -382,9 +458,22 @@ def main(argv=None) -> int:
         total, uncalled, lines = census(src, run_traffic)
         _print_uncalled(src, uncalled)
         print("census: %d of %d functions under %s never reached by the "
-              "%d tables, examples and workloads (%d lines)"
+              "%d tables, examples, workloads and ladder rungs (%d lines)"
               % (len(uncalled), total, src, len(entries), lines))
-        return 1 if failed else 0
+        if not options.check:
+            return 1 if failed else 0
+        keep = read_keep(KEEP_FILE)
+        unexplained, stale = check_keep(src, uncalled, keep)
+        for path, qualname in unexplained:
+            print("census: unexplained: %s  %s" % (path, qualname))
+        for path, qualname in stale:
+            print("census: stale keep entry: %s  %s" % (path, qualname))
+        exempt = sum(function.exempt for function in uncalled)
+        print("census: %d exempt by rule, %d kept with a reason, %d "
+              "unexplained; %d stale keep entries"
+              % (exempt, len(uncalled) - exempt - len(unexplained),
+                 len(unexplained), len(stale)))
+        return 1 if failed or unexplained or stale else 0
     import pytest
 
     outcome = []
