@@ -68,7 +68,7 @@ def main():
     print("== Flash crowd on a fresh release (paper §3.1) ==\n")
     topology = Topology.balanced(regions=2, countries=2, cities=1, sites=2)
     gdn = GdnDeployment(topology=topology, seed=77, secure=False)
-    gdn.standard_fleet(gos_per_region=1)
+    gdn.standard_fleet()
     gdn.initial_sync()
     # Short binding TTL so access points re-consult the GLS quickly;
     # no HTTPD caching of the 900 KB ISO (caches would blunt the point).

@@ -30,7 +30,7 @@ def main():
         topology=Topology.balanced(regions=2, countries=2, cities=1,
                                    sites=2),
         seed=55, secure=True)
-    gdn.standard_fleet(gos_per_region=1)
+    gdn.standard_fleet()
     gdn.initial_sync()
 
     # -- publish -----------------------------------------------------------

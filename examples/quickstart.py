@@ -29,7 +29,7 @@ def main():
     # each, two sites per city.
     topology = Topology.balanced(regions=2, countries=2, cities=1, sites=2)
     gdn = GdnDeployment(topology=topology, seed=42, secure=True)
-    gdn.standard_fleet(gos_per_region=1)  # one GOS+HTTPD per region
+    gdn.standard_fleet()  # one GOS+HTTPD per region
     gdn.initial_sync()
     print("deployed: %d object servers, %d HTTPDs, GLS tree of %d nodes"
           % (len(gdn.object_servers), len(gdn.httpds), len(gdn.gls.nodes)))

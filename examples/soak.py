@@ -54,7 +54,7 @@ def main():
     print("== GDN soak: load + failures + invariants ==\n")
     topology = Topology.balanced(regions=3, countries=2, cities=1, sites=2)
     gdn = GdnDeployment(topology=topology, seed=1777, secure=False)
-    gdn.standard_fleet(gos_per_region=1)
+    gdn.standard_fleet()
     gdn.initial_sync()
     moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
 

@@ -10,8 +10,8 @@ be involved.  Now all of it goes through one :class:`MetricsRegistry`:
 
 * **Instruments** — :class:`Counter` (monotone totals), :class:`Gauge`
   (point-in-time readings) and :class:`Histogram` (streaming
-  log-bucketed distributions).  Counters and gauges can be *function
-  backed*: a hot producer keeps its plain ``int`` field and registers
+  log-bucketed distributions).  Counters and gauges are *function
+  backed*: a producer keeps its plain ``int`` field and registers
   ``fn=lambda: self._events`` — the registry reads it only when a
   snapshot is taken, so instrumentation costs the hot path nothing.
 * **Histograms** are DDSketch-style: a value is recorded by bumping
@@ -85,32 +85,25 @@ class Instrument:
 
 
 class Counter(Instrument):
-    """A monotonically increasing total.
+    """A monotonically increasing total, read from its producer.
 
-    Either push-style (``counter.inc()``) or function-backed
-    (``fn=lambda: producer.plain_int``) for hot paths that must not
-    pay an attribute+method call per event.  A window delta is the
-    difference between the end and start readings.
+    ``fn`` returns the producer's own plain number (``fn=lambda:
+    producer.plain_int``), so a hot path pays no attribute+method call
+    per event.  A window delta is the difference between the end and
+    start readings.
     """
 
     kind = "counter"
 
-    __slots__ = ("_value", "_fn")
+    __slots__ = ("_fn",)
 
-    def __init__(self, name: str, fn: Optional[Callable[[], float]] = None):
+    def __init__(self, name: str, fn: Callable[[], float]):
         super().__init__(name)
-        self._value = 0
         self._fn = fn
 
     @property
     def value(self) -> float:
-        return self._fn() if self._fn is not None else self._value
-
-    def inc(self) -> None:
-        if self._fn is not None:
-            raise TelemetryError(
-                "%r is function-backed; increment the source" % self.name)
-        self._value += 1
+        return self._fn()
 
     def _state(self) -> float:
         return self.value
@@ -123,30 +116,22 @@ class Counter(Instrument):
 
 
 class Gauge(Instrument):
-    """A point-in-time reading (queue depth, heap size, replica count).
-
-    Push-style (``gauge.set(v)``) or function-backed.  A window
-    "delta" is the reading at window close — gauges are not rates.
+    """A point-in-time reading (queue depth, heap size, replica count),
+    read from its producer through ``fn``.  A window "delta" is the
+    reading at window close — gauges are not rates.
     """
 
     kind = "gauge"
 
-    __slots__ = ("_value", "_fn")
+    __slots__ = ("_fn",)
 
-    def __init__(self, name: str, fn: Optional[Callable[[], float]] = None):
+    def __init__(self, name: str, fn: Callable[[], float]):
         super().__init__(name)
-        self._value = 0
         self._fn = fn
 
     @property
     def value(self) -> float:
-        return self._fn() if self._fn is not None else self._value
-
-    def set(self, value: float) -> None:
-        if self._fn is not None:
-            raise TelemetryError(
-                "%r is function-backed; set the source" % self.name)
-        self._value = value
+        return self._fn()
 
     def _state(self) -> float:
         return self.value
@@ -390,8 +375,9 @@ class PhaseWindow:
 class MetricsRegistry:
     """All instruments of one simulated world, plus its phase timeline.
 
-    ``counter``/``gauge``/``histogram`` get-or-create by name (a name
-    permanently keeps its first kind).  Phase windows come in two
+    ``counter``/``gauge`` register a name once, bound to its source;
+    ``histogram`` gets or creates by name (a name permanently keeps its
+    first kind).  Phase windows come in two
     forms: free-standing :meth:`window` (may overlap anything) and the
     exclusive :meth:`phase` chain, where opening a phase closes the
     previous one — consecutive phases tile the run, so their deltas
@@ -410,7 +396,7 @@ class MetricsRegistry:
     def _register(self, name: str, kind: type, **kwargs) -> Instrument:
         existing = self._instruments.get(name)
         if existing is not None:
-            if type(existing) is not kind or kwargs.get("fn") is not None:
+            if type(existing) is not kind or kwargs:
                 raise TelemetryError(
                     "instrument %r already registered as %s"
                     % (name, existing.kind))
@@ -419,12 +405,10 @@ class MetricsRegistry:
         self._instruments[name] = instrument
         return instrument
 
-    def counter(self, name: str,
-                fn: Optional[Callable[[], float]] = None) -> Counter:
+    def counter(self, name: str, fn: Callable[[], float]) -> Counter:
         return self._register(name, Counter, fn=fn)
 
-    def gauge(self, name: str,
-              fn: Optional[Callable[[], float]] = None) -> Gauge:
+    def gauge(self, name: str, fn: Callable[[], float]) -> Gauge:
         return self._register(name, Gauge, fn=fn)
 
     def histogram(self, name: str) -> Histogram:

@@ -28,28 +28,27 @@ def uniform_single_server(home_gos: str
     return assign
 
 
-def uniform_replicate_everywhere(home_gos: str, all_gos: List[str],
-                                 cache_ttl: float = 600.0
+def uniform_replicate_everywhere(home_gos: str, all_gos: List[str]
                                  ) -> Callable[[str, ObjectUsage],
                                                ReplicationScenario]:
-    """Every object gets a replica on every server (mirror-like)."""
+    """Every object gets a replica on every server (mirror-like), with
+    HTTPD caches of a 600 s TTL in front."""
     slaves = [gos for gos in all_gos if gos != home_gos]
 
     def assign(_name: str, _usage: ObjectUsage) -> ReplicationScenario:
         return ReplicationScenario.master_slave(home_gos, list(slaves),
-                                                cache_ttl=cache_ttl)
+                                                cache_ttl=600.0)
 
     return assign
 
 
-def uniform_cache_only(home_gos: str, cache_ttl: float = 60.0
+def uniform_cache_only(home_gos: str
                        ) -> Callable[[str, ObjectUsage],
                                      ReplicationScenario]:
-    """One authoritative copy; HTTPDs cache with a fixed TTL."""
+    """One authoritative copy; HTTPDs cache with a fixed 60 s TTL."""
 
     def assign(_name: str, _usage: ObjectUsage) -> ReplicationScenario:
-        return ReplicationScenario.single_server(home_gos,
-                                                 cache_ttl=cache_ttl)
+        return ReplicationScenario.single_server(home_gos, cache_ttl=60.0)
 
     return assign
 

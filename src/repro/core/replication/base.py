@@ -50,7 +50,10 @@ class ReplicationError(Exception):
     """Raised when a replication protocol cannot complete an operation."""
 
 
-#: protocol name -> {"client": factory, "roles": {role: factory}}
+#: protocol name -> {"client": factory, "roles": {role: factory}}.  The
+#: runtime builds a client from the contact addresses it bound to (and
+#: a cache's ``ttl``); an object server builds a role from the master's
+#: contact address, None but for a slave.
 PROTOCOLS: Dict[str, dict] = {}
 
 

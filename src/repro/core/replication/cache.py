@@ -36,7 +36,7 @@ class CachingClient(JournalledCopy):
     protocol = PROTOCOL
     role = "cache"
 
-    def __init__(self, addresses: List[ContactAddress], ttl: float = 60.0):
+    def __init__(self, addresses: List[ContactAddress], ttl: float):
         super().__init__()
         if not addresses:
             raise ReplicationError("no contact addresses to bind to")
@@ -94,8 +94,4 @@ class CachingClient(JournalledCopy):
         yield  # pragma: no cover
 
 
-def _make_cache(addresses, ttl=60.0, **_kwargs):
-    return CachingClient(addresses, ttl=ttl)
-
-
-register_protocol(PROTOCOL, _make_cache, {})
+register_protocol(PROTOCOL, CachingClient, {})

@@ -97,12 +97,8 @@ class ClientServerServer(ReplicationSubobject):
         yield  # pragma: no cover
 
 
-def _make_client(addresses, **_kwargs):
-    return ClientServerClient(addresses)
-
-
-def _make_server(**_kwargs):
+def _make_server(master):
     return ClientServerServer()
 
 
-register_protocol(PROTOCOL, _make_client, {"server": _make_server})
+register_protocol(PROTOCOL, ClientServerClient, {"server": _make_server})

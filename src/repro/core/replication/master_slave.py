@@ -7,16 +7,17 @@ master, which executes them and pushes what each one changed — one
 change set, sealed under the next version — to all slaves.  A write
 therefore ships what it changed, not the package it changed.
 
-Push is asynchronous by default — the client's write completes when
-the master has executed it, and slaves converge shortly after
-(configure ``sync_push=True`` for write-through behaviour).  Pushes may
-be lost, late, doubled or overtaken: a slave replays a change set only
+Push is asynchronous: the client's write completes when the master
+has executed it, and slaves converge shortly after.  Pushes may be
+lost, late, doubled or overtaken: a slave replays a change set only
 onto the version just before it, and on a gap (or a push from another
 incarnation of the master) it ``pull``-s what it misses, which the
 master answers from its journal or, when that cannot reach back, with
 whole state.  Slaves joining later, or rejoining after a reboot, fetch
 whole state with a `join` message, which is also how a Globe Object
-Server reconstructs replicas (§4).
+Server reconstructs replicas (§4).  A slave whose object server answers
+a push with an error no longer exists there (its ``leave`` was lost),
+and the master drops it; a slave that is merely unreachable stays.
 """
 
 from __future__ import annotations
@@ -105,9 +106,8 @@ class MasterSlaveMaster(JournalledCopy):
     protocol = PROTOCOL
     role = "master"
 
-    def __init__(self, sync_push: bool = False):
+    def __init__(self):
         super().__init__(version=0)
-        self.sync_push = sync_push
         self.slaves: Dict[tuple, ContactAddress] = {}
         self.push_failures = 0
 
@@ -171,16 +171,21 @@ class MasterSlaveMaster(JournalledCopy):
         if self.slaves:
             push = self._stamp({"type": "state_push",
                                 "version": self.version, "deltas": changes})
-            pushes = [self.lr.host.spawn(self._push_one(address, push))
-                      for address in list(self.slaves.values())]
-            if self.sync_push:
-                for process in pushes:
-                    yield process
+            for address in list(self.slaves.values()):
+                self.lr.host.spawn(self._push_one(address, push))
         return result
+        yield  # pragma: no cover - a write waits for no push
 
     def _push_one(self, address: ContactAddress, push: dict) -> Generator:
         try:
             yield from self._send(address, push)
+        except ReplicationError:
+            # The slave's server answered: it hosts no such replica.
+            # Drop that entry unless a re-join replaced it meanwhile.
+            self.push_failures += 1
+            key = address.key()
+            if self.slaves.get(key) is address:
+                del self.slaves[key]
         except Exception:  # noqa: BLE001 - slave may be down; it rejoins
             self.push_failures += 1
 
@@ -207,8 +212,9 @@ class MasterSlaveSlave(JournalledCopy):
         self._install(reply)
 
     def stop(self) -> None:
-        # Leaving is best-effort and asynchronous; the master also
-        # drops us on the first failed push.
+        # Leaving is best-effort and asynchronous; if the leave is
+        # lost, the master drops us when our server refuses its next
+        # push.
         my_address = self.lr.contact_address
         if my_address is not None and self.lr.host.up:
             self.lr.host.spawn(self._send_leave(my_address))
@@ -259,19 +265,15 @@ class MasterSlaveSlave(JournalledCopy):
         return {"type": "error", "reason": "unsupported message %r" % kind}
 
 
-def _make_client(addresses, **_kwargs):
-    return MasterSlaveClient(addresses)
+def _make_master(master):
+    return MasterSlaveMaster()
 
 
-def _make_master(sync_push=False, **_kwargs):
-    return MasterSlaveMaster(sync_push=sync_push)
-
-
-def _make_slave(master=None, **_kwargs):
+def _make_slave(master):
     if master is None:
         raise ReplicationError("slave role needs the master's address")
     return MasterSlaveSlave(master)
 
 
-register_protocol(PROTOCOL, _make_client,
+register_protocol(PROTOCOL, MasterSlaveClient,
                   {"master": _make_master, "slave": _make_slave})

@@ -45,7 +45,7 @@ def _consistency_run(mode: str, write_count: int, reads_per_write: int,
 
     topology = Topology.balanced(regions=2, countries=1, cities=1, sites=2)
     gdn = GdnDeployment(topology=topology, seed=seed, secure=False)
-    gdn.standard_fleet(gos_per_region=1)
+    gdn.standard_fleet()
     gdn.initial_sync()
     moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
 

@@ -72,7 +72,7 @@ def run_gls_locality_experiment(seed: int = 11,
         client = GlsClient(world, client_host, tree)
         last = {}
 
-        def lookup(arrival, client=client, last=last):
+        def lookup(arrival):
             reply = yield from client.lookup_detailed(oid_hex)
             last["hops"] = reply["hops"]
             last["found"] = reply["found"]

@@ -169,7 +169,7 @@ def _run_mirror(corpus: List[PackageSpec], stream: RequestStream,
 def _run_gdn(corpus: List[PackageSpec], stream: RequestStream,
              seed: int) -> dict:
     gdn = GdnDeployment(topology=_topology(), seed=seed, secure=False)
-    gdn.standard_fleet(gos_per_region=1)
+    gdn.standard_fleet()
     gdn.initial_sync()
     moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
     advisor = ScenarioAdvisor(gdn.gos_by_region(),

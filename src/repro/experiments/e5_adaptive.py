@@ -72,7 +72,7 @@ def _run_strategy(strategy: str, seed: int, document_count: int,
                                        document_count=document_count,
                                        request_count=request_count)
     gdn = GdnDeployment(topology=_topology(), seed=seed, secure=False)
-    gdn.standard_fleet(gos_per_region=1)
+    gdn.standard_fleet()
     gdn.initial_sync()
     moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
     assign = _assignment_fn(strategy, gdn, stream, documents)

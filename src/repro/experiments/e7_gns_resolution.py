@@ -46,7 +46,7 @@ def run_gns_resolution_experiment(seed: int = 29, name_count: int = 40,
             tool_host, gdn.authority.host, gdn.authority.port),
             host=tool_host)
 
-        def add_name(arrival, channel=channel):
+        def add_name(arrival):
             yield from channel.call(
                 "add_name", {"name": "/apps/pkg%03d" % arrival.index,
                              "oid": "%040x" % arrival.index})

@@ -31,7 +31,7 @@ __all__ = ["run_recovery_experiment", "format_result"]
 def run_recovery_experiment(seed: int = 31, downloads: int = 30) -> Dict:
     topology = Topology.balanced(regions=2, countries=2, cities=1, sites=2)
     gdn = GdnDeployment(topology=topology, seed=seed, secure=False)
-    gdn.standard_fleet(gos_per_region=1)
+    gdn.standard_fleet()
     gdn.initial_sync()
     moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
     files = {"README": synthetic_file("e8", 2_000),

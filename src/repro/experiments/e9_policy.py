@@ -37,7 +37,7 @@ __all__ = ["run_policy_experiment", "format_result"]
 def run_policy_experiment(seed: int = 37) -> Dict:
     topology = Topology.balanced(regions=2, countries=2, cities=1, sites=2)
     gdn = GdnDeployment(topology=topology, seed=seed, secure=True)
-    gdn.standard_fleet(gos_per_region=1)
+    gdn.standard_fleet()
     gdn.initial_sync()
     moderator = gdn.add_moderator("mod-legit", "r0/c0/m0/s1")
     rows: List[dict] = []

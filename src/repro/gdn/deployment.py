@@ -299,7 +299,7 @@ class GdnDeployment:
             channel_factory=factory,
             channel_wrapper=self._client_tls(host.name, Role.GDN_HOST),
             authorizer=self.policy and self.policy.gos_authorizer,
-            disk=self.disk, checkpoint_on_write=True)
+            disk=self.disk)
         gos.start()
         gos.bind_metrics(self.world.metrics, prefix="gos.%s" % name)
         self.repository.preload(host, PACKAGE_IMPL_ID)
@@ -388,12 +388,10 @@ class GdnDeployment:
         if self.registry is not None:
             self.registry.grant_package(principal, oid_hex)
 
-    def add_browser(self, name: str, site: Union[str, Domain],
-                    access_point: Optional[GdnHttpd] = None) -> Browser:
+    def add_browser(self, name: str, site: Union[str, Domain]) -> Browser:
         """Add a user browser, bound to the nearest access point."""
         host = self.world.host(name, site)
-        if access_point is None:
-            access_point = nearest_access_point(host, self.httpds)
+        access_point = nearest_access_point(host, self.httpds)
         browser = Browser(self.world, host, access_point,
                           channel_wrapper=self._client_tls(None, Role.USER))
         self.browsers[name] = browser
@@ -401,19 +399,16 @@ class GdnDeployment:
 
     def chunked_downloader(self, policy=None, budget=None,
                            resume: bool = True,
-                           chunk_size: Optional[int] = None,
-                           metrics_prefix: Optional[str] = "transfer"):
+                           chunk_size: Optional[int] = None):
         """A :class:`~repro.gdn.transfer.ChunkedDownloader` for this
         deployment's browsers, instruments bound in the world registry
-        under ``metrics_prefix`` (None skips binding — e.g. for a
-        second, differently-configured downloader in one world)."""
+        under ``transfer``."""
         from .transfer import ChunkedDownloader
 
         downloader = ChunkedDownloader(self.world, policy=policy,
                                        budget=budget, resume=resume,
                                        chunk_size=chunk_size)
-        if metrics_prefix is not None:
-            downloader.bind_metrics(self.world.metrics, metrics_prefix)
+        downloader.bind_metrics(self.world.metrics, "transfer")
         return downloader
 
     def browser_pool(self, prefix: str) -> "BrowserPool":
@@ -427,17 +422,13 @@ class GdnDeployment:
 
     # -- canned layouts -------------------------------------------------------------
 
-    def standard_fleet(self, gos_per_region: int = 1) -> None:
-        """One (or more) GOS+HTTPD pairs per region — the paper's
-        "machines all over the world" baseline layout."""
+    def standard_fleet(self) -> None:
+        """One GOS+HTTPD pair per region, on its first site — the
+        paper's "machines all over the world" baseline layout."""
         for region in self._regions():
-            sites = list(region.sites())
-            for index in range(gos_per_region):
-                site = sites[index % len(sites)]
-                name = "gos-%s-%d" % (region.name, index)
-                self.add_gos(name, site)
-                self.add_httpd("httpd-%s-%d" % (region.name, index),
-                               colocate_with=name)
+            name = "gos-%s-0" % region.name
+            self.add_gos(name, next(region.sites()))
+            self.add_httpd("httpd-%s-0" % region.name, colocate_with=name)
 
     def gos_by_region(self) -> Dict[str, str]:
         """region path -> one object-server name (for ScenarioAdvisor)."""

@@ -16,6 +16,9 @@ from typing import Dict, List, Optional
 
 __all__ = ["ReplicationScenario", "ObjectUsage", "ScenarioAdvisor"]
 
+#: The share of an object's reads that makes their region hot.
+HOT_SHARE = 0.10
+
 
 class ReplicationScenario:
     """How and where one DSO is replicated.
@@ -82,12 +85,13 @@ class ObjectUsage:
     def read_write_ratio(self) -> float:
         return self.reads / max(1, self.writes)
 
-    def hot_regions(self, min_share: float = 0.10) -> List[str]:
-        """Regions contributing at least ``min_share`` of the reads."""
+    def hot_regions(self) -> List[str]:
+        """Regions contributing at least :data:`HOT_SHARE` of the
+        reads."""
         total = max(1, self.reads)
         return sorted(region
                       for region, count in self.reads_by_region.items()
-                      if count / total >= min_share)
+                      if count / total >= HOT_SHARE)
 
 
 class ScenarioAdvisor:
@@ -106,7 +110,6 @@ class ScenarioAdvisor:
     """
 
     def __init__(self, gos_by_region: Dict[str, str],
-                 home_region: Optional[str] = None,
                  popularity_threshold: int = 50,
                  ratio_threshold: float = 10.0):
         """``gos_by_region`` maps a region path (e.g. ``"r0"``) to the
@@ -114,7 +117,8 @@ class ScenarioAdvisor:
         if not gos_by_region:
             raise ValueError("need at least one object server")
         self.gos_by_region = dict(gos_by_region)
-        self.home_region = home_region or sorted(gos_by_region)[0]
+        #: Where an object nobody reads from a served region goes.
+        self.home_region = sorted(gos_by_region)[0]
         self.popularity_threshold = popularity_threshold
         self.ratio_threshold = ratio_threshold
 

@@ -90,7 +90,6 @@ class DirectoryNode:
 
     def __init__(self, world: World, host: Host, domain: Domain,
                  index: int = 0, port: int = GLS_PORT,
-                 parent: Optional[NodeHandle] = None,
                  auth_key: Optional[bytes] = None,
                  disk: Optional[DiskStore] = None,
                  transport: str = "udp"):
@@ -101,7 +100,9 @@ class DirectoryNode:
         self.domain = domain
         self.index = index
         self.port = port
-        self.parent = parent
+        #: The parent domain's node handle, wired by the tree (None
+        #: at the root).
+        self.parent: Optional[NodeHandle] = None
         self.auth_key = auth_key
         #: "udp" per the paper (§6.3); "tcp" for ablation A3, which
         #: pays a connection handshake per hop.

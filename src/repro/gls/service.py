@@ -33,11 +33,10 @@ class GlsClient:
 
     def __init__(self, world: World, host: Host, tree: GlsTree,
                  auth_key: Optional[bytes] = None,
-                 timeout: float = 8.0, retries: int = 2,
                  retry_policy=None):
         """``retry_policy`` (a :class:`~repro.sim.retry.RetryPolicy`)
-        replaces the fixed ``timeout``/``retries`` discipline of the
-        stub's UDP client — e.g. jittered exponential backoff so a
+        replaces the stub's UDP client's fixed discipline (an 8 s
+        timeout, two retries) — e.g. jittered exponential backoff so a
         partition heal is not met by a synchronized retry wave."""
         self.world = world
         self.host = host
@@ -45,7 +44,7 @@ class GlsClient:
         self.auth_key = auth_key
         self.transport = tree.transport
         self.leaf: NodeHandle = tree.leaf_handle(host.site)
-        self._client = UdpRpcClient(host, timeout=timeout, retries=retries,
+        self._client = UdpRpcClient(host, timeout=8.0, retries=2,
                                     policy=retry_policy)
         self._rng = world.rng_for("gls-client-%s" % host.name)
         self.lookups = 0

@@ -60,14 +60,12 @@ class CachingResolver:
     """A per-host iterative resolver with a TTL cache."""
 
     def __init__(self, world: World, host: Host,
-                 root_hints: List[Tuple[str, int]],
-                 cache_enabled: bool = True):
+                 root_hints: List[Tuple[str, int]]):
         if not root_hints:
             raise ResolutionError("resolver needs at least one root hint")
         self.world = world
         self.host = host
         self.root_hints = list(root_hints)
-        self.cache_enabled = cache_enabled
         self._client = UdpRpcClient(host, timeout=3.0, retries=2)
         #: (name, type) -> (expires_at, the answer as a hit returns it)
         self._cache: Dict[Tuple[str, str],
@@ -80,8 +78,6 @@ class CachingResolver:
 
     def _cache_get(self, qname: str, qtype: RRType
                    ) -> Optional[ResolutionResult]:
-        if not self.cache_enabled:
-            return None
         key = (qname, qtype.value)
         entry = self._cache.get(key)
         if entry is None:
@@ -95,8 +91,6 @@ class CachingResolver:
                    records: Tuple[ResourceRecord, ...]) -> None:
         """Remember an answer, already parsed, until its TTL runs out:
         a hit is a dict lookup and an expiry compare, nothing more."""
-        if not self.cache_enabled:
-            return
         if records:
             ttl = min(record.ttl for record in records)
         else:

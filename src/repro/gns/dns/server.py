@@ -62,7 +62,6 @@ class AuthoritativeServer:
 
     def __init__(self, world: World, host: Host, port: int = DNS_PORT,
                  keyring: Optional[TsigKeyring] = None,
-                 require_tsig_for_updates: bool = True,
                  refresh_interval: Optional[float] = None):
         """``refresh_interval`` adds classic SOA-style periodic zone
         refresh for secondaries, catching updates whose NOTIFY was
@@ -71,7 +70,6 @@ class AuthoritativeServer:
         self.host = host
         self.port = port
         self.keyring = keyring
-        self.require_tsig_for_updates = require_tsig_for_updates
         self.refresh_interval = refresh_interval
         self.zones: Dict[str, Zone] = {}
         self.roles: Dict[str, str] = {}
@@ -197,9 +195,8 @@ class AuthoritativeServer:
         zone = self.zones.get(origin)
         if zone is None or self.roles.get(origin) != "primary":
             return self._reject_update(Rcode.NOTAUTH)
-        if self.require_tsig_for_updates:
-            if self.keyring is None or not verify_message(args, self.keyring):
-                return self._reject_update(Rcode.BADSIG)
+        if self.keyring is None or not verify_message(args, self.keyring):
+            return self._reject_update(Rcode.BADSIG)
         # All or nothing (RFC 2136 §3.4): the whole update is parsed
         # and zone-checked before the zone is touched.
         try:

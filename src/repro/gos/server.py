@@ -20,7 +20,13 @@ leave it open.
 Persistence (§4): "Globe Object Servers allow replicas to save their
 state during a reboot and reconstruct themselves afterwards."  Replica
 state is checkpointed to the ``gos`` namespace of the host's simulated
-disk (a :class:`~repro.sim.stable.StableStore`);
+disk (a :class:`~repro.sim.stable.StableStore`), write-through: when a
+replica is created, after every message that changed its state or its
+peer list (a write, a state push, a join or a leave), on the
+``checkpoint`` command and at :meth:`GlobeObjectServer.shutdown`.  A
+message is answered before its checkpoint reaches the disk, so a crash
+can still lose the last ``DISK_WRITE_LATENCY`` of changes; a master's
+incarnation epoch covers what its slaves saw of them.
 :meth:`GlobeObjectServer.recover` reconstructs all replicas after a
 host reboot — slaves additionally re-join their master to catch up on
 writes missed while down.
@@ -80,9 +86,7 @@ class GlobeObjectServer:
                  channel_factory: Optional[Callable] = None,
                  channel_wrapper: Optional[Callable] = None,
                  authorizer: Optional[Callable[[RpcContext, str], bool]] = None,
-                 disk: Optional[DiskStore] = None,
-                 checkpoint_interval: Optional[float] = None,
-                 checkpoint_on_write: bool = False):
+                 disk: Optional[DiskStore] = None):
         self.world = world
         self.host = host
         self.repository = repository
@@ -101,14 +105,6 @@ class GlobeObjectServer:
         self.replicas: Dict[str, LocalRepresentative] = {}
         self._records: Dict[str, dict] = {}
         self._server: Optional[RpcServer] = None
-        #: Periodic checkpointing bounds state lost to a crash to one
-        #: interval (None = checkpoint only on create/command).
-        self.checkpoint_interval = checkpoint_interval
-        #: Write-through durability: checkpoint a replica right after
-        #: each state-modifying message it handled, so a master never
-        #: rolls back behind its slaves on reboot.
-        self.checkpoint_on_write = checkpoint_on_write
-        self._checkpointer = None
         self.name = "gos-%d" % next(self._instances)
         #: Requests served across server incarnations (survives the
         #: restart that replaces ``self._server`` after a crash).
@@ -152,22 +148,12 @@ class GlobeObjectServer:
         server.register("ping", lambda ctx, args: "pong")
         server.start()
         self._server = server
-        if self.checkpoint_interval is not None:
-            self._checkpointer = self.host.spawn(self._checkpoint_loop())
-
-    def _checkpoint_loop(self) -> Generator:
-        while True:
-            yield self.world.sim.timeout(self.checkpoint_interval)
-            yield from self._checkpoint_all()
 
     def stop(self) -> None:
         if self._server is not None:
             self._requests_baseline += self._server.requests_served
             self._server.stop()
             self._server = None
-        if self._checkpointer is not None and self._checkpointer.alive:
-            self._checkpointer.kill()
-            self._checkpointer = None
 
     def shutdown(self) -> Generator:
         """Graceful shutdown: checkpoint every replica, stop serving."""
@@ -204,8 +190,7 @@ class GlobeObjectServer:
                               site_path=self.host.site.path)
 
     def _compose_replica(self, oid: ObjectId, impl_id: str, protocol: str,
-                         role: str, master_wire: Optional[dict],
-                         protocol_options: Optional[dict] = None
+                         role: str, master_wire: Optional[dict]
                          ) -> Generator[Any, Any, LocalRepresentative]:
         implementation = yield from self.repository.load(self.host, impl_id)
         protocol_spec = PROTOCOLS.get(protocol)
@@ -214,7 +199,7 @@ class GlobeObjectServer:
         factory = protocol_spec["roles"][role]
         master = (ContactAddress.from_wire(master_wire)
                   if master_wire else None)
-        replication = factory(master=master, **(protocol_options or {}))
+        replication = factory(master=master)
         address = self._make_contact_address(protocol, role, impl_id)
         representative = LocalRepresentative(
             self.host, self.world, oid, implementation.interface,
@@ -224,8 +209,7 @@ class GlobeObjectServer:
 
     def create_local_replica(self, oid: Optional[ObjectId], impl_id: str,
                              protocol: str, role: str,
-                             master: Optional[ContactAddress] = None,
-                             protocol_options: Optional[dict] = None
+                             master: Optional[ContactAddress] = None
                              ) -> Generator[Any, Any, LocalRepresentative]:
         """Create and start a replica on this server (in-process API).
 
@@ -243,16 +227,21 @@ class GlobeObjectServer:
                     protocol, role, impl_id).to_wire())
             oid = ObjectId.from_hex(oid_hex)
         representative = yield from self._compose_replica(
-            oid, impl_id, protocol, role, master_wire, protocol_options)
+            oid, impl_id, protocol, role, master_wire)
         if not allocate:
             yield from self.location_service.register(
                 oid.hex, representative.contact_address.to_wire())
-        yield from representative.start()
-        self.replicas[oid.hex] = representative
+        # Recorded before the join: a push that beats the state the
+        # join brings is taken, not refused (_handle_dso_message).
         self._records[oid.hex] = {
             "impl_id": impl_id, "protocol": protocol, "role": role,
-            "master": master_wire, "options": dict(protocol_options or {}),
-        }
+            "master": master_wire}
+        try:
+            yield from representative.start()
+        except Exception:
+            del self._records[oid.hex]
+            raise
+        self.replicas[oid.hex] = representative
         yield from self._checkpoint_one(oid.hex)
         return representative
 
@@ -260,7 +249,7 @@ class GlobeObjectServer:
         oid = ObjectId.from_hex(oid_hex)
         representative = yield from self._compose_replica(
             oid, record["impl_id"], record["protocol"], record["role"],
-            record.get("master"), record.get("options"))
+            record.get("master"))
         state = record.get("state")
         if state is not None:
             representative.semantics.restore_state(unpack(state))
@@ -322,18 +311,23 @@ class GlobeObjectServer:
         oid_hex = args.get("oid", "")
         message = args.get("msg", {})
         kind = message.get("type")
-        if kind in _WRITE_MESSAGE_TYPES or (
-                kind == "invoke" and message.get("mode") == "write"):
+        modifies = kind in _WRITE_MESSAGE_TYPES or (
+            kind == "invoke" and message.get("mode") == "write")
+        if modifies:
             self._authorize(ctx, OP_MODIFY, oid_hex)
         representative = self.replicas.get(oid_hex)
         if representative is None:
+            if kind == "state_push" and oid_hex in self._records:
+                # A slave still joining (or re-joining): the push beat
+                # the state it joins with, and the next push's gap
+                # brings this write.  Refused, its master would drop it.
+                return {"type": "ack"}
             return {"type": "error", "reason": "no replica for %s here"
                     % oid_hex[:12]}
         reply = yield from representative.handle_message(message, ctx)
-        if self.checkpoint_on_write and (
-                kind in _WRITE_MESSAGE_TYPES
-                or kind in ("join", "leave")  # durable peer lists
-                or (kind == "invoke" and message.get("mode") == "write")):
+        if modifies or kind in ("join", "leave"):  # durable peer lists
+            # Write-through: the reply goes out now, the checkpoint
+            # DISK_WRITE_LATENCY later.
             self.host.spawn(self._checkpoint_one(oid_hex))
         return reply
 
@@ -341,8 +335,7 @@ class GlobeObjectServer:
         """Create the *first* replica; the GLS allocates the OID."""
         self._authorize(ctx, OP_CONTROL)
         representative = yield from self.create_local_replica(
-            None, args["impl_id"], args["protocol"], args["role"],
-            protocol_options=args.get("options"))
+            None, args["impl_id"], args["protocol"], args["role"])
         return {"oid": representative.oid.hex,
                 "ca": representative.contact_address.to_wire()}
 
@@ -353,8 +346,7 @@ class GlobeObjectServer:
                   if args.get("master") else None)
         representative = yield from self.create_local_replica(
             ObjectId.from_hex(args["oid"]), args["impl_id"],
-            args["protocol"], args["role"], master=master,
-            protocol_options=args.get("options"))
+            args["protocol"], args["role"], master=master)
         return {"oid": representative.oid.hex,
                 "ca": representative.contact_address.to_wire()}
 

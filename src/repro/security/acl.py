@@ -112,7 +112,7 @@ class GdnPolicy:
         self.registry = registry
 
     def gos_authorizer(self, ctx: RpcContext, operation: str,
-                       oid_hex: Optional[str] = None) -> bool:
+                       oid_hex: Optional[str]) -> bool:
         principal = ctx.peer_principal
         if operation == "control":
             return self.registry.has_role(principal, Role.MODERATOR,

@@ -36,8 +36,8 @@ def hmac_sha256(key: bytes, data: bytes) -> bytes:
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 
-def _is_probable_prime(n: int, rng: random.Random, rounds: int = 24) -> bool:
-    """Miller–Rabin probabilistic primality test."""
+def _is_probable_prime(n: int, rng: random.Random) -> bool:
+    """Miller–Rabin probabilistic primality test, 24 rounds."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -48,7 +48,7 @@ def _is_probable_prime(n: int, rng: random.Random, rounds: int = 24) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(rounds):
+    for _ in range(24):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x in (1, n - 1):

@@ -7,7 +7,7 @@ its seed, which no deployment on real networks can offer.
 
 from .deadlines import DeadlinePool, shared_pool
 from .failures import FailureInjector
-from .kernel import (AllOf, AnyOf, Event, Process, Resource,
+from .kernel import (AnyOf, Event, Process, Resource,
                      SimulationError, Simulator, Singleflight, Store,
                      Timeout)
 from .network import LinkParameters, Network, NetworkError, TrafficMeter
@@ -21,7 +21,7 @@ from .transport import (Connection, ConnectionClosed, ConnectRefused,
 from .world import World
 
 __all__ = [
-    "AllOf", "AnyOf", "Event", "Process", "Resource",
+    "AnyOf", "Event", "Process", "Resource",
     "SimulationError", "Simulator", "Singleflight", "Store", "Timeout",
     "DeadlinePool", "shared_pool",
     "LinkParameters", "Network", "NetworkError", "TrafficMeter",

@@ -87,7 +87,6 @@ __all__ = [
     "BatchTimeout",
     "Process",
     "AnyOf",
-    "AllOf",
     "Store",
     "Resource",
     "Singleflight",
@@ -195,8 +194,7 @@ class Timeout(Event):
 
     Unlike manually triggered events, a timeout stays *untriggered*
     until the simulator processes it (so composites like ``AnyOf`` see
-    pending timers as pending); the stored value is attached when it
-    fires.
+    pending timers as pending); it fires with the value None.
 
     A pending timeout can be withdrawn with :meth:`cancel` — the idiom
     for guard timers (RPC deadlines, connect timeouts) that are no
@@ -204,9 +202,9 @@ class Timeout(Event):
     timeout never fires and never runs its callbacks.
     """
 
-    __slots__ = ("delay", "_auto_value", "_entry")
+    __slots__ = ("delay", "_entry")
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None,
+    def __init__(self, sim: "Simulator", delay: float,
                  at: Optional[float] = None, seq: Optional[int] = None):
         """Fire ``delay`` from now — or, if ``at`` is given, at exactly
         that absolute instant (use :meth:`Simulator.timeout_at`).
@@ -234,7 +232,6 @@ class Timeout(Event):
                     "cannot schedule at %r, before now" % (at,))
         super().__init__(sim)
         self.delay = delay
-        self._auto_value = value
         self._entry = sim._enqueue_abs(self, at, seq)
 
     def succeed(self, value: Any = None) -> "Event":  # pragma: no cover
@@ -468,15 +465,16 @@ class Process(Event):
         target.add_callback(self._resume)
 
 
-class _Condition(Event):
-    """Base for AnyOf / AllOf composite events."""
+class AnyOf(Event):
+    """Fires when the first of ``events`` fires: with ``{event: value}``
+    of every event among them that has succeeded by then, or with the
+    first failure.  With no events it succeeds at once, with ``{}``."""
 
-    __slots__ = ("_events", "_fired")
+    __slots__ = ("_events",)
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim)
         self._events = list(events)
-        self._fired = 0
         for event in self._events:
             if event.sim is not sim:
                 raise SimulationError("events belong to different simulators")
@@ -484,15 +482,11 @@ class _Condition(Event):
         if not self._events:
             self.succeed({})
 
-    def _done(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def _on_fire(self, event: Event) -> None:
         if self.triggered:
             if not event._ok:
                 event._defused = True
             return
-        self._fired += 1
         if not event._ok:
             # A child failure that was already defused (e.g. a teardown
             # notification to a possibly-dead waiter) stays defused
@@ -504,30 +498,8 @@ class _Condition(Event):
             if already_handled:
                 self._defused = True
             return
-        if self._done():
-            results = {
-                ev: ev._value for ev in self._events
-                if ev.triggered and ev._ok
-            }
-            self.succeed(results)
-
-
-class AnyOf(_Condition):
-    """Fires when the first of ``events`` fires."""
-
-    __slots__ = ()
-
-    def _done(self) -> bool:
-        return self._fired >= 1
-
-
-class AllOf(_Condition):
-    """Fires when all of ``events`` have fired."""
-
-    __slots__ = ()
-
-    def _done(self) -> bool:
-        return self._fired >= len(self._events)
+        self.succeed({ev: ev._value for ev in self._events
+                      if ev.triggered and ev._ok})
 
 
 class Store:
@@ -841,12 +813,11 @@ class Simulator:
             heapify(self._heap)
             self._stale = 0
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float) -> Timeout:
         """An event firing ``delay`` time units from now."""
-        return Timeout(self, delay, value)
+        return Timeout(self, delay)
 
-    def timeout_at(self, when: float, value: Any = None,
-                   seq: Optional[int] = None) -> Timeout:
+    def timeout_at(self, when: float, seq: Optional[int] = None) -> Timeout:
         """An event firing at the absolute instant ``when`` (>= now).
 
         Unlike ``timeout(when - now)``, the heap entry carries ``when``
@@ -855,7 +826,7 @@ class Simulator:
         inversions.  ``seq`` optionally fires the timer at a reserved
         position in the global order (:meth:`reserve_seq`).
         """
-        return Timeout(self, 0.0, value, at=when, seq=seq)
+        return Timeout(self, 0.0, at=when, seq=seq)
 
     def event(self) -> Event:
         """A fresh untriggered event (trigger it manually)."""
@@ -985,7 +956,7 @@ class Simulator:
                 return False
             if event._value is _PENDING:  # self-triggering (Timeout)
                 event._ok = True
-                event._value = event._auto_value
+                event._value = None
                 event._entry = None
             callbacks = event.callbacks
             event.callbacks = None

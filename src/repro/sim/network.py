@@ -122,13 +122,13 @@ class TrafficMeter:
         registry.counter(prefix + ".dropped",
                          fn=lambda: self.dropped_messages)
 
-    def wide_area_delta(self, window, min_level: Level = Level.REGION) -> int:
-        """Bytes this meter carried across ``min_level``-or-wider
-        boundaries inside a :class:`PhaseWindow` (requires
-        :meth:`bind_metrics` on the window's registry)."""
+    def wide_area_delta(self, window) -> int:
+        """Bytes this meter carried across region or world boundaries
+        inside a :class:`PhaseWindow` (requires :meth:`bind_metrics` on
+        the window's registry)."""
         return sum(window.delta("%s.bytes.%s"
                                 % (self._metrics_prefix, level.name))
-                   for level in Level if level >= min_level)
+                   for level in Level if level >= Level.REGION)
 
     @property
     def total_bytes(self) -> int:
@@ -138,10 +138,10 @@ class TrafficMeter:
     def total_messages(self) -> int:
         return sum(self.messages_by_level.values())
 
-    def wide_area_bytes(self, min_level: Level = Level.REGION) -> int:
-        """Bytes carried across ``min_level`` or wider boundaries."""
+    def wide_area_bytes(self) -> int:
+        """Bytes carried across region or world boundaries."""
         return sum(size for level, size in self.bytes_by_level.items()
-                   if level >= min_level)
+                   if level >= Level.REGION)
 
     def reset(self) -> None:
         # In place: bound registry counters hold views of these dicts.
@@ -311,8 +311,7 @@ class Network:
         return True
 
     def deliver_burst(self, src_site: Domain, dst_site: Domain,
-                      dst_host: str, messages,
-                      reliable: bool = False) -> int:
+                      dst_host: str, messages) -> int:
         """Schedule a same-site-pair burst of datagrams under **one**
         kernel timer.
 
@@ -344,7 +343,7 @@ class Network:
         latency = params.latency[level]
         bandwidth = params.bandwidth[level]
         jitter = params.jitter_fraction
-        unreliable = not reliable and loss > 0.0
+        unreliable = loss > 0.0
         blocked = (dst_host in self._down_hosts
                    or (self._partitioned
                        and self._crosses_partition(src_site, dst_site)))

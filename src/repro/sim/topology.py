@@ -139,8 +139,7 @@ class Domain:
 class Topology:
     """A five-level domain tree with helpers for building and queries."""
 
-    def __init__(self, name: str = "internet"):
-        self.name = name
+    def __init__(self):
         self.world = Domain("world", Level.WORLD)
         self._sites: Dict[str, Domain] = {}
 
@@ -162,13 +161,13 @@ class Topology:
 
     @classmethod
     def balanced(cls, regions: int = 2, countries: int = 2, cities: int = 2,
-                 sites: int = 2, name: str = "internet") -> "Topology":
+                 sites: int = 2) -> "Topology":
         """A symmetric topology: handy default for experiments.
 
         Domain names are systematic (``r0``, ``r0/c1``, ...), so tests
         can address sites by path.
         """
-        topo = cls(name)
+        topo = cls()
         for r in range(regions):
             region = topo.add_region("r%d" % r)
             for c in range(countries):
@@ -180,13 +179,13 @@ class Topology:
         return topo
 
     @classmethod
-    def from_spec(cls, spec: dict, name: str = "internet") -> "Topology":
+    def from_spec(cls, spec: dict) -> "Topology":
         """Build from a nested dict, e.g.::
 
             {"eu": {"nl": {"ams": ["vu", "uva"]}},
              "na": {"us": {"nyc": ["nyu"]}}}
         """
-        topo = cls(name)
+        topo = cls()
         for region_name, countries in spec.items():
             region = topo.add_region(region_name)
             for country_name, cities in countries.items():

@@ -190,8 +190,7 @@ class Host:
         self._tcp_listeners[port] = listener
         return listener
 
-    def connect(self, dst: "Host", port: int,
-                timeout: float = CONNECT_TIMEOUT
+    def connect(self, dst: "Host", port: int
                 ) -> Generator[Event, Any, "Connection"]:
         """Open a connection to ``dst:port`` (one-RTT handshake).
 
@@ -238,7 +237,7 @@ class Host:
         # arming its own kernel timer (one armed timer covers every
         # pending connect/call guard in the world).
         pool = shared_pool(self.sim)
-        guard = pool.add(expire, timeout)
+        guard = pool.add(expire, CONNECT_TIMEOUT)
         try:
             yield reply  # raises ConnectRefused / ConnectTimeout
         finally:
@@ -329,7 +328,7 @@ class UdpSocket:
 
             messages.append((wire, deliver))
         return host.network.deliver_burst(host.site, dst.site, dst.name,
-                                          messages, reliable=False)
+                                          messages)
 
     def recv(self) -> Event:
         """Event firing with the next :class:`Datagram`."""

@@ -11,9 +11,10 @@ one site into a single **cohort** driven by one generator:
   :class:`~repro.workloads.scenario.ClosedLoopScenario` (same
   constructor vocabulary and checks, same :class:`~repro.workloads
   .scenario.Scenario` driving contract) that groups its clients into
-  per-site cohorts of at most ``cohort_size``.  Callers that want
-  per-client attribution at small populations, or a fixed or zero
-  think time, drive ``ClosedLoopScenario`` itself; a cohort is for
+  per-site cohorts of at most ``cohort_size``, bounded by ``duration``
+  and modulated by a :class:`DiurnalProfile`.  Callers that want
+  per-client attribution or quotas at small populations, or a fixed or
+  zero think time, drive ``ClosedLoopScenario`` itself; a cohort is for
   populations that engine cannot hold.
 * :class:`AggregatedPopulation` — the cohort engine: it keeps only a
   *count* of thinking clients and draws the cohort's next
@@ -21,9 +22,10 @@ one site into a single **cohort** driven by one generator:
   timers: the minimum of ``n`` independent ``Exp(1/T)`` draws is
   ``Exp(n/T)``, and memorylessness lets the pending draw be discarded
   and redrawn whenever ``n`` changes (a client issues or completes) or
-  the activity profile steps.  State per cohort is O(1) however large
-  k grows — a million clients cost dozens of cohort objects plus one
-  event per actual request.
+  the activity profile steps.  At the deadline every thinker retires
+  and the requests in flight drain.  State per cohort is O(1) however
+  large k grows — a million clients cost dozens of cohort objects plus
+  one event per actual request.
 * :class:`DiurnalProfile` — a piecewise-constant activity multiplier
   over a repeating day, applied to the cohort issue rate with the same
   boundary-redraw sampling :class:`~repro.workloads.loadgen
@@ -125,7 +127,7 @@ class AggregatedPopulation:
     each thinking an exponential time of mean ``think_time`` (> 0).
     The cohort tracks only how many clients are currently thinking;
     the next issue fires after ``Exp(thinking · a(now) / T)`` where
-    ``a`` is the optional :class:`DiurnalProfile` multiplier.  The
+    ``a`` is the :class:`DiurnalProfile` multiplier.  The
     pending draw is redrawn whenever the thinking count or the profile
     rate changes (memorylessness makes the discard free), exactly as
     :class:`~repro.workloads.loadgen.FlashCrowdSchedule` samples its
@@ -133,24 +135,18 @@ class AggregatedPopulation:
     have no rate to merge; :class:`~repro.workloads.scenario
     .ClosedLoopScenario` drives them per client.
 
-    Quotas are pooled: ``requests_per_client`` bounds the cohort at
-    ``clients × requests_per_client`` total issues (per-client
-    attribution is meaningless for merged clients).  ``duration``
-    retires all thinkers at the deadline and lets in-flight requests
-    drain, as :class:`~repro.workloads.scenario.ClosedLoopScenario`'s
-    clients stop at their deadline.
+    ``duration`` retires all thinkers at the deadline and lets
+    in-flight requests drain, as :class:`~repro.workloads.scenario
+    .ClosedLoopScenario`'s clients stop at their deadline.
     """
 
     def __init__(self, sim: Simulator, request: RequestFn,
                  rng: random.Random, site: Optional[Domain], clients: int,
-                 think_time: float, stats: LoadStats,
+                 think_time: float, stats: LoadStats, duration: float,
+                 profile: DiurnalProfile,
                  counter: Optional[List[int]] = None,
-                 mix: Optional[RequestMix] = None,
-                 requests_per_client: Optional[int] = None,
-                 duration: Optional[float] = None,
-                 profile: Optional[DiurnalProfile] = None):
-        _check_closed_loop(clients, think_time, requests_per_client,
-                           duration)
+                 mix: Optional[RequestMix] = None):
+        _check_closed_loop(clients, think_time, None, duration)
         _reject_zero_think(think_time)
         self.sim = sim
         self.request = request
@@ -161,16 +157,12 @@ class AggregatedPopulation:
         self.stats = stats
         self.counter = counter if counter is not None else [0]
         self.mix = mix
-        self.requests_per_client = requests_per_client
         self.duration = duration
         self.profile = profile
-        self._quota: Optional[int] = (
-            clients * requests_per_client
-            if requests_per_client is not None else None)
         self._thinking = clients
         self._in_flight = 0
         self._start = 0.0
-        self._deadline: Optional[float] = None
+        self._deadline = 0.0
         self._issue_timer: Optional[Timeout] = None
         self._done: Optional[Event] = None
 
@@ -181,10 +173,8 @@ class AggregatedPopulation:
         (or let :class:`CohortScenario` do it)."""
         sim = self.sim
         self._start = sim.now
-        if self.duration is not None:
-            self._deadline = sim.now + self.duration
-            guard = sim.timeout_at(self._deadline)
-            guard.add_callback(self._on_deadline)
+        self._deadline = sim.now + self.duration
+        sim.timeout_at(self._deadline).add_callback(self._on_deadline)
         self._rearm()
         if self._thinking > 0 or self._in_flight > 0:
             self._done = sim.event()
@@ -198,20 +188,10 @@ class AggregatedPopulation:
         self.counter[0] += 1
         arrival = Arrival(index, self.sim.now, self.site, rank, kind)
         self.stats.note_issued()
-        if self._quota is not None:
-            self._quota -= 1
-            if self._quota <= 0:
-                # Pool exhausted: clients still thinking will never
-                # issue again; retire them so the drive can finish.
-                self._thinking = 0
         return arrival
 
     def _may_issue(self) -> bool:
-        if self._quota is not None and self._quota <= 0:
-            return False
-        if self._deadline is not None and self.sim.now >= self._deadline:
-            return False
-        return True
+        return self.sim.now < self._deadline
 
     def _launch(self, arrival: Arrival) -> None:
         self._in_flight += 1
@@ -237,12 +217,8 @@ class AggregatedPopulation:
             return
         sim = self.sim
         offset = sim.now - self._start
-        if self.profile is not None:
-            multiplier = self.profile.multiplier_at(offset)
-            boundary: Optional[float] = self.profile.next_boundary(offset)
-        else:
-            multiplier = 1.0
-            boundary = None
+        multiplier = self.profile.multiplier_at(offset)
+        boundary = self.profile.next_boundary(offset)
         if multiplier <= 0.0:
             # Dead slot: sleep to the boundary, no draw to discard.
             timer = sim.timeout_at(self._start + boundary)
@@ -252,7 +228,7 @@ class AggregatedPopulation:
         # min of n Exp(1/T) thinkers at activity a ⇒ Exp(n·a/T).
         rate = self._thinking * multiplier / self.think_time
         gap = self.rng.expovariate(rate)
-        if boundary is not None and offset + gap >= boundary:
+        if offset + gap >= boundary:
             # Boundary-redraw sampling (FlashCrowdSchedule): jump to
             # the boundary and redraw at the new rate.
             timer = sim.timeout_at(self._start + boundary)
@@ -297,34 +273,32 @@ class AggregatedPopulation:
 class CohortScenario(ClosedLoopScenario):
     """A closed-loop population driven as per-site aggregated cohorts.
 
-    A :class:`~repro.workloads.scenario.ClosedLoopScenario` (clients,
-    think_time, requests_per_client / duration, sites, mix, and their
-    checks) built as cohorts, with exponential think times of
-    a positive mean, plus:
+    A duration-bound :class:`~repro.workloads.scenario
+    .ClosedLoopScenario` (clients, think_time, duration, sites, mix, and
+    their checks) built as cohorts, with exponential think times of a
+    positive mean, plus:
 
+    * ``profile`` — the :class:`DiurnalProfile` scaling the cohorts'
+      issue rate over the drive (one slot of 1.0 keeps it flat).
     * ``cohort_size`` — at most this many clients share one
       :class:`AggregatedPopulation` driver (one RNG fork per cohort);
       clients are placed round-robin over ``sites`` exactly like the
       reference scenario and grouped per site.
-    * ``profile`` — an optional :class:`DiurnalProfile` scaling the
-      cohorts' issue rate over the drive.
 
-    A cohort trades per-client attribution (it pools its quota and
-    draws think times from one stream) for state that no longer grows
-    with the population — the only O(k) cost left is the requests the
-    k clients actually make.
+    A cohort trades per-client attribution (it draws think times from
+    one stream) for state that no longer grows with the population —
+    the only O(k) cost left is the requests the k clients actually
+    make.
     """
 
-    def __init__(self, clients: int, think_time: float,
-                 requests_per_client: Optional[int] = None,
+    def __init__(self, clients: int, think_time: float, duration: float,
+                 profile: DiurnalProfile,
                  sites: Optional[Sequence[Domain]] = None,
                  mix: Optional[RequestMix] = None,
                  label: str = "cohort",
-                 duration: Optional[float] = None,
-                 cohort_size: int = 4096,
-                 profile: Optional[DiurnalProfile] = None):
-        super().__init__(clients, think_time, requests_per_client, sites,
-                         mix, label=label, duration=duration)
+                 cohort_size: int = 4096):
+        super().__init__(clients, think_time, None, sites, mix,
+                         label=label, duration=duration)
         _reject_zero_think(think_time)
         if cohort_size < 1:
             raise ValueError("cohort_size must be >= 1")
@@ -347,8 +321,7 @@ class CohortScenario(ClosedLoopScenario):
                 total -= size
                 cohort = AggregatedPopulation(
                     sim, request, self._fork(rng), site, size,
-                    self.think_time, stats, counter, mix=self.mix,
-                    requests_per_client=self.requests_per_client,
-                    duration=self.duration, profile=self.profile)
+                    self.think_time, stats, self.duration, self.profile,
+                    counter, mix=self.mix)
                 drivers.append(cohort.run())
         return drivers

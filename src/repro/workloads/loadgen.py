@@ -20,8 +20,10 @@ Three pieces:
   constant rate), :class:`PoissonSchedule` (memoryless arrivals at a
   constant rate), :class:`BurstSchedule` (every arrival at one
   instant) and :class:`FlashCrowdSchedule` (piecewise-constant
-  Poisson: a base rate, then a spike at ``peak_rate``).  All yield
-  absolute simulation times and are deterministic per supplied RNG.
+  Poisson: a base rate, then a spike at ``peak_rate``).  Each yields
+  the ``count`` absolute simulation times it is asked for, so an open
+  loop is bounded by its request count, and is deterministic per
+  supplied RNG.
 * **The request record** — :class:`Arrival` (index, time, site, rank,
   kind) is the one record of a request in the workload layer: the
   drivers issue it, a :class:`~repro.workloads.population
@@ -57,7 +59,6 @@ before issuing the next one — that is the point.
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import (Any, Callable, Dict, Generator, Iterator, Optional,
                     Tuple)
@@ -127,13 +128,9 @@ def draw(mix: Optional[Any], rng: random.Random) -> Tuple[int, str]:
 
 
 class ArrivalSchedule:
-    """Produces absolute arrival times from ``start`` onward.
+    """Produces ``count`` absolute arrival times from ``start`` onward."""
 
-    ``count=None`` yields an unbounded stream — the duration-bound
-    driver slices it by simulated time instead of by request count.
-    """
-
-    def times(self, count: Optional[int], start: float,
+    def times(self, count: int, start: float,
               rng: random.Random) -> Iterator[float]:
         raise NotImplementedError
 
@@ -150,10 +147,9 @@ class UniformSchedule(ArrivalSchedule):
             raise ValueError("rate must be positive")
         self.rate = rate
 
-    def times(self, count: Optional[int], start: float,
+    def times(self, count: int, start: float,
               rng: random.Random) -> Iterator[float]:
-        indices = itertools.count() if count is None else range(count)
-        for index in indices:
+        for index in range(count):
             yield start + index / self.rate
 
 
@@ -168,14 +164,12 @@ class PoissonSchedule(ArrivalSchedule):
             raise ValueError("rate must be positive")
         self.rate = rate
 
-    def times(self, count: Optional[int], start: float,
+    def times(self, count: int, start: float,
               rng: random.Random) -> Iterator[float]:
         now = start
-        produced = 0
-        while count is None or produced < count:
+        for _ in range(count):
             now += rng.expovariate(self.rate)
             yield now
-            produced += 1
 
 
 class BurstSchedule(ArrivalSchedule):
@@ -185,12 +179,8 @@ class BurstSchedule(ArrivalSchedule):
     same instant, e.g. a tool pushing a batch of updates concurrently.
     """
 
-    def times(self, count: Optional[int], start: float,
+    def times(self, count: int, start: float,
               rng: random.Random) -> Iterator[float]:
-        if count is None:
-            # Every burst arrival shares one instant; an open-ended
-            # burst would issue forever without advancing time.
-            raise ValueError("BurstSchedule needs a count, not a duration")
         for _ in range(count):
             yield start
 
@@ -230,7 +220,7 @@ class FlashCrowdSchedule(ArrivalSchedule):
             return spike_end
         return None
 
-    def times(self, count: Optional[int], start: float,
+    def times(self, count: int, start: float,
               rng: random.Random) -> Iterator[float]:
         # Exact piecewise-constant Poisson sampling: a gap that would
         # cross a rate boundary is discarded and redrawn at the new
@@ -239,7 +229,7 @@ class FlashCrowdSchedule(ArrivalSchedule):
         # spike window and the flash crowd would never happen.
         now = start
         produced = 0
-        while count is None or produced < count:
+        while produced < count:
             offset = now - start
             gap = rng.expovariate(self.rate_at(offset))
             boundary = self._next_boundary(offset)

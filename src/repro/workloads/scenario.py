@@ -28,9 +28,10 @@ Four scenario families:
   concurrently against the same system and stats: e.g. a closed-loop
   population of regulars plus an open-loop flash crowd.
 
-Open- and closed-loop scenarios are bounded either by request
-``count`` or by ``duration`` (simulated seconds — the open-ended soak
-mode, where the request total is an outcome of the run).
+An open loop is bounded by its request ``count``.  A closed loop is
+bounded either by requests per client or by ``duration`` (simulated
+seconds — the open-ended mode, where the request total is an outcome
+of the run).
 
 :class:`Soak` composes any scenario with
 :class:`~repro.sim.failures.FailureInjector` faults (host
@@ -160,19 +161,16 @@ class RequestMix:
     """Per-object popularity weights with a read/write kind mix.
 
     Replaces the single-object request pool: each draw picks an object
-    index (Zipf(``alpha``) by default, or explicit ``weights``) and a
-    kind ("write" with that object's ``write_fraction`` probability).
-    Stateless per draw — determinism comes from the caller's RNG, so a
-    mix can be shared between scenarios without coupling their draws.
+    index (Zipf(``alpha``)) and a kind ("write" with that object's
+    ``write_fraction`` probability).  Stateless per draw — determinism
+    comes from the caller's RNG, so a mix can be shared between
+    scenarios without coupling their draws.
     """
 
     def __init__(self, object_count: int, alpha: float = 1.0,
-                 weights: Optional[Sequence[float]] = None,
                  write_fraction: Union[float, Sequence[float]] = 0.0):
         self.object_count = object_count
-        self._popularity = ZipfSampler(
-            object_count, alpha,
-            weights=list(weights) if weights is not None else None)
+        self._popularity = ZipfSampler(object_count, alpha)
         if isinstance(write_fraction, (int, float)):
             write_fraction = [float(write_fraction)] * object_count
         elif len(write_fraction) != object_count:
@@ -180,9 +178,6 @@ class RequestMix:
         if any(not 0.0 <= f <= 1.0 for f in write_fraction):
             raise ValueError("write fractions must be in [0, 1]")
         self.write_fraction = list(write_fraction)
-
-    def probability(self, rank: int) -> float:
-        return self._popularity.probability(rank)
 
     def draw(self, rng: random.Random) -> Tuple[int, str]:
         """One (object index, kind) draw from the caller's RNG."""
@@ -205,7 +200,7 @@ def _phase_driver(sim: Simulator, registry,
 
 
 def _drawn_arrivals(sim: Simulator, schedule: ArrivalSchedule,
-                    count: Optional[int],
+                    count: int,
                     sites: Optional[Sequence[Domain]],
                     mix: Optional[RequestMix],
                     rng: random.Random) -> Iterable[Arrival]:
@@ -220,20 +215,17 @@ def _drawn_arrivals(sim: Simulator, schedule: ArrivalSchedule,
 
 
 def _open_loop(sim: Simulator, request: RequestFn,
-               arrivals: Iterable[Arrival], stats: LoadStats,
-               duration: Optional[float] = None
+               arrivals: Iterable[Arrival], stats: LoadStats
                ) -> Generator[Any, Any, float]:
     """The open-loop driver: start one measured request per arrival at
     its time, never waiting for one to finish; then wait for the
     stragglers and return the elapsed simulated seconds.
 
-    With ``duration`` the first arrival past ``start + duration`` ends
-    the issuing.  Completion is counted per drive, not through
-    ``stats``: a :class:`LoadStats` shared by several drives must not
-    make a later one think it finished early.
+    Completion is counted per drive, not through ``stats``: a
+    :class:`LoadStats` shared by several drives must not make a later
+    one think it finished early.
     """
     start = sim.now
-    deadline = start + duration if duration is not None else None
     finished = 0
     target: Optional[int] = None
     idle = None
@@ -248,8 +240,6 @@ def _open_loop(sim: Simulator, request: RequestFn,
 
     issued = 0
     for arrival in arrivals:
-        if deadline is not None and arrival.time > deadline:
-            break
         if arrival.time > sim.now:
             yield sim.timeout(arrival.time - sim.now)
         stats.note_issued()
@@ -326,29 +316,18 @@ class OpenLoopScenario(Scenario):
     Any :class:`~repro.workloads.loadgen.ArrivalSchedule`, with sites
     drawn uniformly per arrival from ``sites`` and an object rank and
     kind from an optional :class:`RequestMix`.  Both are optional: a
-    single-site, single-object workload needs neither.
-
-    Bound the run with either ``count`` (exactly that many arrivals)
-    or ``duration`` (arrivals until that much simulated time has
-    passed — open-ended soaks stop on the clock; :attr:`count` is then
-    ``None`` because the total is an outcome of the run).
+    single-site, single-object workload needs neither.  The run issues
+    exactly ``count`` arrivals.
     """
 
-    def __init__(self, schedule: ArrivalSchedule, count: Optional[int] = None,
+    def __init__(self, schedule: ArrivalSchedule, count: int,
                  sites: Optional[Sequence[Domain]] = None,
                  mix: Optional[RequestMix] = None,
-                 label: str = "open-loop",
-                 duration: Optional[float] = None):
-        if (count is None) == (duration is None):
-            raise ValueError("bound the scenario with either count "
-                             "or duration")
-        if count is not None and count < 1:
+                 label: str = "open-loop"):
+        if count < 1:
             raise ValueError("count must be >= 1")
-        if duration is not None and duration <= 0:
-            raise ValueError("duration must be positive")
         self.schedule = schedule
         self.count = count
-        self.duration = duration
         self.sites = list(sites) if sites is not None else None
         self.mix = mix
         self.label = label
@@ -357,7 +336,7 @@ class OpenLoopScenario(Scenario):
               rng: random.Random, stats: LoadStats) -> List[Generator]:
         arrivals = _drawn_arrivals(sim, self.schedule, self.count,
                                    self.sites, self.mix, self._fork(rng))
-        return [_open_loop(sim, request, arrivals, stats, self.duration)]
+        return [_open_loop(sim, request, arrivals, stats)]
 
 
 class TraceScenario(Scenario):

@@ -49,12 +49,12 @@ class WebDocument:
 
 def make_web_trace(topology: Topology, rng: random.Random,
                    document_count: int = 60,
-                   request_count: int = 3000,
-                   alpha: float = 0.9,
-                   home_share: float = 0.75):
+                   request_count: int = 3000):
     """Build (documents, request stream) for the E5 experiment.
 
-    Update classes give per-document write fractions: static pages
+    Popularity is Zipf(0.9), and 75 % of an object's readers live in
+    its home region.  Update classes give per-document write fractions:
+    static pages
     never change, occasional ones rarely, hot ones (home pages, news)
     often — the heterogeneity that makes one-size-fits-all lose.
     """
@@ -73,7 +73,7 @@ def make_web_trace(topology: Topology, rng: random.Random,
             index, "/www/doc%03d.html" % index, size, update_class))
         write_fraction.append(fraction)
     population = ClientPopulation(
-        topology, document_count, rng, alpha=alpha, home_share=home_share,
+        topology, document_count, rng, alpha=0.9, home_share=0.75,
         write_fraction=write_fraction)
     stream: RequestStream = population.generate(request_count,
                                                 request_rate=20.0)

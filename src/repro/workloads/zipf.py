@@ -17,16 +17,10 @@ __all__ = ["ZipfSampler"]
 
 
 class ZipfSampler:
-    """Samples ranks 0..n-1 with probability ∝ 1/(rank+1)^alpha.
-
-    Pass explicit ``weights`` (one non-negative number per rank, not
-    all zero) to sample an arbitrary popularity profile through the
-    same inverse-CDF machinery instead of the Zipf law.
-    """
+    """Samples ranks 0..n-1 with probability ∝ 1/(rank+1)^alpha."""
 
     def __init__(self, n: int, alpha: float = 1.0,
-                 rng: random.Random = None,
-                 weights: List[float] = None):
+                 rng: random.Random = None):
         if n < 1:
             raise ValueError("need at least one item")
         if alpha < 0:
@@ -34,12 +28,7 @@ class ZipfSampler:
         self.n = n
         self.alpha = alpha
         self.rng = rng or random.Random()
-        if weights is None:
-            weights = [1.0 / (rank + 1) ** alpha for rank in range(n)]
-        elif len(weights) != n:
-            raise ValueError("weights must cover every rank")
-        elif any(w < 0 for w in weights) or not any(weights):
-            raise ValueError("weights must be non-negative, not all zero")
+        weights = [1.0 / (rank + 1) ** alpha for rank in range(n)]
         total = sum(weights)
         self._cdf: List[float] = []
         acc = 0.0

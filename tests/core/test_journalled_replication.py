@@ -14,7 +14,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import journal as journal_module
+from repro.core.ids import ContactAddress
 from repro.core.journal import JOURNAL_DEPTH, Journal
+from repro.core.replication.base import ReplicationError
 from repro.gdn.package import PackageSemantics
 from tests.lossy import PushMeddler
 from tests.util import PackageBed, package_contents
@@ -137,6 +139,76 @@ def test_a_slave_that_left_is_pushed_nothing_and_the_journal_goes_on():
     assert journal.version == before[0] + 1
     assert len(journal) == before[1] + 1
     assert bed.slave.semantics.getFileContents("a") == b"1"
+
+
+def test_a_push_that_times_out_keeps_its_slave():
+    # A partitioned slave never answers; dropped, it would never hear
+    # of another write, since a slave catches up only on a push or a
+    # rejoin.  Kept, it catches up on the first push after the heal.
+    bed = PackageBed()
+    master = bed.master.replication
+    slaves = dict(master.slaves)
+    site = bed.slave_gos.host.site
+    bed.world.network.partition_domain(site)
+    bed.write("addFile", path="a", data=b"during")
+    bed.settle(60.0)
+    bed.world.network.heal_domain(site)
+    assert master.push_failures == 1
+    assert master.slaves == slaves
+    bed.write("addFile", path="b", data=b"after")
+    bed.settle()
+    assert package_contents(bed.slave) == package_contents(bed.master)
+
+
+def test_a_slave_that_rejoined_during_a_failed_push_stays():
+    # The slave's server refuses a push (it had dropped the copy), but
+    # by the time the refusal is back the slave has joined again: the
+    # new entry is not the address the push went to, and stays.
+    bed = PackageBed()
+    master = bed.master.replication
+    [(key, pushed_to)] = master.slaves.items()
+    rejoined = ContactAddress.from_wire(pushed_to.to_wire())
+    send = master._send
+
+    def refused_after_a_rejoin(address, message):
+        if message["type"] != "state_push":
+            return (yield from send(address, message))
+        yield bed.world.sim.timeout(0.08)
+        master.slaves[key] = rejoined
+        raise ReplicationError("no replica for this object here")
+
+    master._send = refused_after_a_rejoin
+    bed.write("addFile", path="a", data=b"1")
+    bed.settle()
+    assert master.push_failures == 1
+    assert master.slaves == {key: rejoined}
+
+
+def test_a_push_that_overtakes_the_join_keeps_the_new_slave():
+    # A join is answered with whole state, a push with one change set:
+    # a write right after the master took a new slave in reaches the
+    # slave's server before the state it joined with.  The server is
+    # bringing the copy up, so it takes the push instead of refusing
+    # it, and the master keeps the slave; the next push's gap brings
+    # the write.
+    bed = PackageBed()
+    bed.write("addFile", path="big", data=b"x" * 500_000)
+    bed.settle()
+    master = bed.master.replication
+    late_gos = bed.gos("gos-late", "r1/c1/m0/s0")
+    bed.world.sim.process(late_gos.create_local_replica(
+        bed.oid, bed.master.contact_address.impl_id, "master_slave",
+        "slave", master=bed.master.contact_address))
+    while len(master.slaves) < 2:
+        bed.world.sim.step()
+    bed.write("addFile", path="a", data=b"overtaking")
+    bed.settle()
+    assert bed.oid.hex in late_gos.replicas
+    assert len(master.slaves) == 2 and master.push_failures == 0
+    bed.write("addFile", path="b", data=b"next")
+    bed.settle()
+    assert package_contents(late_gos.replicas[bed.oid.hex]) \
+        == package_contents(bed.master)
 
 
 def _pull_the_cache(bed, have_version):

@@ -197,31 +197,6 @@ def test_reads_fail_over_to_surviving_replica(bed):
     assert lr.replication.read_failovers == 1
 
 
-def test_sync_push_makes_slaves_consistent_before_return(bed):
-    master_gos = bed.gos("gos-master", "r0/c0/m0/s0")
-    slave_gos = bed.gos("gos-slave", "r1/c0/m0/s0")
-
-    def create_master():
-        lr = yield from master_gos.create_local_replica(
-            None, "test.kv", "master_slave", "master",
-            protocol_options={"sync_push": True})
-        return lr
-
-    master_lr = bed.run(create_master())
-    slave_lr = _add_replica(bed, slave_gos, master_lr.oid,
-                            master_lr.contact_address, "master_slave",
-                            "slave")
-    runtime = bed.runtime("client-1", "r0/c0/m0/s1")
-
-    def write():
-        lr = yield from runtime.bind(master_lr.oid)
-        yield from lr.invoke("put", {"key": "sync", "value": "now"})
-        return dict(slave_lr.semantics.data)
-
-    data_at_return = bed.run(write(), host=runtime.host)
-    assert data_at_return == {"sync": "now"}
-
-
 # -- caching -----------------------------------------------------------------
 
 

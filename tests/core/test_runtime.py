@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.ids import ContactAddress, ObjectId
 from repro.core.runtime import BindError
+from repro.sim.stable import DISK_WRITE_LATENCY
 from tests.util import GlobeBed
 
 
@@ -133,6 +134,7 @@ def test_rebind_with_unchanged_gls_answer_opens_no_connection(bed):
     def use():
         first = yield from runtime.bind(server_lr.oid)
         yield from first.invoke("put", {"key": "k", "value": "v"})
+        yield sim.timeout(DISK_WRITE_LATENCY)  # the put's checkpoint lands
         before = (sim.events_processed, sim.timers_scheduled,
                   len(gos_host._connections), len(gos_host._processes))
         second = yield from runtime.bind(server_lr.oid, refresh=True)

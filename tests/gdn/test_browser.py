@@ -25,7 +25,8 @@ def test_concurrent_gets_across_outages_leave_one_connection():
         "/apps/demo/Tool", {"tool.bin": b"x" * 2048},
         ReplicationScenario.single_server("gos-0")), host=moderator.host)
     gdn.settle(5.0)
-    browser = gdn.add_browser("user", CLIENT_SITE, access_point=access_point)
+    browser = gdn.add_browser("user", CLIENT_SITE)
+    assert browser.access_point is access_point  # the only one
     world = gdn.world
     start = world.now
     injector = FailureInjector(world)

@@ -19,7 +19,7 @@ GDN_HOSTS = ["gos-r0-0", "gos-r1-0", "httpd-edge", "gns-authority",
 def _deployment(secure):
     gdn = GdnDeployment(topology=Topology.balanced(2, 2, 2, 2), seed=3,
                         secure=secure)
-    gdn.standard_fleet(gos_per_region=1)
+    gdn.standard_fleet()
     gdn.add_httpd("httpd-edge", site="r1/c1/m0/s0")
     gdn.add_moderator("mod", "r0/c0/m0/s1")
     maintainer = gdn.add_maintainer("maint", "r0/c1/m0/s1",

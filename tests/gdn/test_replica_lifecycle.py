@@ -24,7 +24,7 @@ FILES = {"README": b"vim " * 64}
 def test_add_and_drop_a_replica_moves_lookups_in_and_out_of_a_region():
     gdn = GdnDeployment(topology=Topology.balanced(2, 2, 2, 2), seed=5,
                         secure=False)
-    gdn.standard_fleet(gos_per_region=1)
+    gdn.standard_fleet()
     gdn.initial_sync()
     moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
     oid = gdn.run(moderator.create_package(
@@ -71,7 +71,7 @@ def test_add_and_drop_a_replica_moves_lookups_in_and_out_of_a_region():
 
 def test_a_moderator_places_replicas_on_object_servers_added_after_it():
     gdn = GdnDeployment(topology=Topology.balanced(2, 2, 2, 2), seed=5)
-    gdn.standard_fleet(gos_per_region=1)
+    gdn.standard_fleet()
     gdn.initial_sync()
     moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
     late = gdn.add_gos("gos-late", "r1/c1/m0/s0")
@@ -93,7 +93,7 @@ def test_dropping_a_replica_invalidates_its_hosts_lookup_cache_at_once():
     # the dropped replica goes with the unregister, not after its TTL.
     gdn = GdnDeployment(topology=Topology.balanced(2, 2, 2, 2), seed=5,
                         secure=False, gls_cache={})
-    gdn.standard_fleet(gos_per_region=1)
+    gdn.standard_fleet()
     gdn.initial_sync()
     moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
     oid = gdn.run(moderator.create_package(
@@ -118,3 +118,44 @@ def test_dropping_a_replica_invalidates_its_hosts_lookup_cache_at_once():
     misses = cache.misses
     assert hosts() == ["gos-r0-0"]
     assert cache.misses == misses + 1
+
+
+def test_a_master_drops_a_slave_whose_leave_was_lost():
+    # The master's site is cut off while drop_replica runs, so the
+    # dropped slave's leave never arrives.  Its object server answers
+    # the next push with "no replica here", and the master drops it
+    # instead of shipping every later write across the world to it.
+    gdn = GdnDeployment(topology=Topology.balanced(2, 2, 2, 2), seed=5,
+                        secure=False)
+    gdn.standard_fleet()
+    gdn.initial_sync()
+    moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
+    oid = gdn.run(moderator.create_package(
+        PACKAGE, FILES,
+        ReplicationScenario.master_slave("gos-r0-0", ["gos-r1-0"])),
+        host=moderator.host)
+    gdn.settle(2.0)
+    master_gos = gdn.object_servers["gos-r0-0"]
+    master = master_gos.replicas[oid.hex].replication
+    network = gdn.world.network
+    network.partition_domain(master_gos.host.site)
+    gdn.run(moderator.drop_replica(PACKAGE, "gos-r1-0"), host=moderator.host)
+    gdn.settle(30.0)
+    network.heal_domain(master_gos.host.site)
+    gdn.settle(5.0)
+    assert [address.host_name for address in master.slaves.values()] \
+        == ["gos-r1-0"]  # the leave was lost
+
+    failures = []
+    for index in range(3):
+        gdn.run(moderator.update_package(
+            PACKAGE, add_files={"NEWS": b"%d" % index}), host=moderator.host)
+        gdn.settle(2.0)
+        failures.append(master.push_failures)
+    assert failures == [1, 1, 1]
+    assert master.slaves == {}
+    # The master's checkpoint no longer carries the dead slave either.
+    master_gos.host.crash()
+    master_gos.host.restart()
+    gdn.run(master_gos.recover(), host=master_gos.host)
+    assert master_gos.replicas[oid.hex].replication.slaves == {}

@@ -29,7 +29,7 @@ def test_usage_statistics():
     assert usage.reads == 100
     assert usage.read_write_ratio == 20.0
     assert usage.hot_regions() == ["r0", "r1"]
-    assert usage.hot_regions(min_share=0.5) == ["r0"]
+    assert ObjectUsage({"r0": 95, "r1": 5}).hot_regions() == ["r0"]
 
 
 def test_advisor_cold_object_gets_single_server():
@@ -58,7 +58,7 @@ def test_advisor_write_heavy_keeps_single_copy_short_caches():
 
 
 def test_advisor_unknown_region_falls_back_home():
-    advisor = ScenarioAdvisor({"r0": "gos-0"}, home_region="r0")
+    advisor = ScenarioAdvisor({"r0": "gos-0"})
     scenario = advisor.recommend(ObjectUsage({"r9": 1000}, writes=0))
     assert scenario.master_gos == "gos-0"
 

@@ -114,7 +114,7 @@ def test_first_route_marker_decides_what_a_url_is():
 def gdn():
     deployment = GdnDeployment(
         topology=Topology.balanced(2, 2, 1, 2), seed=11, secure=False)
-    deployment.standard_fleet(gos_per_region=1)
+    deployment.standard_fleet()
     deployment.initial_sync()
     moderator = deployment.add_moderator("mod", "r0/c0/m0/s1")
     scenario = ReplicationScenario.master_slave(
@@ -132,8 +132,7 @@ def gdn():
 
 def test_clean_download_round_trip(gdn):
     browser = gdn.add_browser("dl-user", "r1/c0/m0/s1")
-    downloader = gdn.chunked_downloader(chunk_size=4096,
-                                        metrics_prefix="xfer_clean")
+    downloader = gdn.chunked_downloader(chunk_size=4096)
     checkpoints = []
 
     def run():
@@ -152,8 +151,8 @@ def test_clean_download_round_trip(gdn):
     assert downloader.refetch_ratio() == 0.0
     assert len(checkpoints) == count + 1  # manifest + each chunk
     snapshot = gdn.world.metrics.snapshot()
-    assert snapshot["xfer_clean.chunks_ok"] == count
-    assert snapshot["xfer_clean.inflight_transfers"] == 0
+    assert snapshot["transfer.chunks_ok"] == count
+    assert snapshot["transfer.inflight_transfers"] == 0
 
 
 def test_file_paths_containing_route_words_are_served(gdn):
@@ -172,8 +171,7 @@ def test_file_paths_containing_route_words_are_served(gdn):
     gdn.run(publish(), host=moderator.host)
     gdn.settle(5.0)
     browser = gdn.add_browser("route-user", "r1/c0/m0/s1")
-    downloader = gdn.chunked_downloader(chunk_size=2048,
-                                        metrics_prefix="xfer_route")
+    downloader = ChunkedDownloader(gdn.world, chunk_size=2048)
 
     def run():
         plain = {}
@@ -193,8 +191,7 @@ def test_file_paths_containing_route_words_are_served(gdn):
 
 def test_resume_token_round_trips_through_wire_format(gdn):
     browser = gdn.add_browser("dl-wire", "r1/c0/m0/s1")
-    downloader = gdn.chunked_downloader(chunk_size=4096,
-                                        metrics_prefix=None)
+    downloader = ChunkedDownloader(gdn.world, chunk_size=4096)
     saved = []
 
     def run():
@@ -206,7 +203,7 @@ def test_resume_token_round_trips_through_wire_format(gdn):
     # A mid-transfer checkpoint (3 chunks in) resumes to completion.
     token = ResumeToken.from_wire(saved[3])
     assert len(token.chunks) == 3
-    resumer = gdn.chunked_downloader(chunk_size=4096, metrics_prefix=None)
+    resumer = ChunkedDownloader(gdn.world, chunk_size=4096)
     browser2 = gdn.add_browser("dl-wire-2", "r1/c0/m0/s1")
 
     def resume():
@@ -226,7 +223,7 @@ def test_no_resume_with_tight_budget_exhausts(gdn):
     # discards the verified progress, so every chunk is a re-fetch —
     # and a two-token budget denies the third.
     browser = gdn.add_browser("dl-budget", "r1/c0/m0/s1")
-    seeded = gdn.chunked_downloader(chunk_size=4096, metrics_prefix=None)
+    seeded = ChunkedDownloader(gdn.world, chunk_size=4096)
     saved = []
 
     def first():
@@ -236,8 +233,8 @@ def test_no_resume_with_tight_budget_exhausts(gdn):
 
     gdn.run(first(), host=browser.host)
     token = ResumeToken.from_wire(saved[-1])
-    no_resume = gdn.chunked_downloader(
-        resume=False, chunk_size=4096, metrics_prefix=None,
+    no_resume = ChunkedDownloader(
+        gdn.world, resume=False, chunk_size=4096,
         budget=RetryBudget(rate=0.0, burst=2.0))
 
     def restart():
@@ -253,8 +250,8 @@ def test_no_resume_with_tight_budget_exhausts(gdn):
     # Only the budgeted re-fetches happened before the denial.
     assert no_resume.bytes_refetched == 2 * 4096
     # The same restart with resume=True costs the budget nothing.
-    with_resume = gdn.chunked_downloader(
-        resume=True, chunk_size=4096, metrics_prefix=None,
+    with_resume = ChunkedDownloader(
+        gdn.world, resume=True, chunk_size=4096,
         budget=RetryBudget(rate=0.0, burst=2.0))
     token2 = ResumeToken.from_wire(saved[-1])
 
@@ -269,10 +266,11 @@ def test_no_resume_with_tight_budget_exhausts(gdn):
 
 def test_corrupted_chunk_digest_raises_integrity_error(gdn):
     browser = gdn.add_browser("dl-corrupt", "r1/c0/m0/s1")
-    downloader = gdn.chunked_downloader(
+    downloader = ChunkedDownloader(
+        gdn.world,
         policy=ExponentialBackoff(timeout=3.0, retries=2, base=0.05,
                                   jitter=0.0),
-        chunk_size=4096, metrics_prefix=None)
+        chunk_size=4096)
     token = ResumeToken("/apps/Big", "big.bin", 4096)
 
     def run():
@@ -298,8 +296,7 @@ def test_corrupted_chunk_digest_raises_integrity_error(gdn):
 
 def test_missing_file_is_fatal_without_retries(gdn):
     browser = gdn.add_browser("dl-404", "r1/c0/m0/s1")
-    downloader = gdn.chunked_downloader(chunk_size=4096,
-                                        metrics_prefix=None)
+    downloader = ChunkedDownloader(gdn.world, chunk_size=4096)
 
     def run():
         try:
@@ -316,7 +313,7 @@ def test_missing_file_is_fatal_without_retries(gdn):
 
 def test_token_object_mismatch_rejected(gdn):
     browser = gdn.add_browser("dl-mismatch", "r1/c0/m0/s1")
-    downloader = gdn.chunked_downloader(metrics_prefix=None)
+    downloader = ChunkedDownloader(gdn.world)
     token = ResumeToken("/apps/Other", "big.bin")
 
     def run():

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from repro.core.ids import ContactAddress, ObjectId
 from repro.gls.service import GlsClient
 from repro.gls.tree import GlsTree
+from repro.sim.retry import FixedRetry
 from repro.sim.topology import Level, Topology
 from repro.sim.world import World
 from tests.util import check_pointer_invariant
@@ -127,7 +128,8 @@ def test_lookups_over_a_lossy_network_resolve_through_caller_retries(
     # A walk from the prober crosses up to seven lossy links; thirty
     # retries leave a lookup about one chance in a million to fail.
     prober_host = world.host("prober", "r1/c0/m1/s0")
-    prober = GlsClient(world, prober_host, tree, timeout=2.0, retries=30)
+    prober = GlsClient(world, prober_host, tree,
+                       retry_policy=FixedRetry(timeout=2.0, retries=30))
     dropped = world.network.meter.dropped_messages
     for _round in range(4):
         _check_resolution(tree, live, _resolve_all(world, prober, live))

@@ -9,8 +9,7 @@ from repro.sim.world import World
 
 def _build(world, refresh_interval=None, names=("a",)):
     primary_host = world.host("dns-primary", "r0/c0/m0/s0")
-    primary = AuthoritativeServer(world, primary_host,
-                                  require_tsig_for_updates=False)
+    primary = AuthoritativeServer(world, primary_host)
     zone = Zone("example.nl", primary_host="dns-primary")
     for name in names:
         zone.add_record(ResourceRecord("%s.example.nl" % name, RRType.TXT,

@@ -67,11 +67,9 @@ class DnsBed:
         run(world, self.secondary.initial_transfers(),
             host=self.secondary_host)
 
-    def resolver(self, name, site, cache_enabled=True):
+    def resolver(self, name, site):
         host = self.world.host(name, site)
-        return CachingResolver(self.world, host,
-                               [("dns-root", DNS_PORT)],
-                               cache_enabled=cache_enabled)
+        return CachingResolver(self.world, host, [("dns-root", DNS_PORT)])
 
     def in_sync(self):
         return (self.secondary.zones[GDN_ZONE].serial
@@ -138,11 +136,12 @@ def test_cache_expires_after_ttl(bed):
 
 
 def test_cache_disabled_repeats_full_walk(bed):
-    resolver = bed.resolver("user-1", "r0/c0/m0/s1", cache_enabled=False)
+    resolver = bed.resolver("user-1", "r0/c0/m0/s1")
     name = "gimp.apps." + GDN_ZONE
 
     def twice():
         yield from resolver.resolve(name, RRType.TXT)
+        resolver.flush_cache()
         yield from resolver.resolve(name, RRType.TXT)
 
     run(bed.world, twice(), host=resolver.host)

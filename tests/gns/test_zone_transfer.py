@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.core import journal as journal_module
 from repro.gns.dns.records import ResourceRecord, RRType
 from repro.gns.dns.server import DNS_PORT, AuthoritativeServer
+from repro.gns.dns.tsig import TsigKey, TsigKeyring, sign_message
 from repro.gns.dns.zone import JOURNAL_DEPTH, Zone
 from repro.sim.network import LinkParameters
 from repro.sim.rpc import UdpRpcClient
@@ -23,6 +24,7 @@ from repro.sim.world import World
 from tests.lossy import DatagramMeddler
 
 ZONE = "example.nl"
+KEY = TsigKey("updater", b"updater-secret")
 PRIMARY_SITE = "r0/c0/m0/s0"
 CLIENT_SITE = "r0/c0/m0/s1"
 SECONDARY_SITE = "r1/c0/m0/s0"
@@ -61,8 +63,10 @@ class Bed:
         self.client = UdpRpcClient(self.world.host("updater", CLIENT_SITE))
 
     def start_primary(self, zone):
+        keyring = TsigKeyring()
+        keyring.add(KEY)
         server = AuthoritativeServer(self.world, self.primary_host,
-                                     require_tsig_for_updates=False)
+                                     keyring=keyring)
         server.add_primary_zone(zone,
                                 secondaries=[("dns-secondary", DNS_PORT)])
         server.start()
@@ -83,7 +87,7 @@ class Bed:
                                 "type": "TXT"} for label in deletes]}
         reply = self.world.run_until(self.client.host.spawn(
             self.client.call(self.primary_host, DNS_PORT, "update",
-                             message)), limit=1e6)
+                             sign_message(message, KEY))), limit=1e6)
         assert reply["rcode"] == "NOERROR"
         return reply["serial"]
 

@@ -3,15 +3,14 @@
 A recovered master that forgot its slave list (or rolled its version
 counter back) would silently stop propagating writes — slaves ignore
 pushes with stale version numbers.  Protocol state therefore
-checkpoints next to semantics state, and ``checkpoint_on_write`` makes
-the master's counter monotonic across crashes — except for a crash
-between a write's push and its checkpoint, which the master's
-incarnation epoch covers.
+checkpoints next to semantics state, and the object server's
+write-through checkpoints make the master's counter monotonic across
+crashes — except for a crash between a write's push and its
+checkpoint, which the master's incarnation epoch covers.
 """
 
 import pytest
 
-from repro.sim.stable import DISK_WRITE_LATENCY
 from tests.util import GlobeBed, PackageBed
 
 
@@ -20,9 +19,8 @@ def bed():
     return GlobeBed()
 
 
-def _build_pair(bed, checkpoint_on_write=True):
-    master_gos = bed.gos("gos-master", "r0/c0/m0/s0",
-                         checkpoint_on_write=checkpoint_on_write)
+def _build_pair(bed):
+    master_gos = bed.gos("gos-master", "r0/c0/m0/s0")
     slave_gos = bed.gos("gos-slave", "r1/c0/m0/s0")
 
     def build():
@@ -38,8 +36,8 @@ def _build_pair(bed, checkpoint_on_write=True):
 
 
 def _write(bed, master_gos, oid, key, value):
-    """Drive a write through the GOS message path (so that
-    checkpoint_on_write fires, as it would for real clients)."""
+    """Drive a write through the GOS message path (so that its
+    checkpoint is written, as it would be for real clients)."""
     from repro.core.marshal import marshal_invocation
     from repro.sim import rpc
 
@@ -88,7 +86,7 @@ def test_master_version_is_monotonic_across_reboot(bed):
     master_gos.host.restart()
     bed.run(master_gos.recover())
     recovered = master_gos.replicas[master_lr.oid.hex]
-    # checkpoint_on_write persisted every increment: no rollback, and
+    # Write-through persisted every increment: no rollback, and
     # the slave (also at 3) will accept the next push (version 4).
     assert recovered.replication.version == version_before
     _write(bed, master_gos, master_lr.oid, "post", "crash")
@@ -98,36 +96,24 @@ def test_master_version_is_monotonic_across_reboot(bed):
     assert slave_lr.replication.version == version_before + 1
 
 
-def test_without_write_checkpointing_master_can_roll_back(bed):
-    """The failure mode the durability machinery prevents, shown by
-    disabling it: the slave ends up ahead of the recovered master
-    (until the master's next write, which the slave follows as coming
-    from a new incarnation)."""
-    master_gos, slave_gos, master_lr = _build_pair(
-        bed, checkpoint_on_write=False)
-    for index in range(3):
-        _write(bed, master_gos, master_lr.oid, "k%d" % index, "v")
-    bed.world.run(until=bed.world.now + 5)
+class _SameSiteBed(PackageBed):
+    """The slave on its master's site: a push lands there in 0.3 ms,
+    well inside the DISK_WRITE_LATENCY (5 ms) a checkpoint takes."""
 
-    master_gos.host.crash()
-    master_gos.host.restart()
-    bed.run(master_gos.recover())
-    recovered = master_gos.replicas[master_lr.oid.hex]
-    slave_lr = slave_gos.replicas[master_lr.oid.hex]
-    # Rolled back to the creation checkpoint:
-    assert recovered.replication.version < slave_lr.replication.version
+    SLAVE_SITE = PackageBed.MASTER_SITE
 
 
 def _crash_between_push_and_checkpoint():
     """The master answers a write, its slave has it, and the master
     crashes while that write's checkpoint is still on its way to disk.
     It comes back one version behind the slave."""
-    bed = PackageBed(sync_push=True, checkpoint_on_write=True)
+    bed = _SameSiteBed()
     bed.write("addFile", path="a", data=b"kept")
     bed.settle()
+    # The answer reaches the writer, one city hop away, 2 ms after the
+    # master sent it: the push has landed, the checkpoint has not.
     bed.write("addFile", path="b", data=b"forgotten")
     assert bed.slave.semantics.getFileContents("b") == b"forgotten"
-    bed.world.run(until=bed.world.now + DISK_WRITE_LATENCY / 2)
     _restart(bed)
     assert bed.master.replication.version == \
         bed.slave.replication.version - 1

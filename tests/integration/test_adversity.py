@@ -26,7 +26,7 @@ def gdn():
         topology=Topology.balanced(regions=2, countries=2, cities=1,
                                    sites=2),
         seed=404, secure=True)
-    deployment.standard_fleet(gos_per_region=1)
+    deployment.standard_fleet()
     deployment.initial_sync()
     moderator = deployment.add_moderator("mod", "r0/c0/m0/s1")
 
@@ -126,8 +126,7 @@ def test_dns_spoofing_misdirects_but_cannot_forge(gdn):
     # The attacker runs a fake DNS hierarchy claiming the GDN zone and
     # answers with an OID of their choosing (here: a nonexistent one).
     evil_host = world.host("evil-dns", "r1/c0/m0/s1")
-    evil = AuthoritativeServer(world, evil_host,
-                               require_tsig_for_updates=False)
+    evil = AuthoritativeServer(world, evil_host)
     evil_root = Zone("", primary_host="evil-dns")
     evil_root.add_record(ResourceRecord(
         "octave.science.apps." + deployment.zone, RRType.TXT, 300,

@@ -23,7 +23,7 @@ from __future__ import annotations
 from repro.gdn.deployment import GdnDeployment
 from repro.gdn.scenario import ReplicationScenario
 from repro.sim.topology import Topology
-from repro.workloads.cohort import CohortScenario
+from repro.workloads.cohort import CohortScenario, DiurnalProfile
 from repro.workloads.loadgen import LoadStats, UniformSchedule
 from repro.workloads.packages import synthetic_file
 from repro.workloads.scenario import OpenLoopScenario
@@ -101,6 +101,7 @@ def _spike(gls_cache):
 
     stats = LoadStats(registry=world.metrics, prefix="crowd")
     scenario = CohortScenario(CROWD, 0.5, duration=CROWD_SECONDS,
+                              profile=DiurnalProfile([1.0]),
                               sites=world.topology.sites,
                               label="flash-crowd")
     lookups_before = gdn.gls.total_requests()

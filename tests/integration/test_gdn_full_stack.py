@@ -29,7 +29,7 @@ def gdn():
         topology=Topology.balanced(regions=2, countries=2, cities=1,
                                    sites=2),
         seed=101, secure=True)
-    deployment.standard_fleet(gos_per_region=1)
+    deployment.standard_fleet()
     deployment.initial_sync()
     moderator = deployment.add_moderator("mod-alice", "r0/c0/m0/s1")
     scenario = ReplicationScenario.master_slave(

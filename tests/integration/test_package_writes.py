@@ -41,8 +41,7 @@ class _Package:
             ReplicationScenario.master_slave("gos-0", ["gos-1", "gos-2"])),
             host=self.moderator.host)
         gdn.settle(5.0)
-        self.browser = gdn.add_browser("user", "r1/c0/m0/s1",
-                                       access_point=self.httpd)
+        self.browser = gdn.add_browser("user", "r1/c0/m0/s1")
         self.writes = 0
         self.read()
 

@@ -65,7 +65,6 @@ def test_wide_area_bytes_counts_region_and_world(net):
     net.deliver(a, topo.site("r0/c1/m0/s0"), "h", 100, lambda _e: None)
     net.deliver(a, topo.site("r1/c0/m0/s0"), "h", 1000, lambda _e: None)
     assert net.meter.wide_area_bytes() == 1100
-    assert net.meter.wide_area_bytes(min_level=Level.WORLD) == 1000
 
 
 def test_down_host_drops(net):

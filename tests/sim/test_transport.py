@@ -147,7 +147,7 @@ def test_connect_timeout_to_down_host(world):
 
     def client():
         try:
-            yield from a.connect(b, 80, timeout=1.0)
+            yield from a.connect(b, 80)
         except ConnectTimeout:
             return "timeout"
 

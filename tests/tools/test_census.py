@@ -134,16 +134,101 @@ def test_options_lists_the_keyword_options_no_call_passes(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     # fetch: timeout by position, retries through forward's **options;
     # Base: size through super().__init__, colour through cls(...);
-    # tool: width by position, with no self to skip.
+    # tool: width by position, with no self to skip (and by its one
+    # call, always the same literal).
     assert lines == [
         "fixture_pkg/mod.py:1  fetch(verbose)",
         "fixture_pkg/mod.py:14  Base.make(flavour)",
         "fixture_pkg/mod.py:18  Base.tool(depth)",
+        "fixture_pkg/mod.py:18  Base.tool(width)  always 4",
         "fixture_pkg/mod.py:23  Child.__init__(label)",
         "fixture_pkg/mod.py:23  Child.__init__(size)",
-        "census: 5 of 10 keyword options under %s never passed"
-        % (tmp_path / "src"),
+        "census: 5 of 10 keyword options under %s never passed, 1 more "
+        "always passed one literal" % (tmp_path / "src"),
     ]
+
+
+ONE_VALUE_MODULE = '''\
+def serve(durable=False, mode="async", level=1, name="x"):
+    return durable
+'''
+
+ONE_VALUE_CALLER = '''\
+from fixture_pkg.mod import serve
+
+LEVEL = 3
+serve(durable=True, mode="sync", level=LEVEL, name="y")
+serve(True, mode="sync", level=LEVEL)
+'''
+
+
+def _options_tree(tmp_path, module, caller=None):
+    package = tmp_path / "src" / "fixture_pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(module)
+    if caller is not None:
+        (tmp_path / "examples").mkdir()
+        (tmp_path / "examples" / "use.py").write_text(caller)
+    return str(tmp_path / "src")
+
+
+def test_options_lists_an_option_every_call_sets_to_one_literal(
+        tmp_path, capsys):
+    # durable: True by keyword and by position; mode: always "sync".
+    # Not level (a name, not a literal) nor name (one call leaves the
+    # default): the programs use two values of it.
+    src = _options_tree(tmp_path, ONE_VALUE_MODULE, ONE_VALUE_CALLER)
+    assert census.main(["--options", "--src", src]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "fixture_pkg/mod.py:1  serve(durable)  always True",
+        "fixture_pkg/mod.py:1  serve(mode)  always 'sync'",
+        "census: 0 of 4 keyword options under %s never passed, 2 more "
+        "always passed one literal" % src,
+    ]
+
+
+CHECK_OPTIONS_MODULE = '''\
+def serve(port=80, seed=1, knob=2, other=3):
+    return port
+'''
+
+
+def _check_options(tmp_path, monkeypatch, keep):
+    """``--options --check`` on a def nobody calls, ``keep`` as the
+    keep file."""
+    (tmp_path / "keep.txt").write_text(keep)
+    monkeypatch.setattr(census, "KEEP_FILE", tmp_path / "keep.txt")
+    src = _options_tree(tmp_path, CHECK_OPTIONS_MODULE)
+    return census.main(["--options", "--check", "--src", src])
+
+
+def test_options_check_fails_on_an_unexplained_option(
+        tmp_path, monkeypatch, capsys):
+    # port and seed are exempt by rule; knob has its reason, other none.
+    keep = "fixture_pkg/mod.py  serve(knob)  a deployment setting\n"
+    assert _check_options(tmp_path, monkeypatch, keep) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "census: unexplained: fixture_pkg/mod.py  serve(other)" in out
+    assert out[-1] == ("census: 2 exempt by rule, 1 kept with a reason, "
+                       "1 unexplained; 0 stale keep entries")
+
+
+def test_options_check_fails_on_a_stale_keep_entry(
+        tmp_path, monkeypatch, capsys):
+    # One entry names an option that is gone, one an exempt option;
+    # a function's keep entry is the traffic check's, not this one's.
+    keep = ("fixture_pkg/mod.py  serve(knob)  a deployment setting\n"
+            "fixture_pkg/mod.py  serve(other)  a test oracle\n"
+            "fixture_pkg/mod.py  serve(gone)  teardown\n"
+            "fixture_pkg/mod.py  serve(port)  a port\n"
+            "fixture_pkg/mod.py  serve  the paper's section 9\n")
+    assert _check_options(tmp_path, monkeypatch, keep) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "census: stale keep entry: fixture_pkg/mod.py  serve(gone)" in out
+    assert "census: stale keep entry: fixture_pkg/mod.py  serve(port)" in out
+    assert out[-1] == ("census: 2 exempt by rule, 2 kept with a reason, "
+                       "0 unexplained; 2 stale keep entries")
 
 
 def test_traffic_lists_the_functions_no_entry_point_reaches(

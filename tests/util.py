@@ -164,8 +164,7 @@ class PackageBed(GlobeBed):
     MASTER_SITE = "r0/c0/m0/s0"
     SLAVE_SITE = "r1/c0/m0/s0"
 
-    def __init__(self, seed=5, sync_push=False, checkpoint_on_write=False,
-                 cache_ttl=0.5):
+    def __init__(self, seed=5, cache_ttl=0.5):
         from repro.core.repository import Implementation
         from repro.gdn.package import PACKAGE_IMPL_ID, PackageSemantics
 
@@ -173,14 +172,12 @@ class PackageBed(GlobeBed):
         self.repository.register(Implementation(
             PACKAGE_IMPL_ID, PackageSemantics, code_size=10_000))
         self.cache_ttl = cache_ttl
-        self.master_gos = self.gos("gos-master", self.MASTER_SITE,
-                                   checkpoint_on_write=checkpoint_on_write)
+        self.master_gos = self.gos("gos-master", self.MASTER_SITE)
         self.slave_gos = self.gos("gos-slave", self.SLAVE_SITE)
 
         def build():
             master = yield from self.master_gos.create_local_replica(
-                None, PACKAGE_IMPL_ID, "master_slave", "master",
-                protocol_options={"sync_push": sync_push})
+                None, PACKAGE_IMPL_ID, "master_slave", "master")
             yield from self.slave_gos.create_local_replica(
                 master.oid, PACKAGE_IMPL_ID, "master_slave", "slave",
                 master=master.contact_address)

@@ -1,7 +1,7 @@
 """Tests for aggregated client cohorts (CohortScenario et al.).
 
 The load-bearing claims, in order: (1) the cohorts' throughput
-matches the closed-form expectation and honours quota/duration bounds;
+matches the closed-form expectation and honours the duration bound;
 (2) the kernel's cost follows activity, not population; (3) the diurnal
 profile actually modulates the issue rate.
 """
@@ -16,6 +16,9 @@ from repro.workloads.cohort import (AggregatedPopulation, CohortScenario,
                                     DiurnalProfile)
 from repro.workloads.loadgen import LoadStats
 from repro.workloads.scenario import RequestMix
+
+#: One slot of 1.0: the cohorts' issue rate stays flat over a drive.
+FLAT = DiurnalProfile([1.0])
 
 
 def drive(scenario, *, seed=7, rng_seed=1234, limit=1e9):
@@ -40,18 +43,11 @@ def drive(scenario, *, seed=7, rng_seed=1234, limit=1e9):
 # -- the cohort engine --------------------------------------------------------
 
 
-def test_statistical_quota_is_exact():
-    scenario = CohortScenario(500, 0.05, requests_per_client=2,
-                              cohort_size=64)
-    fingerprint, stats, _world = drive(scenario)
-    assert stats.issued == 1000
-    assert stats.ok == 1000
-
-
 def test_statistical_throughput_matches_expectation():
     # 2000 clients, mean think 10s, duration 50s ⇒ ~10k issues; the
     # request itself is fast (~10ms) so thinkers dominate.
-    scenario = CohortScenario(2000, 10.0, duration=50.0, cohort_size=256)
+    scenario = CohortScenario(2000, 10.0, duration=50.0, profile=FLAT,
+                              cohort_size=256)
     _fingerprint, stats, _world = drive(scenario)
     expected = 2000 * 50.0 / 10.0
     assert stats.issued == pytest.approx(expected, rel=0.1)
@@ -59,7 +55,8 @@ def test_statistical_throughput_matches_expectation():
 
 
 def test_statistical_duration_stops_issuing_at_deadline():
-    scenario = CohortScenario(300, 1.0, duration=10.0, cohort_size=50)
+    scenario = CohortScenario(300, 1.0, duration=10.0, profile=FLAT,
+                              cohort_size=50)
     fingerprint, stats, world = drive(scenario)
     # Everything drained, and the drive did not run far past the
     # deadline (only in-flight requests at the deadline may finish).
@@ -69,7 +66,8 @@ def test_statistical_duration_stops_issuing_at_deadline():
 
 
 def test_statistical_many_cohorts_share_one_arrival_counter():
-    scenario = CohortScenario(100, 0.01, requests_per_client=1,
+    # Each request outlasts the drive, so each client issues once.
+    scenario = CohortScenario(100, 0.01, duration=1.0, profile=FLAT,
                               cohort_size=10)
     world = World(topology=Topology.balanced(2, 2, 2, 2), seed=1)
     sim = world.sim
@@ -77,7 +75,7 @@ def test_statistical_many_cohorts_share_one_arrival_counter():
 
     def do_one(arrival):
         indices.append(arrival.index)
-        yield sim.timeout(0.001)
+        yield sim.timeout(2.0)
         return True
 
     stats = LoadStats()
@@ -95,10 +93,10 @@ def test_statistical_sites_round_robin_headcount():
 
     def do_one(arrival):
         seen[arrival.site.path] = seen.get(arrival.site.path, 0) + 1
-        yield sim.timeout(0.001)
+        yield sim.timeout(2.0)  # outlasts the drive: one request each
         return True
 
-    scenario = CohortScenario(10, 0.01, requests_per_client=1,
+    scenario = CohortScenario(10, 0.01, duration=1.0, profile=FLAT,
                               sites=sites, cohort_size=2)
     stats = LoadStats()
     world.run_until(sim.process(
@@ -242,21 +240,18 @@ def test_profile_rejected_for_fixed_or_zero_think():
 
 def test_cohort_scenario_validation():
     with pytest.raises(ValueError):
-        CohortScenario(0, 1.0, requests_per_client=1)
+        CohortScenario(0, 1.0, duration=1.0, profile=FLAT)
     with pytest.raises(ValueError):
-        CohortScenario(1, 1.0)  # neither bound
+        CohortScenario(1, 1.0, duration=0.0, profile=FLAT)
     with pytest.raises(ValueError):
-        CohortScenario(1, 1.0, requests_per_client=1, duration=1.0)
+        CohortScenario(1, -1.0, duration=1.0, profile=FLAT)
     with pytest.raises(ValueError):
-        CohortScenario(1, -1.0, requests_per_client=1)
-    with pytest.raises(ValueError):
-        CohortScenario(1, 1.0, requests_per_client=1, cohort_size=0)
+        CohortScenario(1, 1.0, duration=1.0, profile=FLAT, cohort_size=0)
     with pytest.raises(TypeError):
-        CohortScenario(1, 1.0, requests_per_client=1, think="fixed")
+        CohortScenario(1, 1.0, duration=1.0, profile=FLAT, think="fixed")
     with pytest.raises(ValueError, match="ClosedLoopScenario"):
-        CohortScenario(1, 0.0, requests_per_client=1)
+        CohortScenario(1, 0.0, duration=1.0, profile=FLAT)
     with pytest.raises(ValueError, match="ClosedLoopScenario"):
         AggregatedPopulation(None, None, random.Random(0), None, 1, 0.0,
-                             LoadStats(), requests_per_client=1)
-    assert CohortScenario(3, 1.0, requests_per_client=2).count == 6
-    assert CohortScenario(3, 1.0, duration=2.0).count is None
+                             LoadStats(), 1.0, FLAT)
+    assert CohortScenario(3, 1.0, duration=2.0, profile=FLAT).count is None

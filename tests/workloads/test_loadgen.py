@@ -100,13 +100,9 @@ def test_schedule_validation():
         FlashCrowdSchedule(1.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         FlashCrowdSchedule(1.0, 2.0, 0.0, 0.0)
-    # The open-loop driver's bounds: a count or a duration, not both.
+    # The open-loop driver's bound: at least one arrival.
     with pytest.raises(ValueError):
         OpenLoopScenario(UniformSchedule(1.0), 0)
-    with pytest.raises(ValueError):
-        OpenLoopScenario(UniformSchedule(1.0), 5, duration=1.0)
-    with pytest.raises(ValueError):
-        OpenLoopScenario(UniformSchedule(1.0), duration=0.0)
 
 
 def test_loadgen_open_loop_overlaps_requests():

@@ -163,16 +163,8 @@ def test_request_mix_draws_objects_and_kinds():
 
 
 def test_request_mix_explicit_weights_and_validation():
-    mix = RequestMix(3, weights=[0.0, 1.0, 0.0])
-    rng = random.Random(1)
-    assert {mix.draw(rng)[0] for _ in range(50)} == {1}
-    assert mix.probability(1) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         RequestMix(0)
-    with pytest.raises(ValueError):
-        RequestMix(3, weights=[1.0, 2.0])
-    with pytest.raises(ValueError):
-        RequestMix(2, weights=[0.0, 0.0])
     with pytest.raises(ValueError):
         RequestMix(2, write_fraction=[0.5])
     with pytest.raises(ValueError):
@@ -283,14 +275,14 @@ def test_hybrid_runs_everything_into_shared_stats():
     by_label = {"open": 0, "closed": 0}
 
     def request(arrival):
-        # Open-loop arrivals carry rank from the mix (all rank 1 via
-        # weights); closed-loop ones are rank 0.
-        by_label["open" if arrival.rank == 1 else "closed"] += 1
+        # Open-loop arrivals are all writes (their mix's write
+        # fraction is 1); closed-loop ones, without a mix, read.
+        by_label["open" if arrival.kind == "write" else "closed"] += 1
         yield sim.timeout(0.01)
 
     scenario = HybridScenario([
         OpenLoopScenario(UniformSchedule(100.0), 20,
-                         mix=RequestMix(2, weights=[0.0, 1.0])),
+                         mix=RequestMix(2, write_fraction=1.0)),
         ClosedLoopScenario(clients=2, think_time=0.05,
                            requests_per_client=5),
     ])
@@ -393,40 +385,6 @@ def test_soak_reports_violated_invariants():
 
 # -- duration-bound scenarios ------------------------------------------------
 
-def test_open_loop_duration_stops_on_simulated_time():
-    sim = Simulator()
-    issued_times = []
-
-    def request(arrival):
-        issued_times.append(arrival.time)
-        yield sim.timeout(0.01)
-
-    scenario = OpenLoopScenario(UniformSchedule(100.0), duration=0.5)
-    assert scenario.count is None  # the total is an outcome, not an input
-    stats, elapsed = _drive(sim, scenario, request)
-    # Uniform arrivals every 10ms: 0.0 .. 0.5 inclusive.
-    assert stats.issued == 51
-    assert stats.ok == 51
-    assert max(issued_times) <= 0.5
-    assert elapsed == pytest.approx(0.51)
-
-
-def test_open_loop_duration_with_poisson_is_deterministic():
-    def one_run():
-        sim = Simulator()
-
-        def request(arrival):
-            yield sim.timeout(0.005)
-
-        scenario = OpenLoopScenario(PoissonSchedule(50.0), duration=2.0)
-        stats, elapsed = _drive(sim, scenario, request, seed=11)
-        return stats.issued, stats.latency.state(), elapsed
-
-    first = one_run()
-    assert first == one_run()
-    assert 50 < first[0] < 150  # ~100 expected at rate 50 for 2s
-
-
 def test_closed_loop_duration_stops_on_simulated_time():
     sim = Simulator()
     think, service = 0.1, 0.15
@@ -466,27 +424,11 @@ def test_closed_loop_duration_ends_within_one_request_of_the_deadline():
 
 def test_duration_validation():
     with pytest.raises(ValueError):
-        OpenLoopScenario(UniformSchedule(1.0))  # neither bound
-    with pytest.raises(ValueError):
-        OpenLoopScenario(UniformSchedule(1.0), 5, duration=1.0)  # both
-    with pytest.raises(ValueError):
-        OpenLoopScenario(UniformSchedule(1.0), duration=-1.0)
+        ClosedLoopScenario(1, 0.1, duration=-1.0)
     with pytest.raises(ValueError):
         ClosedLoopScenario(1, 0.1)  # neither bound
     with pytest.raises(ValueError):
         ClosedLoopScenario(1, 0.1, 5, duration=1.0)  # both
-
-
-def test_burst_schedule_refuses_open_ended_runs():
-    sim = Simulator()
-
-    def request(arrival):
-        yield sim.timeout(0.01)
-
-    scenario = OpenLoopScenario(BurstSchedule(), duration=1.0)
-    with pytest.raises(ValueError):
-        sim.run_until_complete(
-            sim.process(scenario.drive(sim, request)), 1e9)
 
 
 # -- zero-request / zero-time soaks report cleanly ---------------------------
@@ -506,16 +448,15 @@ def test_soak_with_zero_completed_requests_yields_clean_report():
     world, client_host, server_host, _server = _echo_world()
 
     def request(arrival):
-        yield from ()  # never reached: no arrivals fit the window
+        return False  # every request fails: none completes
+        yield  # pragma: no cover
 
-    # At 0.001 req/s the first Poisson arrival is ~1000s out — far
-    # beyond the 0.1s duration — so the soak issues nothing.
-    scenario = OpenLoopScenario(PoissonSchedule(0.001), duration=0.1)
+    scenario = OpenLoopScenario(BurstSchedule(), 3)
     soak = Soak(world, scenario, request, settle=0.5)
     report = soak.run()
     assert report.ok
     summary = report.summary()
-    assert summary["issued"] == 0 and summary["ok"] == 0
+    assert summary["issued"] == 3 and summary["ok"] == 0
     assert summary["throughput"] == 0.0
     assert summary["p95"] == 0.0
     # The phase table renders (all-zero row, no division errors).

@@ -40,16 +40,26 @@ is gone, or is now reached, is stale and fails the check too.
 ``--options`` runs no tests.  It lists every keyword option (a
 parameter with a default) of a ``def`` under ``src/`` that no call in
 ``src/``, ``examples/`` or ``gdnbench/`` (the siblings of ``--src``)
-passes, by keyword or by position:
+passes, by keyword or by position, and every one that each of those
+calls passes, all with the same literal (``always True``): either way
+the programs use one value of it.
 
-    PYTHONPATH=src python3 tools/census.py --options
+    PYTHONPATH=src python3 tools/census.py --options [--check]
+
+With ``--check`` every listed option must be exempt or kept, and the
+run exits 1 if one is not.  ``port`` and ``seed`` options are exempt by
+rule, as are the options of the entry points of
+:data:`repro.experiments.TABLES` (table parameters that tests shrink).
+Any other needs a line ``path  Qualname(option)  reason`` in
+:data:`KEEP_FILE`; a keep line whose option is no longer listed is
+stale and fails the check too.
 
 Calls are matched to defs by function name only: ``C(...)`` and
 ``cls(...)`` inside ``C`` reach ``C.__init__``, ``super().__init__(...)``
 reaches the base classes' ``__init__``, and every def of one name shares
 its calls.  A call with ``*args`` or ``**kwargs`` passes every option,
-unless it forwards the calling def's own ``**kwargs``: that passes on
-the keywords the def's callers pass it.
+values unknown, unless it forwards the calling def's own ``**kwargs``:
+that passes on the keywords the def's callers pass it.
 Calls made through an alias (``TABLES[i].run``, a callback handed to
 ``register``, ``functools.partial``) are not seen, so an option listed
 may still be set that way; check before deleting it.
@@ -273,8 +283,14 @@ def check_keep(src: pathlib.Path, uncalled: List[Function],
                  function for function in uncalled}
     unexplained = [key for key, function in unreached.items()
                    if not function.exempt and key not in keep]
-    stale = sorted(key for key in keep if key not in unreached)
+    stale = sorted(key for key in keep
+                   if not _is_option(key) and key not in unreached)
     return unexplained, stale
+
+
+def _is_option(key: Tuple[str, str]) -> bool:
+    """A keep entry for an option (``Qualname(option)``), not a def."""
+    return key[1].endswith(")")
 
 
 class Option(NamedTuple):
@@ -287,7 +303,12 @@ class Option(NamedTuple):
 #: The trees whose calls count as passing an option, beside ``src``.
 CALLER_TREES = ("src", "examples", "gdnbench")
 
+#: Option names exempt from ``--options --check``: deployment settings
+#: every test picks its own of.
+EXEMPT_OPTIONS = ("port", "seed")
+
 _ALL = "*"  # a splatted call: every parameter counts as passed
+_UNKNOWN = object()  # a value a splat or a forwarding def passes on
 
 
 def _call_name(func: ast.AST) -> str:
@@ -339,27 +360,27 @@ def keyword_options(src: pathlib.Path) -> Dict[str, List[tuple]]:
     return found
 
 
-def passed_arguments(trees: List[pathlib.Path]
-                     ) -> Dict[str, Tuple[Set, int]]:
-    """Call name -> (keywords passed, most positional arguments passed)
-    over every call in ``trees``.  A ``*args`` or ``**kwargs`` splat
-    passes :data:`_ALL`, except that a def forwarding its own
-    ``**kwargs`` passes on the keywords its callers pass it."""
-    passed: Dict[str, Tuple[Set, int]] = {}
-    forwards: Set[Tuple[str, str]] = set()  # (forwarding def, callee)
+def passed_arguments(trees: List[pathlib.Path]) -> Dict[str, List[dict]]:
+    """Call name -> one dict per call in ``trees``, from each keyword
+    (by name) and positional argument (by index) it passes to the value
+    it passes (an AST node, or :data:`_UNKNOWN`).  A ``*args`` or
+    ``**kwargs`` splat passes :data:`_ALL`, except that a def forwarding
+    its own ``**kwargs`` passes on the keywords its callers pass it."""
+    calls: Dict[str, List[dict]] = {}
+    forwards: List[Tuple[str, dict]] = []  # (forwarding def, its call)
 
     def record(name: str, call: ast.Call, caller: str, kwarg: str) -> None:
-        keywords, most = passed.get(name, (set(), 0))
+        passed: dict = dict(enumerate(call.args))
         for keyword in call.keywords:
             if keyword.arg is not None:
-                keywords.add(keyword.arg)
+                passed[keyword.arg] = keyword.value
             elif kwarg and getattr(keyword.value, "id", None) == kwarg:
-                forwards.add((caller, name))
+                forwards.append((caller, passed))
             else:
-                keywords.add(_ALL)
+                passed[_ALL] = _UNKNOWN
         if any(isinstance(arg, ast.Starred) for arg in call.args):
-            keywords.add(_ALL)
-        passed[name] = (keywords, max(most, len(call.args)))
+            passed[_ALL] = _UNKNOWN
+        calls.setdefault(name, []).append(passed)
 
     def visit(node: ast.AST, cls: str, bases: List[str], caller: str,
               kwarg: str) -> None:
@@ -394,28 +415,83 @@ def passed_arguments(trees: List[pathlib.Path]
     changed = True
     while changed:
         changed = False
-        for caller, callee in forwards:
-            carried = passed.get(caller, (set(), 0))[0]
-            keywords = passed.setdefault(callee, (set(), 0))[0]
-            if not carried <= keywords:
-                keywords.update(carried)
-                changed = True
-    return passed
+        for caller, passed in forwards:
+            for call in calls.get(caller, ()):
+                for key in list(call):
+                    if isinstance(key, str) and key not in passed:
+                        passed[key] = _UNKNOWN
+                        changed = True
+    return calls
 
 
-def unused_options(src: pathlib.Path) -> Tuple[int, List[Option]]:
-    """(keyword options under ``src``, the ones no call in the
-    :data:`CALLER_TREES` beside it passes, sorted by place)."""
-    passed = passed_arguments([src.parent / name for name in CALLER_TREES
-                               if (src.parent / name).is_dir()])
-    total, unused = 0, []
+def _literal(value) -> object:
+    """The source of a passed ``value`` if it is a literal, else
+    :data:`_UNKNOWN`."""
+    if not isinstance(value, ast.AST):
+        return _UNKNOWN
+    try:
+        ast.literal_eval(value)
+    except ValueError:
+        return _UNKNOWN
+    return ast.unparse(value)
+
+
+def one_value_options(src: pathlib.Path
+                      ) -> Tuple[int, List[Tuple[Option, str]]]:
+    """(keyword options under ``src``, and for each one the programs
+    set to one value, sorted by place: ``(option, "")`` if no call in
+    the :data:`CALLER_TREES` beside it passes it, ``(option, literal)``
+    if every such call passes it that same literal)."""
+    calls = passed_arguments([src.parent / name for name in CALLER_TREES
+                              if (src.parent / name).is_dir()])
+    total, listed = 0, []
     for name, entries in keyword_options(src).items():
-        keywords, most = passed.get(name, (set(), 0))
         total += len(entries)
-        unused.extend(option for option, position in entries
-                      if _ALL not in keywords and option.name not in keywords
-                      and (position is None or position >= most))
-    return total, sorted(unused)
+        for option, position in entries:
+            values = set()  # None: a call leaves the default
+            for call in calls.get(name, ()):
+                value = call.get(_ALL, call.get(option.name,
+                                                call.get(position)))
+                values.add(None if value is None else _literal(value))
+            if values <= {None}:
+                listed.append((option, ""))
+            elif len(values) == 1 and isinstance(next(iter(values)), str):
+                listed.append((option, values.pop()))
+    return total, sorted(listed)
+
+
+def table_entry_points() -> Set[Tuple[str, str]]:
+    """``(real file path, qualname)`` of each ``run`` of
+    :data:`repro.experiments.TABLES`."""
+    for path in (ROOT, ROOT / "src"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    import inspect
+
+    from repro.experiments import TABLES
+    return {(os.path.realpath(inspect.getsourcefile(paper.run)),
+             paper.run.__qualname__) for paper in TABLES}
+
+
+def check_options(src: pathlib.Path, listed: List[Option],
+                  keep: Dict[Tuple[str, str], str]
+                  ) -> Tuple[List[Tuple[str, str]], List[Tuple[str, str]],
+                             int]:
+    """``(path under src/, "Qualname(option)")`` of the listed options
+    that are neither exempt nor kept, and of the option keep entries
+    that name no listed, unexempt option; and how many listed options
+    are exempt."""
+    base = os.path.realpath(src)
+    tables = table_entry_points()
+    explained = {(os.path.relpath(option.path, base),
+                  "%s(%s)" % (option.qualname, option.name)): option
+                 for option in listed
+                 if option.name not in EXEMPT_OPTIONS
+                 and (option.path, option.qualname) not in tables}
+    unexplained = [key for key in explained if key not in keep]
+    stale = sorted(key for key in keep
+                   if _is_option(key) and key not in explained)
+    return unexplained, stale, len(listed) - len(explained)
 
 
 def main(argv=None) -> int:
@@ -430,23 +506,33 @@ def main(argv=None) -> int:
                              "workload or ladder rung reaches; runs no "
                              "tests")
     parser.add_argument("--check", action="store_true",
-                        help="with --traffic: exit 1 unless every "
-                             "unreached function is exempt or kept, and "
-                             "every keep entry is still unreached")
+                        help="with --traffic or --options: exit 1 unless "
+                             "every function or option listed is exempt "
+                             "or kept, and every keep entry is still "
+                             "listed")
     parser.add_argument("pytest_args", nargs="*",
                         help="arguments for pytest.main (after --)")
     options = parser.parse_args(argv)
     src = pathlib.Path(options.src)
     if options.options:
-        total, unused = unused_options(src)
+        total, listed = one_value_options(src)
         base = os.path.realpath(src)
-        for option in unused:
-            print("%s:%d  %s(%s)" % (os.path.relpath(option.path, base),
-                                     option.line, option.qualname,
-                                     option.name))
-        print("census: %d of %d keyword options under %s never passed"
-              % (len(unused), total, src))
-        return 0
+        for option, literal in listed:
+            print("%s:%d  %s(%s)%s" % (os.path.relpath(option.path, base),
+                                       option.line, option.qualname,
+                                       option.name,
+                                       "  always " + literal if literal
+                                       else ""))
+        always = sum(1 for _option, literal in listed if literal)
+        print("census: %d of %d keyword options under %s never passed, "
+              "%d more always passed one literal"
+              % (len(listed) - always, total, src, always))
+        if not options.check:
+            return 0
+        unexplained, stale, exempt = check_options(
+            src, [option for option, _literal in listed],
+            read_keep(KEEP_FILE))
+        return _report_check(len(listed), exempt, unexplained, stale)
     if options.traffic:
         entries: List[Tuple[str, Callable[[], object]]] = []
         failed: List[str] = []
@@ -464,16 +550,9 @@ def main(argv=None) -> int:
             return 1 if failed else 0
         keep = read_keep(KEEP_FILE)
         unexplained, stale = check_keep(src, uncalled, keep)
-        for path, qualname in unexplained:
-            print("census: unexplained: %s  %s" % (path, qualname))
-        for path, qualname in stale:
-            print("census: stale keep entry: %s  %s" % (path, qualname))
         exempt = sum(function.exempt for function in uncalled)
-        print("census: %d exempt by rule, %d kept with a reason, %d "
-              "unexplained; %d stale keep entries"
-              % (exempt, len(uncalled) - exempt - len(unexplained),
-                 len(unexplained), len(stale)))
-        return 1 if failed or unexplained or stale else 0
+        return _report_check(len(uncalled), exempt, unexplained,
+                             stale) or (1 if failed else 0)
     import pytest
 
     outcome = []
@@ -487,6 +566,22 @@ def main(argv=None) -> int:
     print("census: %d of %d functions under %s never called (%d lines)"
           % (len(uncalled), total, src, lines))
     return 0 if not outcome or outcome[0] == 0 else 1
+
+
+def _report_check(listed: int, exempt: int,
+                  unexplained: List[Tuple[str, str]],
+                  stale: List[Tuple[str, str]]) -> int:
+    """Print a check's findings over ``listed`` functions or options,
+    ``exempt`` of them by rule; 1 if it failed, else 0."""
+    for path, name in unexplained:
+        print("census: unexplained: %s  %s" % (path, name))
+    for path, name in stale:
+        print("census: stale keep entry: %s  %s" % (path, name))
+    print("census: %d exempt by rule, %d kept with a reason, %d "
+          "unexplained; %d stale keep entries"
+          % (exempt, listed - exempt - len(unexplained), len(unexplained),
+             len(stale)))
+    return 1 if unexplained or stale else 0
 
 
 def _print_uncalled(src: pathlib.Path, uncalled: List[Function]) -> None:
