@@ -86,7 +86,7 @@ def run_act(title, fault, new_browser_on_restart=False):
         policy=ExponentialBackoff(timeout=2.0, retries=1, base=0.5,
                                   multiplier=2.0, max_delay=4.0,
                                   jitter=0.5),
-        budget=RetryBudget(rate=2.0, burst=64.0))
+        budget=RetryBudget(rate=2.0, burst=64.0), chunk_size=CHUNK)
     injector = FailureInjector(world)
     base = world.now
     # The download starts immediately and runs for a few simulated

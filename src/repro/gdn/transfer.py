@@ -6,27 +6,41 @@ or partition mid-download wastes everything already received.  This
 module fetches large files as per-chunk requests against the
 GDN-HTTPD's manifest/chunk URL scheme (the HTTPD invokes the package
 DSO's ``getFileManifest`` / ``getFileChunk``), verifying each chunk
-against its manifest digest as it arrives, and records progress in a :class:`ResumeToken` that survives
-the client: a browser that crashes or loses its replica mid-transfer
-re-binds — possibly to a *different* replica via the GLS, including a
-serve-stale cached binding — and resumes from the last verified chunk
-instead of restarting.
+against its manifest digest, and records progress in a
+:class:`ResumeToken` that survives the client: a browser that crashes
+or loses its replica mid-transfer re-binds — possibly to a
+*different* replica via the GLS, including a serve-stale cached
+binding — and resumes from the last verified chunk instead of
+restarting.
+
+A wide-area round trip costs far more than carrying a chunk, so a
+transfer keeps up to :data:`TRANSFER_WINDOW` chunk GETs in flight on
+the browser's one channel (:meth:`Browser.issue
+<repro.gdn.browser.Browser.issue>`).  Every chunk has its own digest,
+so one requested early is still verified on its own; chunks are
+verified, applied and checkpointed strictly in index order, each
+exactly once.  A request sent ahead that fails is not retried in
+place: when its chunk reaches the head it is fetched again under the
+retry discipline below, so retries per outage do not grow with the
+window.  A transfer that ends — complete, failed or killed —
+withdraws the requests it still has out.
 
 Retries follow a shared :class:`~repro.sim.retry.RetryPolicy`
 (exponential backoff with seeded deterministic jitter by default) and
 an optional :class:`~repro.sim.retry.RetryBudget` charged for every
-retry *and* every re-fetch of a chunk that was already fetched once —
-so a transfer that keeps restarting from zero exhausts its budget,
-while a resuming transfer spends only what the fault actually cost.
+retry *and* every re-fetch of a chunk that was already fetched once,
+whether it is sent ahead or at the head — so a transfer that keeps
+restarting from zero exhausts its budget, while a resuming transfer
+spends only what the fault actually cost.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Generator, Optional
+from typing import Callable, Dict, Generator, Optional
 
 from ..sim.retry import ExponentialBackoff, RetryBudget, RetryPolicy
-from ..sim.rpc import RpcTimeout
+from ..sim.rpc import IssuedCall, RpcTimeout
 from ..sim.transport import ConnectionClosed, TransportError
 from ..sim.world import World
 from .browser import Browser
@@ -37,6 +51,9 @@ __all__ = ["ChunkedDownloader", "ResumeToken", "TransferError",
 #: Transient failures worth retrying: the access point may restart, the
 #: client's domain may heal, the HTTPD may fail over to another replica.
 _RETRYABLE = (RpcTimeout, ConnectionClosed, TransportError)
+
+#: Chunk GETs a transfer keeps in flight on the browser's channel.
+TRANSFER_WINDOW = 4
 
 
 class TransferError(Exception):
@@ -49,6 +66,30 @@ class IntegrityError(TransferError):
 
 class TransferBudgetExhausted(TransferError):
     """The retry budget denied a retry or re-fetch; transfer abandoned."""
+
+
+def _check_manifest(manifest, token: "ResumeToken") -> None:
+    """Reject a manifest the transfer cannot index its chunks by: it
+    reads digests and builds URLs up to a window ahead of the head."""
+    if not isinstance(manifest, dict):
+        valid = False
+    else:
+        count = manifest.get("chunk_count")
+        digests = manifest.get("chunk_digests")
+        size = manifest.get("chunk_size")
+        valid = (type(count) is int and isinstance(digests, (list, tuple))
+                 and len(digests) == count
+                 and type(size) is int and size > 0
+                 and isinstance(manifest.get("digest"), str))
+    if not valid:
+        raise TransferError("malformed manifest for %s:%s"
+                            % (token.object_name, token.file_path))
+
+
+def _chunk_url(token: "ResumeToken", index: int) -> str:
+    return ("/gdn%s/chunk/%d/%s?chunk_size=%d"
+            % (token.object_name, index, token.file_path,
+               token.manifest["chunk_size"]))
 
 
 class ResumeToken:
@@ -147,6 +188,7 @@ class ChunkedDownloader:
         self.transfers_failed = 0
         self.chunks_ok = 0
         self.chunks_retried = 0
+        self.manifest_retries = 0
         self.resumes = 0
         self.integrity_failures = 0
         self.budget_exhausted = 0
@@ -160,9 +202,9 @@ class ChunkedDownloader:
     def bind_metrics(self, registry, prefix: str) -> None:
         for name in ("transfers_started", "transfers_completed",
                      "transfers_failed", "chunks_ok", "chunks_retried",
-                     "resumes", "integrity_failures", "budget_exhausted",
-                     "duplicate_applications", "bytes_fetched",
-                     "bytes_refetched", "bytes_applied"):
+                     "manifest_retries", "resumes", "integrity_failures",
+                     "budget_exhausted", "duplicate_applications",
+                     "bytes_fetched", "bytes_refetched", "bytes_applied"):
             registry.counter("%s.%s" % (prefix, name),
                              fn=lambda n=name: getattr(self, n))
         registry.gauge(prefix + ".inflight_transfers",
@@ -240,30 +282,58 @@ class ChunkedDownloader:
             manifest = yield from self._fetch(
                 browser, "/gdn%s/manifest/%s%s"
                 % (object_name, file_path, suffix), jitter)
-            if not isinstance(manifest, dict) or "chunk_digests" not in \
-                    manifest:
-                raise TransferError("malformed manifest for %s:%s"
-                                    % (object_name, file_path))
+            _check_manifest(manifest, token)
             token.manifest = manifest
             if checkpoint is not None:
                 checkpoint(token)
         manifest = token.manifest
 
-        for index in range(manifest["chunk_count"]):
-            if index in token.chunks:
-                continue  # verified in a previous incarnation: skip
-            data = yield from self._fetch_chunk(browser, token, index,
-                                                jitter)
-            if index in token.chunks:
-                # Must be unreachable: chunks are fetched sequentially
-                # and each index is applied exactly once.  The counter
-                # is the Soak invariant's witness.
-                self.duplicate_applications += 1
-                continue
-            token.chunks[index] = data
-            self.bytes_applied += len(data)
-            if checkpoint is not None:
-                checkpoint(token)
+        # Chunks are requested up to TRANSFER_WINDOW ahead of the head
+        # on the browser's one channel, but verified, applied and
+        # checkpointed strictly in index order, each exactly once.
+        missing = [index for index in range(manifest["chunk_count"])
+                   if index not in token.chunks]
+        ahead: Dict[int, IssuedCall] = {}
+        issued = 0          # positions of ``missing`` requested so far
+        pipelined = True    # until the budget denies a re-fetch ahead
+        try:
+            for position, index in enumerate(missing):
+                issued = max(issued, position)
+                end = min(position + TRANSFER_WINDOW, len(missing))
+                while pipelined and issued < end:
+                    later = missing[issued]
+                    if later in token.fetched_ever \
+                            and self.budget is not None \
+                            and not self.budget.spend(self.world.now):
+                        # The head re-fetches it under the usual
+                        # discipline, and the rest goes one by one.
+                        pipelined = False
+                        break
+                    try:
+                        ahead[later] = yield from browser.issue(
+                            _chunk_url(token, later), self.policy.timeout)
+                    except _RETRYABLE:
+                        break  # the head finds out under the retry policy
+                    self._inflight_chunks += 1
+                    issued += 1
+                data = yield from self._take(browser, token, index,
+                                             ahead.pop(index, None), jitter)
+                if index in token.chunks:
+                    # Must be unreachable: each index is applied
+                    # exactly once.  The counter is the Soak
+                    # invariant's witness.
+                    self.duplicate_applications += 1
+                    continue
+                token.chunks[index] = data
+                self.bytes_applied += len(data)
+                if checkpoint is not None:
+                    checkpoint(token)
+        finally:
+            # Completed, failed or killed: requests still out are
+            # withdrawn, their deadlines and pending entries with them.
+            for call in ahead.values():
+                call.withdraw()
+            self._inflight_chunks -= len(ahead)
 
         data = token.assemble()
         if hashlib.sha256(data).hexdigest() != manifest["digest"]:
@@ -273,35 +343,45 @@ class ChunkedDownloader:
                 "mid-transfer?)" % (object_name, file_path))
         return data, token
 
+    def _take(self, browser: Browser, token: ResumeToken, index: int,
+              call: Optional[IssuedCall], jitter: Callable) -> Generator:
+        """The head chunk: the reply to its request sent ahead if that
+        verifies, else a fetch under the retry/budget discipline — a
+        request that failed ahead is not retried in place."""
+        if call is not None:
+            try:
+                response = yield from browser.receive(call, self.world.now)
+            except _RETRYABLE:
+                response = None
+            finally:
+                self._inflight_chunks -= 1
+            if response is not None:
+                if response.status == 200:
+                    if self._verify(token, index, response.body):
+                        return response.body
+                elif response.status != 503:
+                    raise TransferError("HTTP %d for %s" % (
+                        response.status, _chunk_url(token, index)))
+        data = yield from self._fetch_chunk(browser, token, index, jitter)
+        return data
+
     def _fetch_chunk(self, browser: Browser, token: ResumeToken,
                      index: int, jitter: Callable) -> Generator:
         """Fetch + verify one chunk under the retry/budget discipline."""
-        manifest = token.manifest
-        url = ("/gdn%s/chunk/%d/%s?chunk_size=%d"
-               % (token.object_name, index, token.file_path,
-                  manifest["chunk_size"]))
-        expected = manifest["chunk_digests"][index]
-        refetch = index in token.fetched_ever
-        if refetch and not self._spend():
+        url = _chunk_url(token, index)
+        if index in token.fetched_ever and not self._spend():
             raise TransferBudgetExhausted(
                 "budget denied re-fetch of chunk %d of %s:%s"
                 % (index, token.object_name, token.file_path))
         for integrity_round in range(self.policy.attempts):
             data = yield from self._fetch(browser, url, jitter,
                                           chunk=True)
-            self.bytes_fetched += len(data)
-            if refetch:
-                self.bytes_refetched += len(data)
-            refetch = True  # any further round is a re-fetch
-            token.fetched_ever.add(index)
-            if hashlib.sha256(data).hexdigest() == expected:
-                self.chunks_ok += 1
+            if self._verify(token, index, data):
                 return data
             # A stale replica (or a file mutated under the transfer)
             # served different bytes: retryable — the HTTPD rebinds on
             # failure and bindings are soft state, so a later attempt
             # can reach a fresh replica.
-            self.integrity_failures += 1
             self.chunks_retried += 1
             if not self._spend():
                 raise TransferBudgetExhausted(
@@ -314,6 +394,20 @@ class ChunkedDownloader:
             "chunk %d of %s:%s failed verification %d times"
             % (index, token.object_name, token.file_path,
                self.policy.attempts))
+
+    def _verify(self, token: ResumeToken, index: int, data) -> bool:
+        """Account for chunk bytes that arrived; True if they match
+        the manifest's digest for the chunk."""
+        self.bytes_fetched += len(data)
+        if index in token.fetched_ever:
+            self.bytes_refetched += len(data)
+        token.fetched_ever.add(index)
+        if hashlib.sha256(data).hexdigest() == \
+                token.manifest["chunk_digests"][index]:
+            self.chunks_ok += 1
+            return True
+        self.integrity_failures += 1
+        return False
 
     def _fetch(self, browser: Browser, url: str, jitter: Callable,
                chunk: bool = False) -> Generator:
@@ -329,6 +423,8 @@ class ChunkedDownloader:
             if attempt:
                 if chunk:
                     self.chunks_retried += 1
+                else:
+                    self.manifest_retries += 1
                 if not self._spend():
                     raise TransferBudgetExhausted(
                         "budget denied retry of %s" % url)

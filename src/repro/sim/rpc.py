@@ -83,6 +83,7 @@ __all__ = [
     "RpcContext",
     "RpcServer",
     "RpcChannel",
+    "IssuedCall",
     "call",
     "ChannelPool",
     "Forward",
@@ -436,11 +437,12 @@ class RpcChannel:
                 return
             _settle(self._pending, reply)
 
-    def call(self, method: str, args: Optional[dict] = None,
-             size: Optional[int] = None, timeout: Optional[float] = None
-             ) -> Generator[Event, Any, Any]:
-        """``value = yield from channel.call("method", {...})``, raising
-        :class:`RpcTimeout` if ``timeout`` is given and passes first."""
+    def issue(self, method: str, args: Optional[dict],
+              size: Optional[int], timeout: Optional[float]
+              ) -> "IssuedCall":
+        """Send a call and return it without waiting for its reply
+        (arguments as for :meth:`call`): ``value = yield from
+        channel.issue(...).result()`` is :meth:`call`."""
         request_id = next(_request_ids)
         args = args if args is not None else {}
         request = {"id": request_id, "method": method,
@@ -450,37 +452,28 @@ class RpcChannel:
                     + encoded_size(args))
         self.calls += 1
         waiter = self.sim.event()
+        # A reply or failure that nobody waits for any more (the call
+        # was withdrawn, its caller died) passes silently; a caller
+        # that does wait has the failure thrown into it all the same.
+        waiter.defuse()
         self._pending[request_id] = waiter
         try:
             self.conn.send(request, size=size)
         except Exception:
             # A synchronous send failure (closed or partitioned
-            # connection) means no reply can ever match this waiter;
-            # leaving it registered would make the dispatcher's
-            # shutdown sweep fail an event nobody waits on, which the
-            # kernel reports as an unhandled failure.
+            # connection) means no reply can ever match this waiter.
             self._pending.pop(request_id, None)
             raise
-        if timeout is None:
-            try:
-                value = yield waiter
-            except RpcFault:
-                self.faults += 1
-                raise
-            return value
-        guard = self._deadlines.add(lambda: _expire_waiter(waiter), timeout)
-        try:
-            value = yield waiter
-        except _DeadlineExpired:
-            self.timeouts += 1
-            self._pending.pop(request_id, None)
-            raise RpcTimeout("%s timed out after %gs"
-                             % (method, timeout)) from None
-        except RpcFault:
-            self.faults += 1
-            raise
-        finally:
-            self._deadlines.cancel(guard)  # nothing stranded on reply
+        guard = (None if timeout is None else self._deadlines.add(
+            lambda: _expire_waiter(waiter), timeout))
+        return IssuedCall(self, request_id, method, timeout, waiter, guard)
+
+    def call(self, method: str, args: Optional[dict] = None,
+             size: Optional[int] = None, timeout: Optional[float] = None
+             ) -> Generator[Event, Any, Any]:
+        """``value = yield from channel.call("method", {...})``, raising
+        :class:`RpcTimeout` if ``timeout`` is given and passes first."""
+        value = yield from self.issue(method, args, size, timeout).result()
         return value
 
     def close(self) -> None:
@@ -500,6 +493,53 @@ class RpcChannel:
             if not waiter.triggered:
                 waiter.defuse()
                 waiter.fail(ConnectionClosed("channel closed"))
+
+
+class IssuedCall:
+    """A call :meth:`RpcChannel.issue` has sent, its reply not yet
+    waited for.
+
+    ``value = yield from issued.result()`` waits for the reply — or
+    takes it at once if it came while nobody waited — and raises what
+    :meth:`RpcChannel.call` raises.  :meth:`withdraw` abandons the
+    call: its deadline is cancelled and a late reply is dropped.
+    Either way the channel keeps nothing of it.
+    """
+
+    __slots__ = ("channel", "request_id", "method", "timeout", "waiter",
+                 "guard")
+
+    def __init__(self, channel: RpcChannel, request_id: int, method: str,
+                 timeout: Optional[float], waiter: Event,
+                 guard: Optional[list]):
+        self.channel = channel
+        self.request_id = request_id
+        self.method = method
+        self.timeout = timeout
+        self.waiter = waiter
+        self.guard = guard
+
+    def result(self) -> Generator[Event, Any, Any]:
+        waiter = self.waiter
+        try:
+            # An already processed waiter is read, not yielded: a
+            # yield would cost a bridge event to hand back the value.
+            value = waiter.value if waiter.processed else (yield waiter)
+        except _DeadlineExpired:
+            self.channel.timeouts += 1
+            raise RpcTimeout("%s timed out after %gs"
+                             % (self.method, self.timeout)) from None
+        except RpcFault:
+            self.channel.faults += 1
+            raise
+        finally:
+            self.withdraw()  # nothing stranded on reply, kill or error
+        return value
+
+    def withdraw(self) -> None:
+        if self.guard is not None:
+            self.channel._deadlines.cancel(self.guard)
+        self.channel._pending.pop(self.request_id, None)
 
 
 def call(src: Host, dst: Host, port: int, method: str,

@@ -4,13 +4,16 @@ import hashlib
 
 import pytest
 
+from repro.gdn.browser import HttpResponse
 from repro.gdn.deployment import GdnDeployment
 from repro.gdn.httpd import parse_transfer_url
 from repro.gdn.package import DEFAULT_CHUNK_SIZE, PackageSemantics
 from repro.gdn.scenario import ReplicationScenario
-from repro.gdn.transfer import (ChunkedDownloader, IntegrityError,
-                                ResumeToken, TransferBudgetExhausted,
-                                TransferError)
+from repro.gdn.transfer import (TRANSFER_WINDOW, ChunkedDownloader,
+                                IntegrityError, ResumeToken,
+                                TransferBudgetExhausted, TransferError)
+from repro.sim.deadlines import shared_pool
+from repro.sim.failures import FailureInjector
 from repro.sim.retry import ExponentialBackoff, RetryBudget
 from repro.sim.topology import Topology
 
@@ -332,3 +335,227 @@ def test_downloader_defaults_are_a_jittered_backoff():
     downloader = ChunkedDownloader(world.world)
     assert isinstance(downloader.policy, ExponentialBackoff)
     assert downloader.policy.jitter > 0.0
+
+
+# -- malformed manifests -----------------------------------------------------
+
+
+class _StubBrowser:
+    """Answers every GET with 200: ``manifest`` for a manifest URL,
+    ``b"abcd"`` for a chunk."""
+
+    def __init__(self, host, manifest):
+        self.host = host
+        self.manifest = manifest
+
+    def get(self, path, timeout=None):
+        yield from ()
+        body = self.manifest if "/manifest/" in path else b"abcd"
+        return HttpResponse(200, body, {}, 0.0)
+
+
+def _digest(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("manifest", [
+    # Digests for fewer chunks than it counts.
+    {"chunk_count": 2, "chunk_size": 4, "chunk_digests": [_digest(b"abcd")],
+     "digest": _digest(b"abcd" * 2)},
+    # No count at all.
+    {"chunk_size": 4, "chunk_digests": [_digest(b"abcd")],
+     "digest": _digest(b"abcd")},
+    # A count that is no int.
+    {"chunk_count": "1", "chunk_size": 4,
+     "chunk_digests": [_digest(b"abcd")], "digest": _digest(b"abcd")},
+    {"chunk_count": 1, "chunk_size": 0,
+     "chunk_digests": [_digest(b"abcd")], "digest": _digest(b"abcd")},
+    {"chunk_count": 1, "chunk_size": 4,
+     "chunk_digests": [_digest(b"abcd")], "digest": None},
+    ["not", "a", "manifest"],
+], ids=["short-digests", "no-count", "str-count", "zero-size", "no-digest",
+        "not-a-dict"])
+def test_malformed_manifest_is_a_transfer_error(manifest):
+    gdn = GdnDeployment(topology=Topology.balanced(1, 1, 1, 2), seed=1,
+                        secure=False)
+    browser = _StubBrowser(gdn.world.host("stub", "r0/c0/m0/s0"), manifest)
+    downloader = ChunkedDownloader(gdn.world)
+
+    def run():
+        try:
+            yield from downloader.download(browser, "/apps/Stub", "f")
+        except TransferError as exc:
+            return exc
+
+    error = gdn.run(run())
+    assert type(error) is TransferError and "malformed" in str(error)
+    assert downloader.chunks_ok == 0
+
+
+# -- pipelined chunk fetches over a wide-area link ---------------------------
+
+WAN_CHUNK = 2048
+WAN_CHUNKS = 48
+WAN_PAYLOAD = bytes(range(256)) * (WAN_CHUNK * WAN_CHUNKS // 256)
+#: The access point is in region r0 and the clients in r1: every chunk
+#: request crosses the WORLD link.
+CLIENT_SITE = "r1/c0/m0/s0"
+
+
+def _wan_deployment():
+    gdn = GdnDeployment(topology=Topology.balanced(2, 1, 1, 2), seed=5,
+                        secure=False)
+    gdn.add_gos("gos-0", "r0/c0/m0/s0")
+    gdn.add_httpd("ap", site="r0/c0/m0/s1", cache_policy=lambda _name: None)
+    gdn.initial_sync()
+    moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
+
+    def publish():
+        yield from moderator.create_package(
+            "/apps/Wan", {"big.bin": WAN_PAYLOAD},
+            ReplicationScenario.single_server("gos-0", cache_ttl=None))
+
+    gdn.run(publish(), host=moderator.host)
+    gdn.settle(2.0)
+    return gdn
+
+
+def _channel(browser):
+    (channel,) = browser._pool._channels.values()
+    return channel
+
+
+def test_fault_free_transfer_keeps_the_window_full():
+    gdn = _wan_deployment()
+    browser = gdn.add_browser("pipe-user", CLIENT_SITE)
+    budget = RetryBudget(rate=0.0, burst=4.0)
+    downloader = ChunkedDownloader(gdn.world, budget=budget,
+                                   chunk_size=WAN_CHUNK)
+    url = "/gdn/apps/Wan/chunk/0/big.bin?chunk_size=%d" % WAN_CHUNK
+
+    def run():
+        yield from browser.get(url)  # opens the channel
+        round_trip = (yield from browser.get(url)).elapsed
+        before, start = browser.requests_made, gdn.world.now
+        data, _token = yield from downloader.download(
+            browser, "/apps/Wan", "big.bin")
+        return (data, round_trip, gdn.world.now - start,
+                browser.requests_made - before)
+
+    data, round_trip, took, gets = gdn.run(run(), host=browser.host)
+    assert data == WAN_PAYLOAD
+    assert round_trip > 0.25  # twice the WORLD latency
+    assert gets == 1 + WAN_CHUNKS  # the manifest, then each chunk once
+    assert budget.granted == budget.denied == 0
+    assert downloader.chunks_retried == downloader.manifest_retries == 0
+    assert took <= (-(-WAN_CHUNKS // TRANSFER_WINDOW) + 2) * round_trip
+
+
+def test_manifest_retries_are_counted():
+    gdn = _wan_deployment()
+    browser = gdn.add_browser("manifest-user", CLIENT_SITE)
+    downloader = ChunkedDownloader(
+        gdn.world, chunk_size=WAN_CHUNK,
+        policy=ExponentialBackoff(timeout=1.0, retries=4, base=0.5,
+                                  jitter=0.0))
+    downloader.bind_metrics(gdn.world.metrics, "manifest-xfer")
+    # The client's site is cut off as the transfer starts: the manifest
+    # request is lost and retried until the site heals.
+    FailureInjector(gdn.world).partition_domain(
+        gdn.world.topology.site(CLIENT_SITE), gdn.world.now, 2.5)
+
+    def run():
+        data, _token = yield from downloader.download(
+            browser, "/apps/Wan", "big.bin")
+        return data
+
+    assert gdn.run(run(), host=browser.host) == WAN_PAYLOAD
+    assert downloader.manifest_retries > 0
+    assert downloader.chunks_retried == 0
+    snapshot = gdn.world.metrics.snapshot()
+    assert snapshot["manifest-xfer.manifest_retries"] \
+        == downloader.manifest_retries
+
+
+def _abort(gdn, browser, how):
+    """Start a transfer and end it ``how`` while chunk requests are in
+    flight; returns (downloader, channel, what the abort left)."""
+    world = gdn.world
+    token = None
+    budget = None
+    if how in ("budget", "error"):
+        # The real manifest, then a doctored copy of it.
+        seeded = []
+        gdn.run(ChunkedDownloader(world, chunk_size=WAN_CHUNK).download(
+            browser, "/apps/Wan", "big.bin",
+            checkpoint=lambda t: seeded.append(t.to_wire())),
+            host=browser.host)
+        token = ResumeToken.from_wire(seeded[0])
+        assert token.manifest is not None and not token.chunks
+        if how == "budget":
+            # Chunk 0 never verifies, and the budget cannot pay for
+            # its re-fetch.
+            token.manifest["chunk_digests"][0] = "0" * 64
+            budget = RetryBudget(rate=0.0, burst=0.5)
+        else:
+            # Four chunks past the end of the file: the first of them
+            # is a 404, the others are still on their way.
+            count = token.manifest["chunk_count"]
+            token.manifest["chunk_count"] = count + 4
+            token.manifest["chunk_digests"] += ["0" * 64] * 4
+            token.chunks = {index: WAN_PAYLOAD[index * WAN_CHUNK:
+                                               (index + 1) * WAN_CHUNK]
+                            for index in range(count - 1)}
+    downloader = ChunkedDownloader(world, budget=budget,
+                                   chunk_size=WAN_CHUNK)
+    seen = {}
+
+    def transfer():
+        try:
+            yield from downloader.download(browser, "/apps/Wan", "big.bin",
+                                           token=token)
+        except TransferError as exc:
+            seen["error"] = exc
+            seen["pending"] = len(_channel(browser)._pending)
+            seen["deadlines"] = shared_pool(world.sim).live
+
+    if how == "crash":
+        def crash():
+            # The manifest takes one round trip, then chunk requests go
+            # out: crash the client while they are on the wire.
+            yield world.sim.timeout(0.45)
+            seen["inflight"] = downloader._inflight_chunks
+            browser.host.crash()
+
+        world.host("crasher", "r0/c0/m0/s0").spawn(crash())
+        browser.host.spawn(transfer())
+        gdn.settle(1.0)
+    else:
+        gdn.run(transfer(), host=browser.host)
+    return downloader, _channel(browser), seen
+
+
+@pytest.mark.parametrize("how", ["budget", "error", "crash"])
+def test_an_aborted_transfer_leaves_nothing_behind(how):
+    gdn = _wan_deployment()
+    browser = gdn.add_browser("abort-" + how, CLIENT_SITE)
+    gdn.run(browser.get("/gdn/apps/Wan"), host=browser.host)
+    pool = shared_pool(gdn.world.sim)
+    baseline = pool.live
+    downloader, channel, seen = _abort(gdn, browser, how)
+    expected = {"budget": TransferBudgetExhausted, "error": TransferError,
+                "crash": None}[how]
+    if expected is None:
+        assert "error" not in seen and seen["inflight"] > 0
+        assert downloader.transfers_started == 1
+        assert downloader.transfers_completed == 0
+    else:
+        assert type(seen["error"]) is expected, seen["error"]
+        # Withdrawn at once, not when their replies or deadlines come.
+        assert seen["pending"] == 0 and seen["deadlines"] == baseline
+    gdn.settle(10.0)  # drains: no unhandled failure surfaces
+    assert gdn.world.sim.stale_timer_count == 0
+    assert downloader._inflight_chunks == 0
+    assert downloader._inflight_transfers == 0
+    assert channel._pending == {}
+    assert pool.live == baseline

@@ -36,16 +36,18 @@ CHUNK = 2048
 CHUNKS = 48
 PAYLOAD = synthetic_file("big-tarball", CHUNK * CHUNKS)
 
-#: Fault window, relative to the start of the drive.  Each transfer
-#: takes ~15 simulated seconds (48 cross-region round trips), so a
-#: [10, 40) window reliably lands mid-transfer.
+#: Fault window, relative to the start of the drive.  A fault-free
+#: transfer takes ~4.6 simulated seconds (the manifest, then 48 chunks
+#: a window at a time: 13 cross-region round trips), and the waves
+#: start at 2 s and 8.6 s, so a [10, 40) window lands mid-transfer in
+#: the second wave.
 FAULT_AT = 10.0
 FAULT_ENDS = 40.0
 
 #: Two partitions of the clients' site, ``(start, duration)`` into the
 #: drive: the first while every first-wave transfer is mid-chunk, the
-#: second catching a later wave after the first ones finished.
-TWO_PARTITIONS = ((4.0, 20.0), (55.0, 15.0))
+#: second catching the last wave (~37-41 s) after the others finished.
+TWO_PARTITIONS = ((4.0, 20.0), (38.0, 15.0))
 
 CLIENTS = 2
 REQUESTS_EACH = 3
