@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Resumable chunked downloads riding out crashes and partitions.
 
-A large package moves as per-chunk RPCs with client-side reassembly,
-integrity verification, and a *persistent resume token*
-(``repro.gdn.transfer.ChunkedDownloader``).  Three acts, one download
+A large package moves as chunk GETs (four chunks to a request) with
+client-side reassembly, per-chunk integrity verification, and a
+*persistent resume token* (``repro.gdn.transfer.ChunkedDownloader``).  Three acts, one download
 each, everything on a scripted clock:
 
 * **act 1 — server crash**: the only serving GOS crashes mid-transfer

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Generator, List, Optional, Tuple
 
-from ..sim.rpc import ChannelPool, IssuedCall
+from ..sim.rpc import ChannelPool
 from ..sim.topology import nearest_first
 from ..sim.transport import ConnectionClosed, Host
 from ..sim.world import World
@@ -71,41 +71,20 @@ class Browser:
         so a crashed access point can't hang the download.
         """
         start = self.world.now
+        access_point = self.access_point
+        args = {"method": "GET", "path": path}
         for attempt in (0, 1):
+            channel = yield from self._pool.channel(access_point.host,
+                                                    access_point.port)
             try:
-                call = yield from self.issue(path, timeout)
-                response = yield from self.receive(call, start)
-                return response
+                reply = yield from channel.call("http", args,
+                                                timeout=timeout)
+                break
             except ConnectionClosed:
                 # Reconnect once: the access point may have restarted.
+                self._pool.discard(channel)
                 if attempt == 1:
                     raise
-
-    def issue(self, path: str, timeout: Optional[float]
-              ) -> Generator[object, object, IssuedCall]:
-        """``call = yield from browser.issue(path, timeout)`` sends a
-        GET and returns without waiting for its reply (only for the
-        channel to open, if it is not); :meth:`receive` takes the
-        reply.  A transfer keeps several GETs in flight this way."""
-        access_point = self.access_point
-        channel = yield from self._pool.channel(access_point.host,
-                                                access_point.port)
-        try:
-            return channel.issue("http", {"method": "GET", "path": path},
-                                 None, timeout)
-        except ConnectionClosed:
-            self._pool.discard(channel)
-            raise
-
-    def receive(self, call: IssuedCall, start: float
-                ) -> Generator[object, object, HttpResponse]:
-        """``response = yield from browser.receive(call, start)``: the
-        reply to an issued GET; ``elapsed`` counts from ``start``."""
-        try:
-            reply = yield from call.result()
-        except ConnectionClosed:
-            self._pool.discard(call.channel)
-            raise
         self.requests_made += 1
         body = reply.get("body", b"")
         self.bytes_received += (len(body)

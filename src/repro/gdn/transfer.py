@@ -3,7 +3,7 @@
 The GDN ships large free-software packages across an unreliable wide
 area (§1, §6.1), yet a whole-file ``GET`` is all-or-nothing: a crash
 or partition mid-download wastes everything already received.  This
-module fetches large files as per-chunk requests against the
+module fetches large files as chunk requests against the
 GDN-HTTPD's manifest/chunk URL scheme (the HTTPD invokes the package
 DSO's ``getFileManifest`` / ``getFileChunk``), verifying each chunk
 against its manifest digest, and records progress in a
@@ -13,34 +13,35 @@ or loses its replica mid-transfer re-binds — possibly to a
 binding — and resumes from the last verified chunk instead of
 restarting.
 
-A wide-area round trip costs far more than carrying a chunk, so a
-transfer keeps up to :data:`TRANSFER_WINDOW` chunk GETs in flight on
-the browser's one channel (:meth:`Browser.issue
-<repro.gdn.browser.Browser.issue>`).  Every chunk has its own digest,
-so one requested early is still verified on its own; chunks are
-verified, applied and checkpointed strictly in index order, each
-exactly once.  A request sent ahead that fails is not retried in
-place: when its chunk reaches the head it is fetched again under the
-retry discipline below, so retries per outage do not grow with the
-window.  A transfer that ends — complete, failed or killed —
-withdraws the requests it still has out.
+A wide-area round trip costs far more than carrying a chunk, and
+every GET costs the access point a request, a name resolution, a
+bind and a GOS round trip, so a transfer asks for an aligned block of
+:data:`TRANSFER_WINDOW` chunks as one GET: the chunk URL with a
+``chunk_size`` of the whole block, which the package DSO's
+``getFileChunk`` serves like any other size.  The client splits the
+reply at the manifest's chunk size and verifies each piece against
+its own digest, so grouping chunks in transit changes nothing about
+verification or resume.  Only a block of chunks never fetched before
+goes whole; a resume that lands mid-block and every re-fetch go one
+chunk at a time, and so does a piece that fails verification or that
+a short reply does not cover.  Chunks are verified, applied and
+checkpointed strictly in index order, each exactly once.
 
 Retries follow a shared :class:`~repro.sim.retry.RetryPolicy`
 (exponential backoff with seeded deterministic jitter by default) and
 an optional :class:`~repro.sim.retry.RetryBudget` charged for every
-retry *and* every re-fetch of a chunk that was already fetched once,
-whether it is sent ahead or at the head — so a transfer that keeps
-restarting from zero exhausts its budget, while a resuming transfer
-spends only what the fault actually cost.
+retry *and* every re-fetch of a chunk that was already fetched once —
+so a transfer that keeps restarting from zero exhausts its budget,
+while a resuming transfer spends only what the fault actually cost.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, Generator, Optional
+from typing import Callable, Generator, Optional
 
 from ..sim.retry import ExponentialBackoff, RetryBudget, RetryPolicy
-from ..sim.rpc import IssuedCall, RpcTimeout
+from ..sim.rpc import RpcTimeout
 from ..sim.transport import ConnectionClosed, TransportError
 from ..sim.world import World
 from .browser import Browser
@@ -52,7 +53,8 @@ __all__ = ["ChunkedDownloader", "ResumeToken", "TransferError",
 #: client's domain may heal, the HTTPD may fail over to another replica.
 _RETRYABLE = (RpcTimeout, ConnectionClosed, TransportError)
 
-#: Chunk GETs a transfer keeps in flight on the browser's channel.
+#: Chunks per GET: an aligned block of this many chunks, none fetched
+#: before, is one request, so this many chunks are in flight at once.
 TRANSFER_WINDOW = 4
 
 
@@ -70,7 +72,7 @@ class TransferBudgetExhausted(TransferError):
 
 def _check_manifest(manifest, token: "ResumeToken") -> None:
     """Reject a manifest the transfer cannot index its chunks by: it
-    reads digests and builds URLs up to a window ahead of the head."""
+    reads digests and builds URLs up to a block ahead of the head."""
     if not isinstance(manifest, dict):
         valid = False
     else:
@@ -84,12 +86,6 @@ def _check_manifest(manifest, token: "ResumeToken") -> None:
     if not valid:
         raise TransferError("malformed manifest for %s:%s"
                             % (token.object_name, token.file_path))
-
-
-def _chunk_url(token: "ResumeToken", index: int) -> str:
-    return ("/gdn%s/chunk/%d/%s?chunk_size=%d"
-            % (token.object_name, index, token.file_path,
-               token.manifest["chunk_size"]))
 
 
 class ResumeToken:
@@ -140,8 +136,7 @@ class ResumeToken:
             "file_path": self.file_path,
             "chunk_size": self.chunk_size,
             "manifest": dict(self.manifest) if self.manifest else None,
-            "chunks": {str(index): data
-                       for index, data in self.chunks.items()},
+            "chunks": dict(self.chunks),
             "fetched_ever": sorted(self.fetched_ever),
         }
 
@@ -163,7 +158,7 @@ class ResumeToken:
 
 
 class ChunkedDownloader:
-    """Budgeted, resumable per-chunk downloads through a browser.
+    """Budgeted, resumable chunked downloads through a browser.
 
     One instance serves any number of transfers (telemetry and the
     retry budget aggregate across them).  ``resume=False`` discards a
@@ -288,52 +283,36 @@ class ChunkedDownloader:
                 checkpoint(token)
         manifest = token.manifest
 
-        # Chunks are requested up to TRANSFER_WINDOW ahead of the head
-        # on the browser's one channel, but verified, applied and
-        # checkpointed strictly in index order, each exactly once.
-        missing = [index for index in range(manifest["chunk_count"])
-                   if index not in token.chunks]
-        ahead: Dict[int, IssuedCall] = {}
-        issued = 0          # positions of ``missing`` requested so far
-        pipelined = True    # until the budget denies a re-fetch ahead
-        try:
-            for position, index in enumerate(missing):
-                issued = max(issued, position)
-                end = min(position + TRANSFER_WINDOW, len(missing))
-                while pipelined and issued < end:
-                    later = missing[issued]
-                    if later in token.fetched_ever \
-                            and self.budget is not None \
-                            and not self.budget.spend(self.world.now):
-                        # The head re-fetches it under the usual
-                        # discipline, and the rest goes one by one.
-                        pipelined = False
-                        break
-                    try:
-                        ahead[later] = yield from browser.issue(
-                            _chunk_url(token, later), self.policy.timeout)
-                    except _RETRYABLE:
-                        break  # the head finds out under the retry policy
-                    self._inflight_chunks += 1
-                    issued += 1
-                data = yield from self._take(browser, token, index,
-                                             ahead.pop(index, None), jitter)
-                if index in token.chunks:
-                    # Must be unreachable: each index is applied
-                    # exactly once.  The counter is the Soak
-                    # invariant's witness.
-                    self.duplicate_applications += 1
-                    continue
-                token.chunks[index] = data
-                self.bytes_applied += len(data)
-                if checkpoint is not None:
-                    checkpoint(token)
-        finally:
-            # Completed, failed or killed: requests still out are
-            # withdrawn, their deadlines and pending entries with them.
-            for call in ahead.values():
-                call.withdraw()
-            self._inflight_chunks -= len(ahead)
+        # An aligned block of TRANSFER_WINDOW chunks that were never
+        # fetched goes as one GET; anything else (a resume that lands
+        # mid-block, a re-fetch) goes one chunk at a time.  Either way
+        # chunks are verified, applied and checkpointed in index order,
+        # each exactly once.
+        def apply(index: int, data: bytes) -> None:
+            if index in token.chunks:
+                # Must be unreachable: each index is applied exactly
+                # once.  The counter is the Soak invariant's witness.
+                self.duplicate_applications += 1
+                return
+            token.chunks[index] = data
+            self.bytes_applied += len(data)
+            if checkpoint is not None:
+                checkpoint(token)
+
+        count = manifest["chunk_count"]
+        head = 0
+        while head < count:
+            if head in token.chunks:
+                head += 1
+                continue
+            block = range(head, min(head + TRANSFER_WINDOW, count))
+            width = (TRANSFER_WINDOW if head % TRANSFER_WINDOW == 0
+                     and not any(index in token.chunks
+                                 or index in token.fetched_ever
+                                 for index in block) else 1)
+            yield from self._fetch_run(browser, token, head, width, jitter,
+                                       apply)
+            head += width
 
         data = token.assemble()
         if hashlib.sha256(data).hexdigest() != manifest["digest"]:
@@ -343,41 +322,45 @@ class ChunkedDownloader:
                 "mid-transfer?)" % (object_name, file_path))
         return data, token
 
-    def _take(self, browser: Browser, token: ResumeToken, index: int,
-              call: Optional[IssuedCall], jitter: Callable) -> Generator:
-        """The head chunk: the reply to its request sent ahead if that
-        verifies, else a fetch under the retry/budget discipline — a
-        request that failed ahead is not retried in place."""
-        if call is not None:
-            try:
-                response = yield from browser.receive(call, self.world.now)
-            except _RETRYABLE:
-                response = None
-            finally:
-                self._inflight_chunks -= 1
-            if response is not None:
-                if response.status == 200:
-                    if self._verify(token, index, response.body):
-                        return response.body
-                elif response.status != 503:
-                    raise TransferError("HTTP %d for %s" % (
-                        response.status, _chunk_url(token, index)))
-        data = yield from self._fetch_chunk(browser, token, index, jitter)
-        return data
+    def _fetch_run(self, browser: Browser, token: ResumeToken, head: int,
+                   width: int, jitter: Callable,
+                   apply: Callable[[int, bytes], None]) -> Generator:
+        """Fetch the ``width`` chunks from ``head`` (a multiple of
+        ``width``; the run is cut at the end of the file) as one GET
+        under the retry/budget discipline, verify each against its own
+        digest and ``apply`` it, in index order.
 
-    def _fetch_chunk(self, browser: Browser, token: ResumeToken,
-                     index: int, jitter: Callable) -> Generator:
-        """Fetch + verify one chunk under the retry/budget discipline."""
-        url = _chunk_url(token, index)
-        if index in token.fetched_ever and not self._spend():
+        The reply is split into manifest-sized pieces; bytes past the
+        run are dropped.  A piece that fails verification, or that a
+        short reply does not cover, is fetched again on its own
+        (width 1), where a failed verification is retried in place.
+        """
+        manifest = token.manifest
+        size = manifest["chunk_size"]
+        url = ("/gdn%s/chunk/%d/%s?chunk_size=%d"
+               % (token.object_name, head // width, token.file_path,
+                  width * size))
+        if head in token.fetched_ever and not self._spend():
             raise TransferBudgetExhausted(
                 "budget denied re-fetch of chunk %d of %s:%s"
-                % (index, token.object_name, token.file_path))
+                % (head, token.object_name, token.file_path))
+        end = min(head + width, manifest["chunk_count"])
         for integrity_round in range(self.policy.attempts):
-            data = yield from self._fetch(browser, url, jitter,
-                                          chunk=True)
-            if self._verify(token, index, data):
-                return data
+            body = yield from self._fetch(browser, url, jitter, chunk=True)
+            for index in range(head, end):
+                offset = (index - head) * size
+                piece = body[offset:offset + size]
+                if (index == head or offset < len(body)) \
+                        and self._verify(token, index, piece):
+                    apply(index, piece)
+                elif width > 1:
+                    # On its own; charged if any bytes of it arrived.
+                    yield from self._fetch_run(browser, token, index, 1,
+                                               jitter, apply)
+                else:
+                    break  # the one chunk failed: retry in place
+            else:
+                return
             # A stale replica (or a file mutated under the transfer)
             # served different bytes: retryable — the HTTPD rebinds on
             # failure and bindings are soft state, so a later attempt
@@ -386,13 +369,13 @@ class ChunkedDownloader:
             if not self._spend():
                 raise TransferBudgetExhausted(
                     "budget denied integrity re-fetch of chunk %d of "
-                    "%s:%s" % (index, token.object_name, token.file_path))
+                    "%s:%s" % (head, token.object_name, token.file_path))
             delay = self.policy.retry_delay(integrity_round + 1, jitter)
             if delay > 0.0:
                 yield self.world.sim.timeout(delay)
         raise IntegrityError(
             "chunk %d of %s:%s failed verification %d times"
-            % (index, token.object_name, token.file_path,
+            % (head, token.object_name, token.file_path,
                self.policy.attempts))
 
     def _verify(self, token: ResumeToken, index: int, data) -> bool:

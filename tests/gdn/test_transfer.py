@@ -221,6 +221,22 @@ def test_resume_token_round_trips_through_wire_format(gdn):
     assert resumer.bytes_refetched == 0
 
 
+def test_resume_token_wire_copies_chunks_and_loads_str_keys():
+    token = ResumeToken("/apps/Big", "big.bin", 4)
+    token.manifest = {"chunk_count": 2}
+    token.chunks = {0: b"abcd", 1: b"ef"}
+    token.fetched_ever = {0, 1}
+    wire = token.to_wire()
+    token.chunks[2] = b"later"  # progress after the checkpoint
+    assert wire["chunks"] == {0: b"abcd", 1: b"ef"}
+    assert ResumeToken.from_wire(wire).chunks == {0: b"abcd", 1: b"ef"}
+    # A wire written with str keys (as JSON would) still loads.
+    wire["chunks"] = {"0": b"abcd", "1": b"ef"}
+    loaded = ResumeToken.from_wire(wire)
+    assert loaded.chunks == {0: b"abcd", 1: b"ef"}
+    assert loaded.fetched_ever == {0, 1} and loaded.complete
+
+
 def test_no_resume_with_tight_budget_exhausts(gdn):
     # A token whose chunks were all fetched once before: resume=False
     # discards the verified progress, so every chunk is a re-fetch —
@@ -392,7 +408,7 @@ def test_malformed_manifest_is_a_transfer_error(manifest):
     assert downloader.chunks_ok == 0
 
 
-# -- pipelined chunk fetches over a wide-area link ---------------------------
+# -- block fetches over a wide-area link -------------------------------------
 
 WAN_CHUNK = 2048
 WAN_CHUNKS = 48
@@ -445,10 +461,148 @@ def test_fault_free_transfer_keeps_the_window_full():
     data, round_trip, took, gets = gdn.run(run(), host=browser.host)
     assert data == WAN_PAYLOAD
     assert round_trip > 0.25  # twice the WORLD latency
-    assert gets == 1 + WAN_CHUNKS  # the manifest, then each chunk once
+    # The manifest, then each block of TRANSFER_WINDOW chunks once.
+    assert gets == 1 + -(-WAN_CHUNKS // TRANSFER_WINDOW)
     assert budget.granted == budget.denied == 0
     assert downloader.chunks_retried == downloader.manifest_retries == 0
     assert took <= (-(-WAN_CHUNKS // TRANSFER_WINDOW) + 2) * round_trip
+
+
+def _record_gets(browser):
+    """The paths ``browser`` GETs from now on, in order."""
+    paths = []
+    get = browser.get
+
+    def recording(path, timeout=None):
+        paths.append(path)
+        response = yield from get(path, timeout)
+        return response
+
+    browser.get = recording
+    return paths
+
+
+def test_a_resume_mid_block_fetches_to_the_boundary_then_blocks():
+    gdn = _wan_deployment()
+    browser = gdn.add_browser("resume-user", CLIENT_SITE)
+    saved = []
+    gdn.run(ChunkedDownloader(gdn.world, chunk_size=WAN_CHUNK).download(
+        browser, "/apps/Wan", "big.bin",
+        checkpoint=lambda t: saved.append(t.to_wire())), host=browser.host)
+    token = ResumeToken.from_wire(saved[0])  # the manifest alone
+    token.chunks = {index: WAN_PAYLOAD[index * WAN_CHUNK:
+                                       (index + 1) * WAN_CHUNK]
+                    for index in range(6)}
+    token.fetched_ever = set(token.chunks)
+    budget = RetryBudget(rate=0.0, burst=4.0)
+    downloader = ChunkedDownloader(gdn.world, budget=budget,
+                                   chunk_size=WAN_CHUNK)
+    paths = _record_gets(browser)
+
+    def resume():
+        data, _token = yield from downloader.download(
+            browser, "/apps/Wan", "big.bin", token=token)
+        return data
+
+    assert gdn.run(resume(), host=browser.host) == WAN_PAYLOAD
+    block = WAN_CHUNK * TRANSFER_WINDOW
+    assert paths == (
+        ["/gdn/apps/Wan/chunk/%d/big.bin?chunk_size=%d" % (index, WAN_CHUNK)
+         for index in (6, 7)]
+        + ["/gdn/apps/Wan/chunk/%d/big.bin?chunk_size=%d" % (index, block)
+           for index in range(2, WAN_CHUNKS // TRANSFER_WINDOW)])
+    assert len(paths) == 2 + 10
+    assert budget.granted == 0 and downloader.bytes_refetched == 0
+    assert downloader.resumes == 1 and downloader.chunks_ok == 42
+
+
+class _FileBrowser:
+    """Serves one file, ``/apps/Stub`` ``f``, through the package DSO's
+    manifest and chunk methods; ``doctor`` maps a path to what its
+    first reply's body becomes.  Records the paths it is asked for."""
+
+    def __init__(self, host, payload, doctor=None):
+        self.host = host
+        self.package = PackageSemantics()
+        self.package.addFile("f", payload)
+        self.doctor = dict(doctor or {})
+        self.paths = []
+
+    def get(self, path, timeout=None):
+        yield from ()
+        self.paths.append(path)
+        kind, _name, file_path, index, chunk_size = parse_transfer_url(path)
+        if kind == "manifest":
+            body = self.package.getFileManifest(file_path, chunk_size)
+        else:
+            body = self.package.getFileChunk(file_path, index, chunk_size)
+        if path in self.doctor:
+            body = self.doctor.pop(path)(body)
+        return HttpResponse(200, body, {}, 0.0)
+
+
+def _stub_download(payload, doctor=None):
+    """Download ``payload`` in 4-byte chunks through a
+    :class:`_FileBrowser`; returns (downloader, budget, browser, which
+    chunks each checkpoint held)."""
+    gdn = GdnDeployment(topology=Topology.balanced(1, 1, 1, 2), seed=1,
+                        secure=False)
+    browser = _FileBrowser(gdn.world.host("stub", "r0/c0/m0/s0"), payload,
+                           doctor)
+    budget = RetryBudget(rate=0.0, burst=4.0)
+    downloader = ChunkedDownloader(gdn.world, budget=budget, chunk_size=4)
+    held = []
+
+    def run():
+        data, _token = yield from downloader.download(
+            browser, "/apps/Stub", "f",
+            checkpoint=lambda t: held.append(sorted(t.chunks)))
+        return data
+
+    assert gdn.run(run()) == payload
+    return downloader, budget, browser, held
+
+
+def _stub_path(index, width):
+    return "/gdn/apps/Stub/chunk/%d/f?chunk_size=%d" % (index, 4 * width)
+
+
+STUB_PAYLOAD = bytes(range(32))  # eight 4-byte chunks, two blocks
+
+
+def test_a_corrupt_piece_of_a_block_is_refetched_alone():
+    first = _stub_path(0, TRANSFER_WINDOW)
+    downloader, budget, browser, held = _stub_download(
+        STUB_PAYLOAD,
+        doctor={first: lambda body: body[:8] + b"XXXX" + body[12:]})
+    assert browser.paths[1:] == [first, _stub_path(2, 1),
+                                 _stub_path(1, TRANSFER_WINDOW)]
+    assert downloader.integrity_failures == 1
+    assert budget.granted == 1 and downloader.bytes_refetched == 4
+    # Applied in index order, each once: the checkpoints after the
+    # manifest hold chunks 0..n-1.
+    assert held == [list(range(count)) for count in range(9)]
+    assert downloader.duplicate_applications == 0
+
+
+def test_a_short_block_reply_refetches_only_what_it_does_not_cover():
+    first = _stub_path(0, TRANSFER_WINDOW)
+    downloader, budget, browser, held = _stub_download(
+        STUB_PAYLOAD, doctor={first: lambda body: body[:8]})
+    assert browser.paths[1:] == [first, _stub_path(2, 1), _stub_path(3, 1),
+                                 _stub_path(1, TRANSFER_WINDOW)]
+    assert budget.granted == 0 and downloader.bytes_refetched == 0
+    assert downloader.integrity_failures == 0
+    assert held == [list(range(count)) for count in range(9)]
+
+
+def test_a_file_ends_with_a_short_block():
+    payload = bytes(range(200))  # 50 chunks: twelve blocks, then two
+    downloader, budget, browser, _held = _stub_download(payload)
+    assert browser.paths[1:] == [_stub_path(index, TRANSFER_WINDOW)
+                                 for index in range(13)]
+    assert downloader.chunks_ok == 50
+    assert budget.granted == 0 and downloader.integrity_failures == 0
 
 
 def test_manifest_retries_are_counted():

@@ -7,6 +7,7 @@ from repro.gls.service import GlsClient, GlsError
 from repro.gls.tree import GlsTree
 from repro.sim.topology import Level, Topology
 from repro.sim.world import World
+from tests.lossy import DatagramMeddler
 
 
 def make_world(seed=21):
@@ -450,3 +451,34 @@ def test_a_directory_node_survives_stop_start_cycles(deployment):
     reply = run(world, GlsClient(world, user, tree).lookup_detailed(oid_hex),
                 host=user)
     assert reply["found"] == "r0/c0/m0/s0"
+
+
+LATE_INSERT_REASON = ("ROADMAP item 15, 'Late and replayed mutations': "
+                      "GLS mutations carry no order, so a held-back "
+                      "insert re-registers an address deleted after it")
+
+
+@pytest.mark.xfail(strict=True, reason=LATE_INSERT_REASON)
+def test_a_late_insert_does_not_bring_back_an_unregistered_address():
+    """The first ``insert`` datagram is held 20 s.  The client times out
+    (8 s), its retry registers and ``unregister`` deletes the address;
+    then the held insert arrives and must not store the address
+    again."""
+    world = World(Topology.balanced(2, 2, 2, 2), seed=99)
+    tree = GlsTree(world)
+    gos_host = world.host("gos-1", "r0/c0/m0/s0")
+    client = GlsClient(world, gos_host, tree)
+    address = ca_wire(world, gos_host)
+    DatagramMeddler(world.network, gos_host.site, late=[0], delay=20.0)
+    oid_hex = run(world, client.register(None, address), host=gos_host)
+    assert 8.0 < world.now < 8.1  # the retry registered
+    run(world, client.unregister(oid_hex, address), host=gos_host)
+    assert world.now < 20.0  # before the held insert arrives
+    user = world.host("user-1", "r1/c1/m1/s1")
+
+    def look_later():
+        yield world.sim.timeout(80.0)
+        found = yield from GlsClient(world, user, tree).lookup(oid_hex)
+        return found
+
+    assert run(world, look_later(), host=user) == []
