@@ -86,7 +86,7 @@ def main():
         ClosedLoopScenario(CLIENTS, THINK_TIME, REQUESTS_PER_CLIENT,
                            sites=topology.sites, mix=mix,
                            label="population"),
-    ], label="soak")
+    ])
     browser_for = gdn.browser_pool("soak")
 
     def one_request(arrival):

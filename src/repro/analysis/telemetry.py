@@ -17,13 +17,15 @@ be involved.  Now all of it goes through one :class:`MetricsRegistry`:
 * **Histograms** are DDSketch-style: a value is recorded by bumping
   one bucket whose geometric bounds guarantee a bounded *relative*
   error on every quantile (default 1%).  Recording is O(1), memory is
-  O(log(max/min)), histograms merge and subtract exactly — which is
-  what makes phase windows work — and ``count``/``mean``/``sum`` stay
-  exact.  This replaces sorting the full sample list per percentile
-  call (O(n log n) each, unbounded memory) in every load run.
+  O(log(max/min)), histograms subtract exactly — which is what makes
+  phase windows work — and ``count``/``mean``/``sum`` stay exact.
+  This replaces sorting the full sample list per percentile call
+  (O(n log n) each, unbounded memory) in every load run.
 * **Phase windows** — ``registry.window("during-fault")`` snapshots
-  every instrument; closing it yields per-instrument *deltas* (counter
-  differences, histogram bucket differences, final gauge readings).
+  every counter and histogram; closing it yields per-instrument
+  *deltas* (counter differences, histogram bucket differences).  A
+  gauge is a reading, not a total, so windows leave it out: read its
+  ``value``.
   ``registry.phase(label)`` chains consecutive non-overlapping windows
   so a soak can report throughput/latency/error-rate for warmup, fault
   and recovery separately; consecutive phase deltas sum exactly to the
@@ -75,7 +77,7 @@ class Instrument:
         raise NotImplementedError
 
     def _zero_state(self) -> Any:
-        raise NotImplementedError
+        raise TelemetryError("a %s has no window delta" % self.kind)
 
     def _delta(self, start: Any, end: Any) -> Any:
         raise NotImplementedError
@@ -117,8 +119,8 @@ class Counter(Instrument):
 
 class Gauge(Instrument):
     """A point-in-time reading (queue depth, heap size, replica count),
-    read from its producer through ``fn``.  A window "delta" is the
-    reading at window close — gauges are not rates.
+    read from its producer through ``fn``.  Gauges are not totals, so
+    phase windows do not snapshot them.
     """
 
     kind = "gauge"
@@ -133,15 +135,6 @@ class Gauge(Instrument):
     def value(self) -> float:
         return self._fn()
 
-    def _state(self) -> float:
-        return self.value
-
-    def _zero_state(self) -> float:
-        return 0
-
-    def _delta(self, start: float, end: float) -> float:
-        return end
-
 
 class Histogram(Instrument):
     """A streaming log-bucketed histogram with bounded-error quantiles.
@@ -151,8 +144,8 @@ class Histogram(Instrument):
     bucket midpoints is within ``max_error`` *relative* error of the
     true sample quantile (DDSketch's guarantee).  Recording is a log
     and a dict bump — O(1), no sample list — while ``count``, ``sum``,
-    ``mean``, ``min`` and ``max`` stay exact.  Two histograms with the
-    same accuracy merge (and subtract, for phase windows) bucket-wise.
+    ``mean``, ``min`` and ``max`` stay exact.  Two snapshots of one
+    histogram subtract bucket-wise, for phase windows.
 
     Non-positive values land in a dedicated zero bucket (a latency of
     exactly 0.0 is representable; negatives are clamped but tracked by
@@ -201,10 +194,6 @@ class Histogram(Instrument):
     #: Series-compatible alias so histograms drop into old call sites.
     add = record
 
-    def extend(self, values) -> None:
-        for value in values:
-            self.record(value)
-
     # -- exact summary statistics --------------------------------------
 
     @property
@@ -252,21 +241,7 @@ class Histogram(Instrument):
                 "p50": self.p(50), "p95": self.p(95),
                 "max": self.maximum}
 
-    # -- merge / delta --------------------------------------------------
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Fold ``other`` into this histogram (same accuracy required)."""
-        if abs(other.max_error - self.max_error) > 1e-12:
-            raise TelemetryError("cannot merge histograms with "
-                                 "different accuracies")
-        for index, bump in other._buckets.items():
-            self._buckets[index] = self._buckets.get(index, 0) + bump
-        self._zero_count += other._zero_count
-        self.count += other.count
-        self.sum += other.sum
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
-        return self
+    # -- delta ----------------------------------------------------------
 
     def state(self) -> Tuple:
         """Canonical, comparable state — the determinism fingerprint
@@ -312,13 +287,14 @@ class Histogram(Instrument):
 
 
 class PhaseWindow:
-    """Deltas of every registry instrument between two instants.
+    """Deltas of every registry counter and histogram between two
+    instants.
 
-    Opened with a snapshot of all instruments; :meth:`close` takes the
-    end snapshot.  :meth:`delta` then answers "how much happened in
-    this window": counter differences, the histogram of values
-    recorded inside the window, or the gauge reading at close.
-    Instruments created mid-window count from zero.
+    Opened with a snapshot of both; :meth:`close` takes the end
+    snapshot.  :meth:`delta` then answers "how much happened in this
+    window": counter differences, or the histogram of values recorded
+    inside the window.  Instruments created mid-window count from
+    zero.  Gauges are readings, not totals, and have no window delta.
     """
 
     def __init__(self, registry: "MetricsRegistry", label: str,
@@ -329,10 +305,6 @@ class PhaseWindow:
         self.ended_at: Optional[float] = None
         self._start = registry._snapshot_states()
         self._end: Optional[Dict[str, Any]] = None
-
-    @property
-    def closed(self) -> bool:
-        return self._end is not None
 
     def close(self, now: Optional[float] = None) -> "PhaseWindow":
         if self._end is None:
@@ -358,10 +330,13 @@ class PhaseWindow:
     def summary(self) -> Dict[str, Any]:
         """Per-instrument deltas (histograms as their summary dicts)."""
         out: Dict[str, Any] = {}
-        for name in self.registry.names():
-            value = self.delta(name)
-            out[name] = (value.summary() if isinstance(value, Histogram)
-                         else value)
+        for instrument in self.registry:
+            if isinstance(instrument, Gauge):
+                continue
+            value = self.delta(instrument.name)
+            out[instrument.name] = (value.summary()
+                                    if isinstance(value, Histogram)
+                                    else value)
         return out
 
     def __repr__(self) -> str:
@@ -440,7 +415,8 @@ class MetricsRegistry:
 
     def _snapshot_states(self) -> Dict[str, Any]:
         return {name: instrument._state()
-                for name, instrument in self._instruments.items()}
+                for name, instrument in self._instruments.items()
+                if not isinstance(instrument, Gauge)}
 
     def snapshot(self) -> Dict[str, Any]:
         """Current values (histograms as summary dicts) — the flat

@@ -64,9 +64,6 @@ class MirrorServer:
         self.documents[path] = data
         self.versions[path] = version
 
-    def total_bytes(self) -> int:
-        return sum(len(data) for data in self.documents.values())
-
 
 class MirrorNetwork:
     """An origin plus mirrors synchronised on a fixed period."""

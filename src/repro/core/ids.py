@@ -45,11 +45,6 @@ class ObjectId:
         return cls(bytes(rng.getrandbits(8) for _ in range(_OID_BYTES)))
 
     @classmethod
-    def from_seed(cls, seed: str) -> "ObjectId":
-        """A deterministic OID derived from a string (tests, fixtures)."""
-        return cls(hashlib.sha1(seed.encode("utf-8")).digest())
-
-    @classmethod
     def from_hex(cls, text: str) -> "ObjectId":
         try:
             data = bytes.fromhex(text)

@@ -22,20 +22,18 @@ from .subobjects import SemanticsSubobject
 
 __all__ = ["Implementation", "ImplementationRepository", "RepositoryError"]
 
-#: Default size of an implementation bundle (subobject code), bytes.
-DEFAULT_CODE_SIZE = 50_000
-
 
 class RepositoryError(Exception):
     """Raised for unknown implementations or misconfiguration."""
 
 
 class Implementation:
-    """A named, loadable DSO implementation."""
+    """A named, loadable DSO implementation; ``code_size`` is the
+    bytes of its bundle (subobject code) a bind downloads."""
 
     def __init__(self, impl_id: str,
                  semantics_class: Type[SemanticsSubobject],
-                 code_size: int = DEFAULT_CODE_SIZE):
+                 code_size: int):
         self.impl_id = impl_id
         self.semantics_class = semantics_class
         self.code_size = code_size

@@ -82,8 +82,7 @@ def _replay(world, stream: RequestStream, one_request, label: str,
     pacing so every system serves the identical back-to-back trace
     (queueing effects would drown the per-request comparison)."""
     stats = LoadStats(registry=world.metrics, prefix="e3-" + label)
-    scenario = TraceScenario.from_stream(stream, pacing="sequential",
-                                         label=label)
+    scenario = TraceScenario(stream, pacing="sequential", label=label)
     world.run_until(world.sim.process(scenario.drive(
         world.sim, one_request, rng=world.rng_for(rng_label),
         stats=stats)), limit=1e9)

@@ -30,7 +30,7 @@ service.  This module puts a cache in front of the per-host
   are answered immediately instead of queueing behind upstream
   timeouts.  Availability during a GLS partition therefore *improves*
   with serve-stale on (a named :class:`~repro.workloads.scenario.Soak`
-  invariant; see ``Soak.serve_stale_invariant``).
+  invariant; see ``tests/integration/test_serve_stale_soak.py``).
 * **Proactive refresh of hot entries.**  Per-entry hit counters drive
   warmup: when a popular entry (``hot_threshold`` hits within its TTL
   period) is read inside the last ``refresh_ahead`` fraction of its

@@ -46,10 +46,6 @@ class ReplicationScenario:
     def master_role(self) -> str:
         return "server" if self.protocol == "client_server" else "master"
 
-    @property
-    def replica_count(self) -> int:
-        return 1 + len(self.slave_gos)
-
     @classmethod
     def single_server(cls, gos: str,
                       cache_ttl: Optional[float] = None

@@ -101,9 +101,6 @@ class CachingResolver:
             self.world.now + ttl,
             ResolutionResult(rcode, records, from_cache=True))
 
-    def flush_cache(self) -> None:
-        self._cache.clear()
-
     def _best_cached_servers(self, qname: str) -> List[Tuple[str, int]]:
         """Start servers: the deepest cached delegation covering
         ``qname``, falling back to the root hints."""

@@ -49,10 +49,6 @@ class ZoneAnswer:
         self.referral = referral or []
         self.authoritative = authoritative
 
-    @property
-    def is_referral(self) -> bool:
-        return bool(self.referral)
-
 
 class Zone:
     """Authoritative data for one DNS zone."""
@@ -130,12 +126,6 @@ class Zone:
     def rrset(self, name: str, rtype: RRType) -> List[ResourceRecord]:
         name = normalize_name(name)
         return list(self._records.get((name, RRType(rtype).value), []))
-
-    def names(self) -> set:
-        return set(self._owners)
-
-    def record_count(self) -> int:
-        return sum(len(rrset) for rrset in self._records.values())
 
     def bump_serial(self) -> int:
         """Commit: seal the changes made since the last commit under

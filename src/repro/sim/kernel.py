@@ -114,6 +114,7 @@ class Event:
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
+        #: ``None`` once processed: the callbacks have run.
         self.callbacks: Optional[list] = []
         self._value: Any = _PENDING
         self._ok: Optional[bool] = None
@@ -125,17 +126,6 @@ class Event:
     def triggered(self) -> bool:
         """True once the event has a value (even if not yet processed)."""
         return self._value is not _PENDING
-
-    @property
-    def processed(self) -> bool:
-        """True once callbacks have run."""
-        return self.callbacks is None
-
-    @property
-    def ok(self) -> bool:
-        if self._ok is None:
-            raise SimulationError("event has not been triggered yet")
-        return self._ok
 
     @property
     def value(self) -> Any:
@@ -240,10 +230,6 @@ class Timeout(Event):
     def fail(self, exception: BaseException) -> "Event":  # pragma: no cover
         raise SimulationError("Timeout events trigger themselves")
 
-    @property
-    def cancelled(self) -> bool:
-        return self._entry is None and not self.triggered
-
     def cancel(self) -> bool:
         """Withdraw a pending timer; returns True if it was withdrawn.
 
@@ -300,11 +286,6 @@ class BatchTimeout:
         self._index = 0
         if entries:
             self._arm()
-
-    @property
-    def pending(self) -> int:
-        """Entries not yet fired."""
-        return len(self._entries) - self._index
 
     def _arm(self) -> None:
         at, seq, _callback = self._entries[self._index]

@@ -143,16 +143,6 @@ class TrafficMeter:
         return sum(size for level, size in self.bytes_by_level.items()
                    if level >= Level.REGION)
 
-    def reset(self) -> None:
-        # In place: bound registry counters hold views of these dicts.
-        for level in Level:
-            self.bytes_by_level[level] = 0
-            self.messages_by_level[level] = 0
-        self.dropped_messages = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {level.name: self.bytes_by_level[level] for level in Level}
-
 
 class Network:
     """Delivers messages between hosts over the topology.
@@ -239,10 +229,6 @@ class Network:
             level = Topology.separation(site_a, site_b)
             self._separation_cache[key] = level
         return level
-
-    def latency(self, site_a: Domain, site_b: Domain) -> float:
-        """One-way propagation latency between two sites."""
-        return self.params.latency[self.separation(site_a, site_b)]
 
     def transfer_delay(self, site_a: Domain, site_b: Domain,
                        size: int) -> float:

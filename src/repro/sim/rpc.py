@@ -57,11 +57,12 @@ point, and UDP retries re-send a same-sized envelope without
 re-measuring.
 
 Telemetry: servers and clients keep plain-int counters on the hot path
-(``requests_served``; ``calls``/``retries``/``timeouts``/``faults``);
-clients and pools expose theirs to a :class:`~repro.analysis.telemetry
-.MetricsRegistry` through ``bind_metrics`` as function-backed
-instruments, so per-phase windows can report RPC activity without the
-request path ever touching an instrument object.
+(``requests_served``; ``calls``/``retries``/``timeouts``/``faults``)
+that callers read directly; channel pools and deadline pools expose
+theirs to a :class:`~repro.analysis.telemetry.MetricsRegistry` through
+``bind_metrics`` as function-backed instruments, so per-phase windows
+can report them without the request path ever touching an instrument
+object.
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ __all__ = [
     "RpcContext",
     "RpcServer",
     "RpcChannel",
-    "IssuedCall",
     "call",
     "ChannelPool",
     "Forward",
@@ -401,14 +401,6 @@ class RpcChannel:
         self._deadlines = shared_pool(host.sim)
         self._dispatcher = host.spawn(self._dispatch_loop())
 
-    def bind_metrics(self, registry, prefix: str) -> None:
-        """Expose this channel's call accounting (long-lived channels —
-        replication links, moderator sessions — are worth watching;
-        per-request channels need not bind)."""
-        registry.counter(prefix + ".calls", fn=lambda: self.calls)
-        registry.counter(prefix + ".timeouts", fn=lambda: self.timeouts)
-        registry.counter(prefix + ".faults", fn=lambda: self.faults)
-
     @classmethod
     def open(cls, host: Host, dst: Host, port: int,
              channel_wrapper: Optional[Callable] = None
@@ -437,12 +429,11 @@ class RpcChannel:
                 return
             _settle(self._pending, reply)
 
-    def issue(self, method: str, args: Optional[dict],
-              size: Optional[int], timeout: Optional[float]
-              ) -> "IssuedCall":
-        """Send a call and return it without waiting for its reply
-        (arguments as for :meth:`call`): ``value = yield from
-        channel.issue(...).result()`` is :meth:`call`."""
+    def call(self, method: str, args: Optional[dict] = None,
+             size: Optional[int] = None, timeout: Optional[float] = None
+             ) -> Generator[Event, Any, Any]:
+        """``value = yield from channel.call("method", {...})``, raising
+        :class:`RpcTimeout` if ``timeout`` is given and passes first."""
         request_id = next(_request_ids)
         args = args if args is not None else {}
         request = {"id": request_id, "method": method,
@@ -452,9 +443,9 @@ class RpcChannel:
                     + encoded_size(args))
         self.calls += 1
         waiter = self.sim.event()
-        # A reply or failure that nobody waits for any more (the call
-        # was withdrawn, its caller died) passes silently; a caller
-        # that does wait has the failure thrown into it all the same.
+        # A reply or failure that nobody waits for any more (the
+        # caller died) passes silently; a caller that does wait has
+        # the failure thrown into it all the same.
         waiter.defuse()
         self._pending[request_id] = waiter
         try:
@@ -466,14 +457,20 @@ class RpcChannel:
             raise
         guard = (None if timeout is None else self._deadlines.add(
             lambda: _expire_waiter(waiter), timeout))
-        return IssuedCall(self, request_id, method, timeout, waiter, guard)
-
-    def call(self, method: str, args: Optional[dict] = None,
-             size: Optional[int] = None, timeout: Optional[float] = None
-             ) -> Generator[Event, Any, Any]:
-        """``value = yield from channel.call("method", {...})``, raising
-        :class:`RpcTimeout` if ``timeout`` is given and passes first."""
-        value = yield from self.issue(method, args, size, timeout).result()
+        try:
+            value = yield waiter
+        except _DeadlineExpired:
+            self.timeouts += 1
+            raise RpcTimeout("%s timed out after %gs"
+                             % (method, timeout)) from None
+        except RpcFault:
+            self.faults += 1
+            raise
+        finally:
+            # Nothing stranded on reply, kill or error.
+            if guard is not None:
+                self._deadlines.cancel(guard)
+            self._pending.pop(request_id, None)
         return value
 
     def close(self) -> None:
@@ -493,53 +490,6 @@ class RpcChannel:
             if not waiter.triggered:
                 waiter.defuse()
                 waiter.fail(ConnectionClosed("channel closed"))
-
-
-class IssuedCall:
-    """A call :meth:`RpcChannel.issue` has sent, its reply not yet
-    waited for.
-
-    ``value = yield from issued.result()`` waits for the reply — or
-    takes it at once if it came while nobody waited — and raises what
-    :meth:`RpcChannel.call` raises.  :meth:`withdraw` abandons the
-    call: its deadline is cancelled and a late reply is dropped.
-    Either way the channel keeps nothing of it.
-    """
-
-    __slots__ = ("channel", "request_id", "method", "timeout", "waiter",
-                 "guard")
-
-    def __init__(self, channel: RpcChannel, request_id: int, method: str,
-                 timeout: Optional[float], waiter: Event,
-                 guard: Optional[list]):
-        self.channel = channel
-        self.request_id = request_id
-        self.method = method
-        self.timeout = timeout
-        self.waiter = waiter
-        self.guard = guard
-
-    def result(self) -> Generator[Event, Any, Any]:
-        waiter = self.waiter
-        try:
-            # An already processed waiter is read, not yielded: a
-            # yield would cost a bridge event to hand back the value.
-            value = waiter.value if waiter.processed else (yield waiter)
-        except _DeadlineExpired:
-            self.channel.timeouts += 1
-            raise RpcTimeout("%s timed out after %gs"
-                             % (self.method, self.timeout)) from None
-        except RpcFault:
-            self.channel.faults += 1
-            raise
-        finally:
-            self.withdraw()  # nothing stranded on reply, kill or error
-        return value
-
-    def withdraw(self) -> None:
-        if self.guard is not None:
-            self.channel._deadlines.cancel(self.guard)
-        self.channel._pending.pop(self.request_id, None)
 
 
 def call(src: Host, dst: Host, port: int, method: str,
@@ -595,15 +545,11 @@ class ChannelPool:
         #: One open in flight per endpoint; later requests park on it.
         self.flights = Singleflight(host.sim, abandoned=ConnectionClosed)
 
-    @property
-    def open_channels(self) -> int:
-        return len(self._channels)
-
     def bind_metrics(self, registry, prefix: str) -> None:
         registry.counter(prefix + ".opens", fn=lambda: self.opens)
         registry.counter(prefix + ".reuses", fn=lambda: self.reuses)
         registry.gauge(prefix + ".open_channels",
-                       fn=lambda: self.open_channels)
+                       fn=lambda: len(self._channels))
 
     def channel(self, remote: Host, port: int
                 ) -> Generator[Event, Any, RpcChannel]:
@@ -761,15 +707,6 @@ class UdpRpcClient:
         self._size_cache: Dict[str, int] = {}  # method -> envelope base
         self._jitter_rng = None  # lazily seeded from the host name
         host.spawn(self._dispatch_loop(self._socket))
-
-    def bind_metrics(self, registry, prefix: str) -> None:
-        registry.counter(prefix + ".calls", fn=lambda: self.calls)
-        registry.counter(prefix + ".retries", fn=lambda: self.retries_sent)
-        registry.counter(prefix + ".timeouts", fn=lambda: self.timeouts_hit)
-        registry.counter(prefix + ".faults", fn=lambda: self.faults)
-        registry.counter(prefix + ".budget_denied",
-                         fn=lambda: self.budget_denied)
-        self.deadline_pool.bind_metrics(registry, prefix + ".deadlines")
 
     def _jitter(self):
         """The policy's per-client jitter RNG, created on first use so

@@ -78,7 +78,6 @@ from ..sim.topology import Domain, Topology
 from ..sim.transport import Host
 from ..sim.world import World
 from .loadgen import Arrival, ArrivalSchedule, LoadStats, draw, measured
-from .population import RequestStream
 from .zipf import ZipfSampler
 
 __all__ = [
@@ -376,13 +375,6 @@ class TraceScenario(Scenario):
         self.label = label
 
     @classmethod
-    def from_stream(cls, stream: RequestStream, pacing: str = "trace",
-                    label: str = "trace") -> "TraceScenario":
-        """Replay a synthesized :class:`RequestStream` (webtrace,
-        population) — the bridge from the §3.1 generators."""
-        return cls(stream, pacing=pacing, label=label)
-
-    @classmethod
     def from_file(cls, path: Union[str, pathlib.Path],
                   topology: Optional[Topology] = None) -> "TraceScenario":
         """Replay a recorded JSONL trace file."""
@@ -531,12 +523,13 @@ class HybridScenario(Scenario):
     same :class:`LoadStats`.
     """
 
-    def __init__(self, scenarios: Sequence[Scenario],
-                 label: str = "hybrid"):
+    #: A hybrid scenario is the load a soak drives.
+    label = "soak"
+
+    def __init__(self, scenarios: Sequence[Scenario]):
         if not scenarios:
             raise ValueError("need at least one scenario")
         self.scenarios = list(scenarios)
-        self.label = label
 
     @property
     def count(self) -> Optional[int]:
@@ -557,15 +550,6 @@ class HybridScenario(Scenario):
 
 
 # -- soak runs: load + faults + invariants + phase windows ------------------
-
-#: The largest failed fraction :meth:`Soak.serve_stale_invariant` allows
-#: among the requests issued inside the fault window.
-SERVE_STALE_MAX_ERROR_RATE = 0.05
-
-#: The most bytes :meth:`Soak.chunked_transfer_invariant` lets a soak
-#: re-fetch per byte applied.
-REFETCH_BOUND = 1.0
-
 
 class SoakReport:
     """Outcome of one :class:`Soak` run.
@@ -702,110 +686,6 @@ class Soak:
         with that label.
         """
         self.invariants.append((name, check, phase))
-
-    def serve_stale_invariant(self, caches: Sequence = (),
-                              require_stale_hits: bool = True,
-                              phase: str = "during-fault",
-                              name: str = "serve-stale-availability"
-                              ) -> None:
-        """The flash-crowd availability invariant (GLS partition).
-
-        Window-scoped on the fault phase: requests issued while the
-        location service is partitioned must still mostly succeed —
-        the failed fraction stays at or below
-        :data:`SERVE_STALE_MAX_ERROR_RATE` —
-        and, when ``require_stale_hits`` is set and metrics-bound
-        :class:`~repro.gdn.cache.GlsLookupCache` instances are given,
-        at least one of them must have answered from a stale entry
-        inside the window (proof the availability came from
-        serve-stale, not from bindings that never expired).
-
-        With serve-stale off the same soak fails this invariant:
-        every expired binding turns into upstream GLS timeouts and
-        503s for the duration of the partition.
-        """
-        caches = list(caches)
-
-        def check(window):
-            row = self.stats.phase_summary(window)
-            issued = row["issued"]
-            if not issued:
-                raise AssertionError("no requests issued during %r"
-                                     % phase)
-            rate = row["failed"] / issued
-            if rate > SERVE_STALE_MAX_ERROR_RATE:
-                raise AssertionError(
-                    "error rate %.1f%% during %r exceeds %.1f%% "
-                    "(failed %d of %d)"
-                    % (rate * 100, phase, SERVE_STALE_MAX_ERROR_RATE * 100,
-                       row["failed"], issued))
-            if require_stale_hits:
-                bound = [cache for cache in caches
-                         if getattr(cache, "metrics_prefix", None)]
-                stale = sum(
-                    window.delta(cache.metrics_prefix + ".stale_served")
-                    for cache in bound)
-                if not stale:
-                    raise AssertionError(
-                        "no stale entries served during %r (%d "
-                        "cache(s) inspected)" % (phase, len(bound)))
-            return True
-
-        self.invariant(name, check, phase=phase)
-
-    def chunked_transfer_invariant(self, downloader,
-                                   min_completed: Optional[int] = None
-                                   ) -> None:
-        """The resilient-transfer invariants (crash/partition soaks).
-
-        Registers three named checks against a
-        :class:`~repro.gdn.transfer.ChunkedDownloader`:
-
-        * ``transfer-completes`` — every started transfer finished
-          (or at least ``min_completed`` did, when given): the fault
-          did not turn downloads into permanent failures;
-        * ``no-duplicate-chunk-application`` — no chunk was applied
-          to a reassembly twice, across crash/resume boundaries;
-        * ``refetch-bounded`` — bytes re-fetched stayed at or below
-          :data:`REFETCH_BOUND` × bytes applied: resumption actually
-          saved the work already done.
-
-        A no-resume downloader under the same fault schedule fails
-        these — restart-from-zero re-fetches every verified chunk
-        until the retry budget runs dry.
-        """
-        def completes():
-            wanted = (downloader.transfers_started
-                      if min_completed is None else min_completed)
-            done = downloader.transfers_completed
-            if done < wanted:
-                raise AssertionError(
-                    "%d of %d transfers completed (%d failed, budget "
-                    "exhausted %d time(s))"
-                    % (done, wanted, downloader.transfers_failed,
-                       downloader.budget_exhausted))
-            return True
-
-        def no_duplicates():
-            if downloader.duplicate_applications:
-                raise AssertionError(
-                    "%d duplicate chunk application(s)"
-                    % downloader.duplicate_applications)
-            return True
-
-        def refetch_bounded():
-            ratio = downloader.refetch_ratio()
-            if ratio > REFETCH_BOUND:
-                raise AssertionError(
-                    "re-fetched %.2fx the applied bytes (bound %.2fx: "
-                    "%d refetched vs %d applied)"
-                    % (ratio, REFETCH_BOUND, downloader.bytes_refetched,
-                       downloader.bytes_applied))
-            return True
-
-        self.invariant("transfer-completes", completes)
-        self.invariant("no-duplicate-chunk-application", no_duplicates)
-        self.invariant("refetch-bounded", refetch_bounded)
 
     # -- the run ---------------------------------------------------------
 

@@ -37,12 +37,6 @@ class ZipfSampler:
             self._cdf.append(acc)
         self._cdf[-1] = 1.0  # guard against float drift
 
-    def probability(self, rank: int) -> float:
-        """P(rank) under this distribution."""
-        if rank == 0:
-            return self._cdf[0]
-        return self._cdf[rank] - self._cdf[rank - 1]
-
     def sample(self, rng: random.Random = None) -> int:
         """One rank draw (0 is the most popular).
 

@@ -135,7 +135,7 @@ def test_mirror_sync_transfers_everything_once(world):
     run(world, network.sync_all(), origin_host)
     transferred = world.network.meter.bytes_by_level[Level.WORLD] - before
     assert transferred > 20 * 10_000
-    assert mirror.total_bytes() == 20 * 10_000
+    assert sum(map(len, mirror.documents.values())) == 20 * 10_000
     # A second sync with no changes moves only the manifest.
     before = world.network.meter.bytes_by_level[Level.WORLD]
     run(world, network.sync_all(), origin_host)
@@ -154,6 +154,6 @@ def test_uniform_strategies_assign_same_scenario_everywhere():
         s_hot = assign("/doc/hot", hot)
         s_cold = assign("/doc/cold", cold)
         assert s_hot.protocol == s_cold.protocol
-        assert s_hot.replica_count == s_cold.replica_count, name
-    assert strategies["ReplAll"]("/x", hot).replica_count == 3
+        assert s_hot.slave_gos == s_cold.slave_gos, name
+    assert len(strategies["ReplAll"]("/x", hot).slave_gos) == 2
     assert strategies["NoRepl"]("/x", hot).cache_ttl is None

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.ids import ContactAddress, IdError, ObjectId
+from tests.util import oid_from_seed
 
 
 def test_generate_is_deterministic_per_rng():
@@ -18,7 +19,7 @@ def test_generate_is_deterministic_per_rng():
 
 
 def test_hex_round_trip():
-    oid = ObjectId.from_seed("gimp")
+    oid = oid_from_seed("gimp")
     assert ObjectId.from_hex(oid.hex) == oid
     assert len(oid.hex) == 40
 
@@ -31,12 +32,12 @@ def test_bad_hex_rejected():
 
 
 def test_oid_hashable_and_distinct():
-    oids = {ObjectId.from_seed("pkg-%d" % i) for i in range(100)}
+    oids = {oid_from_seed("pkg-%d" % i) for i in range(100)}
     assert len(oids) == 100
 
 
 def test_shard_stable_and_in_range():
-    oid = ObjectId.from_seed("x")
+    oid = oid_from_seed("x")
     assert oid.shard(8) == oid.shard(8)
     assert 0 <= oid.shard(8) < 8
     with pytest.raises(IdError):
@@ -46,7 +47,7 @@ def test_shard_stable_and_in_range():
 def test_shard_distributes_reasonably():
     buckets = [0] * 8
     for i in range(800):
-        buckets[ObjectId.from_seed("obj-%d" % i).shard(8)] += 1
+        buckets[oid_from_seed("obj-%d" % i).shard(8)] += 1
     # Every bucket gets a meaningful share (SHA-based hashing).
     assert min(buckets) > 50
 

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.ids import ContactAddress, ObjectId
+from repro.core.ids import ContactAddress
 from repro.core.runtime import BindError
 from repro.sim.stable import DISK_WRITE_LATENCY
-from tests.util import GlobeBed
+from tests.util import GlobeBed, oid_from_seed
 
 
 @pytest.fixture
@@ -29,7 +29,7 @@ def test_bind_unknown_oid_fails(bed):
 
     def use():
         try:
-            yield from runtime.bind(ObjectId.from_seed("nothing"))
+            yield from runtime.bind(oid_from_seed("nothing"))
         except BindError:
             return "no address"
 
@@ -63,7 +63,7 @@ def test_rebind_with_refresh_builds_new_representative(bed):
 
 
 def test_bind_unknown_protocol_fails(bed):
-    oid = ObjectId.from_seed("weird")
+    oid = oid_from_seed("weird")
     wire = ContactAddress("nowhere", 1, "exotic_protocol",
                           impl_id="test.kv").to_wire()
     bed.run(bed.gls.register(oid.hex, wire))
@@ -147,7 +147,7 @@ def test_rebind_with_unchanged_gls_answer_opens_no_connection(bed):
     assert (same, value) == (False, "v")
     assert after[0] - before[0] == 3 and after[1] - before[1] == 2
     assert after[2:] == before[2:]
-    assert (runtime.pool.opens, runtime.pool.open_channels) == (1, 1)
+    assert (runtime.pool.opens, len(runtime.pool._channels)) == (1, 1)
     assert runtime.binds_performed == 2
 
 
@@ -208,7 +208,7 @@ def test_runtimes_with_different_credentials_never_share_a_channel(bed):
     writers = [shared_machine.spawn(write("alice", for_alice)),
                shared_machine.spawn(write("bob", for_bob))]
     bed.world.run()
-    assert all(writer.ok for writer in writers)
+    assert [writer.value for writer in writers] == [None, None]
     assert sorted(seen) == sorted(
         [("alice", for_alice.oid.hex)] * 2 + [("bob", for_bob.oid.hex)] * 2)
     assert [runtimes[name].pool.opens for name in ("alice", "bob")] == [1, 1]
@@ -234,7 +234,7 @@ def test_detach_leaves_other_representatives_calls_in_flight(bed):
         return value
 
     assert bed.run(use(), host=runtime.host) == "v"
-    assert (runtime.pool.opens, runtime.pool.open_channels) == (1, 1)
+    assert (runtime.pool.opens, len(runtime.pool._channels)) == (1, 1)
 
 
 def test_unbind_all_closes_every_channel(bed):
@@ -250,12 +250,12 @@ def test_unbind_all_closes_every_channel(bed):
         for server_lr in objects:
             lr = yield from runtime.bind(server_lr.oid)
             yield from lr.invoke("size")
-        assert runtime.pool.open_channels == 2
+        assert len(runtime.pool._channels) == 2
         runtime.unbind_all()
 
     bed.run(use(), host=runtime.host)
     bed.world.run()                      # FINs land, serve loops end
-    assert not runtime.bound and runtime.pool.open_channels == 0
+    assert not runtime.bound and len(runtime.pool._channels) == 0
     assert not runtime.host._connections and not runtime.host._processes
     assert [(len(gos.host._connections), len(gos.host._processes))
             for gos in (near, far)] == baseline

@@ -9,11 +9,10 @@ from repro.gdn.scenario import (ObjectUsage, ReplicationScenario,
 def test_scenario_roles():
     single = ReplicationScenario.single_server("gos-a")
     assert single.master_role == "server"
-    assert single.replica_count == 1
+    assert single.slave_gos == []
     replicated = ReplicationScenario.master_slave("gos-a", ["gos-b"])
     assert replicated.master_role == "master"
     assert replicated.slave_gos == ["gos-b"]
-    assert replicated.replica_count == 2
 
 
 def test_scenario_validation():

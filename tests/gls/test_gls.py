@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.core.ids import ContactAddress, ObjectId
+from repro.core.ids import ContactAddress
 from repro.gls.service import GlsClient, GlsError
 from repro.gls.tree import GlsTree
 from repro.sim.topology import Level, Topology
 from repro.sim.world import World
 from tests.lossy import DatagramMeddler
+from tests.util import oid_from_seed
 
 
 def make_world(seed=21):
@@ -99,7 +100,7 @@ def test_lookup_unknown_oid_returns_empty(deployment):
     world, tree = deployment
     user = world.host("user-1", "r0/c0/m0/s0")
     client = GlsClient(world, user, tree)
-    reply = run(world, client.lookup_detailed(ObjectId.from_seed("ghost").hex),
+    reply = run(world, client.lookup_detailed(oid_from_seed("ghost").hex),
                 host=user)
     assert reply["cas"] == []
     assert reply["found"] is None

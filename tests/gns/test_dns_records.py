@@ -64,6 +64,14 @@ def zone():
     return z
 
 
+def _records(zone):
+    return {tuple(sorted(wire.items())) for wire in zone.to_wire()["records"]}
+
+
+def _names(zone):
+    return {wire["name"] for wire in zone.to_wire()["records"]}
+
+
 def test_exact_answer(zone):
     answer = zone.answer("gimp.apps.gdn.vu.nl", RRType.TXT)
     assert answer.rcode == Rcode.NOERROR
@@ -90,7 +98,7 @@ def test_referral_at_zone_cut():
     parent = Zone("nl", primary_host="dns-nl")
     parent.add_record(ResourceRecord("gdn.vu.nl", RRType.NS, 600, "dns-1"))
     answer = parent.answer("gimp.apps.gdn.vu.nl", RRType.TXT)
-    assert answer.is_referral
+    assert answer.referral
     assert not answer.authoritative
     assert answer.referral[0].data == "dns-1"
 
@@ -103,10 +111,10 @@ def test_cname_returned_for_other_types(zone):
 
 
 def test_duplicate_add_is_idempotent(zone):
-    before = zone.record_count()
+    before = len(zone.to_wire()["records"])
     zone.add_record(ResourceRecord("gimp.apps.gdn.vu.nl", RRType.TXT, 300,
                                    "globe-oid=aa"))
-    assert zone.record_count() == before
+    assert len(zone.to_wire()["records"]) == before
 
 
 def test_remove_rrset(zone):
@@ -124,7 +132,7 @@ def test_zone_wire_round_trip(zone):
     zone.bump_serial()
     restored = Zone.from_wire(zone.to_wire())
     assert restored.serial == zone.serial
-    assert restored.record_count() == zone.record_count()
+    assert _records(restored) == _records(zone)
     assert restored.answer("gimp.apps.gdn.vu.nl", RRType.TXT).answers
 
 
@@ -152,7 +160,7 @@ def test_owner_name_lives_as_long_as_one_rrset_does(zone):
     assert _negative(zone) == "NODATA"  # the A rrset still owns it
     zone.remove_record(ResourceRecord(NAME, RRType.A, 300, "h1"))
     assert _negative(zone) == Rcode.NXDOMAIN
-    assert zone.names() == set()
+    assert _names(zone) == set()
     zone.add_record(ResourceRecord(NAME, RRType.A, 300, "h2"))
     assert _negative(zone) == "NODATA"
 
@@ -179,14 +187,10 @@ def test_owner_names_follow_an_applied_delta(zone):
         copy.apply_delta(delta)
     assert _negative(copy) == Rcode.NXDOMAIN
     assert _negative(copy, "tetex.apps.gdn.vu.nl") == "NODATA"
-    assert copy.names() == zone.names() == {"tetex.apps.gdn.vu.nl"}
+    assert _names(copy) == _names(zone) == {"tetex.apps.gdn.vu.nl"}
 
 
 # -- the change journal --------------------------------------------------------
-
-
-def _records(zone):
-    return {tuple(sorted(wire.items())) for wire in zone.to_wire()["records"]}
 
 
 def test_journal_seals_what_was_really_changed_in_order(zone):

@@ -6,12 +6,14 @@ from repro.gns.authority import NamingAuthority
 from repro.gns.dns.records import RRType
 from repro.gns.dns.server import DNS_PORT
 from repro.gns.dns.tsig import TsigKey
+from repro.gns.dns.zone import Rcode
 from repro.gns.gns import (GlobeNameService, GnsError, decode_oid_txt,
                            dns_to_object_name, encode_oid_txt,
                            object_name_to_dns)
 from repro.sim import rpc
 
 from tests.gns.test_dns_system import KEY, GDN_ZONE, DnsBed, run
+from tests.lossy import DatagramMeddler
 
 
 # -- name mapping (pure functions) -------------------------------------------
@@ -201,3 +203,56 @@ def test_two_level_naming_stability(bed):
                               host=resolver.host)
     assert first == second == "5a"
     assert hits == 1
+
+
+LATE_UPDATE_REASON = ("ROADMAP item 15, 'Late and replayed mutations': "
+                      "a zone UPDATE carries no order and its TSIG no "
+                      "time, so a held-back add re-adds a name removed "
+                      "after it")
+
+
+@pytest.mark.xfail(strict=True, reason=LATE_UPDATE_REASON)
+def test_a_late_update_does_not_bring_back_a_removed_name(bed):
+    """The authority's first signed UPDATE is held 10 s, past its 3 s
+    timeout.  Its retry adds the name and ``remove_name`` deletes it;
+    then the held original reaches the primary and must not add the
+    name again."""
+    authority = _authority(bed)
+    tool_host = bed.world.host("modtool", "r0/c1/m0/s1")
+    name = "/apps/editors/Emacs"
+    dns_name = "emacs.editors.apps." + GDN_ZONE
+
+    def hold_the_first_update():
+        # Inside the batch window: the next message to or from the
+        # authority's site is its first UPDATE.
+        yield bed.world.sim.timeout(0.25)
+        DatagramMeddler(bed.world.network, authority.host.site, late=[0],
+                        delay=10.0)
+
+    def add_then_remove():
+        bed.world.sim.process(hold_the_first_update())
+        channel = yield from rpc.RpcChannel.open(
+            tool_host, authority.host, authority.port)
+        yield from channel.call("add_name", {"name": name, "oid": "e1"})
+        added_at = bed.world.now
+        yield from channel.call("remove_name", {"name": name})
+        channel.close()
+        return added_at
+
+    added_at = run(bed.world, add_then_remove(), host=tool_host)
+    assert 3.0 < added_at < 4.0     # the retry added the name
+    assert bed.world.now < 10.0      # removed before the original lands
+    zone = bed.primary.zones[GDN_ZONE]
+    assert zone.answer(dns_name, RRType.TXT).rcode == Rcode.NXDOMAIN
+    bed.world.run(until=bed.world.now + 60.0)
+    assert zone.answer(dns_name, RRType.TXT).rcode == Rcode.NXDOMAIN
+    resolver = bed.resolver("user-1", "r1/c0/m0/s1")
+    gns = GlobeNameService(bed.world, resolver.host, resolver, zone=GDN_ZONE)
+
+    def attempt():
+        try:
+            yield from gns.resolve(name)
+        except GnsError:
+            return "unknown"
+
+    assert run(bed.world, attempt(), host=resolver.host) == "unknown"

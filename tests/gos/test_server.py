@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.core.ids import ObjectId
 from repro.gos.server import NotAuthorized
 from repro.sim import rpc
-from tests.util import GlobeBed
+from tests.util import GlobeBed, oid_from_seed
 
 
 @pytest.fixture
@@ -61,7 +60,7 @@ def test_remove_unknown_replica_faults(bed):
     def drive():
         try:
             yield from rpc.call(tool, gos.host, gos.port, "remove_replica",
-                                {"oid": ObjectId.from_seed("ghost").hex})
+                                {"oid": oid_from_seed("ghost").hex})
         except rpc.RpcFault as fault:
             return fault.kind
 
@@ -75,7 +74,7 @@ def test_dso_message_to_missing_replica_is_an_error_reply(bed):
     def drive():
         reply = yield from rpc.call(
             client, gos.host, gos.port, "dso_message",
-            {"oid": ObjectId.from_seed("ghost").hex, "msg": {"type": "pull"}})
+            {"oid": oid_from_seed("ghost").hex, "msg": {"type": "pull"}})
         return reply
 
     reply = bed.run(drive(), host=client)

@@ -3,7 +3,7 @@
 Two fault scenarios against the same budgeted chunked-download
 driver — the serving GOS crashing mid-transfer, and the client's
 domain partitioning mid-transfer — judged by
-:meth:`Soak.chunked_transfer_invariant`.  The asymmetry is the point:
+:func:`chunked_transfer_invariant`.  The asymmetry is the point:
 
 * with resumption on, an interrupted download restarts from its
   checkpointed :class:`ResumeToken` and re-fetches (almost) nothing,
@@ -51,6 +51,59 @@ TWO_PARTITIONS = ((4.0, 20.0), (38.0, 15.0))
 
 CLIENTS = 2
 REQUESTS_EACH = 3
+
+#: The most bytes :func:`chunked_transfer_invariant` lets a soak
+#: re-fetch per byte applied.
+REFETCH_BOUND = 1.0
+
+
+def chunked_transfer_invariant(soak, downloader, wanted):
+    """Register the resilient-transfer invariants on ``soak``.
+
+    Three named checks against a
+    :class:`~repro.gdn.transfer.ChunkedDownloader`:
+
+    * ``transfer-completes`` — at least ``wanted`` transfers finished:
+      the fault did not turn downloads into permanent failures;
+    * ``no-duplicate-chunk-application`` — no chunk was applied to a
+      reassembly twice, across crash/resume boundaries;
+    * ``refetch-bounded`` — bytes re-fetched stayed at or below
+      :data:`REFETCH_BOUND` × bytes applied: resumption actually saved
+      the work already done.
+
+    A no-resume downloader under the same fault schedule fails these —
+    restart-from-zero re-fetches every verified chunk until the retry
+    budget runs dry.
+    """
+    def completes():
+        done = downloader.transfers_completed
+        if done < wanted:
+            raise AssertionError(
+                "%d of %d transfers completed (%d failed, budget "
+                "exhausted %d time(s))"
+                % (done, wanted, downloader.transfers_failed,
+                   downloader.budget_exhausted))
+        return True
+
+    def no_duplicates():
+        if downloader.duplicate_applications:
+            raise AssertionError("%d duplicate chunk application(s)"
+                                 % downloader.duplicate_applications)
+        return True
+
+    def refetch_bounded():
+        ratio = downloader.refetch_ratio()
+        if ratio > REFETCH_BOUND:
+            raise AssertionError(
+                "re-fetched %.2fx the applied bytes (bound %.2fx: "
+                "%d refetched vs %d applied)"
+                % (ratio, REFETCH_BOUND, downloader.bytes_refetched,
+                   downloader.bytes_applied))
+        return True
+
+    soak.invariant("transfer-completes", completes)
+    soak.invariant("no-duplicate-chunk-application", no_duplicates)
+    soak.invariant("refetch-bounded", refetch_bounded)
 
 
 def _run_soak(resume, fault, policy=None, budget_burst=16.0, seed=13,
@@ -133,8 +186,7 @@ def _run_soak(resume, fault, policy=None, budget_burst=16.0, seed=13,
                            base + start, duration)
     else:
         raise ValueError(fault)
-    soak.chunked_transfer_invariant(
-        downloader, min_completed=CLIENTS * REQUESTS_EACH)
+    chunked_transfer_invariant(soak, downloader, CLIENTS * REQUESTS_EACH)
     report = soak.run()
     browser_for.close()
     return report, downloader, gdn

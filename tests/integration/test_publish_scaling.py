@@ -77,11 +77,12 @@ def test_secondaries_are_sent_each_publish_once(published, packages):
     secondaries = len(gdn.dns_secondaries)
     assert secondaries == 2
     zone = gdn.dns_primary.zones[gdn.zone]
-    assert zone.record_count() == packages * RECORDS_PER_PUBLISH
+    records = len(zone.to_wire()["records"])
+    assert records == packages * RECORDS_PER_PUBLISH
     for secondary in gdn.dns_secondaries:
         copy = secondary.zones[gdn.zone]
-        assert (copy.serial, copy.record_count()) == \
-            (zone.serial, zone.record_count())
+        assert (copy.serial, len(copy.to_wire()["records"])) == \
+            (zone.serial, records)
     # One publish is one update, and each secondary applies exactly
     # the records of that update — however the NOTIFYs and transfers
     # interleaved, and whatever the zone held by then.

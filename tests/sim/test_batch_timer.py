@@ -144,12 +144,13 @@ def test_empty_batch_is_a_noop():
 
 
 def test_pending_counts_down():
+    """The batch stays armed, in one heap slot, while an entry is
+    still to fire."""
     sim = Simulator()
     log = []
-    batch = BatchTimeout(sim, entries_for(sim, [(1.0, "a"), (2.0, "b")],
-                                          log))
-    assert batch.pending == 2
+    BatchTimeout(sim, entries_for(sim, [(1.0, "a"), (2.0, "b")], log))
+    assert sim.heap_size == 1 and log == []
     sim.run(until=1.5)
-    assert batch.pending == 1
+    assert sim.heap_size == 1 and log == [(1.0, "a")]
     sim.run()
-    assert batch.pending == 0
+    assert sim.heap_size == 0 and log == [(1.0, "a"), (2.0, "b")]

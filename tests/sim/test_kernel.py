@@ -27,7 +27,7 @@ def test_timeout_carries_value():
 
     process = sim.process(proc())
     sim.run()
-    assert process.ok and process.value is None  # a timer fires with None
+    assert process.value is None  # a timer fires with None
 
 
 def test_negative_delay_rejected():
@@ -163,7 +163,8 @@ def test_yielding_non_event_fails_process():
     with pytest.raises(SimulationError):
         sim.run()
     assert process.triggered
-    assert not process.ok
+    with pytest.raises(SimulationError):
+        process.value
 
 
 def test_process_return_value_chains():
@@ -344,7 +345,7 @@ def test_a_finished_process_nobody_waits_on_costs_no_event():
 
     finished = sim.process(work())
     sim.run()
-    assert finished.processed and finished.value == "done"
+    assert finished.callbacks is None and finished.value == "done"
     assert sim.events_processed == 2     # its start and its timer
 
     victim = sim.start(sleeper())
@@ -352,7 +353,7 @@ def test_a_finished_process_nobody_waits_on_costs_no_event():
     victim.kill()
     # Not enqueued, and no sequence number drawn for the end.
     assert sim.reserve_seq() == seq + 1
-    assert victim.processed and victim.value is None
+    assert victim.callbacks is None and victim.value is None
     assert sim.ready_size == 0 and sim.heap_size == 0
     sim.run()
     assert sim.events_processed == 2 and sim.now == 1.0
@@ -367,7 +368,7 @@ def test_waiting_on_a_process_that_ended_silently_resumes_via_the_bridge():
 
     ended = sim.process(quick())
     sim.run()
-    assert ended.processed               # ended with nobody waiting
+    assert ended.callbacks is None               # ended with nobody waiting
 
     def waiter():
         value = yield ended
@@ -389,7 +390,8 @@ def test_a_process_that_raises_surfaces_though_nobody_waits_on_it():
     process = sim.start(broken())
     with pytest.raises(RuntimeError, match="unhandled"):
         sim.run()
-    assert not process.ok
+    with pytest.raises(RuntimeError):
+        process.value
     assert sim.events_processed == 2     # the timer and the failure
 
 
@@ -520,7 +522,6 @@ def test_cancelled_timeout_never_fires():
         guard.add_callback(lambda _e: fired.append("guard"))
         yield sim.timeout(1.0)
         assert guard.cancel() is True
-        assert guard.cancelled
         yield sim.timeout(10.0)
 
     sim.process(proc())
@@ -537,7 +538,6 @@ def test_cancel_is_idempotent_and_noop_after_fire():
         yield timer
         # Already fired: cancel must be a harmless no-op.
         assert timer.cancel() is False
-        assert not timer.cancelled
         early = sim.timeout(50.0)
         assert early.cancel() is True
         assert early.cancel() is False

@@ -18,10 +18,11 @@ def net():
 def test_latency_tiering(net):
     topo = net.topology
     a = topo.site("r0/c0/m0/s0")
-    assert net.latency(a, a) == DEFAULT_LATENCY[Level.SITE]
-    assert (net.latency(a, topo.site("r0/c0/m0/s1"))
+    # A zero-byte message takes exactly the one-way latency.
+    assert net.transfer_delay(a, a, 0) == DEFAULT_LATENCY[Level.SITE]
+    assert (net.transfer_delay(a, topo.site("r0/c0/m0/s1"), 0)
             == DEFAULT_LATENCY[Level.CITY])
-    assert (net.latency(a, topo.site("r1/c0/m0/s0"))
+    assert (net.transfer_delay(a, topo.site("r1/c0/m0/s0"), 0)
             == DEFAULT_LATENCY[Level.WORLD])
 
 
@@ -30,7 +31,7 @@ def test_latency_monotone_in_distance(net):
     a = topo.site("r0/c0/m0/s0")
     others = ["r0/c0/m0/s0", "r0/c0/m0/s1", "r0/c0/m1/s0",
               "r0/c1/m0/s0", "r1/c0/m0/s0"]
-    latencies = [net.latency(a, topo.site(p)) for p in others]
+    latencies = [net.transfer_delay(a, topo.site(p), 0) for p in others]
     assert latencies == sorted(latencies)
 
 
@@ -120,16 +121,6 @@ def test_jitter_fraction_validation():
         LinkParameters(jitter_fraction=1.5)
 
 
-def test_meter_reset_and_snapshot(net):
-    topo = net.topology
-    a = topo.site("r0/c0/m0/s0")
-    net.deliver(a, a, "h", 42, lambda _e: None)
-    snap = net.meter.snapshot()
-    assert snap["SITE"] == 42
-    net.meter.reset()
-    assert net.meter.total_bytes == 0
-
-
 # -- partition-membership caching -------------------------------------------
 
 
@@ -212,7 +203,7 @@ def test_partition_drop_metering_is_byte_identical_to_naive_walk():
                             lambda _e: None, reliable=(step % 3 == 0))
         sim.run()
         meter = network.meter
-        return (meter.snapshot(), dict(meter.messages_by_level),
+        return (dict(meter.bytes_by_level), dict(meter.messages_by_level),
                 meter.dropped_messages)
 
     assert one_run(Network) == one_run(NaiveNetwork)

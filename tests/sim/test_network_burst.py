@@ -24,7 +24,7 @@ def make_net(seed=0, **params):
 def burst_vs_scalar(messages, *, src="r0/c0/m0/s0", dst="r1/c0/m0/s0",
                     dst_host="hostB", setup=None, **params):
     """Run the same message list through both paths; return both
-    observations as (arrival log, meter snapshot, drops, scheduled)."""
+    observations as (arrival log, bytes by level, drops, scheduled)."""
     results = []
     for batched in (False, True):
         net = make_net(**params)
@@ -46,7 +46,7 @@ def burst_vs_scalar(messages, *, src="r0/c0/m0/s0", dst="r1/c0/m0/s0",
                 net.deliver(a, b, dst_host, size, deliver_fn(tag))
                 for size, tag in messages)
         net.sim.run()
-        results.append((log, net.meter.snapshot(),
+        results.append((log, dict(net.meter.bytes_by_level),
                         net.meter.dropped_messages, scheduled))
     return results
 
@@ -73,7 +73,7 @@ def test_burst_matches_scalar_down_host():
     assert burst == scalar
     assert burst[3] == 0
     assert burst[2] == 5  # every message metered as a drop
-    assert burst[1]["WORLD"] == 500  # ... but bytes charged at send
+    assert burst[1][Level.WORLD] == 500  # ... but bytes charged at send
 
 
 def test_burst_matches_scalar_across_partition():
@@ -159,7 +159,7 @@ def drive_udp(batched, **params):
             sender.send_to(b, 200, payload, size=size)
         sent = None
     world.run(until=30.0)
-    return log, world.network.meter.snapshot(), sent
+    return log, dict(world.network.meter.bytes_by_level), sent
 
 
 def test_send_burst_matches_send_to():

@@ -584,7 +584,7 @@ def test_udp_calls_leave_no_timers_in_heap(world):
 
 
 def test_rpc_channel_counters_bind_to_registry():
-    from repro.analysis.telemetry import MetricsRegistry
+    """A channel counts its own calls, faults and timeouts."""
     from repro.sim.topology import Topology
     from repro.sim.world import World
 
@@ -598,7 +598,6 @@ def test_rpc_channel_counters_bind_to_registry():
 
     def driver():
         channel = yield from rpc.RpcChannel.open(a, b, 7000)
-        channel.bind_metrics(world.metrics, "chan")
         value = yield from channel.call("echo", {"x": 5})
         assert value == 5
         try:
@@ -606,11 +605,10 @@ def test_rpc_channel_counters_bind_to_registry():
         except rpc.RpcFault:
             pass
         channel.close()
+        return channel
 
-    world.run_until(a.spawn(driver()), limit=1e6)
-    assert world.metrics.get("chan.calls").value == 2
-    assert world.metrics.get("chan.faults").value == 1
-    assert world.metrics.get("chan.timeouts").value == 0
+    channel = world.run_until(a.spawn(driver()), limit=1e6)
+    assert (channel.calls, channel.faults, channel.timeouts) == (2, 1, 0)
 
 
 # -- size-memoised envelopes -------------------------------------------------
@@ -1212,7 +1210,7 @@ def test_pool_hands_out_the_one_open_channel(world):
 
     assert world.run_until(a.spawn(client()), limit=100) \
         == (True, False, "hi")
-    assert (pool.opens, pool.reuses, pool.open_channels) == (2, 1, 2)
+    assert (pool.opens, pool.reuses, len(pool._channels)) == (2, 1, 2)
     assert len(b._connections) == 2
 
 
@@ -1250,7 +1248,7 @@ def test_pool_failed_open_fails_its_followers_and_is_forgotten(world):
     callers = [a.spawn(caller()) for _ in range(3)]
     world.run()
     assert [proc.value for proc in callers] == ["refused"] * 3
-    assert (pool.opens, pool.open_channels) == (0, 0)
+    assert (pool.opens, len(pool._channels)) == (0, 0)
     assert not pool.flights.inflight
     _echo_server(world, b)
 
@@ -1285,7 +1283,7 @@ def test_pool_leader_killed_mid_open_releases_followers(world):
     assert pool.flights.inflight
     leading.kill()
     assert world.run_until(following, limit=100) == "again"
-    assert (pool.opens, pool.open_channels) == (1, 1)
+    assert (pool.opens, len(pool._channels)) == (1, 1)
 
 
 def _reopen_after(world, pool, a, b, disturb):
@@ -1311,7 +1309,7 @@ def _reopen_after(world, pool, a, b, disturb):
     assert [proc.value for proc in callers] == [0, 1, 2]
     assert got[0] is not old and all(ch is got[0] for ch in got)
     assert pool.opens == 2               # reopened exactly once
-    assert pool.open_channels == 1
+    assert len(pool._channels) == 1
     return old
 
 
@@ -1390,7 +1388,7 @@ def test_pool_close_closes_every_channel(world):
 
     assert world.run_until(a.spawn(client()), limit=100) is True
     world.run()
-    assert pool.open_channels == 0
+    assert len(pool._channels) == 0
     assert (len(a._connections), len(a._processes)) == (0, 0)
     assert (len(b._connections), len(b._processes)) == baseline
 

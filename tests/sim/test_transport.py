@@ -122,7 +122,8 @@ def test_connect_costs_a_round_trip(world):
 
     proc = a.spawn(client())
     connected_at = world.run_until(proc, limit=100)
-    assert connected_at >= 2 * world.network.latency(a.site, b.site)
+    assert connected_at >= 2 * world.network.transfer_delay(a.site, b.site,
+                                                            0)
 
 
 def test_connect_refused_when_no_listener(world):
@@ -368,12 +369,12 @@ def test_inbox_keeps_data_failures_and_end_of_stream_in_order(world):
     inbox = Inbox(sim)
     parked = [inbox.get() for _ in range(4)]
     inbox.put_inline("now")
-    assert parked[0].processed and parked[0].value == "now"
+    assert parked[0].callbacks is None and parked[0].value == "now"
     inbox.put_failure(KeyError("one receiver only"))
-    assert parked[1].triggered and not parked[1].processed
+    assert parked[1].triggered and parked[1].callbacks is not None
     inbox.close("over")
     world.run()
-    assert [event.ok for event in parked] == [True, False, False, False]
+    assert [event._ok for event in parked] == [True, False, False, False]
     assert isinstance(parked[1]._value, KeyError)
     assert all(isinstance(event._value, ConnectionClosed)
                for event in parked[2:])
@@ -399,7 +400,7 @@ def test_a_host_forgets_its_processes_as_they_end_or_die(world):
     assert len(a._processes) == 3
     world.run()
     assert not a._processes
-    assert not started.alive and not broken.ok
+    assert not started.alive and broken._ok is False
     # The spawn's start event, three timers and the failure.
     assert sim.events_processed == 5
 

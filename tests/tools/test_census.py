@@ -219,7 +219,7 @@ def test_options_check_fails_on_a_stale_keep_entry(
     # One entry names an option that is gone, one an exempt option;
     # a function's keep entry is the traffic check's, not this one's.
     keep = ("fixture_pkg/mod.py  serve(knob)  a deployment setting\n"
-            "fixture_pkg/mod.py  serve(other)  a test oracle\n"
+            "fixture_pkg/mod.py  serve(other)  an input check\n"
             "fixture_pkg/mod.py  serve(gone)  teardown\n"
             "fixture_pkg/mod.py  serve(port)  a port\n"
             "fixture_pkg/mod.py  serve  the paper's section 9\n")
@@ -333,7 +333,7 @@ def test_check_fails_on_an_unexplained_function(
     # Shape.__len__ (a dunder) and Shape.abstract (only raises) are
     # exempt by rule; with a reason for each of the rest, the check
     # passes.
-    keep = KEEP + "fixture_pkg/mod.py  Shape.unused_method  a test oracle\n"
+    keep = KEEP + "fixture_pkg/mod.py  Shape.unused_method  teardown\n"
     assert _check(tmp_path, monkeypatch, keep) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == ("census: 2 exempt by rule, 5 kept with a reason, "
@@ -345,10 +345,28 @@ def test_check_fails_on_an_unexplained_function(
     assert out[-1].endswith("1 unexplained; 0 stale keep entries")
 
 
+def test_check_refuses_a_test_oracle_reason(tmp_path, monkeypatch, capsys):
+    # A reason's kind is its text before the first ':'.  A "test
+    # oracle" line is refused, and the function it names stays
+    # unexplained; the same words after the ':' are no kind.
+    keep = KEEP + ("fixture_pkg/mod.py  Shape.unused_method  "
+                   "Test oracle: test_shape reads the method\n")
+    assert _check(tmp_path, monkeypatch, keep) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert ("census: refused keep entry (reason kind test oracle): "
+            "fixture_pkg/mod.py  Shape.unused_method") in out
+    assert "census: unexplained: fixture_pkg/mod.py  Shape.unused_method" \
+        in out
+    assert out[-1].endswith("1 unexplained; 0 stale keep entries")
+    keep = KEEP + ("fixture_pkg/mod.py  Shape.unused_method  "
+                   "teardown: no test oracle\n")
+    assert _check(tmp_path, monkeypatch, keep) == 0
+
+
 def test_check_fails_on_a_stale_keep_entry(tmp_path, monkeypatch, capsys):
     # One entry names a function the entry point now reaches, one a
     # function that is gone.
-    keep = (KEEP + "fixture_pkg/mod.py  Shape.unused_method  a test oracle\n"
+    keep = (KEEP + "fixture_pkg/mod.py  Shape.unused_method  teardown\n"
             "fixture_pkg/mod.py  called  ROADMAP item 2\n"
             "fixture_pkg/mod.py  deleted_long_ago  teardown\n")
     assert _check(tmp_path, monkeypatch, keep) == 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from typing import Dict, Generator, List, Optional
 
@@ -9,6 +10,11 @@ from repro.core.idl import mutating, read_only
 from repro.core.ids import ObjectId
 from repro.core.subobjects import SemanticsSubobject
 from repro.sim.topology import Topology
+
+
+def oid_from_seed(seed: str) -> ObjectId:
+    """A deterministic OID derived from a string."""
+    return ObjectId(hashlib.sha1(seed.encode("utf-8")).digest())
 
 
 class FakeLocationService:
@@ -29,7 +35,7 @@ class FakeLocationService:
     def register(self, oid_hex: Optional[str], ca_wire: dict
                  ) -> Generator[object, object, str]:
         if oid_hex is None:
-            oid_hex = ObjectId.from_seed(
+            oid_hex = oid_from_seed(
                 "fake-gls-%d" % next(self._counter)).hex
         existing = self.records.setdefault(oid_hex, [])
         if ca_wire not in existing:

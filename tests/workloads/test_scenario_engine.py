@@ -64,7 +64,7 @@ def test_record_stream_adapts_population():
     # Sites survive as Domains straight from the stream, offset in time.
     sim = Simulator()
     sim.run(until=2.0)
-    replayed = TraceScenario.from_stream(stream).arrivals(sim)
+    replayed = TraceScenario(stream).arrivals(sim)
     assert [(a.index, a.site, a.rank, a.kind) for a in replayed] \
         == [(a.index, a.site, a.rank, a.kind) for a in stream]
     assert [a.time for a in replayed] == [2.0 + a.time for a in stream]

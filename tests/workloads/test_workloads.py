@@ -29,16 +29,23 @@ def test_zipf_skew():
     assert top > len(draws) * 0.5  # head dominates
 
 
+def _probabilities(sampler):
+    """P(rank) for every rank, read off the sampler's CDF."""
+    cdf = sampler._cdf
+    return [high - low for low, high in zip([0.0] + cdf, cdf)]
+
+
 def test_zipf_alpha_zero_is_uniform():
     sampler = ZipfSampler(10, 0.0, random.Random(3))
-    assert sampler.probability(0) == pytest.approx(0.1)
-    assert sampler.probability(9) == pytest.approx(0.1)
+    assert _probabilities(sampler) == pytest.approx([0.1] * 10)
 
 
 def test_zipf_probabilities_sum_to_one():
     sampler = ZipfSampler(50, 0.8, random.Random(1))
-    assert sum(sampler.probability(rank)
-               for rank in range(50)) == pytest.approx(1.0)
+    weights = [1.0 / (rank + 1) ** 0.8 for rank in range(50)]
+    assert _probabilities(sampler) == pytest.approx(
+        [weight / sum(weights) for weight in weights])
+    assert sum(_probabilities(sampler)) == pytest.approx(1.0)
 
 
 def test_zipf_validation():

@@ -34,8 +34,11 @@ other must have a line ``path  Qualname  reason`` in :data:`KEEP_FILE`
 (fields apart by two or more spaces, the path relative to ``src/``),
 whose reason names the paper section it reproduces, the ROADMAP item
 that will call it, its safety role (teardown, fault handling, input
-checks) or the test it is an oracle for.  A keep line whose function
-is gone, or is now reached, is stale and fails the check too.
+checks) or the benchmark code that reads it.  A reason's kind is its
+text before the first ``:``; a keep line of kind
+:data:`REFUSED_KIND` (``test oracle``: a test reads state the way the
+programs can) is refused and fails the check.  A keep line whose
+function is gone, or is now reached, is stale and fails the check too.
 
 ``--options`` runs no tests.  It lists every keyword option (a
 parameter with a default) of a ``def`` under ``src/`` that no call in
@@ -51,8 +54,8 @@ run exits 1 if one is not.  ``port`` and ``seed`` options are exempt by
 rule, as are the options of the entry points of
 :data:`repro.experiments.TABLES` (table parameters that tests shrink).
 Any other needs a line ``path  Qualname(option)  reason`` in
-:data:`KEEP_FILE`; a keep line whose option is no longer listed is
-stale and fails the check too.
+:data:`KEEP_FILE`, not of the refused kind; a keep line whose option is
+no longer listed is stale and fails the check too.
 
 Calls are matched to defs by function name only: ``C(...)`` and
 ``cls(...)`` inside ``C`` reach ``C.__init__``, ``super().__init__(...)``
@@ -270,6 +273,24 @@ def read_keep(path: pathlib.Path) -> Dict[Tuple[str, str], str]:
                              % (path, number, line))
         keep[(fields[0], fields[1])] = fields[2]
     return keep
+
+
+#: The reason kind (a reason's text before its first ``:``) a keep
+#: line may not give: what a test reads, it reads the way the programs
+#: can, so being a test's oracle is no reason for code to stay.
+REFUSED_KIND = "test oracle"
+
+
+def _read_checked_keep() -> Tuple[Dict[Tuple[str, str], str],
+                                  List[Tuple[str, str]]]:
+    """:data:`KEEP_FILE` less the entries whose reason is of
+    :data:`REFUSED_KIND`, and those entries."""
+    keep = read_keep(KEEP_FILE)
+    refused = sorted(key for key, reason in keep.items()
+                     if reason.split(":", 1)[0].strip().lower()
+                     == REFUSED_KIND)
+    return {key: reason for key, reason in keep.items()
+            if key not in refused}, refused
 
 
 def check_keep(src: pathlib.Path, uncalled: List[Function],
@@ -529,10 +550,10 @@ def main(argv=None) -> int:
               % (len(listed) - always, total, src, always))
         if not options.check:
             return 0
+        keep, bad = _read_checked_keep()
         unexplained, stale, exempt = check_options(
-            src, [option for option, _literal in listed],
-            read_keep(KEEP_FILE))
-        return _report_check(len(listed), exempt, unexplained, stale)
+            src, [option for option, _literal in listed], keep)
+        return _report_check(len(listed), exempt, unexplained, stale, bad)
     if options.traffic:
         entries: List[Tuple[str, Callable[[], object]]] = []
         failed: List[str] = []
@@ -548,11 +569,11 @@ def main(argv=None) -> int:
               % (len(uncalled), total, src, len(entries), lines))
         if not options.check:
             return 1 if failed else 0
-        keep = read_keep(KEEP_FILE)
+        keep, bad = _read_checked_keep()
         unexplained, stale = check_keep(src, uncalled, keep)
         exempt = sum(function.exempt for function in uncalled)
         return _report_check(len(uncalled), exempt, unexplained,
-                             stale) or (1 if failed else 0)
+                             stale, bad) or (1 if failed else 0)
     import pytest
 
     outcome = []
@@ -570,9 +591,14 @@ def main(argv=None) -> int:
 
 def _report_check(listed: int, exempt: int,
                   unexplained: List[Tuple[str, str]],
-                  stale: List[Tuple[str, str]]) -> int:
+                  stale: List[Tuple[str, str]],
+                  bad: List[Tuple[str, str]]) -> int:
     """Print a check's findings over ``listed`` functions or options,
-    ``exempt`` of them by rule; 1 if it failed, else 0."""
+    ``exempt`` of them by rule, with ``bad`` keep entries refused; 1 if
+    it failed, else 0."""
+    for path, name in bad:
+        print("census: refused keep entry (reason kind %s): %s  %s"
+              % (REFUSED_KIND, path, name))
     for path, name in unexplained:
         print("census: unexplained: %s  %s" % (path, name))
     for path, name in stale:
@@ -581,7 +607,7 @@ def _report_check(listed: int, exempt: int,
           "unexplained; %d stale keep entries"
           % (exempt, listed - exempt - len(unexplained), len(unexplained),
              len(stale)))
-    return 1 if unexplained or stale else 0
+    return 1 if unexplained or stale or bad else 0
 
 
 def _print_uncalled(src: pathlib.Path, uncalled: List[Function]) -> None:
