@@ -38,7 +38,6 @@ from repro.gdn.transfer import (ResumeToken, TransferBudgetExhausted,
                                 TransferError)
 from repro.sim.failures import FailureInjector
 from repro.sim.retry import ExponentialBackoff, RetryBudget
-from repro.sim.topology import Topology
 from repro.workloads.packages import synthetic_file
 
 SMALL = os.environ.get("GDN_EXAMPLE_SCALE", "").lower() in ("small", "ci")
@@ -54,24 +53,19 @@ def build():
     """One serving GOS; the access point is neither colocated with it
     nor caching, so every chunk crosses the wide area — the path the
     resume token has to protect."""
-    topology = Topology.balanced(regions=2, countries=1, cities=1,
-                                 sites=2)
-    gdn = GdnDeployment(topology=topology, seed=41, secure=False)
-    gos = gdn.add_gos("gos-0", "r0/c0/m0/s0")
-    gdn.add_httpd("ap", site="r0/c0/m0/s1",
-                  cache_policy=lambda _name: None)
-    gdn.initial_sync()
-    moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
+    gdn = GdnDeployment.from_spec({
+        "topology": [2, 1, 1, 2], "seed": 41, "secure": False,
+        "gos": {"gos-0": "r0/c0/m0/s0"},
+        "httpds": {"ap": {"site": "r0/c0/m0/s1", "cache_ttl": None}},
+        "moderators": {"mod": "r0/c0/m0/s1"}})
+    moderator = gdn.moderators["mod"]
     payload = synthetic_file("big-tarball", CHUNK * CHUNKS)
-
-    def publish():
-        yield from moderator.create_package(
-            PACKAGE, {FILE: payload},
-            ReplicationScenario.single_server("gos-0", cache_ttl=None))
-
-    gdn.run(publish(), host=moderator.host)
+    gdn.run(moderator.create_package(
+        PACKAGE, {FILE: payload},
+        ReplicationScenario.single_server("gos-0", cache_ttl=None)),
+        host=moderator.host)
     gdn.settle(2.0)
-    return gdn, gos, payload
+    return gdn, gdn.object_servers["gos-0"], payload
 
 
 def run_act(title, fault, new_browser_on_restart=False):

@@ -17,9 +17,8 @@ Run:  python examples/flash_crowd.py
 
 import os
 
-from repro.gdn.deployment import GdnDeployment
+from repro.gdn.deployment import GdnDeployment, standard_spec
 from repro.gdn.scenario import ReplicationScenario
-from repro.sim.topology import Topology
 from repro.workloads.loadgen import FlashCrowdSchedule, LoadStats
 from repro.workloads.packages import synthetic_file
 from repro.workloads.scenario import OpenLoopScenario
@@ -66,23 +65,19 @@ def crowd_downloads(gdn, count, label):
 
 def main():
     print("== Flash crowd on a fresh release (paper §3.1) ==\n")
-    topology = Topology.balanced(regions=2, countries=2, cities=1, sites=2)
-    gdn = GdnDeployment(topology=topology, seed=77, secure=False)
-    gdn.standard_fleet()
-    gdn.initial_sync()
+    spec = standard_spec(2, 2, 1, 2)
     # Short binding TTL so access points re-consult the GLS quickly;
     # no HTTPD caching of the 900 KB ISO (caches would blunt the point).
-    for httpd in gdn.httpds:
-        httpd.cache_policy = lambda name: None
-        httpd.runtime.binding_ttl = 30.0
-    moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
-
-    def publish():
-        yield from moderator.create_package(
-            PACKAGE, FILES,
-            ReplicationScenario.master_slave("gos-r0-0", slaves=[]))
-
-    gdn.run(publish(), host=moderator.host)
+    for httpd in spec["httpds"].values():
+        httpd.update(binding_ttl=30.0, cache_ttl=None)
+    gdn = GdnDeployment.from_spec({
+        **spec, "seed": 77, "secure": False,
+        "moderators": {"mod": "r0/c0/m0/s1"}})
+    moderator = gdn.moderators["mod"]
+    gdn.run(moderator.create_package(
+        PACKAGE, FILES,
+        ReplicationScenario.master_slave("gos-r0-0", slaves=[])),
+        host=moderator.host)
     gdn.settle(2.0)
     print("published %s (ISO: 900 KB), master replica on gos-r0-0 only\n"
           % PACKAGE)
@@ -91,10 +86,7 @@ def main():
     slow = crowd_downloads(gdn, CROWD, "single replica")
     wan_before = gdn.world.network.meter.wide_area_bytes()
 
-    def adapt():
-        yield from moderator.add_replica(PACKAGE, "gos-r1-0")
-
-    gdn.run(adapt(), host=moderator.host)
+    gdn.run(moderator.add_replica(PACKAGE, "gos-r1-0"), host=moderator.host)
     gdn.settle(60.0)  # state transfer + binding TTLs expire
     print("\nmoderator ran add_replica(%r, 'gos-r1-0')\n" % PACKAGE)
 

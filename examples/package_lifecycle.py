@@ -15,10 +15,9 @@ the two §8 future-work features this reproduction implements:
 Run:  python examples/package_lifecycle.py
 """
 
-from repro.gdn.deployment import GdnDeployment
+from repro.gdn.deployment import GdnDeployment, standard_spec
 from repro.gdn.maintainer import MaintenanceError
 from repro.gdn.scenario import ReplicationScenario
-from repro.sim.topology import Topology
 
 GOOD = b"#!/bin/sh\necho fetchmail 5.0\n"
 BROKEN = b"#!/bin/sh\nrm -rf $HOME  # oops\n"
@@ -26,36 +25,26 @@ BROKEN = b"#!/bin/sh\nrm -rf $HOME  # oops\n"
 
 def main():
     print("== A package's life in the GDN ==\n")
-    gdn = GdnDeployment(
-        topology=Topology.balanced(regions=2, countries=2, cities=1,
-                                   sites=2),
-        seed=55, secure=True)
-    gdn.standard_fleet()
-    gdn.initial_sync()
+    gdn = GdnDeployment.from_spec({
+        **standard_spec(2, 2, 1, 2), "seed": 55, "secure": True,
+        "moderators": {"mod-alice": "r0/c0/m0/s1"}})
 
     # -- publish -----------------------------------------------------------
-    moderator = gdn.add_moderator("mod-alice", "r0/c0/m0/s1")
-
-    def publish():
-        oid = yield from moderator.create_package(
-            "/apps/net/Fetchmail", {"bin/fetchmail": GOOD},
-            ReplicationScenario.master_slave("gos-r0-0", ["gos-r1-0"],
-                                             cache_ttl=60.0),
-            attributes={"license": "gpl", "keywords": "mail"})
-        return oid
-
-    oid = gdn.run(publish(), host=moderator.host)
+    moderator = gdn.moderators["mod-alice"]
+    oid = gdn.run(moderator.create_package(
+        "/apps/net/Fetchmail", {"bin/fetchmail": GOOD},
+        ReplicationScenario.master_slave("gos-r0-0", ["gos-r1-0"],
+                                         cache_ttl=60.0),
+        attributes={"license": "gpl", "keywords": "mail"}),
+        host=moderator.host)
     gdn.settle(3.0)
     print("moderator published /apps/net/Fetchmail (%s...)" % oid.hex[:12])
 
     # -- search ------------------------------------------------------------
     browser = gdn.add_browser("user-bob", "r1/c1/m0/s1")
 
-    def search():
-        page = yield from browser.get("/gdn-search?keywords=mail")
-        return page
-
-    page = gdn.run(search(), host=browser.host)
+    page = gdn.run(browser.get("/gdn-search?keywords=mail"),
+                   host=browser.host)
     print("user searched keywords=mail -> found it: %s"
           % ("/gdn/apps/net/fetchmail" in page.body.lower()))
 
@@ -63,12 +52,9 @@ def main():
     maintainer = gdn.add_maintainer("esr", "r1/c0/m0/s0",
                                     maintains=[oid.hex])
 
-    def break_it():
-        version = yield from maintainer.update_contents(
-            "/apps/net/Fetchmail", add_files={"bin/fetchmail": BROKEN})
-        return version
-
-    broken_version = gdn.run(break_it(), host=maintainer.host)
+    broken_version = gdn.run(maintainer.update_contents(
+        "/apps/net/Fetchmail", add_files={"bin/fetchmail": BROKEN}),
+        host=maintainer.host)
     print("maintainer 'esr' shipped version %d (broken!)" % broken_version)
 
     master = gdn.object_servers["gos-r0-0"]
@@ -78,12 +64,8 @@ def main():
           % ", ".join("v%d:%s %s" % (e["version"], e["op"], e["path"])
                       for e in history))
 
-    def roll_back():
-        yield from maintainer.restore_file("/apps/net/Fetchmail",
-                                           "bin/fetchmail",
-                                           broken_version)
-
-    gdn.run(roll_back(), host=maintainer.host)
+    gdn.run(maintainer.restore_file("/apps/net/Fetchmail", "bin/fetchmail",
+                                    broken_version), host=maintainer.host)
     assert semantics.getFileContents("bin/fetchmail") == GOOD
     print("maintainer rolled bin/fetchmail back -> contents restored")
 
@@ -103,12 +85,8 @@ def main():
           % outcome)
 
     # -- download still works ---------------------------------------------------
-    def download():
-        response = yield from browser.download("/apps/net/Fetchmail",
-                                               "bin/fetchmail")
-        return response
-
-    response = gdn.run(download(), host=browser.host)
+    response = gdn.run(browser.download("/apps/net/Fetchmail",
+                                        "bin/fetchmail"), host=browser.host)
     assert response.ok and response.body == GOOD
     print("user downloaded the restored binary: OK\n")
     print("lifecycle complete")

@@ -17,25 +17,24 @@ Run:  python examples/quickstart.py
 
 import hashlib
 
-from repro.gdn.deployment import GdnDeployment
+from repro.gdn.deployment import GdnDeployment, standard_spec
 from repro.gdn.scenario import ReplicationScenario
-from repro.sim.topology import Topology
 
 
 def main():
     print("== Globe Distribution Network quickstart ==\n")
 
     # A small internet: two regions ("eu", "na"-ish), two countries
-    # each, two sites per city.
-    topology = Topology.balanced(regions=2, countries=2, cities=1, sites=2)
-    gdn = GdnDeployment(topology=topology, seed=42, secure=True)
-    gdn.standard_fleet()  # one GOS+HTTPD per region
-    gdn.initial_sync()
+    # each, two sites per city; one GOS+HTTPD per region, and the
+    # moderator's machine.
+    gdn = GdnDeployment.from_spec({
+        **standard_spec(2, 2, 1, 2), "seed": 42, "secure": True,
+        "moderators": {"mod-alice": "r0/c0/m0/s1"}})
     print("deployed: %d object servers, %d HTTPDs, GLS tree of %d nodes"
           % (len(gdn.object_servers), len(gdn.httpds), len(gdn.gls.nodes)))
 
     # -- the moderator publishes a package ------------------------------
-    moderator = gdn.add_moderator("mod-alice", "r0/c0/m0/s1")
+    moderator = gdn.moderators["mod-alice"]
     files = {
         "README": b"The GIMP - GNU Image Manipulation Program v1.2\n",
         "bin/gimp": b"\x7fELF" + bytes(range(256)) * 40,  # ~10 KiB
@@ -43,12 +42,8 @@ def main():
     scenario = ReplicationScenario.master_slave(
         "gos-r0-0", slaves=["gos-r1-0"], cache_ttl=300.0)
 
-    def publish():
-        oid = yield from moderator.create_package("/apps/graphics/Gimp",
-                                                  files, scenario)
-        return oid
-
-    oid = gdn.run(publish(), host=moderator.host)
+    oid = gdn.run(moderator.create_package("/apps/graphics/Gimp", files,
+                                           scenario), host=moderator.host)
     gdn.settle(2.0)
     print("published /apps/graphics/Gimp as DSO %s" % oid)
     print("  replication: master on gos-r0-0, slave on gos-r1-0\n")

@@ -32,9 +32,8 @@ import os
 import random
 import sys
 
-from repro.gdn.deployment import GdnDeployment
+from repro.gdn.deployment import GdnDeployment, standard_spec
 from repro.gdn.scenario import ObjectUsage, ScenarioAdvisor
-from repro.sim.topology import Topology
 from repro.workloads.loadgen import LoadStats, PoissonSchedule
 from repro.workloads.packages import generate_corpus
 from repro.workloads.population import ClientPopulation
@@ -52,11 +51,11 @@ THINK_TIME = 0.8
 
 def main():
     print("== GDN soak: load + failures + invariants ==\n")
-    topology = Topology.balanced(regions=3, countries=2, cities=1, sites=2)
-    gdn = GdnDeployment(topology=topology, seed=1777, secure=False)
-    gdn.standard_fleet()
-    gdn.initial_sync()
-    moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
+    gdn = GdnDeployment.from_spec({
+        **standard_spec(3, 2, 1, 2), "seed": 1777, "secure": False,
+        "moderators": {"mod": "r0/c0/m0/s1"}})
+    moderator = gdn.moderators["mod"]
+    topology = gdn.world.topology
 
     # -- corpus with advisor-assigned per-object scenarios ---------------
     rng = random.Random(1777)

@@ -40,14 +40,13 @@ __all__ = [
 
 def _consistency_run(mode: str, write_count: int, reads_per_write: int,
                      seed: int) -> dict:
-    from ..gdn.deployment import GdnDeployment
+    from ..gdn.deployment import GdnDeployment, standard_spec
     from ..gdn.scenario import ReplicationScenario
 
-    topology = Topology.balanced(regions=2, countries=1, cities=1, sites=2)
-    gdn = GdnDeployment(topology=topology, seed=seed, secure=False)
-    gdn.standard_fleet()
-    gdn.initial_sync()
-    moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
+    gdn = GdnDeployment.from_spec({
+        **standard_spec(2, 1, 1, 2), "seed": seed, "secure": False,
+        "moderators": {"mod": "r0/c0/m0/s1"}})
+    moderator = gdn.moderators["mod"]
 
     if mode == "push":
         scenario = ReplicationScenario.master_slave(
@@ -56,13 +55,9 @@ def _consistency_run(mode: str, write_count: int, reads_per_write: int,
         scenario = ReplicationScenario.single_server("gos-r0-0",
                                                      cache_ttl=30.0)
 
-    def publish():
-        oid = yield from moderator.create_package(
-            "/apps/a1pkg",
-            {"doc": synthetic_file("a1:v0", 20_000)}, scenario)
-        return oid
-
-    oid = gdn.run(publish(), host=moderator.host)
+    gdn.run(moderator.create_package(
+        "/apps/a1pkg", {"doc": synthetic_file("a1:v0", 20_000)}, scenario),
+        host=moderator.host)
     gdn.settle(2.0)
     for httpd in gdn.httpds:
         httpd.cache_policy = lambda _name: scenario.cache_ttl

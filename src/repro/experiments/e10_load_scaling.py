@@ -33,7 +33,6 @@ from typing import Dict, List
 from ..analysis.tables import Table, format_seconds
 from ..gdn.deployment import GdnDeployment
 from ..gdn.scenario import ReplicationScenario
-from ..sim.topology import Topology
 from ..workloads.loadgen import LoadStats
 from ..workloads.packages import synthetic_file
 from ..workloads.scenario import ClosedLoopScenario
@@ -53,25 +52,21 @@ THINK_TIME = 10.0
 
 def _run_deployment(replicate: bool, offered_load: float, seed: int,
                     request_count: int) -> dict:
-    topology = Topology.balanced(regions=3, countries=1, cities=1, sites=2)
-    gdn = GdnDeployment(topology=topology, seed=seed, secure=False)
-    for index, region in enumerate(gdn._regions()):
-        gos_name = "gos-%d" % index
-        gdn.add_gos(gos_name, next(region.sites()))
-    for index, gos_name in enumerate(sorted(gdn.object_servers)):
-        gdn.add_httpd("httpd-%d" % index, colocate_with=gos_name,
-                      concurrency=WORKERS, service_time=SERVICE_TIME)
-    gdn.initial_sync()
-    moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
-    slaves = sorted(gdn.object_servers)[1:] if replicate else []
-
-    def publish():
-        yield from moderator.create_package(
-            PACKAGE, {_FILE: synthetic_file("hot", 30_000)},
-            ReplicationScenario.master_slave("gos-0", slaves,
-                                             cache_ttl=600.0))
-
-    gdn.run(publish(), host=moderator.host)
+    gdn = GdnDeployment.from_spec({
+        "topology": [3, 1, 1, 2], "seed": seed, "secure": False,
+        "gos": {"gos-%d" % index: "r%d/c0/m0/s0" % index
+                for index in range(3)},
+        "httpds": {"httpd-%d" % index: {"colocate_with": "gos-%d" % index,
+                                        "concurrency": WORKERS,
+                                        "service_time": SERVICE_TIME}
+                   for index in range(3)},
+        "moderators": {"mod": "r0/c0/m0/s1"}})
+    moderator = gdn.moderators["mod"]
+    slaves = ["gos-1", "gos-2"] if replicate else []
+    gdn.run(moderator.create_package(
+        PACKAGE, {_FILE: synthetic_file("hot", 30_000)},
+        ReplicationScenario.master_slave("gos-0", slaves, cache_ttl=600.0)),
+        host=moderator.host)
     gdn.settle(5.0)
 
     # Browsers spread over all regions; the population is sized so the

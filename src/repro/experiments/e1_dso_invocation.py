@@ -25,7 +25,6 @@ from ..analysis.tables import Table, format_seconds
 from ..core.ids import ObjectId
 from ..gdn.deployment import GdnDeployment
 from ..gdn.scenario import ReplicationScenario
-from ..sim.topology import Topology
 from ..workloads.packages import synthetic_file
 
 __all__ = ["run_dso_invocation_experiment", "format_result",
@@ -47,18 +46,14 @@ _PLACEMENTS = [
 def run_dso_invocation_experiment(seed: int = 7,
                                   calls_per_point: int = 20) -> Dict:
     """Measure invocation latency per representative kind."""
-    topology = Topology.balanced(regions=2, countries=2, cities=1, sites=2)
-    gdn = GdnDeployment(topology=topology, seed=seed, secure=False)
-    gdn.add_gos("gos-main", "r0/c0/m0/s0")
-    moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
-
-    def publish():
-        oid = yield from moderator.create_package(
-            "/apps/devel/e1pkg", _FILES,
-            ReplicationScenario.single_server("gos-main"))
-        return oid
-
-    oid = gdn.run(publish(), host=moderator.host)
+    gdn = GdnDeployment.from_spec({
+        "topology": [2, 2, 1, 2], "seed": seed, "secure": False,
+        "gos": {"gos-main": "r0/c0/m0/s0"},
+        "moderators": {"mod": "r0/c0/m0/s1"}})
+    moderator = gdn.moderators["mod"]
+    oid = gdn.run(moderator.create_package(
+        "/apps/devel/e1pkg", _FILES,
+        ReplicationScenario.single_server("gos-main")), host=moderator.host)
     rows: List[dict] = []
 
     # Baseline: the bare semantics subobject, no DSO machinery.

@@ -33,7 +33,7 @@ from typing import Dict, List
 from ..analysis.tables import Table, format_bytes, format_seconds
 from ..baselines.mirror import MirrorNetwork
 from ..baselines.www import WwwClient, WwwServer
-from ..gdn.deployment import GdnDeployment
+from ..gdn.deployment import GdnDeployment, standard_spec
 from ..gdn.scenario import ObjectUsage, ScenarioAdvisor
 from ..sim.topology import Topology
 from ..workloads.loadgen import LoadStats
@@ -167,10 +167,10 @@ def _run_mirror(corpus: List[PackageSpec], stream: RequestStream,
 
 def _run_gdn(corpus: List[PackageSpec], stream: RequestStream,
              seed: int) -> dict:
-    gdn = GdnDeployment(topology=_topology(), seed=seed, secure=False)
-    gdn.standard_fleet()
-    gdn.initial_sync()
-    moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
+    gdn = GdnDeployment.from_spec({
+        **standard_spec(3, 2, 1, 2), "seed": seed, "secure": False,
+        "moderators": {"mod": "r0/c0/m0/s1"}})
+    moderator = gdn.moderators["mod"]
     advisor = ScenarioAdvisor(gdn.gos_by_region(),
                               popularity_threshold=max(
                                   10, len(stream) // (4 * len(corpus))))

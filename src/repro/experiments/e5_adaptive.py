@@ -32,7 +32,7 @@ from ..analysis.metrics import Series
 from ..analysis.tables import Table, format_bytes, format_seconds
 from ..baselines.uniform import UNIFORM_STRATEGIES
 from ..core.ids import ObjectId
-from ..gdn.deployment import GdnDeployment
+from ..gdn.deployment import GdnDeployment, standard_spec
 from ..gdn.scenario import ObjectUsage, ScenarioAdvisor
 from ..sim.topology import Topology
 from ..workloads.packages import synthetic_file
@@ -71,10 +71,10 @@ def _run_strategy(strategy: str, seed: int, document_count: int,
     documents, stream = make_web_trace(_topology(), random.Random(seed),
                                        document_count=document_count,
                                        request_count=request_count)
-    gdn = GdnDeployment(topology=_topology(), seed=seed, secure=False)
-    gdn.standard_fleet()
-    gdn.initial_sync()
-    moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
+    gdn = GdnDeployment.from_spec({
+        **standard_spec(3, 2, 1, 2), "seed": seed, "secure": False,
+        "moderators": {"mod": "r0/c0/m0/s1"}})
+    moderator = gdn.moderators["mod"]
     assign = _assignment_fn(strategy, gdn, stream, documents)
 
     ttl_by_name: Dict[str, Optional[float]] = {}

@@ -20,7 +20,6 @@ from typing import Dict
 from ..analysis.tables import Table, format_seconds
 from ..gdn.deployment import GdnDeployment
 from ..sim import rpc
-from ..sim.topology import Topology
 from ..workloads.loadgen import BurstSchedule, LoadStats
 from ..workloads.scenario import ClosedLoopScenario, OpenLoopScenario
 
@@ -30,15 +29,14 @@ __all__ = ["run_gns_resolution_experiment", "format_result",
 
 def run_gns_resolution_experiment(seed: int = 29, name_count: int = 40,
                                   batch_windows=(0.0, 0.5, 2.0)) -> Dict:
-    topology = Topology.balanced(regions=3, countries=2, cities=1, sites=2)
     result: Dict = {"name_count": name_count}
 
     # -- batching: one authority, varying windows -----------------------
     batching_rows = []
     for window in batch_windows:
-        gdn = GdnDeployment(topology=topology, seed=seed, secure=False,
-                            batch_window=window)
-        gdn.initial_sync()
+        gdn = GdnDeployment.from_spec({
+            "topology": [3, 2, 1, 2], "seed": seed, "secure": False,
+            "batch_window": window})
         tool_host = gdn.world.host("tool", "r0/c0/m0/s1")
         updates_before = gdn.dns_primary.updates_applied
 
@@ -70,9 +68,9 @@ def run_gns_resolution_experiment(seed: int = 29, name_count: int = 40,
     result["batching"] = batching_rows
 
     # -- resolution latency: cold vs warm caches -----------------------------
-    gdn = GdnDeployment(topology=topology, seed=seed, secure=False,
-                        batch_window=0.1)
-    gdn.initial_sync()
+    gdn = GdnDeployment.from_spec({
+        "topology": [3, 2, 1, 2], "seed": seed, "secure": False,
+        "batch_window": 0.1})
     tool_host = gdn.world.host("tool", "r0/c0/m0/s1")
 
     def add_name(arrival):
@@ -94,7 +92,7 @@ def run_gns_resolution_experiment(seed: int = 29, name_count: int = 40,
     # window and its latency histogram is the window's delta.
     users = {region.name: gdn._name_service(gdn.world.host(
                  "user-" + region.name, "%s/c1/m0/s1" % region.name))
-             for region in topology.world.children.values()}
+             for region in gdn.world.topology.world.children.values()}
     servers = [gdn.dns_primary, *gdn.dns_secondaries]
     stats = LoadStats(registry=gdn.metrics, prefix="e7")
 

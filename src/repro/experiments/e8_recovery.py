@@ -20,31 +20,24 @@ from typing import Dict
 
 from ..analysis.metrics import Series
 from ..analysis.tables import Table, format_seconds
-from ..gdn.deployment import GdnDeployment
+from ..gdn.deployment import GdnDeployment, standard_spec
 from ..gdn.scenario import ReplicationScenario
-from ..sim.topology import Topology
 from ..workloads.packages import synthetic_file
 
 __all__ = ["run_recovery_experiment", "format_result"]
 
 
 def run_recovery_experiment(seed: int = 31, downloads: int = 30) -> Dict:
-    topology = Topology.balanced(regions=2, countries=2, cities=1, sites=2)
-    gdn = GdnDeployment(topology=topology, seed=seed, secure=False)
-    gdn.standard_fleet()
-    gdn.initial_sync()
-    moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
+    gdn = GdnDeployment.from_spec({
+        **standard_spec(2, 2, 1, 2), "seed": seed, "secure": False,
+        "moderators": {"mod": "r0/c0/m0/s1"}})
+    moderator = gdn.moderators["mod"]
     files = {"README": synthetic_file("e8", 2_000),
              "data/blob": synthetic_file("e8-blob", 40_000)}
-
-    def publish():
-        oid = yield from moderator.create_package(
-            "/apps/net/e8pkg", files,
-            ReplicationScenario.master_slave("gos-r0-0", ["gos-r1-0"],
-                                             cache_ttl=5.0))
-        return oid
-
-    oid = gdn.run(publish(), host=moderator.host)
+    oid = gdn.run(moderator.create_package(
+        "/apps/net/e8pkg", files,
+        ReplicationScenario.master_slave("gos-r0-0", ["gos-r1-0"],
+                                         cache_ttl=5.0)), host=moderator.host)
     gdn.settle(5.0)
 
     slave = gdn.object_servers["gos-r1-0"]
@@ -82,12 +75,9 @@ def run_recovery_experiment(seed: int = 31, downloads: int = 30) -> Dict:
     gdn.run(phase(None, downloads), host=browser.host)
 
     # While down, the master takes a write the slave must catch up on.
-    def write_while_down():
-        yield from moderator.update_package(
-            "/apps/net/e8pkg",
-            add_files={"NEWS": synthetic_file("e8-news", 500)})
-
-    gdn.run(write_while_down(), host=moderator.host)
+    gdn.run(moderator.update_package(
+        "/apps/net/e8pkg", add_files={"NEWS": synthetic_file("e8-news", 500)}),
+        host=moderator.host)
 
     # Phase 3: reboot + recovery, then downloads again.
     gdn.recover_gos("gos-r1-0")

@@ -21,25 +21,23 @@ from typing import Dict, List
 
 from ..analysis.tables import Table, format_seconds
 from ..core.ids import ContactAddress, ObjectId
-from ..gdn.deployment import GdnDeployment
+from ..gdn.deployment import GdnDeployment, standard_spec
 from ..gdn.moderator import ModerationError
 from ..gdn.scenario import ReplicationScenario
 from ..gls.service import GlsClient, GlsError
 from ..gns.dns.zone import Rcode
 from ..security.tls import HandshakeError, client_wrapper
 from ..sim import rpc
-from ..sim.topology import Topology
 from ..workloads.packages import synthetic_file
 
 __all__ = ["run_policy_experiment", "format_result"]
 
 
 def run_policy_experiment(seed: int = 37) -> Dict:
-    topology = Topology.balanced(regions=2, countries=2, cities=1, sites=2)
-    gdn = GdnDeployment(topology=topology, seed=seed, secure=True)
-    gdn.standard_fleet()
-    gdn.initial_sync()
-    moderator = gdn.add_moderator("mod-legit", "r0/c0/m0/s1")
+    gdn = GdnDeployment.from_spec({
+        **standard_spec(2, 2, 1, 2), "seed": seed, "secure": True,
+        "moderators": {"mod-legit": "r0/c0/m0/s1"}})
+    moderator = gdn.moderators["mod-legit"]
     rows: List[dict] = []
 
     def record(label, outcome, elapsed, expectation):

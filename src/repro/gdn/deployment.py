@@ -10,8 +10,12 @@ the GNS Naming Authority, moderator tools, and browsers — under the
 between GDN hosts, server-side TLS toward user machines, TSIG on zone
 updates, HMAC-authenticated GLS registrations).
 
-Experiments and examples construct one :class:`GdnDeployment`, add
-components at chosen sites, and drive simulated users against it.
+A deployment is data: a spec (JSON values only) says what exists
+before the first request and where each part runs, and
+:meth:`GdnDeployment.from_spec` builds it.  :func:`standard_spec` is
+the paper's baseline layout.  Actors that join during a run — browsers,
+proxies, maintainers, a late object server — are added to the built
+deployment with its ``add_*`` methods.
 """
 
 from __future__ import annotations
@@ -44,7 +48,66 @@ from .moderator import ModeratorTool
 from .package import PACKAGE_IMPL_ID, PackageSemantics
 from .search import SearchService
 
-__all__ = ["GdnDeployment", "BrowserPool"]
+__all__ = ["GdnDeployment", "BrowserPool", "standard_spec"]
+
+#: The constructor's options a spec sets by name.
+OPTION_KEYS = ("seed", "secure", "batch_window", "gls_cache")
+#: A spec's keys: the four ``Topology.balanced`` counts, the options, and
+#: the parts placed before the first request (GOS and moderator: name ->
+#: site; HTTPD: name -> :data:`HTTPD_KEYS`).
+SPEC_KEYS = ("topology",) + OPTION_KEYS + ("gos", "httpds", "moderators")
+#: A site or the GOS to colocate with, then options; ``cache_ttl`` is
+#: the TTL every object is cached for (None: nothing is cached).
+HTTPD_KEYS = ("site", "colocate_with", "binding_ttl", "concurrency",
+              "service_time", "cache_ttl")
+
+
+def standard_spec(regions: int, countries: int, cities: int,
+                  sites: int) -> dict:
+    """The paper's "machines all over the world" baseline on
+    ``Topology.balanced(regions, countries, cities, sites)``: one GOS
+    and a colocated HTTPD on each region's first site, named
+    ``gos-<region>-0`` and ``httpd-<region>-0``."""
+    spec = {"topology": [regions, countries, cities, sites],
+            "gos": {}, "httpds": {}}
+    for index in range(regions):
+        gos = "gos-r%d-0" % index
+        spec["gos"][gos] = "r%d/c0/m0/s0" % index
+        spec["httpds"]["httpd-r%d-0" % index] = {"colocate_with": gos}
+    return spec
+
+
+def _check_data(value, where: str) -> None:
+    """Raise ValueError at the first part of ``value`` that is not JSON
+    data: dicts, lists, strings, numbers, booleans and None."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            _check_data(item, "%s.%s" % (where, key))
+    elif value is not None and not isinstance(value, (str, int, float)):
+        raise ValueError("%s: %r is not JSON data" % (where, value))
+
+
+def _check_keys(entry: dict, known: tuple, where: str) -> None:
+    for key in entry:
+        if key not in known:
+            raise ValueError("%s.%s: unknown key" % (where, key))
+
+
+def _check_spec(spec: dict) -> None:
+    """Raise ValueError naming the offending key of a malformed spec."""
+    _check_data(spec, "spec")
+    _check_keys(spec, SPEC_KEYS, "spec")
+    for name, httpd in spec.get("httpds", {}).items():
+        where = "spec.httpds.%s" % name
+        _check_keys(httpd, HTTPD_KEYS, where)
+        if ("site" in httpd) == ("colocate_with" in httpd):
+            raise ValueError("%s: needs exactly one of site and "
+                             "colocate_with" % where)
+        gos = httpd.get("colocate_with")
+        if gos is not None and gos not in spec.get("gos", {}):
+            raise ValueError("%s.colocate_with: the spec names no GOS %r"
+                             % (where, gos))
 
 
 class GdnDeployment:
@@ -69,8 +132,8 @@ class GdnDeployment:
         ``retry_policy`` (a :class:`~repro.sim.retry.RetryPolicy`)
         governs every GLS client stub created by this deployment —
         e.g. ``ExponentialBackoff(...)`` desynchronizes lookup retries
-        during partitions.  ``None`` keeps the fixed legacy discipline
-        byte-identical."""
+        during partitions.  ``None`` gives each stub its UDP client's
+        fixed discipline: an 8 s timeout and two immediate retries."""
         self.world = World(topology=topology or Topology.balanced(2, 2, 2, 2),
                            params=link_params, seed=seed)
         self.secure = secure
@@ -130,6 +193,40 @@ class GdnDeployment:
         self.httpds: List[GdnHttpd] = []
         self.moderators: Dict[str, ModeratorTool] = {}
         self.browsers: Dict[str, Browser] = {}
+
+    @classmethod
+    def from_spec(cls, spec: dict) -> "GdnDeployment":
+        """Build the deployment ``spec`` describes (plain JSON data,
+        keys :data:`SPEC_KEYS`), e.g.::
+
+            {"topology": [2, 2, 1, 2], "seed": 7, "secure": False,
+             "gos": {"gos-0": "r0/c0/m0/s0"},
+             "httpds": {"ap": {"site": "r0/c0/m0/s1", "cache_ttl": None}},
+             "moderators": {"mod": "r0/c0/m0/s1"}}
+
+        The object servers, then the HTTPDs (keys :data:`HTTPD_KEYS`),
+        in spec order; then the initial zone transfers; then the
+        moderators, found in :attr:`moderators` by name.  A key left
+        out takes the constructor's or :meth:`add_httpd`'s default.
+        Raises ValueError naming the offending key of a malformed
+        spec, before anything is built."""
+        _check_spec(spec)
+        options = {key: spec[key] for key in OPTION_KEYS if key in spec}
+        if "topology" in spec:
+            options["topology"] = Topology.balanced(*spec["topology"])
+        deployment = cls(**options)
+        for name, site in spec.get("gos", {}).items():
+            deployment.add_gos(name, site)
+        for name, httpd in spec.get("httpds", {}).items():
+            httpd = dict(httpd)
+            if "cache_ttl" in httpd:
+                ttl = httpd.pop("cache_ttl")
+                httpd["cache_policy"] = lambda _name, ttl=ttl: ttl
+            deployment.add_httpd(name, **httpd)
+        deployment.initial_sync()
+        for name, site in spec.get("moderators", {}).items():
+            deployment.add_moderator(name, site)
+        return deployment
 
     # -- infrastructure construction -----------------------------------------
 
@@ -419,16 +516,6 @@ class GdnDeployment:
         behave and keeps host creation out of the request hot path.
         """
         return BrowserPool(self, prefix)
-
-    # -- canned layouts -------------------------------------------------------------
-
-    def standard_fleet(self) -> None:
-        """One GOS+HTTPD pair per region, on its first site — the
-        paper's "machines all over the world" baseline layout."""
-        for region in self._regions():
-            name = "gos-%s-0" % region.name
-            self.add_gos(name, next(region.sites()))
-            self.add_httpd("httpd-%s-0" % region.name, colocate_with=name)
 
     def gos_by_region(self) -> Dict[str, str]:
         """region path -> one object-server name (for ScenarioAdvisor)."""

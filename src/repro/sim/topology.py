@@ -178,24 +178,6 @@ class Topology:
                         topo.add_site(city, "s%d" % s)
         return topo
 
-    @classmethod
-    def from_spec(cls, spec: dict) -> "Topology":
-        """Build from a nested dict, e.g.::
-
-            {"eu": {"nl": {"ams": ["vu", "uva"]}},
-             "na": {"us": {"nyc": ["nyu"]}}}
-        """
-        topo = cls()
-        for region_name, countries in spec.items():
-            region = topo.add_region(region_name)
-            for country_name, cities in countries.items():
-                country = topo.add_country(region, country_name)
-                for city_name, sites in cities.items():
-                    city = topo.add_city(country, city_name)
-                    for site_name in sites:
-                        topo.add_site(city, site_name)
-        return topo
-
     # -- queries ----------------------------------------------------------
 
     @property

@@ -3,7 +3,6 @@
 from repro.gdn.deployment import GdnDeployment
 from repro.gdn.scenario import ReplicationScenario
 from repro.sim.failures import FailureInjector
-from repro.sim.topology import Topology
 
 CLIENT_SITE = "r1/c0/m0/s0"
 URL = "/gdn/apps/demo/Tool/files/tool.bin"
@@ -14,13 +13,13 @@ def _connections(host, peer):
 
 
 def test_concurrent_gets_across_outages_leave_one_connection():
-    gdn = GdnDeployment(topology=Topology.balanced(2, 2, 1, 2), seed=5,
-                        secure=False)
-    gdn.add_gos("gos-0", "r0/c0/m0/s0")
-    access_point = gdn.add_httpd("ap", site="r0/c0/m0/s1",
-                                 cache_policy=lambda _name: None)
-    gdn.initial_sync()
-    moderator = gdn.add_moderator("mod", "r0/c1/m0/s0")
+    gdn = GdnDeployment.from_spec({
+        "topology": [2, 2, 1, 2], "seed": 5, "secure": False,
+        "gos": {"gos-0": "r0/c0/m0/s0"},
+        "httpds": {"ap": {"site": "r0/c0/m0/s1", "cache_ttl": None}},
+        "moderators": {"mod": "r0/c1/m0/s0"}})
+    access_point = gdn.httpds[0]
+    moderator = gdn.moderators["mod"]
     gdn.run(moderator.create_package(
         "/apps/demo/Tool", {"tool.bin": b"x" * 2048},
         ReplicationScenario.single_server("gos-0")), host=moderator.host)

@@ -8,20 +8,19 @@ nothing and reach the GDN over server-auth TLS.  An unsecured
 deployment wires no TLS anywhere and keeps no registry.
 """
 
-from repro.gdn.deployment import GdnDeployment
+from repro.gdn.deployment import GdnDeployment, standard_spec
 from repro.security.acl import Role, roles_from_certificate
-from repro.sim.topology import Topology
 
 GDN_HOSTS = ["gos-r0-0", "gos-r1-0", "httpd-edge", "gns-authority",
              "gdn-search"]
 
 
 def _deployment(secure):
-    gdn = GdnDeployment(topology=Topology.balanced(2, 2, 2, 2), seed=3,
-                        secure=secure)
-    gdn.standard_fleet()
-    gdn.add_httpd("httpd-edge", site="r1/c1/m0/s0")
-    gdn.add_moderator("mod", "r0/c0/m0/s1")
+    spec = standard_spec(2, 2, 2, 2)
+    spec["httpds"]["httpd-edge"] = {"site": "r1/c1/m0/s0"}
+    gdn = GdnDeployment.from_spec({
+        **spec, "seed": 3, "secure": secure,
+        "moderators": {"mod": "r0/c0/m0/s1"}})
     maintainer = gdn.add_maintainer("maint", "r0/c1/m0/s1",
                                     maintains=["ab12"])
     idle = gdn.add_maintainer("idle", "r1/c0/m0/s1")

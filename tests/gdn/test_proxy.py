@@ -3,29 +3,21 @@
 import pytest
 
 from repro.gdn.browser import Browser
-from repro.gdn.deployment import GdnDeployment
+from repro.gdn.deployment import GdnDeployment, standard_spec
 from repro.gdn.scenario import ReplicationScenario
-from repro.sim.topology import Topology
 
 
 @pytest.fixture(scope="module")
 def gdn():
-    deployment = GdnDeployment(
-        topology=Topology.balanced(regions=2, countries=2, cities=1,
-                                   sites=2),
-        seed=303, secure=True)
-    deployment.standard_fleet()
-    deployment.initial_sync()
-    moderator = deployment.add_moderator("mod", "r0/c0/m0/s1")
-
-    def publish():
-        oid = yield from moderator.create_package(
-            "/apps/net/Lynx", {"README": b"lynx browser", "bin": b"\x01" * 4096},
-            ReplicationScenario.master_slave("gos-r0-0", ["gos-r1-0"],
-                                             cache_ttl=300.0))
-        return oid
-
-    oid = deployment.run(publish(), host=moderator.host)
+    deployment = GdnDeployment.from_spec({
+        **standard_spec(2, 2, 1, 2), "seed": 303, "secure": True,
+        "moderators": {"mod": "r0/c0/m0/s1"}})
+    moderator = deployment.moderators["mod"]
+    oid = deployment.run(moderator.create_package(
+        "/apps/net/Lynx", {"README": b"lynx browser", "bin": b"\x01" * 4096},
+        ReplicationScenario.master_slave("gos-r0-0", ["gos-r1-0"],
+                                         cache_ttl=300.0)),
+        host=moderator.host)
     deployment.settle(5.0)
     return deployment, oid
 

@@ -10,23 +10,26 @@ the master.
 
 import pytest
 
-from repro.gdn.deployment import GdnDeployment
+from repro.gdn.deployment import GdnDeployment, standard_spec
 from repro.gdn.moderator import ModerationError
 from repro.gdn.scenario import ReplicationScenario
 from repro.gls.service import GlsClient
-from repro.sim.topology import Topology
 from tests.util import check_pointer_invariant
 
 PACKAGE = "/apps/editors/Vim"
 FILES = {"README": b"vim " * 64}
 
 
+def _deployment(**options):
+    """The standard layout on a 2x2x2x2 world, and a moderator."""
+    gdn = GdnDeployment.from_spec({
+        **standard_spec(2, 2, 2, 2), "seed": 5,
+        "moderators": {"mod": "r0/c0/m0/s1"}, **options})
+    return gdn, gdn.moderators["mod"]
+
+
 def test_add_and_drop_a_replica_moves_lookups_in_and_out_of_a_region():
-    gdn = GdnDeployment(topology=Topology.balanced(2, 2, 2, 2), seed=5,
-                        secure=False)
-    gdn.standard_fleet()
-    gdn.initial_sync()
-    moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
+    gdn, moderator = _deployment(secure=False)
     oid = gdn.run(moderator.create_package(
         PACKAGE, FILES, ReplicationScenario.master_slave("gos-r0-0", [])),
         host=moderator.host)
@@ -70,10 +73,7 @@ def test_add_and_drop_a_replica_moves_lookups_in_and_out_of_a_region():
 
 
 def test_a_moderator_places_replicas_on_object_servers_added_after_it():
-    gdn = GdnDeployment(topology=Topology.balanced(2, 2, 2, 2), seed=5)
-    gdn.standard_fleet()
-    gdn.initial_sync()
-    moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
+    gdn, moderator = _deployment()
     late = gdn.add_gos("gos-late", "r1/c1/m0/s0")
     oid = gdn.run(moderator.create_package(
         PACKAGE, FILES, ReplicationScenario.master_slave("gos-r0-0", [])),
@@ -91,11 +91,7 @@ def test_dropping_a_replica_invalidates_its_hosts_lookup_cache_at_once():
     # The dropped slave's GOS unregisters through its host's lookup
     # cache, which the colocated HTTPD shares: the cached binding to
     # the dropped replica goes with the unregister, not after its TTL.
-    gdn = GdnDeployment(topology=Topology.balanced(2, 2, 2, 2), seed=5,
-                        secure=False, gls_cache={})
-    gdn.standard_fleet()
-    gdn.initial_sync()
-    moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
+    gdn, moderator = _deployment(secure=False, gls_cache={})
     oid = gdn.run(moderator.create_package(
         PACKAGE, FILES,
         ReplicationScenario.master_slave("gos-r0-0", ["gos-r1-0"])),
@@ -125,11 +121,7 @@ def test_a_master_drops_a_slave_whose_leave_was_lost():
     # dropped slave's leave never arrives.  Its object server answers
     # the next push with "no replica here", and the master drops it
     # instead of shipping every later write across the world to it.
-    gdn = GdnDeployment(topology=Topology.balanced(2, 2, 2, 2), seed=5,
-                        secure=False)
-    gdn.standard_fleet()
-    gdn.initial_sync()
-    moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
+    gdn, moderator = _deployment(secure=False)
     oid = gdn.run(moderator.create_package(
         PACKAGE, FILES,
         ReplicationScenario.master_slave("gos-r0-0", ["gos-r1-0"])),

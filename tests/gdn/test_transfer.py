@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from repro.gdn.browser import HttpResponse
-from repro.gdn.deployment import GdnDeployment
+from repro.gdn.deployment import GdnDeployment, standard_spec
 from repro.gdn.httpd import parse_transfer_url
 from repro.gdn.package import DEFAULT_CHUNK_SIZE, PackageSemantics
 from repro.gdn.scenario import ReplicationScenario
@@ -15,10 +15,11 @@ from repro.gdn.transfer import (TRANSFER_WINDOW, ChunkedDownloader,
 from repro.sim.deadlines import shared_pool
 from repro.sim.failures import FailureInjector
 from repro.sim.retry import ExponentialBackoff, RetryBudget
-from repro.sim.topology import Topology
 
 PAYLOAD = bytes(range(256)) * 120  # 30720 bytes
 SMALL = b"tiny file"
+#: One city of two sites and nothing placed: a world for stub browsers.
+BARE = {"topology": [1, 1, 1, 2], "seed": 1, "secure": False}
 
 
 # -- PackageSemantics manifest/chunk methods ---------------------------------
@@ -115,20 +116,15 @@ def test_first_route_marker_decides_what_a_url_is():
 
 @pytest.fixture(scope="module")
 def gdn():
-    deployment = GdnDeployment(
-        topology=Topology.balanced(2, 2, 1, 2), seed=11, secure=False)
-    deployment.standard_fleet()
-    deployment.initial_sync()
-    moderator = deployment.add_moderator("mod", "r0/c0/m0/s1")
-    scenario = ReplicationScenario.master_slave(
-        "gos-r0-0", ["gos-r1-0"], cache_ttl=300.0)
-
-    def publish():
-        oid = yield from moderator.create_package(
-            "/apps/Big", {"big.bin": PAYLOAD}, scenario)
-        return oid
-
-    deployment.run(publish(), host=moderator.host)
+    deployment = GdnDeployment.from_spec({
+        **standard_spec(2, 2, 1, 2), "seed": 11, "secure": False,
+        "moderators": {"mod": "r0/c0/m0/s1"}})
+    moderator = deployment.moderators["mod"]
+    deployment.run(moderator.create_package(
+        "/apps/Big", {"big.bin": PAYLOAD},
+        ReplicationScenario.master_slave("gos-r0-0", ["gos-r1-0"],
+                                         cache_ttl=300.0)),
+        host=moderator.host)
     deployment.settle(5.0)
     return deployment
 
@@ -166,12 +162,9 @@ def test_file_paths_containing_route_words_are_served(gdn):
     files = {"docs/manifest/readme.txt": b"read me",
              "src/chunk/io.c": b"int io;" * 900}
 
-    def publish():
-        yield from moderator.create_package(
-            "/apps/Gimp", files,
-            ReplicationScenario.single_server("gos-r0-0"))
-
-    gdn.run(publish(), host=moderator.host)
+    gdn.run(moderator.create_package(
+        "/apps/Gimp", files, ReplicationScenario.single_server("gos-r0-0")),
+        host=moderator.host)
     gdn.settle(5.0)
     browser = gdn.add_browser("route-user", "r1/c0/m0/s1")
     downloader = ChunkedDownloader(gdn.world, chunk_size=2048)
@@ -245,12 +238,9 @@ def test_no_resume_with_tight_budget_exhausts(gdn):
     seeded = ChunkedDownloader(gdn.world, chunk_size=4096)
     saved = []
 
-    def first():
-        yield from seeded.download(
-            browser, "/apps/Big", "big.bin",
-            checkpoint=lambda t: saved.append(t.to_wire()))
-
-    gdn.run(first(), host=browser.host)
+    gdn.run(seeded.download(browser, "/apps/Big", "big.bin",
+                            checkpoint=lambda t: saved.append(t.to_wire())),
+            host=browser.host)
     token = ResumeToken.from_wire(saved[-1])
     no_resume = ChunkedDownloader(
         gdn.world, resume=False, chunk_size=4096,
@@ -301,12 +291,9 @@ def test_corrupted_chunk_digest_raises_integrity_error(gdn):
 
     # Fetch the real manifest first, then corrupt one chunk digest so
     # every arriving copy of chunk 0 fails verification.
-    def seed_manifest():
-        yield from downloader.download(browser, "/apps/Big", "big.bin",
-                                       token=token,
-                                       checkpoint=lambda t: None)
-
-    gdn.run(seed_manifest(), host=browser.host)
+    gdn.run(downloader.download(browser, "/apps/Big", "big.bin",
+                                token=token, checkpoint=lambda t: None),
+            host=browser.host)
     token.chunks.clear()
     token.manifest["chunk_digests"][0] = "0" * 64
     assert gdn.run(run(), host=browser.host) == "integrity"
@@ -346,9 +333,7 @@ def test_token_object_mismatch_rejected(gdn):
 
 
 def test_downloader_defaults_are_a_jittered_backoff():
-    world = GdnDeployment(topology=Topology.balanced(1, 1, 1, 2),
-                          seed=1, secure=False)
-    downloader = ChunkedDownloader(world.world)
+    downloader = ChunkedDownloader(GdnDeployment.from_spec(BARE).world)
     assert isinstance(downloader.policy, ExponentialBackoff)
     assert downloader.policy.jitter > 0.0
 
@@ -392,8 +377,7 @@ def _digest(data):
 ], ids=["short-digests", "no-count", "str-count", "zero-size", "no-digest",
         "not-a-dict"])
 def test_malformed_manifest_is_a_transfer_error(manifest):
-    gdn = GdnDeployment(topology=Topology.balanced(1, 1, 1, 2), seed=1,
-                        secure=False)
+    gdn = GdnDeployment.from_spec(BARE)
     browser = _StubBrowser(gdn.world.host("stub", "r0/c0/m0/s0"), manifest)
     downloader = ChunkedDownloader(gdn.world)
 
@@ -419,19 +403,16 @@ CLIENT_SITE = "r1/c0/m0/s0"
 
 
 def _wan_deployment():
-    gdn = GdnDeployment(topology=Topology.balanced(2, 1, 1, 2), seed=5,
-                        secure=False)
-    gdn.add_gos("gos-0", "r0/c0/m0/s0")
-    gdn.add_httpd("ap", site="r0/c0/m0/s1", cache_policy=lambda _name: None)
-    gdn.initial_sync()
-    moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
-
-    def publish():
-        yield from moderator.create_package(
-            "/apps/Wan", {"big.bin": WAN_PAYLOAD},
-            ReplicationScenario.single_server("gos-0", cache_ttl=None))
-
-    gdn.run(publish(), host=moderator.host)
+    gdn = GdnDeployment.from_spec({
+        "topology": [2, 1, 1, 2], "seed": 5, "secure": False,
+        "gos": {"gos-0": "r0/c0/m0/s0"},
+        "httpds": {"ap": {"site": "r0/c0/m0/s1", "cache_ttl": None}},
+        "moderators": {"mod": "r0/c0/m0/s1"}})
+    moderator = gdn.moderators["mod"]
+    gdn.run(moderator.create_package(
+        "/apps/Wan", {"big.bin": WAN_PAYLOAD},
+        ReplicationScenario.single_server("gos-0", cache_ttl=None)),
+        host=moderator.host)
     gdn.settle(2.0)
     return gdn
 
@@ -545,8 +526,7 @@ def _stub_download(payload, doctor=None):
     """Download ``payload`` in 4-byte chunks through a
     :class:`_FileBrowser`; returns (downloader, budget, browser, which
     chunks each checkpoint held)."""
-    gdn = GdnDeployment(topology=Topology.balanced(1, 1, 1, 2), seed=1,
-                        secure=False)
+    gdn = GdnDeployment.from_spec(BARE)
     browser = _FileBrowser(gdn.world.host("stub", "r0/c0/m0/s0"), payload,
                            doctor)
     budget = RetryBudget(rate=0.0, burst=4.0)

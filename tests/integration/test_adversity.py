@@ -9,7 +9,7 @@ forgery.
 
 import pytest
 
-from repro.gdn.deployment import GdnDeployment
+from repro.gdn.deployment import GdnDeployment, standard_spec
 from repro.gdn.scenario import ReplicationScenario
 from repro.gns.dns.records import ResourceRecord, RRType
 from repro.gns.dns.resolver import CachingResolver
@@ -17,27 +17,19 @@ from repro.gns.dns.server import DNS_PORT, AuthoritativeServer
 from repro.gns.dns.zone import Zone
 from repro.gns.gns import GlobeNameService
 from repro.sim.failures import FailureInjector
-from repro.sim.topology import Topology
 
 
 @pytest.fixture
 def gdn():
-    deployment = GdnDeployment(
-        topology=Topology.balanced(regions=2, countries=2, cities=1,
-                                   sites=2),
-        seed=404, secure=True)
-    deployment.standard_fleet()
-    deployment.initial_sync()
-    moderator = deployment.add_moderator("mod", "r0/c0/m0/s1")
-
-    def publish():
-        oid = yield from moderator.create_package(
-            "/apps/science/Octave", {"README": b"gnu octave"},
-            ReplicationScenario.master_slave("gos-r0-0", ["gos-r1-0"],
-                                             cache_ttl=120.0))
-        return oid
-
-    oid = deployment.run(publish(), host=moderator.host)
+    deployment = GdnDeployment.from_spec({
+        **standard_spec(2, 2, 1, 2), "seed": 404, "secure": True,
+        "moderators": {"mod": "r0/c0/m0/s1"}})
+    moderator = deployment.moderators["mod"]
+    oid = deployment.run(moderator.create_package(
+        "/apps/science/Octave", {"README": b"gnu octave"},
+        ReplicationScenario.master_slave("gos-r0-0", ["gos-r1-0"],
+                                         cache_ttl=120.0)),
+        host=moderator.host)
     deployment.settle(5.0)
     return deployment, oid
 
@@ -48,23 +40,15 @@ def test_partitioned_region_keeps_serving_reads(gdn):
     deployment, _oid = gdn
     browser = deployment.add_browser("user-r1", "r1/c1/m0/s1")
 
-    def warm():
-        response = yield from browser.download("/apps/science/Octave",
-                                               "README")
-        return response
-
-    assert deployment.run(warm(), host=browser.host).ok
+    assert deployment.run(browser.download("/apps/science/Octave",
+                                           "README"), host=browser.host).ok
 
     # Cut region r1 off from the world.
     region = deployment.world.topology.domain("r1")
     deployment.world.network.partition_domain(region)
 
-    def read_during_partition():
-        response = yield from browser.download("/apps/science/Octave",
-                                               "README")
-        return response
-
-    response = deployment.run(read_during_partition(), host=browser.host)
+    response = deployment.run(browser.download("/apps/science/Octave",
+                                               "README"), host=browser.host)
     assert response.ok
     assert response.body == b"gnu octave"
     deployment.world.network.heal_domain(region)
@@ -93,11 +77,9 @@ def test_writes_fail_inside_partition_then_recover(gdn):
                           host=maintainer.host) == "failed"
     deployment.world.network.heal_domain(region)
 
-    def write_after_heal():
-        yield from maintainer.update_contents(
-            "/apps/science/Octave", add_files={"NEWS": b"healed"})
-
-    deployment.run(write_after_heal(), host=maintainer.host)
+    deployment.run(maintainer.update_contents(
+        "/apps/science/Octave", add_files={"NEWS": b"healed"}),
+        host=maintainer.host)
     master = deployment.object_servers["gos-r0-0"]
     assert (master.replicas[oid.hex].semantics.getFileContents("NEWS")
             == b"healed")
@@ -165,9 +147,8 @@ def test_overlapping_crash_windows_hold_the_host_down_until_the_last():
     # Regression: the first window's restart brought the host back
     # while the second still held it down, and the second restart then
     # ran recover() on a live host: "TCP port 7100 already listening".
-    deployment = GdnDeployment(seed=3, secure=False)
-    deployment.standard_fleet()
-    deployment.initial_sync()
+    deployment = GdnDeployment.from_spec(
+        {**standard_spec(2, 2, 2, 2), "seed": 3, "secure": False})
     gos = deployment.object_servers["gos-r0-0"]
     injector = FailureInjector(deployment.world)
     recovered = []

@@ -26,7 +26,6 @@ from repro.gdn.scenario import ReplicationScenario
 from repro.gdn.transfer import (ResumeToken, TransferBudgetExhausted,
                                 TransferError)
 from repro.sim.retry import ExponentialBackoff, FixedRetry, RetryBudget
-from repro.sim.topology import Topology
 from repro.workloads.packages import synthetic_file
 from repro.workloads.scenario import ClosedLoopScenario, Soak
 
@@ -115,24 +114,20 @@ def _run_soak(resume, fault, policy=None, budget_burst=16.0, seed=13,
     ``"partition"`` (the clients' site drops off the network during
     each ``(start, duration)`` of ``partitions``).
     """
-    topology = Topology.balanced(regions=2, countries=1, cities=1,
-                                 sites=2)
-    gdn = GdnDeployment(topology=topology, seed=seed, secure=False)
-    gos = gdn.add_gos("gos-0", "r0/c0/m0/s0")
     # The access point must survive the GOS crash, so it is *not*
     # colocated — and it is a pure proxy (no representative caching):
     # every chunk read traverses to the object server.
-    gdn.add_httpd("ap", site="r0/c0/m0/s1",
-                  cache_policy=lambda _name: None)
-    gdn.initial_sync()
-    moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
-
-    def publish():
-        yield from moderator.create_package(
-            PACKAGE, {_FILE: PAYLOAD},
-            ReplicationScenario.single_server("gos-0", cache_ttl=None))
-
-    gdn.run(publish(), host=moderator.host)
+    gdn = GdnDeployment.from_spec({
+        "topology": [2, 1, 1, 2], "seed": seed, "secure": False,
+        "gos": {"gos-0": "r0/c0/m0/s0"},
+        "httpds": {"ap": {"site": "r0/c0/m0/s1", "cache_ttl": None}},
+        "moderators": {"mod": "r0/c0/m0/s1"}})
+    gos = gdn.object_servers["gos-0"]
+    moderator = gdn.moderators["mod"]
+    gdn.run(moderator.create_package(
+        PACKAGE, {_FILE: PAYLOAD},
+        ReplicationScenario.single_server("gos-0", cache_ttl=None)),
+        host=moderator.host)
     gdn.settle(2.0)
 
     if policy is None:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from repro.gdn.deployment import GdnDeployment
 from repro.gdn.scenario import ReplicationScenario
-from repro.sim.topology import Topology
 from repro.workloads.cohort import CohortScenario, DiurnalProfile
 from repro.workloads.loadgen import LoadStats, UniformSchedule
 from repro.workloads.packages import synthetic_file
@@ -49,18 +48,16 @@ def _deployment(gls_cache, packages, replicate=True, batch_window=0.2):
     """Two regions.  The access-point HTTPDs sit at sites *without* a
     GOS, so every lookup walks the tree (a leaf miss, then forwarding
     pointers down from an ancestor): the expensive path."""
-    topology = Topology.balanced(regions=2, countries=1, cities=1,
-                                 sites=2)
-    gdn = GdnDeployment(topology=topology, seed=29, secure=False,
-                        gls_cache=gls_cache, batch_window=batch_window)
-    for index, region in enumerate(gdn._regions()):
-        sites = list(region.sites())
-        gdn.add_gos("gos-%d" % index, sites[0])
-        gdn.add_httpd("httpd-%d" % index, site=sites[1],
-                      binding_ttl=BINDING_TTL,
-                      cache_policy=lambda _name: CACHE_TTL)
-    gdn.initial_sync()
-    moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
+    gdn = GdnDeployment.from_spec({
+        "topology": [2, 1, 1, 2], "seed": 29, "secure": False,
+        "gls_cache": gls_cache, "batch_window": batch_window,
+        "gos": {"gos-0": "r0/c0/m0/s0", "gos-1": "r1/c0/m0/s0"},
+        "httpds": {"httpd-%d" % index: {"site": "r%d/c0/m0/s1" % index,
+                                        "binding_ttl": BINDING_TTL,
+                                        "cache_ttl": CACHE_TTL}
+                   for index in range(2)},
+        "moderators": {"mod": "r0/c0/m0/s1"}})
+    moderator = gdn.moderators["mod"]
     slaves = ["gos-1"] if replicate else []
 
     def publish():

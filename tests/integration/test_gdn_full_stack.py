@@ -10,10 +10,9 @@ turned away.
 
 import pytest
 
-from repro.gdn.deployment import GdnDeployment
+from repro.gdn.deployment import GdnDeployment, standard_spec
 from repro.gdn.moderator import ModerationError
 from repro.gdn.scenario import ReplicationScenario
-from repro.sim.topology import Topology
 
 
 GIMP_FILES = {
@@ -25,22 +24,14 @@ GIMP_FILES = {
 
 @pytest.fixture(scope="module")
 def gdn():
-    deployment = GdnDeployment(
-        topology=Topology.balanced(regions=2, countries=2, cities=1,
-                                   sites=2),
-        seed=101, secure=True)
-    deployment.standard_fleet()
-    deployment.initial_sync()
-    moderator = deployment.add_moderator("mod-alice", "r0/c0/m0/s1")
+    deployment = GdnDeployment.from_spec({
+        **standard_spec(2, 2, 1, 2), "seed": 101, "secure": True,
+        "moderators": {"mod-alice": "r0/c0/m0/s1"}})
+    moderator = deployment.moderators["mod-alice"]
     scenario = ReplicationScenario.master_slave(
         "gos-r0-0", ["gos-r1-0"], cache_ttl=300.0)
-
-    def publish():
-        oid = yield from moderator.create_package("/apps/graphics/Gimp",
-                                                  GIMP_FILES, scenario)
-        return oid
-
-    oid = deployment.run(publish(), host=moderator.host)
+    oid = deployment.run(moderator.create_package(
+        "/apps/graphics/Gimp", GIMP_FILES, scenario), host=moderator.host)
     deployment.settle(5.0)
     return deployment, moderator, oid
 
@@ -50,11 +41,8 @@ def test_package_resolvable_through_gns(gdn):
     resolver_host = deployment.world.host("checker", "r1/c1/m0/s0")
     gns = deployment._name_service(resolver_host)
 
-    def resolve():
-        oid_hex = yield from gns.resolve("/apps/graphics/Gimp")
-        return oid_hex
-
-    assert deployment.run(resolve(), host=resolver_host) == oid.hex
+    assert deployment.run(gns.resolve("/apps/graphics/Gimp"),
+                          host=resolver_host) == oid.hex
 
 
 def test_replicas_exist_on_both_regions(gdn):
@@ -97,11 +85,8 @@ def test_missing_package_is_404(gdn):
     deployment, _moderator, _oid = gdn
     browser = deployment.add_browser("user-404", "r0/c0/m0/s0")
 
-    def surf():
-        response = yield from browser.get("/gdn/apps/NoSuchPackage")
-        return response
-
-    response = deployment.run(surf(), host=browser.host)
+    response = deployment.run(browser.get("/gdn/apps/NoSuchPackage"),
+                              host=browser.host)
     assert response.status == 404
 
 
@@ -109,24 +94,18 @@ def test_missing_file_is_404(gdn):
     deployment, _moderator, _oid = gdn
     browser = deployment.add_browser("user-nofile", "r0/c0/m0/s0")
 
-    def surf():
-        response = yield from browser.download("/apps/graphics/Gimp",
-                                               "no/such/file")
-        return response
-
-    response = deployment.run(surf(), host=browser.host)
+    response = deployment.run(browser.download("/apps/graphics/Gimp",
+                                               "no/such/file"),
+                              host=browser.host)
     assert response.status == 404
 
 
 def test_moderator_updates_propagate(gdn):
     deployment, moderator, oid = gdn
 
-    def update():
-        yield from moderator.update_package(
-            "/apps/graphics/Gimp",
-            add_files={"NEWS": b"version 1.2 released"})
-
-    deployment.run(update(), host=moderator.host)
+    deployment.run(moderator.update_package(
+        "/apps/graphics/Gimp", add_files={"NEWS": b"version 1.2 released"}),
+        host=moderator.host)
     deployment.settle(5.0)
     slave = deployment.object_servers["gos-r1-0"]
     assert (slave.replicas[oid.hex].semantics.getFileContents("NEWS")
@@ -201,13 +180,8 @@ def test_gos_crash_recovery_keeps_package_available(gdn):
     # And a user in that region can still download.
     browser = deployment.add_browser("user-after-crash", "r1/c1/m0/s1")
 
-    def surf():
-        response = yield from browser.download("/apps/graphics/Gimp",
-                                               "README")
-        return response
-
-    response = deployment.run(surf(), host=browser.host)
-    assert response.ok
+    assert deployment.run(browser.download("/apps/graphics/Gimp", "README"),
+                          host=browser.host).ok
 
 
 def test_package_removal_cleans_name_and_replicas(gdn):
@@ -222,9 +196,6 @@ def test_package_removal_cleans_name_and_replicas(gdn):
     deployment.run(lifecycle(), host=moderator.host)
     browser = deployment.add_browser("user-gone", "r0/c0/m0/s0")
 
-    def surf():
-        response = yield from browser.get("/gdn/apps/Temporary")
-        return response
-
-    response = deployment.run(surf(), host=browser.host)
+    response = deployment.run(browser.get("/gdn/apps/Temporary"),
+                              host=browser.host)
     assert response.status == 404

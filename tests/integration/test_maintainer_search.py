@@ -2,21 +2,17 @@
 
 import pytest
 
-from repro.gdn.deployment import GdnDeployment
+from repro.gdn.deployment import GdnDeployment, standard_spec
 from repro.gdn.maintainer import MaintenanceError
 from repro.gdn.scenario import ReplicationScenario
-from repro.sim.topology import Topology
 
 
 @pytest.fixture(scope="module")
 def gdn():
-    deployment = GdnDeployment(
-        topology=Topology.balanced(regions=2, countries=2, cities=1,
-                                   sites=2),
-        seed=202, secure=True)
-    deployment.standard_fleet()
-    deployment.initial_sync()
-    moderator = deployment.add_moderator("mod", "r0/c0/m0/s1")
+    deployment = GdnDeployment.from_spec({
+        **standard_spec(2, 2, 1, 2), "seed": 202, "secure": True,
+        "moderators": {"mod": "r0/c0/m0/s1"}})
+    moderator = deployment.moderators["mod"]
 
     def publish():
         gimp = yield from moderator.create_package(
@@ -39,12 +35,9 @@ def test_maintainer_can_update_own_package(gdn):
     maintainer = deployment.add_maintainer("wilber", "r1/c0/m0/s1",
                                            maintains=[gimp_oid.hex])
 
-    def update():
-        version = yield from maintainer.update_contents(
-            "/apps/graphics/Gimp", add_files={"NEWS": b"bugfixes"})
-        return version
-
-    version = deployment.run(update(), host=maintainer.host)
+    version = deployment.run(maintainer.update_contents(
+        "/apps/graphics/Gimp", add_files={"NEWS": b"bugfixes"}),
+        host=maintainer.host)
     assert version > 0
     deployment.settle(5.0)
     master = deployment.object_servers["gos-r0-0"]
@@ -158,9 +151,6 @@ def test_removed_package_leaves_search_index(gdn):
     deployment.run(lifecycle(), host=moderator.host)
     browser = deployment.add_browser("search-gone", "r0/c0/m0/s0")
 
-    def search():
-        page = yield from browser.get("/gdn-search?category=games")
-        return page
-
-    page = deployment.run(search(), host=browser.host)
+    page = deployment.run(browser.get("/gdn-search?category=games"),
+                          host=browser.host)
     assert "0 package(s)" in page.body

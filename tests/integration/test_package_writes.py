@@ -15,7 +15,6 @@ from repro.core.subobjects import RemoteInvocationError
 from repro.gdn.deployment import GdnDeployment
 from repro.gdn.scenario import ReplicationScenario
 from repro.sim.serde import encoded_size
-from repro.sim.topology import Topology
 
 NAME = "/apps/demo/Tool"
 FILE = "tool.bin"
@@ -26,16 +25,15 @@ class _Package:
     """The deployment, its moderator and a browser behind the cache."""
 
     def __init__(self, files=None):
-        gdn = self.gdn = GdnDeployment(
-            topology=Topology.balanced(2, 2, 1, 2), seed=3, secure=False)
-        for name, site in (("gos-0", "r0/c0/m0/s0"), ("gos-1", "r1/c0/m0/s0"),
-                           ("gos-2", "r1/c1/m0/s0")):
-            gdn.add_gos(name, site)
-        self.httpd = gdn.add_httpd("httpd-1", colocate_with="gos-1",
-                                   binding_ttl=None,
-                                   cache_policy=lambda _name: 0.5)
-        gdn.initial_sync()
-        self.moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
+        gdn = self.gdn = GdnDeployment.from_spec({
+            "topology": [2, 2, 1, 2], "seed": 3, "secure": False,
+            "gos": {"gos-0": "r0/c0/m0/s0", "gos-1": "r1/c0/m0/s0",
+                    "gos-2": "r1/c1/m0/s0"},
+            "httpds": {"httpd-1": {"colocate_with": "gos-1",
+                                   "binding_ttl": None, "cache_ttl": 0.5}},
+            "moderators": {"mod": "r0/c0/m0/s1"}})
+        self.httpd = gdn.httpds[0]
+        self.moderator = gdn.moderators["mod"]
         self.oid = gdn.run(self.moderator.create_package(
             NAME, dict(files or {}, **{FILE: b"release"}),
             ReplicationScenario.master_slave("gos-0", ["gos-1", "gos-2"])),

@@ -16,7 +16,6 @@ import pytest
 
 from repro.gdn.deployment import GdnDeployment
 from repro.gdn.scenario import ReplicationScenario
-from repro.sim.topology import Topology
 
 #: Records one publish adds to the GDN Zone (the name's TXT record).
 RECORDS_PER_PUBLISH = 1
@@ -47,12 +46,12 @@ def _dns_bytes(world):
 
 
 def _publish(packages):
-    gdn = GdnDeployment(topology=Topology.balanced(3, 1, 2, 2), seed=16,
-                        secure=False)
-    for index, region in enumerate(gdn.world.topology.world.children.values()):
-        gdn.add_gos("gos-%d" % index, next(region.sites()))
-    gdn.initial_sync()
-    moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
+    gdn = GdnDeployment.from_spec({
+        "topology": [3, 1, 2, 2], "seed": 16, "secure": False,
+        "gos": {"gos-%d" % index: "r%d/c0/m0/s0" % index
+                for index in range(3)},
+        "moderators": {"mod": "r0/c0/m0/s1"}})
+    moderator = gdn.moderators["mod"]
     tally = _dns_bytes(gdn.world)
 
     def publish():

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from repro.gdn.deployment import GdnDeployment
 from repro.gdn.scenario import ReplicationScenario
-from repro.sim.topology import Topology
 from repro.workloads.packages import synthetic_file
 from repro.workloads.scenario import ClosedLoopScenario, Soak
 
@@ -78,25 +77,19 @@ def serve_stale_invariant(soak, caches, require_stale_hits):
 def _run_soak(gls_cache):
     """Build a two-region GDN, crash the HTTPDs' leaf GLS nodes mid
     drive, and return (report, deployment)."""
-    topology = Topology.balanced(regions=2, countries=1, cities=1,
-                                 sites=2)
-    gdn = GdnDeployment(topology=topology, seed=7, secure=False,
-                        gls_cache=gls_cache)
-    for index, region in enumerate(gdn._regions()):
-        gdn.add_gos("gos-%d" % index, next(region.sites()))
-    for index, gos_name in enumerate(sorted(gdn.object_servers)):
-        gdn.add_httpd("httpd-%d" % index, colocate_with=gos_name,
-                      binding_ttl=TTL, cache_policy=lambda _name: TTL)
-    gdn.initial_sync()
-    moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
-
-    def publish():
-        yield from moderator.create_package(
-            PACKAGE, {_FILE: synthetic_file("hot", 20_000)},
-            ReplicationScenario.master_slave("gos-0", ["gos-1"],
-                                             cache_ttl=60.0))
-
-    gdn.run(publish(), host=moderator.host)
+    gdn = GdnDeployment.from_spec({
+        "topology": [2, 1, 1, 2], "seed": 7, "secure": False,
+        "gls_cache": gls_cache,
+        "gos": {"gos-0": "r0/c0/m0/s0", "gos-1": "r1/c0/m0/s0"},
+        "httpds": {"httpd-%d" % index: {"colocate_with": "gos-%d" % index,
+                                        "binding_ttl": TTL, "cache_ttl": TTL}
+                   for index in range(2)},
+        "moderators": {"mod": "r0/c0/m0/s1"}})
+    moderator = gdn.moderators["mod"]
+    gdn.run(moderator.create_package(
+        PACKAGE, {_FILE: synthetic_file("hot", 20_000)},
+        ReplicationScenario.master_slave("gos-0", ["gos-1"], cache_ttl=60.0)),
+        host=moderator.host)
     gdn.settle(5.0)
 
     browser_for = gdn.browser_pool("soak")

@@ -11,24 +11,22 @@ import random
 
 import pytest
 
-from repro.gdn.deployment import GdnDeployment
+from repro.gdn.deployment import GdnDeployment, standard_spec
 from repro.gdn.scenario import ObjectUsage, ScenarioAdvisor
-from repro.sim.topology import Topology
 from repro.workloads.packages import generate_corpus
 from repro.workloads.population import ClientPopulation
 
 
 @pytest.mark.slow
 def test_gdn_soak():
-    topology = Topology.balanced(regions=3, countries=2, cities=1, sites=2)
-    gdn = GdnDeployment(topology=topology, seed=777, secure=False)
-    gdn.standard_fleet()
-    gdn.initial_sync()
-    moderator = gdn.add_moderator("mod", "r0/c0/m0/s1")
+    gdn = GdnDeployment.from_spec({
+        **standard_spec(3, 2, 1, 2), "seed": 777, "secure": False,
+        "moderators": {"mod": "r0/c0/m0/s1"}})
+    moderator = gdn.moderators["mod"]
 
     rng = random.Random(777)
     corpus = generate_corpus(10, rng, mean_file_size=20_000)
-    population = ClientPopulation(topology, len(corpus),
+    population = ClientPopulation(gdn.world.topology, len(corpus),
                                   random.Random(778), alpha=1.0)
     stream = population.generate(150)
     advisor = ScenarioAdvisor(gdn.gos_by_region(), popularity_threshold=8)

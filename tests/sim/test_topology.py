@@ -8,11 +8,17 @@ from repro.sim.topology import (Domain, Level, Topology, TopologyError,
 
 @pytest.fixture
 def topo():
-    return Topology.from_spec({
-        "eu": {"nl": {"ams": ["vu", "uva"], "rot": ["eur"]},
-               "de": {"ber": ["tu"]}},
-        "na": {"us": {"nyc": ["nyu"], "sfo": ["ucb"]}},
-    })
+    topo = Topology()
+    eu, na = topo.add_region("eu"), topo.add_region("na")
+    nl, de = topo.add_country(eu, "nl"), topo.add_country(eu, "de")
+    us = topo.add_country(na, "us")
+    ams, rot = topo.add_city(nl, "ams"), topo.add_city(nl, "rot")
+    ber = topo.add_city(de, "ber")
+    nyc, sfo = topo.add_city(us, "nyc"), topo.add_city(us, "sfo")
+    for city, site in ((ams, "vu"), (ams, "uva"), (rot, "eur"), (ber, "tu"),
+                       (nyc, "nyu"), (sfo, "ucb")):
+        topo.add_site(city, site)
+    return topo
 
 
 def test_site_paths(topo):

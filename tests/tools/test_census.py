@@ -194,12 +194,13 @@ def serve(port=80, seed=1, knob=2, other=3):
 '''
 
 
-def _check_options(tmp_path, monkeypatch, keep):
-    """``--options --check`` on a def nobody calls, ``keep`` as the
-    keep file."""
+def _check_options(tmp_path, monkeypatch, keep,
+                   module=CHECK_OPTIONS_MODULE, caller=None):
+    """``--options --check`` on ``module`` (by default a def nobody
+    calls) and its ``caller``, ``keep`` as the keep file."""
     (tmp_path / "keep.txt").write_text(keep)
     monkeypatch.setattr(census, "KEEP_FILE", tmp_path / "keep.txt")
-    src = _options_tree(tmp_path, CHECK_OPTIONS_MODULE)
+    src = _options_tree(tmp_path, module, caller)
     return census.main(["--options", "--check", "--src", src])
 
 
@@ -229,6 +230,53 @@ def test_options_check_fails_on_a_stale_keep_entry(
     assert "census: stale keep entry: fixture_pkg/mod.py  serve(port)" in out
     assert out[-1] == ("census: 2 exempt by rule, 2 kept with a reason, "
                        "0 unexplained; 2 stale keep entries")
+
+
+SPEC_MODULE = '''\
+class GdnDeployment:
+    def __init__(self, seed=0, secure=True):
+        self.seed = seed
+
+    @classmethod
+    def from_spec(cls, spec):
+        gdn = cls(**{key: spec[key] for key in spec if key != "httpds"})
+        for name, httpd in spec.get("httpds", {}).items():
+            gdn.add_httpd(name, **httpd)
+
+    def add_httpd(self, name, site=None, cache_policy=None,
+                  binding_ttl=300.0, planted=1):
+        return name
+'''
+
+SPEC_CALLER = '''\
+from fixture_pkg.mod import GdnDeployment
+
+GdnDeployment.from_spec({
+    "seed": 3,
+    "httpds": {"ap": {"site": "r0/c0/m0/s1", "cache_ttl": None},
+               "edge": {"site": "r1/c0/m0/s0", "binding_ttl": 2.0}}})
+'''
+
+
+def test_options_check_sees_an_option_no_spec_sets(
+        tmp_path, monkeypatch, capsys):
+    # from_spec's splatted calls do not count; the spec literal handed
+    # to it does: seed by its own key, and site, binding_ttl and (as
+    # cache_ttl) cache_policy by HTTPD entries' keys.  Nothing sets
+    # secure or planted, so both are listed, and neither has a reason.
+    assert _check_options(tmp_path, monkeypatch, "", SPEC_MODULE,
+                          SPEC_CALLER) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:4] == [
+        "fixture_pkg/mod.py:2  GdnDeployment.__init__(secure)",
+        "fixture_pkg/mod.py:2  GdnDeployment.__init__(seed)  always 3",
+        "fixture_pkg/mod.py:11  GdnDeployment.add_httpd(planted)",
+        "census: 2 of 6 keyword options under %s never passed, 1 more "
+        "always passed one literal" % (tmp_path / "src"),
+    ]
+    assert ("census: unexplained: fixture_pkg/mod.py  "
+            "GdnDeployment.add_httpd(planted)") in out
+    assert out[-1].endswith("2 unexplained; 0 stale keep entries")
 
 
 def test_traffic_lists_the_functions_no_entry_point_reaches(

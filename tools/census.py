@@ -66,6 +66,15 @@ that passes on the keywords the def's callers pass it.
 Calls made through an alias (``TABLES[i].run``, a callback handed to
 ``register``, ``functools.partial``) are not seen, so an option listed
 may still be set that way; check before deleting it.
+
+A deployment spec is read the same way.  The calls the spec loader
+(:data:`SPEC_LOADER`, ``GdnDeployment.from_spec``) makes with a spec's
+keys do not count; each call of it that is handed a dict literal does
+instead: the literal's own keys pass the constructor's options by name,
+and the keys of each entry of a section in :data:`SPEC_SECTIONS` pass
+that section's method's (``cache_ttl`` as ``cache_policy``).  A part of
+a spec that is not written out in the call (a ``**`` splat, a section
+built elsewhere) passes nothing the census sees.
 """
 
 from __future__ import annotations
@@ -328,6 +337,15 @@ CALLER_TREES = ("src", "examples", "gdnbench")
 #: every test picks its own of.
 EXEMPT_OPTIONS = ("port", "seed")
 
+#: The def that builds a deployment from a spec, the call its spec's
+#: own keys pass options to, each section's method (None: the section
+#: maps names to sites and passes no option), and the spec keys that
+#: pass an option of another name.
+SPEC_LOADER = "from_spec"
+SPEC_TARGET = "GdnDeployment"
+SPEC_SECTIONS = {"gos": None, "httpds": "add_httpd", "moderators": None}
+SPEC_RENAMES = {"cache_ttl": "cache_policy"}
+
 _ALL = "*"  # a splatted call: every parameter counts as passed
 _UNKNOWN = object()  # a value a splat or a forwarding def passes on
 
@@ -381,16 +399,55 @@ def keyword_options(src: pathlib.Path) -> Dict[str, List[tuple]]:
     return found
 
 
+def _keys(literal: ast.Dict) -> Dict[str, ast.AST]:
+    """A dict literal's string keys and their values (a ``**`` splat
+    has none)."""
+    return {key.value: value for key, value in zip(literal.keys,
+                                                   literal.values)
+            if isinstance(getattr(key, "value", None), str)}
+
+
+def spec_calls(spec: ast.Dict) -> List[Tuple[str, dict]]:
+    """``(call name, passed)`` of each call the spec literal ``spec``
+    makes through :data:`SPEC_LOADER`: one to :data:`SPEC_TARGET` with
+    its own keys, one per entry of a :data:`SPEC_SECTIONS` section (a
+    dict literal, or a dict comprehension's one) with that entry's."""
+    own: dict = {}
+    made = [(SPEC_TARGET, own)]
+    for key, value in _keys(spec).items():
+        if key not in SPEC_SECTIONS:
+            own[key] = value
+        elif SPEC_SECTIONS[key]:
+            if isinstance(value, ast.DictComp):
+                entries = [value.value]
+            else:
+                entries = value.values if isinstance(value, ast.Dict) else []
+            made.extend((SPEC_SECTIONS[key],
+                         {SPEC_RENAMES.get(name, name): item
+                          for name, item in _keys(entry).items()})
+                        for entry in entries if isinstance(entry, ast.Dict))
+    return made
+
+
 def passed_arguments(trees: List[pathlib.Path]) -> Dict[str, List[dict]]:
     """Call name -> one dict per call in ``trees``, from each keyword
     (by name) and positional argument (by index) it passes to the value
     it passes (an AST node, or :data:`_UNKNOWN`).  A ``*args`` or
     ``**kwargs`` splat passes :data:`_ALL`, except that a def forwarding
-    its own ``**kwargs`` passes on the keywords its callers pass it."""
+    its own ``**kwargs`` passes on the keywords its callers pass it.
+    A spec literal handed to :data:`SPEC_LOADER` makes the calls
+    :func:`spec_calls` reads from it, in place of the loader's own."""
     calls: Dict[str, List[dict]] = {}
     forwards: List[Tuple[str, dict]] = []  # (forwarding def, its call)
+    forwarded = {SPEC_TARGET, *filter(None, SPEC_SECTIONS.values())}
 
     def record(name: str, call: ast.Call, caller: str, kwarg: str) -> None:
+        if caller == SPEC_LOADER and name in forwarded:
+            return
+        if name == SPEC_LOADER and call.args \
+                and isinstance(call.args[0], ast.Dict):
+            for made, passed in spec_calls(call.args[0]):
+                calls.setdefault(made, []).append(passed)
         passed: dict = dict(enumerate(call.args))
         for keyword in call.keywords:
             if keyword.arg is not None:
