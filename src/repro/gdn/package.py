@@ -65,6 +65,10 @@ class PackageSemantics(SemanticsSubobject):
         #: Superseded contents, keyed "path@version", bounded FIFO.
         self._retained: Dict[str, bytes] = {}
         self._retained_order: List[str] = []
+        #: getFileManifest's memo: path -> (contents, chunk_size, chunk
+        #: digests, file digest).  Not state: never snapshot or shipped;
+        #: dropped with its path, so it keeps no deleted contents alive.
+        self._manifests: Dict[str, tuple] = {}
         self._forget_changes()
 
     # -- version management (§8 future work, implemented) --------------------
@@ -112,6 +116,7 @@ class PackageSemantics(SemanticsSubobject):
             return False
         self._changed_files.pop(path, None)
         self._deleted[path] = None
+        self._manifests.pop(path, None)
         self._log("del", path, None)
         self._retain(path, previous, self._content_version)
         return True
@@ -168,20 +173,37 @@ class PackageSemantics(SemanticsSubobject):
         arrives (and skip re-fetching verified chunks on resume); the
         whole-file digest and content version let it detect a file
         that changed under an in-progress transfer.
+
+        The digests are memoised per path, together with the contents
+        object they were computed from and the chunk size: every
+        client of a large file asks for the same manifest, and hashing
+        the file costs far more than the request.  A memo entry serves
+        only while that very ``bytes`` object is still the stored
+        contents (``is``, not ``==``).  Bytes are immutable, so the
+        same object means the same content, and any write that stores
+        other contents misses without an invalidation hook.  Every
+        call returns a fresh dict and digest list and reads the
+        version live.
         """
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
         data = self.getFileContents(path)
-        chunks = [data[offset:offset + chunk_size]
-                  for offset in range(0, len(data), chunk_size)] or [b""]
+        memo = self._manifests.get(path)
+        if memo is None or memo[0] is not data or memo[1] != chunk_size:
+            chunks = [data[offset:offset + chunk_size]
+                      for offset in range(0, len(data), chunk_size)] or [b""]
+            memo = (data, chunk_size,
+                    [hashlib.sha256(chunk).hexdigest() for chunk in chunks],
+                    hashlib.sha256(data).hexdigest())
+            self._manifests[path] = memo
+        _data, _chunk_size, digests, digest = memo
         return {
             "path": path,
             "size": len(data),
             "chunk_size": chunk_size,
-            "chunk_count": len(chunks),
-            "chunk_digests": [hashlib.sha256(chunk).hexdigest()
-                              for chunk in chunks],
-            "digest": hashlib.sha256(data).hexdigest(),
+            "chunk_count": len(digests),
+            "chunk_digests": list(digests),
+            "digest": digest,
             "version": self._content_version,
         }
 
@@ -242,6 +264,7 @@ class PackageSemantics(SemanticsSubobject):
         self._history = history
         self._retained = dict(state.get("retained", {}))
         self._retained_order = list(state.get("retained_order", []))
+        self._manifests = {}
         self._forget_changes()
 
     def replication_state(self) -> dict:
@@ -287,6 +310,7 @@ class PackageSemantics(SemanticsSubobject):
         this copy's to ship again, so it notes nothing."""
         for path in changes.get("deleted", ()):
             self._files.pop(path, None)
+            self._manifests.pop(path, None)
         self._files.update(changes.get("files", {}))
         self._attributes.update(changes.get("attributes", {}))
         self._history += changes["history"]

@@ -24,8 +24,15 @@ its own digest, so grouping chunks in transit changes nothing about
 verification or resume.  Only a block of chunks never fetched before
 goes whole; a resume that lands mid-block and every re-fetch go one
 chunk at a time, and so does a piece that fails verification or that
-a short reply does not cover.  Chunks are verified, applied and
-checkpointed strictly in index order, each exactly once.
+a short reply does not cover.  Chunks are verified and applied
+strictly in index order, each exactly once.
+
+Progress is checkpointed once per reply, not once per chunk: after the
+manifest, and once the chunks a reply verified are applied, which is
+before the transfer next waits (a re-fetch of one piece, a retry
+delay, the next GET).  Nothing can happen between two applies of one
+reply, so the token saved at every wait holds every chunk verified so
+far, as a checkpoint per chunk would.
 
 Retries follow a shared :class:`~repro.sim.retry.RetryPolicy`
 (exponential backoff with seeded deterministic jitter by default) and
@@ -38,7 +45,7 @@ while a resuming transfer spends only what the fault actually cost.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Generator, Optional
+from typing import Callable, Generator, List, Optional, Tuple
 
 from ..sim.retry import ExponentialBackoff, RetryBudget, RetryPolicy
 from ..sim.rpc import RpcTimeout
@@ -92,7 +99,7 @@ class ResumeToken:
     """Persistent transfer progress: manifest + verified chunks.
 
     The token is the client's crash-survivable state: serialise it
-    with :meth:`to_wire` after each verified chunk (the downloader's
+    with :meth:`to_wire` whenever it gains chunks (the downloader's
     ``checkpoint`` callback is the hook), and hand the deserialised
     token to a *fresh* downloader call after a crash to resume.
 
@@ -222,10 +229,13 @@ class ChunkedDownloader:
         """``data, token = yield from downloader.download(...)``.
 
         ``token`` resumes a prior transfer (from :meth:`ResumeToken.
-        to_wire` saved by a previous ``checkpoint`` callback);
-        ``checkpoint(token)`` fires after the manifest and after each
-        verified chunk, so the caller can persist progress at exactly
-        the granularity resumption needs.  Raises a
+        to_wire` saved by a previous ``checkpoint`` callback); its
+        manifest is checked as a fetched one is.  ``checkpoint(token)``
+        fires after the manifest and once per reply that verified
+        chunks, after they are applied and before the transfer next
+        waits, so what the caller persisted at any wait holds every
+        verified chunk: the granularity resumption needs, paid once
+        per GET rather than once per chunk.  Raises a
         :class:`TransferError` subclass when the transfer cannot
         finish.
         """
@@ -281,22 +291,27 @@ class ChunkedDownloader:
             token.manifest = manifest
             if checkpoint is not None:
                 checkpoint(token)
+        else:
+            _check_manifest(token.manifest, token)
         manifest = token.manifest
 
         # An aligned block of TRANSFER_WINDOW chunks that were never
         # fetched goes as one GET; anything else (a resume that lands
         # mid-block, a re-fetch) goes one chunk at a time.  Either way
-        # chunks are verified, applied and checkpointed in index order,
-        # each exactly once.
-        def apply(index: int, data: bytes) -> None:
-            if index in token.chunks:
-                # Must be unreachable: each index is applied exactly
-                # once.  The counter is the Soak invariant's witness.
-                self.duplicate_applications += 1
-                return
-            token.chunks[index] = data
-            self.bytes_applied += len(data)
-            if checkpoint is not None:
+        # chunks are verified and applied in index order, each exactly
+        # once, and each reply's run of them is checkpointed once.
+        def apply(run: List[Tuple[int, bytes]]) -> None:
+            applied = False
+            for index, data in run:
+                if index in token.chunks:
+                    # Must be unreachable: each index is applied exactly
+                    # once.  The counter is the Soak invariant's witness.
+                    self.duplicate_applications += 1
+                    continue
+                token.chunks[index] = data
+                self.bytes_applied += len(data)
+                applied = True
+            if applied and checkpoint is not None:
                 checkpoint(token)
 
         count = manifest["chunk_count"]
@@ -324,16 +339,19 @@ class ChunkedDownloader:
 
     def _fetch_run(self, browser: Browser, token: ResumeToken, head: int,
                    width: int, jitter: Callable,
-                   apply: Callable[[int, bytes], None]) -> Generator:
+                   apply: Callable[[List[Tuple[int, bytes]]], None]
+                   ) -> Generator:
         """Fetch the ``width`` chunks from ``head`` (a multiple of
         ``width``; the run is cut at the end of the file) as one GET
         under the retry/budget discipline, verify each against its own
-        digest and ``apply`` it, in index order.
+        digest and ``apply`` them, in index order.
 
         The reply is split into manifest-sized pieces; bytes past the
         run are dropped.  A piece that fails verification, or that a
         short reply does not cover, is fetched again on its own
         (width 1), where a failed verification is retried in place.
+        The pieces verified before it are applied first, so every
+        wait finds them applied.
         """
         manifest = token.manifest
         size = manifest["chunk_size"]
@@ -347,19 +365,23 @@ class ChunkedDownloader:
         end = min(head + width, manifest["chunk_count"])
         for integrity_round in range(self.policy.attempts):
             body = yield from self._fetch(browser, url, jitter, chunk=True)
+            run = []  # verified, not yet applied
             for index in range(head, end):
                 offset = (index - head) * size
                 piece = body[offset:offset + size]
                 if (index == head or offset < len(body)) \
                         and self._verify(token, index, piece):
-                    apply(index, piece)
+                    run.append((index, piece))
                 elif width > 1:
                     # On its own; charged if any bytes of it arrived.
+                    apply(run)
+                    run = []
                     yield from self._fetch_run(browser, token, index, 1,
                                                jitter, apply)
                 else:
                     break  # the one chunk failed: retry in place
             else:
+                apply(run)
                 return
             # A stale replica (or a file mutated under the transfer)
             # served different bytes: retryable — the HTTPD rebinds on

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from repro.gdn import package as package_module
 from repro.gdn.browser import HttpResponse
 from repro.gdn.deployment import GdnDeployment, standard_spec
 from repro.gdn.httpd import parse_transfer_url
@@ -73,6 +74,123 @@ def test_chunk_index_and_size_validation():
         pkg.getFileManifest("tiny.txt", chunk_size=0)
     with pytest.raises(KeyError):
         pkg.getFileManifest("missing")
+
+
+class _CountingHashlib:
+    """Stands in for ``hashlib`` in the package module; counts the
+    ``sha256`` objects it makes."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def sha256(self, data=b""):
+        self.calls += 1
+        return hashlib.sha256(data)
+
+
+@pytest.fixture
+def hashes(monkeypatch):
+    counting = _CountingHashlib()
+    monkeypatch.setattr(package_module, "hashlib", counting)
+    return counting
+
+
+def _fresh_manifest(path, data, chunk_size):
+    """The manifest of ``data`` from a package that never held
+    anything else, without its content version."""
+    pkg = PackageSemantics()
+    pkg.addFile(path, data)
+    manifest = pkg.getFileManifest(path, chunk_size)
+    del manifest["version"]
+    return manifest
+
+
+def test_an_unchanged_file_is_hashed_once(hashes):
+    pkg = _package()
+    hashes.calls = 0
+    first = pkg.getFileManifest("big.bin", chunk_size=1000)
+    assert hashes.calls == 31 + 1  # each chunk, then the whole file
+    hashes.calls = 0
+    assert pkg.getFileManifest("big.bin", chunk_size=1000) == first
+    assert hashes.calls == 0
+
+
+def _replace(pkg):
+    pkg.addFile("big.bin", PAYLOAD[::-1])
+
+
+def _restore(pkg):
+    version = pkg.addFile("big.bin", PAYLOAD[::-1])
+    pkg.getFileManifest("big.bin", 1000)
+    pkg.restoreFile("big.bin", version)
+
+
+def _delete_and_add(pkg):
+    pkg.delFile("big.bin")
+    pkg.addFile("big.bin", PAYLOAD[:5000])
+
+
+def _restore_state(pkg):
+    other = PackageSemantics()
+    other.addFile("big.bin", PAYLOAD[1:])
+    pkg.restore_state(other.snapshot_state())
+
+
+def _apply_changes(pkg):
+    other = PackageSemantics()
+    other.restore_state(pkg.snapshot_state())
+    other.take_changes()
+    other.addFile("big.bin", PAYLOAD * 2)
+    pkg.apply_changes(other.take_changes())
+
+
+@pytest.mark.parametrize("change", [
+    _replace, _restore, _delete_and_add, _restore_state, _apply_changes],
+    ids=["add", "restore", "delete-then-add", "restore-state",
+         "apply-changes"])
+def test_a_changed_file_gets_the_manifest_of_its_new_contents(change):
+    pkg = _package()
+    pkg.getFileManifest("big.bin", 1000)
+    change(pkg)
+    manifest = pkg.getFileManifest("big.bin", 1000)
+    assert manifest["version"] == pkg.getVersion()
+    del manifest["version"]
+    assert manifest == _fresh_manifest(
+        "big.bin", pkg.getFileContents("big.bin"), 1000)
+
+
+def test_another_chunk_size_recomputes(hashes):
+    pkg = _package()
+    pkg.getFileManifest("big.bin", 1000)
+    hashes.calls = 0
+    manifest = pkg.getFileManifest("big.bin", 4096)
+    assert hashes.calls == 8 + 1
+    del manifest["version"]
+    assert manifest == _fresh_manifest("big.bin", PAYLOAD, 4096)
+
+
+def test_a_returned_manifest_is_the_callers_own():
+    pkg = _package()
+    first = pkg.getFileManifest("big.bin", 1000)
+    digests = list(first["chunk_digests"])
+    first["chunk_digests"][0] = "0" * 64
+    first["chunk_digests"].append("extra")
+    first["digest"] = "changed"
+    second = pkg.getFileManifest("big.bin", 1000)
+    assert second["chunk_digests"] == digests
+    assert second["digest"] == hashlib.sha256(PAYLOAD).hexdigest()
+    assert second["chunk_digests"] is not first["chunk_digests"]
+
+
+def test_the_memo_is_not_state():
+    pkg = _package()
+    snapshot, replicated = pkg.snapshot_state(), pkg.replication_state()
+    pkg.getFileManifest("big.bin", 1000)
+    pkg.getFileManifest("tiny.txt")
+    assert pkg.snapshot_state() == snapshot
+    assert pkg.replication_state() == replicated
+    assert set(snapshot) == {"files", "attributes", "version", "history",
+                             "retained", "retained_order"}
 
 
 # -- URL parsing -------------------------------------------------------------
@@ -148,7 +266,8 @@ def test_clean_download_round_trip(gdn):
     assert downloader.transfers_completed == 1
     assert downloader.duplicate_applications == 0
     assert downloader.refetch_ratio() == 0.0
-    assert len(checkpoints) == count + 1  # manifest + each chunk
+    # The manifest, then each reply (a block of chunks) once.
+    assert len(checkpoints) == 1 + -(-count // TRANSFER_WINDOW)
     snapshot = gdn.world.metrics.snapshot()
     assert snapshot["transfer.chunks_ok"] == count
     assert snapshot["transfer.inflight_transfers"] == 0
@@ -196,9 +315,10 @@ def test_resume_token_round_trips_through_wire_format(gdn):
             checkpoint=lambda t: saved.append(t.to_wire()))
 
     gdn.run(run(), host=browser.host)
-    # A mid-transfer checkpoint (3 chunks in) resumes to completion.
-    token = ResumeToken.from_wire(saved[3])
-    assert len(token.chunks) == 3
+    # The first checkpoint taken mid-transfer (after the first block)
+    # resumes to completion.
+    token = ResumeToken.from_wire(saved[1])
+    assert len(token.chunks) == TRANSFER_WINDOW
     resumer = ChunkedDownloader(gdn.world, chunk_size=4096)
     browser2 = gdn.add_browser("dl-wire-2", "r1/c0/m0/s1")
 
@@ -210,7 +330,7 @@ def test_resume_token_round_trips_through_wire_format(gdn):
     assert gdn.run(resume(), host=browser2.host) == PAYLOAD
     assert resumer.resumes == 1
     # Verified chunks were skipped, not re-fetched.
-    assert resumer.chunks_ok == -(-len(PAYLOAD) // 4096) - 3
+    assert resumer.chunks_ok == -(-len(PAYLOAD) // 4096) - TRANSFER_WINDOW
     assert resumer.bytes_refetched == 0
 
 
@@ -359,7 +479,7 @@ def _digest(data):
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("manifest", [
+MALFORMED_MANIFESTS = [
     # Digests for fewer chunks than it counts.
     {"chunk_count": 2, "chunk_size": 4, "chunk_digests": [_digest(b"abcd")],
      "digest": _digest(b"abcd" * 2)},
@@ -374,20 +494,42 @@ def _digest(data):
     {"chunk_count": 1, "chunk_size": 4,
      "chunk_digests": [_digest(b"abcd")], "digest": None},
     ["not", "a", "manifest"],
-], ids=["short-digests", "no-count", "str-count", "zero-size", "no-digest",
-        "not-a-dict"])
-def test_malformed_manifest_is_a_transfer_error(manifest):
+]
+MALFORMED_IDS = ["short-digests", "no-count", "str-count", "zero-size",
+                 "no-digest", "not-a-dict"]
+
+
+def _download_error(manifest, token=None):
+    """What downloading through a :class:`_StubBrowser` serving
+    ``manifest`` raises; returns (error, downloader)."""
     gdn = GdnDeployment.from_spec(BARE)
     browser = _StubBrowser(gdn.world.host("stub", "r0/c0/m0/s0"), manifest)
     downloader = ChunkedDownloader(gdn.world)
 
     def run():
         try:
-            yield from downloader.download(browser, "/apps/Stub", "f")
+            yield from downloader.download(browser, "/apps/Stub", "f",
+                                           token=token)
         except TransferError as exc:
             return exc
 
-    error = gdn.run(run())
+    return gdn.run(run()), downloader
+
+
+@pytest.mark.parametrize("manifest", MALFORMED_MANIFESTS, ids=MALFORMED_IDS)
+def test_malformed_manifest_is_a_transfer_error(manifest):
+    error, downloader = _download_error(manifest)
+    assert type(error) is TransferError and "malformed" in str(error)
+    assert downloader.chunks_ok == 0
+
+
+@pytest.mark.parametrize("manifest", MALFORMED_MANIFESTS, ids=MALFORMED_IDS)
+def test_a_resumed_malformed_manifest_is_a_transfer_error(manifest):
+    # A token handed back to resume is checked as a fetched manifest is,
+    # instead of failing later on a missing key or a short digest list.
+    token = ResumeToken("/apps/Stub", "f")
+    token.manifest = manifest
+    error, downloader = _download_error(manifest, token)
     assert type(error) is TransferError and "malformed" in str(error)
     assert downloader.chunks_ok == 0
 
@@ -525,22 +667,33 @@ class _FileBrowser:
 def _stub_download(payload, doctor=None):
     """Download ``payload`` in 4-byte chunks through a
     :class:`_FileBrowser`; returns (downloader, budget, browser, which
-    chunks each checkpoint held)."""
+    chunks each checkpoint held, and for every GET the chunks the last
+    checkpoint held and the chunks applied by then)."""
     gdn = GdnDeployment.from_spec(BARE)
     browser = _FileBrowser(gdn.world.host("stub", "r0/c0/m0/s0"), payload,
                            doctor)
     budget = RetryBudget(rate=0.0, burst=4.0)
     downloader = ChunkedDownloader(gdn.world, budget=budget, chunk_size=4)
+    token = ResumeToken("/apps/Stub", "f", 4)
     held = []
+    at_gets = []
+    get = browser.get
+
+    def noting_progress(path, timeout=None):
+        at_gets.append((held[-1] if held else [], sorted(token.chunks)))
+        response = yield from get(path, timeout)
+        return response
+
+    browser.get = noting_progress
 
     def run():
         data, _token = yield from downloader.download(
-            browser, "/apps/Stub", "f",
+            browser, "/apps/Stub", "f", token=token,
             checkpoint=lambda t: held.append(sorted(t.chunks)))
         return data
 
     assert gdn.run(run()) == payload
-    return downloader, budget, browser, held
+    return downloader, budget, browser, held, at_gets
 
 
 def _stub_path(index, width):
@@ -550,35 +703,72 @@ def _stub_path(index, width):
 STUB_PAYLOAD = bytes(range(32))  # eight 4-byte chunks, two blocks
 
 
+def _corrupt_piece_2(body):
+    return body[:8] + b"XXXX" + body[12:]
+
+
+def _cut_after_piece_1(body):
+    return body[:8]
+
+
+def _garble(body):
+    return b"X" * len(body)
+
+
 def test_a_corrupt_piece_of_a_block_is_refetched_alone():
     first = _stub_path(0, TRANSFER_WINDOW)
-    downloader, budget, browser, held = _stub_download(
-        STUB_PAYLOAD,
-        doctor={first: lambda body: body[:8] + b"XXXX" + body[12:]})
+    downloader, budget, browser, held, _at_gets = _stub_download(
+        STUB_PAYLOAD, doctor={first: _corrupt_piece_2})
     assert browser.paths[1:] == [first, _stub_path(2, 1),
                                  _stub_path(1, TRANSFER_WINDOW)]
     assert downloader.integrity_failures == 1
     assert budget.granted == 1 and downloader.bytes_refetched == 4
-    # Applied in index order, each once: the checkpoints after the
-    # manifest hold chunks 0..n-1.
-    assert held == [list(range(count)) for count in range(9)]
+    # Applied in index order, each once.  After the manifest, one
+    # checkpoint per reply: the pieces before the corrupt one (before
+    # its re-fetch waits), the re-fetched piece, the rest of the
+    # block, the next block.
+    assert held == [[], [0, 1], [0, 1, 2], [0, 1, 2, 3],
+                    list(range(8))]
     assert downloader.duplicate_applications == 0
 
 
 def test_a_short_block_reply_refetches_only_what_it_does_not_cover():
     first = _stub_path(0, TRANSFER_WINDOW)
-    downloader, budget, browser, held = _stub_download(
-        STUB_PAYLOAD, doctor={first: lambda body: body[:8]})
+    downloader, budget, browser, held, _at_gets = _stub_download(
+        STUB_PAYLOAD, doctor={first: _cut_after_piece_1})
     assert browser.paths[1:] == [first, _stub_path(2, 1), _stub_path(3, 1),
                                  _stub_path(1, TRANSFER_WINDOW)]
     assert budget.granted == 0 and downloader.bytes_refetched == 0
     assert downloader.integrity_failures == 0
-    assert held == [list(range(count)) for count in range(9)]
+    # The covered pieces, then each re-fetched piece, then the block.
+    assert held == [[], [0, 1], [0, 1, 2], [0, 1, 2, 3],
+                    list(range(8))]
+
+
+@pytest.mark.parametrize("doctor", [
+    {},
+    {_stub_path(0, TRANSFER_WINDOW): _corrupt_piece_2},
+    {_stub_path(0, TRANSFER_WINDOW): _corrupt_piece_2,
+     _stub_path(2, 1): _garble},
+    {_stub_path(0, TRANSFER_WINDOW): _cut_after_piece_1},
+], ids=["clean", "corrupt-piece", "corrupt-refetch", "short-reply"])
+def test_every_get_finds_the_chunks_applied_so_far_checkpointed(doctor):
+    """The checkpoint contract: whenever the transfer waits on a GET,
+    the last checkpoint holds exactly the chunks applied so far, so a
+    crash there loses nothing verified."""
+    downloader, _budget, browser, held, at_gets = _stub_download(
+        STUB_PAYLOAD, doctor)
+    assert len(at_gets) == len(browser.paths)
+    assert [saved for saved, _applied in at_gets] == \
+        [applied for _saved, applied in at_gets]
+    assert held[-1] == list(range(8))  # and at the end
+    assert len(held) == len(set(map(tuple, held)))  # none twice
+    assert downloader.duplicate_applications == 0
 
 
 def test_a_file_ends_with_a_short_block():
     payload = bytes(range(200))  # 50 chunks: twelve blocks, then two
-    downloader, budget, browser, _held = _stub_download(payload)
+    downloader, budget, browser, _held, _at_gets = _stub_download(payload)
     assert browser.paths[1:] == [_stub_path(index, TRANSFER_WINDOW)
                                  for index in range(13)]
     assert downloader.chunks_ok == 50
