@@ -235,12 +235,6 @@ class Histogram(Instrument):
         # Clamp: the extreme buckets cannot out-range the exact extremes.
         return min(max(value, self.minimum), self.maximum)
 
-    def summary(self) -> Dict[str, float]:
-        """Flat summary; all-zero (never raising) when empty."""
-        return {"count": self.count, "mean": self.mean,
-                "p50": self.p(50), "p95": self.p(95),
-                "max": self.maximum}
-
     # -- delta ----------------------------------------------------------
 
     def state(self) -> Tuple:
@@ -327,18 +321,6 @@ class PhaseWindow:
         end = end_states.get(name, instrument._zero_state())
         return instrument._delta(start, end)
 
-    def summary(self) -> Dict[str, Any]:
-        """Per-instrument deltas (histograms as their summary dicts)."""
-        out: Dict[str, Any] = {}
-        for instrument in self.registry:
-            if isinstance(instrument, Gauge):
-                continue
-            value = self.delta(instrument.name)
-            out[instrument.name] = (value.summary()
-                                    if isinstance(value, Histogram)
-                                    else value)
-        return out
-
     def __repr__(self) -> str:
         span = ("%.3f..%s" % (self.started_at,
                               "open" if self.ended_at is None
@@ -417,16 +399,6 @@ class MetricsRegistry:
         return {name: instrument._state()
                 for name, instrument in self._instruments.items()
                 if not isinstance(instrument, Gauge)}
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Current values (histograms as summary dicts) — the flat
-        record shape benchmarks persist."""
-        out: Dict[str, Any] = {}
-        for name, instrument in self._instruments.items():
-            out[name] = (instrument.summary()
-                         if isinstance(instrument, Histogram)
-                         else instrument.value)
-        return out
 
     # -- windows and phases ---------------------------------------------
 

@@ -230,7 +230,9 @@ class ChunkedDownloader:
 
         ``token`` resumes a prior transfer (from :meth:`ResumeToken.
         to_wire` saved by a previous ``checkpoint`` callback); its
-        manifest is checked as a fetched one is.  ``checkpoint(token)``
+        manifest is checked as a fetched one is, and a stored chunk
+        the manifest does not vouch for is fetched again.
+        ``checkpoint(token)``
         fires after the manifest and once per reply that verified
         chunks, after they are applied and before the transfer next
         waits, so what the caller persisted at any wait holds every
@@ -294,6 +296,7 @@ class ChunkedDownloader:
         else:
             _check_manifest(token.manifest, token)
         manifest = token.manifest
+        self._drop_unverified(token)
 
         # An aligned block of TRANSFER_WINDOW chunks that were never
         # fetched goes as one GET; anything else (a resume that lands
@@ -336,6 +339,21 @@ class ChunkedDownloader:
                 "%s:%s reassembled to a different digest (file changed "
                 "mid-transfer?)" % (object_name, file_path))
         return data, token
+
+    def _drop_unverified(self, token: ResumeToken) -> None:
+        """Drop the chunks a resumed token holds that its manifest does
+        not vouch for: an index outside the file, a value that is not
+        bytes, or bytes that fail their digest (counted as an
+        integrity failure).  They are fetched again like any other
+        missing chunk."""
+        digests = token.manifest["chunk_digests"]
+        for index, data in list(token.chunks.items()):
+            if type(index) is not int or not 0 <= index < len(digests) \
+                    or not isinstance(data, bytes):
+                del token.chunks[index]
+            elif hashlib.sha256(data).hexdigest() != digests[index]:
+                self.integrity_failures += 1
+                del token.chunks[index]
 
     def _fetch_run(self, browser: Browser, token: ResumeToken, head: int,
                    width: int, jitter: Callable,

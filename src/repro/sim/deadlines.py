@@ -126,11 +126,6 @@ class DeadlinePool:
 
     # -- accounting ----------------------------------------------------
 
-    @property
-    def live(self) -> int:
-        """Deadlines currently pending (armed and not yet resolved)."""
-        return self._live
-
     def bind_metrics(self, registry, prefix: str) -> None:
         """Expose the pool's plain-int accounting as function-backed
         instruments (the add/cancel hot path never touches one)."""

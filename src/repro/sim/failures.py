@@ -32,10 +32,6 @@ class FailureInjector:
         #: Open crash windows per host, open partition windows per domain.
         self._crashes: Dict[Host, int] = {}
         self._partitions: Dict[Domain, int] = {}
-        #: Per level: the loss rate before its first open window, and
-        #: the open windows' rates in the order they opened.
-        self._base_loss: Dict[Level, float] = {}
-        self._open_windows: Dict[Level, Dict[object, float]] = {}
 
     def _note(self, kind: str, target: str) -> None:
         self.log.append((self.world.now, kind, target))
@@ -105,36 +101,3 @@ class FailureInjector:
             raise ValueError("probability must be in [0, 1]")
         self.world.network.params.loss[level] = probability
         self._note("loss=%g" % probability, level.name)
-
-    def loss_window(self, level: Level, probability: float,
-                    start: float, end: float) -> None:
-        """Make ``level`` crossings lossy for ``[start, end)`` only.
-
-        Unlike :meth:`set_loss`, the window leaves the link as it found
-        it, so soaks can script *transient* link degradation — a flaky
-        transit window a chunked transfer must ride out — without
-        permanently altering the topology's link parameters.  Windows
-        may overlap: the link runs at the rate of the latest-opened
-        window still open, and at the rate it had before the first of
-        them once none is.
-        """
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError("probability must be in [0, 1]")
-        if end <= start:
-            raise ValueError("window end must come after start")
-
-        def fire() -> Generator:
-            yield from self._until(start)
-            loss = self.world.network.params.loss
-            windows = self._open_windows.setdefault(level, {})
-            if not windows:
-                self._base_loss[level] = loss[level]
-            window = object()
-            windows[window] = loss[level] = probability
-            self._note("loss=%g" % probability, level.name)
-            yield from self._until(end)
-            del windows[window]
-            loss[level] = next(reversed(windows.values()),
-                               self._base_loss[level])
-            self._note("loss=%g" % loss[level], level.name)
-        self.world.sim.process(fire())

@@ -884,20 +884,6 @@ class Simulator:
         """Same-instant events currently waiting in the run queue."""
         return len(self._ready)
 
-    def _discard_stale_head(self) -> None:
-        heap = self._heap
-        while heap and heap[0][2] is None:
-            heappop(heap)
-            self._stale -= 1
-
-    def peek(self) -> float:
-        """Time of the next event, or ``inf`` if none are scheduled."""
-        if self._ready:
-            # Run-queue events always fire at the current instant.
-            return self.now
-        self._discard_stale_head()
-        return self._heap[0][0] if self._heap else float("inf")
-
     def _dispatch(self, until: float, done: "Event | _StopMark") -> bool:
         """The one event loop: fire events in ``(time, seq)`` order
         until ``done`` has triggered (True), or until the queues drain

@@ -244,7 +244,6 @@ class Network:
     def deliver(self, src_site: Domain, dst_site: Domain, dst_host: str,
                 size: int, deliver_fn: Callable,
                 reliable: bool = False,
-                extra_delay: float = 0.0,
                 at: Optional[float] = None) -> bool:
         """Schedule ``deliver_fn`` after the computed delay.
 
@@ -292,7 +291,7 @@ class Network:
             delay = params.latency[level] + size / params.bandwidth[level]
             if params.jitter_fraction:
                 delay *= 1.0 + self.rng.uniform(0, params.jitter_fraction)
-            timer = Timeout(self.sim, delay + extra_delay)
+            timer = Timeout(self.sim, delay)
         timer.add_callback(deliver_fn)
         return True
 
@@ -347,8 +346,7 @@ class Network:
             if jitter:
                 delay *= 1.0 + rng.uniform(0, jitter)
             # `now + delay`: the instant a scalar `deliver` gets from
-            # Timeout(delay + extra_delay) with no extra delay, since
-            # `delay + 0.0 == delay` exactly.
+            # Timeout(delay).
             entries.append([now + delay, sim.reserve_seq(), deliver_fn])
         self.burst_calls += 1
         self.burst_messages += len(entries)

@@ -6,10 +6,8 @@ from .loadgen import (Arrival, ArrivalSchedule, BurstSchedule,
                       UniformSchedule)
 from .packages import PackageSpec, generate_corpus, synthetic_file
 from .population import ClientPopulation, RequestStream
-from .scenario import (TRACE_DIR, ClosedLoopScenario, HybridScenario,
-                       OpenLoopScenario, RequestMix, Scenario, Soak,
-                       SoakReport, TraceScenario, bundled_trace, load_trace,
-                       save_trace)
+from .scenario import (ClosedLoopScenario, HybridScenario, OpenLoopScenario,
+                       RequestMix, Scenario, Soak, SoakReport, TraceScenario)
 from .webtrace import WebDocument, make_web_trace
 from .zipf import ZipfSampler
 
@@ -19,8 +17,7 @@ __all__ = [
     "LoadStats", "PoissonSchedule", "UniformSchedule",
     "PackageSpec", "generate_corpus", "synthetic_file",
     "ClientPopulation", "RequestStream",
-    "TRACE_DIR", "ClosedLoopScenario", "HybridScenario", "OpenLoopScenario",
+    "ClosedLoopScenario", "HybridScenario", "OpenLoopScenario",
     "RequestMix", "Scenario", "Soak", "SoakReport", "TraceScenario",
-    "bundled_trace", "load_trace", "save_trace",
     "WebDocument", "make_web_trace", "ZipfSampler",
 ]

@@ -85,10 +85,8 @@ class Arrival:
 
     The workload layer's only request record: schedules and mixes draw
     it, closed-loop clients and cohorts issue it, a
-    :class:`~repro.workloads.population.RequestStream` holds it, and
-    :func:`~repro.workloads.scenario.save_trace` /
-    :func:`~repro.workloads.scenario.load_trace` store it (``index`` is
-    then its line in the trace).
+    :class:`~repro.workloads.population.RequestStream` holds it, and a
+    :class:`~repro.workloads.scenario.TraceScenario` replays it.
     """
 
     __slots__ = ("index", "time", "site", "rank", "kind")
@@ -105,17 +103,10 @@ class Arrival:
         #: request kind, "read" or "write" (traces and mixes set it).
         self.kind = kind
 
-    @property
-    def site_path(self) -> Optional[str]:
-        """The site as a path string (what a trace file stores)."""
-        if self.site is None:
-            return None
-        return getattr(self.site, "path", self.site)
-
     def __repr__(self) -> str:
         return ("Arrival(#%d %.3fs %s obj%d @ %s)"
                 % (self.index, self.time, self.kind, self.rank,
-                   self.site_path or "-"))
+                   getattr(self.site, "path", self.site) or "-"))
 
 
 def draw(mix: Optional[Any], rng: random.Random) -> Tuple[int, str]:

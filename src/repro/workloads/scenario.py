@@ -16,10 +16,9 @@ Four scenario families:
   a :class:`RequestMix` giving per-object popularity weights and
   read/write kinds.
 * :class:`TraceScenario` — replay of a recorded or synthetic trace:
-  a :class:`~repro.workloads.population.RequestStream`, a list of
-  :class:`~repro.workloads.loadgen.Arrival`\\ s, or a JSONL trace file
-  written by :func:`save_trace`.  Same seed + same trace ⇒
-  identical stats.
+  a :class:`~repro.workloads.population.RequestStream` or any list of
+  :class:`~repro.workloads.loadgen.Arrival`\\ s.  Same seed + same
+  trace ⇒ identical stats.
 * :class:`ClosedLoopScenario` — a population of think-time clients;
   each waits for its own previous request before thinking and issuing
   the next.  The classic interactive-user model, for experiments where
@@ -35,7 +34,7 @@ of the run).
 
 :class:`Soak` composes any scenario with
 :class:`~repro.sim.failures.FailureInjector` faults (host
-crash/restart, partitions, loss windows) and end-of-run invariant
+crash/restart, partitions) and end-of-run invariant
 checks — the long-haul harness behind ``examples/soak.py``.  Every
 soak is sliced into telemetry *phase windows* (pre-fault /
 during-fault / recovered) on the stats bundle's
@@ -43,10 +42,6 @@ during-fault / recovered) on the stats bundle's
 answer "what was p95 latency *while* the partition was up?" without
 bespoke counters.  That slicing is the one way a drive opens phase
 windows; a plain scenario opens none.
-
-A small corpus of recorded traces is committed under
-:data:`TRACE_DIR` (see ``traces/README.md``) for cross-PR replay
-regression tests; :func:`bundled_trace` resolves a corpus entry.
 
 Every scenario is driven the same way::
 
@@ -60,31 +55,24 @@ where ``do_one(arrival)`` is a generator performing one request; the
 ``site``, ``rank`` (object index) and ``kind`` ("read"/"write").  It is
 the one request record throughout: a synthesized
 :class:`~repro.workloads.population.RequestStream` holds Arrivals, a
-trace file stores them (:func:`save_trace`), and every driver issues
-them.
+trace replays them, and every driver issues them.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 import random
 from typing import (Any, Callable, Dict, Generator, Iterable, List,
                     Optional, Sequence, Tuple, Union)
 
 from ..sim.failures import FailureInjector
 from ..sim.kernel import Simulator
-from ..sim.topology import Domain, Topology
+from ..sim.topology import Domain
 from ..sim.transport import Host
 from ..sim.world import World
 from .loadgen import Arrival, ArrivalSchedule, LoadStats, draw, measured
 from .zipf import ZipfSampler
 
 __all__ = [
-    "TRACE_DIR",
-    "bundled_trace",
-    "save_trace",
-    "load_trace",
     "RequestMix",
     "Scenario",
     "OpenLoopScenario",
@@ -96,63 +84,6 @@ __all__ = [
 ]
 
 RequestFn = Callable[[Arrival], Generator]
-
-#: The committed trace regression corpus: small recorded workloads
-#: replayed identically across runs and PRs (see traces/README.md for
-#: how to record a new one with :func:`save_trace`).
-TRACE_DIR = pathlib.Path(__file__).parent / "traces"
-
-
-def bundled_trace(name: str) -> pathlib.Path:
-    """Path of a committed regression trace (``mixed_small.jsonl``,
-    ...); raises if the corpus does not contain it."""
-    path = TRACE_DIR / name
-    if not path.exists():
-        raise FileNotFoundError("no bundled trace %r under %s"
-                                % (name, TRACE_DIR))
-    return path
-
-
-# -- trace format -----------------------------------------------------------
-#
-# One line per request: relative ``time``, ``kind``, ``object`` (the
-# arrival's rank) and ``site`` (a path, or empty).
-
-def save_trace(path: Union[str, pathlib.Path],
-               arrivals: Iterable[Arrival]) -> None:
-    """Write a ``.jsonl`` trace file, one JSON object per request.
-
-    The recorder half of trace replay: synthesize a workload once
-    (e.g. a :class:`~repro.workloads.population.ClientPopulation`
-    stream), save it, and replay the identical stream across runs and
-    revisions.
-    """
-    with _jsonl(path).open("w") as fh:
-        for arrival in arrivals:
-            fh.write(json.dumps({
-                "time": arrival.time, "kind": arrival.kind,
-                "object": arrival.rank,
-                "site": arrival.site_path}) + "\n")
-
-
-def load_trace(path: Union[str, pathlib.Path]) -> List[Arrival]:
-    """Read a trace file written by :func:`save_trace`; each arrival's
-    ``index`` is its line among the trace's requests (from 0) and its
-    site the stored path string."""
-    with _jsonl(path).open() as fh:
-        raws = [json.loads(line) for line in fh if line.strip()]
-    return [Arrival(index, float(raw["time"]), raw.get("site"),
-                    int(raw["object"]), raw["kind"])
-            for index, raw in enumerate(raws)]
-
-
-def _jsonl(path: Union[str, pathlib.Path]) -> pathlib.Path:
-    path = pathlib.Path(path)
-    if path.suffix != ".jsonl":
-        raise ValueError("unknown trace format %r (use .jsonl)"
-                         % path.suffix)
-    return path
-
 
 # -- request mixes ----------------------------------------------------------
 
@@ -354,15 +285,12 @@ class TraceScenario(Scenario):
 
     ``events`` are :class:`~repro.workloads.loadgen.Arrival`\\ s with
     times relative to the start of the drive; each is issued as a copy
-    with its time offset and its site resolved.  Sites are resolved
-    against ``topology`` when one is supplied; otherwise Domains pass
-    through as-is and plain path strings are handed to the request
-    callable unresolved (site-path keyed helpers like
+    with its time offset.  Sites pass through as they are, a Domain or
+    a site-path string (site-path keyed helpers like
     ``GdnDeployment.browser_pool`` accept both).
     """
 
     def __init__(self, events: Iterable[Arrival],
-                 topology: Optional[Topology] = None,
                  pacing: str = "trace",
                  label: str = "trace"):
         self.events = sorted(events, key=lambda event: event.time)
@@ -370,30 +298,15 @@ class TraceScenario(Scenario):
             raise ValueError("trace is empty")
         if pacing not in ("trace", "sequential"):
             raise ValueError("pacing must be 'trace' or 'sequential'")
-        self.topology = topology
         self.pacing = pacing
         self.label = label
 
-    @classmethod
-    def from_file(cls, path: Union[str, pathlib.Path],
-                  topology: Optional[Topology] = None) -> "TraceScenario":
-        """Replay a recorded JSONL trace file."""
-        return cls(load_trace(path), topology=topology,
-                   label="trace:%s" % pathlib.Path(path).name)
-
     def arrivals(self, sim: Simulator) -> List[Arrival]:
-        """The trace as issued: times offset by ``sim.now``, sites
-        resolved."""
+        """The trace as issued: times offset by ``sim.now``."""
         start = sim.now
-        return [Arrival(event.index, start + event.time,
-                        self._resolve(event.site), event.rank, event.kind)
+        return [Arrival(event.index, start + event.time, event.site,
+                        event.rank, event.kind)
                 for event in self.events]
-
-    def _resolve(self, site: Union[Domain, str, None]
-                 ) -> Union[Domain, str, None]:
-        if self.topology is not None and isinstance(site, str):
-            return self.topology.site(site)
-        return site
 
     def build(self, sim: Simulator, request: RequestFn,
               rng: random.Random, stats: LoadStats) -> List[Generator]:
@@ -661,13 +574,6 @@ class Soak:
                   duration: float) -> None:
         self.injector.partition_domain(domain, start, duration)
         self._fault_spans.append((start, start + duration))
-
-    def loss_window(self, level, probability: float, start: float,
-                    end: float) -> None:
-        """Transient datagram loss across ``level`` boundaries; the
-        prior loss rate is restored when the window closes."""
-        self.injector.loss_window(level, probability, start, end)
-        self._fault_spans.append((start, end))
 
     # -- invariants ------------------------------------------------------
 

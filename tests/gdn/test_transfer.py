@@ -16,6 +16,7 @@ from repro.gdn.transfer import (TRANSFER_WINDOW, ChunkedDownloader,
 from repro.sim.deadlines import shared_pool
 from repro.sim.failures import FailureInjector
 from repro.sim.retry import ExponentialBackoff, RetryBudget
+from tests.util import pending_deadlines
 
 PAYLOAD = bytes(range(256)) * 120  # 30720 bytes
 SMALL = b"tiny file"
@@ -268,9 +269,9 @@ def test_clean_download_round_trip(gdn):
     assert downloader.refetch_ratio() == 0.0
     # The manifest, then each reply (a block of chunks) once.
     assert len(checkpoints) == 1 + -(-count // TRANSFER_WINDOW)
-    snapshot = gdn.world.metrics.snapshot()
-    assert snapshot["transfer.chunks_ok"] == count
-    assert snapshot["transfer.inflight_transfers"] == 0
+    metrics = gdn.world.metrics
+    assert metrics.get("transfer.chunks_ok").value == count
+    assert metrics.get("transfer.inflight_transfers").value == 0
 
 
 def test_file_paths_containing_route_words_are_served(gdn):
@@ -532,6 +533,36 @@ def test_a_resumed_malformed_manifest_is_a_transfer_error(manifest):
     error, downloader = _download_error(manifest, token)
     assert type(error) is TransferError and "malformed" in str(error)
     assert downloader.chunks_ok == 0
+
+
+@pytest.mark.parametrize("bad", ["not-bytes", "out-of-range", "wrong-bytes"])
+def test_a_resumed_chunk_the_manifest_does_not_vouch_for_is_refetched(bad):
+    # A token's stored chunks are checked against its manifest before
+    # the transfer continues: a bad one is dropped and fetched again,
+    # and the good ones beside it are neither fetched nor counted again.
+    gdn = _wan_deployment()
+    browser = gdn.add_browser("resume-" + bad, CLIENT_SITE)
+    seeded = []
+    gdn.run(ChunkedDownloader(gdn.world, chunk_size=WAN_CHUNK).download(
+        browser, "/apps/Wan", "big.bin",
+        checkpoint=lambda t: seeded.append(t.to_wire())), host=browser.host)
+    token = ResumeToken.from_wire(seeded[0])  # the manifest alone
+    token.chunks = {index: WAN_PAYLOAD[index * WAN_CHUNK:
+                                       (index + 1) * WAN_CHUNK]
+                    for index in (1, 2)}
+    index, data = {"not-bytes": (0, "not bytes"),
+                   "out-of-range": (WAN_CHUNKS, b"past the end"),
+                   "wrong-bytes": (0, bytes(WAN_CHUNK))}[bad]
+    token.chunks[index] = data
+    downloader = ChunkedDownloader(gdn.world, chunk_size=WAN_CHUNK)
+    data, _token = gdn.run(downloader.download(
+        browser, "/apps/Wan", "big.bin", token=token), host=browser.host)
+    assert data == WAN_PAYLOAD
+    assert downloader.integrity_failures == (1 if bad == "wrong-bytes" else 0)
+    fetched = WAN_CHUNKS - 2
+    assert downloader.chunks_ok == fetched
+    assert downloader.bytes_fetched == fetched * WAN_CHUNK
+    assert downloader.bytes_refetched == 0
 
 
 # -- block fetches over a wide-area link -------------------------------------
@@ -796,8 +827,7 @@ def test_manifest_retries_are_counted():
     assert gdn.run(run(), host=browser.host) == WAN_PAYLOAD
     assert downloader.manifest_retries > 0
     assert downloader.chunks_retried == 0
-    snapshot = gdn.world.metrics.snapshot()
-    assert snapshot["manifest-xfer.manifest_retries"] \
+    assert gdn.world.metrics.get("manifest-xfer.manifest_retries").value \
         == downloader.manifest_retries
 
 
@@ -841,7 +871,7 @@ def _abort(gdn, browser, how):
         except TransferError as exc:
             seen["error"] = exc
             seen["pending"] = len(_channel(browser)._pending)
-            seen["deadlines"] = shared_pool(world.sim).live
+            seen["deadlines"] = pending_deadlines(shared_pool(world.sim))
 
     if how == "crash":
         def crash():
@@ -865,7 +895,7 @@ def test_an_aborted_transfer_leaves_nothing_behind(how):
     browser = gdn.add_browser("abort-" + how, CLIENT_SITE)
     gdn.run(browser.get("/gdn/apps/Wan"), host=browser.host)
     pool = shared_pool(gdn.world.sim)
-    baseline = pool.live
+    baseline = pending_deadlines(pool)
     downloader, channel, seen = _abort(gdn, browser, how)
     expected = {"budget": TransferBudgetExhausted, "error": TransferError,
                 "crash": None}[how]
@@ -882,4 +912,4 @@ def test_an_aborted_transfer_leaves_nothing_behind(how):
     assert downloader._inflight_chunks == 0
     assert downloader._inflight_transfers == 0
     assert channel._pending == {}
-    assert pool.live == baseline
+    assert pending_deadlines(pool) == baseline

@@ -8,7 +8,7 @@ from repro.gls.tree import GlsTree
 from repro.sim.topology import Level, Topology
 from repro.sim.world import World
 from tests.lossy import DatagramMeddler
-from tests.util import oid_from_seed
+from tests.util import oid_from_seed, pending_deadlines
 
 
 def make_world(seed=21):
@@ -355,7 +355,7 @@ def test_a_nine_node_walk_costs_its_messages_and_its_waiters(deployment):
         for node in nodes:
             assert len(node.host._processes) == resident[node.host]
             assert not node._client._pending
-            assert node._client.deadline_pool.live == 0
+            assert pending_deadlines(node._client.deadline_pool) == 0
     reply = walk.value
     assert (reply["found"], reply["hops"]) == ("r0/c0/m0/s0", 8)
     assert world.sim.events_processed - before == 9 + 1 + 1

@@ -29,10 +29,10 @@ from repro.sim.retry import ExponentialBackoff, FixedRetry
 from repro.sim.topology import Level, Topology
 from repro.workloads.loadgen import LoadStats
 from repro.workloads.packages import synthetic_file
-from repro.workloads.scenario import TraceScenario, bundled_trace
+from tests.util import trace_replay
 
 #: The trace draws from 6 objects over a 2x2x1x2 topology (see
-#: ``src/repro/workloads/traces/README.md``).
+#: ``tests/traces/README.md``).
 OBJECTS = 6
 _FILE = "payload.bin"
 
@@ -83,12 +83,19 @@ def _replay(gls_cache, retry_policy=None, loss=None):
         base = gdn.world.now
         from repro.sim.failures import FailureInjector
         injector = FailureInjector(gdn.world)
+        prior = gdn.world.network.params.loss[Level.SITE]
+
         # Same-site datagrams only: GLS stub -> leaf directory node
         # traffic dies, while browser HTTP (reliable) and cross-site
         # DNS keep working — the outage isolates the retry path under
         # test.
-        injector.loss_window(Level.SITE, probability, base + start,
-                             base + end)
+        def window():
+            yield gdn.world.sim.timeout_at(base + start)
+            injector.set_loss(Level.SITE, probability)
+            yield gdn.world.sim.timeout_at(base + end)
+            injector.set_loss(Level.SITE, prior)
+
+        gdn.world.sim.process(window())
 
     def one_request(arrival):
         name = names[arrival.rank]
@@ -102,9 +109,8 @@ def _replay(gls_cache, retry_policy=None, loss=None):
                 "/gdn" + name)
         return response.ok
 
-    scenario = TraceScenario.from_file(
-        bundled_trace("flash_crowd_small.jsonl"),
-        topology=gdn.world.topology)
+    scenario = trace_replay("flash_crowd_small.jsonl",
+                            topology=gdn.world.topology)
     stats = LoadStats(registry=gdn.world.metrics, prefix="replay")
     gdn.run(scenario.drive(gdn.world.sim, one_request,
                            rng=gdn.world.rng_for("flash-replay"),

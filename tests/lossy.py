@@ -10,6 +10,8 @@ the datagrams between two sites (:class:`DatagramMeddler`) and to the
 ``state_push`` messages a master sends (:class:`PushMeddler`).
 """
 
+import random
+
 LOST = "lost"
 LATE = "late"
 DOUBLED = "doubled"
@@ -62,12 +64,42 @@ class DatagramMeddler(Fates):
                 self.network.meter.record_drop()
                 return False
             if fate is LATE:
-                options["extra_delay"] = self.delay
-            elif fate is DOUBLED:
+                return self._hold(src_site, dst_site, dst_host, size,
+                                  deliver_fn, **options)
+            if fate is DOUBLED:
                 self.deliver(src_site, dst_site, dst_host, size, deliver_fn,
                              **options)
         return self.deliver(src_site, dst_site, dst_host, size, deliver_fn,
                             **options)
+
+    def _hold(self, src_site, dst_site, dst_host, size, deliver_fn,
+              reliable=False, at=None):
+        """Deliver ``delay`` seconds after the network would: at
+        ``now + (transit + delay)``, drawing what ``deliver`` draws (a
+        loss draw, then a jitter draw), in that order.  A message a
+        connection paces (``at``) arrives as paced."""
+        if at is not None:
+            return self.deliver(src_site, dst_site, dst_host, size,
+                                deliver_fn, reliable=reliable, at=at)
+        network = self.network
+        params = network.params
+        level = network.separation(src_site, dst_site)
+        # The transit delay from a copy of the network's RNG: deliver's
+        # loss draw, then its jitter draw.
+        copy = random.Random()
+        copy.setstate(network.rng.getstate())
+        if not reliable and params.loss[level] > 0.0:
+            copy.random()
+        transit = params.latency[level] + size / params.bandwidth[level]
+        if params.jitter_fraction:
+            transit *= 1.0 + copy.uniform(0, params.jitter_fraction)
+        sent = self.deliver(src_site, dst_site, dst_host, size, deliver_fn,
+                            reliable=reliable,
+                            at=network.sim.now + (transit + self.delay))
+        if sent and params.jitter_fraction:
+            # The jitter draw deliver skips when it is handed ``at``.
+            network.rng.uniform(0, params.jitter_fraction)
+        return sent
 
 
 class PushMeddler(Fates):

@@ -20,6 +20,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.rpc import RpcChannel, RpcServer, UdpRpcClient, UdpRpcServer
 from repro.sim.topology import Topology
 from repro.sim.world import World
+from tests.util import pending_deadlines
 
 
 def _collector(order, sim, label):
@@ -34,12 +35,12 @@ def test_fifo_pool_keeps_one_kernel_timer_for_many_deadlines():
     pool = DeadlinePool(sim)
     entries = [pool.add(lambda: None, 10.0) for _ in range(500)]
     # 500 pending deadlines, one armed kernel timer.
-    assert pool.live == 500
+    assert pending_deadlines(pool) == 500
     assert sim.heap_size == 1
     assert pool.timer_arms == 1
     for entry in entries:
         assert pool.cancel(entry)
-    assert pool.live == 0
+    assert pending_deadlines(pool) == 0
     # Cancel is lazy: the armed timer is left to fire and clean up.
     sim.run()
     assert len(pool) == 0
@@ -68,7 +69,7 @@ def test_fifo_steady_state_arms_once_per_timeout_window():
     assert pool.timer_arms <= 20
     assert pool.timer_shelved == 0
     assert pool.expired_total == 0
-    assert pool.live == 0 and len(pool) == 0
+    assert pending_deadlines(pool) == 0 and len(pool) == 0
 
 
 def test_fifo_pool_rejects_negative_delay_but_allows_zero():
@@ -148,7 +149,7 @@ def test_cancel_is_idempotent_and_noop_after_expiry():
     assert pool.expired_total == 1
     assert pool.cancel(expired) is False  # already fired
     assert pool.cancelled_total == 1
-    assert pool.live == 0
+    assert pending_deadlines(pool) == 0
 
 
 def _ordered_tie_order(pooled):
@@ -243,7 +244,7 @@ def test_ordered_pool_orphaned_shelved_timer_is_a_noop():
     # The shelved timer for "doomed" fired at t=2 as a pure no-op (its
     # entry died); "fast" and "slow" expired normally around it.
     assert [label for label, _t in order] == ["fast", "slow"]
-    assert pool.live == 0 and len(pool) == 0
+    assert pending_deadlines(pool) == 0 and len(pool) == 0
     assert not pool._shelf
     assert sim.heap_size == 0 and sim.stale_timer_count == 0
 
@@ -272,7 +273,7 @@ def test_dead_prefix_is_discarded_when_the_armed_timer_fires():
         pool.cancel(entry)
     # All ten deadlines were cancelled, but lazily: the entries sit in
     # the heap until the armed timer fires and sweeps the dead prefix.
-    assert len(pool) == 10 and pool.live == 0
+    assert len(pool) == 10 and pending_deadlines(pool) == 0
     sim.run()
     assert fired == []
     assert len(pool) == 0
@@ -334,7 +335,7 @@ def test_ordered_pool_rejects_negative_delay_without_poisoning():
     order = []
     with pytest.raises(SimulationError):
         pool.add(_collector(order, sim, "bad"), -0.5)
-    assert pool.live == 0 and len(pool) == 0
+    assert pending_deadlines(pool) == 0 and len(pool) == 0
     # The pool stays fully usable afterwards.
     pool.add(_collector(order, sim, "good"), 1.0)
     sim.run()

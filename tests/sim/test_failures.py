@@ -68,28 +68,10 @@ def test_faults_fire_at_exactly_the_instant_given(world):
     world.run(until=0.2)
     injector.crash_restart(host, crash_at=0.9, restart_at=1.3)
     injector.partition_domain(world.topology.domain("r1/c0"), 0.9, 1.0)
-    injector.loss_window(Level.WORLD, 0.5, 0.9, 1.3)
     world.run(until=3.0)
     assert sorted((t, kind) for t, kind, _ in injector.log) == [
-        (0.9, "crash"), (0.9, "loss=0.5"), (0.9, "partition"),
-        (1.3, "loss=0"), (1.3, "restart"), (1.9, "heal")]
-    assert world.network.params.loss[Level.WORLD] == 0.0
-
-
-def test_overlapping_loss_windows_restore_the_base_rate(world):
-    # Regression: each window restored the rate it saw when it opened,
-    # so A's close dropped B's rate and B's close brought A's back for
-    # good.  The latest-opened open window rules; none open, the base.
-    injector = FailureInjector(world)
-    injector.loss_window(Level.REGION, 0.5, 0.0, 10.0)
-    injector.loss_window(Level.REGION, 0.2, 5.0, 15.0)
-    rates = []
-    for when in (2.0, 7.0, 12.0, 16.0):
-        world.run(until=when)
-        rates.append(world.network.params.loss[Level.REGION])
-    assert rates == [0.5, 0.2, 0.2, 0.0]
-    assert [kind for _t, kind, _level in injector.log] == [
-        "loss=0.5", "loss=0.2", "loss=0.2", "loss=0"]
+        (0.9, "crash"), (0.9, "partition"), (1.3, "restart"),
+        (1.9, "heal")]
 
 
 def test_overlapping_partitions_of_one_domain_heal_with_the_last():

@@ -6,6 +6,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.network import (DEFAULT_BANDWIDTH, DEFAULT_LATENCY,
                                LinkParameters, Network, NetworkError)
 from repro.sim.topology import Level, Topology
+from tests.lossy import DatagramMeddler
 
 
 @pytest.fixture
@@ -207,3 +208,40 @@ def test_partition_drop_metering_is_byte_identical_to_naive_walk():
                 meter.dropped_messages)
 
     assert one_run(Network) == one_run(NaiveNetwork)
+
+
+# -- the late fate of tests/lossy.py ----------------------------------------
+
+
+def _late_run(late):
+    """Six datagrams over a lossy, jittery WORLD link, those in
+    ``late`` held 2.5 s by a DatagramMeddler: the arrivals as
+    ``(index, instant)`` and the network RNG's next three draws."""
+    sim = Simulator()
+    topo = Topology.balanced(regions=2, countries=1, cities=1, sites=1)
+    params = LinkParameters(loss={Level.WORLD: 0.3}, jitter_fraction=0.25)
+    net = Network(sim, topo, params, seed=9)
+    a = topo.site("r0/c0/m0/s0")
+    b = topo.site("r1/c0/m0/s0")
+    DatagramMeddler(net, a, late=late, delay=2.5)
+    sim.run(until=0.1)
+    arrivals = []
+    for index in range(6):
+        net.deliver(a, b, "h", 300 * index,
+                    lambda _e, i=index: arrivals.append((i, sim.now)))
+    sim.run()
+    return arrivals, [net.rng.random() for _ in range(3)]
+
+
+def test_a_late_datagram_arrives_at_its_transit_plus_the_hold():
+    # The held datagram's instant is now + (transit + hold), bit for
+    # bit, and the RNG draws as for an on-time one: loss, then jitter.
+    # Datagram 1 is held but lost, 4 lost on time.
+    on_time, draws = _late_run(late=())
+    held, held_draws = _late_run(late={1, 2, 3})
+    assert held == [(0, 0.2639991974273141), (5, 0.2742785391113066),
+                    (2, 2.7506419580334502), (3, 2.7844209185717026)]
+    assert [index for index, _when in on_time] == [2, 0, 5, 3]
+    assert [entry for entry in held if entry[0] in (0, 5)] \
+        == [entry for entry in on_time if entry[0] in (0, 5)]
+    assert held_draws == draws

@@ -10,6 +10,7 @@ from repro.sim.rpc import (ChannelPool, RpcChannel, RpcFault, RpcServer,
 from repro.sim.topology import Level, Topology
 from repro.sim.transport import TransportError
 from repro.sim.world import World
+from tests.util import pending_deadlines
 
 
 @pytest.fixture
@@ -703,7 +704,7 @@ def test_udp_send_failure_does_not_leak_waiter(world):
     world.run()
     assert outcome == ["send failed"]
     assert client._pending == {}
-    assert client.deadline_pool.live == 0
+    assert pending_deadlines(client.deadline_pool) == 0
 
 
 def test_udp_crash_restart_mid_retry_recovers(world):
@@ -1088,7 +1089,7 @@ def test_udp_guarded_calls_pool_timer_churn(world):
     pool = client.deadline_pool
     assert pool.armed_total == calls
     assert pool.timer_arms < calls / 10
-    assert pool.live == 0
+    assert pending_deadlines(pool) == 0
     world.run()
     assert len(pool) == 0
     assert world.sim.heap_size == 0
@@ -1154,7 +1155,7 @@ def test_channel_timeouts_share_the_simulator_pool(world):
     world.run_until(proc, limit=100)
     # One guard per call plus the connect guard, all pooled.
     assert pool.armed_total - armed_before == 21
-    assert pool.live == 0
+    assert pending_deadlines(pool) == 0
     world.run()
     assert len(pool) == 0
 

@@ -371,7 +371,7 @@ KEEP = """\
 # path  Qualname  reason
 fixture_pkg/mod.py  never  the paper's section 9
 fixture_pkg/mod.py  never.nested_never  the paper's section 9
-fixture_pkg/mod.py  decorated_called  ROADMAP item 1
+fixture_pkg/mod.py  decorated_called  fault handling
 fixture_pkg/mod.py  generator_called  teardown
 """
 
@@ -411,11 +411,29 @@ def test_check_refuses_a_test_oracle_reason(tmp_path, monkeypatch, capsys):
     assert _check(tmp_path, monkeypatch, keep) == 0
 
 
+def test_check_refuses_a_roadmap_item_reason(tmp_path, monkeypatch, capsys):
+    # A reason whose kind starts with "ROADMAP item" is a promise, not
+    # a caller: refused, and the function it names stays unexplained.
+    # An item cited after the ':' is no kind.
+    keep = KEEP + ("fixture_pkg/mod.py  Shape.unused_method  "
+                   "ROADMAP item 7: the fuzzer will call it\n")
+    assert _check(tmp_path, monkeypatch, keep) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert ("census: refused keep entry (reason kind roadmap item): "
+            "fixture_pkg/mod.py  Shape.unused_method") in out
+    assert "census: unexplained: fixture_pkg/mod.py  Shape.unused_method" \
+        in out
+    assert out[-1].endswith("1 unexplained; 0 stale keep entries")
+    keep = KEEP + ("fixture_pkg/mod.py  Shape.unused_method  "
+                   "teardown: ROADMAP item 7 reads it too\n")
+    assert _check(tmp_path, monkeypatch, keep) == 0
+
+
 def test_check_fails_on_a_stale_keep_entry(tmp_path, monkeypatch, capsys):
     # One entry names a function the entry point now reaches, one a
     # function that is gone.
     keep = (KEEP + "fixture_pkg/mod.py  Shape.unused_method  teardown\n"
-            "fixture_pkg/mod.py  called  ROADMAP item 2\n"
+            "fixture_pkg/mod.py  called  fault handling\n"
             "fixture_pkg/mod.py  deleted_long_ago  teardown\n")
     assert _check(tmp_path, monkeypatch, keep) == 1
     out = capsys.readouterr().out.splitlines()

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
+import pathlib
 from typing import Dict, Generator, List, Optional
 
 from repro.core.idl import mutating, read_only
 from repro.core.ids import ObjectId
 from repro.core.subobjects import SemanticsSubobject
 from repro.sim.topology import Topology
+from repro.workloads.loadgen import Arrival
+from repro.workloads.scenario import TraceScenario
 
 
 def oid_from_seed(seed: str) -> ObjectId:
@@ -267,3 +271,27 @@ def check_pointer_invariant(tree) -> None:
                     assert path in parent.records[oid_hex] \
                         .forwarding_pointers, \
                         "unreachable record at %r" % path
+
+
+def pending_deadlines(pool) -> int:
+    """Deadlines a :class:`~repro.sim.deadlines.DeadlinePool` holds
+    pending: what its ``.depth`` gauge reports."""
+    return pool.armed_total - pool.cancelled_total - pool.expired_total
+
+
+#: The committed trace corpus (see traces/README.md).
+TRACE_DIR = pathlib.Path(__file__).parent / "traces"
+
+
+def trace_replay(name: str, topology=None) -> TraceScenario:
+    """Replay the committed trace ``name``: one JSON object per line
+    (``time``, ``kind``, ``object``, ``site``), each an Arrival whose
+    index is its line, its site resolved in ``topology`` if given."""
+    with (TRACE_DIR / name).open() as fh:
+        raws = [json.loads(line) for line in fh if line.strip()]
+    site = topology.site if topology is not None else str
+    return TraceScenario(
+        [Arrival(index, float(raw["time"]), site(raw["site"]),
+                 int(raw["object"]), raw["kind"])
+         for index, raw in enumerate(raws)],
+        label="trace:%s" % name)

@@ -14,7 +14,8 @@ from repro.workloads.loadgen import (Arrival, BurstSchedule, LoadStats,
 from repro.workloads.population import ClientPopulation
 from repro.workloads.scenario import (ClosedLoopScenario, HybridScenario,
                                       OpenLoopScenario, RequestMix, Soak,
-                                      TraceScenario, load_trace, save_trace)
+                                      TraceScenario)
+from tests.util import pending_deadlines, trace_replay
 
 
 def _drive(sim, scenario, request, seed=1, stats=None):
@@ -27,27 +28,7 @@ def _drive(sim, scenario, request, seed=1, stats=None):
 
 # -- trace format -----------------------------------------------------------
 
-@pytest.mark.parametrize("suffix", [".jsonl"])
-def test_trace_file_roundtrip(tmp_path, suffix):
-    site = Topology.balanced(1, 1, 1, 2).site("r0/c0/m0/s0")
-    arrivals = [Arrival(i, 0.25 * i, [site, "r0/c0/m0/s1", None][i % 3],
-                        i % 4, "write" if i % 4 == 0 else "read")
-                for i in range(12)]
-    path = tmp_path / ("trace%s" % suffix)
-    save_trace(path, arrivals)
-    back = load_trace(path)
-    # A Domain is stored as its path; index is the line in the trace.
-    assert [(a.index, a.time, a.kind, a.rank, a.site_path) for a in back] \
-        == [(a.index, a.time, a.kind, a.rank, a.site_path)
-            for a in arrivals]
-    assert all(a.site is None or isinstance(a.site, str) for a in back)
-
-
-def test_trace_format_validation(tmp_path):
-    with pytest.raises(ValueError):
-        save_trace(tmp_path / "trace.xml", [])
-    with pytest.raises(ValueError):
-        load_trace(tmp_path / "trace.xml")
+def test_trace_format_validation():
     with pytest.raises(ValueError):
         TraceScenario([])
 
@@ -72,34 +53,6 @@ def test_record_stream_adapts_population():
 
 # -- trace replay -----------------------------------------------------------
 
-def test_trace_replay_determinism_from_file(tmp_path):
-    """Same seed + same trace file => identical LoadStats."""
-    topology = Topology.balanced(2, 2, 1, 2)
-    population = ClientPopulation(topology, 8, random.Random(11),
-                                  write_fraction=[0.2] * 8)
-    path = tmp_path / "trace.jsonl"
-    save_trace(path, population.generate(60))
-
-    def one_run():
-        sim = Simulator()
-        rng = random.Random(99)
-
-        def request(arrival):
-            # Service time depends on the run's RNG and the arrival, so
-            # any divergence in replay order or draws shows up in stats.
-            yield sim.timeout(rng.uniform(0.01, 0.05) * (arrival.rank + 1))
-            return arrival.kind == "read" or arrival.rank % 2 == 0
-
-        scenario = TraceScenario.from_file(path, topology=topology)
-        stats, elapsed = _drive(sim, scenario, request, seed=7)
-        # Histogram state is the determinism fingerprint: same replay
-        # order and draws <=> identical (count, sum, extremes, buckets).
-        return (stats.issued, stats.ok, stats.failed,
-                stats.latency.state(), elapsed)
-
-    assert one_run() == one_run()
-
-
 def test_trace_replay_respects_timestamps():
     sim = Simulator()
     events = [Arrival(0, 1.0, None, 0), Arrival(1, 3.0, None, 1)]
@@ -114,13 +67,13 @@ def test_trace_replay_respects_timestamps():
 
 
 def test_trace_scenario_site_resolution():
-    topology = Topology.balanced(1, 1, 1, 2)
-    events = [Arrival(0, 0.0, "r0/c0/m0/s1", 0)]
-    sim = Simulator()
-    resolved = TraceScenario(events, topology=topology).arrivals(sim)
-    assert resolved[0].site is topology.site("r0/c0/m0/s1")
-    unresolved = TraceScenario(events).arrivals(sim)
-    assert unresolved[0].site == "r0/c0/m0/s1"
+    # Sites pass through as they are: a Domain, or a site path that
+    # site-keyed helpers resolve themselves.
+    site = Topology.balanced(1, 1, 1, 2).site("r0/c0/m0/s1")
+    events = [Arrival(0, 0.0, site, 0), Arrival(1, 0.5, "r0/c0/m0/s1", 0)]
+    arrivals = TraceScenario(events).arrivals(Simulator())
+    assert arrivals[0].site is site
+    assert arrivals[1].site == "r0/c0/m0/s1"
 
 
 def test_sequential_pacing_never_overlaps():
@@ -529,42 +482,11 @@ def test_soak_phase_windows_capture_fault_degradation():
     assert report.phases[0].delta("net.dropped") == 0
 
 
-def test_soak_loss_window_is_a_fault_phase_that_restores_prior_loss():
-    world, client_host, server_host, _server = _echo_world()
-    client = UdpRpcClient(client_host, timeout=0.25, retries=1)
-    level = Topology.separation(client_host.site, server_host.site)
-    prior = world.network.params.loss[level]
-
-    def request(arrival):
-        value = yield from client.call(server_host, 5300, "echo",
-                                       {"x": arrival.index})
-        return value == arrival.index
-
-    soak = Soak(world, OpenLoopScenario(UniformSchedule(20.0), 80),
-                request, settle=1.0)
-    base = world.now
-    soak.loss_window(level, 1.0, base + 1.0, base + 2.0)
-    report = soak.run()
-    assert [w.label for w in report.phases] \
-        == ["pre-fault", "during-fault", "recovered"]
-    assert report.phases[1].started_at == base + 1.0
-    assert report.phases[2].started_at == base + 2.0
-    assert [kind for _t, kind, _target in report.fault_log] \
-        == ["loss=1", "loss=%g" % prior]
-    assert world.network.params.loss[level] == prior
-    rows = {row["phase"]: row for row in report.phase_rows()}
-    assert rows["pre-fault"]["failed"] == 0
-    assert rows["during-fault"]["failed"] > 0
-
-
 # -- the committed trace corpus ----------------------------------------------
 
 def test_bundled_trace_replay_is_deterministic():
     """Same seed + the committed trace file => identical stats."""
-    from repro.workloads.scenario import bundled_trace
-
-    path = bundled_trace("mixed_small.jsonl")
-    events = load_trace(path)
+    events = trace_replay("mixed_small.jsonl").events
     assert len(events) == 80
     assert {e.kind for e in events} == {"read", "write"}
 
@@ -578,7 +500,7 @@ def test_bundled_trace_replay_is_deterministic():
             yield sim.timeout(rng.uniform(0.001, 0.01) * (arrival.rank + 1))
             return arrival.kind == "read" or arrival.rank % 2 == 0
 
-        scenario = TraceScenario.from_file(path, topology=topology)
+        scenario = trace_replay("mixed_small.jsonl", topology=topology)
         stats, elapsed = _drive(sim, scenario, request, seed=3)
         return (stats.issued, stats.ok, stats.failed,
                 stats.latency.state(), elapsed)
@@ -588,25 +510,16 @@ def test_bundled_trace_replay_is_deterministic():
     assert first[0] == 80
 
 
-def test_bundled_trace_file_not_found():
-    from repro.workloads.scenario import bundled_trace
-    with pytest.raises(FileNotFoundError):
-        bundled_trace("no_such_trace.jsonl")
-
-
-def test_readme_snippet_regenerates_mixed_small(tmp_path, monkeypatch):
-    """The recording recipe in traces/README.md writes the committed
-    mixed_small.jsonl byte for byte: the trace format is pinned."""
-    import re
-
-    from repro.workloads import scenario
-
-    committed = scenario.bundled_trace("mixed_small.jsonl").read_bytes()
-    readme = (scenario.TRACE_DIR / "README.md").read_text()
-    snippet = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
-    monkeypatch.setattr(scenario, "TRACE_DIR", tmp_path)
-    exec(compile(snippet, "traces/README.md", "exec"), {})
-    assert (tmp_path / "my_trace.jsonl").read_bytes() == committed
+def test_readme_snippet_regenerates_mixed_small():
+    """mixed_small.jsonl is the population stream traces/README.md
+    names, arrival for arrival: the trace format is pinned."""
+    population = ClientPopulation(Topology.balanced(2, 2, 1, 2), 8,
+                                  random.Random(4242), alpha=1.0,
+                                  write_fraction=[0.2] * 8)
+    recorded = trace_replay("mixed_small.jsonl").events
+    assert [(a.index, a.time, a.kind, a.rank, a.site) for a in recorded] \
+        == [(a.index, a.time, a.kind, a.rank, a.site.path)
+            for a in population.generate(80)]
 
 
 def test_closed_loop_duration_zero_progress_raises_not_hangs():
@@ -788,10 +701,7 @@ def test_flash_crowd_trace_shape_and_replay_determinism():
     run over run (the determinism fingerprint of the fast-path
     kernel: replay order must not depend on anything but the trace
     and the seed)."""
-    from repro.workloads.scenario import bundled_trace
-
-    path = bundled_trace("flash_crowd_small.jsonl")
-    events = load_trace(path)
+    events = trace_replay("flash_crowd_small.jsonl").events
     assert len(events) == 140
     in_spike = [e for e in events if 5.0 <= e.time < 7.0]
     outside = [e for e in events if not 5.0 <= e.time < 7.0]
@@ -813,7 +723,8 @@ def test_flash_crowd_trace_shape_and_replay_determinism():
                               * (arrival.rank + 1))
             return arrival.kind == "read" or arrival.rank % 2 == 0
 
-        scenario = TraceScenario.from_file(path, topology=topology)
+        scenario = trace_replay("flash_crowd_small.jsonl",
+                                topology=topology)
         stats, elapsed = _drive(sim, scenario, request, seed=11)
         # The full summary dict plus the histogram's canonical state:
         # byte-identical across runs, not merely "close".
@@ -833,9 +744,7 @@ def test_deadline_pool_trace_replay_matches_per_call_timers():
     recorded below, from before that reference path was retired."""
     from repro.sim.topology import Level
     from repro.sim.rpc import RpcTimeout
-    from repro.workloads.scenario import bundled_trace
 
-    path = bundled_trace("flash_crowd_small.jsonl")
     world = World(topology=Topology.balanced(2, 2, 1, 2), seed=17)
     # Heavy wide-area loss: guards expire, retries fire, calls exhaust
     # the budget — every deadline path gets exercised.
@@ -855,7 +764,8 @@ def test_deadline_pool_trace_replay_matches_per_call_timers():
             return False
         return value == arrival.rank
 
-    scenario = TraceScenario.from_file(path, topology=world.topology)
+    scenario = trace_replay("flash_crowd_small.jsonl",
+                            topology=world.topology)
     stats, elapsed = _drive(world.sim, scenario, request, seed=29)
     pooled = (stats.summary(), stats.latency.state(), elapsed,
               client.retries_sent, client.timeouts_hit, world.now)
@@ -891,7 +801,7 @@ def test_loadgen_10k_guarded_calls_drain_pools_and_heap():
     assert stats.ok == 10_000
     pool = client.deadline_pool
     assert pool.armed_total == 10_000
-    assert pool.live == 0
+    assert pending_deadlines(pool) == 0
     # Far fewer kernel arms than guarded calls — the pooling win.
     assert pool.timer_arms < 100
     world.run()  # let the last armed timer fire and sweep

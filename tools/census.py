@@ -32,12 +32,13 @@ run exits 1 if one is not.  A function is exempt by rule if it is a
 dunder method or its body (past a docstring) is one ``raise``.  Any
 other must have a line ``path  Qualname  reason`` in :data:`KEEP_FILE`
 (fields apart by two or more spaces, the path relative to ``src/``),
-whose reason names the paper section it reproduces, the ROADMAP item
-that will call it, its safety role (teardown, fault handling, input
-checks) or the benchmark code that reads it.  A reason's kind is its
-text before the first ``:``; a keep line of kind
-:data:`REFUSED_KIND` (``test oracle``: a test reads state the way the
-programs can) is refused and fails the check.  A keep line whose
+whose reason names the paper section it reproduces, its safety role
+(teardown, fault handling, input checks) or the benchmark code that
+reads it.  A reason's kind is its text before the first ``:``; a keep
+line whose kind starts with one of :data:`REFUSED_KIND` is refused and
+fails the check: ``test oracle`` (a test reads state the way the
+programs can) and ``ROADMAP item`` (a promise is not a caller; the
+function comes back with its first caller).  A keep line whose
 function is gone, or is now reached, is stale and fails the check too.
 
 ``--options`` runs no tests.  It lists every keyword option (a
@@ -89,7 +90,7 @@ import re
 import runpy
 import sys
 import threading
-from typing import Callable, Dict, List, NamedTuple, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -284,22 +285,32 @@ def read_keep(path: pathlib.Path) -> Dict[Tuple[str, str], str]:
     return keep
 
 
-#: The reason kind (a reason's text before its first ``:``) a keep
-#: line may not give: what a test reads, it reads the way the programs
-#: can, so being a test's oracle is no reason for code to stay.
-REFUSED_KIND = "test oracle"
+#: The reason kinds (a reason's text before its first ``:``) a keep
+#: line may not give, by how the kind starts.  What a test reads, it
+#: reads the way the programs can, so being a test's oracle is no
+#: reason for code to stay; and a ROADMAP item that will call a
+#: function is a promise, not a caller: the function comes back with
+#: its first caller.
+REFUSED_KIND = ("test oracle", "roadmap item")
+
+
+def _refused_kind(reason: str) -> Optional[str]:
+    """The :data:`REFUSED_KIND` the reason's kind starts with, if any."""
+    kind = reason.split(":", 1)[0].strip().lower()
+    return next((refused for refused in REFUSED_KIND
+                 if kind.startswith(refused)), None)
 
 
 def _read_checked_keep() -> Tuple[Dict[Tuple[str, str], str],
-                                  List[Tuple[str, str]]]:
-    """:data:`KEEP_FILE` less the entries whose reason is of
-    :data:`REFUSED_KIND`, and those entries."""
+                                  List[Tuple[str, str, str]]]:
+    """:data:`KEEP_FILE` less the entries whose reason is of a
+    :data:`REFUSED_KIND`, and those entries with their kind."""
     keep = read_keep(KEEP_FILE)
-    refused = sorted(key for key, reason in keep.items()
-                     if reason.split(":", 1)[0].strip().lower()
-                     == REFUSED_KIND)
-    return {key: reason for key, reason in keep.items()
-            if key not in refused}, refused
+    kinds = {key: _refused_kind(reason) for key, reason in keep.items()}
+    return ({key: reason for key, reason in keep.items()
+             if kinds[key] is None},
+            sorted(key + (kind,) for key, kind in kinds.items()
+                   if kind is not None))
 
 
 def check_keep(src: pathlib.Path, uncalled: List[Function],
@@ -649,13 +660,13 @@ def main(argv=None) -> int:
 def _report_check(listed: int, exempt: int,
                   unexplained: List[Tuple[str, str]],
                   stale: List[Tuple[str, str]],
-                  bad: List[Tuple[str, str]]) -> int:
+                  bad: List[Tuple[str, str, str]]) -> int:
     """Print a check's findings over ``listed`` functions or options,
     ``exempt`` of them by rule, with ``bad`` keep entries refused; 1 if
     it failed, else 0."""
-    for path, name in bad:
+    for path, name, kind in bad:
         print("census: refused keep entry (reason kind %s): %s  %s"
-              % (REFUSED_KIND, path, name))
+              % (kind, path, name))
     for path, name in unexplained:
         print("census: unexplained: %s  %s" % (path, name))
     for path, name in stale:
