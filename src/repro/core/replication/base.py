@@ -119,7 +119,12 @@ class ReplicationSubobject:
 
     def invoke(self, payload: bytes, mode: Mode
                ) -> Generator[Any, Any, bytes]:
-        """Route a locally issued opaque invocation; return raw result."""
+        """Route a locally issued opaque invocation; return raw result.
+
+        Only the roles a binding creates (``client`` and ``cache``)
+        take local invocations.  A replica hosted by an object
+        server is reached through :meth:`handle_message`: no program
+        runs its caller in the server's address space."""
         raise NotImplementedError
 
     def handle_message(self, message: dict, ctx

@@ -59,9 +59,6 @@ class CachingClient(JournalledCopy):
         return (self.fetched_at is not None
                 and self._now - self.fetched_at <= self.ttl)
 
-    def invalidate(self) -> None:
-        self.fetched_at = None
-
     def _refresh(self) -> Generator:
         self.pulls += 1
         if (yield from self._pull(self.bound)) == "fresh":
@@ -81,7 +78,7 @@ class CachingClient(JournalledCopy):
         self.writes_forwarded += 1
         result = yield from self._invoke_remote(
             self.write_target, payload, mode)
-        self.invalidate()
+        self.fetched_at = None  # the next read revalidates
         return result
 
     def handle_message(self, message: dict, ctx

@@ -64,18 +64,6 @@ class ClientServerServer(ReplicationSubobject):
         super().__init__()
         self.version = 0
 
-    def invoke(self, payload: bytes, mode: Mode
-               ) -> Generator[Any, Any, bytes]:
-        # Co-located callers (e.g. an HTTPD on the server host) execute
-        # directly; this is the degenerate local case.
-        if mode == Mode.READ:
-            self.reads_local += 1
-        else:
-            self.writes_local += 1
-            self.version += 1
-        return self.control.execute(payload)
-        yield  # pragma: no cover - no waits needed
-
     def handle_message(self, message: dict, ctx
                        ) -> Generator[Any, Any, dict]:
         kind = message.get("type")

@@ -126,16 +126,6 @@ class MasterSlaveMaster(JournalledCopy):
             address = ContactAddress.from_wire(wire)
             self.slaves[address.key()] = address
 
-    # -- local invocation (co-located callers) -----------------------------
-
-    def invoke(self, payload: bytes, mode: Mode
-               ) -> Generator[Any, Any, bytes]:
-        if mode == Mode.READ:
-            self.reads_local += 1
-            return self.control.execute(payload)
-        result = yield from self._apply_write(payload)
-        return result
-
     # -- protocol messages ---------------------------------------------------
 
     def handle_message(self, message: dict, ctx
@@ -225,15 +215,6 @@ class MasterSlaveSlave(JournalledCopy):
                 "type": "leave", "ca": my_address.to_wire()})
         except Exception:  # noqa: BLE001 - best effort
             pass
-
-    def invoke(self, payload: bytes, mode: Mode
-               ) -> Generator[Any, Any, bytes]:
-        if mode == Mode.READ:
-            self.reads_local += 1
-            return self.control.execute(payload)
-        self.writes_forwarded += 1
-        result = yield from self._invoke_remote(self.master, payload, mode)
-        return result
 
     def handle_message(self, message: dict, ctx
                        ) -> Generator[Any, Any, dict]:

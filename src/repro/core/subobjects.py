@@ -21,7 +21,7 @@ from typing import Any, Generator, Optional
 
 from ..sim.rpc import ChannelPool
 from ..sim.transport import ConnectionClosed, TransportError
-from .idl import IdlError, Interface, Mode
+from .idl import IdlError, Interface
 from .ids import ContactAddress, ObjectId
 from .marshal import (marshal_invocation, marshal_result,
                       unmarshal_invocation, unmarshal_result)
@@ -62,31 +62,18 @@ class SemanticsSubobject:
         """Replace the object state with ``state``."""
         raise NotImplementedError
 
-    # Replication may use a lighter state than persistence: subclasses
-    # can exclude master-local bookkeeping (e.g. retained old file
-    # contents) from what is shipped to slaves and caches.  Defaults
-    # to the full snapshot.
-
-    def replication_state(self) -> dict:
-        return self.snapshot_state()
+    # Replication ships a lighter state than persistence, and a
+    # replica that journals writes ships each one as a change set.  A
+    # replicated semantics class therefore also implements
+    # ``replication_state`` (what slaves and caches receive; it may
+    # leave out master-local bookkeeping such as retained old file
+    # contents), ``take_changes`` (seal what changed since the last
+    # call), ``apply_changes`` (replay one change set onto a copy) and
+    # ``squash_changes`` (fold consecutive change sets into one), as
+    # :class:`~repro.gdn.package.PackageSemantics` does.
 
     def restore_replication_state(self, state: dict) -> None:
         self.restore_state(state)
-
-    # A replica that journals writes ships each one as a change set:
-    # ``take_changes`` seals what changed since it was last called,
-    # ``apply_changes`` replays one onto a copy, and ``squash_changes``
-    # folds consecutive ones into one.  The defaults have no deltas:
-    # a change set is the whole replication state.
-
-    def take_changes(self) -> Any:
-        return self.replication_state()
-
-    def apply_changes(self, changes: Any) -> None:
-        self.restore_replication_state(changes)
-
-    def squash_changes(self, change_sets: list) -> Any:
-        return change_sets[-1]
 
 
 class CommunicationSubobject:
@@ -189,8 +176,3 @@ class ControlSubobject:
                                    "kind": type(exc).__name__,
                                    "message": str(exc)})
         return marshal_result(value)
-
-    def mode_of(self, payload: bytes) -> Mode:
-        """Mode of an opaque invocation (for server-side routing)."""
-        method, _args = unmarshal_invocation(payload)
-        return self.interface.mode(method)

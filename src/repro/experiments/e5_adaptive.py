@@ -39,7 +39,7 @@ from ..workloads.packages import synthetic_file
 from ..workloads.webtrace import make_web_trace
 
 __all__ = ["run_adaptive_replication_experiment", "format_result",
-           "assert_shape", "assert_least_wan",
+           "assert_shape",
            "assert_faster_than_no_replication", "assert_fewer_replicas",
            "STRATEGIES"]
 
@@ -223,16 +223,6 @@ def _rows(result: Dict) -> Dict[str, Dict]:
     return {row["strategy"]: row for row in result["rows"]}
 
 
-def assert_least_wan(result: Dict) -> None:
-    """Per-object assignment generates less wide-area traffic than
-    every uniform strategy.  The threshold advisor does not earn this
-    clause (CacheTTL ships less); it waits on the advisor choosing by
-    cost, so it is not part of :func:`assert_shape`."""
-    rows = _rows(result)
-    for name, row in rows.items():
-        assert rows["Adaptive"]["wan_bytes"] <= row["wan_bytes"], name
-
-
 def assert_faster_than_no_replication(result: Dict) -> None:
     """Per-object assignment improves response time over the
     no-replication Web baseline."""
@@ -251,7 +241,8 @@ def assert_fewer_replicas(result: Dict) -> None:
 def assert_shape(result: Dict) -> None:
     """The clauses of Pierre et al.'s conclusion this reproduction
     holds: faster than no replication, with fewer replicas than
-    replicating everything.  :func:`assert_least_wan` is checked on its
-    own, as an expected failure."""
+    replicating everything.  The third clause, least wide-area traffic,
+    is not held (CacheTTL ships less than the threshold advisor); the
+    tests check it on its own, as an expected failure."""
     assert_faster_than_no_replication(result)
     assert_fewer_replicas(result)

@@ -147,7 +147,7 @@ def run_policy_experiment(seed: int = 37) -> Dict:
         start = gdn.world.now
         try:
             yield from rpc.call(
-                mitm_host, gos.host, gos.port, "list_replicas", {},
+                mitm_host, gos.host, gos.port, "create_object", {},
                 channel_wrapper=client_wrapper(credentials=rogue_creds))
             return "accepted", gdn.world.now - start
         except (HandshakeError, Exception):  # noqa: BLE001

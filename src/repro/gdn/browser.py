@@ -68,7 +68,13 @@ class Browser:
 
         ``timeout`` guards the request (:class:`~repro.sim.rpc.RpcTimeout`
         on expiry) — chunked transfers use it to bound each chunk fetch
-        so a crashed access point can't hang the download.
+        so a crashed access point can't hang the download.  It bounds
+        the call on an open channel only: when the channel is broken,
+        the reconnect before the call waits up to
+        :data:`~repro.sim.transport.CONNECT_TIMEOUT` (3 s) for the
+        handshake, whatever ``timeout`` says.  A GET that finds its
+        channel broken during a partition therefore fails after about
+        3 s even under a 2 s timeout.
         """
         start = self.world.now
         access_point = self.access_point

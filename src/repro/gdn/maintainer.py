@@ -15,7 +15,7 @@ scenarios or names.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Dict, Generator, Optional
 
 from ..core.ids import ObjectId
 from ..core.runtime import Runtime
@@ -47,8 +47,7 @@ class MaintainerTool:
         return representative
 
     def update_contents(self, object_name: str,
-                        add_files: Optional[Dict[str, bytes]] = None,
-                        del_files: Optional[List[str]] = None
+                        add_files: Optional[Dict[str, bytes]] = None
                         ) -> Generator[object, object, int]:
         """Apply content changes; returns the new package version.
 
@@ -58,8 +57,6 @@ class MaintainerTool:
         representative = yield from self._bind(object_name)
         version = 0
         try:
-            for path in sorted(del_files or []):
-                yield from representative.invoke("delFile", {"path": path})
             for path in sorted(add_files or {}):
                 version = yield from representative.invoke(
                     "addFile", {"path": path, "data": add_files[path]})

@@ -10,8 +10,9 @@ Beyond the paper's minimum (add/list/retrieve), the semantics include
 the two "possible functional additions" from §8 in simple form:
 attribute-based search support via package attributes, and version
 management via a monotonically increasing content version plus
-per-file digests (which also serve the §6.1 integrity requirement —
-users can verify what they downloaded).
+per-file digests.  A chunked download's manifest carries the file's
+and each chunk's SHA-256 (the §6.1 integrity requirement: users verify
+what they downloaded).
 
 The version history is append-only and travels with every state
 transfer and checkpoint, so it is kept in the form it is shipped and
@@ -160,11 +161,6 @@ class PackageSemantics(SemanticsSubobject):
             raise KeyError("no file %r in this package" % path) from None
 
     @read_only
-    def getFileDigest(self, path: str) -> str:
-        """SHA-256 of a file — lets users check download integrity."""
-        return hashlib.sha256(self.getFileContents(path)).hexdigest()
-
-    @read_only
     def getFileManifest(self, path: str,
                         chunk_size: int = DEFAULT_CHUNK_SIZE) -> dict:
         """Chunk map for a resumable download of one file.
@@ -221,25 +217,9 @@ class PackageSemantics(SemanticsSubobject):
         return data[index * chunk_size:(index + 1) * chunk_size]
 
     @read_only
-    def getAttribute(self, key: str) -> Optional[str]:
-        return self._attributes.get(key)
-
-    @read_only
-    def getAttributes(self) -> Dict[str, str]:
-        return dict(self._attributes)
-
-    @read_only
-    def getVersion(self) -> int:
-        return self._content_version
-
-    @read_only
     def getHistory(self) -> List[dict]:
         """The mutation log: version, operation, path, size, digest."""
         return unpack_sequence(self._history)
-
-    @read_only
-    def totalSize(self) -> int:
-        return sum(len(data) for data in self._files.values())
 
     # -- state management (replication / persistence) -----------------------------
 

@@ -7,8 +7,8 @@ attribute-based search" as a planned functional addition.
 
 The search service is a directory daemon: moderator tools register
 each package's attributes (category, description keywords, licence…)
-when they create or update it, and anyone can query by attribute
-equality or keyword.  Queries return object names, which then resolve
+when they create it and unregister it when they remove it, and anyone
+can query by attribute equality or keyword.  Queries return object names, which then resolve
 through the normal GNS → GLS → bind path — search never bypasses the
 naming architecture.
 """
@@ -53,7 +53,6 @@ class SearchService:
         server.register("register", self._handle_register)
         server.register("unregister", self._handle_unregister)
         server.register("search", self._handle_search)
-        server.register("attributes", self._handle_attributes)
         server.start()
         self._server = server
 
@@ -116,10 +115,3 @@ class SearchService:
         matches = set.intersection(*candidate_sets) if candidate_sets \
             else set()
         return {"matches": sorted(matches)}
-
-    def _handle_attributes(self, ctx: RpcContext, args: dict) -> dict:
-        name = args["name"]
-        attributes = self._attributes.get(name)
-        if attributes is None:
-            return {"found": False, "attributes": {}}
-        return {"found": True, "attributes": dict(attributes)}

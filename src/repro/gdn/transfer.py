@@ -45,7 +45,8 @@ while a resuming transfer spends only what the fault actually cost.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Generator, List, Optional, Tuple
+import random
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from ..sim.retry import ExponentialBackoff, RetryBudget, RetryPolicy
 from ..sim.rpc import RpcTimeout
@@ -200,6 +201,8 @@ class ChunkedDownloader:
         self.bytes_applied = 0
         self._inflight_transfers = 0
         self._inflight_chunks = 0
+        #: Browser host name -> its jitter RNG, made on its first retry.
+        self._jitter_rngs: Dict[str, random.Random] = {}
 
     def bind_metrics(self, registry, prefix: str) -> None:
         for name in ("transfers_started", "transfers_completed",
@@ -275,13 +278,16 @@ class ChunkedDownloader:
             self.resumes += 1
 
         # Jitter keyed by the *downloading* host: distinct clients
-        # desynchronize, one client replays deterministically.
-        rng_box = [None]
-
+        # desynchronize, one client replays deterministically.  The
+        # stream is kept across calls, so transfers that share a
+        # browser, and a resumed call, draw on from where the last
+        # draw left off instead of repeating its delays in lockstep.
         def jitter():
-            if rng_box[0] is None:
-                rng_box[0] = self.policy.make_rng(browser.host.name)
-            return rng_box[0]
+            name = browser.host.name
+            rng = self._jitter_rngs.get(name)
+            if rng is None:
+                rng = self._jitter_rngs[name] = self.policy.make_rng(name)
+            return rng
 
         if token.manifest is None:
             suffix = ("?chunk_size=%d" % token.chunk_size

@@ -3,12 +3,11 @@
 from . import dns
 from .authority import AUTHORITY_PORT, NamingAuthority
 from .gns import (DEFAULT_GDN_ZONE, GlobeNameService, GnsError,
-                  decode_oid_txt, dns_to_object_name, encode_oid_txt,
-                  object_name_to_dns)
+                  decode_oid_txt, encode_oid_txt, object_name_to_dns)
 
 __all__ = [
     "dns", "AUTHORITY_PORT", "NamingAuthority",
     "DEFAULT_GDN_ZONE", "GlobeNameService", "GnsError",
-    "decode_oid_txt", "dns_to_object_name", "encode_oid_txt",
+    "decode_oid_txt", "encode_oid_txt",
     "object_name_to_dns",
 ]

@@ -24,8 +24,7 @@ from .dns.records import NAME_MEMO_SIZE, DnsError, normalize_name
 from .dns.resolver import CachingResolver, ResolutionError
 
 __all__ = ["GlobeNameService", "GnsError", "object_name_to_dns",
-           "dns_to_object_name", "encode_oid_txt", "decode_oid_txt",
-           "DEFAULT_GDN_ZONE"]
+           "encode_oid_txt", "decode_oid_txt", "DEFAULT_GDN_ZONE"]
 
 #: The DNS leaf domain holding all GDN package names (§5 "GDN Zone").
 DEFAULT_GDN_ZONE = "gdn.cs.vu.nl"
@@ -58,16 +57,6 @@ def object_name_to_dns(object_name: str, zone: str) -> str:
     except DnsError as exc:
         raise GnsError("object name %r does not fit DNS syntax: %s"
                        % (object_name, exc)) from exc
-
-
-def dns_to_object_name(dns_name: str, zone: str) -> str:
-    """Inverse of :func:`object_name_to_dns`."""
-    dns_name = normalize_name(dns_name)
-    zone = normalize_name(zone)
-    if not dns_name.endswith("." + zone):
-        raise GnsError("%r is not in the GDN zone %r" % (dns_name, zone))
-    relative = dns_name[:-(len(zone) + 1)]
-    return "/" + "/".join(reversed(relative.split(".")))
 
 
 def encode_oid_txt(oid_hex: str) -> str:

@@ -7,9 +7,9 @@ kinds of RPC methods on one port:
 * ``dso_message`` — routes Globe Replication Protocol messages to the
   addressed replica's local representative (the Figure 3 "GRP" arrows);
 * control commands (``create_object``, ``create_replica``,
-  ``remove_replica``, ``list_replicas``, ``checkpoint``, ``ping``) —
-  used by moderator tools to realise replication scenarios (§6.1's
-  "create first replica" / "bind to DSO, create replica" commands).
+  ``remove_replica``, ``ping``) — used by moderator tools to realise
+  replication scenarios (§6.1's "create first replica" / "bind to DSO,
+  create replica" commands).
 
 Security (§6.1 requirements 1 and the "Modifying Packages" clause): an
 ``authorizer`` callback decides, per authenticated peer principal,
@@ -22,11 +22,11 @@ state during a reboot and reconstruct themselves afterwards."  Replica
 state is checkpointed to the ``gos`` namespace of the host's simulated
 disk (a :class:`~repro.sim.stable.StableStore`), write-through: when a
 replica is created, after every message that changed its state or its
-peer list (a write, a state push, a join or a leave), on the
-``checkpoint`` command and at :meth:`GlobeObjectServer.shutdown`.  A
-message is answered before its checkpoint reaches the disk, so a crash
-can still lose the last ``DISK_WRITE_LATENCY`` of changes; a master's
-incarnation epoch covers what its slaves saw of them.
+peer list (a write, a state push, a join or a leave), and at
+:meth:`GlobeObjectServer.shutdown`.  A message is answered before its
+checkpoint reaches the disk, so a crash can still lose the last
+``DISK_WRITE_LATENCY`` of changes; a master's incarnation epoch covers
+what its slaves saw of them.
 :meth:`GlobeObjectServer.recover` reconstructs all replicas after a
 host reboot — slaves additionally re-join their master to catch up on
 writes missed while down.
@@ -143,8 +143,6 @@ class GlobeObjectServer:
         server.register("create_object", self._handle_create_object)
         server.register("create_replica", self._handle_create_replica)
         server.register("remove_replica", self._handle_remove_replica)
-        server.register("list_replicas", self._handle_list_replicas)
-        server.register("checkpoint", self._handle_checkpoint)
         server.register("ping", lambda ctx, args: "pong")
         server.start()
         self._server = server
@@ -157,7 +155,8 @@ class GlobeObjectServer:
 
     def shutdown(self) -> Generator:
         """Graceful shutdown: checkpoint every replica, stop serving."""
-        yield from self._checkpoint_all()
+        for oid_hex in list(self.replicas):
+            yield from self._checkpoint_one(oid_hex)
         for replica in self.replicas.values():
             replica.detach()
         self.replicas.clear()
@@ -288,10 +287,6 @@ class GlobeObjectServer:
             representative.replication.protocol_state()
         yield from self.persistence.save(oid_hex, record)
 
-    def _checkpoint_all(self) -> Generator:
-        for oid_hex in list(self.replicas):
-            yield from self._checkpoint_one(oid_hex)
-
     # -- authorization -------------------------------------------------------
 
     def _authorize(self, ctx: RpcContext, operation: str,
@@ -363,15 +358,3 @@ class GlobeObjectServer:
         representative.detach()
         yield from self.persistence.remove(oid_hex)
         return {"removed": oid_hex}
-
-    def _handle_list_replicas(self, ctx: RpcContext, args: dict):
-        self._authorize(ctx, OP_CONTROL)
-        return {"replicas": [
-            {"oid": oid_hex, "role": lr.role,
-             "protocol": lr.replication.protocol}
-            for oid_hex, lr in sorted(self.replicas.items())]}
-
-    def _handle_checkpoint(self, ctx: RpcContext, args: dict) -> Generator:
-        self._authorize(ctx, OP_CONTROL)
-        yield from self._checkpoint_all()
-        return {"checkpointed": len(self.replicas)}

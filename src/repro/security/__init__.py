@@ -1,7 +1,6 @@
 """GDN security: crypto, certificates, TLS channels, roles (§6)."""
 
-from .acl import (GdnPolicy, PrincipalRegistry, Role, role_attribute,
-                  roles_from_certificate)
+from .acl import GdnPolicy, PrincipalRegistry, Role, role_attribute
 from .certs import (Certificate, CertificateAuthority, CertificateError,
                     Credentials)
 from .crypto import (CryptoError, PublicKey, RsaKeyPair, generate_prime,
@@ -11,7 +10,6 @@ from .tls import (HandshakeError, SecureChannel, SecurityError,
 
 __all__ = [
     "GdnPolicy", "PrincipalRegistry", "Role", "role_attribute",
-    "roles_from_certificate",
     "Certificate", "CertificateAuthority", "CertificateError", "Credentials",
     "CryptoError", "PublicKey", "RsaKeyPair", "generate_prime",
     "hmac_sha256", "sha256",

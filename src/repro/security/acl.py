@@ -6,10 +6,12 @@ moderator privileges; a future *maintainer* role manages a single
 package's contents.  GDN hosts themselves form a further implicit
 principal class (object servers accept state updates from each other).
 
-Roles are carried as certificate attributes (``gdn-role``), so an
-authenticated channel's peer principal maps to a role set without any
-central lookup; the registry below is the CA-side bookkeeping plus the
-authorizer callbacks the GOS and Naming Authority plug in.
+The :class:`PrincipalRegistry` decides roles: an authenticated
+channel's peer principal is looked up there, and :class:`GdnPolicy`
+turns the lookup into the authorizer callbacks the GOS, the Naming
+Authority and the search service plug in.  Certificates are issued
+with a ``gdn-role`` attribute (:func:`role_attribute`) naming the
+same roles, but no program reads it back.
 """
 
 from __future__ import annotations
@@ -18,10 +20,8 @@ import enum
 from typing import Dict, Optional, Set
 
 from ..sim.rpc import RpcContext
-from .certs import Certificate
 
-__all__ = ["Role", "PrincipalRegistry", "GdnPolicy", "role_attribute",
-           "roles_from_certificate"]
+__all__ = ["Role", "PrincipalRegistry", "GdnPolicy", "role_attribute"]
 
 _ROLE_ATTRIBUTE = "gdn-role"
 
@@ -40,19 +40,6 @@ class Role(str, enum.Enum):
 def role_attribute(*roles: Role) -> Dict[str, str]:
     """Certificate attributes encoding a role set."""
     return {_ROLE_ATTRIBUTE: ",".join(role.value for role in roles)}
-
-
-def roles_from_certificate(certificate: Certificate) -> Set[Role]:
-    raw = certificate.attributes.get(_ROLE_ATTRIBUTE, "")
-    roles = set()
-    for part in raw.split(","):
-        part = part.strip()
-        if part:
-            try:
-                roles.add(Role(part))
-            except ValueError:
-                continue  # unknown roles are ignored, not trusted
-    return roles
 
 
 class PrincipalRegistry:

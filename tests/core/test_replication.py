@@ -366,17 +366,23 @@ def _two_masters_one_slave_server(bed, protocol, slave_role, impl):
 
 def _interleaved_writes(bed, masters, pairs, method, args_for, writes,
                         gap=0.01, during=None):
-    """Local writes at both masters, strictly alternating, ``gap``
-    apart — each spawns an asynchronous push to the same slave server."""
+    """Writes to both masters from a client beside them, strictly
+    alternating, ``gap`` apart — each spawns an asynchronous push to
+    the same slave server."""
+    writer = bed.runtime("writer", "r0/c0/m0/s1")
+
     def drive():
+        bound = []
+        for master, _copy, _log in pairs:
+            bound.append((yield from writer.bind(master.oid)))
         for index in range(writes):
-            for master, _copy, _log in pairs:
-                yield from master.invoke(method, args_for(index))
+            for lr in bound:
+                yield from lr.invoke(method, args_for(index))
             yield bed.world.sim.timeout(gap)
             if during is not None:
                 during()
 
-    bed.run(drive(), host=masters.host)
+    bed.run(drive(), host=writer.host)
     bed.world.run()
 
 

@@ -41,16 +41,6 @@ def test_execute_without_semantics_rejected():
         control.execute(marshal_invocation("get", {"key": "k"}))
 
 
-def test_mode_of_inspects_opaque_payload():
-    from repro.core.idl import Mode
-
-    control = ControlSubobject(KvStore(), KvStore.interface)
-    assert control.mode_of(marshal_invocation("get", {"key": "k"})) \
-        == Mode.READ
-    assert control.mode_of(
-        marshal_invocation("put", {"key": "k", "value": "v"})) == Mode.WRITE
-
-
 # -- communication subobject (channel management) ------------------------------
 
 

@@ -42,10 +42,20 @@ def test_claim_holds_at_an_unused_seed(table, seed):
     table.check(result(table, seed))
 
 
+def assert_least_wan(result):
+    """§3.1: per-object assignment generates less wide-area traffic
+    than every uniform strategy.  The threshold advisor does not earn
+    this clause (CacheTTL ships less); it waits on the advisor choosing
+    by cost, so it is not part of E5's ``assert_shape``."""
+    rows = {row["strategy"]: row for row in result["rows"]}
+    for name, row in rows.items():
+        assert rows["Adaptive"]["wan_bytes"] <= row["wan_bytes"], name
+
+
 @pytest.mark.parametrize("seed", [None, 100, 101],
                          ids=["committed", "100", "101"])
 @pytest.mark.parametrize("clause", [
-    pytest.param(e5_adaptive.assert_least_wan, id="least-wan",
+    pytest.param(assert_least_wan, id="least-wan",
                  marks=pytest.mark.xfail(strict=True, reason=E5_WAN_REASON)),
     pytest.param(e5_adaptive.assert_faster_than_no_replication,
                  id="faster-than-norepl"),

@@ -73,5 +73,5 @@ def test_truncated_log_fails_history_reads_only():
     package.restore_state(state)
     with pytest.raises(MarshalError):
         package.getHistory()
-    assert package.getVersion() == 4
+    assert package.snapshot_state()["version"] == 4
     assert package.getFileContents("f0") == b"v0"

@@ -22,7 +22,7 @@ def test_interface_modes():
     assert interface.mode("delFile") == Mode.WRITE
     assert interface.mode("listContents") == Mode.READ
     assert interface.mode("getFileContents") == Mode.READ
-    assert interface.mode("getFileDigest") == Mode.READ
+    assert interface.mode("getFileManifest") == Mode.READ
 
 
 def test_list_contents_sorted_with_sizes(package):
@@ -41,17 +41,19 @@ def test_get_file_contents(package):
 
 def test_digest_matches_contents(package):
     expected = hashlib.sha256(b"the gimp graphics package").hexdigest()
-    assert package.getFileDigest("README") == expected
+    assert package.getFileManifest("README")["digest"] == expected
 
 
 def test_versioning(package):
-    v0 = package.getVersion()
-    package.addFile("NEWS", b"news")
-    assert package.getVersion() == v0 + 1
+    def version():
+        return package.snapshot_state()["version"]
+
+    v0 = version()
+    assert package.addFile("NEWS", b"news") == v0 + 1
     assert package.delFile("NEWS")
-    assert package.getVersion() == v0 + 2
+    assert version() == v0 + 2
     assert not package.delFile("NEWS")  # no-op delete
-    assert package.getVersion() == v0 + 2
+    assert version() == v0 + 2
 
 
 def test_bad_paths_rejected(package):
@@ -65,13 +67,9 @@ def test_bad_paths_rejected(package):
 
 def test_attributes(package):
     package.setAttribute("category", "graphics")
-    assert package.getAttribute("category") == "graphics"
-    assert package.getAttribute("nope") is None
-    assert package.getAttributes() == {"category": "graphics"}
-
-
-def test_total_size(package):
-    assert package.totalSize() == 25 + 104
+    assert package.snapshot_state()["attributes"] == {"category": "graphics"}
+    assert package.getHistory()[-1] == {"version": 3, "op": "attr",
+                                        "path": "category"}
 
 
 def test_state_round_trip(package):
@@ -79,10 +77,9 @@ def test_state_round_trip(package):
     state = package.snapshot_state()
     restored = PackageSemantics()
     restored.restore_state(state)
-    assert restored.listContents() == package.listContents()
-    assert restored.getVersion() == package.getVersion()
-    assert restored.getAttributes() == package.getAttributes()
+    assert restored.snapshot_state() == state
     # The snapshot is a copy, not a view.
     restored.addFile("extra", b"x")
-    assert package.getAttribute("category") == "graphics"
+    restored.setAttribute("category", "other")
+    assert package.snapshot_state() == state
     assert len(package.listContents()) == 2

@@ -9,7 +9,7 @@ deployment wires no TLS anywhere and keeps no registry.
 """
 
 from repro.gdn.deployment import GdnDeployment, standard_spec
-from repro.security.acl import Role, roles_from_certificate
+from repro.security.acl import Role, role_attribute
 
 GDN_HOSTS = ["gos-r0-0", "gos-r1-0", "httpd-edge", "gns-authority",
              "gdn-search"]
@@ -30,7 +30,8 @@ def _deployment(secure):
 
 
 def _certificate_roles(gdn, name):
-    return roles_from_certificate(gdn._credentials[name].certificate)
+    """The ``gdn-role`` attribute issued into ``name``'s certificate."""
+    return gdn._credentials[name].certificate.attributes
 
 
 def test_each_role_holds_exactly_its_principal():
@@ -40,11 +41,12 @@ def test_each_role_holds_exactly_its_principal():
     assert sorted(gdn.ca.issued) == sorted(
         GDN_HOSTS + ["mod", "maint", "idle", "public-trust"])
     for name in GDN_HOSTS:
-        assert _certificate_roles(gdn, name) == {Role.GDN_HOST}
+        assert _certificate_roles(gdn, name) == role_attribute(Role.GDN_HOST)
         assert gdn.registry.roles_of(name) == {Role.GDN_HOST}
-    assert _certificate_roles(gdn, "mod") == {Role.MODERATOR}
+    assert _certificate_roles(gdn, "mod") == role_attribute(Role.MODERATOR)
     assert gdn.registry.roles_of("mod") == {Role.MODERATOR}
-    assert _certificate_roles(gdn, "maint") == {Role.MAINTAINER}
+    assert _certificate_roles(gdn, "maint") \
+        == role_attribute(Role.MAINTAINER)
     assert gdn.registry.maintains("maint", "ab12")
     assert not gdn.registry.has_role("maint", Role.MODERATOR, Role.ADMIN,
                                      Role.GDN_HOST)

@@ -105,17 +105,6 @@ def test_unregister_removes_from_index(world, service):
     assert reply["matches"] == ["/apps/graphics/xfig"]
 
 
-def test_attributes_lookup(world, service):
-    client = world.host("client", "r0/c0/m0/s1")
-    _register_fixtures(world, client, service)
-    reply = _call(world, client, service, "attributes",
-                  {"name": "/apps/editors/emacs"})
-    assert reply["found"]
-    assert reply["attributes"]["license"] == "gpl"
-    assert not _call(world, client, service, "attributes",
-                     {"name": "/apps/ghost"})["found"]
-
-
 def test_authorizer_gates_registration_not_queries(world):
     host = world.host("search", "r0/c0/m0/s0")
     service = SearchService(world, host,

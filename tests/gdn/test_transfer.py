@@ -154,7 +154,7 @@ def test_a_changed_file_gets_the_manifest_of_its_new_contents(change):
     pkg.getFileManifest("big.bin", 1000)
     change(pkg)
     manifest = pkg.getFileManifest("big.bin", 1000)
-    assert manifest["version"] == pkg.getVersion()
+    assert manifest["version"] == pkg.snapshot_state()["version"]
     del manifest["version"]
     assert manifest == _fresh_manifest(
         "big.bin", pkg.getFileContents("big.bin"), 1000)
@@ -829,6 +829,66 @@ def test_manifest_retries_are_counted():
     assert downloader.chunks_retried == 0
     assert gdn.world.metrics.get("manifest-xfer.manifest_retries").value \
         == downloader.manifest_retries
+
+
+def test_transfers_sharing_a_browser_draw_their_own_retry_delays():
+    """Clients that share a browser host must not retry in lockstep.
+
+    Two transfers start together through one browser while the access
+    point's site is cut off, so every GET fails and is retried after a
+    jittered delay.  The jitter is keyed by the browser's host, and its
+    stream is the downloader's for that host: the second transfer draws
+    where the first left off, and so does a later call.  A stream made
+    afresh per call gives both transfers, and every later call, the
+    very same delays: the correlated wave jitter exists to break.
+
+    No tool flagged this: the retry, budget and byte counters are the
+    same either way.  It was found by hand, from a per-GET timeline of
+    a faulted workload whose clients share their site's browser.
+    """
+    gdn = _wan_deployment()
+    browser = gdn.add_browser("shared-user", CLIENT_SITE)
+    gdn.run(browser.get("/gdn/apps/Wan"), host=browser.host)
+    downloader = ChunkedDownloader(gdn.world, policy=ExponentialBackoff(
+        timeout=1.0, retries=3, base=0.5, jitter=0.5))
+    started = {}
+    get = browser.get
+
+    def recording(path, timeout=None):
+        started.setdefault(path, []).append(gdn.world.now)
+        response = yield from get(path, timeout)
+        return response
+
+    browser.get = recording
+    FailureInjector(gdn.world).partition_domain(
+        gdn.world.topology.site("r0/c0/m0/s1"), gdn.world.now, 60.0)
+
+    def transfer(chunk_size):
+        """One call that cannot finish; its manifest URL names its
+        chunk size, which tells the calls' GETs apart."""
+        token = ResumeToken("/apps/Wan", "big.bin", chunk_size)
+        try:
+            yield from downloader.download(browser, "/apps/Wan", "big.bin",
+                                           token=token)
+        except TransferError:
+            pass
+        return ("/gdn/apps/Wan/manifest/big.bin?chunk_size=%d"
+                % chunk_size)
+
+    first = browser.host.spawn(transfer(1024))
+    second = browser.host.spawn(transfer(2048))
+    gdn.world.run_until(second)
+    later = gdn.run(transfer(4096), host=browser.host)
+    one, two, three = (started[first.value], started[second.value],
+                       started[later])
+    assert len(one) == len(two) == len(three) == 4
+    assert one[0] == two[0]
+    assert not set(one[1:]) & set(two[1:])   # no retry instant shared
+
+    def gaps(instants):
+        return [round(b - a, 9) for a, b in zip(instants, instants[1:])]
+
+    assert gaps(three) != gaps(one)          # not a replay of the first
 
 
 def _abort(gdn, browser, how):

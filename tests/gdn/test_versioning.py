@@ -50,7 +50,7 @@ def test_retention_is_bounded(package):
     with pytest.raises(KeyError):
         package.restoreFile("README", 2)
     # Recent ones are still restorable.
-    latest_supersede_version = package.getVersion()
+    latest_supersede_version = package.snapshot_state()["version"]
     package.restoreFile("README", latest_supersede_version)
 
 

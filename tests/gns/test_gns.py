@@ -8,8 +8,7 @@ from repro.gns.dns.server import DNS_PORT
 from repro.gns.dns.tsig import TsigKey
 from repro.gns.dns.zone import Rcode
 from repro.gns.gns import (GlobeNameService, GnsError, decode_oid_txt,
-                           dns_to_object_name, encode_oid_txt,
-                           object_name_to_dns)
+                           encode_oid_txt, object_name_to_dns)
 from repro.sim import rpc
 
 from tests.gns.test_dns_system import KEY, GDN_ZONE, DnsBed, run
@@ -30,11 +29,6 @@ def test_paper_example_mapping():
             == "somepackage.globe.cs.vu.nl")
 
 
-def test_dns_to_object_name_round_trip():
-    dns_name = object_name_to_dns("/apps/graphics/gimp", GDN_ZONE)
-    assert dns_to_object_name(dns_name, GDN_ZONE) == "/apps/graphics/gimp"
-
-
 def test_relative_object_name_rejected():
     with pytest.raises(GnsError):
         object_name_to_dns("apps/gimp", GDN_ZONE)
@@ -46,11 +40,6 @@ def test_dns_syntax_restriction_surfaces():
         object_name_to_dns("/apps/my package", GDN_ZONE)
     with pytest.raises(GnsError):
         object_name_to_dns("/apps/under_score", GDN_ZONE)
-
-
-def test_foreign_dns_name_rejected():
-    with pytest.raises(GnsError):
-        dns_to_object_name("gimp.example.org", GDN_ZONE)
 
 
 def test_oid_txt_encoding():

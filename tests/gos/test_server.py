@@ -30,25 +30,18 @@ def test_control_commands_over_rpc(bed):
     gos = bed.gos("gos-1", "r0/c0/m0/s0")
     tool = bed.world.host("modtool", "r0/c0/m0/s1")
 
-    def drive():
-        created = yield from rpc.call(tool, gos.host, gos.port,
-                                      "create_object",
-                                      {"impl_id": "test.kv",
-                                       "protocol": "client_server",
-                                       "role": "server"})
-        listed = yield from rpc.call(tool, gos.host, gos.port,
-                                     "list_replicas", {})
-        removed = yield from rpc.call(tool, gos.host, gos.port,
-                                      "remove_replica",
-                                      {"oid": created["oid"]})
-        after = yield from rpc.call(tool, gos.host, gos.port,
-                                    "list_replicas", {})
-        return created, listed, removed, after
+    def command(method, args):
+        return bed.run(rpc.call(tool, gos.host, gos.port, method, args),
+                       host=tool)
 
-    created, listed, removed, after = bed.run(drive(), host=tool)
-    assert listed["replicas"][0]["oid"] == created["oid"]
+    created = command("create_object", {"impl_id": "test.kv",
+                                         "protocol": "client_server",
+                                         "role": "server"})
+    assert list(gos.replicas) == [created["oid"]]
+    assert gos.replicas[created["oid"]].role == "server"
+    removed = command("remove_replica", {"oid": created["oid"]})
     assert removed["removed"] == created["oid"]
-    assert after["replicas"] == []
+    assert gos.replicas == {}
     # Removal also deregistered the contact address.
     assert bed.gls.records[created["oid"]] == []
 
@@ -204,30 +197,6 @@ def test_recovered_slave_rejoins_and_catches_up(bed):
     slave_lr = slave_gos.replicas[master_lr.oid.hex]
     assert slave_lr.semantics.data == {"while-down": "missed"}
     assert slave_lr.replication.version == master_lr.replication.version
-
-
-def test_checkpoint_command_persists_current_state(bed):
-    gos = bed.gos("gos-1", "r0/c0/m0/s0")
-    tool = bed.world.host("modtool", "r0/c0/m0/s1")
-
-    def create():
-        lr = yield from gos.create_local_replica(
-            None, "test.kv", "client_server", "server")
-        return lr
-
-    lr = bed.run(create())
-    lr.semantics.put("check", "pointed")
-
-    def checkpoint():
-        reply = yield from rpc.call(tool, gos.host, gos.port,
-                                    "checkpoint", {})
-        return reply
-
-    assert bed.run(checkpoint(), host=tool) == {"checkpointed": 1}
-    gos.host.crash()
-    gos.host.restart()
-    bed.run(gos.recover())
-    assert gos.replicas[lr.oid.hex].semantics.data == {"check": "pointed"}
 
 
 def test_ping(bed):

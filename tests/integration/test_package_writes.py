@@ -164,27 +164,30 @@ def test_history_is_the_same_at_every_replica_and_after_recovery():
 def test_truncated_log_fails_history_reads_only():
     package = _Package()
     package.write(3)
-    slave = package.replica("gos-2")
-    state = slave.semantics.snapshot_state()
+    master = package.replica("gos-0")
+    state = master.semantics.snapshot_state()
     state["history"] = state["history"][:-5]
-    slave.semantics.restore_state(state)
-    gdn = package.gdn
+    master.semantics.restore_state(state)
+    gdn, runtime = package.gdn, package.moderator.runtime
 
     def read(method, args=None):
-        return gdn.run(slave.invoke(method, args), host=slave.host)
+        """One read through the moderator's binding, which reads at its
+        nearest replica, the master; a fault comes back as the value."""
+        def invoke():
+            lr = yield from runtime.bind(package.oid)
+            try:
+                return (yield from lr.invoke(method, args))
+            except RemoteInvocationError as error:
+                return error
 
-    def history():
-        try:
-            yield from slave.invoke("getHistory")
-        except RemoteInvocationError as error:
-            return error
-        return None
+        return gdn.run(invoke(), host=runtime.host)
 
-    refused = gdn.run(history(), host=slave.host)
+    refused = read("getHistory")
     assert isinstance(refused, RemoteInvocationError)
     assert "MarshalError" in str(refused)
     assert read("getFileContents", {"path": FILE}) == b"release"
-    assert read("getVersion") == state["version"]
+    assert read("getFileManifest", {"path": FILE})["version"] \
+        == state["version"]
     assert [entry["path"] for entry in read("listContents")] == \
         sorted([FILE, PATCH])
 

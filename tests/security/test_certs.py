@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.security.acl import Role, role_attribute, roles_from_certificate
+from repro.security.acl import Role, role_attribute
 from repro.security.certs import (Certificate, CertificateAuthority,
                                   CertificateError, Credentials,
                                   verify_against_roots)
@@ -30,7 +30,7 @@ def test_issue_and_verify(ca):
                            role_attribute(Role.GDN_HOST))
     assert signed_by(ca, certificate)
     assert certificate.subject == "gos-1"
-    assert roles_from_certificate(certificate) == {Role.GDN_HOST}
+    assert certificate.attributes == role_attribute(Role.GDN_HOST)
 
 
 def test_forged_certificate_rejected(ca):
@@ -66,9 +66,3 @@ def test_credentials_trust(ca):
     mallory = Credentials.issue_for("mallory", other_ca, random.Random(9))
     assert not alice.trusts(mallory.certificate)
 
-
-def test_unknown_role_strings_ignored(ca):
-    subject_keys = RsaKeyPair.generate(random.Random(10), bits=512)
-    certificate = ca.issue("weird", subject_keys.public,
-                           {"gdn-role": "moderator,galactic-emperor"})
-    assert roles_from_certificate(certificate) == {Role.MODERATOR}

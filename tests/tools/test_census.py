@@ -429,6 +429,25 @@ def test_check_refuses_a_roadmap_item_reason(tmp_path, monkeypatch, capsys):
     assert _check(tmp_path, monkeypatch, keep) == 0
 
 
+def test_check_refuses_a_section_reason(tmp_path, monkeypatch, capsys):
+    # A reason whose kind starts with "§" names the paper section the
+    # code reproduces, but a section is reproduced only where a program
+    # does what it describes: refused, and the function it names stays
+    # unexplained.  A section cited after the ':' is no kind.
+    keep = KEEP + ("fixture_pkg/mod.py  Shape.unused_method  "
+                   "§6.1 moderator commands: shrink a scenario\n")
+    assert _check(tmp_path, monkeypatch, keep) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert ("census: refused keep entry (reason kind §): "
+            "fixture_pkg/mod.py  Shape.unused_method") in out
+    assert "census: unexplained: fixture_pkg/mod.py  Shape.unused_method" \
+        in out
+    assert out[-1].endswith("1 unexplained; 0 stale keep entries")
+    keep = KEEP + ("fixture_pkg/mod.py  Shape.unused_method  "
+                   "teardown: §6.1 removes replicas with it\n")
+    assert _check(tmp_path, monkeypatch, keep) == 0
+
+
 def test_check_fails_on_a_stale_keep_entry(tmp_path, monkeypatch, capsys):
     # One entry names a function the entry point now reaches, one a
     # function that is gone.

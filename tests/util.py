@@ -65,7 +65,24 @@ class FakeLocationService:
         yield  # pragma: no cover
 
 
-class KvStore(SemanticsSubobject):
+class WholeStateSemantics(SemanticsSubobject):
+    """The replication hooks with no deltas: the state shipped is the
+    whole snapshot, and a change set is the whole state."""
+
+    def replication_state(self) -> dict:
+        return self.snapshot_state()
+
+    def take_changes(self) -> dict:
+        return self.replication_state()
+
+    def apply_changes(self, changes: dict) -> None:
+        self.restore_replication_state(changes)
+
+    def squash_changes(self, change_sets: list) -> dict:
+        return change_sets[-1]
+
+
+class KvStore(WholeStateSemantics):
     """A small key/value semantics subobject used across the tests."""
 
     def __init__(self):
@@ -144,7 +161,7 @@ class GlobeBed:
         return self.world.run_until(process, limit=limit)
 
 
-class Counter(SemanticsSubobject):
+class Counter(WholeStateSemantics):
     """A counter whose state is tiny but whose ops are meaningful."""
 
     def __init__(self):
@@ -224,7 +241,7 @@ class PackageBed(GlobeBed):
         def invoke():
             lr = yield from self.reader.bind(self.oid,
                                              cache_ttl=self.cache_ttl)
-            return (yield from lr.invoke("getVersion"))
+            return (yield from lr.invoke("listContents"))
 
         return self.run(invoke(), host=self.reader.host)
 
@@ -242,9 +259,10 @@ class PackageBed(GlobeBed):
 def package_contents(lr):
     """Everything a package copy holds that replication must carry."""
     semantics = lr.semantics
-    return {"files": dict(semantics._files),
-            "attributes": semantics.getAttributes(),
-            "content_version": semantics.getVersion(),
+    state = semantics.snapshot_state()
+    return {"files": state["files"],
+            "attributes": state["attributes"],
+            "content_version": state["version"],
             "history": semantics.getHistory(),
             "version": lr.replication.version,
             "epoch": lr.replication.epoch}

@@ -32,13 +32,15 @@ run exits 1 if one is not.  A function is exempt by rule if it is a
 dunder method or its body (past a docstring) is one ``raise``.  Any
 other must have a line ``path  Qualname  reason`` in :data:`KEEP_FILE`
 (fields apart by two or more spaces, the path relative to ``src/``),
-whose reason names the paper section it reproduces, its safety role
-(teardown, fault handling, input checks) or the benchmark code that
+whose reason names a role the code has today: its safety role
+(teardown, fault handling, input checks) or the code that calls or
 reads it.  A reason's kind is its text before the first ``:``; a keep
 line whose kind starts with one of :data:`REFUSED_KIND` is refused and
 fails the check: ``test oracle`` (a test reads state the way the
-programs can) and ``ROADMAP item`` (a promise is not a caller; the
-function comes back with its first caller).  A keep line whose
+programs can), ``ROADMAP item`` (a promise is not a caller; the
+function comes back with its first caller) and ``§`` (a paper section
+is reproduced where a program does what it describes, so code no
+program runs comes back with the program).  A keep line whose
 function is gone, or is now reached, is stale and fails the check too.
 
 ``--options`` runs no tests.  It lists every keyword option (a
@@ -288,10 +290,11 @@ def read_keep(path: pathlib.Path) -> Dict[Tuple[str, str], str]:
 #: The reason kinds (a reason's text before its first ``:``) a keep
 #: line may not give, by how the kind starts.  What a test reads, it
 #: reads the way the programs can, so being a test's oracle is no
-#: reason for code to stay; and a ROADMAP item that will call a
-#: function is a promise, not a caller: the function comes back with
-#: its first caller.
-REFUSED_KIND = ("test oracle", "roadmap item")
+#: reason for code to stay; a ROADMAP item that will call a function
+#: is a promise, not a caller: the function comes back with its first
+#: caller; and a paper section (``§``) is reproduced only where a
+#: program does what it describes, so it is no caller either.
+REFUSED_KIND = ("test oracle", "roadmap item", "§")
 
 
 def _refused_kind(reason: str) -> Optional[str]:
