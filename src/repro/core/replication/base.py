@@ -79,9 +79,8 @@ class ReplicationSubobject:
         self.control = None
         self.comm = None
         self.oid = None
-        # Counters read by experiments.
+        # Per-replica counters: gdnbench reads state_transfers.
         self.reads_local = 0
-        self.reads_remote = 0
         self.writes_local = 0
         self.writes_forwarded = 0
         self.state_transfers = 0

@@ -36,9 +36,7 @@ class ClientServerClient(ReplicationSubobject):
 
     def invoke(self, payload: bytes, mode: Mode
                ) -> Generator[Any, Any, bytes]:
-        if mode == Mode.READ:
-            self.reads_remote += 1
-        else:
+        if mode != Mode.READ:
             self.writes_forwarded += 1
         result = yield from self._invoke_remote(self.server, payload, mode)
         return result

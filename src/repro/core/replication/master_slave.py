@@ -67,7 +67,6 @@ class MasterSlaveClient(ReplicationSubobject):
     def invoke(self, payload: bytes, mode: Mode
                ) -> Generator[Any, Any, bytes]:
         if mode == Mode.READ:
-            self.reads_remote += 1
             result = yield from self._read_with_failover(payload)
         else:
             self.writes_forwarded += 1

@@ -75,11 +75,6 @@ class Runtime:
         self._bound_at: Dict[ObjectId, float] = {}
         self.binds_performed = 0
 
-    def bind_metrics(self, registry, prefix: str) -> None:
-        registry.counter(prefix + ".binds",
-                         fn=lambda: self.binds_performed)
-        self.pool.bind_metrics(registry, prefix + ".channels")
-
     def bind(self, oid: ObjectId, cache_ttl: Optional[float] = None,
              refresh: bool = False
              ) -> Generator[Any, Any, LocalRepresentative]:

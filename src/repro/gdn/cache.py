@@ -11,7 +11,7 @@ service.  This module puts a cache in front of the per-host
 * **TTL cache with negative caching and an LRU bound.**  Positive
   entries hold the contact-address wires a lookup returned (already
   nearest-first for this host); an *empty* lookup result is cached too
-  (``negative_ttl``), so a flood of requests for an unregistered
+  (:data:`NEGATIVE_TTL`), so a flood of requests for an unregistered
   object fails fast instead of walking the GLS tree every time.
   Capacity is bounded; the least-recently-used entry is evicted.
 * **Singleflight coalescing.**  N concurrent misses for one OID
@@ -23,27 +23,27 @@ service.  This module puts a cache in front of the per-host
   them when it lands.
 * **Serve-stale during partitions.**  When the upstream lookup times
   out or the transport fails (the GLS partition signature) and an
-  expired positive entry is still within ``stale_window``, the stale
+  expired positive entry is still within :data:`STALE_WINDOW`, the stale
   entry is served — to the leader *and* every parked waiter — and
   flagged: the entry is marked stale and re-armed for
-  ``stale_holdoff`` seconds so follow-up requests during the outage
+  :data:`STALE_HOLDOFF` seconds so follow-up requests during the outage
   are answered immediately instead of queueing behind upstream
   timeouts.  Availability during a GLS partition therefore *improves*
   with serve-stale on (a named :class:`~repro.workloads.scenario.Soak`
   invariant; see ``tests/integration/test_serve_stale_soak.py``).
 * **Proactive refresh of hot entries.**  Per-entry hit counters drive
-  warmup: when a popular entry (``hot_threshold`` hits within its TTL
-  period) is read inside the last ``refresh_ahead`` fraction of its
+  warmup: when a popular entry (:data:`HOT_THRESHOLD` hits within its
+  TTL period) is read inside the last :data:`REFRESH_AHEAD` of its
   TTL, a background process refreshes it *before* it expires, so a
   flash crowd on a hot object never sees the miss latency cliff at
   the TTL boundary.
 
 Telemetry follows the repo's pull-only discipline: plain-int counters
-(``hits`` / ``misses`` / ``negative_hits`` / ``stale_served`` /
-``coalesced`` / ``refreshes`` …) exposed as function-backed
-instruments via :meth:`GlsLookupCache.bind_metrics`, plus occupancy /
-in-flight / parked-waiter gauges that the benchmarks assert drain to
-zero after a run.
+(``hits`` / ``misses`` / ``stale_served`` / ``coalesced`` /
+``evictions`` and the upstream's lookups) exposed as function-backed
+instruments via :meth:`GlsLookupCache.bind_metrics`, plus in-flight
+and parked-waiter gauges that ``gdnbench`` checks drain to zero after
+a drive.
 
 The cache is *also* a location-service wrapper: ``register`` /
 ``unregister`` delegate to the upstream client, and a registration
@@ -69,6 +69,19 @@ __all__ = ["GlsLookupCache"]
 #: (:class:`~repro.gls.service.GlsError`) is an *answer* and is never
 #: masked by a stale entry.
 STALE_ELIGIBLE = (RpcTimeout, TransportError)
+
+#: Seconds an empty lookup result is cached.
+NEGATIVE_TTL = 30.0
+#: Seconds past its expiry an entry may still be served stale.
+STALE_WINDOW = 3600.0
+#: Seconds a stale-served entry is re-armed for, so requests during an
+#: outage are answered at once instead of queueing behind timeouts.
+STALE_HOLDOFF = 5.0
+#: Hits within one TTL period that make an entry hot.
+HOT_THRESHOLD = 3
+#: The last fraction of its TTL in which a hit on a hot entry
+#: refreshes it ahead of expiry.
+REFRESH_AHEAD = 0.2
 
 
 class _Entry:
@@ -102,31 +115,18 @@ class GlsLookupCache:
 
     def __init__(self, sim: Simulator, upstream,
                  ttl: float = 60.0,
-                 negative_ttl: float = 30.0,
                  capacity: int = 1024,
-                 serve_stale: bool = False,
-                 stale_window: float = 3600.0,
-                 stale_holdoff: float = 5.0,
-                 refresh_ahead: float = 0.2,
-                 hot_threshold: int = 3):
+                 serve_stale: bool = False):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if not 0.0 <= refresh_ahead < 1.0:
-            raise ValueError("refresh_ahead is a fraction of the TTL")
         self.sim = sim
         self.upstream = upstream
         self.ttl = ttl
-        self.negative_ttl = negative_ttl
         self.capacity = capacity
         self.serve_stale = serve_stale
-        self.stale_window = stale_window
-        self.stale_holdoff = stale_holdoff
-        self.refresh_ahead = refresh_ahead
-        self.hot_threshold = hot_threshold
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         #: One upstream lookup in flight per key; misses behind it park.
         self.flights = Singleflight(sim, abandoned=TransportError)
-        self.metrics_prefix: Optional[str] = None
         self.hits = 0
         self.misses = 0
         self.negative_hits = 0
@@ -141,30 +141,16 @@ class GlsLookupCache:
 
     # -- telemetry -------------------------------------------------------
 
-    def bind_metrics(self, registry, prefix: str = "gls_cache") -> None:
+    def bind_metrics(self, registry, prefix: str) -> None:
         """Expose the plain-int accounting as function-backed
-        instruments (the lookup hot path never touches one).
-
-        Idempotent: the first binding wins.  A cache shared by every
-        component on a host (deployment wiring) is offered for binding
-        by each of them; only one canonical prefix registers.
-        """
-        if self.metrics_prefix is not None:
-            return
-        self.metrics_prefix = prefix
+        instruments (the lookup hot path never touches one).  The
+        deployment binds each per-host cache once, when it makes it."""
         registry.counter(prefix + ".hits", fn=lambda: self.hits)
         registry.counter(prefix + ".misses", fn=lambda: self.misses)
-        registry.counter(prefix + ".negative_hits",
-                         fn=lambda: self.negative_hits)
         registry.counter(prefix + ".stale_served",
                          fn=lambda: self.stale_served)
         registry.counter(prefix + ".coalesced", fn=lambda: self.coalesced)
-        registry.counter(prefix + ".refreshes", fn=lambda: self.refreshes)
         registry.counter(prefix + ".evictions", fn=lambda: self.evictions)
-        registry.counter(prefix + ".invalidations",
-                         fn=lambda: self.invalidations)
-        registry.gauge(prefix + ".occupancy",
-                       fn=lambda: len(self._entries))
         flights = self.flights
         registry.gauge(prefix + ".inflight", fn=lambda: flights.inflight)
         registry.gauge(prefix + ".waiters", fn=lambda: flights.parked)
@@ -220,7 +206,7 @@ class GlsLookupCache:
 
         On an upstream-unreachable failure with serve-stale enabled and
         an eligible expired entry, the stale wires are served (and the
-        entry re-armed for ``stale_holdoff``) instead of raising; the
+        entry re-armed for :data:`STALE_HOLDOFF`) instead of raising; the
         singleflight hands the leader's answer or failure to every
         parked waiter.
         """
@@ -235,7 +221,7 @@ class GlsLookupCache:
             # are stale *hits* for the holdoff window, not fresh
             # upstream timeouts.
             stale.stale = True
-            stale.expires = self.sim.now + self.stale_holdoff
+            stale.expires = self.sim.now + STALE_HOLDOFF
             self.stale_served += (self.flights.waiting(oid_hex)
                                   + (1 if count_self else 0))
             return stale.wires
@@ -250,7 +236,7 @@ class GlsLookupCache:
         entry = self._entries.get(oid_hex)
         if entry is None or entry.negative:
             return None
-        if self.sim.now - entry.expires > self.stale_window:
+        if self.sim.now - entry.expires > STALE_WINDOW:
             return None
         return entry
 
@@ -258,7 +244,7 @@ class GlsLookupCache:
                ttl: Optional[float]) -> _Entry:
         wires = list(wires)
         negative = not wires
-        ttl_value = (self.negative_ttl if negative
+        ttl_value = (NEGATIVE_TTL if negative
                      else (ttl if ttl is not None else self.ttl))
         entry = self._entries.get(oid_hex)
         if entry is None:
@@ -283,10 +269,10 @@ class GlsLookupCache:
         """Warm a hot entry before its TTL expires (hit-counter
         driven); at most one background refresh per entry at a time."""
         if entry.refreshing or entry.ttl <= 0.0 \
-                or entry.hits < self.hot_threshold \
+                or entry.hits < HOT_THRESHOLD \
                 or entry.key in self.flights:
             return
-        if entry.expires - self.sim.now > self.refresh_ahead * entry.ttl:
+        if entry.expires - self.sim.now > REFRESH_AHEAD * entry.ttl:
             return
         entry.refreshing = True
         self.refreshes += 1

@@ -290,9 +290,6 @@ class GdnDeployment:
                                           secondaries=secondary_endpoints)
         self.dns_primary.start()
         self.root_hints = [(root_host.name, DNS_PORT)]
-        for server in [self.dns_root, self.dns_tld, self.dns_primary,
-                       *self.dns_secondaries]:
-            server.bind_metrics(world.metrics, "dns.%s" % server.host.name)
 
     # -- principals (§6.1) ---------------------------------------------------
 
@@ -433,8 +430,6 @@ class GdnDeployment:
                          service_time=service_time)
         httpd.start()
         httpd.bind_metrics(self.world.metrics, prefix="httpd.%s" % name)
-        httpd.runtime.bind_metrics(self.world.metrics,
-                                   prefix="httpd.%s.runtime" % name)
         self.httpds.append(httpd)
         return httpd
 
@@ -459,8 +454,6 @@ class GdnDeployment:
             (self.authority.host.name, self.authority.port),
             self._name_service(host),
             search_endpoint=(self.search.host.name, self.search.port))
-        tool.runtime.bind_metrics(self.world.metrics,
-                                  prefix="moderator.%s.runtime" % name)
         self.moderators[name] = tool
         return tool
 

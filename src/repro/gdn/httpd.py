@@ -227,18 +227,11 @@ class GdnHttpd:
             self._server = None
 
     def bind_metrics(self, registry, prefix: str) -> None:
-        """Expose serving counters (plus the runtime's GLS-lookup
-        cache, when one is wired) as function-backed instruments."""
-        registry.counter(prefix + ".requests_served",
-                         fn=lambda: self.requests_served)
+        """Expose the bytes and errors served as function-backed
+        instruments."""
         registry.counter(prefix + ".bytes_served",
                          fn=lambda: self.bytes_served)
         registry.counter(prefix + ".errors", fn=lambda: self.errors)
-        cache = getattr(self.runtime, "lookup_cache", None)
-        if cache is not None:
-            # No-op if the deployment already bound the shared
-            # per-host cache under its canonical prefix.
-            cache.bind_metrics(registry, prefix + ".gls_cache")
 
     # -- request handling ------------------------------------------------------
 

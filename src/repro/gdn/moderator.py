@@ -64,8 +64,6 @@ class ModeratorTool:
         #: Local catalog of packages this moderator manages:
         #: object name -> {"oid": hex, "scenario": ReplicationScenario}.
         self.catalog: Dict[str, dict] = {}
-        self.packages_created = 0
-        self.packages_removed = 0
 
     # -- plumbing ---------------------------------------------------------
 
@@ -172,7 +170,6 @@ class ModeratorTool:
         self.catalog[object_name] = {"oid": oid.hex, "scenario": scenario,
                                      "master_ca": master_ca,
                                      "attributes": all_attributes}
-        self.packages_created += 1
         return oid
 
     def add_replica(self, object_name: str, gos_name: str
@@ -253,7 +250,6 @@ class ModeratorTool:
                                       {"oid": entry["oid"]})
         self.runtime.unbind(ObjectId.from_hex(entry["oid"]))
         del self.catalog[object_name]
-        self.packages_removed += 1
 
     def _resolve(self, object_name: str) -> Generator:
         entry = self.catalog.get(object_name)

@@ -43,8 +43,6 @@ class SearchService:
         #: (key, value) -> set of object names.
         self._index: Dict[tuple, Set[str]] = {}
         self._server: Optional[RpcServer] = None
-        self.registrations = 0
-        self.queries = 0
         self.rejected = 0
 
     def start(self) -> None:
@@ -87,7 +85,6 @@ class SearchService:
         self._attributes[name] = attributes
         for key, value in attributes.items():
             self._index.setdefault((key, value.lower()), set()).add(name)
-        self.registrations += 1
         return {"indexed": name, "attributes": len(attributes)}
 
     def _handle_unregister(self, ctx: RpcContext, args: dict) -> dict:
@@ -104,7 +101,6 @@ class SearchService:
 
         ``{"query": {"category": "graphics"}}`` → sorted object names.
         """
-        self.queries += 1
         query = args.get("query", {})
         if not query:
             return {"matches": sorted(self._attributes)}

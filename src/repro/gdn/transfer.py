@@ -185,7 +185,7 @@ class ChunkedDownloader:
         self.budget = budget if budget is not None else self.policy.budget
         self.resume = resume
         self.chunk_size = chunk_size
-        # -- telemetry (plain ints, function-backed via bind_metrics) --
+        # -- telemetry (plain ints; bind_metrics exposes gdnbench's) --
         self.transfers_started = 0
         self.transfers_completed = 0
         self.transfers_failed = 0
@@ -205,19 +205,10 @@ class ChunkedDownloader:
         self._jitter_rngs: Dict[str, random.Random] = {}
 
     def bind_metrics(self, registry, prefix: str) -> None:
-        for name in ("transfers_started", "transfers_completed",
-                     "transfers_failed", "chunks_ok", "chunks_retried",
-                     "manifest_retries", "resumes", "integrity_failures",
-                     "budget_exhausted", "duplicate_applications",
-                     "bytes_fetched", "bytes_refetched", "bytes_applied"):
+        for name in ("chunks_retried", "resumes", "budget_exhausted",
+                     "bytes_refetched", "bytes_applied"):
             registry.counter("%s.%s" % (prefix, name),
                              fn=lambda n=name: getattr(self, n))
-        registry.gauge(prefix + ".inflight_transfers",
-                       fn=lambda: self._inflight_transfers)
-        registry.gauge(prefix + ".inflight_chunks",
-                       fn=lambda: self._inflight_chunks)
-        if self.budget is not None:
-            self.budget.bind_metrics(registry, prefix + ".budget")
 
     def refetch_ratio(self) -> float:
         """Re-fetched bytes per applied byte (0.0 = nothing wasted)."""

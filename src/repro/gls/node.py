@@ -115,8 +115,8 @@ class DirectoryNode:
         self._rng = world.rng_for("gls-node-%s-%d" % (domain.path, index))
         self._server: Optional[UdpRpcServer] = None
         self._client: Optional[UdpRpcClient] = None
-        # Load counters (experiment E6 reads these; exposed to the
-        # world registry through bind_metrics).
+        # Load counters: E6 and the tree's gls.requests instrument
+        # read their sum, requests_handled.
         self.lookups_handled = 0
         self.inserts_handled = 0
         self.deletes_handled = 0
@@ -135,19 +135,6 @@ class DirectoryNode:
     def __repr__(self) -> str:
         return ("DirectoryNode(%r#%d @ %s)"
                 % (self.domain.path or "<root>", self.index, self.host.name))
-
-    def bind_metrics(self, registry, prefix: str = "gls.node") -> None:
-        """Per-node request/record instruments — the per-tree-level
-        load breakdown the paper's Figure 2 argument rests on."""
-        base = "%s.%s#%d" % (prefix, self.domain.path or "root", self.index)
-        registry.counter(base + ".lookups", fn=lambda: self.lookups_handled)
-        registry.counter(base + ".inserts", fn=lambda: self.inserts_handled)
-        registry.counter(base + ".deletes", fn=lambda: self.deletes_handled)
-        registry.counter(base + ".pointer_updates",
-                         fn=lambda: self.pointer_updates)
-        registry.counter(base + ".rejected",
-                         fn=lambda: self.rejected_mutations)
-        registry.gauge(base + ".records", fn=lambda: len(self.records))
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -40,7 +40,6 @@ class GlsClient:
         partition heal is not met by a synchronized retry wave."""
         self.world = world
         self.host = host
-        self.tree = tree
         self.auth_key = auth_key
         self.transport = tree.transport
         self.leaf: NodeHandle = tree.leaf_handle(host.site)
@@ -48,7 +47,6 @@ class GlsClient:
                                     policy=retry_policy)
         self._rng = world.rng_for("gls-client-%s" % host.name)
         self.lookups = 0
-        self.registrations = 0
 
     def _call(self, handle: NodeHandle, oid_hex: str, method: str,
               args: dict) -> Generator[Any, Any, Any]:
@@ -110,7 +108,6 @@ class GlsClient:
         if self.auth_key is not None:
             args["auth"] = sign_mutation(self.auth_key, "insert", oid_hex,
                                          ca_wire)
-        self.registrations += 1
         yield from self._call(self.leaf, oid_hex, "insert", args)
         return oid_hex
 

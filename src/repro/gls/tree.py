@@ -91,12 +91,9 @@ class GlsTree:
         self.bind_metrics(self.world.metrics)
 
     def bind_metrics(self, registry, prefix: str = "gls") -> None:
-        """Tree-wide totals plus every subnode's own counters."""
+        """Tree-wide request and record totals."""
         registry.counter(prefix + ".requests", fn=self.total_requests)
         registry.gauge(prefix + ".records", fn=self.total_records)
-        for subnodes in self.nodes.values():
-            for node in subnodes:
-                node.bind_metrics(registry, prefix + ".node")
 
     # -- access ----------------------------------------------------------------
 

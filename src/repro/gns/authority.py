@@ -82,7 +82,6 @@ class NamingAuthority:
         self._server: Optional[RpcServer] = None
         self.updates_sent = 0
         self.names_added = 0
-        self.names_removed = 0
         self.requests_rejected = 0
 
     # -- lifecycle --------------------------------------------------------------
@@ -128,7 +127,6 @@ class NamingAuthority:
         done = self.world.sim.event()
         self._enqueue(_PendingOp("remove", dns_name, None, done))
         serial = yield done
-        self.names_removed += 1
         return {"dns_name": dns_name, "serial": serial}
 
     # -- batching -------------------------------------------------------------------

@@ -35,7 +35,6 @@ run a refresh interval, or let one NOTIFY through before it does.)
 
 from __future__ import annotations
 
-import functools
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ...sim.kernel import Process
@@ -54,11 +53,6 @@ DNS_PORT = 53
 
 class AuthoritativeServer:
     """A DNS server daemon hosting primary and secondary zones."""
-
-    #: The counters :meth:`bind_metrics` exposes.
-    COUNTERS = ("queries_served", "updates_applied", "updates_rejected",
-                "transfers_served", "full_transfers", "records_sent",
-                "transfers_fetched", "records_applied")
 
     def __init__(self, world: World, host: Host, port: int = DNS_PORT,
                  keyring: Optional[TsigKeyring] = None,
@@ -91,13 +85,6 @@ class AuthoritativeServer:
         #: Transfers that moved a copy here forward / records in them.
         self.transfers_fetched = 0
         self.records_applied = 0
-
-    def bind_metrics(self, registry, prefix: str) -> None:
-        """Expose the serving and replication counters as
-        function-backed instruments (``<prefix>.records_sent``, ...)."""
-        for name in self.COUNTERS:
-            registry.counter("%s.%s" % (prefix, name),
-                             fn=functools.partial(getattr, self, name))
 
     # -- lifecycle -------------------------------------------------------------
 

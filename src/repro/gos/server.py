@@ -115,19 +115,10 @@ class GlobeObjectServer:
         return self._requests_baseline + (
             self._server.requests_served if self._server is not None else 0)
 
-    def bind_metrics(self, registry, prefix: Optional[str] = None) -> None:
-        """Per-server request/replica instruments in the world registry
-        (named ``gos.<host>.*`` unless a prefix is supplied)."""
-        base = prefix if prefix is not None else "gos.%s" % self.host.name
-        registry.counter(base + ".requests_served",
+    def bind_metrics(self, registry, prefix: str) -> None:
+        """The server's request counter in the world registry."""
+        registry.counter(prefix + ".requests_served",
                          fn=lambda: self.requests_served)
-        registry.gauge(base + ".replicas", fn=lambda: len(self.replicas))
-        self.pool.bind_metrics(registry, base + ".channels")
-        binder = getattr(self.location_service, "bind_metrics", None)
-        if binder is not None:
-            # The location service may be a GLS-lookup cache wrapper;
-            # no-op if the shared per-host cache is already bound.
-            binder(registry, base + ".gls_cache")
 
     # -- lifecycle ------------------------------------------------------------
 

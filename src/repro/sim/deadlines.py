@@ -50,10 +50,9 @@ discipline of the old per-call guards is preserved by the expiry
 callbacks themselves (see :func:`repro.sim.rpc._expire_waiter`).
 
 Telemetry follows the repo's pull-only discipline: plain-int counters
-on the hot path, exposed as function-backed instruments via
-``bind_metrics`` (pool depth, entries armed/cancelled/expired, and
-kernel re-arm counts — the ``timer_arms``/``armed`` ratio is the
-pooling win).
+on the hot path.  ``bind_metrics`` exposes the entries armed and the
+pool depth as function-backed instruments; the cancelled and expired
+totals are plain attributes.
 """
 
 from __future__ import annotations
@@ -130,12 +129,6 @@ class DeadlinePool:
         """Expose the pool's plain-int accounting as function-backed
         instruments (the add/cancel hot path never touches one)."""
         registry.counter(prefix + ".armed", fn=lambda: self.armed_total)
-        registry.counter(prefix + ".cancelled",
-                         fn=lambda: self.cancelled_total)
-        registry.counter(prefix + ".expired", fn=lambda: self.expired_total)
-        registry.counter(prefix + ".timer_arms", fn=lambda: self.timer_arms)
-        registry.counter(prefix + ".timer_shelved",
-                         fn=lambda: self.timer_shelved)
         registry.gauge(prefix + ".depth", fn=lambda: self._live)
 
     # -- the client-facing O(1) add and cancel -------------------------

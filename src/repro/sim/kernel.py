@@ -43,7 +43,9 @@ accordingly:
   (events processed, timers scheduled/cancelled) and
   :meth:`Simulator.bind_metrics` exposes them as function-backed
   instruments in a :class:`~repro.analysis.telemetry.MetricsRegistry`
-  — the hot loop never touches an instrument object.
+  — the hot loop never touches an instrument object.  The heap and
+  ready-queue sizes and their peaks are plain attributes, read
+  directly.
 * Timers are **cancellable**: :meth:`Timeout.cancel` withdraws a
   pending timer using lazy heap invalidation — the heap entry is
   blanked in place (O(1)) and discarded when it surfaces, and the heap
@@ -850,13 +852,6 @@ class Simulator:
                          fn=lambda: self._timers_scheduled)
         registry.counter(prefix + ".timers_cancelled",
                          fn=lambda: self._timers_cancelled)
-        registry.gauge(prefix + ".heap_size", fn=lambda: self.heap_size)
-        registry.gauge(prefix + ".stale_timers", fn=lambda: self._stale)
-        registry.gauge(prefix + ".peak_heap_size",
-                       fn=lambda: self.peak_heap_size)
-        registry.gauge(prefix + ".ready_size", fn=lambda: self.ready_size)
-        registry.gauge(prefix + ".peak_ready_size",
-                       fn=lambda: self.peak_ready_size)
 
     # -- execution ----------------------------------------------------
 

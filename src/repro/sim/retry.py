@@ -74,7 +74,7 @@ class RetryBudget:
         self.burst = float(burst)
         self.tokens = float(burst)
         self._last = 0.0
-        # Plain-int accounting, bindable as function-backed instruments.
+        # Plain-int accounting.
         self.granted = 0
         self.denied = 0
 
@@ -90,11 +90,6 @@ class RetryBudget:
             return True
         self.denied += 1
         return False
-
-    def bind_metrics(self, registry, prefix: str) -> None:
-        registry.counter(prefix + ".granted", fn=lambda: self.granted)
-        registry.counter(prefix + ".denied", fn=lambda: self.denied)
-        registry.gauge(prefix + ".tokens", fn=lambda: self.tokens)
 
     def __repr__(self) -> str:
         return ("RetryBudget(rate=%g, burst=%g, tokens=%.2f)"

@@ -56,13 +56,10 @@ explicit ``size=`` — the nested dict is never re-walked at a charging
 point, and UDP retries re-send a same-sized envelope without
 re-measuring.
 
-Telemetry: servers and clients keep plain-int counters on the hot path
-(``requests_served``; ``calls``/``retries``/``timeouts``/``faults``)
-that callers read directly; channel pools and deadline pools expose
-theirs to a :class:`~repro.analysis.telemetry.MetricsRegistry` through
-``bind_metrics`` as function-backed instruments, so per-phase windows
-can report them without the request path ever touching an instrument
-object.
+Telemetry: servers, clients and channel pools keep plain-int counters
+on the hot path (``requests_served``; ``calls``/``retries``/
+``timeouts``/``faults``; ``opens``/``reuses``) that callers read
+directly; the request path never touches an instrument object.
 """
 
 from __future__ import annotations
@@ -544,12 +541,6 @@ class ChannelPool:
         self._channels: Dict[tuple, RpcChannel] = {}
         #: One open in flight per endpoint; later requests park on it.
         self.flights = Singleflight(host.sim, abandoned=ConnectionClosed)
-
-    def bind_metrics(self, registry, prefix: str) -> None:
-        registry.counter(prefix + ".opens", fn=lambda: self.opens)
-        registry.counter(prefix + ".reuses", fn=lambda: self.reuses)
-        registry.gauge(prefix + ".open_channels",
-                       fn=lambda: len(self._channels))
 
     def channel(self, remote: Host, port: int
                 ) -> Generator[Event, Any, RpcChannel]:

@@ -474,7 +474,6 @@ class Connection:
         self._next_arrival = 0.0
         self.closed = False
         self.broken = False
-        self.bytes_sent = 0
         self.bytes_received = 0
 
     def __repr__(self) -> str:
@@ -498,7 +497,6 @@ class Connection:
         if self.local.network.host_is_down(self.remote.name):
             self._break()
             raise ConnectionClosed("peer host %s is down" % self.remote.name)
-        self.bytes_sent += wire
         peer = self._peer
 
         def deliver(_event) -> None:

@@ -72,7 +72,6 @@ class ClientPopulation:
                  home_share: float = 0.7,
                  write_fraction: Optional[List[float]] = None):
         self.topology = topology
-        self.object_count = object_count
         self.rng = rng
         self.home_share = home_share
         self.regions = list(topology.world.children.values())

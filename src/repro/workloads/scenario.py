@@ -99,7 +99,6 @@ class RequestMix:
 
     def __init__(self, object_count: int, alpha: float = 1.0,
                  write_fraction: Union[float, Sequence[float]] = 0.0):
-        self.object_count = object_count
         self._popularity = ZipfSampler(object_count, alpha)
         if isinstance(write_fraction, (int, float)):
             write_fraction = [float(write_fraction)] * object_count

@@ -238,6 +238,19 @@ def test_a_cache_answers_a_downstream_pull_from_its_journal():
     assert answer["type"] == "state" and answer["version"] == cache.version
 
 
+def test_a_fresh_cache_refuses_what_is_not_a_pull():
+    bed = PackageBed(cache_ttl=60.0)
+    bed.read()
+    cache = bed.cache.replication
+    assert cache.is_fresh()
+    version = cache.version
+    answer = bed.run(cache.handle_message(
+        {"type": "state_push", "version": version + 1,
+         "deltas": {"files": {"f": b"pushed"}}}, None))
+    assert answer["type"] == "error"
+    assert cache.version == version
+
+
 # -- any pushes, any losses ---------------------------------------------------
 
 WRITES = st.one_of(

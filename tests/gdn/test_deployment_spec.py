@@ -23,10 +23,10 @@ def test_the_standard_spec_is_the_papers_baseline_layout():
         gos.host for gos in gdn.object_servers.values()]
     assert [name for name in gdn.metrics.names()
             if name.startswith("httpd.")
-            and name.endswith(".requests_served")] == [
-        "httpd.httpd-r0-0.requests_served",
-        "httpd.httpd-r1-0.requests_served",
-        "httpd.httpd-r2-0.requests_served"]
+            and name.endswith(".bytes_served")] == [
+        "httpd.httpd-r0-0.bytes_served",
+        "httpd.httpd-r1-0.bytes_served",
+        "httpd.httpd-r2-0.bytes_served"]
 
 
 SPEC = {"topology": [2, 1, 1, 2], "secure": False,

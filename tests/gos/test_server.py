@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gos.server import NotAuthorized
+from repro.gos.server import GosError, NotAuthorized
 from repro.sim import rpc
 from tests.util import GlobeBed, oid_from_seed
 
@@ -58,6 +58,20 @@ def test_remove_unknown_replica_faults(bed):
             return fault.kind
 
     assert bed.run(drive(), host=tool) == "GosError"
+
+
+def test_a_known_protocol_with_an_unknown_role_is_refused(bed):
+    gos = bed.gos("gos-1", "r0/c0/m0/s0")
+
+    def create():
+        try:
+            yield from gos.create_local_replica(
+                None, "test.kv", "client_server", "conductor")
+        except GosError as error:
+            return str(error)
+
+    assert bed.run(create()) == "no implementation for client_server/conductor"
+    assert gos.replicas == {}
 
 
 def test_dso_message_to_missing_replica_is_an_error_reply(bed):

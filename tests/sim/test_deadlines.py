@@ -290,15 +290,15 @@ def test_pool_metrics_bind_and_drain():
     pool.add(lambda: None, 1.0)
     pool.cancel(kept)
     assert registry.get("pool.armed").value == 2
-    assert registry.get("pool.cancelled").value == 1
+    assert pool.cancelled_total == 1
     assert registry.get("pool.depth").value == 1
     sim.run()
-    assert registry.get("pool.expired").value == 1
+    assert pool.expired_total == 1
     assert registry.get("pool.depth").value == 0
     # Two kernel arms: the initial one (for the later-cancelled head)
     # and the re-arm for the live entry when that timer fired.
-    assert registry.get("pool.timer_arms").value == 2
-    assert registry.get("pool.timer_shelved").value == 0
+    assert pool.timer_arms == 2
+    assert pool.timer_shelved == 0
 
 
 def test_shared_pool_is_one_per_simulator():

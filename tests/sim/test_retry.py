@@ -58,14 +58,6 @@ def test_budget_validation():
         RetryBudget(rate=1.0, burst=0.0)
 
 
-def test_budget_metrics_bind(world):
-    budget = RetryBudget(rate=1.0, burst=5.0)
-    budget.bind_metrics(world.metrics, "test_budget")
-    budget.spend(0.0)
-    assert world.metrics.get("test_budget.granted").value == 1
-    assert world.metrics.get("test_budget.tokens").value == 4.0
-
-
 # -- policies ---------------------------------------------------------------
 
 

@@ -1392,20 +1392,3 @@ def test_pool_close_closes_every_channel(world):
     assert len(pool._channels) == 0
     assert (len(a._connections), len(a._processes)) == (0, 0)
     assert (len(b._connections), len(b._processes)) == baseline
-
-
-def test_pool_counters_bind_to_registry(world):
-    from repro.analysis.telemetry import MetricsRegistry
-
-    a, b, pool = _pool_bed(world)
-    registry = MetricsRegistry()
-    pool.bind_metrics(registry, "pool")
-
-    def client():
-        for _ in range(3):
-            yield from pool.channel(b, 7000)
-
-    world.run_until(a.spawn(client()), limit=100)
-    assert registry.get("pool.opens").value == 1
-    assert registry.get("pool.reuses").value == 2
-    assert registry.get("pool.open_channels").value == 1

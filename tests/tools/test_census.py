@@ -314,6 +314,8 @@ def test_traffic_lists_the_functions_no_entry_point_reaches(
         "census: 5 of 9 functions under %s never reached by the 3 tables, "
         "examples, workloads and ladder rungs (11 lines)"
         % (tmp_path / "src"),
+        "census: 0 of 0 (registering def, instrument) pairs under %s never "
+        "read by name (0 of 0 names registered; 0 read)" % (tmp_path / "src"),
     ]
 
 
@@ -460,3 +462,170 @@ def test_check_fails_on_a_stale_keep_entry(tmp_path, monkeypatch, capsys):
     assert ("census: stale keep entry: fixture_pkg/mod.py  deleted_long_ago"
             in out)
     assert out[-1].endswith("0 unexplained; 2 stale keep entries")
+
+
+SPLAT_MODULE = '''\
+class GlsLookupCache:
+    def __init__(self, sim, ttl=60.0, capacity=10, serve_stale=False):
+        self.sim = sim
+
+
+class GdnDeployment:
+    def __init__(self, seed=0, gls_cache=None):
+        self._cache_options = gls_cache
+
+    @classmethod
+    def from_spec(cls, spec):
+        return cls(**spec)
+
+    def lookup_cache(self):
+        return GlsLookupCache(None, **self._cache_options)
+'''
+
+SPLAT_CALLER = '''\
+from fixture_pkg.mod import GdnDeployment
+
+SIZE = 4
+GdnDeployment.from_spec({"seed": 1, "gls_cache": {"ttl": 30.0}})
+GdnDeployment(seed=2, gls_cache={"capacity": SIZE, "ttl": 30.0})
+'''
+
+
+def test_options_reads_a_gls_cache_dict_by_key(tmp_path, capsys):
+    # The deployment's ** splat into the cache passes nothing; the dict
+    # literals handed to gls_cache, by keyword or as a spec key, pass
+    # the cache's options by key: capacity (a name) and ttl (always
+    # 30.0).  No program turns serve_stale on.
+    src = _options_tree(tmp_path, SPLAT_MODULE, SPLAT_CALLER)
+    assert census.main(["--options", "--src", src]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "fixture_pkg/mod.py:2  GlsLookupCache.__init__(serve_stale)",
+        "fixture_pkg/mod.py:2  GlsLookupCache.__init__(ttl)  always 30.0",
+        "census: 1 of 5 keyword options under %s never passed, 1 more "
+        "always passed one literal" % src,
+    ]
+
+
+STATE_MODULE = '''\
+from repro.analysis.telemetry import MetricsRegistry
+
+
+class Meter:
+    __slots__ = ("ticks", "drops", "spins", "resets")
+
+    def __init__(self):
+        self.ticks = 0
+        self.drops = 0
+        self.spins = 0
+        self.resets = 0
+
+    def tick(self):
+        self.ticks += 1
+        self.spins += 1
+        self.resets += 1
+
+    def bind_metrics(self, registry, prefix):
+        registry.counter(prefix + ".ticks", fn=lambda: self.ticks)
+        registry.counter(prefix + ".drops", fn=lambda: self.drops)
+
+
+def program():
+    registry = MetricsRegistry()
+    for name in ("a", "b"):
+        Meter().bind_metrics(registry, "meter." + name)
+    return registry.get("meter.b.ticks").value
+'''
+
+STATE_TEST = '''\
+from repro.analysis.telemetry import MetricsRegistry
+
+from fixture_pkg.mod import Meter
+
+
+def test_meter():
+    meter = Meter()
+    meter.tick()
+    assert meter.resets == 1
+    registry = MetricsRegistry()
+    meter.bind_metrics(registry, "meter")
+    assert registry.get("meter.drops").value == 0
+'''
+
+
+def _state_tree(tmp_path, monkeypatch, keep):
+    """The meter fixture under ``src/``, its test under ``tests/`` and
+    ``keep`` as the keep file; the one program registers two meters
+    and reads one instrument of one of them."""
+    package = tmp_path / "src" / "fixture_pkg"
+    package.mkdir(parents=True, exist_ok=True)
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(STATE_MODULE)
+    (tmp_path / "tests").mkdir(exist_ok=True)
+    (tmp_path / "tests" / "test_meter.py").write_text(STATE_TEST)
+    monkeypatch.syspath_prepend(str(tmp_path / "src"))
+    for name in ("fixture_pkg", "fixture_pkg.mod"):  # another test's tree
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    (tmp_path / "keep.txt").write_text(keep)
+    monkeypatch.setattr(census, "KEEP_FILE", tmp_path / "keep.txt")
+
+    def fixture_traffic():
+        from fixture_pkg import mod
+        return [("example meter", mod.program)]
+
+    monkeypatch.setattr(census, "traffic", fixture_traffic)
+    return str(tmp_path / "src")
+
+
+def test_state_and_traffic_list_write_only_state_and_unread_instruments(
+        tmp_path, monkeypatch, capsys):
+    # spins is stored and bumped, never loaded (__slots__ names it, and
+    # does not count); resets is loaded by a test, which counts for an
+    # attribute.  drops is registered by both meters and read only by
+    # the test, which does not count for an instrument.
+    src = _state_tree(tmp_path, monkeypatch, "")
+    assert census.main(["--state", "--src", src]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "fixture_pkg/mod.py:10  Meter.self.spins",
+        "census: 1 of 4 attributes stored under %s never loaded in src, "
+        "examples, gdnbench, tests" % src,
+    ]
+    assert census.main(["--traffic", "--src", src]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == [
+        "fixture_pkg/mod.py  Meter.bind_metrics[drops]  (2 names)",
+        "census: 1 of 2 (registering def, instrument) pairs under %s "
+        "never read by name (2 of 4 names registered; 1 read)" % src,
+    ]
+
+
+def test_state_and_instrument_checks_take_keep_lines(
+        tmp_path, monkeypatch, capsys):
+    # Unexplained, each check fails on its own finding.
+    src = _state_tree(tmp_path, monkeypatch, "")
+    assert census.main(["--state", "--check", "--src", src]) == 1
+    assert census.main(["--traffic", "--check", "--src", src]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "census: unexplained: fixture_pkg/mod.py  Meter.self.spins" in out
+    assert ("census: unexplained: fixture_pkg/mod.py  "
+            "Meter.bind_metrics[drops]") in out
+    # A keep line silences each, and neither check reads the other's.
+    keep = ("fixture_pkg/mod.py  Meter.self.spins  fault handling: a\n"
+            "fixture_pkg/mod.py  Meter.bind_metrics[drops]  teardown: b\n"
+            "fixture_pkg/mod.py  Meter.tick  teardown: c\n")
+    src = _state_tree(tmp_path, monkeypatch, keep)
+    assert census.main(["--state", "--check", "--src", src]) == 0
+    assert census.main(["--traffic", "--check", "--src", src]) == 0
+    capsys.readouterr()
+    # A keep line for a loaded attribute or a read instrument is stale.
+    keep += ("fixture_pkg/mod.py  Meter.self.resets  teardown: d\n"
+             "fixture_pkg/mod.py  Meter.bind_metrics[ticks]  teardown: e\n")
+    src = _state_tree(tmp_path, monkeypatch, keep)
+    assert census.main(["--state", "--check", "--src", src]) == 1
+    assert census.main(["--traffic", "--check", "--src", src]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert ("census: stale keep entry: fixture_pkg/mod.py  "
+            "Meter.self.resets") in out
+    assert ("census: stale keep entry: fixture_pkg/mod.py  "
+            "Meter.bind_metrics[ticks]") in out
+    assert out.count("census: 0 exempt by rule, 1 kept with a reason, "
+                     "0 unexplained; 1 stale keep entries") == 1

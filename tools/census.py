@@ -43,6 +43,17 @@ is reproduced where a program does what it describes, so code no
 program runs comes back with the program).  A keep line whose
 function is gone, or is now reached, is stale and fails the check too.
 
+``--traffic`` also watches the telemetry registry while the programs
+run.  It records the ``def`` that registers each instrument and every
+instrument name a program reads by name (``MetricsRegistry.get``,
+through which ``PhaseWindow.delta`` and ``gdnbench``'s pattern reads
+go), and lists each pair of registering def and instrument, keyed like
+``DirectoryNode.bind_metrics[lookups]``, no name of which was read.
+An instrument exists to be read by programs: a test that wants a
+counter reads its attribute.  With ``--check`` an unread pair needs a
+keep line ``path  Qualname[instrument]  reason``, and a keep line for
+a pair that is read or no longer registered is stale.
+
 ``--options`` runs no tests.  It lists every keyword option (a
 parameter with a default) of a ``def`` under ``src/`` that no call in
 ``src/``, ``examples/`` or ``gdnbench/`` (the siblings of ``--src``)
@@ -59,6 +70,19 @@ rule, as are the options of the entry points of
 Any other needs a line ``path  Qualname(option)  reason`` in
 :data:`KEEP_FILE`, not of the refused kind; a keep line whose option is
 no longer listed is stale and fails the check too.
+
+``--state`` runs no tests.  It lists every attribute a ``def`` under
+``src/`` stores on ``self`` that no code in ``src/``, ``examples/``,
+``gdnbench/`` or ``tests/`` loads: a test observes a counter through
+its attribute, so its loads count.  Attributes are matched by name, as
+calls are, and a string constant counts as a load (a ``getattr`` by
+name) except inside ``__slots__`` or ``__all__``.
+
+    PYTHONPATH=src python3 tools/census.py --state [--check]
+
+With ``--check`` a listed attribute needs a keep line
+``path  Class.self.attribute  reason``, and a keep line for an
+attribute that is loaded or gone is stale.
 
 Calls are matched to defs by function name only: ``C(...)`` and
 ``cls(...)`` inside ``C`` reach ``C.__init__``, ``super().__init__(...)``
@@ -77,7 +101,11 @@ instead: the literal's own keys pass the constructor's options by name,
 and the keys of each entry of a section in :data:`SPEC_SECTIONS` pass
 that section's method's (``cache_ttl`` as ``cache_policy``).  A part of
 a spec that is not written out in the call (a ``**`` splat, a section
-built elsewhere) passes nothing the census sees.
+built elsewhere) passes nothing the census sees.  A deployment option
+in :data:`SPLAT_OPTIONS` (``gls_cache``) is a dict the deployment
+splats into one constructor: a dict literal passed as it, by keyword
+or as a spec key, passes that constructor's options by key, and the
+deployment's own splatted call does not count.
 """
 
 from __future__ import annotations
@@ -196,15 +224,20 @@ TRAFFIC_SEED = 11
 TRAFFIC_SCALE = 50
 
 
+def _program_path() -> None:
+    """Make the program (``src/``) and ``gdnbench`` importable."""
+    for path in (ROOT, ROOT / "src"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+
+
 def traffic() -> List[Tuple[str, Callable[[], object]]]:
     """``(label, run)`` for every non-test entry point of the program:
     each paper table, each example at small scale, each ``gdnbench``
     workload at smoke scale and each ladder rung.  Nothing runs until a
     ``run`` is called, but the program is imported: call this under the
     profile hook, so what runs at import time counts as reached."""
-    for path in (ROOT, ROOT / "src"):
-        if str(path) not in sys.path:
-            sys.path.insert(0, str(path))
+    _program_path()
     from gdnbench import drive
     from gdnbench.ladder import RUNGS
     from gdnbench.workloads import WORKLOADS
@@ -252,6 +285,81 @@ def _run_example(path: pathlib.Path) -> None:
             del os.environ["GDN_EXAMPLE_SCALE"]
         else:
             os.environ["GDN_EXAMPLE_SCALE"] = saved
+
+
+class Instruments(NamedTuple):
+    registered: Dict[Tuple[str, int, str], Set[str]]  # (def, key) -> names
+    read: Set[str]
+
+
+def _instrument_key(frame, name: str) -> str:
+    """The instrument ``name`` is one instance of: its first dotted
+    component past the prefix its registering def was handed (the
+    longest of the def's ``prefix`` or ``base`` locals or its
+    ``self.prefix`` that ``name`` starts with), so ``net.bytes.WORLD``
+    is ``bytes``."""
+    local = frame.f_locals
+    prefixes = [local.get("prefix"), local.get("base"),
+                getattr(local.get("self"), "prefix", None)]
+    cut = max((len(prefix) + 1 for prefix in prefixes
+               if isinstance(prefix, str) and name.startswith(prefix + ".")),
+              default=0)
+    return name[cut:].split(".", 1)[0]
+
+
+@contextlib.contextmanager
+def watched_instruments():
+    """Record, while the block runs, every instrument registered with a
+    :class:`~repro.analysis.telemetry.MetricsRegistry` (by the ``def``
+    that asked for it) and every instrument name read.  Registration
+    has one path, ``_register``; a read by name has one too, ``get``,
+    which :meth:`PhaseWindow.delta` and ``gdnbench``'s pattern reads go
+    through."""
+    from repro.analysis import telemetry
+    registry = telemetry.MetricsRegistry
+    register, get = registry._register, registry.get
+    own = os.path.realpath(telemetry.__file__)
+    seen = Instruments({}, set())
+
+    def watched_register(self, name, kind, **kwargs):
+        frame = sys._getframe(1)
+        while os.path.realpath(frame.f_code.co_filename) == own:
+            frame = frame.f_back
+        code = frame.f_code
+        key = (os.path.realpath(code.co_filename), code.co_firstlineno,
+               _instrument_key(frame, name))
+        seen.registered.setdefault(key, set()).add(name)
+        return register(self, name, kind, **kwargs)
+
+    def watched_get(self, name):
+        seen.read.add(name)
+        return get(self, name)
+
+    registry._register, registry.get = watched_register, watched_get
+    try:
+        yield seen
+    finally:
+        registry._register, registry.get = register, get
+
+
+class Unread(NamedTuple):
+    path: str       # real path of the registering def's file
+    qualname: str   # "Def.qualname[instrument]"
+    names: int      # registered names of the instrument
+
+
+def unread_instruments(src: pathlib.Path, seen: Instruments
+                       ) -> List[Unread]:
+    """Each ``(registering def under src, instrument)`` pair none of
+    whose names was read, sorted by place."""
+    defined = functions(src)
+    unread = []
+    for (path, first, key), names in seen.registered.items():
+        function = defined.get((path, first))
+        if function is not None and not names & seen.read:
+            unread.append(Unread(path, "%s[%s]" % (function.qualname, key),
+                                 len(names)))
+    return sorted(unread)
 
 
 def run_all(entries: List[Tuple[str, Callable[[], object]]]) -> List[str]:
@@ -317,24 +425,35 @@ def _read_checked_keep() -> Tuple[Dict[Tuple[str, str], str],
 
 
 def check_keep(src: pathlib.Path, uncalled: List[Function],
-               keep: Dict[Tuple[str, str], str]
+               unread: List[Unread], keep: Dict[Tuple[str, str], str]
                ) -> Tuple[List[Tuple[str, str]], List[Tuple[str, str]]]:
     """``(path under src/, qualname)`` of the unreached functions that
-    are neither exempt nor kept, and of the keep entries whose function
-    is gone or reached."""
+    are neither exempt nor kept and of the unread instruments that are
+    not kept, and of the function and instrument keep entries whose
+    function or instrument is gone, reached or read."""
     base = os.path.realpath(src)
     unreached = {(os.path.relpath(function.path, base), function.qualname):
-                 function for function in uncalled}
-    unexplained = [key for key, function in unreached.items()
-                   if not function.exempt and key not in keep]
+                 function.exempt for function in uncalled}
+    unreached.update(((os.path.relpath(instrument.path, base),
+                       instrument.qualname), False) for instrument in unread)
+    unexplained = [key for key, exempt in unreached.items()
+                   if not exempt and key not in keep]
     stale = sorted(key for key in keep
-                   if not _is_option(key) and key not in unreached)
+                   if _kind(key) in ("function", "instrument")
+                   and key not in unreached)
     return unexplained, stale
 
 
-def _is_option(key: Tuple[str, str]) -> bool:
-    """A keep entry for an option (``Qualname(option)``), not a def."""
-    return key[1].endswith(")")
+def _kind(key: Tuple[str, str]) -> str:
+    """What a keep entry names: an ``option`` (``Qualname(option)``),
+    an ``instrument`` (``Qualname[instrument]``), an attribute's
+    ``state`` (``Class.self.attribute``) or a ``function``."""
+    name = key[1]
+    if name.endswith(")"):
+        return "option"
+    if name.endswith("]"):
+        return "instrument"
+    return "state" if ".self." in name else "function"
 
 
 class Option(NamedTuple):
@@ -359,6 +478,11 @@ SPEC_LOADER = "from_spec"
 SPEC_TARGET = "GdnDeployment"
 SPEC_SECTIONS = {"gos": None, "httpds": "add_httpd", "moderators": None}
 SPEC_RENAMES = {"cache_ttl": "cache_policy"}
+#: Deployment options whose dict the deployment splats into one
+#: constructor: a dict literal passed as one (by keyword, or as a spec
+#: key) passes that constructor's options by key, and a call of the
+#: constructor with a ``**`` splat does not count.
+SPLAT_OPTIONS = {"gls_cache": "GlsLookupCache"}
 
 _ALL = "*"  # a splatted call: every parameter counts as passed
 _UNKNOWN = object()  # a value a splat or a forwarding def passes on
@@ -429,6 +553,8 @@ def spec_calls(spec: ast.Dict) -> List[Tuple[str, dict]]:
     own: dict = {}
     made = [(SPEC_TARGET, own)]
     for key, value in _keys(spec).items():
+        if key in SPLAT_OPTIONS and isinstance(value, ast.Dict):
+            made.append((SPLAT_OPTIONS[key], _keys(value)))
         if key not in SPEC_SECTIONS:
             own[key] = value
         elif SPEC_SECTIONS[key]:
@@ -458,12 +584,19 @@ def passed_arguments(trees: List[pathlib.Path]) -> Dict[str, List[dict]]:
     def record(name: str, call: ast.Call, caller: str, kwarg: str) -> None:
         if caller == SPEC_LOADER and name in forwarded:
             return
+        if name in SPLAT_OPTIONS.values() \
+                and any(keyword.arg is None for keyword in call.keywords):
+            return
         if name == SPEC_LOADER and call.args \
                 and isinstance(call.args[0], ast.Dict):
             for made, passed in spec_calls(call.args[0]):
                 calls.setdefault(made, []).append(passed)
         passed: dict = dict(enumerate(call.args))
         for keyword in call.keywords:
+            if keyword.arg in SPLAT_OPTIONS \
+                    and isinstance(keyword.value, ast.Dict):
+                calls.setdefault(SPLAT_OPTIONS[keyword.arg], []).append(
+                    _keys(keyword.value))
             if keyword.arg is not None:
                 passed[keyword.arg] = keyword.value
             elif kwarg and getattr(keyword.value, "id", None) == kwarg:
@@ -552,12 +685,101 @@ def one_value_options(src: pathlib.Path
     return total, sorted(listed)
 
 
+#: The trees whose loads count as reading an attribute: the callers,
+#: and the tests, which observe a counter through its attribute.
+READER_TREES = CALLER_TREES + ("tests",)
+
+
+class Stored(NamedTuple):
+    path: str       # real path of the source file
+    line: int       # of the first store
+    qualname: str   # "Class.self.attribute"
+
+
+def stored_attributes(src: pathlib.Path) -> List[Stored]:
+    """Every attribute a ``def`` under ``src`` stores on ``self``
+    (assigned, annotated or bumped), once per class, at its first
+    store."""
+    found: Dict[Tuple[str, str], Stored] = {}
+
+    def visit(node: ast.AST, path: str, cls: str, in_def: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, path, (cls + "." if cls else "") + child.name,
+                      False)
+                continue
+            if (in_def and cls and isinstance(child, ast.Attribute)
+                    and isinstance(child.ctx, ast.Store)
+                    and getattr(child.value, "id", None) == "self"):
+                name = "%s.self.%s" % (cls, child.attr)
+                found.setdefault((path, name),
+                                 Stored(path, child.lineno, name))
+            visit(child, path, cls, in_def or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+    for file in sorted(src.rglob("*.py")):
+        path = os.path.realpath(file)
+        visit(ast.parse(file.read_text(), path), path, "", False)
+    return sorted(found.values())
+
+
+def loaded_names(trees: List[pathlib.Path]) -> Set[str]:
+    """Every attribute name loaded in ``trees``, and every string
+    constant there outside ``__slots__`` and ``__all__`` (a
+    ``getattr`` by name)."""
+    loaded: Set[str] = set()
+
+    def visit(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            targets = (child.targets if isinstance(child, ast.Assign)
+                       else [child.target]
+                       if isinstance(child, ast.AnnAssign) else [])
+            if any(getattr(target, "id", None) in ("__slots__", "__all__")
+                   for target in targets):
+                continue
+            if isinstance(child, ast.Attribute) \
+                    and isinstance(child.ctx, ast.Load):
+                loaded.add(child.attr)
+            elif isinstance(child, ast.Constant) \
+                    and isinstance(child.value, str):
+                loaded.add(child.value)
+            visit(child)
+
+    for tree in trees:
+        for file in sorted(tree.rglob("*.py")):
+            visit(ast.parse(file.read_text(), str(file)))
+    return loaded
+
+
+def write_only_state(src: pathlib.Path) -> Tuple[int, List[Stored]]:
+    """(attributes stored under ``src``, the ones no tree of
+    :data:`READER_TREES` beside it loads by name)."""
+    stored = stored_attributes(src)
+    loaded = loaded_names([src.parent / name for name in READER_TREES
+                           if (src.parent / name).is_dir()])
+    return len(stored), [attribute for attribute in stored
+                         if attribute.qualname.rsplit(".", 1)[1]
+                         not in loaded]
+
+
+def check_state(src: pathlib.Path, unloaded: List[Stored],
+                keep: Dict[Tuple[str, str], str]
+                ) -> Tuple[List[Tuple[str, str]], List[Tuple[str, str]]]:
+    """``(path under src/, "Class.self.attribute")`` of the write-only
+    attributes that are not kept, and of the state keep entries that
+    name no write-only attribute."""
+    base = os.path.realpath(src)
+    listed = {(os.path.relpath(attribute.path, base), attribute.qualname)
+              for attribute in unloaded}
+    return (sorted(listed - set(keep)),
+            sorted(key for key in keep
+                   if _kind(key) == "state" and key not in listed))
+
+
 def table_entry_points() -> Set[Tuple[str, str]]:
     """``(real file path, qualname)`` of each ``run`` of
     :data:`repro.experiments.TABLES`."""
-    for path in (ROOT, ROOT / "src"):
-        if str(path) not in sys.path:
-            sys.path.insert(0, str(path))
+    _program_path()
     import inspect
 
     from repro.experiments import TABLES
@@ -582,7 +804,7 @@ def check_options(src: pathlib.Path, listed: List[Option],
                  and (option.path, option.qualname) not in tables}
     unexplained = [key for key in explained if key not in keep]
     stale = sorted(key for key in keep
-                   if _is_option(key) and key not in explained)
+                   if _kind(key) == "option" and key not in explained)
     return unexplained, stale, len(listed) - len(explained)
 
 
@@ -593,15 +815,17 @@ def main(argv=None) -> int:
     parser.add_argument("--options", action="store_true",
                         help="list keyword options no call passes; "
                              "runs no tests")
+    parser.add_argument("--state", action="store_true",
+                        help="list attributes stored on self that nothing "
+                             "loads; runs no tests")
     parser.add_argument("--traffic", action="store_true",
                         help="list functions no table, example, "
                              "workload or ladder rung reaches; runs no "
                              "tests")
     parser.add_argument("--check", action="store_true",
-                        help="with --traffic or --options: exit 1 unless "
-                             "every function or option listed is exempt "
-                             "or kept, and every keep entry is still "
-                             "listed")
+                        help="with --traffic, --options or --state: exit "
+                             "1 unless everything listed is exempt or "
+                             "kept, and every keep entry is still listed")
     parser.add_argument("pytest_args", nargs="*",
                         help="arguments for pytest.main (after --)")
     options = parser.parse_args(argv)
@@ -625,26 +849,52 @@ def main(argv=None) -> int:
         unexplained, stale, exempt = check_options(
             src, [option for option, _literal in listed], keep)
         return _report_check(len(listed), exempt, unexplained, stale, bad)
+    if options.state:
+        total, unloaded = write_only_state(src)
+        base = os.path.realpath(src)
+        for attribute in unloaded:
+            print("%s:%d  %s" % (os.path.relpath(attribute.path, base),
+                                 attribute.line, attribute.qualname))
+        print("census: %d of %d attributes stored under %s never loaded "
+              "in %s" % (len(unloaded), total, src, ", ".join(READER_TREES)))
+        if not options.check:
+            return 0
+        keep, bad = _read_checked_keep()
+        unexplained, stale = check_state(src, unloaded, keep)
+        return _report_check(len(unloaded), 0, unexplained, stale, bad)
     if options.traffic:
         entries: List[Tuple[str, Callable[[], object]]] = []
         failed: List[str] = []
+        _program_path()
+        with watched_instruments() as seen:
+            def run_traffic() -> None:
+                entries.extend(traffic())
+                failed.extend(run_all(entries))
 
-        def run_traffic() -> None:
-            entries.extend(traffic())
-            failed.extend(run_all(entries))
-
-        total, uncalled, lines = census(src, run_traffic)
+            total, uncalled, lines = census(src, run_traffic)
         _print_uncalled(src, uncalled)
         print("census: %d of %d functions under %s never reached by the "
               "%d tables, examples, workloads and ladder rungs (%d lines)"
               % (len(uncalled), total, src, len(entries), lines))
+        unread = unread_instruments(src, seen)
+        base = os.path.realpath(src)
+        for instrument in unread:
+            print("%s  %s  (%d names)"
+                  % (os.path.relpath(instrument.path, base),
+                     instrument.qualname, instrument.names))
+        registered = set().union(*seen.registered.values())
+        print("census: %d of %d (registering def, instrument) pairs under "
+              "%s never read by name (%d of %d names registered; %d read)"
+              % (len(unread), len(seen.registered), src,
+                 sum(instrument.names for instrument in unread),
+                 len(registered), len(registered & seen.read)))
         if not options.check:
             return 1 if failed else 0
         keep, bad = _read_checked_keep()
-        unexplained, stale = check_keep(src, uncalled, keep)
+        unexplained, stale = check_keep(src, uncalled, unread, keep)
         exempt = sum(function.exempt for function in uncalled)
-        return _report_check(len(uncalled), exempt, unexplained,
-                             stale, bad) or (1 if failed else 0)
+        return _report_check(len(uncalled) + len(unread), exempt,
+                             unexplained, stale, bad) or (1 if failed else 0)
     import pytest
 
     outcome = []
