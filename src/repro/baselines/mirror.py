@@ -38,7 +38,6 @@ class MirrorServer:
         self.versions: Dict[str, int] = {}
         self._server: Optional[RpcServer] = None
         self.requests_served = 0
-        self.bytes_served = 0
 
     def start(self) -> None:
         server = RpcServer(self.host, self.port)
@@ -53,7 +52,6 @@ class MirrorServer:
         data = self.documents.get(path)
         if data is None:
             return {"status": 404}
-        self.bytes_served += len(data)
         return {"status": 200, "body": data,
                 "version": self.versions.get(path, 0)}
 

@@ -30,7 +30,6 @@ class WwwServer:
         self.documents: Dict[str, bytes] = {}
         self._server: Optional[RpcServer] = None
         self.requests_served = 0
-        self.bytes_served = 0
 
     def publish(self, path: str, data: bytes) -> None:
         self.documents[path] = data
@@ -52,7 +51,6 @@ class WwwServer:
         data = self.documents.get(path)
         if data is None:
             return {"status": 404, "body": "no such document"}
-        self.bytes_served += len(data)
         return {"status": 200, "body": data}
 
 

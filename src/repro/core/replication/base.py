@@ -75,10 +75,6 @@ class ReplicationSubobject:
     role = "?"
 
     def __init__(self):
-        self.lr = None
-        self.control = None
-        self.comm = None
-        self.oid = None
         # Per-replica counters: gdnbench reads state_transfers.
         self.reads_local = 0
         self.writes_local = 0

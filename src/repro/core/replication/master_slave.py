@@ -192,8 +192,6 @@ class MasterSlaveSlave(JournalledCopy):
     def start(self) -> Generator:
         """Join the master and fetch initial state."""
         my_address = self.lr.contact_address
-        if my_address is None:
-            raise ReplicationError("slave has no registered contact address")
         reply = yield from self._send(self.master, {
             "type": "join", "ca": my_address.to_wire()})
         if reply.get("type") != "state":
@@ -204,9 +202,8 @@ class MasterSlaveSlave(JournalledCopy):
         # Leaving is best-effort and asynchronous; if the leave is
         # lost, the master drops us when our server refuses its next
         # push.
-        my_address = self.lr.contact_address
-        if my_address is not None and self.lr.host.up:
-            self.lr.host.spawn(self._send_leave(my_address))
+        if self.lr.host.up:
+            self.lr.host.spawn(self._send_leave(self.lr.contact_address))
 
     def _send_leave(self, my_address: ContactAddress) -> Generator:
         try:

@@ -121,7 +121,7 @@ class CommunicationSubobject:
                 reply = yield from channel.call(self.DSO_RPC_METHOD, args)
                 return reply
             except ConnectionClosed:
-                pool.discard(channel)
+                channel.close()
                 if attempt == 1:
                     raise
         raise AssertionError("unreachable")

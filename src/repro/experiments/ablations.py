@@ -14,7 +14,7 @@ settle.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from ..analysis.metrics import Series
 from ..analysis.tables import Table, format_bytes, format_seconds

@@ -10,7 +10,7 @@ one (TLS) connection to its access point and issues GET requests.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional, Tuple
+from typing import Callable, Generator, List, Optional
 
 from ..sim.rpc import ChannelPool
 from ..sim.topology import nearest_first
@@ -88,7 +88,7 @@ class Browser:
                 break
             except ConnectionClosed:
                 # Reconnect once: the access point may have restarted.
-                self._pool.discard(channel)
+                channel.close()
                 if attempt == 1:
                     raise
         self.requests_made += 1

@@ -91,13 +91,10 @@ class _Entry:
                  "stale", "refreshing")
 
     def __init__(self, key: str):
+        # The other fields are set by the store that makes the entry:
+        # hits counts the hits within the current TTL period, stale is
+        # set while it serves past its TTL.
         self.key = key
-        self.wires: List[dict] = []
-        self.negative = False
-        self.expires = 0.0
-        self.ttl = 0.0
-        self.hits = 0           # hits within the current TTL period
-        self.stale = False      # currently serving past its TTL
         self.refreshing = False  # a background refresh is in flight
 
 
@@ -268,8 +265,7 @@ class GlsLookupCache:
     def _maybe_refresh(self, entry: _Entry) -> None:
         """Warm a hot entry before its TTL expires (hit-counter
         driven); at most one background refresh per entry at a time."""
-        if entry.refreshing or entry.ttl <= 0.0 \
-                or entry.hits < HOT_THRESHOLD \
+        if entry.refreshing or entry.hits < HOT_THRESHOLD \
                 or entry.key in self.flights:
             return
         if entry.expires - self.sim.now > REFRESH_AHEAD * entry.ttl:

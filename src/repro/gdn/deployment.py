@@ -470,8 +470,7 @@ class GdnDeployment:
         runtime = self._tool_runtime(host, Role.MAINTAINER)
         for oid_hex in maintains or []:
             self.grant_maintainer(name, oid_hex)
-        return MaintainerTool(self.world, host, runtime,
-                              self._name_service(host))
+        return MaintainerTool(host, runtime, self._name_service(host))
 
     def grant_maintainer(self, principal: str, oid_hex: str) -> None:
         """Administrator action: extend a maintainer's package set."""

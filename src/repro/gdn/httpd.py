@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import html
 import urllib.parse
-from typing import Callable, Dict, Generator, Optional, Tuple
+from typing import Callable, Generator, Optional, Tuple
 
 from ..core.ids import ObjectId
 from ..core.replication.base import ReplicationError

@@ -20,7 +20,6 @@ from typing import Dict, Generator, Optional
 from ..core.ids import ObjectId
 from ..core.runtime import Runtime
 from ..sim.transport import Host
-from ..sim.world import World
 
 __all__ = ["MaintainerTool", "MaintenanceError"]
 
@@ -32,9 +31,7 @@ class MaintenanceError(Exception):
 class MaintainerTool:
     """Content management for the packages one principal maintains."""
 
-    def __init__(self, world: World, host: Host, runtime: Runtime,
-                 name_service):
-        self.world = world
+    def __init__(self, host: Host, runtime: Runtime, name_service):
         self.host = host
         self.runtime = runtime
         self.name_service = name_service

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Mapping, Optional, Tuple
 
-from ..core.ids import ContactAddress, ObjectId
+from ..core.ids import ObjectId
 from ..core.runtime import Runtime
 from ..gos.server import GlobeObjectServer
 from ..sim import rpc

@@ -80,10 +80,6 @@ class NodeHandle:
         index = ObjectId.from_hex(oid_hex).shard(len(self.endpoints))
         return self.endpoints[index]
 
-    def __repr__(self) -> str:
-        return ("NodeHandle(%r, %d subnode(s))"
-                % (self.domain_path or "<root>", len(self.endpoints)))
-
 
 class DirectoryNode:
     """One directory (sub)node: records, pointers, and the protocol."""
@@ -98,23 +94,16 @@ class DirectoryNode:
         self.world = world
         self.host = host
         self.domain = domain
-        self.index = index
         self.port = port
-        #: The parent domain's node handle, wired by the tree (None
-        #: at the root).
-        self.parent: Optional[NodeHandle] = None
         self.auth_key = auth_key
         #: "udp" per the paper (§6.3); "tcp" for ablation A3, which
         #: pays a connection handshake per hop.
         self.transport = transport
-        self.children: Dict[str, NodeHandle] = {}
         self.records: Dict[str, NodeRecord] = {}
         self.persistence = StableStore(
             world, disk if disk is not None else DiskStore(), host.name,
             namespace="gls:%s:%d" % (domain.path, index))
         self._rng = world.rng_for("gls-node-%s-%d" % (domain.path, index))
-        self._server: Optional[UdpRpcServer] = None
-        self._client: Optional[UdpRpcClient] = None
         # Load counters: E6 and the tree's gls.requests instrument
         # read their sum, requests_handled.
         self.lookups_handled = 0
@@ -131,10 +120,6 @@ class DirectoryNode:
     def requests_handled(self) -> int:
         return (self.lookups_handled + self.inserts_handled
                 + self.deletes_handled + self.pointer_updates)
-
-    def __repr__(self) -> str:
-        return ("DirectoryNode(%r#%d @ %s)"
-                % (self.domain.path or "<root>", self.index, self.host.name))
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -156,12 +141,8 @@ class DirectoryNode:
                                     retries=_NODE_RPC_RETRIES)
 
     def stop(self) -> None:
-        if self._server is not None:
-            self._server.stop()
-            self._server = None
-        if self._client is not None:
-            self._client.close()
-            self._client = None
+        self._server.stop()
+        self._client.close()
 
     def recover(self) -> Generator:
         """Reload records from stable storage after a host reboot (§7:

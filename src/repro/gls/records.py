@@ -9,7 +9,7 @@ subtree rooted at that child node."
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import List, Set
 
 __all__ = ["NodeRecord"]
 

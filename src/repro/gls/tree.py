@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Union
 
 from ..sim.stable import DiskStore
-from ..sim.topology import Domain, Level, Topology
+from ..sim.topology import Domain, Level
 from ..sim.world import World
 from .node import GLS_PORT, DirectoryNode, NodeHandle
 

@@ -83,7 +83,6 @@ class CachingResolver:
         if entry is None:
             return None
         if self.world.now > entry[0]:
-            del self._cache[key]
             return None
         return entry[1]
 
@@ -184,10 +183,9 @@ class CachingResolver:
         """
         last_error: Optional[Exception] = None
         hosts = self.world.hosts
-        if len(servers) > 1:
-            servers = nearest_first(
-                self.host.site, servers,
-                lambda server: getattr(hosts.get(server[0]), "site", None))
+        servers = nearest_first(
+            self.host.site, servers,
+            lambda server: getattr(hosts.get(server[0]), "site", None))
         for host_name, port in servers:
             target = hosts.get(host_name)
             if target is None or not target.up:

@@ -112,13 +112,10 @@ class AuthoritativeServer:
     def stop(self) -> None:
         if self._refresher is not None:
             self._refresher.kill()
-            self._refresher = None
         if self._server is not None:
             self._server.stop()
-            self._server = None
         if self._client is not None:
             self._client.close()
-            self._client = None
 
     @property
     def endpoint(self) -> Tuple[str, int]:
@@ -129,17 +126,27 @@ class AuthoritativeServer:
     def add_primary_zone(self, zone: Zone,
                          secondaries: Optional[List[Tuple[str, int]]] = None
                          ) -> None:
+        endpoints = [self._endpoint(endpoint)
+                     for endpoint in secondaries or []]
         self.zones[zone.origin] = zone
         self.roles[zone.origin] = "primary"
-        self.secondaries[zone.origin] = list(secondaries or [])
+        self.secondaries[zone.origin] = endpoints
 
     def add_secondary_zone(self, origin: str,
                            primary: Tuple[str, int]) -> None:
         """Declare a secondary zone; the initial copy is fetched when
         the simulation runs (call :meth:`initial_transfers`)."""
         origin = normalize_name(origin)
+        primary = self._endpoint(primary)
         self.roles[origin] = "secondary"
-        self.primary_endpoint[origin] = tuple(primary)
+        self.primary_endpoint[origin] = primary
+
+    def _endpoint(self, endpoint: Tuple[str, int]) -> Tuple[str, int]:
+        """``endpoint``, refused unless its host exists: NOTIFY and
+        transfers look the host up by name."""
+        if endpoint[0] not in self.world.hosts:
+            raise ValueError("no host %r in this world" % (endpoint[0],))
+        return tuple(endpoint)
 
     def initial_transfers(self) -> Generator:
         """Fetch initial copies of all secondary zones."""
@@ -215,9 +222,7 @@ class AuthoritativeServer:
     def _notify_one(self, endpoint: Tuple[str, int], origin: str,
                     serial: int) -> Generator:
         host_name, port = endpoint
-        target = self.world.hosts.get(host_name)
-        if target is None:
-            return
+        target = self.world.hosts[host_name]
         try:
             yield from self._client.call(target, port, "notify",
                                          {"zone": origin, "serial": serial})
@@ -266,9 +271,7 @@ class AuthoritativeServer:
         judged against the copy as it stands when the answer arrives.
         """
         host_name, port = self.primary_endpoint[origin]
-        target = self.world.hosts.get(host_name)
-        if target is None:
-            return
+        target = self.world.hosts[host_name]
         request = {"zone": origin}
         current = self.zones.get(origin)
         if incremental and current is not None:

@@ -13,8 +13,6 @@ import hashlib
 import hmac
 from typing import Dict, Optional
 
-from .records import DnsError
-
 __all__ = ["TsigKey", "TsigKeyring", "sign_message", "verify_message"]
 
 

@@ -69,9 +69,6 @@ class Zone:
         #: ``self.serial``.
         self._journal = Journal(serial)
 
-    def __repr__(self) -> str:
-        return "Zone(%r, serial=%d)" % (self.origin or ".", self.serial)
-
     @property
     def serial(self) -> int:
         return self._journal.version
@@ -144,17 +141,14 @@ class Zone:
         """The delegation point covering ``qname``, if any.
 
         A name is delegated away when an NS rrset exists at an ancestor
-        of ``qname`` that lies strictly below this zone's origin.
+        of ``qname`` (a name inside the zone) that lies strictly below
+        this zone's origin.
         """
         name = qname
         while name != self.origin:
             if (name, RRType.NS.value) in self._records:
                 return name
-            if not name:
-                break
             name = parent_name(name)
-            if not is_subdomain(name, self.origin):
-                break
         return None
 
     def answer(self, qname: str, qtype: RRType) -> ZoneAnswer:

@@ -34,8 +34,7 @@ writes missed while down.
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, Optional
 
 from ..core.ids import ContactAddress, ObjectId
 from ..core.local_repr import LocalRepresentative
@@ -77,8 +76,6 @@ class GlobeObjectServer:
     host crash breaks them all and recovery reopens on demand.
     """
 
-    _instances = itertools.count(1)
-
     def __init__(self, world: World, host: Host,
                  repository: ImplementationRepository,
                  location_service,
@@ -105,7 +102,6 @@ class GlobeObjectServer:
         self.replicas: Dict[str, LocalRepresentative] = {}
         self._records: Dict[str, dict] = {}
         self._server: Optional[RpcServer] = None
-        self.name = "gos-%d" % next(self._instances)
         #: Requests served across server incarnations (survives the
         #: restart that replaces ``self._server`` after a crash).
         self._requests_baseline = 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, List, Optional
 
-from .crypto import CryptoError, PublicKey, RsaKeyPair, sha256
+from .crypto import PublicKey, RsaKeyPair, sha256
 
 __all__ = ["Certificate", "CertificateAuthority", "Credentials",
            "CertificateError"]

@@ -108,8 +108,6 @@ class DeadlinePool:
         self._expire = expire if expire is not None else _invoke
         self._reserve = sim.reserve_seq  # bound once: one call per add
         self._timer: Optional[Timeout] = None
-        self._armed_when = 0.0
-        self._armed_seq = -1
         self._live = 0
         self._heap: List[list] = []
         self._shelf: dict = {}  # reserved seq -> superseded armed Timeout
@@ -216,8 +214,7 @@ class DeadlinePool:
             # this one entry, then re-arm for the next — possibly at
             # the same instant, where the reserved seq slots the next
             # expiry into the run order exactly where its own timer
-            # would have been.
-            heappop(heap)
+            # would have been.  The dead head is popped below.
             head[_DEAD] = True
             self._live -= 1
             self.expired_total += 1

@@ -310,7 +310,6 @@ class RpcServer:
     def stop(self) -> None:
         if self._listener is not None:
             self._listener.close()
-            self._listener = None
 
     def _accept_loop(self, listener) -> Generator:
         while True:
@@ -386,10 +385,7 @@ class RpcChannel:
         self.host = host
         self.conn = conn
         self.sim = host.sim
-        #: ``(peer host name, port)`` of a channel made by :meth:`open`.
-        self.endpoint: Optional[tuple] = None
         self.calls = 0
-        self.timeouts = 0
         self.faults = 0
         self._pending: Dict[int, Event] = {}
         self._size_cache: Dict[str, int] = {}  # method -> envelope base
@@ -410,9 +406,7 @@ class RpcChannel:
             except Exception:
                 conn.close()  # a failed handshake leaves nothing open
                 raise
-        channel = cls(host, conn)
-        channel.endpoint = (dst.name, port)
-        return channel
+        return cls(host, conn)
 
     def _dispatch_loop(self) -> Generator:
         while True:
@@ -422,7 +416,6 @@ class RpcChannel:
                 for event in self._pending.values():
                     if not event.triggered:
                         event.fail(ConnectionClosed("channel closed"))
-                self._pending.clear()
                 return
             _settle(self._pending, reply)
 
@@ -457,7 +450,6 @@ class RpcChannel:
         try:
             value = yield waiter
         except _DeadlineExpired:
-            self.timeouts += 1
             raise RpcTimeout("%s timed out after %gs"
                              % (method, timeout)) from None
         except RpcFault:
@@ -523,9 +515,9 @@ class ChannelPool:
       first caller opens in its own frame and later ones park behind
       it, so a caller that died meanwhile is passed over silently and
       a leader killed mid-open still releases its followers.
-    * A closed or broken channel is dropped and reopened on next use;
+    * A closed or broken channel is closed and reopened on next use;
       a caller that learns of a channel's death first (its call raised
-      :class:`ConnectionClosed`) reports it with :meth:`discard`.
+      :class:`ConnectionClosed`) closes the channel itself.
 
     There is no size limit and no idle timer: a pool holds at most
     (peers × ports) channels, until :meth:`close`.
@@ -552,7 +544,7 @@ class ChannelPool:
             if not (conn.closed or conn.broken):
                 self.reuses += 1
                 return channel
-            self.discard(channel)
+            channel.close()
         follower = self.flights.follow(endpoint)
         if follower is not None:
             self.reuses += 1
@@ -569,14 +561,6 @@ class ChannelPool:
         self.opens += 1
         self._channels[endpoint] = channel
         return channel
-
-    def discard(self, channel: RpcChannel) -> None:
-        """Close ``channel`` and forget it, so the next request for
-        its endpoint opens a new one.  A channel the pool has already
-        replaced is closed without disturbing its successor."""
-        if self._channels.get(channel.endpoint) is channel:
-            del self._channels[channel.endpoint]
-        channel.close()
 
     def close(self) -> None:
         """Close every open channel, failing their in-flight calls."""
@@ -616,7 +600,6 @@ class UdpRpcServer:
     def stop(self) -> None:
         if self._socket is not None:
             self._socket.close()
-            self._socket = None
 
     def _serve_loop(self, socket: UdpSocket) -> Generator:
         while True:
@@ -679,14 +662,11 @@ class UdpRpcClient:
         self.policy = policy
         self.timeout = policy.timeout
         self.retries = policy.retries
-        # Plain-int accounting (calls = logical calls, not datagrams;
-        # retries = extra attempts actually sent; timeouts = calls that
-        # exhausted the attempt cap; faults = remote handler errors;
-        # budget_denied = retries refused by the policy's RetryBudget).
-        self.calls = 0
+        # Plain-int accounting (retries = extra attempts actually sent;
+        # timeouts = calls that exhausted the attempt cap; budget_denied
+        # = retries refused by the policy's RetryBudget).
         self.retries_sent = 0
         self.timeouts_hit = 0
-        self.faults = 0
         self.budget_denied = 0
         #: Assign a list to record the simulation time of every retry
         #: actually sent (storm diagnosis); ``None`` keeps the hot
@@ -747,7 +727,6 @@ class UdpRpcClient:
         is ignored.
         """
         self._ensure_open()
-        self.calls += 1
         args = args if args is not None else {}
         # Measured once (and the constant method/src part only on the
         # first call per method); every retry re-sends a same-sized
@@ -800,9 +779,6 @@ class UdpRpcClient:
                 last_error = RpcTimeout(
                     "%s to %s:%d timed out" % (method, dst.name, port))
                 continue
-            except RpcFault:
-                self.faults += 1
-                raise
             finally:
                 pool.cancel(guard)  # nothing pending behind a reply
             return value

@@ -152,7 +152,6 @@ class AggregatedPopulation:
         self.request = request
         self.rng = rng
         self.site = site
-        self.clients = clients
         self.think_time = think_time
         self.stats = stats
         self.counter = counter if counter is not None else [0]

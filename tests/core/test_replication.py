@@ -12,6 +12,10 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.ids import ObjectId
+from repro.core.replication.base import PROTOCOLS, ReplicationError
+from repro.core.replication.cache import CachingClient
+from repro.core.replication.client_server import ClientServerClient
+from repro.core.replication.master_slave import MasterSlaveClient
 from tests.util import GlobeBed
 
 
@@ -73,6 +77,69 @@ def test_client_server_remote_fault_reraises(bed):
             return type(exc).__name__
 
     assert bed.run(use(), host=runtime.host) == "RemoteInvocationError"
+
+
+def test_a_remote_answering_no_result_is_a_replication_error(bed):
+    gos = bed.gos("gos-1", "r0/c0/m0/s0")
+    server_lr = _create_object(bed, gos, "client_server", role="server")
+    runtime = bed.runtime("client-1", "r0/c0/m0/s1")
+
+    def answer_ack(address, message):
+        return {"type": "ack"}
+        yield  # a generator, like the send it stands in for
+
+    def use():
+        lr = yield from runtime.bind(server_lr.oid)
+        lr.replication._send = answer_ack
+        try:
+            yield from lr.invoke("get", {"key": "k"})
+        except Exception as exc:  # noqa: BLE001
+            return str(exc)
+
+    assert bed.run(use(), host=runtime.host) == "expected result, got 'ack'"
+
+
+@pytest.mark.parametrize("bind", [
+    lambda: ClientServerClient([]),
+    lambda: MasterSlaveClient([]),
+    lambda: CachingClient([], ttl=1.0),
+    lambda: PROTOCOLS["master_slave"]["roles"]["slave"](None),
+], ids=["client_server", "master_slave", "cache", "slave"])
+def test_a_binding_without_the_address_it_needs_is_refused(bind):
+    with pytest.raises(ReplicationError):
+        bind()
+
+
+def test_client_server_counts_each_side_of_an_invocation(bed):
+    gos = bed.gos("gos-1", "r0/c0/m0/s0")
+    server_lr = _create_object(bed, gos, "client_server", role="server")
+    runtime = bed.runtime("client-1", "r0/c0/m0/s1")
+
+    def use():
+        lr = yield from runtime.bind(server_lr.oid)
+        for key in ("a", "b"):
+            yield from lr.invoke("put", {"key": key, "value": "v"})
+        yield from lr.invoke("get", {"key": "a"})
+        return lr.replication.writes_forwarded
+
+    assert bed.run(use(), host=runtime.host) == 2
+    server = server_lr.replication
+    assert (server.writes_local, server.reads_local) == (2, 1)
+
+
+def test_a_join_answered_without_state_fails_the_slave(bed, monkeypatch):
+    from repro.core.replication.master_slave import MasterSlaveSlave
+
+    def answer_ack(self, address, message):
+        return {"type": "ack"}
+        yield  # a generator, like the send it stands in for
+
+    gos = bed.gos("gos-1", "r0/c0/m0/s0")
+    master_lr = _create_object(bed, gos, "master_slave", role="master")
+    monkeypatch.setattr(MasterSlaveSlave, "_send", answer_ack)
+    with pytest.raises(ReplicationError, match="join did not return state"):
+        _add_replica(bed, bed.gos("gos-2", "r0/c0/m0/s1"), master_lr.oid,
+                     master_lr.contact_address, "master_slave", "slave")
 
 
 def test_undeclared_method_rejected_client_side(bed):
@@ -150,6 +217,24 @@ def test_client_near_slave_reads_locally_writes_to_master(bed):
     # outcomes are legal for asynchronous master/slave.
     assert value in ("v", None)
     assert master_lr.replication.writes_local == 1
+    assert slave_lr.replication.reads_local == 1
+
+
+def test_client_near_master_reads_there_without_a_write(bed):
+    _mg, _sg, master_lr, _slave_lr = _master_slave_pair(bed)
+    bed.gls.sort_site = bed.world.topology.site("r0/c0/m0/s1")
+    runtime = bed.runtime("client-1", "r0/c0/m0/s1")
+
+    def use():
+        lr = yield from runtime.bind(master_lr.oid)
+        yield from lr.invoke("put", {"key": "k", "value": "v"})
+        value = yield from lr.invoke("get", {"key": "k"})
+        assert lr.replication.writes_forwarded == 1
+        return lr.replication.bound.role, value
+
+    assert bed.run(use(), host=runtime.host) == ("master", "v")
+    replication = master_lr.replication
+    assert (replication.version, replication.reads_local) == (1, 1)
 
 
 def test_slave_forwards_writes_when_master_unknown(bed):
@@ -228,15 +313,26 @@ def test_cache_revalidates_after_ttl(bed):
     def use():
         lr = yield from runtime.bind(server_lr.oid, cache_ttl=5.0)
         yield from lr.invoke("size")
-        yield bed.world.sim.timeout(10.0)  # TTL expires
-        yield from lr.invoke("size")
+        for _ in range(2):
+            yield bed.world.sim.timeout(10.0)  # TTL expires
+            yield from lr.invoke("size")
         return lr.replication.pulls, lr.replication.revalidations
 
     pulls, revalidations = bed.run(use(), host=runtime.host)
-    assert pulls == 2
-    # Nothing changed server-side, so the second pull was answered
+    assert pulls == 3
+    # Nothing changed server-side, so the later pulls were answered
     # "fresh" without a state transfer.
-    assert revalidations == 1
+    assert revalidations == 2
+
+
+def test_a_cache_is_fresh_up_to_and_at_its_ttl():
+    cache = CachingClient([SimpleNamespace(role="server")], ttl=1.0)
+    cache.lr = SimpleNamespace(host=SimpleNamespace(
+        sim=SimpleNamespace(now=5.0)))
+    cache.fetched_at = 4.0
+    assert cache.is_fresh()
+    cache.fetched_at = 3.5
+    assert not cache.is_fresh()
 
 
 def test_cache_write_invalidates_and_next_read_sees_new_state(bed):
@@ -248,6 +344,7 @@ def test_cache_write_invalidates_and_next_read_sees_new_state(bed):
         lr = yield from runtime.bind(server_lr.oid, cache_ttl=1000.0)
         yield from lr.invoke("size")  # warm the cache
         yield from lr.invoke("put", {"key": "new", "value": "x"})
+        assert lr.replication.writes_forwarded == 1
         value = yield from lr.invoke("get", {"key": "new"})
         return value
 

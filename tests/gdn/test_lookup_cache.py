@@ -360,6 +360,54 @@ def test_hot_entry_refreshes_before_expiry():
     assert cache.misses == 1
 
 
+def test_each_refresh_starts_a_new_hit_count():
+    sim, upstream, cache = build(ttl=10.0)
+    run_lookup(sim, cache, "oid-1")                  # filled, expires 11
+    for at in (2.0, 3.0, 3.5, 10.0):                 # hot; refresh at 10
+        run_lookup(sim, cache, "oid-1", at=at)
+    assert cache.refreshes == 1                      # expires 21 now
+    for at in (12.0, 13.0, 20.0):                    # three hits: hot again
+        run_lookup(sim, cache, "oid-1", at=at)
+    assert cache.refreshes == 2                      # expires 31 now
+    run_lookup(sim, cache, "oid-1", at=30.0)         # one hit: not hot
+    assert cache.refreshes == 2
+    assert upstream.lookups == 3
+
+
+def test_the_refresh_window_opens_at_its_edge_and_refreshes_once():
+    sim, upstream, cache = build(ttl=10.0)
+    run_lookup(sim, cache, "oid-1")                  # expires 11
+    for at in (2.0, 3.0):
+        run_lookup(sim, cache, "oid-1", at=at)
+    sim.run(until=11.0 - REFRESH_AHEAD * 10.0)       # the window's edge
+
+    def hit():
+        yield from cache.lookup("oid-1")
+
+    for _ in range(2):  # two hits in one instant: the third and fourth
+        sim.process(hit())
+    sim.run()
+    assert cache.refreshes == 1
+
+
+def test_a_refetched_entry_is_the_most_recently_used():
+    sim, upstream, cache = build(ttl=3.0, capacity=2)
+    upstream.records["oid-2"] = list(WIRES)
+    upstream.records["oid-3"] = list(WIRES)
+    run_lookup(sim, cache, "oid-1")                  # expires 4
+    run_lookup(sim, cache, "oid-2")                  # expires 5
+    run_lookup(sim, cache, "oid-1", at=4.5)          # refetched
+    run_lookup(sim, cache, "oid-3")                  # evicts oid-2
+    run_lookup(sim, cache, "oid-1")                  # still cached
+    assert upstream.lookups == 4
+
+
+def test_a_cache_holds_at_least_one_entry():
+    assert build(capacity=1)[2].capacity == 1
+    with pytest.raises(ValueError, match="capacity"):
+        build(capacity=0)
+
+
 def test_cold_entry_never_refreshed():
     sim, upstream, cache = build(ttl=10.0)
     run_lookup(sim, cache, "oid-1")

@@ -15,7 +15,7 @@ from repro.gdn.transfer import (TRANSFER_WINDOW, ChunkedDownloader,
                                 TransferBudgetExhausted, TransferError)
 from repro.sim.deadlines import shared_pool
 from repro.sim.failures import FailureInjector
-from repro.sim.retry import ExponentialBackoff, RetryBudget
+from repro.sim.retry import ExponentialBackoff, FixedRetry, RetryBudget
 from tests.util import pending_deadlines
 
 PAYLOAD = bytes(range(256)) * 120  # 30720 bytes
@@ -761,6 +761,95 @@ def test_a_corrupt_piece_of_a_block_is_refetched_alone():
     assert downloader.duplicate_applications == 0
 
 
+class _BusyOnceBrowser(_FileBrowser):
+    """Answers its first GET 503, as an HTTPD that reaches no replica."""
+
+    def get(self, path, timeout=None):
+        if not self.paths:
+            self.paths.append(path)
+            return HttpResponse(503, b"", {}, 0.0)
+            yield  # a generator, like the browser's
+        return (yield from super().get(path, timeout))
+
+
+def _stub_outcome(browser_class=_FileBrowser, doctor=None, burst=4.0):
+    """Download :data:`STUB_PAYLOAD` through ``browser_class``; the
+    data, or the name of the error the download raised."""
+    gdn = GdnDeployment.from_spec(BARE)
+    browser = browser_class(gdn.world.host("stub", "r0/c0/m0/s0"),
+                            STUB_PAYLOAD, doctor)
+    downloader = ChunkedDownloader(
+        gdn.world, budget=RetryBudget(rate=0.0, burst=burst), chunk_size=4)
+
+    def run():
+        try:
+            data, _token = yield from downloader.download(
+                browser, "/apps/Stub", "f")
+            return data
+        except Exception as error:  # noqa: BLE001 - the outcome
+            return type(error).__name__
+
+    return gdn.run(run())
+
+
+def test_a_busy_access_point_is_retried_within_the_budget():
+    assert _stub_outcome(_BusyOnceBrowser) == STUB_PAYLOAD
+    assert _stub_outcome(_BusyOnceBrowser, burst=0.5) \
+        == "TransferBudgetExhausted"
+
+
+def test_a_piece_corrupt_twice_is_refetched_within_the_budget():
+    doctor = {_stub_path(0, TRANSFER_WINDOW): _corrupt_piece_2,
+              _stub_path(2, 1): _garble}
+    assert _stub_outcome(doctor=doctor) == STUB_PAYLOAD
+    # The lone re-fetch spends the one token; its failure asks again.
+    assert _stub_outcome(doctor=doctor, burst=1.5) \
+        == "TransferBudgetExhausted"
+
+
+def test_a_file_that_reassembles_to_another_digest_is_refused():
+    gdn = GdnDeployment.from_spec(BARE)
+    manifest = "/gdn/apps/Stub/manifest/f?chunk_size=4"
+    browser = _FileBrowser(
+        gdn.world.host("stub", "r0/c0/m0/s0"), STUB_PAYLOAD,
+        {manifest: lambda body: dict(body, digest="0" * 64)})
+    downloader = ChunkedDownloader(gdn.world, chunk_size=4)
+
+    def run():
+        try:
+            yield from downloader.download(browser, "/apps/Stub", "f")
+        except IntegrityError:
+            return "refused"
+
+    assert gdn.run(run()) == "refused"
+    assert downloader.integrity_failures == 1
+
+
+def test_a_download_that_does_not_resume_asks_for_the_manifest_again():
+    gdn = GdnDeployment.from_spec(BARE)
+    browser = _FileBrowser(gdn.world.host("stub", "r0/c0/m0/s0"),
+                           STUB_PAYLOAD)
+    token = ResumeToken("/apps/Stub", "f", 4)
+    gdn.run(ChunkedDownloader(gdn.world, chunk_size=4).download(
+        browser, "/apps/Stub", "f", token=token))
+    changed = bytes(reversed(STUB_PAYLOAD))
+    browser.package.addFile("f", changed)
+    data, _token = gdn.run(ChunkedDownloader(
+        gdn.world, resume=False, chunk_size=4).download(
+            browser, "/apps/Stub", "f", token=token))
+    assert data == changed
+
+
+def test_a_token_without_every_chunk_does_not_assemble():
+    token = ResumeToken("/apps/Stub", "f", 4)
+    assert not token.complete
+    token.manifest = {"chunk_count": 2}
+    token.chunks[0] = b"abcd"
+    assert not token.complete
+    with pytest.raises(TransferError, match="1 of 2 chunks"):
+        token.assemble()
+
+
 def test_a_short_block_reply_refetches_only_what_it_does_not_cover():
     first = _stub_path(0, TRANSFER_WINDOW)
     downloader, budget, browser, held, _at_gets = _stub_download(
@@ -824,6 +913,74 @@ def test_manifest_retries_are_counted():
     assert gdn.run(run(), host=browser.host) == WAN_PAYLOAD
     assert downloader.manifest_retries > 0
     assert downloader.chunks_retried == 0
+
+
+def _timer_delays(monkeypatch, sim):
+    """Every delay asked of ``sim.timeout`` from now on."""
+    delays = []
+    timeout = sim.timeout
+
+    def recorded(delay, *args, **kwargs):
+        delays.append(delay)
+        return timeout(delay, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "timeout", recorded)
+    return delays
+
+
+def test_a_retry_at_once_asks_the_kernel_for_no_timer(monkeypatch):
+    # FixedRetry retries without a delay, and a zero delay must cost no
+    # kernel timer: a manifest retry and an integrity re-fetch alike.
+    gdn = _wan_deployment()
+    browser = gdn.add_browser("manifest-user", CLIENT_SITE)
+    downloader = ChunkedDownloader(gdn.world, chunk_size=WAN_CHUNK,
+                                   policy=FixedRetry(timeout=1.0, retries=4))
+    FailureInjector(gdn.world).partition_domain(
+        gdn.world.topology.site(CLIENT_SITE), gdn.world.now, 2.5)
+    delays = _timer_delays(monkeypatch, gdn.world.sim)
+    token = ResumeToken("/apps/Wan", "big.bin", WAN_CHUNK)
+    gdn.run(downloader.download(browser, "/apps/Wan", "big.bin",
+                                token=token), host=browser.host)
+    assert downloader.manifest_retries > 0
+    token.chunks.clear()
+    token.manifest["chunk_digests"][0] = "0" * 64
+
+    def corrupt():
+        try:
+            yield from downloader.download(browser, "/apps/Wan", "big.bin",
+                                           token=token)
+        except IntegrityError:
+            return "integrity"
+
+    assert gdn.run(corrupt(), host=browser.host) == "integrity"
+    assert 0.0 not in delays
+
+
+def test_integrity_refetches_wait_the_policys_retry_delays(gdn):
+    browser = gdn.add_browser("dl-slow", "r1/c0/m0/s1")
+    policy = ExponentialBackoff(timeout=3.0, retries=2, base=5.0,
+                                max_delay=60.0, jitter=0.0)
+    downloader = ChunkedDownloader(gdn.world, policy=policy,
+                                   chunk_size=4096)
+    token = ResumeToken("/apps/Big", "big.bin", 4096)
+    gdn.run(downloader.download(browser, "/apps/Big", "big.bin",
+                                token=token), host=browser.host)
+    token.chunks.clear()
+    token.manifest["chunk_digests"][0] = "0" * 64
+    start = gdn.world.now
+
+    def corrupt():
+        try:
+            yield from downloader.download(browser, "/apps/Big", "big.bin",
+                                           token=token)
+        except IntegrityError:
+            return "integrity"
+
+    assert gdn.run(corrupt(), host=browser.host) == "integrity"
+    # Each failed round waits its retry delay: 5, 10, then 20 s.
+    waits = sum(policy.retry_delay(attempt, None)
+                for attempt in range(1, policy.attempts + 1))
+    assert gdn.world.now - start >= waits == 35.0
 
 
 def test_transfers_sharing_a_browser_draw_their_own_retry_delays():

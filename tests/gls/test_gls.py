@@ -35,6 +35,55 @@ def deployment():
     return world, tree
 
 
+def test_a_node_refuses_a_transport_and_a_handle_an_empty_node():
+    from repro.gls.node import GlsNodeError, NodeHandle
+
+    with pytest.raises(GlsNodeError, match="transport"):
+        GlsTree(make_world(), transport="quic")
+    with pytest.raises(GlsNodeError, match="at least one endpoint"):
+        NodeHandle("r0", [])
+
+
+def test_a_node_refuses_a_pointer_from_a_domain_not_its_child(deployment):
+    from repro.sim.rpc import RpcFault, UdpRpcClient
+
+    world, tree = deployment
+    oid_hex = oid_from_seed("stray").hex
+    node = tree.node_for("r0/c0", oid_hex)
+    host = world.host("intruder", "r0/c0/m0/s1")
+    client = UdpRpcClient(host, timeout=1.0, retries=0)
+
+    def attempt(method):
+        try:
+            return (yield from client.call(node.host, node.port, method,
+                                           {"oid": oid_hex, "child": "r1"}))
+        except RpcFault as fault:
+            return fault.kind
+
+    assert run(world, attempt("insert_pointer"), host=host) == "GlsNodeError"
+    assert oid_hex not in node.records
+    # Unlinking what is not there is answered as a no-op, and the root
+    # answers a delete of an address it never heard of as not removed.
+    assert run(world, attempt("delete_pointer"), host=host) \
+        == {"unlinked_at": "r0/c0", "noop": True}
+    root = tree.node_for("", oid_hex)
+    assert run(world, client.call(root.host, root.port, "delete", {
+        "oid": oid_hex, "ca": ca_wire(world, host)}), host=host) \
+        == {"removed": False}
+
+
+def test_recovery_keeps_only_the_stored_records(deployment):
+    from repro.gls.records import NodeRecord
+
+    world, tree = deployment
+    node = tree.node_for("r0/c0/m0/s0", oid_from_seed("x").hex)
+    node.records["never-stored"] = NodeRecord()
+    node.host.crash()
+    node.host.restart()
+    run(world, node.recover(), host=node.host)
+    assert "never-stored" not in node.records
+
+
 def test_tree_has_a_node_per_domain(deployment):
     world, tree = deployment
     # 16 sites + 8 cities + 4 countries + 2 regions + 1 root = 31
@@ -59,6 +108,14 @@ def test_register_creates_pointer_path_to_root(deployment):
         node = tree.node_for(path, oid_hex)
         assert oid_hex in node.records, path
         assert node.records[oid_hex].forwarding_pointers
+    # A second address at the same leaf lays no pointer again.
+    parent = tree.node_for("r0/c0/m0", oid_hex)
+    updates = parent.pointer_updates
+    other = world.host("gos-2", "r0/c0/m0/s0")
+    run(world, GlsClient(world, other, tree).register(
+        oid_hex, ca_wire(world, other)), host=other)
+    assert len(leaf.records[oid_hex].contact_addresses) == 2
+    assert parent.pointer_updates == updates
 
 
 def test_lookup_same_site_is_local(deployment):
@@ -256,6 +313,16 @@ def test_unauthorized_registration_rejected():
     assert run(world, attack(wrong_key), host=attacker_host) == "rejected"
     leaf = tree.nodes["r0/c0/m0/s1"][0]
     assert leaf.rejected_mutations == 2
+
+    def erase(client):
+        try:
+            yield from client.unregister(oid_hex, ca_wire(world, gos_host))
+            return "accepted"
+        except GlsError:
+            return "rejected"
+
+    assert run(world, erase(no_key), host=attacker_host) == "rejected"
+    assert leaf.rejected_mutations == 3
 
 
 def test_node_crash_recovery_restores_records(deployment):

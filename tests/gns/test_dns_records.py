@@ -183,11 +183,14 @@ def test_owner_names_follow_an_applied_delta(zone):
     zone.add_record(ResourceRecord("tetex.apps.gdn.vu.nl", RRType.TXT, 300,
                                    "globe-oid=bb"))
     zone.bump_serial()
-    for delta in zone.deltas_since(copy.serial):
+    first = copy.serial
+    for delta in zone.deltas_since(first):
         copy.apply_delta(delta)
     assert _negative(copy) == Rcode.NXDOMAIN
     assert _negative(copy, "tetex.apps.gdn.vu.nl") == "NODATA"
     assert _names(copy) == _names(zone) == {"tetex.apps.gdn.vu.nl"}
+    # The copy journals the replay alone, so it can feed further copies.
+    assert copy.deltas_since(first) == zone.deltas_since(first)
 
 
 # -- the change journal --------------------------------------------------------

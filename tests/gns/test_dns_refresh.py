@@ -116,3 +116,11 @@ def test_stop_start_cycles_leave_nothing_behind():
     secondary.start()
     world.run(until=world.now + 50.0)
     assert primary.transfers_served - served == 2
+
+
+def test_a_server_stops_quietly_before_and_after_it_started():
+    world = World(topology=Topology.balanced(2, 1, 1, 1), seed=8)
+    server = AuthoritativeServer(world, world.host("dns", "r0/c0/m0/s0"))
+    server.stop()
+    server.start()
+    server.stop()

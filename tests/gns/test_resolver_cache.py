@@ -9,9 +9,10 @@ re-registered name resolves to, and the three public counters.
 import pytest
 
 from repro.gns.authority import NAME_TTL, NamingAuthority
-from repro.gns.dns.records import (NAME_MEMO_SIZE, DnsError, RRType,
-                                   normalize_name)
-from repro.gns.dns.resolver import NEGATIVE_TTL
+from repro.gns.dns.records import (NAME_MEMO_SIZE, DnsError, ResourceRecord,
+                                   RRType, normalize_name)
+from repro.gns.dns.resolver import (NEGATIVE_TTL, CachingResolver,
+                                    ResolutionError)
 from repro.gns.dns.server import DNS_PORT
 from repro.gns.dns.zone import Rcode
 from repro.gns.gns import GlobeNameService, GnsError, object_name_to_dns
@@ -29,6 +30,45 @@ def bed():
 
 def _counters(resolver):
     return (resolver.resolutions, resolver.cache_hits, resolver.queries_sent)
+
+
+def test_a_resolver_needs_a_root_hint_and_an_answering_server(bed):
+    host = bed.world.host("user", "r0/c0/m0/s1")
+    with pytest.raises(ResolutionError, match="root hint"):
+        CachingResolver(bed.world, host, [])
+    # A server outside the name's delegation refuses it.
+    resolver = CachingResolver(bed.world, host, [("dns-gdn-1", DNS_PORT)])
+    with pytest.raises(ResolutionError, match="REFUSED"):
+        run(bed.world, resolver.resolve("x.example.com", RRType.TXT),
+            host=host)
+
+
+def test_a_resolver_follows_an_alias_and_refuses_no_data(bed):
+    zone = bed.primary.zones[GDN_ZONE]
+    zone.add_record(ResourceRecord("alias.apps." + GDN_ZONE, RRType.CNAME,
+                                   300, NAME))
+    zone.add_record(ResourceRecord("host.apps." + GDN_ZONE, RRType.A, 300,
+                                   "10.0.0.1"))
+    resolver = bed.resolver("user", "r0/c0/m0/s1")  # asks the primary
+    assert run(bed.world, resolver.resolve_txt("alias.apps." + GDN_ZONE),
+               host=resolver.host) == "globe-oid=aa"
+    with pytest.raises(ResolutionError, match="no TXT record"):
+        run(bed.world, resolver.resolve_txt("host.apps." + GDN_ZONE),
+            host=resolver.host)
+
+
+def test_a_zero_ttl_answer_is_never_cached(bed):
+    zone = bed.primary.zones[GDN_ZONE]
+    zone.add_record(ResourceRecord("now.apps." + GDN_ZONE, RRType.TXT, 0,
+                                   "globe-oid=cc"))
+    resolver = bed.resolver("user", "r0/c0/m0/s1")
+
+    def twice():
+        for _ in range(2):  # the second at the instant the first ends
+            yield from resolver.resolve_txt("now.apps." + GDN_ZONE)
+
+    run(bed.world, twice(), host=resolver.host)
+    assert resolver.cache_hits == 0
 
 
 def test_entry_is_served_until_its_ttl_and_not_after(bed):

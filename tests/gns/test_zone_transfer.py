@@ -9,6 +9,7 @@ with the primary's records under the primary's serial.
 
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -478,3 +479,91 @@ def test_regression_every_replication_datagram_of_three_updates_lost():
     for by_refresh in (False, True):
         bed = _run_lossy(updates, doomed=range(200), by_refresh=by_refresh)
         assert bed.primary.full_transfers == 1
+
+
+# -- answers a copy does not take -----------------------------------------------
+
+def test_a_whole_zone_at_the_copys_own_serial_is_not_applied_again():
+    bed = Bed()
+    # The initial copy was one whole-zone transfer of one record.
+    assert (bed.secondary.transfers_fetched,
+            bed.secondary.records_applied) == (1, 1)
+    fetched = bed.secondary.transfers_fetched
+    sent = bed.primary.records_sent
+    bed.world.run_until(bed.secondary_host.spawn(
+        bed.secondary._fetch_zone(ZONE, incremental=False)), limit=1e6)
+    assert bed.primary.records_sent == sent + 1  # the whole zone again
+    assert bed.secondary.transfers_fetched == fetched
+    assert bed.in_sync()
+
+
+def test_a_refused_transfer_leaves_no_copy():
+    bed = Bed()
+    served = bed.primary.transfers_served
+    bed.secondary.add_secondary_zone("other.nl", ("dns-primary", DNS_PORT))
+    bed.world.run_until(bed.secondary_host.spawn(
+        bed.secondary.initial_transfers()), limit=1e6)
+    assert "other.nl" not in bed.secondary.zones
+    assert bed.primary.transfers_served == served  # refused, not served
+
+
+def test_an_answer_that_no_longer_follows_the_copy_starts_over():
+    # The copy went back (it followed a reset primary) while an answer
+    # was on its way: the answer's change sets no longer follow it, so
+    # the copy fetches the whole zone instead.
+    bed = Bed()
+    behind = bed.secondary.zones[ZONE].to_wire()
+    bed.update(adds=[txt("b")])
+    bed.settle()
+    bed.cut_off_secondary()
+    bed.update(adds=[txt("c")])
+    bed.settle()  # its NOTIFY is lost
+    bed.reconnect_secondary()
+    fetch = bed.secondary_host.spawn(bed.secondary._fetch_zone(ZONE))
+    bed.world.run(until=bed.world.now + 0.1)  # asked; the answer is out
+    bed.secondary.zones[ZONE] = Zone.from_wire(behind)
+    bed.world.run_until(fetch, limit=1e6)
+    assert bed.in_sync()
+
+
+def test_a_notify_is_answered_with_what_the_copy_did():
+    bed = Bed()
+    served = bed.primary.transfers_served
+    # Patient enough to wait out a transfer: a retry would be a second
+    # NOTIFY, answered after the copy caught up.
+    client = UdpRpcClient(bed.client.host, timeout=5.0)
+
+    def notify(host, zone, serial):
+        return bed.world.run_until(bed.client.host.spawn(client.call(
+            host, DNS_PORT, "notify", {"zone": zone, "serial": serial})),
+            limit=1e6)
+
+    serial = bed.secondary.zones[ZONE].serial
+    assert notify(bed.secondary_host, ZONE, serial) \
+        == {"rcode": "NOERROR", "refreshed": False}
+    # Only a secondary of the zone takes a NOTIFY for it.
+    assert notify(bed.primary_host, ZONE, serial) == {"rcode": "NOTAUTH"}
+    assert notify(bed.secondary_host, "other.nl", 1) == {"rcode": "NOTAUTH"}
+    assert bed.primary.transfers_served == served
+    # A copy behind the NOTIFY fetches, and says so.
+    bed.cut_off_secondary()
+    serial = bed.update(adds=[txt("b")])
+    bed.settle()  # its own NOTIFY is lost
+    bed.reconnect_secondary()
+    assert notify(bed.secondary_host, ZONE, serial) \
+        == {"rcode": "NOERROR", "refreshed": True}
+    assert bed.in_sync()
+
+
+def test_an_endpoint_on_no_host_is_refused_when_configured():
+    # NOTIFY and transfers look the peer up by name when they run; a
+    # name no host has is refused here, where the mistake is made.
+    bed = Bed()
+    with pytest.raises(ValueError, match="dns-nowhere"):
+        bed.secondary.add_secondary_zone("other.nl",
+                                         ("dns-nowhere", DNS_PORT))
+    with pytest.raises(ValueError, match="dns-nowhere"):
+        bed.primary.add_primary_zone(Zone("other.nl", "dns-primary"),
+                                     secondaries=[("dns-nowhere", DNS_PORT)])
+    assert "other.nl" not in bed.secondary.roles
+    assert "other.nl" not in bed.primary.zones

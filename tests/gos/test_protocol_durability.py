@@ -137,6 +137,7 @@ def test_master_recovered_from_before_its_last_write_is_followed():
     assert "b" not in master._files
     assert slave.snapshot_state()["files"] == master.snapshot_state()["files"]
     assert slave.getHistory() == master.getHistory()
+    assert bed.slave.replication.epoch == bed.master.replication.epoch
 
 
 def test_a_recovered_master_is_a_new_incarnation_even_twice():

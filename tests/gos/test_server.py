@@ -46,6 +46,119 @@ def test_control_commands_over_rpc(bed):
     assert bed.gls.records[created["oid"]] == []
 
 
+def test_requests_served_counts_across_a_crash_and_restart(bed):
+    gos = bed.gos("gos-1", "r0/c0/m0/s0")
+    tool = bed.world.host("modtool", "r0/c0/m0/s1")
+
+    def ping():
+        return bed.run(rpc.call(tool, gos.host, gos.port, "ping", {}),
+                       host=tool)
+
+    assert ping() == "pong"
+    assert gos.requests_served == 1
+    gos.host.crash()
+    gos.host.restart()
+    gos.start()  # recovery replaces the server, not the count
+    assert ping() == "pong"
+    assert gos.requests_served == 2
+
+
+def test_a_replica_that_fails_to_join_leaves_no_record(bed):
+    gos = bed.gos("gos-1", "r0/c0/m0/s0")
+    home = bed.gos("gos-2", "r0/c0/m0/s1")
+    master = bed.run(home.create_local_replica(
+        None, "test.kv", "master_slave", "master"))
+    home.host.crash()
+
+    def join():
+        try:
+            yield from gos.create_local_replica(
+                master.oid, "test.kv", "master_slave", "slave",
+                master=master.contact_address)
+        except Exception:  # noqa: BLE001 - any failure to join
+            return "refused"
+
+    assert bed.run(join()) == "refused"
+    assert gos.replicas == {} and gos._records == {}
+
+
+def test_a_checkpoint_queued_for_a_removed_replica_saves_nothing(bed):
+    # A write queues its checkpoint; a remove_replica served in the
+    # same instant runs first.
+    gos = bed.gos("gos-1", "r0/c0/m0/s0")
+    lr = bed.run(gos.create_local_replica(
+        None, "test.kv", "client_server", "server"))
+    gos.host.spawn(gos._checkpoint_one(lr.oid.hex))
+    del gos.replicas[lr.oid.hex]
+    bed.world.run()  # the queued checkpoint finds nothing to save
+
+
+def test_shutdown_leaves_the_master_and_stops_serving(bed):
+    from repro.sim.transport import ConnectRefused
+
+    home = bed.gos("gos-1", "r0/c0/m0/s0")
+    gos = bed.gos("gos-2", "r0/c0/m0/s1")
+    tool = bed.world.host("modtool", "r0/c0/m0/s0")
+    master = bed.run(home.create_local_replica(
+        None, "test.kv", "master_slave", "master"))
+    bed.run(gos.create_local_replica(
+        master.oid, "test.kv", "master_slave", "slave",
+        master=master.contact_address))
+    assert len(master.replication.slaves) == 1
+    assert bed.run(rpc.call(tool, gos.host, gos.port, "ping", {}),
+                   host=tool) == "pong"
+    served, opens = gos.requests_served, gos.pool.opens
+    bed.run(gos.shutdown(), host=gos.host)
+    bed.world.run()
+    assert gos.replicas == {}
+    assert master.replication.slaves == {}  # the slave said goodbye...
+    assert gos.pool.opens == opens + 1  # ...over a channel reopened
+    assert gos.requests_served == served
+
+    def ping():
+        try:
+            yield from rpc.call(tool, gos.host, gos.port, "ping", {})
+        except ConnectRefused:
+            return "refused"
+
+    assert bed.run(ping(), host=tool) == "refused"
+
+
+def test_recovery_keeps_only_what_was_stored(bed):
+    gos = bed.gos("gos-1", "r0/c0/m0/s0")
+    lr = bed.run(gos.create_local_replica(
+        None, "test.kv", "client_server", "server"))
+    gos.replicas["ghost"] = gos._records["ghost"] = None  # never stored
+    gos.host.crash()
+    gos.host.restart()
+    bed.run(gos.recover(), host=gos.host)
+    assert list(gos.replicas) == list(gos._records) == [lr.oid.hex]
+
+
+def test_a_replica_added_and_removed_over_rpc_joins_and_leaves(bed):
+    home = bed.gos("gos-1", "r0/c0/m0/s0")
+    gos = bed.gos("gos-2", "r0/c0/m0/s1")
+    tool = bed.world.host("modtool", "r0/c0/m0/s0")
+    master = bed.run(home.create_local_replica(
+        None, "test.kv", "master_slave", "master"))
+
+    def command(method, args):
+        return bed.run(rpc.call(tool, gos.host, gos.port, method, args),
+                       host=tool)
+
+    added = command("create_replica", {
+        "oid": master.oid.hex, "impl_id": "test.kv",
+        "protocol": "master_slave", "role": "slave",
+        "master": master.contact_address.to_wire()})
+    assert added == {"oid": master.oid.hex,
+                     "ca": gos.replicas[master.oid.hex]
+                     .contact_address.to_wire()}
+    assert len(master.replication.slaves) == 1
+    command("remove_replica", {"oid": master.oid.hex})
+    bed.world.run()
+    assert master.replication.slaves == {}  # the removed slave left
+
+
 def test_remove_unknown_replica_faults(bed):
     gos = bed.gos("gos-1", "r0/c0/m0/s0")
     tool = bed.world.host("modtool", "r0/c0/m0/s1")
@@ -88,23 +201,31 @@ def test_dso_message_to_missing_replica_is_an_error_reply(bed):
     assert reply["type"] == "error"
 
 
-def test_authorizer_blocks_control_commands(bed):
+@pytest.mark.parametrize("method", ["create_object", "create_replica",
+                                    "remove_replica"])
+def test_authorizer_blocks_control_commands(bed, method):
+    # Every control command, not only the first, asks the authorizer:
+    # refused, it leaves the server's replicas as they were.
     def deny_all(ctx, operation, oid_hex=None):
         return False
 
     gos = bed.gos("gos-1", "r0/c0/m0/s0", authorizer=deny_all)
     tool = bed.world.host("modtool", "r0/c0/m0/s1")
+    hosted = bed.run(gos.create_local_replica(
+        None, "test.kv", "client_server", "server"))
+    args = {"impl_id": "test.kv", "protocol": "client_server",
+            "role": "server"}
+    if method != "create_object":
+        args = dict(args, oid=hosted.oid.hex, role="client")
 
     def drive():
         try:
-            yield from rpc.call(tool, gos.host, gos.port, "create_object",
-                                {"impl_id": "test.kv",
-                                 "protocol": "client_server",
-                                 "role": "server"})
+            yield from rpc.call(tool, gos.host, gos.port, method, args)
         except rpc.RpcFault as fault:
             return fault.kind
 
     assert bed.run(drive(), host=tool) == "NotAuthorized"
+    assert list(gos.replicas) == [hosted.oid.hex]
 
 
 def test_authorizer_blocks_write_invocations_but_not_reads(bed):

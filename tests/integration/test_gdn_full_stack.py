@@ -153,7 +153,6 @@ def test_unauthorized_tool_cannot_create_packages(gdn):
 def test_anonymous_user_cannot_write_through_gos(gdn):
     deployment, _moderator, oid = gdn
     from repro.core.ids import ObjectId
-    from repro.core.subobjects import RemoteInvocationError
 
     user_host = deployment.world.host("writer-user", "r0/c0/m0/s0")
     runtime = deployment._runtime(user_host, gdn_host=False)

@@ -114,6 +114,9 @@ class _MarshalCounter:
 
 
 def test_one_more_write_costs_the_same_after_10_and_200_writes(monkeypatch):
+    # The key memo starts empty, as in a fresh process: keys that other
+    # tests left in it (or evicted from it) would move the counts.
+    marshal._encoded_key.cache_clear()
     package = _Package()
     counter = _MarshalCounter(monkeypatch)
     cache = package.cache().replication

@@ -138,7 +138,7 @@ def _lossy_run(world_seed, client_factory):
     proc = a.spawn(run())
     world.run_until(proc, limit=1000)
     return (outcomes, world.now, world.sim.events_processed,
-            client.calls, client.retries_sent, client.timeouts_hit)
+            client.retries_sent, client.timeouts_hit)
 
 
 def test_fixed_retry_policy_is_byte_identical_to_legacy():
@@ -146,7 +146,7 @@ def test_fixed_retry_policy_is_byte_identical_to_legacy():
     policy = _lossy_run(3, lambda a: UdpRpcClient(
         a, policy=FixedRetry(timeout=1.0, retries=8)))
     assert legacy == policy
-    assert legacy[4] > 0  # the lossy link actually forced retries
+    assert legacy[3] > 0  # the lossy link actually forced retries
 
 
 def test_backoff_policy_still_gets_through_loss():
@@ -294,3 +294,14 @@ def test_metrics_expose_budget_denied(world):
     host = world.host("client", "r0/c0/m0/s0")
     client = UdpRpcClient(host, timeout=0.5, retries=1)
     assert client.budget_denied == 0
+
+
+def test_a_constant_backoff_is_a_valid_exponential_one():
+    # Multiplier 1 and a cap at the base delay are the boundary cases.
+    policy = ExponentialBackoff(base=0.2, multiplier=1.0, max_delay=0.2,
+                                jitter=0.0)
+    assert policy.retry_delay(3, lambda: None) == 0.2
+    with pytest.raises(ValueError, match="multiplier"):
+        ExponentialBackoff(multiplier=0.9)
+    with pytest.raises(ValueError, match="max_delay"):
+        ExponentialBackoff(base=0.2, max_delay=0.1)

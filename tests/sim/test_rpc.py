@@ -564,6 +564,151 @@ def test_udp_restart_fails_orphaned_waiters(world):
     assert outcome == [("failed fast", 2.0)]
 
 
+def test_udp_restart_fails_the_waiter_of_a_caller_that_died_quietly(world):
+    # The caller died with its host, so nobody waits on its waiter any
+    # more: the re-opened socket fails it without the failure surfacing
+    # as an unhandled one.
+    a = world.host("client", "r0/c0/m0/s0")
+    b = world.host("node", "r0/c0/m0/s1")  # never started: no replies
+    client = UdpRpcClient(a, timeout=30.0, retries=0)
+    a.spawn(client.call(b, 5300, "lookup", {"key": "x"}))
+
+    def chaos():
+        yield world.sim.timeout(1.0)
+        a.crash()
+        a.restart()
+        yield world.sim.timeout(1.0)
+        try:
+            yield from client.call(b, 5300, "lookup", {"key": "y"})
+        except RpcTimeout:
+            return "timed out at %.1f" % world.now
+
+    proc = world.sim.process(chaos())
+    assert world.run_until(proc, limit=100) == "timed out at 32.0"
+
+
+def _crash_as_the_waiter_fails(world, host, at, caller):
+    """Crash ``host`` at ``at``, in the instant its one waiting call is
+    answered or failed but before its caller resumes: the kernel fires
+    a timer tied with the current instant before a failure made ready
+    in that instant, so the caller dies with the failure in flight."""
+
+    def killer():
+        yield world.sim.timeout_at(at)
+        for _ in range(100):
+            if all(waiter.triggered for waiter in caller._pending.values()):
+                host.crash()
+                return
+            yield world.sim.timeout(0)
+        raise AssertionError("no waiter was settled at %r" % (at,))
+
+    world.sim.process(killer())
+
+
+@pytest.mark.parametrize("transport", ["tcp", "udp"])
+def test_a_crash_in_the_instant_a_call_times_out_is_survived(world,
+                                                             transport):
+    # The expiry fails a waiter whose caller the crash kills before it
+    # can take the failure: the expiry must pass silently.
+    a = world.host("client", "r0/c0/m0/s0")
+    b = world.host("server", "r0/c0/m0/s1")
+    outcome = []
+    if transport == "tcp":
+        _echo_server(world, b)
+
+        def caller():
+            channel = yield from RpcChannel.open(a, b, 7000)
+            _crash_as_the_waiter_fails(world, a, world.now + 2.0, channel)
+            yield from channel.call("slow", {"delay": 10.0}, timeout=2.0)
+            outcome.append("returned")
+    else:
+        client = UdpRpcClient(a, timeout=2.0, retries=0)  # b answers none
+
+        def caller():
+            _crash_as_the_waiter_fails(world, a, world.now + 2.0, client)
+            yield from client.call(b, 5300, "lookup", {})
+            outcome.append("returned")
+
+    a.spawn(caller())
+    world.run()
+    assert outcome == [] and not a.up
+
+
+def test_a_crash_in_the_instant_a_fault_reply_arrives_is_survived():
+    # The dispatcher fails the waiter with the remote fault, and the
+    # caller dies before it can take it: the fault must pass silently.
+    def scenario(crash_at=None):
+        world = World(topology=Topology.balanced(regions=2, countries=2,
+                                                 cities=2, sites=2), seed=3)
+        a = world.host("client", "r0/c0/m0/s0")
+        b = world.host("server", "r0/c0/m0/s1")
+        _echo_server(world, b)
+        faulted = []
+
+        def caller():
+            channel = yield from RpcChannel.open(a, b, 7000)
+            if crash_at is not None:
+                _crash_as_the_waiter_fails(world, a, crash_at, channel)
+            try:
+                yield from channel.call("fails", {})
+            except RpcFault:
+                faulted.append(world.now)
+
+        a.spawn(caller())
+        world.run()
+        return faulted, a.up
+
+    [arrival], _up = scenario()
+    assert scenario(crash_at=arrival) == ([], False)
+
+
+@pytest.mark.parametrize("server_class", [RpcServer, UdpRpcServer])
+def test_a_server_stopped_before_it_started_stops_quietly(world,
+                                                          server_class):
+    server = server_class(world.host("node", "r0/c0/m0/s0"), 5300)
+    server.stop()
+    server.start()
+    server.stop()
+
+
+def test_a_call_on_a_closed_channel_leaves_nothing_pending(world):
+    from repro.sim.transport import ConnectionClosed
+
+    a = world.host("client", "r0/c0/m0/s0")
+    b = world.host("server", "r0/c0/m0/s1")
+    _echo_server(world, b)
+
+    def client():
+        channel = yield from RpcChannel.open(a, b, 7000)
+        channel.close()
+        try:
+            yield from channel.call("echo", {})
+        except ConnectionClosed:
+            return channel._pending
+
+    assert world.run_until(a.spawn(client()), limit=100) == {}
+
+
+def test_a_failed_channel_handshake_closes_its_connection(world):
+    a = world.host("client", "r0/c0/m0/s0")
+    b = world.host("server", "r0/c0/m0/s1")
+    b.listen(7000)
+    opened = []
+
+    def refuse(conn):
+        opened.append(conn)
+        raise ValueError("handshake refused")
+        yield  # a channel wrapper is a generator
+
+    def client():
+        try:
+            yield from RpcChannel.open(a, b, 7000, refuse)
+        except ValueError:
+            return opened[0].closed
+
+    assert world.run_until(a.spawn(client()), limit=100) is True
+
+
 def test_udp_calls_leave_no_timers_in_heap(world):
     # The cancellation invariant: N successful calls leave the event
     # heap with no stale (cancelled-but-present) timers and nothing
@@ -609,7 +754,7 @@ def test_rpc_channel_counters_bind_to_registry():
         return channel
 
     channel = world.run_until(a.spawn(driver()), limit=1e6)
-    assert (channel.calls, channel.faults, channel.timeouts) == (2, 1, 0)
+    assert (channel.calls, channel.faults) == (2, 1)
 
 
 # -- size-memoised envelopes -------------------------------------------------
@@ -655,14 +800,23 @@ def test_reply_envelope_size_matches_live_walk():
     assert _reply_size(none_id) == encoded_size(none_id)
 
 
-def test_udp_retry_resends_same_sized_envelope(world):
+def test_udp_retry_resends_same_sized_envelope(world, monkeypatch):
     """A retried call re-sends an envelope of identical wire size (the
-    args are measured once; only the int id changes)."""
+    args are measured once; only the int id changes), at once: a fixed
+    policy's zero delay asks the kernel for no timer."""
     a = world.host("client", "r0/c0/m0/s0")
     b = world.host("server", "r0/c0/m0/s1")
     # No server at the port: every attempt times out and retries.
     client = UdpRpcClient(a, timeout=0.2, retries=2)
     meter = world.network.meter
+    delays = []
+    timeout = world.sim.timeout
+
+    def recorded(delay, *args, **kwargs):
+        delays.append(delay)
+        return timeout(delay, *args, **kwargs)
+
+    monkeypatch.setattr(world.sim, "timeout", recorded)
 
     def caller():
         try:
@@ -676,6 +830,8 @@ def test_udp_retry_resends_same_sized_envelope(world):
     sent = meter.total_bytes - before
     assert sent % 3 == 0, "three identical attempts must charge equally"
     assert client.retries_sent == 2
+    assert client._pending == {}  # no timed-out attempt is left behind
+    assert 0.0 not in delays
 
 
 # -- pooled guard deadlines --------------------------------------------------
@@ -1033,6 +1189,11 @@ def test_channel_server_answers_a_payload_that_is_no_request(world):
     assert reply == {"id": 2, "ok": True, "value": "still up"}
 
 
+def test_a_fault_reads_as_its_kind_and_message():
+    fault = RpcFault("GosError", "no replica here")
+    assert (fault.kind, str(fault)) == ("GosError", "GosError: no replica here")
+
+
 def test_channel_dispatcher_drops_a_payload_that_is_no_reply(world):
     a = world.host("client", "r0/c0/m0/s0")
     b = world.host("server", "r0/c0/m0/s1")
@@ -1042,7 +1203,8 @@ def test_channel_dispatcher_drops_a_payload_that_is_no_reply(world):
         conn = yield listener.accept()
         request = yield conn.recv()
         conn.send("junk")
-        conn.send({"id": request["id"], "ok": False, "error": "no pair"})
+        # A str of two characters unpacks, but is no (kind, message).
+        conn.send({"id": request["id"], "ok": False, "error": "no"})
         request = yield conn.recv()
         conn.send({"id": request["id"], "ok": True, "value": "answered"})
 
@@ -1355,9 +1517,9 @@ def test_pool_discard_of_a_replaced_channel_spares_its_successor(world):
 
     def client():
         old = yield from pool.channel(b, 7000)
-        pool.discard(old)
+        old.close()
         new = yield from pool.channel(b, 7000)
-        pool.discard(old)                # a late report about the old one
+        old.close()                      # a late report about the old one
         again = yield from pool.channel(b, 7000)
         value = yield from again.call("echo", {"text": "alive"})
         return new is again, value

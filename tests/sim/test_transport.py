@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.sim.kernel import SimulationError
 from repro.sim.network import LinkParameters
 from repro.sim.topology import Level, Topology
 from repro.sim.transport import (ConnectionClosed, ConnectRefused,

@@ -294,6 +294,8 @@ def test_traffic_lists_the_functions_no_entry_point_reaches(
     (package / "__init__.py").write_text("")
     (package / "mod.py").write_text(MODULE)
     monkeypatch.syspath_prepend(str(tmp_path / "src"))
+    for name in ("fixture_pkg", "fixture_pkg.mod"):  # another test's tree
+        monkeypatch.delitem(sys.modules, name, raising=False)
 
     def fixture_traffic():
         from fixture_pkg import mod
@@ -588,6 +590,7 @@ def test_state_and_traffic_list_write_only_state_and_unread_instruments(
         "fixture_pkg/mod.py:10  Meter.self.spins",
         "census: 1 of 4 attributes stored under %s never loaded in src, "
         "examples, gdnbench, tests" % src,
+        "census: 0 names imported under %s and never used" % src,
     ]
     assert census.main(["--traffic", "--src", src]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -629,3 +632,64 @@ def test_state_and_instrument_checks_take_keep_lines(
             "Meter.bind_metrics[ticks]") in out
     assert out.count("census: 0 exempt by rule, 1 kept with a reason, "
                      "0 unexplained; 1 stale keep entries") == 1
+
+
+KIN_MODULE = '''\
+import os
+from typing import List
+
+
+class Base:
+    def __init__(self):
+        self.shared = 0
+
+
+class Child(Base):
+    def total(self) -> "List[int]":
+        return [self.shared]
+
+
+class Mirror:
+    def __init__(self):
+        self.bytes_served = 0
+        self.hits = 0
+
+
+class Httpd:
+    def __init__(self):
+        self.bytes_served = 0
+
+    def report(self):
+        return self.bytes_served
+
+
+def hits(mirror):
+    return mirror.hits
+'''
+
+
+def test_state_counts_a_self_load_only_for_the_loading_class_and_its_kin(
+        tmp_path, monkeypatch, capsys):
+    # Httpd's own self.bytes_served load does not clear Mirror's store
+    # of the same name; Child's self.shared clears its base's store; a
+    # load through another receiver (mirror.hits) counts by name.  The
+    # unused ``os`` fails the check; ``List``, used in a quoted
+    # annotation, and a package __init__'s re-export do not.
+    package = tmp_path / "src" / "fixture_pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("from .mod import Child\n")
+    (package / "mod.py").write_text(KIN_MODULE)
+    (tmp_path / "keep.txt").write_text("")
+    monkeypatch.setattr(census, "KEEP_FILE", tmp_path / "keep.txt")
+    src = str(tmp_path / "src")
+    assert census.main(["--state", "--check", "--src", src]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == [
+        "fixture_pkg/mod.py:17  Mirror.self.bytes_served",
+        "census: 1 of 4 attributes stored under %s never loaded in src, "
+        "examples, gdnbench, tests" % src,
+    ]
+    assert out[2:4] == [
+        "fixture_pkg/mod.py:1  import os",
+        "census: 1 names imported under %s and never used" % src,
+    ]

@@ -1,0 +1,136 @@
+"""tools/mutants.py on a fixture tree: which mutants do the tests kill?"""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+from tools import mutants
+
+MUTANTS = pathlib.Path(__file__).resolve().parents[2] / "tools" / "mutants.py"
+
+# Four mutants: deleting the append (the test reads LOG), flipping the
+# guard's == (double(3) would be 0), deleting the guard (equivalent:
+# 0 * 2 is 0 too) and count_up's + 1 -> + 0 (loops forever).
+MODULE = '''\
+LOG = []
+
+
+def record(x):
+    LOG.append(x)
+    return x
+
+
+def double(x):
+    if x == 0:
+        return 0
+    return x * 2
+
+
+def count_up(n):
+    i = 0
+    while n - i:
+        i = i + 1
+    return i
+'''
+
+TEST = '''\
+from fixture_pkg import mod
+
+
+def test_record():
+    assert mod.record(1) == 1
+    assert mod.LOG == [1]
+
+
+def test_double():
+    assert mod.double(0) == 0
+    assert mod.double(3) == 6
+
+
+def test_count_up():
+    assert mod.count_up(3) == 3
+'''
+
+EQUIVALENT = ("fixture_pkg/mod.py:10 delete  equivalent: x * 2 is 0 "
+              "when x is 0\n")
+
+
+def _tree(tmp_path, keep=""):
+    package = tmp_path / "src" / "fixture_pkg"
+    package.mkdir(parents=True, exist_ok=True)
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(MODULE)
+    (tmp_path / "tests").mkdir(exist_ok=True)
+    (tmp_path / "tests" / "test_fixture.py").write_text(TEST)
+    (tmp_path / "keep.txt").write_text(keep)
+    return ["--root", str(tmp_path), "--files", "fixture_pkg/mod.py",
+            "--keep", str(tmp_path / "keep.txt")]
+
+
+def test_the_operators_make_one_mutant_per_place():
+    found = [(mutant.key, mutant.original, mutant.replacement)
+             for mutant in mutants.mutants_of(MODULE, "mod.py")]
+    assert found == [
+        ("mod.py:5 delete", "LOG.append(x)", "pass"),
+        ("mod.py:10 delete", "if x == 0:\n        return 0", "pass\n"),
+        ("mod.py:10 eq->ne", "x == 0", "(x != 0)"),
+        ("mod.py:18 +1->+0", "1", "0"),
+    ]
+    for mutant in mutants.mutants_of(MODULE, "mod.py"):
+        compile(mutants.apply(MODULE, mutant), "mod.py", "exec")
+
+
+def test_the_sweep_kills_the_planted_and_the_looping_mutant(tmp_path):
+    # The looping mutant is stopped by the timeout and counted as
+    # killed; the equivalent one survives, and its keep line lets the
+    # sweep pass.
+    env = dict(os.environ, PYTHONPATH="")
+    done = subprocess.run(
+        [sys.executable, str(MUTANTS), *_tree(tmp_path, EQUIVALENT),
+         "--timeout", "2", "--", "tests"], cwd=tmp_path, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        timeout=120)
+    assert done.returncode == 0, done.stdout
+    out = done.stdout.splitlines()
+    row = next(line.split() for line in out
+               if line.startswith("fixture_pkg/mod.py "))
+    mutants, killed, hung, error, survived, kept, unkept = map(int, row[1:8])
+    # A slow machine may stop a killed mutant as hung too: both count
+    # as killed.
+    assert (mutants, killed + hung, error, survived, kept, unkept) \
+        == (4, 3, 0, 1, 1, 0)
+    assert ("fixture_pkg/mod.py:10 delete  double  (survived, 1 tests)  "
+            "kept: equivalent: x * 2 is 0 when x is 0") in out
+    assert "fixture_pkg/mod.py:18 +1->+0  count_up  hung" in out
+
+
+def test_check_fails_on_a_stale_or_refused_keep_line(tmp_path, capsys):
+    assert mutants.main(_tree(tmp_path, EQUIVALENT) + ["--check"]) == 0
+    # The guard moved a line down: the keep line names no mutant now.
+    stale = EQUIVALENT.replace(":10 ", ":11 ")
+    assert mutants.main(_tree(tmp_path, stale) + ["--check"]) == 1
+    refused = EQUIVALENT.replace("equivalent:", "test oracle:")
+    assert mutants.main(_tree(tmp_path, refused) + ["--check"]) == 1
+    unknown = EQUIVALENT.replace("equivalent:", "harmless:")
+    assert mutants.main(_tree(tmp_path, unknown) + ["--check"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "mutants: stale keep line (no such mutant): " \
+        "fixture_pkg/mod.py:11 delete" in out
+    assert "mutants: refused keep line (reason kind test oracle): " \
+        "fixture_pkg/mod.py:10 delete" in out
+    assert "mutants: keep line of unknown kind 'harmless': " \
+        "fixture_pkg/mod.py:10 delete" in out
+
+
+def test_check_runs_without_pytest(tmp_path):
+    # CI runs --check where only the standard library is installed.
+    blocked = ("import runpy, sys; sys.modules['pytest'] = None; "
+               "sys.modules['_pytest'] = None; sys.argv = sys.argv[1:]; "
+               "runpy.run_path(sys.argv[0], run_name='__main__')")
+    done = subprocess.run(
+        [sys.executable, "-c", blocked, str(MUTANTS),
+         *_tree(tmp_path, EQUIVALENT), "--check"], cwd=tmp_path,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        timeout=60)
+    assert done.returncode == 0, done.stdout

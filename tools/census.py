@@ -74,15 +74,20 @@ no longer listed is stale and fails the check too.
 ``--state`` runs no tests.  It lists every attribute a ``def`` under
 ``src/`` stores on ``self`` that no code in ``src/``, ``examples/``,
 ``gdnbench/`` or ``tests/`` loads: a test observes a counter through
-its attribute, so its loads count.  Attributes are matched by name, as
-calls are, and a string constant counts as a load (a ``getattr`` by
-name) except inside ``__slots__`` or ``__all__``.
+its attribute, so its loads count.  A ``self.attribute`` load inside a
+class counts only for that class, its bases and its subclasses (by
+class name), so one class's read of a common name hides no other
+class's write-only twin; a load through any other receiver is matched
+by name, as calls are, and so is a string constant (a ``getattr`` by
+name) except inside ``__slots__`` or ``__all__``.  It also lists every
+name a module under ``src/`` imports and never uses (a package
+``__init__``'s re-exports and ``__future__`` imports are exempt).
 
     PYTHONPATH=src python3 tools/census.py --state [--check]
 
 With ``--check`` a listed attribute needs a keep line
-``path  Class.self.attribute  reason``, and a keep line for an
-attribute that is loaded or gone is stale.
+``path  Class.self.attribute  reason``, a keep line for an attribute
+that is loaded or gone is stale, and any unused import fails.
 
 Calls are matched to defs by function name only: ``C(...)`` and
 ``cls(...)`` inside ``C`` reach ``C.__init__``, ``super().__init__(...)``
@@ -723,13 +728,20 @@ def stored_attributes(src: pathlib.Path) -> List[Stored]:
     return sorted(found.values())
 
 
-def loaded_names(trees: List[pathlib.Path]) -> Set[str]:
-    """Every attribute name loaded in ``trees``, and every string
-    constant there outside ``__slots__`` and ``__all__`` (a
-    ``getattr`` by name)."""
-    loaded: Set[str] = set()
+class Loads(NamedTuple):
+    names: Set[str]             # loaded through a receiver not ``self``
+    own: Dict[str, Set[str]]    # attribute -> classes loading self.attr
+    bases: Dict[str, Set[str]]  # class -> its bases, by name
 
-    def visit(node: ast.AST) -> None:
+
+def attribute_loads(trees: List[pathlib.Path]) -> Loads:
+    """Every attribute load in ``trees``: a ``self.attribute`` load in
+    a class's body is that class's own; any other load, and every string
+    constant outside ``__slots__`` and ``__all__`` (a ``getattr`` by
+    name), counts by name."""
+    found = Loads(set(), {}, {})
+
+    def visit(node: ast.AST, cls: str) -> None:
         for child in ast.iter_child_nodes(node):
             targets = (child.targets if isinstance(child, ast.Assign)
                        else [child.target]
@@ -737,29 +749,95 @@ def loaded_names(trees: List[pathlib.Path]) -> Set[str]:
             if any(getattr(target, "id", None) in ("__slots__", "__all__")
                    for target in targets):
                 continue
+            if isinstance(child, ast.ClassDef):
+                found.bases.setdefault(child.name, set()).update(
+                    _call_name(base) for base in child.bases)
+                visit(child, child.name)
+                continue
             if isinstance(child, ast.Attribute) \
                     and isinstance(child.ctx, ast.Load):
-                loaded.add(child.attr)
+                if cls and getattr(child.value, "id", None) == "self":
+                    found.own.setdefault(child.attr, set()).add(cls)
+                else:
+                    found.names.add(child.attr)
             elif isinstance(child, ast.Constant) \
                     and isinstance(child.value, str):
-                loaded.add(child.value)
-            visit(child)
+                found.names.add(child.value)
+            visit(child, cls)
 
     for tree in trees:
         for file in sorted(tree.rglob("*.py")):
-            visit(ast.parse(file.read_text(), str(file)))
-    return loaded
+            visit(ast.parse(file.read_text(), str(file)), "")
+    return found
+
+
+def _kin(cls: str, bases: Dict[str, Set[str]]) -> Set[str]:
+    """``cls``, its bases and its subclasses, by name, transitively."""
+    subclasses: Dict[str, Set[str]] = {}
+    for name, parents in bases.items():
+        for parent in parents:
+            subclasses.setdefault(parent, set()).add(name)
+    kin = {cls}
+    for graph in (bases, subclasses):
+        todo = [cls]
+        while todo:
+            for other in graph.get(todo.pop(), ()):
+                if other not in kin:
+                    kin.add(other)
+                    todo.append(other)
+    return kin
 
 
 def write_only_state(src: pathlib.Path) -> Tuple[int, List[Stored]]:
     """(attributes stored under ``src``, the ones no tree of
-    :data:`READER_TREES` beside it loads by name)."""
+    :data:`READER_TREES` beside it loads: by name through any receiver
+    but ``self``, or as ``self.attribute`` in the storing class, one of
+    its bases or one of its subclasses)."""
     stored = stored_attributes(src)
-    loaded = loaded_names([src.parent / name for name in READER_TREES
-                           if (src.parent / name).is_dir()])
-    return len(stored), [attribute for attribute in stored
-                         if attribute.qualname.rsplit(".", 1)[1]
-                         not in loaded]
+    loads = attribute_loads([src.parent / name for name in READER_TREES
+                             if (src.parent / name).is_dir()])
+    unloaded = []
+    for attribute in stored:
+        cls, _self, name = attribute.qualname.rsplit(".", 2)
+        if name in loads.names or loads.own.get(name, set()) & _kin(
+                cls.rsplit(".", 1)[-1], loads.bases):
+            continue
+        unloaded.append(attribute)
+    return len(stored), unloaded
+
+
+def unused_imports(src: pathlib.Path) -> List[Tuple[str, int, str]]:
+    """``(real path, line, name)`` of each name a module under ``src``
+    imports and never uses (a package ``__init__`` re-exports, and a
+    ``__future__`` import is a directive; both are exempt).  A string
+    that parses as an expression (a quoted annotation) uses its
+    names."""
+    found = []
+    for file in sorted(src.rglob("*.py")):
+        if file.name == "__init__.py":
+            continue
+        tree = ast.parse(file.read_text(), str(file))
+        imported: Dict[str, int] = {}
+        used: Set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", "") != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported.setdefault(name, node.lineno)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str):
+                try:
+                    quoted = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                used.update(name.id for name in ast.walk(quoted)
+                            if isinstance(name, ast.Name))
+        found.extend((os.path.realpath(file), line, name)
+                     for name, line in imported.items() if name not in used)
+    return sorted(found)
 
 
 def check_state(src: pathlib.Path, unloaded: List[Stored],
@@ -857,11 +935,18 @@ def main(argv=None) -> int:
                                  attribute.line, attribute.qualname))
         print("census: %d of %d attributes stored under %s never loaded "
               "in %s" % (len(unloaded), total, src, ", ".join(READER_TREES)))
+        unused = unused_imports(src)
+        for path, line, name in unused:
+            print("%s:%d  import %s" % (os.path.relpath(path, base), line,
+                                        name))
+        print("census: %d names imported under %s and never used"
+              % (len(unused), src))
         if not options.check:
             return 0
         keep, bad = _read_checked_keep()
         unexplained, stale = check_state(src, unloaded, keep)
-        return _report_check(len(unloaded), 0, unexplained, stale, bad)
+        return (_report_check(len(unloaded), 0, unexplained, stale, bad)
+                or (1 if unused else 0))
     if options.traffic:
         entries: List[Tuple[str, Callable[[], object]]] = []
         failed: List[str] = []
