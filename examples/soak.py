@@ -67,8 +67,7 @@ def main():
 
     def publish():
         for index, spec in enumerate(corpus):
-            usage = ObjectUsage(stream.reads_by_region(index), writes=1,
-                                size=spec.total_size)
+            usage = ObjectUsage(stream.reads_by_region(index), writes=1)
             yield from moderator.create_package(
                 spec.name, spec.materialize(), advisor.recommend(usage))
 

@@ -181,8 +181,7 @@ def _run_gdn(corpus: List[PackageSpec], stream: RequestStream,
     def publish():
         for index, spec in enumerate(corpus):
             usage = ObjectUsage(stream.reads_by_region(index),
-                                writes=stream.writes(index),
-                                size=spec.total_size)
+                                writes=stream.writes(index))
             scenario = advisor.recommend(usage)
             ttl_by_name[spec.name] = scenario.cache_ttl
             yield from moderator.create_package(spec.name,

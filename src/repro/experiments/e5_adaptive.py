@@ -86,8 +86,7 @@ def _run_strategy(strategy: str, seed: int, document_count: int,
     def publish():
         for doc in documents:
             usage = ObjectUsage(stream.reads_by_region(doc.index),
-                                writes=stream.writes(doc.index),
-                                size=doc.size)
+                                writes=stream.writes(doc.index))
             scenario = assign(doc.path, usage)
             ttl_by_name[doc.path] = scenario.cache_ttl
             oid = yield from moderator.create_package(

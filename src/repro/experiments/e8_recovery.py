@@ -5,9 +5,11 @@ reboot and reconstruct themselves afterwards" (§4) and lists host and
 network failures as availability threats (§6.1).  We crash one
 replica's machine mid-workload and measure:
 
-* client-visible failures while the machine is down (users bound to
-  the surviving replica keep working; users of the dead access point
-  fail over by rebinding),
+* client-visible failures while the machine is down: the user's
+  browser, near the slave, reaches the GDN through the HTTPD colocated
+  on the crashed machine, and a browser has no other access point, so
+  every download of that phase fails (rebinding to a live replica is
+  what an HTTPD does when its replica dies, and E8 has no such user),
 * the recovery: after reboot the GOS reconstructs its replicas from
   stable storage, slaves re-join their master and catch up on writes
   missed while down,

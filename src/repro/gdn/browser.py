@@ -88,7 +88,7 @@ class Browser:
                 break
             except ConnectionClosed:
                 # Reconnect once: the access point may have restarted.
-                channel.close()
+                # The connection broke, so the pool reopens the channel.
                 if attempt == 1:
                     raise
         self.requests_made += 1

@@ -144,7 +144,6 @@ class GdnDeployment:
         self.ca: Optional[CertificateAuthority] = None
         self.registry: Optional[PrincipalRegistry] = None
         self.policy: Optional[GdnPolicy] = None
-        self.public_trust: Optional[Credentials] = None
         self.gls_key: Optional[bytes] = None
         self._credentials: Dict[str, Credentials] = {}
         if secure:
@@ -179,8 +178,7 @@ class GdnDeployment:
         self.authority.start()
         host = self.world.host("gdn-search", first_site)
         self.search = SearchService(
-            self.world, host, channel_factory=self._server_tls(host,
-                                                               "optional"),
+            host, channel_factory=self._server_tls(host, "optional"),
             authorizer=self.policy and self.policy.authority_authorizer)
         self.search.start()
 
@@ -192,7 +190,6 @@ class GdnDeployment:
         self.object_servers: Dict[str, GlobeObjectServer] = {}
         self.httpds: List[GdnHttpd] = []
         self.moderators: Dict[str, ModeratorTool] = {}
-        self.browsers: Dict[str, Browser] = {}
 
     @classmethod
     def from_spec(cls, spec: dict) -> "GdnDeployment":
@@ -377,7 +374,7 @@ class GdnDeployment:
 
     def _name_service(self, host: Host) -> GlobeNameService:
         resolver = CachingResolver(self.world, host, self.root_hints)
-        return GlobeNameService(self.world, host, resolver, zone=self.zone)
+        return GlobeNameService(resolver, zone=self.zone)
 
     def add_gos(self, name: str, site: Union[str, Domain],
                 port: int = DEFAULT_GOS_PORT) -> GlobeObjectServer:
@@ -483,7 +480,6 @@ class GdnDeployment:
         access_point = nearest_access_point(host, self.httpds)
         browser = Browser(self.world, host, access_point,
                           channel_wrapper=self._client_tls(None, Role.USER))
-        self.browsers[name] = browser
         return browser
 
     def chunked_downloader(self, policy=None, budget=None,

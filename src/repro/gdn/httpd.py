@@ -32,7 +32,8 @@ from ..core.replication.base import ReplicationError
 from ..core.runtime import BindError, Runtime
 from ..core.subobjects import RemoteInvocationError
 from ..gns.gns import GnsError
-from ..sim.rpc import RpcContext, RpcFault, RpcServer, RpcTimeout
+from ..sim.rpc import (RpcContext, RpcError, RpcFault, RpcServer,
+                       RpcTimeout, call)
 from ..sim.serde import encoded_size
 from ..sim.transport import Host, TransportError
 from ..sim.world import World
@@ -322,14 +323,13 @@ class GdnHttpd:
         parsed = urllib.parse.urlparse(path)
         query = {key: values[0] for key, values
                  in urllib.parse.parse_qs(parsed.query).items()}
-        from ..sim import rpc as _rpc
         host_name, port = self.search_endpoint
         target = self.world.hosts[host_name]
         try:
-            reply = yield from _rpc.call(
+            reply = yield from call(
                 self.host, target, port, "search", {"query": query},
                 channel_wrapper=self.runtime.pool.channel_wrapper)
-        except _rpc.RpcError:
+        except (RpcError, TransportError):
             self.errors += 1
             return _response(503, "search service unreachable")
         matches = reply.get("matches", [])

@@ -35,7 +35,6 @@ class MaintainerTool:
         self.host = host
         self.runtime = runtime
         self.name_service = name_service
-        self.updates_applied = 0
 
     def _bind(self, object_name: str) -> Generator:
         oid_hex = yield from self.name_service.resolve(object_name)
@@ -60,7 +59,6 @@ class MaintainerTool:
         except Exception as exc:  # noqa: BLE001 - refusals cross the wire
             raise MaintenanceError(
                 "update of %r refused: %s" % (object_name, exc)) from exc
-        self.updates_applied += 1
         return version
 
     def restore_file(self, object_name: str, path: str, version: int

@@ -46,12 +46,11 @@ class ModeratorTool:
     def __init__(self, world: World, host: Host, runtime: Runtime,
                  object_servers: Mapping[str, GlobeObjectServer],
                  authority_endpoint: Tuple[str, int],
-                 name_service,
-                 search_endpoint: Optional[Tuple[str, int]] = None):
+                 name_service, search_endpoint: Tuple[str, int]):
         """``object_servers`` maps object-server names to the servers,
         read at each command (not copied), so a server added after the
         tool can host replicas; ``name_service`` resolves object names
-        (a GlobeNameService); ``search_endpoint`` (optional) is the
+        (a GlobeNameService); ``search_endpoint`` is the
         attribute-search service packages are indexed in."""
         self.world = world
         self.host = host
@@ -59,8 +58,7 @@ class ModeratorTool:
         self.object_servers = object_servers
         self.authority_endpoint = tuple(authority_endpoint)
         self.name_service = name_service
-        self.search_endpoint = (tuple(search_endpoint)
-                                if search_endpoint else None)
+        self.search_endpoint = tuple(search_endpoint)
         #: Local catalog of packages this moderator manages:
         #: object name -> {"oid": hex, "scenario": ReplicationScenario}.
         self.catalog: Dict[str, dict] = {}
@@ -100,8 +98,6 @@ class ModeratorTool:
         return reply
 
     def _search_call(self, method: str, args: dict) -> Generator:
-        if self.search_endpoint is None:
-            return None
         try:
             reply = yield from self._call(self.search_endpoint,
                                           method, args)

@@ -68,10 +68,9 @@ class ObjectUsage:
     """Observed (or predicted) usage pattern of one object."""
 
     def __init__(self, reads_by_region: Optional[Dict[str, int]] = None,
-                 writes: int = 0, size: int = 0):
+                 writes: int = 0):
         self.reads_by_region = dict(reads_by_region or {})
         self.writes = writes
-        self.size = size
 
     @property
     def reads(self) -> int:

@@ -19,7 +19,6 @@ from typing import Callable, Dict, List, Optional, Set
 
 from ..sim.rpc import RpcContext, RpcServer
 from ..sim.transport import Host
-from ..sim.world import World
 
 __all__ = ["SearchService", "SEARCH_PORT"]
 
@@ -29,10 +28,9 @@ SEARCH_PORT = 7300
 class SearchService:
     """An inverted index over package attributes."""
 
-    def __init__(self, world: World, host: Host, port: int = SEARCH_PORT,
+    def __init__(self, host: Host, port: int = SEARCH_PORT,
                  channel_factory: Optional[Callable] = None,
                  authorizer: Optional[Callable[[RpcContext], bool]] = None):
-        self.world = world
         self.host = host
         self.port = port
         self.channel_factory = channel_factory

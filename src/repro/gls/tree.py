@@ -10,10 +10,10 @@ handles.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from ..sim.stable import DiskStore
-from ..sim.topology import Domain, Level
+from ..sim.topology import Domain
 from ..sim.world import World
 from .node import GLS_PORT, DirectoryNode, NodeHandle
 
@@ -24,17 +24,16 @@ class GlsTree:
     """The deployed Globe Location Service for one world."""
 
     def __init__(self, world: World,
-                 partition: Union[int, Dict[str, int]] = 1,
+                 partition: Optional[Dict[str, int]] = None,
                  auth_key: Optional[bytes] = None,
                  port: int = GLS_PORT,
                  disk: Optional[DiskStore] = None,
                  transport: str = "udp"):
-        """``partition`` is either a global subnode count or a mapping
-        from domain path (e.g. ``""`` for the root) to subnode count;
-        unlisted domains get one subnode.  ``transport`` selects the
-        node protocol: "udp" (the paper) or "tcp" (ablation A3)."""
+        """``partition`` maps a domain path (e.g. ``""`` for the root)
+        to its subnode count, one for an unlisted domain; ``transport``
+        is the node protocol, "udp" (the paper) or "tcp" (ablation A3)."""
         self.world = world
-        self.partition = partition
+        self.partition = partition or {}
         self.auth_key = auth_key
         self.port = port
         self.disk = disk if disk is not None else DiskStore()
@@ -48,8 +47,6 @@ class GlsTree:
     # -- construction -------------------------------------------------------
 
     def _subnode_count(self, domain: Domain) -> int:
-        if isinstance(self.partition, int):
-            return self.partition if domain.level > Level.SITE else 1
         return max(1, self.partition.get(domain.path, 1))
 
     def _host_name(self, domain: Domain, index: int) -> str:

@@ -78,7 +78,6 @@ class NamingAuthority:
         self.batch_window = batch_window
         self._queue = world.sim.store()
         self._carry_get: Optional[Event] = None
-        self._client: Optional[UdpRpcClient] = None
         self._server: Optional[RpcServer] = None
         self.updates_sent = 0
         self.names_added = 0

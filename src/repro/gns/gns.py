@@ -18,8 +18,6 @@ from __future__ import annotations
 import functools
 from typing import Generator
 
-from ..sim.transport import Host
-from ..sim.world import World
 from .dns.records import NAME_MEMO_SIZE, DnsError, normalize_name
 from .dns.resolver import CachingResolver, ResolutionError
 
@@ -73,10 +71,8 @@ def decode_oid_txt(data: str) -> str:
 class GlobeNameService:
     """Client-side GNS: resolve object names to object identifiers."""
 
-    def __init__(self, world: World, host: Host, resolver: CachingResolver,
+    def __init__(self, resolver: CachingResolver,
                  zone: str = DEFAULT_GDN_ZONE):
-        self.world = world
-        self.host = host
         self.resolver = resolver
         self.zone = normalize_name(zone)
         self.resolutions = 0

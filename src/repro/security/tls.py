@@ -190,8 +190,7 @@ class SecureChannel:
         return self._records.get()
 
     def close(self) -> None:
-        if self.closed:
-            return
+        """Idempotent: the connection and record layer closes are."""
         self.closed = True
         self.conn.close()
         self._records.close("secure channel closed")

@@ -58,21 +58,16 @@ DEFAULT_BANDWIDTH = {
 class LinkParameters:
     """Latency/bandwidth/loss per separation level.
 
-    ``loss`` applies only to unreliable (datagram) traffic; reliable
-    connections model retransmission as extra delay instead.
+    Latency and bandwidth are :data:`DEFAULT_LATENCY` and
+    :data:`DEFAULT_BANDWIDTH` as they stand when the parameters are
+    made.  ``loss`` applies only to unreliable (datagram) traffic;
+    reliable connections model retransmission as extra delay instead.
     """
 
-    def __init__(self,
-                 latency: Optional[Dict[Level, float]] = None,
-                 bandwidth: Optional[Dict[Level, float]] = None,
-                 loss: Optional[Dict[Level, float]] = None,
+    def __init__(self, loss: Optional[Dict[Level, float]] = None,
                  jitter_fraction: float = 0.0):
         self.latency = dict(DEFAULT_LATENCY)
-        if latency:
-            self.latency.update(latency)
         self.bandwidth = dict(DEFAULT_BANDWIDTH)
-        if bandwidth:
-            self.bandwidth.update(bandwidth)
         self.loss = {level: 0.0 for level in Level}
         if loss:
             self.loss.update(loss)
@@ -96,7 +91,6 @@ class TrafficMeter:
         self.bytes_by_level: Dict[Level, int] = {lvl: 0 for lvl in Level}
         self.messages_by_level: Dict[Level, int] = {lvl: 0 for lvl in Level}
         self.dropped_messages = 0
-        self._metrics_prefix: str = "net"
 
     def record(self, level: Level, size: int) -> None:
         self.bytes_by_level[level] += size
@@ -105,29 +99,26 @@ class TrafficMeter:
     def record_drop(self) -> None:
         self.dropped_messages += 1
 
-    def bind_metrics(self, registry, prefix: str = "net") -> None:
+    def bind_metrics(self, registry) -> None:
         """Register per-level byte/message counters as a view over the
         ledgers — ``net.bytes.WORLD``, ``net.messages.SITE``, ... plus
         ``net.dropped``.  Zero cost on the delivery path."""
-        self._metrics_prefix = prefix
         for level in Level:
             registry.counter(
-                "%s.bytes.%s" % (prefix, level.name),
+                "net.bytes." + level.name,
                 fn=lambda ledger=self.bytes_by_level, key=level:
                     ledger[key])
             registry.counter(
-                "%s.messages.%s" % (prefix, level.name),
+                "net.messages." + level.name,
                 fn=lambda ledger=self.messages_by_level, key=level:
                     ledger[key])
-        registry.counter(prefix + ".dropped",
-                         fn=lambda: self.dropped_messages)
+        registry.counter("net.dropped", fn=lambda: self.dropped_messages)
 
     def wide_area_delta(self, window) -> int:
         """Bytes this meter carried across region or world boundaries
         inside a :class:`PhaseWindow` (requires :meth:`bind_metrics` on
         the window's registry)."""
-        return sum(window.delta("%s.bytes.%s"
-                                % (self._metrics_prefix, level.name))
+        return sum(window.delta("net.bytes." + level.name)
                    for level in Level if level >= Level.REGION)
 
     @property
@@ -350,12 +341,10 @@ class Network:
             entries.append([now + delay, sim.reserve_seq(), deliver_fn])
         self.burst_calls += 1
         self.burst_messages += len(entries)
-        if not entries:
-            return 0
-        scheduled = len(entries)
         # Varied sizes (or jitter) make arrival order differ from send
         # order; BatchTimeout wants (at, seq) order.  Seqs are unique,
-        # so plain list comparison never reaches the callbacks.
+        # so plain list comparison never reaches the callbacks.  An
+        # empty batch arms no timer.
         entries.sort()
         BatchTimeout(sim, entries)
-        return scheduled
+        return len(entries)

@@ -148,8 +148,7 @@ class Host:
         for process in list(self._processes):
             process.kill()  # each leaves _processes as it dies
         for connection in list(self._connections):
-            connection._break()
-        self._connections.clear()
+            connection._break()  # each leaves _connections as it breaks
         for socket in list(self._udp_ports.values()):
             socket.close()
         for listener in list(self._tcp_listeners.values()):
@@ -157,8 +156,6 @@ class Host:
 
     def restart(self) -> None:
         """Bring the machine back up, empty.  Daemons must be restarted."""
-        if self.up:
-            return
         self.up = True
         self.network.set_host_down(self.name, False)
 
@@ -275,8 +272,6 @@ class UdpSocket:
         """
         if self.closed:
             raise TransportError("socket is closed")
-        if not self.host.up:  # inline _require_up (per-datagram path)
-            raise HostDown("host %s is down" % self.host.name)
         wire = (size if size is not None else encoded_size(payload))
         wire += HEADER_OVERHEAD
         if reply_to is None:
@@ -310,8 +305,6 @@ class UdpSocket:
         """
         if self.closed:
             raise TransportError("socket is closed")
-        if not self.host.up:  # inline _require_up (per-burst path)
-            raise HostDown("host %s is down" % self.host.name)
         host = self.host
         port = self.port
         inbox_ok = dst._udp_ports
@@ -470,7 +463,6 @@ class Connection:
         self.remote = remote
         self.sim = local.sim
         self._inbox = Inbox(local.sim)
-        self._peer: Optional["Connection"] = None
         self._next_arrival = 0.0
         self.closed = False
         self.broken = False
@@ -488,10 +480,8 @@ class Connection:
         Raises :class:`ConnectionClosed` if this end is closed/broken.
         Delivery from ``departure`` (default: now) is asynchronous, FIFO.
         """
-        if self.closed or self.broken:
+        if self.closed or self.broken:  # a crash breaks every connection
             raise ConnectionClosed("send on closed connection %r" % self)
-        if not self.local.up:  # inline _require_up (per-message path)
-            raise HostDown("host %s is down" % self.local.name)
         wire = (size if size is not None else encoded_size(payload))
         wire += HEADER_OVERHEAD
         if self.local.network.host_is_down(self.remote.name):
@@ -582,8 +572,6 @@ class Connection:
     def _break(self) -> None:
         """Abrupt teardown (host crash): surviving ends see EOF."""
         for end in (self, self._peer):
-            if end is None or end.closed:
-                continue
             end.broken = True
             if end.local.up:
                 end._inbox.close("peer closed %r" % end)

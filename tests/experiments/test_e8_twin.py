@@ -1,0 +1,232 @@
+"""E8's back-of-envelope twin: every cell predicted in closed form from
+the link parameters, the placement of the user, its access point, the
+name servers, the GLS leaf and the replicas, and what the access
+point's caches hold at each download.
+
+Every message E8 times is one envelope crossing one link, charged
+
+    latency(L) + (envelope bytes + framing) / bandwidth(L)
+
+at the separation L of its two hosts; a call is a request and its
+reply, a connect is a SYN and a SYN-ACK of framing alone.
+
+*Placement.*  The user sits at ``r1/c1/m0/s1``.  Its nearest access
+point is the HTTPD colocated with the slave on ``gos-r1-0``, one
+REGION away; the master on ``gos-r0-0`` is on no read's path.  The
+access point's GLS leaf, the TLD server and the GDN Zone server
+nearest it (its region's secondary) share its site; the root server is
+in ``r0``, one WORLD away.
+
+*The cold first download* opens the browser's connection, sends the
+GET, and the access point then resolves the name (root, TLD, zone
+server, one query each), looks the object up at its GLS leaf (the
+slave's record is there), connects to the slave on its own host and
+pulls the slave's state into a caching representative, and replies.
+
+*The warm downloads.*  The caching representative is fresh for the
+HTTPD's cache TTL, :data:`~repro.gdn.httpd.DEFAULT_CACHE_TTL` (300 s:
+E8's spec gives its HTTPDs none, and the 5 s ``cache_ttl`` of E8's
+replication scenario reaches no HTTPD), and the resolver keeps the name
+for :data:`~repro.gns.authority.NAME_TTL` (3 600 s).  Both outlast all
+of E8, whose downloads come one second apart, so every later download
+is the GET and its reply alone.
+
+*The host down.*  The crash kills the access point with the slave.  A
+browser has one access point and no failover, so each of the 30
+downloads fails its connect.
+
+*After recovery* the HTTPD restarts with its bindings dropped but its
+resolver's cache kept (a crash kills processes and connections, not the
+resolver's memory), and the browser reconnects: the first download is
+the connect, the GET, the GLS lookup, the connect to the slave, the
+pull of the slave's state (now holding the write it caught up on) and
+the reply.
+
+Tolerance.  E8 runs without jitter and every message waits for the one
+before it.  The twin charges the GLS lookup's two datagrams and the
+pull request latency only, and the pulled state as the package's file
+bytes only; those bytes cross the access point's own site at
+100 MB/s, so what it misses is under 20 us per first download, under
+1e-5 of a phase mean.  :data:`TOLERANCE` is 1e-4 relative, a tenth of
+what a planted +10 % WORLD latency moves the healthy mean (1 %).
+"""
+
+from repro.experiments import e8_recovery as e8
+from repro.gdn.deployment import GdnDeployment, standard_spec
+from repro.gdn.httpd import DEFAULT_CACHE_TTL
+from repro.gns.authority import NAME_TTL
+from repro.gns.gns import encode_oid_txt, object_name_to_dns
+from repro.sim import network
+from repro.sim.network import LinkParameters
+from repro.sim.serde import HEADER_OVERHEAD, encoded_size
+from repro.sim.topology import Level, Topology
+from repro.sim.transport import CONNECT_TIMEOUT
+from repro.workloads.packages import synthetic_file
+
+#: Relative slack of a mean latency cell (see the module docstring).
+TOLERANCE = 1e-4
+DOWNLOADS = 30
+PACKAGE = "/apps/net/e8pkg"
+FILES = {"README": 2_000, "data/blob": 40_000}
+#: The write the slave catches up on while its host is down.
+NEWS = 500
+
+
+def _request(method: str, args: dict, src: str) -> int:
+    return encoded_size({"id": 0, "method": method, "args": args,
+                         "src": src}) + HEADER_OVERHEAD
+
+
+def _reply(value) -> int:
+    return encoded_size({"id": 0, "ok": True, "value": value}) \
+        + HEADER_OVERHEAD
+
+
+def _record(name: str, rtype: str, ttl: int, data: str) -> dict:
+    return {"name": name, "type": rtype, "ttl": ttl, "data": data}
+
+
+def placement() -> dict:
+    """Host name -> site of every host E8's downloads touch, from a
+    deployment built from E8's spec, and what the access point's
+    caches keep."""
+    gdn = GdnDeployment.from_spec({**standard_spec(2, 2, 1, 2), "seed": 31,
+                                   "secure": False})
+    browser = gdn.add_browser("user", "r1/c1/m0/s1")
+    access_point = browser.access_point
+    ap = access_point.host
+    servers = [gdn.dns_primary, *gdn.dns_secondaries]
+    sites = {server.host.name: server.host.site
+             for server in [gdn.dns_root, gdn.dns_tld, *servers]}
+    leaf = access_point.runtime.location_service.leaf
+    sites.update({"user": browser.host.site, ap.name: ap.site,
+                  "gls-leaf": gdn.world.hosts[leaf.pick("0" * 40)[0]].site})
+    nearest = min(servers, key=lambda server: (
+        Topology.separation(ap.site, server.host.site), servers.index(server)))
+    return {"sites": sites, "zone": gdn.zone, "ap": ap.name,
+            "slave": gdn.object_servers["gos-r1-0"].host.name,
+            "zone_servers": [server.host.name for server in servers],
+            "zone_server": nearest.host.name,
+            "cache_ttl": access_point.cache_policy(PACKAGE)}
+
+
+def predict(params: LinkParameters) -> dict:
+    """Every E8 cell, by its row and column."""
+    where = placement()
+    sites, zone, ap = where["sites"], where["zone"], where["ap"]
+    assert where["slave"] == ap  # the access point is colocated
+
+    def flight(src: str, dst: str, nbytes: int) -> float:
+        level = Topology.separation(sites[src], sites[dst])
+        return params.latency[level] + nbytes / params.bandwidth[level]
+
+    def call(src, dst, request: int, reply: int) -> float:
+        return flight(src, dst, request) + flight(dst, src, reply)
+
+    def connect(src, dst) -> float:
+        return call(src, dst, HEADER_OVERHEAD, HEADER_OVERHEAD)
+
+    readme = synthetic_file("e8", FILES["README"])
+    get = call("user", ap, _request(
+        "http", {"method": "GET", "path": "/gdn%s/files/README" % PACKAGE},
+        "user"), _reply({"status": 200, "body": readme, "headers": {
+            "content-type": "application/octet-stream",
+            "server": "GDN-HTTPD/1.0"}}))
+
+    qname = object_name_to_dns(PACKAGE, zone)
+    query = _request("query", {"name": qname, "type": "TXT"}, ap)
+    tld = zone.split(".")[-1]
+    answers = (
+        ("dns-root", {"rcode": "NOERROR", "answers": [], "referral": [
+            _record(tld, "NS", 86400, "dns-tld")], "authoritative": False,
+            "zone": ""}),
+        ("dns-tld", {"rcode": "NOERROR", "answers": [], "referral": [
+            _record(zone, "NS", 3600, server)
+            for server in where["zone_servers"]],
+            "authoritative": False, "zone": tld}),
+        (where["zone_server"], {"rcode": "NOERROR", "answers": [
+            _record(qname, "TXT", NAME_TTL, encode_oid_txt("%040x" % 0))],
+            "referral": [], "authoritative": True, "zone": zone}))
+    resolve = sum(call(ap, server, query, _reply(value))
+                  for server, value in answers)
+    lookup = call(ap, "gls-leaf", 0, 0)
+
+    def pull(state: int) -> float:
+        return connect(ap, ap) + call(ap, ap, 0, state)
+
+    files = sum(FILES.values())
+    cold = (connect("user", ap) + get + resolve + lookup + pull(files))
+    again = (connect("user", ap) + get + lookup + pull(files + NEWS))
+    # The caches must outlast E8 from the first download on: two phases
+    # of downloads a second apart, the failed connects between them,
+    # and room for the write and the recovery.
+    span = 2 * DOWNLOADS * (1.0 + cold) + DOWNLOADS * CONNECT_TIMEOUT
+    assert min(where["cache_ttl"], NAME_TTL) > 1.5 * span
+
+    cells = {("healthy", "count"): DOWNLOADS,
+             ("healthy", "mean"): (cold + (DOWNLOADS - 1) * get) / DOWNLOADS,
+             ("replica host down", "count"): 0,
+             ("replica host down", "failures"): DOWNLOADS,
+             ("after recovery", "count"): DOWNLOADS,
+             ("after recovery", "mean"):
+                 (again + (DOWNLOADS - 1) * get) / DOWNLOADS,
+             ("slave caught up", "value"): True,
+             ("gls recovered", "value"): True}
+    return cells
+
+
+def observe(result: dict) -> dict:
+    """The same cells, read from an E8 result."""
+    return {("healthy", "count"): result["before"].count,
+            ("healthy", "mean"): result["before"].mean,
+            ("replica host down", "count"): result["ok_during"],
+            ("replica host down", "failures"): result["failures_during"],
+            ("after recovery", "count"): result["after"].count,
+            ("after recovery", "mean"): result["after"].mean,
+            ("slave caught up", "value"): result["slave_caught_up"],
+            ("gls recovered", "value"): result["gls_records_recovered"]}
+
+
+def _misses(predicted: dict, observed: dict) -> set:
+    """Cells whose observation is off its prediction: a mean by more
+    than TOLERANCE, any other cell at all."""
+    missed = set()
+    for cell, value in predicted.items():
+        seen = observed[cell]
+        if isinstance(value, float):
+            if abs(seen - value) > TOLERANCE * value:
+                missed.add(cell)
+        elif seen != value:
+            missed.add(cell)
+    return missed
+
+
+def test_every_read_after_the_first_is_one_round_trip_to_the_access_point():
+    where = placement()
+    sites = where["sites"]
+    assert Topology.separation(sites["user"], sites[where["ap"]]) \
+        is Level.REGION
+    assert where["cache_ttl"] == DEFAULT_CACHE_TTL
+    assert [Topology.separation(sites[where["ap"]], sites[server])
+            for server in ("dns-root", "dns-tld", where["zone_server"],
+                           "gls-leaf")] \
+        == [Level.WORLD, Level.SITE, Level.SITE, Level.SITE]
+
+
+def test_e8_matches_its_twin():
+    predicted = predict(LinkParameters())
+    observed = observe(e8.run_recovery_experiment(downloads=DOWNLOADS))
+    assert set(observed) == set(predicted)
+    assert _misses(predicted, observed) == set()
+
+
+def test_a_planted_world_latency_fails_exactly_the_dependent_cells(
+        monkeypatch):
+    # Only the cold first download crosses WORLD (its root query): the
+    # healthy mean moves; the after-recovery mean (the resolver kept the
+    # name) and every count do not.
+    predicted = predict(LinkParameters())
+    monkeypatch.setitem(network.DEFAULT_LATENCY, Level.WORLD,
+                        network.DEFAULT_LATENCY[Level.WORLD] * 1.1)
+    observed = observe(e8.run_recovery_experiment(downloads=DOWNLOADS))
+    assert _misses(predicted, observed) == {("healthy", "mean")}

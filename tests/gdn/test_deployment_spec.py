@@ -27,6 +27,11 @@ def test_the_standard_spec_is_the_papers_baseline_layout():
         "httpd.httpd-r0-0.bytes_served",
         "httpd.httpd-r1-0.bytes_served",
         "httpd.httpd-r2-0.bytes_served"]
+    # Every GDN Zone secondary holds the zone before the first
+    # publication: the initial transfers, not the first NOTIFY, bring
+    # it (the goldens' wide-area bytes count them there).
+    assert [gdn.zone in secondary.zones
+            for secondary in gdn.dns_secondaries] == [True, True]
 
 
 SPEC = {"topology": [2, 1, 1, 2], "secure": False,

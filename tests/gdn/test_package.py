@@ -83,3 +83,34 @@ def test_state_round_trip(package):
     restored.setAttribute("category", "other")
     assert package.snapshot_state() == state
     assert len(package.listContents()) == 2
+
+
+def test_a_change_set_names_each_path_once():
+    pkg = PackageSemantics()
+    pkg.addFile("a", b"1")
+    pkg.delFile("a")
+    assert pkg.take_changes() == {"version": 2, "history": pkg._history,
+                                  "deleted": ["a"]}
+    pkg.addFile("b", b"1")
+    pkg.take_changes()
+    pkg.delFile("b")
+    pkg.addFile("b", b"2")
+    changes = pkg.take_changes()
+    assert (changes["files"], "deleted" in changes) == ({"b": b"2"}, False)
+
+
+def test_the_manifest_memo_keeps_no_deleted_contents(package):
+    # The memo holds the contents it hashed: a path that goes takes
+    # its entry along, however it goes.
+    copy = PackageSemantics()
+    copy.restore_state(package.snapshot_state())
+    for pkg in (package, copy):
+        pkg.getFileManifest("README")
+        assert "README" in pkg._manifests
+    package.delFile("README")
+    assert "README" not in package._manifests
+    copy.apply_changes(package.take_changes())
+    assert "README" not in copy._manifests
+    copy.getFileManifest("bin/gimp")
+    copy.restore_state(PackageSemantics().snapshot_state())
+    assert copy._manifests == {}

@@ -24,7 +24,7 @@ def test_scenario_validation():
 
 
 def test_usage_statistics():
-    usage = ObjectUsage({"r0": 90, "r1": 10}, writes=5, size=1000)
+    usage = ObjectUsage({"r0": 90, "r1": 10}, writes=5)
     assert usage.reads == 100
     assert usage.read_write_ratio == 20.0
     assert usage.hot_regions() == ["r0", "r1"]
@@ -65,3 +65,12 @@ def test_advisor_unknown_region_falls_back_home():
 def test_advisor_needs_servers():
     with pytest.raises(ValueError):
         ScenarioAdvisor({})
+
+
+def test_advisor_thresholds_count_as_hot_and_read_mostly():
+    # Exactly the popularity threshold's 50 reads, at exactly the
+    # ratio threshold's 10 reads per write: hot and read-mostly.
+    advisor = ScenarioAdvisor({"r0": "gos-0", "r1": "gos-1"})
+    usage = ObjectUsage({"r0": 50}, writes=5)
+    assert (usage.reads, usage.read_write_ratio) == (50, 10.0)
+    assert advisor.recommend(usage).protocol == "master_slave"

@@ -16,7 +16,7 @@ def world():
 @pytest.fixture
 def service(world):
     host = world.host("search", "r0/c0/m0/s0")
-    service = SearchService(world, host)
+    service = SearchService(host)
     service.start()
     return service
 
@@ -43,6 +43,9 @@ def _register_fixtures(world, client, service):
 
 def test_register_and_search_by_attribute(world, service):
     client = world.host("client", "r0/c0/m0/s1")
+    assert _call(world, client, service, "register",
+                 {"name": "/apps/x", "attributes": {"a": "1", "b": "2"}}) \
+        == {"indexed": "/apps/x", "attributes": 2}
     _register_fixtures(world, client, service)
     reply = _call(world, client, service, "search",
                   {"query": {"category": "graphics"}})
@@ -103,24 +106,29 @@ def test_unregister_removes_from_index(world, service):
     reply = _call(world, client, service, "search",
                   {"query": {"category": "graphics"}})
     assert reply["matches"] == ["/apps/graphics/xfig"]
+    # The last package of a value takes its index entry with it.
+    _call(world, client, service, "unregister",
+          {"name": "/apps/editors/emacs"})
+    assert ("category", "editors") not in service._index
 
 
 def test_authorizer_gates_registration_not_queries(world):
     host = world.host("search", "r0/c0/m0/s0")
-    service = SearchService(world, host,
+    service = SearchService(host,
                             authorizer=lambda ctx: False)
     service.start()
     client = world.host("client", "r0/c0/m0/s1")
 
-    def register():
+    def mutate(method):
         try:
-            yield from rpc.call(client, host, service.port, "register",
+            yield from rpc.call(client, host, service.port, method,
                                 {"name": "/apps/x", "attributes": {}})
         except rpc.RpcFault as fault:
             return fault.kind
 
-    assert world.run_until(client.spawn(register()),
-                           limit=1e6) == "PermissionError"
-    assert service.rejected == 1
+    for method in ("register", "unregister"):
+        assert world.run_until(client.spawn(mutate(method)),
+                               limit=1e6) == "PermissionError"
+    assert service.rejected == 2
     reply = _call(world, client, service, "search", {"query": {}})
     assert reply["matches"] == []  # queries still answered

@@ -71,8 +71,11 @@ def test_chunk_index_and_size_validation():
         pkg.getFileChunk("tiny.txt", 5, chunk_size=100)
     with pytest.raises(IndexError):
         pkg.getFileChunk("tiny.txt", -1, chunk_size=100)
-    with pytest.raises(ValueError):
-        pkg.getFileManifest("tiny.txt", chunk_size=0)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="chunk_size must be positive"):
+            pkg.getFileManifest("tiny.txt", chunk_size=bad)
+        with pytest.raises(ValueError, match="chunk_size must be positive"):
+            pkg.getFileChunk("tiny.txt", 0, chunk_size=bad)
     with pytest.raises(KeyError):
         pkg.getFileManifest("missing")
 
@@ -206,10 +209,16 @@ def test_parse_transfer_url_forms():
     assert parse_transfer_url("/gdn/apps/Gimp/files/bin/gimp") is None
     assert parse_transfer_url("/gdn/apps/Gimp") is None
     assert parse_transfer_url("/other") is None
+    assert parse_transfer_url("/www/apps/Gimp/manifest/bin/gimp") is None
+    # A route right after /gdn is still the first one.
+    assert parse_transfer_url("/gdn/manifest/bin/gimp") == \
+        ("manifest", "", "bin/gimp", None, None)
     with pytest.raises(ValueError):
         parse_transfer_url("/gdn/apps/Gimp/chunk/x/bin/gimp")
     with pytest.raises(ValueError):
         parse_transfer_url("/gdn/apps/Gimp/manifest/")
+    with pytest.raises(ValueError):
+        parse_transfer_url("/gdn/apps/Gimp/chunk/3/")
     with pytest.raises(ValueError):
         parse_transfer_url("/gdn/apps/Gimp/chunk/3/f?chunk_size=abc")
 

@@ -63,3 +63,20 @@ def test_history_survives_state_round_trip(package):
     assert clone.getFileContents("README") == b"version one"
     # The original is unaffected (deep copy).
     assert package.getFileContents("README") == b"version two"
+
+
+def test_exactly_the_last_retention_depth_contents_are_kept(package):
+    # HISTORY_RETENTION superseding writes: versions 2.. are retained,
+    # the first of them still restorable; one more evicts it.
+    for index in range(HISTORY_RETENTION):
+        package.addFile("README", b"v%d" % index)
+    clone = PackageSemantics()
+    clone.restore_state(package.snapshot_state())
+    for pkg in (package, clone):
+        assert pkg.restoreFile("README", 2) > 0
+    # The restore superseded one more: the oldest retained goes, in
+    # the original and in a copy restored from its snapshot alike.
+    for pkg in (package, clone):
+        with pytest.raises(KeyError):
+            pkg.restoreFile("README", 2)
+        pkg.restoreFile("README", 3)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gns.authority import NamingAuthority
+from repro.gns.authority import MAX_BATCH, NamingAuthority
 from repro.gns.dns.records import RRType
 from repro.gns.dns.server import DNS_PORT
 from repro.gns.dns.tsig import TsigKey
@@ -32,6 +32,8 @@ def test_paper_example_mapping():
 def test_relative_object_name_rejected():
     with pytest.raises(GnsError):
         object_name_to_dns("apps/gimp", GDN_ZONE)
+    with pytest.raises(GnsError, match="empty object name"):
+        object_name_to_dns("//", GDN_ZONE)
 
 
 def test_dns_syntax_restriction_surfaces():
@@ -67,14 +69,14 @@ def _authority(bed, **kwargs):
 
 def test_gns_resolves_registered_name(bed):
     resolver = bed.resolver("user-1", "r0/c0/m0/s1")
-    gns = GlobeNameService(bed.world, resolver.host, resolver, zone=GDN_ZONE)
+    gns = GlobeNameService(resolver, zone=GDN_ZONE)
     oid_hex = run(bed.world, gns.resolve("/apps/Gimp"), host=resolver.host)
     assert oid_hex == "aa"
 
 
 def test_gns_unknown_name_raises(bed):
     resolver = bed.resolver("user-1", "r0/c0/m0/s1")
-    gns = GlobeNameService(bed.world, resolver.host, resolver, zone=GDN_ZONE)
+    gns = GlobeNameService(resolver, zone=GDN_ZONE)
 
     def attempt():
         try:
@@ -100,7 +102,7 @@ def test_authority_add_name_end_to_end(bed):
 
     bed.catch_up()  # the r1 user asks r1's secondary
     resolver = bed.resolver("user-1", "r1/c0/m0/s1")
-    gns = GlobeNameService(bed.world, resolver.host, resolver, zone=GDN_ZONE)
+    gns = GlobeNameService(resolver, zone=GDN_ZONE)
     oid_hex = run(bed.world, gns.resolve("/apps/editors/Emacs"),
                   host=resolver.host)
     assert oid_hex == "e1"
@@ -136,10 +138,13 @@ def test_authority_remove_name(bed):
     def add_then_remove():
         yield from rpc.call(tool_host, authority.host, authority.port,
                             "add_name", {"name": "/apps/Tmp", "oid": "dd"})
-        yield from rpc.call(tool_host, authority.host, authority.port,
-                            "remove_name", {"name": "/apps/Tmp"})
+        reply = yield from rpc.call(tool_host, authority.host,
+                                    authority.port, "remove_name",
+                                    {"name": "/apps/Tmp"})
+        return reply
 
-    run(bed.world, add_then_remove(), host=tool_host)
+    assert run(bed.world, add_then_remove(), host=tool_host) == {
+        "dns_name": "tmp.apps." + GDN_ZONE, "serial": 3}
     zone = bed.primary.zones[GDN_ZONE]
     assert not zone.rrset("tmp.apps." + GDN_ZONE, RRType.TXT)
 
@@ -152,16 +157,80 @@ def test_authority_rejects_unauthorized_principal(bed):
                            authorizer=moderators_only)
     tool_host = bed.world.host("rando", "r0/c1/m0/s1")
 
-    def attempt():
+    def attempt(method):
         try:
             yield from rpc.call(tool_host, authority.host, authority.port,
-                                "add_name", {"name": "/apps/Evil",
-                                             "oid": "66"})
+                                method, {"name": "/apps/Evil", "oid": "66"})
         except rpc.RpcFault as fault:
             return fault.kind
 
-    assert run(bed.world, attempt(), host=tool_host) == "GnsError"
-    assert authority.requests_rejected == 1
+    for method in ("add_name", "remove_name"):
+        assert run(bed.world, attempt(method), host=tool_host) == "GnsError"
+    assert authority.requests_rejected == 2
+
+
+def _add_names(bed, authority, names):
+    """add_name each of ``names`` from a tool at once, on one channel;
+    each call's reply or fault text."""
+    tool_host = (bed.world.hosts.get("modtool")
+                 or bed.world.host("modtool", "r0/c1/m0/s1"))
+
+    def one(channel, name):
+        try:
+            reply = yield from channel.call(
+                "add_name", {"name": name, "oid": "aa"})
+        except rpc.RpcFault as fault:
+            return str(fault)
+        return reply
+
+    def add_all():
+        channel = yield from rpc.RpcChannel.open(
+            tool_host, authority.host, authority.port)
+        pending = []
+        for name in names:
+            pending.append(bed.world.sim.process(one(channel, name)))
+        results = []
+        for process in pending:
+            results.append((yield process))
+        channel.close()
+        return results
+
+    return run(bed.world, add_all(), host=tool_host)
+
+
+def test_a_batch_holds_at_most_max_batch_names(bed):
+    authority = _authority(bed, batch_window=1.0)
+    names = ["/apps/pkg%d" % i for i in range(MAX_BATCH + 1)]
+    _add_names(bed, authority, names)
+    assert authority.updates_sent == 2
+    assert authority.names_added == MAX_BATCH + 1
+
+
+def test_the_get_armed_across_a_window_serves_one_batch_only(bed):
+    # The first batch's window closes with the next get armed; that get
+    # takes the first name of the next batch, which fills up, and the
+    # batch after it starts from a fresh get, not the used one.
+    authority = _authority(bed, batch_window=0.5)
+    _add_names(bed, authority, ["/apps/a"])
+    _add_names(bed, authority, ["/apps/b%d" % i for i in range(MAX_BATCH)])
+    bed.world.run(until=bed.world.now + 5.0)
+    assert (authority.updates_sent, authority.names_added) \
+        == (2, MAX_BATCH + 1)
+
+
+def test_a_failed_or_refused_update_fails_every_name_of_its_batch(bed):
+    # The primary refuses an UPDATE signed with another key ...
+    authority = _authority(bed, batch_window=0.5)
+    authority.tsig_key = TsigKey(KEY.name, b"not the zone's secret")
+    assert _add_names(bed, authority, ["/apps/a", "/apps/b"]) == [
+        "GnsError: zone update rejected: BADSIG"] * 2
+    # ... and an UPDATE to a primary that is down fails (after the UDP
+    # client's retries).
+    authority.tsig_key = KEY
+    bed.world.hosts["dns-gdn-1"].crash()
+    results = _add_names(bed, authority, ["/apps/c", "/apps/d"])
+    assert [text.split(":")[:2] for text in results] == [
+        ["GnsError", " zone update failed"]] * 2
 
 
 def test_two_level_naming_stability(bed):
@@ -178,7 +247,7 @@ def test_two_level_naming_stability(bed):
     run(bed.world, add(), host=tool_host)
     bed.catch_up()  # the r1 user asks r1's secondary
     resolver = bed.resolver("user-1", "r1/c0/m0/s1")
-    gns = GlobeNameService(bed.world, resolver.host, resolver, zone=GDN_ZONE)
+    gns = GlobeNameService(resolver, zone=GDN_ZONE)
 
     def resolve_twice():
         first = yield from gns.resolve("/apps/Stable")
@@ -236,7 +305,7 @@ def test_a_late_update_does_not_bring_back_a_removed_name(bed):
     bed.world.run(until=bed.world.now + 60.0)
     assert zone.answer(dns_name, RRType.TXT).rcode == Rcode.NXDOMAIN
     resolver = bed.resolver("user-1", "r1/c0/m0/s1")
-    gns = GlobeNameService(bed.world, resolver.host, resolver, zone=GDN_ZONE)
+    gns = GlobeNameService(resolver, zone=GDN_ZONE)
 
     def attempt():
         try:

@@ -173,7 +173,7 @@ def test_reregistered_name_is_seen_after_ttl_expiry(bed):
     authority.start()
     tool_host = bed.world.host("modtool", "r0/c1/m0/s1")
     resolver = bed.resolver("user-1", "r1/c0/m0/s1")
-    gns = GlobeNameService(bed.world, resolver.host, resolver, zone=GDN_ZONE)
+    gns = GlobeNameService(resolver, zone=GDN_ZONE)
 
     def call(method, args):
         return rpc.call(tool_host, authority.host, authority.port, method,
@@ -214,7 +214,7 @@ def test_counters_advance_exactly_as_at_the_seed(bed):
     flush and an alias-free NODATA; the numbers were read off the seed
     commit's resolver running this same script."""
     resolver = bed.resolver("user-1", "r0/c0/m0/s1")
-    gns = GlobeNameService(bed.world, resolver.host, resolver, zone=GDN_ZONE)
+    gns = GlobeNameService(resolver, zone=GDN_ZONE)
     trail = []
 
     def script():

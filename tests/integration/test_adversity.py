@@ -121,8 +121,7 @@ def test_dns_spoofing_misdirects_but_cannot_forge(gdn):
     victim_host = world.host("victim", "r1/c1/m0/s0")
     spoofed_resolver = CachingResolver(world, victim_host,
                                        [("evil-dns", DNS_PORT)])
-    gns = GlobeNameService(world, victim_host, spoofed_resolver,
-                           zone=deployment.zone)
+    gns = GlobeNameService(spoofed_resolver, zone=deployment.zone)
     runtime = deployment._runtime(victim_host, gdn_host=False)
 
     def attempt():

@@ -33,8 +33,7 @@ def test_gdn_soak():
 
     def publish():
         for index, spec in enumerate(corpus):
-            usage = ObjectUsage(stream.reads_by_region(index), writes=1,
-                                size=spec.total_size)
+            usage = ObjectUsage(stream.reads_by_region(index), writes=1)
             yield from moderator.create_package(
                 spec.name, spec.materialize(), advisor.recommend(usage))
 

@@ -6,10 +6,11 @@ import pytest
 
 from repro.security.acl import Role, role_attribute
 from repro.security.certs import CertificateAuthority, Credentials
+from repro.security import tls
 from repro.security.tls import (HandshakeError, SecurityError, _mac,
                                 client_wrapper, record_cost, server_factory)
 from repro.sim.network import LinkParameters
-from repro.sim.serde import HEADER_OVERHEAD
+from repro.sim.serde import HEADER_OVERHEAD, encoded_size
 from repro.sim.topology import Topology
 from repro.sim.transport import ConnectionClosed
 from repro.sim.world import World
@@ -38,13 +39,17 @@ def world():
 
 
 def _secure_pair(world, pki, client_auth="none", encryption=True,
-                 client_credentials="client"):
-    """Handshake a channel pair; returns (client_channel, server_channel)."""
+                 client_credentials="client", server_encryption=None):
+    """Handshake a channel pair; returns (client_channel, server_channel).
+    The server offers ``encryption`` too unless ``server_encryption``
+    says otherwise."""
     a = world.host("client-host", "r0/c0/m0/s0")
     b = world.host("server-host", "r0/c1/m0/s0")
     listener = b.listen(443)
-    factory = server_factory(pki["server"], client_auth=client_auth,
-                             encryption=encryption)
+    factory = server_factory(
+        pki["server"], client_auth=client_auth,
+        encryption=(encryption if server_encryption is None
+                    else server_encryption))
     result = {}
 
     def server():
@@ -180,12 +185,13 @@ def test_client_without_cert_rejected_in_two_way_mode(world, pki):
         wrap = client_wrapper(trust=pki["browser"])  # no client cert
         try:
             yield from wrap(conn)
-        except HandshakeError:
-            return "failed"
+        except HandshakeError as exc:
+            return str(exc)
 
     b.spawn(server())
     proc = a.spawn(client())
-    assert world.run_until(proc, limit=1e6) == "failed"
+    assert world.run_until(proc, limit=1e6) \
+        == "server demands a client certificate"
     world.run(until=world.now + 5)  # let the server observe the abort
     assert server_outcome["result"] == "refused"
 
@@ -266,6 +272,9 @@ _MALFORMED = {
         "client", lambda pki: [_server_hello(pki, nonce=7)]),
     "finished-not-a-dict": (
         "client", lambda pki: [_server_hello(pki), "finished"]),
+    "finished-with-a-wrong-mac": (
+        "client", lambda pki: [_server_hello(pki), {"type": "finished",
+                                                    "mac": b"\x00" * 32}]),
     "client-hello-not-a-dict": ("server", lambda pki: ["hello"]),
     "client-hello-without-nonce": (
         "server", lambda pki: [{"type": "hello", "encryption": True}]),
@@ -375,6 +384,82 @@ def test_encryption_negotiation_and_cost(world, pki):
     assert transfer_time(encryption=False) < transfer_time(encryption=True)
 
 
+def test_the_server_may_refuse_encryption_the_client_offers(world, pki):
+    client_channel, server_channel = _secure_pair(
+        world, pki, encryption=True, server_encryption=False)
+    assert not client_channel._records.encryption
+    assert not server_channel._records.encryption
+
+
+def test_wrappers_refuse_what_they_cannot_run(pki):
+    with pytest.raises(HandshakeError, match="needs trust roots"):
+        client_wrapper()
+    with pytest.raises(HandshakeError, match="bad client_auth mode"):
+        server_factory(pki["server"], client_auth="sometimes")
+
+
+def test_a_required_certificate_missing_from_the_key_exchange_is_refused(
+        world, pki):
+    a = world.host("client-host", "r0/c0/m0/s0")
+    b = world.host("server-host", "r0/c1/m0/s0")
+    listener = b.listen(443)
+
+    def server():
+        conn = yield listener.accept()
+        try:
+            yield from server_factory(pki["server"],
+                                      client_auth="required")(conn)
+        except HandshakeError as exc:
+            return str(exc)
+
+    def certless_client():
+        conn = yield from a.connect(b, 443)
+        conn.send(_HELLO, size=48)
+        yield conn.recv()  # the server hello
+        conn.send({"type": "key-exchange", "premaster": 5}, size=96)
+        return (yield conn.recv())
+
+    refusal = b.spawn(server())
+    assert world.run_until(a.spawn(certless_client()), limit=1e6) \
+        == {"type": "alert", "reason": "client certificate required"}
+    assert world.run_until(refusal, limit=1e6) \
+        == "client presented no certificate"
+
+
+def test_a_closed_secure_channel_sends_nothing(world, pki):
+    client_channel, _server_channel = _secure_pair(world, pki)
+    client_channel.close()
+    assert client_channel.closed
+    with pytest.raises(ConnectionClosed, match="closed secure channel"):
+        client_channel.send({"late": True})
+
+
+def test_a_record_leaves_after_the_one_before_it(world, pki):
+    """Each end spends record_cost on a record in turn: a large record
+    sent right behind a small one departs only when the small one is
+    done, and arrives a small record's cost later than if it had not
+    waited."""
+    client_channel, server_channel = _secure_pair(world, pki)
+    conn = client_channel.conn
+    start = world.now
+    sizes = []
+    for payload in ({"n": 1}, {"n": 2, "data": b"x" * 100_000}):
+        sizes.append(client_channel.send(payload))
+    cost = [record_cost(size, True) for size in sizes]
+    flight = world.network.transfer_delay(conn.local.site, conn.remote.site,
+                                          sizes[1] + HEADER_OVERHEAD)
+
+    def receiver():
+        yield server_channel.recv()
+        yield server_channel.recv()
+        return world.now
+
+    done = world.run_until(world.hosts["server-host"].spawn(receiver()),
+                           limit=1e6)
+    assert done == pytest.approx(start + cost[0] + 2 * cost[1] + flight,
+                                 rel=0, abs=1e-12)
+
+
 def test_channel_close_propagates(world, pki):
     client_channel, server_channel = _secure_pair(world, pki)
 
@@ -417,6 +502,70 @@ def test_forged_record_size_cannot_stall_or_discount_the_pump(world, pki):
         # crossed the wire (the honest walk), not the forged claim.
         assert detected_at < 60.0, "forged w=%r stalled the channel" % forged_w
         assert server_channel.integrity_failures == 1
+
+
+def test_a_carried_size_at_either_end_of_the_sane_range_is_believed(pki):
+    """0 and the 16 MiB bound are inside the range: the receiver
+    charges the record what its carried size says, not what it
+    measures (the forged frame still fails its MAC)."""
+    for carried in (0, tls._MAX_CARRIED_RECORD_SIZE):
+        local_world = World(topology=Topology.balanced(2, 2, 2, 2), seed=13)
+        client_channel, server_channel = _secure_pair(local_world, pki)
+        frame = {"s": 1, "p": {"evil": True}, "m": b"\x00" * 32,
+                 "w": carried}
+        conn = client_channel.conn
+        arrival = local_world.now + local_world.network.transfer_delay(
+            conn.local.site, conn.remote.site,
+            encoded_size(frame) + HEADER_OVERHEAD)
+        conn.send(frame)
+
+        def victim():
+            try:
+                yield server_channel.recv()
+            except SecurityError:
+                return local_world.now
+
+        proc = local_world.hosts["server-host"].spawn(victim())
+        assert local_world.run_until(proc, limit=1e6) == pytest.approx(
+            arrival + record_cost(carried, True), rel=0, abs=1e-12)
+
+
+def test_a_handshake_alert_reaches_the_peer_and_names_the_reason(world,
+                                                                  pki):
+    a = world.host("client-host", "r0/c0/m0/s0")
+    b = world.host("server-host", "r0/c1/m0/s0")
+    refusing, strict = b.listen(443), b.listen(444)
+
+    def refusing_server():
+        conn = yield refusing.accept()
+        yield conn.recv()
+        conn.send({"type": "alert", "reason": "go away"}, size=32)
+
+    def client():
+        conn = yield from a.connect(b, 443)
+        try:
+            yield from client_wrapper(trust=pki["browser"])(conn)
+        except HandshakeError as exc:
+            return str(exc)
+
+    def strict_server():
+        conn = yield strict.accept()
+        with pytest.raises(HandshakeError, match="malformed hello"):
+            yield from server_factory(pki["server"])(conn)
+
+    def nonceless_client():
+        conn = yield from a.connect(b, 444)
+        conn.send({"type": "hello"}, size=48)
+        alert = yield conn.recv()
+        with pytest.raises(ConnectionClosed):
+            yield conn.recv()  # and the server closed behind it
+        return alert
+
+    b.spawn(refusing_server())
+    assert world.run_until(a.spawn(client()), limit=1e6) == "go away"
+    b.spawn(strict_server())
+    assert world.run_until(a.spawn(nonceless_client()), limit=1e6) \
+        == {"type": "alert", "reason": "bad hello"}
 
 
 def test_secure_channel_call_costs_seven_kernel_events(world, pki):

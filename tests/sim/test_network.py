@@ -1,5 +1,7 @@
 """Unit tests for the network cost model and traffic accounting."""
 
+import random
+
 import pytest
 
 from repro.sim.kernel import Simulator
@@ -107,6 +109,24 @@ def test_unreliable_loss_is_deterministic_per_seed():
     assert drops(1) != drops(2)  # overwhelmingly likely
 
 
+def test_a_draw_equal_to_the_loss_rate_delivers():
+    # A message is lost when its draw falls below the rate, so it is
+    # lost with probability exactly ``loss``, on the scalar and the
+    # burst path alike.
+    class Draws(random.Random):
+        def random(self):
+            return 0.25
+
+    sim = Simulator()
+    topo = Topology.balanced(regions=2, countries=1, cities=1, sites=1)
+    net = Network(sim, topo, LinkParameters(loss={Level.WORLD: 0.25}))
+    net.rng = Draws()
+    a, b = topo.site("r0/c0/m0/s0"), topo.site("r1/c0/m0/s0")
+    assert net.deliver(a, b, "h", 1, lambda _e: None)
+    assert net.deliver_burst(a, b, "h", [(1, lambda _e: None)]) == 1
+    assert net.meter.dropped_messages == 0
+
+
 def test_reliable_traffic_ignores_loss():
     sim = Simulator()
     topo = Topology.balanced(regions=2, countries=1, cities=1, sites=1)
@@ -120,6 +140,36 @@ def test_reliable_traffic_ignores_loss():
 def test_jitter_fraction_validation():
     with pytest.raises(NetworkError):
         LinkParameters(jitter_fraction=1.5)
+    # [0, 1): a delay may grow by less than itself, never double.
+    with pytest.raises(NetworkError):
+        LinkParameters(jitter_fraction=1.0)
+    assert LinkParameters(jitter_fraction=0.0).jitter_fraction == 0.0
+
+
+def test_a_lossless_link_draws_only_its_jitter():
+    # A link with no loss draws no loss number: each message's one
+    # draw is its jitter, so the delays are the seed's uniform draws in
+    # turn, on the scalar and the burst path alike.  (The goldens'
+    # jittered runs rely on it: one extra draw shifts every later
+    # delay.)
+    sim = Simulator()
+    topo = Topology.balanced(regions=2, countries=1, cities=1, sites=1)
+    net = Network(sim, topo, LinkParameters(jitter_fraction=0.5), seed=7)
+    a, b = topo.site("r0/c0/m0/s0"), topo.site("r1/c0/m0/s0")
+    arrivals = []
+    for _ in range(3):
+        net.deliver(a, b, "h", 0, lambda _e: arrivals.append(sim.now))
+    net.deliver_burst(a, b, "h", [
+        (0, lambda _e: arrivals.append(sim.now)) for _ in range(3)])
+    sim.run()
+    draws = random.Random(7)
+    expected = sorted(DEFAULT_LATENCY[Level.WORLD]
+                      * (1.0 + draws.uniform(0, 0.5)) for _ in range(6))
+    assert sorted(arrivals) == pytest.approx(expected, rel=1e-12)
+    # A connection's delay (transfer_delay) draws from the same stream.
+    assert net.transfer_delay(a, b, 0) == pytest.approx(
+        DEFAULT_LATENCY[Level.WORLD] * (1.0 + draws.uniform(0, 0.5)),
+        rel=1e-12)
 
 
 # -- partition-membership caching -------------------------------------------

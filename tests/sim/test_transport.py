@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim import network
 from repro.sim.network import LinkParameters
 from repro.sim.topology import Level, Topology
 from repro.sim.transport import (ConnectionClosed, ConnectRefused,
@@ -53,7 +54,30 @@ def test_udp_to_unbound_port_is_silently_dropped(world):
     b = world.host("b", "r0/c0/m0/s1")
     sock = a.udp_socket()
     sock.send_to(b, 9999, "nobody home")
+    sock.send_burst(b, 9999, [("nobody", None), ("home", None)])
     world.run()  # no error raised
+
+
+def test_a_closed_socket_sends_and_receives_nothing(world):
+    a = world.host("a", "r0/c0/m0/s0")
+    b = world.host("b", "r0/c0/m0/s1")
+
+    def refused(sock):
+        assert sock.closed
+        for attempt in (lambda: sock.send_to(b, 5000, "x"),
+                        lambda: sock.send_burst(b, 5000, [("x", None)]),
+                        sock.recv):
+            with pytest.raises(TransportError):
+                attempt()
+        return True
+
+    closed = a.udp_socket()
+    closed.close()
+    assert refused(closed)
+    crashed = a.udp_socket()
+    a.crash()  # closes every socket of the host
+    assert refused(crashed)
+    assert world.network.meter.total_messages == 0
 
 
 def test_udp_duplicate_bind_rejected(world):
@@ -437,6 +461,20 @@ def test_spawn_on_crashed_host_rejected(world):
         a.spawn(iter(()))
 
 
+def test_a_crashed_host_opens_no_socket_listener_or_connection(world):
+    a = world.host("a", "r0/c0/m0/s0")
+    b = world.host("b", "r0/c0/m0/s1")
+    b.listen(80)
+    a.crash()
+    with pytest.raises(HostDown):
+        a.udp_socket()
+    with pytest.raises(HostDown):
+        a.listen(80)
+    with pytest.raises(HostDown):
+        next(a.connect(b, 80))
+    assert not a._udp_ports and not a._tcp_listeners
+
+
 def test_restart_allows_new_daemons(world):
     a = world.host("a", "r0/c0/m0/s0")
     b = world.host("b", "r0/c0/m0/s1")
@@ -614,3 +652,154 @@ def test_abrupt_break_eof_outranks_stragglers(world):
     world.run_until(proc, limit=100)
     world.run()
     assert outcomes == ["closed", "closed", "closed"]
+
+
+# -- edges of the connection life cycle ------------------------------------
+
+
+def _pair(world, port=7000):
+    """(client end, server end) of one connection across CITY."""
+    a = world.host("a", "r0/c0/m0/s0")
+    b = world.host("b", "r0/c0/m0/s1")
+    listener = b.listen(port)
+    ends = {}
+
+    def accept():
+        ends["server"] = yield listener.accept()
+
+    def connect():
+        ends["client"] = yield from a.connect(b, port)
+
+    b.spawn(accept())
+    world.run_until(a.spawn(connect()), limit=100)
+    world.run()
+    return ends["client"], ends["server"]
+
+
+def test_a_port_takes_one_listener_and_a_closed_one_accepts_nothing(world):
+    b = world.host("b", "r0/c0/m0/s1")
+    listener = b.listen(80)
+    with pytest.raises(TransportError, match="already listening"):
+        b.listen(80)
+    listener.close()
+    with pytest.raises(TransportError, match="listener is closed"):
+        listener.accept()
+
+
+def test_a_listener_closed_during_the_handshake_refuses(world):
+    # The SYN finds the listener; it is gone when the SYN-ACK is back.
+    a = world.host("a", "r0/c0/m0/s0")
+    b = world.host("b", "r0/c0/m0/s1")
+    listener = b.listen(80)
+    flight = world.network.transfer_delay(a.site, b.site, 64)
+
+    def close_in_between():
+        yield world.sim.timeout(1.5 * flight)
+        listener.close()
+
+    def client():
+        try:
+            yield from a.connect(b, 80)
+        except ConnectRefused:
+            return "refused"
+
+    world.sim.process(close_in_between())
+    assert world.run_until(a.spawn(client()), limit=100) == "refused"
+    assert not a._connections and not b._connections
+
+
+def test_a_syn_ack_after_the_connect_timeout_is_ignored(monkeypatch):
+    # A 2 s WORLD flight: the SYN-ACK is back at 4 s, after the 3 s
+    # connect timeout failed the attempt.
+    monkeypatch.setitem(network.DEFAULT_LATENCY, Level.WORLD, 2.0)
+    world = World(topology=Topology.balanced(2, 1, 1, 1), seed=7)
+    a = world.host("a", "r0/c0/m0/s0")
+    b = world.host("b", "r1/c0/m0/s0")
+    b.listen(80)
+
+    def client():
+        try:
+            yield from a.connect(b, 80)
+        except ConnectTimeout:
+            return world.now
+
+    assert world.run_until(a.spawn(client()), limit=100) == 3.0
+    world.run()  # the late SYN-ACK arrives and is dropped
+    assert world.now > 4.0 and not a._connections
+
+
+def test_a_connect_whose_host_crashed_expires_quietly(world):
+    a = world.host("a", "r0/c0/m0/s0")
+    b = world.host("b", "r0/c0/m0/s1")
+    b.crash()
+
+    def client():
+        yield from a.connect(b, 80)
+
+    def crash_the_client():
+        yield world.sim.timeout(1.0)
+        a.crash()
+
+    a.spawn(client())
+    world.sim.process(crash_the_client())
+    world.run()  # the connect's expiry finds nobody waiting
+    assert world.now >= 3.0
+
+
+def test_a_send_to_a_crashed_peer_breaks_the_connection(world):
+    # Marked down on the network, not yet crashed: the send finds out.
+    client, _server = _pair(world)
+    world.network.set_host_down("b")
+    with pytest.raises(ConnectionClosed, match="peer host b is down"):
+        client.send("x")
+    assert client.broken
+
+
+def test_a_message_in_flight_to_a_broken_end_is_never_received(world):
+    client, server = _pair(world)
+    client.send("straggler")
+    client.local.crash()  # breaks both ends; the message is in flight
+    assert not server.local._connections  # the survivor let go of it
+    world.run()
+    event = server.recv()
+    world.run()
+    with pytest.raises(ConnectionClosed):
+        event.value
+
+
+def test_recv_on_a_closed_connection_fails_at_once_and_quietly(world):
+    client, _server = _pair(world)
+    client.close()
+    event = client.recv()       # nobody waits on it
+    world.run()                 # its failure must not end the run
+    with pytest.raises(ConnectionClosed, match="recv on closed"):
+        event.value
+
+
+def test_closing_twice_sends_one_fin(world):
+    client, server = _pair(world)
+    sent = world.network.meter.total_messages
+    client.close()
+    client.close()
+    assert world.network.meter.total_messages == sent + 1
+
+
+def test_receive_into_moves_the_backlog_and_the_end_of_stream(world):
+    client, server = _pair(world)
+    client.send("first")
+    client.close()
+    world.run()                 # both wait in the old inbox
+    inbox = Inbox(world.sim)
+    server.receive_into(inbox)
+    assert inbox.get().value == "first"
+    with pytest.raises(ConnectionClosed):
+        inbox.get().value
+
+
+def test_closing_a_socket_twice_leaves_its_ports_next_owner(world):
+    a = world.host("a", "r0/c0/m0/s0")
+    old = a.udp_socket(5000)
+    old.close()
+    new = a.udp_socket(5000)
+    old.close()
+    assert a._udp_ports[5000] is new

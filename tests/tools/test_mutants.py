@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from tools import mutants
 
 MUTANTS = pathlib.Path(__file__).resolve().parents[2] / "tools" / "mutants.py"
@@ -52,15 +54,17 @@ def test_count_up():
     assert mod.count_up(3) == 3
 '''
 
-EQUIVALENT = ("fixture_pkg/mod.py:10 delete  equivalent: x * 2 is 0 "
-              "when x is 0\n")
+GUARD = next(mutant for mutant in mutants.mutants_of(MODULE, "mod.py")
+             if mutant.key == "mod.py:10 delete")
+EQUIVALENT = ("fixture_pkg/mod.py:10 delete #%s  equivalent: x * 2 is 0 "
+              "when x is 0\n" % GUARD.digest)
 
 
-def _tree(tmp_path, keep=""):
+def _tree(tmp_path, keep="", module=MODULE):
     package = tmp_path / "src" / "fixture_pkg"
     package.mkdir(parents=True, exist_ok=True)
     (package / "__init__.py").write_text("")
-    (package / "mod.py").write_text(MODULE)
+    (package / "mod.py").write_text(module)
     (tmp_path / "tests").mkdir(exist_ok=True)
     (tmp_path / "tests" / "test_fixture.py").write_text(TEST)
     (tmp_path / "keep.txt").write_text(keep)
@@ -100,8 +104,9 @@ def test_the_sweep_kills_the_planted_and_the_looping_mutant(tmp_path):
     # as killed.
     assert (mutants, killed + hung, error, survived, kept, unkept) \
         == (4, 3, 0, 1, 1, 0)
-    assert ("fixture_pkg/mod.py:10 delete  double  (survived, 1 tests)  "
-            "kept: equivalent: x * 2 is 0 when x is 0") in out
+    assert ("fixture_pkg/mod.py:10 delete #%s  double  (survived, 1 "
+            "tests)  kept: equivalent: x * 2 is 0 when x is 0"
+            % GUARD.digest) in out
     assert "fixture_pkg/mod.py:18 +1->+0  count_up  hung" in out
 
 
@@ -116,11 +121,33 @@ def test_check_fails_on_a_stale_or_refused_keep_line(tmp_path, capsys):
     assert mutants.main(_tree(tmp_path, unknown) + ["--check"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert "mutants: stale keep line (no such mutant): " \
-        "fixture_pkg/mod.py:11 delete" in out
+        "fixture_pkg/mod.py:11 delete #" + GUARD.digest in out
     assert "mutants: refused keep line (reason kind test oracle): " \
-        "fixture_pkg/mod.py:10 delete" in out
+        "fixture_pkg/mod.py:10 delete #" + GUARD.digest in out
     assert "mutants: keep line of unknown kind 'harmless': " \
-        "fixture_pkg/mod.py:10 delete" in out
+        "fixture_pkg/mod.py:10 delete #" + GUARD.digest in out
+
+
+def test_check_fails_when_lines_above_move_another_statement_onto_a_key(
+        tmp_path, capsys):
+    # Two lines inserted above the kept guard put a deletable call at
+    # its line: the key names a mutant still, but not the kept one.
+    shifted = MODULE.replace("    if x == 0:",
+                             "    LOG.append(x)\n    LOG.append(x)\n"
+                             "    if x == 0:")
+    assert "mod.py:10 delete" in {
+        mutant.key for mutant in mutants.mutants_of(shifted, "mod.py")}
+    assert mutants.main(_tree(tmp_path, EQUIVALENT, shifted)
+                        + ["--check"]) == 1
+    assert "mutants: stale keep line (the mutant at its key has other " \
+        "source): fixture_pkg/mod.py:10 delete #" + GUARD.digest \
+        in capsys.readouterr().out.splitlines()
+
+
+def test_a_keep_line_without_its_digest_is_refused(tmp_path):
+    bare = EQUIVALENT.replace(" #" + GUARD.digest, "")
+    with pytest.raises(ValueError, match="#digest"):
+        mutants.main(_tree(tmp_path, bare) + ["--check"])
 
 
 def test_check_runs_without_pytest(tmp_path):

@@ -1,6 +1,6 @@
 """``python3 tools/mutants.py``: which statements would the tests let break?
 
-Makes one small change (a *mutant*) at a time to the protocol cores of
+Makes one small change (a *mutant*) at a time to the files of
 :data:`SCOPE`, runs the tests that reach the changed function, and
 counts the mutant *killed* if they fail and *survived* if they pass.
 A survivor is code whose change no test notices: it gets a killing
@@ -40,12 +40,16 @@ there are enough, against the whole suite and reports how often the
 two verdicts agree.
 
 The report gives the kill ratio per module and per operator, each
-survivor as ``path:line operator`` with its original and mutated
-source, and the wall time.  Budget: the full sweep of :data:`SCOPE`
-(~1 040 mutants) takes about 25 minutes on a 2-core machine with the
-default 2 workers; 40 minutes is the budget and 2 hours the limit.  A survivor may be kept by a line
-``path:line operator  kind: reason`` (two or more spaces apart, the
-path relative to ``src/``) in :data:`KEEP_FILE`, of an accepted kind
+survivor as ``path:line operator #digest`` with its original and
+mutated source, and the wall time; the digest is eight hex digits of
+the sha256 of the source lines the change spans and of the change,
+whitespace collapsed, so a keep line names a statement and its change,
+not only a line.  Budget: the full sweep of :data:`SCOPE`
+(~1 880 mutants) took 39 minutes on a 2-core machine with the default
+2 workers, the reach map and the unmutated run included; 60 minutes is
+the budget and 2 hours the limit.  A survivor may be kept by a line
+``path:line operator #digest  kind: reason`` (two or more spaces
+apart, the path relative to ``src/``) in :data:`KEEP_FILE`, of an accepted kind
 (:data:`ACCEPTED_KIND`):
 
 - ``equivalent``: the mutant gives the same observable result on every
@@ -57,7 +61,9 @@ path relative to ``src/``) in :data:`KEEP_FILE`, of an accepted kind
 
 The sweep exits 1 if a survivor has no keep line.  ``--check`` runs no
 tests: it exits 1 unless every keep line names a mutant the operators
-still make at the current source, with an accepted kind; the census's
+still make at the current source, with the same digest (an edit above
+a kept line can move another statement onto its key), and an accepted
+kind; the census's
 refused kinds (``test oracle``, ``ROADMAP item``, ``§``) are refused
 here too, and so is a ``perf`` reason that names no workload.
 """
@@ -67,6 +73,7 @@ from __future__ import annotations
 import argparse
 import ast
 import collections
+import hashlib
 import json
 import os
 import pathlib
@@ -84,13 +91,25 @@ from typing import Dict, Iterator, List, NamedTuple, Set, Tuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-#: The protocol cores the sweep mutates, relative to ``src/``.
+#: What the sweep mutates, relative to ``src/``: the protocol cores,
+#: then the request path from the browser to the wire (the kernel stays
+#: out: nearly every test reaches it, so each of its mutants would
+#: cost close to the whole suite).
 SCOPE = ("repro/core/replication", "repro/core/journal.py",
          "repro/gos/server.py", "repro/gls/node.py",
          "repro/gns/dns/zone.py", "repro/gns/dns/server.py",
          "repro/gns/dns/resolver.py", "repro/gdn/cache.py",
          "repro/gdn/transfer.py", "repro/sim/deadlines.py",
-         "repro/sim/retry.py", "repro/sim/rpc.py")
+         "repro/sim/retry.py", "repro/sim/rpc.py",
+         "repro/gdn/httpd.py", "repro/gdn/browser.py",
+         "repro/gdn/moderator.py", "repro/gdn/deployment.py",
+         "repro/gdn/package.py", "repro/gdn/search.py",
+         "repro/gdn/maintainer.py", "repro/gdn/scenario.py",
+         "repro/gls/service.py", "repro/gls/tree.py",
+         "repro/gls/records.py", "repro/gls/auth.py",
+         "repro/gns/authority.py", "repro/gns/gns.py",
+         "repro/security/tls.py", "repro/sim/transport.py",
+         "repro/sim/network.py")
 
 #: Why each surviving mutant stays (see ``--check``).
 KEEP_FILE = ROOT / "tools" / "mutants_keep.txt"
@@ -124,10 +143,25 @@ class Mutant(NamedTuple):
     end: int
     original: str
     replacement: str
+    lines: str      # the whole source lines the changed code spans
 
     @property
     def key(self) -> str:
         return "%s:%d %s" % (self.path, self.line, self.operator)
+
+    @property
+    def digest(self) -> str:
+        """Eight hex digits of the sha256 of :attr:`lines` and the
+        replacement, whitespace collapsed: which statement the key
+        names, and which change of it (two ``<=`` of one chain share
+        a key)."""
+        text = _one_line(self.lines) + "\n" + _one_line(self.replacement)
+        return hashlib.sha256(text.encode()).hexdigest()[:8]
+
+    @property
+    def keep_key(self) -> str:
+        """What a keep line names: the key and the digest."""
+        return "%s #%s" % (self.key, self.digest)
 
     @property
     def ident(self) -> str:
@@ -184,7 +218,9 @@ def mutants_of(source: str, path: str) -> List[Mutant]:
         lines = "\n" * (node.end_lineno - node.lineno)
         text = "(" + text + lines + ")" if expression else text + lines
         found.append(Mutant(path, node.lineno, operator, function, start,
-                            end, data[start:end].decode(), text))
+                            end, data[start:end].decode(), text,
+                            data[starts[node.lineno - 1]:
+                                 starts[node.end_lineno]].decode()))
 
     def expressions(node: ast.AST, function: str) -> None:
         """Expression mutants of ``node`` and what it holds, except
@@ -573,7 +609,7 @@ def _dead(verdict: str) -> bool:
 # -- keep lines ---------------------------------------------------------------
 
 def read_keep(path: pathlib.Path) -> Dict[str, str]:
-    """``"path:line operator" -> reason`` of each keep line."""
+    """``"path:line operator #digest" -> reason`` of each keep line."""
     keep: Dict[str, str] = {}
     if not path.exists():
         return keep
@@ -582,9 +618,10 @@ def read_keep(path: pathlib.Path) -> Dict[str, str]:
         if not line or line.startswith("#"):
             continue
         fields = re.split(r"\s{2,}", line, maxsplit=1)
-        if len(fields) != 2 or not re.fullmatch(r"\S+:\d+ \S+", fields[0]):
-            raise ValueError("%s:%d: want 'path:line operator  kind: "
-                             "reason', got %r" % (path, number, line))
+        if len(fields) != 2 or not re.fullmatch(
+                r"\S+:\d+ \S+ #[0-9a-f]{8}", fields[0]):
+            raise ValueError("%s:%d: want 'path:line operator #digest  "
+                             "kind: reason', got %r" % (path, number, line))
         keep[fields[0]] = fields[1]
     return keep
 
@@ -596,13 +633,18 @@ def workloads() -> List[str]:
 
 def keep_problems(keep: Dict[str, str], mutants: List[Mutant]) -> List[str]:
     """What is wrong with each bad keep line: a key no mutant has, a
-    refused or unknown kind, a ``perf`` reason naming no workload."""
-    keys = {mutant.key for mutant in mutants}
+    digest that is not the source of the mutant at its key, a refused
+    or unknown kind, a ``perf`` reason naming no workload."""
+    keys = {mutant.keep_key for mutant in mutants}
+    moved = {mutant.key for mutant in mutants}
     problems = []
     for key, reason in sorted(keep.items()):
         kind = reason.split(":", 1)[0].strip().lower()
         refused = _census()._refused_kind(reason)
-        if key not in keys:
+        if key.split(" #")[0] in moved and key not in keys:
+            problems.append("stale keep line (the mutant at its key has "
+                            "other source): %s" % key)
+        elif key not in keys:
             problems.append("stale keep line (no such mutant): %s" % key)
         if refused is not None:
             problems.append("refused keep line (reason kind %s): %s"
@@ -632,7 +674,7 @@ def report(mutants: List[Mutant], verdicts: Dict[str, Verdict],
             row["mutants"] += 1
             row[verdict] += 1
             if not _dead(verdict):
-                row["kept" if mutant.key in keep else "unkept"] += 1
+                row["kept" if mutant.keep_key in keep else "unkept"] += 1
         print("\n%-40s %7s %6s %4s %5s %8s %4s %6s  %s"
               % (title, "mutants", "killed", "hung", "error", "survived",
                  "kept", "unkept", "kill ratio"))
@@ -646,15 +688,16 @@ def report(mutants: List[Mutant], verdicts: Dict[str, Verdict],
     table("operator", lambda mutant: mutant.operator)
     survivors = [mutant for mutant in mutants
                  if not _dead(verdicts[mutant.ident].verdict)]
-    unkept = [mutant for mutant in survivors if mutant.key not in keep]
+    unkept = [mutant for mutant in survivors
+              if mutant.keep_key not in keep]
     print("\nsurvivors (%d, %d without a keep line):" % (len(survivors),
                                                         len(unkept)))
     for mutant in survivors:
         verdict = verdicts[mutant.ident]
         print("%s  %s  (%s, %d tests)%s"
-              % (mutant.key, mutant.function, verdict.verdict,
-                 verdict.tests, "  kept: " + keep[mutant.key]
-                 if mutant.key in keep else ""))
+              % (mutant.keep_key, mutant.function, verdict.verdict,
+                 verdict.tests, "  kept: " + keep[mutant.keep_key]
+                 if mutant.keep_key in keep else ""))
         print("    - " + _one_line(mutant.original))
         print("    + " + _one_line(mutant.replacement))
     hung = [mutant for mutant in mutants
