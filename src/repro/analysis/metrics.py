@@ -27,13 +27,9 @@ def percentile(values: Iterable[float], p: float) -> float:
         raise ValueError("no samples")
     if not 0 <= p <= 100:
         raise ValueError("percentile out of range")
-    if len(data) == 1:
-        return data[0]
     rank = (p / 100.0) * (len(data) - 1)
     low = math.floor(rank)
     high = math.ceil(rank)
-    if low == high:
-        return data[low]
     fraction = rank - low
     value = data[low] * (1 - fraction) + data[high] * fraction
     # Clamp: interpolation may drift past the extremes by one ULP.

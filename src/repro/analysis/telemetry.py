@@ -45,7 +45,7 @@ instruments, and :class:`~repro.sim.world.World` owns the registry
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "Counter",
@@ -63,14 +63,12 @@ class TelemetryError(Exception):
 
 
 class Instrument:
-    """Base class: a named, snapshottable measurement source."""
+    """Base class: a snapshottable measurement source (the registry
+    holds it by name)."""
 
     kind = "instrument"
 
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
+    __slots__ = ()
 
     # Snapshots are opaque per-kind states consumed by PhaseWindow.
     def _state(self) -> Any:
@@ -81,9 +79,6 @@ class Instrument:
 
     def _delta(self, start: Any, end: Any) -> Any:
         raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return "%s(%r)" % (type(self).__name__, self.name)
 
 
 class Counter(Instrument):
@@ -99,8 +94,7 @@ class Counter(Instrument):
 
     __slots__ = ("_fn",)
 
-    def __init__(self, name: str, fn: Callable[[], float]):
-        super().__init__(name)
+    def __init__(self, fn: Callable[[], float]):
         self._fn = fn
 
     @property
@@ -127,8 +121,7 @@ class Gauge(Instrument):
 
     __slots__ = ("_fn",)
 
-    def __init__(self, name: str, fn: Callable[[], float]):
-        super().__init__(name)
+    def __init__(self, fn: Callable[[], float]):
         self._fn = fn
 
     @property
@@ -157,8 +150,7 @@ class Histogram(Instrument):
     __slots__ = ("max_error", "_gamma", "_log_gamma", "_rep_factor",
                  "_buckets", "_zero_count", "count", "sum", "_min", "_max")
 
-    def __init__(self, name: str = "", max_error: float = 0.01):
-        super().__init__(name)
+    def __init__(self, max_error: float = 0.01):
         if not 0.0 < max_error < 1.0:
             raise TelemetryError("max_error must be in (0, 1)")
         self.max_error = max_error
@@ -215,8 +207,6 @@ class Histogram(Instrument):
         error of the true sample percentile.  0.0 when empty."""
         if not 0 <= q <= 100:
             raise ValueError("percentile out of range")
-        if self.count == 0:
-            return 0.0
         if q == 0:
             return self.minimum    # tracked exactly
         if q == 100:
@@ -257,7 +247,7 @@ class Histogram(Instrument):
         approximated from the populated delta buckets, which is within
         the same ``max_error`` bound.
         """
-        delta = Histogram(self.name, self.max_error)
+        delta = Histogram(self.max_error)
         start_buckets = dict(start[5])
         for index, total in end[5]:
             bump = total - start_buckets.get(index, 0)
@@ -358,7 +348,7 @@ class MetricsRegistry:
                     "instrument %r already registered as %s"
                     % (name, existing.kind))
             return existing
-        instrument = kind(name, **kwargs)
+        instrument = kind(**kwargs)
         self._instruments[name] = instrument
         return instrument
 
@@ -382,9 +372,6 @@ class MetricsRegistry:
 
     def names(self) -> List[str]:
         return list(self._instruments)
-
-    def __iter__(self) -> Iterator[Instrument]:
-        return iter(self._instruments.values())
 
     def unique_prefix(self, base: str) -> str:
         """A prefix no other caller was handed (``load``, ``load#2``,

@@ -1,13 +1,1 @@
 """Baseline systems the GDN is evaluated against (§1, §3.1)."""
-
-from .mirror import MirrorNetwork, MirrorServer
-from .uniform import (UNIFORM_STRATEGIES, uniform_cache_only,
-                      uniform_replicate_everywhere, uniform_single_server)
-from .www import WwwClient, WwwServer
-
-__all__ = [
-    "MirrorNetwork", "MirrorServer",
-    "UNIFORM_STRATEGIES", "uniform_cache_only",
-    "uniform_replicate_everywhere", "uniform_single_server",
-    "WwwClient", "WwwServer",
-]

@@ -15,7 +15,7 @@ replication.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Tuple
 
 from ..sim.rpc import RpcChannel, RpcContext, RpcServer
 from ..sim.topology import nearest_first
@@ -30,24 +30,19 @@ MIRROR_PORT = 21
 class MirrorServer:
     """One mirror: a full copy of the corpus as of its last sync."""
 
-    def __init__(self, world: World, host: Host, port: int = MIRROR_PORT):
-        self.world = world
+    def __init__(self, host: Host, port: int = MIRROR_PORT):
         self.host = host
         self.port = port
         self.documents: Dict[str, bytes] = {}
         self.versions: Dict[str, int] = {}
-        self._server: Optional[RpcServer] = None
-        self.requests_served = 0
 
     def start(self) -> None:
         server = RpcServer(self.host, self.port)
         server.register("fetch", self._handle_fetch)
         server.register("manifest", self._handle_manifest)
         server.start()
-        self._server = server
 
     def _handle_fetch(self, ctx: RpcContext, args: dict) -> dict:
-        self.requests_served += 1
         path = args.get("path", "")
         data = self.documents.get(path)
         if data is None:
@@ -69,7 +64,7 @@ class MirrorNetwork:
     def __init__(self, world: World, origin_host: Host,
                  sync_period: float = 3600.0):
         self.world = world
-        self.origin = MirrorServer(world, origin_host)
+        self.origin = MirrorServer(origin_host)
         self.origin.start()
         self.mirrors: List[MirrorServer] = [self.origin]
         self.sync_period = sync_period
@@ -77,7 +72,7 @@ class MirrorNetwork:
         self._version_counter = 0
 
     def add_mirror(self, host: Host) -> MirrorServer:
-        mirror = MirrorServer(self.world, host)
+        mirror = MirrorServer(host)
         mirror.start()
         self.mirrors.append(mirror)
         host.spawn(self._sync_loop(mirror))

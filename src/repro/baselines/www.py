@@ -23,12 +23,10 @@ WWW_PORT = 80
 class WwwServer:
     """One origin server hosting a set of documents."""
 
-    def __init__(self, world: World, host: Host, port: int = WWW_PORT):
-        self.world = world
+    def __init__(self, host: Host, port: int = WWW_PORT):
         self.host = host
         self.port = port
         self.documents: Dict[str, bytes] = {}
-        self._server: Optional[RpcServer] = None
         self.requests_served = 0
 
     def publish(self, path: str, data: bytes) -> None:
@@ -38,12 +36,6 @@ class WwwServer:
         server = RpcServer(self.host, self.port)
         server.register("http", self._handle_http)
         server.start()
-        self._server = server
-
-    def stop(self) -> None:
-        if self._server is not None:
-            self._server.stop()
-            self._server = None
 
     def _handle_http(self, ctx: RpcContext, args: dict) -> dict:
         self.requests_served += 1
@@ -62,7 +54,6 @@ class WwwClient:
         self.host = host
         self.server = server
         self._channel: Optional[RpcChannel] = None
-        self.requests_made = 0
 
     def get(self, path: str) -> Generator[object, object, tuple]:
         """``status, body, elapsed = yield from client.get("/doc")``"""
@@ -71,5 +62,4 @@ class WwwClient:
             self._channel = yield from RpcChannel.open(
                 self.host, self.server.host, self.server.port)
         reply = yield from self._channel.call("http", {"path": path})
-        self.requests_made += 1
         return reply.get("status"), reply.get("body"), self.world.now - start

@@ -8,25 +8,3 @@ repositories.
 """
 
 from . import replication  # noqa: F401 - registers built-in protocols
-from .idl import Interface, Mode, mutating, read_only
-from .ids import ContactAddress, IdError, ObjectId
-from .local_repr import LocalRepresentative
-from .marshal import (MarshalError, marshal_invocation, marshal_result,
-                      pack, unmarshal_invocation, unmarshal_result, unpack)
-from .repository import (Implementation, ImplementationRepository,
-                         RepositoryError)
-from .runtime import BindError, Runtime
-from .subobjects import (CommunicationSubobject, ControlSubobject,
-                         RemoteInvocationError, SemanticsSubobject)
-
-__all__ = [
-    "Interface", "Mode", "mutating", "read_only",
-    "ContactAddress", "IdError", "ObjectId",
-    "LocalRepresentative",
-    "MarshalError", "marshal_invocation", "marshal_result", "pack",
-    "unmarshal_invocation", "unmarshal_result", "unpack",
-    "Implementation", "ImplementationRepository", "RepositoryError",
-    "BindError", "Runtime",
-    "CommunicationSubobject", "ControlSubobject", "RemoteInvocationError",
-    "SemanticsSubobject", "replication",
-]

@@ -16,16 +16,3 @@ pushes for it (``benchmarks/README.md``).
 """
 
 from . import cache, client_server, master_slave  # noqa: F401
-from .base import (PROTOCOLS, ReplicationError, ReplicationSubobject,
-                   register_protocol)
-from .cache import CachingClient
-from .client_server import ClientServerClient, ClientServerServer
-from .master_slave import (MasterSlaveClient, MasterSlaveMaster,
-                           MasterSlaveSlave)
-
-__all__ = [
-    "PROTOCOLS", "ReplicationError", "ReplicationSubobject",
-    "register_protocol",
-    "CachingClient", "ClientServerClient", "ClientServerServer",
-    "MasterSlaveClient", "MasterSlaveMaster", "MasterSlaveSlave",
-]

@@ -75,8 +75,8 @@ class ImplementationRepository:
         self._repo_hosts.append(host)
 
     def preload(self, host: Host, impl_id: str) -> None:
-        """Mark ``impl_id`` as already present on ``host`` (no cost)."""
-        self.implementation(impl_id)  # validate
+        """Mark ``impl_id`` as already present on ``host`` (no cost; an
+        unknown id fails at :meth:`load`)."""
         self._cached.add((host.name, impl_id))
 
     def is_cached(self, host: Host, impl_id: str) -> bool:

@@ -130,7 +130,6 @@ class Runtime:
 
     def unbind(self, oid: ObjectId) -> None:
         representative = self.bound.pop(oid, None)
-        self._bound_at.pop(oid, None)
         if representative is not None:
             representative.detach()
 

@@ -48,8 +48,7 @@ class SemanticsSubobject:
     understanding it.
     """
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls):
         cls.interface = Interface.of(cls)
 
     # Subclasses override these two; state must be a packable dict.
@@ -113,18 +112,15 @@ class CommunicationSubobject:
         except KeyError:
             raise TransportError("unknown host %r" % address.host_name)
         args = {"oid": oid.hex, "msg": message}
-        pool = self.pool
-        for attempt in (0, 1):
-            channel = yield from pool.channel(remote, address.port)
-            try:
-                self.messages_sent += 1
-                reply = yield from channel.call(self.DSO_RPC_METHOD, args)
-                return reply
-            except ConnectionClosed:
-                channel.close()
-                if attempt == 1:
-                    raise
-        raise AssertionError("unreachable")
+        try:
+            return (yield from self._call(remote, address.port, args))
+        except ConnectionClosed:
+            return (yield from self._call(remote, address.port, args))
+
+    def _call(self, remote, port: int, args: dict) -> Generator:
+        channel = yield from self.pool.channel(remote, port)
+        self.messages_sent += 1
+        return (yield from channel.call(self.DSO_RPC_METHOD, args))
 
 
 class ControlSubobject:
@@ -141,7 +137,6 @@ class ControlSubobject:
                  interface: Interface):
         self.semantics = semantics
         self.interface = interface
-        self.replication = None  # wired by the local representative
         self.local_invocations = 0
 
     def invoke(self, method: str, args: Optional[dict] = None

@@ -56,11 +56,8 @@ def run_dso_invocation_experiment(seed: int = 7,
         ReplicationScenario.single_server("gos-main")), host=moderator.host)
     rows: List[dict] = []
 
-    # Baseline: the bare semantics subobject, no DSO machinery.
-    from ..gdn.package import PackageSemantics
-    bare = PackageSemantics()
-    for path, data in _FILES.items():
-        bare.addFile(path, data)
+    # Baseline: the bare semantics subobject, no DSO machinery: a
+    # direct Python call, free in simulated time.
     rows.append({"representative": "bare semantics (no DSO)",
                  "read_small": 0.0, "read_large": 0.0,
                  "note": "direct Python call"})

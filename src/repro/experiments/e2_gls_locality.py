@@ -88,13 +88,11 @@ def run_gls_locality_experiment(seed: int = 11,
         world.run_until(world.sim.process(scenario.drive(
             world.sim, lookup, rng=world.rng_for("e2-" + level.name),
             stats=stats)), limit=1e7)
-        window.close(now=world.now)
         point = stats.phase_summary(window)
         assert point["ok"] == lookups_per_point
         rows.append({"separation": level.name, "hops": last["hops"],
                      "latency": point["mean"],
                      "found_at": last["found"] or "<root>"})
-    world.metrics.end_phase(now=world.now)
     assert stats.ok == lookups_per_point * len(_CLIENT_SITES)
     return {"rows": rows, "oid": oid_hex}
 

@@ -82,7 +82,7 @@ def _replay(world, stream: RequestStream, one_request, label: str,
     pacing so every system serves the identical back-to-back trace
     (queueing effects would drown the per-request comparison)."""
     stats = LoadStats(registry=world.metrics, prefix="e3-" + label)
-    scenario = TraceScenario(stream, pacing="sequential", label=label)
+    scenario = TraceScenario(stream, pacing="sequential")
     world.run_until(world.sim.process(scenario.drive(
         world.sim, one_request, rng=world.rng_for(rng_label),
         stats=stats)), limit=1e9)
@@ -99,13 +99,12 @@ def _run_www(corpus: List[PackageSpec], stream: RequestStream,
     world = World(topology=_topology(), seed=seed)
     meter = world.network.meter
     origin = world.host("www-origin", "r0/c0/m0/s0")
-    server = WwwServer(world, origin)
+    server = WwwServer(origin)
     setup = world.metrics.window("setup", now=world.now)
     for spec in corpus:
         for path, data in spec.materialize().items():
             server.publish("%s/%s" % (spec.name, path), data)
     server.start()
-    setup.close(now=world.now)
     setup_bytes = meter.wide_area_delta(setup)  # zero: no distribution
 
     serving = world.metrics.window("serving", now=world.now)
@@ -174,7 +173,6 @@ def _run_gdn(corpus: List[PackageSpec], stream: RequestStream,
     advisor = ScenarioAdvisor(gdn.gos_by_region(),
                               popularity_threshold=max(
                                   10, len(stream) // (4 * len(corpus))))
-    ttl_by_name = {}
     meter = gdn.world.network.meter
     setup = gdn.world.metrics.window("setup", now=gdn.world.now)
 
@@ -183,15 +181,11 @@ def _run_gdn(corpus: List[PackageSpec], stream: RequestStream,
             usage = ObjectUsage(stream.reads_by_region(index),
                                 writes=stream.writes(index))
             scenario = advisor.recommend(usage)
-            ttl_by_name[spec.name] = scenario.cache_ttl
             yield from moderator.create_package(spec.name,
                                                 spec.materialize(),
                                                 scenario)
 
     gdn.run(publish(), host=moderator.host)
-    gdn.settle(10.0)
-    for httpd in gdn.httpds:
-        httpd.cache_policy = lambda name: ttl_by_name.get(name, 60.0)
     setup_bytes = meter.wide_area_delta(setup.close(gdn.world.now))
 
     serving = gdn.world.metrics.window("serving", now=gdn.world.now)
@@ -209,7 +203,6 @@ def _run_gdn(corpus: List[PackageSpec], stream: RequestStream,
            "serving_wan": meter.wide_area_delta(
                serving.close(gdn.world.now)),
            "latency": stats.latency}
-    browser_for.close()
     return row
 
 

@@ -86,7 +86,6 @@ def _measure_config(label: str, seed: int, secure: bool,
             conn.send({"n": 1, "data": synthetic_file(name, size)})
             yield conn.recv()
             result[name] = world.now - start
-        conn.close()
 
     b.spawn(server())
     proc = a.spawn(client())

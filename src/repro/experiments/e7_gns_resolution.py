@@ -51,15 +51,13 @@ def run_gns_resolution_experiment(seed: int = 29, name_count: int = 40,
 
         # The tool pushes all registrations concurrently: an open-loop
         # burst over one channel.
-        scenario = OpenLoopScenario(BurstSchedule(), name_count,
-                                    label="gns-burst")
+        scenario = OpenLoopScenario(BurstSchedule(), name_count)
         stats = LoadStats()
         start = gdn.world.now
         gdn.run(scenario.drive(gdn.world.sim, add_name,
                                rng=gdn.world.rng_for("e7-burst"),
                                stats=stats))
         assert stats.ok == name_count
-        channel.close()
         batching_rows.append({
             "window": window,
             "updates": gdn.dns_primary.updates_applied - updates_before,
@@ -80,11 +78,9 @@ def run_gns_resolution_experiment(seed: int = 29, name_count: int = 40,
                              "oid": "%040x" % arrival.index})
 
     one_by_one = ClosedLoopScenario(clients=1, think_time=0.0,
-                                    requests_per_client=name_count,
-                                    label="gns-register")
+                                    requests_per_client=name_count)
     gdn.run(one_by_one.drive(gdn.world.sim, add_name,
                              rng=gdn.world.rng_for("e7-register")))
-    gdn.settle(5.0)
 
     # One user per region, each resolving every name twice: first pass
     # cold, second pass entirely out of its resolver cache.  One shared
@@ -104,8 +100,7 @@ def run_gns_resolution_experiment(seed: int = 29, name_count: int = 40,
         for region, gns in users.items():
             before = [server.queries_served for server in servers]
             scenario = ClosedLoopScenario(clients=1, think_time=0.0,
-                                          requests_per_client=name_count,
-                                          label="gns-%s-%s" % (label, region))
+                                          requests_per_client=name_count)
             gdn.run(scenario.drive(
                 gdn.world.sim,
                 lambda arrival, gns=gns: gns.resolve(
@@ -114,15 +109,13 @@ def run_gns_resolution_experiment(seed: int = 29, name_count: int = 40,
                 stats=stats))
             load[region] = [server.queries_served - count
                             for server, count in zip(servers, before)]
-        window.close(now=gdn.world.now)
         point = stats.phase_summary(window)
         assert point["ok"] == name_count * len(users)
-        return window.delta(stats.latency.name), load
+        return window.delta(stats.prefix + ".latency"), load
 
     result["users"] = len(users)
     result["cold"], result["load"] = resolve_pass("cold")
     result["warm"] = resolve_pass("warm")[0]
-    gdn.metrics.end_phase(now=gdn.world.now)
     resolvers = [gns.resolver for gns in users.values()]
     result["queries_sent"] = sum(r.queries_sent for r in resolvers)
     result["cache_hits"] = sum(r.cache_hits for r in resolvers)

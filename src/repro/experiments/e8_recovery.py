@@ -57,7 +57,6 @@ def run_recovery_experiment(seed: int = 31, downloads: int = 30) -> Dict:
                                                        "README")
             except Exception:  # noqa: BLE001 - connection to dead AP
                 failures_during += 1
-                browser.close()
                 continue
             if response.ok:
                 if series_or_none is not None:
@@ -84,7 +83,6 @@ def run_recovery_experiment(seed: int = 31, downloads: int = 30) -> Dict:
     # Phase 3: reboot + recovery, then downloads again.
     gdn.recover_gos("gos-r1-0")
     recovery_time = gdn.world.now
-    browser.close()
     gdn.run(phase(ok_after, downloads), host=browser.host)
 
     slave_lr = slave.replicas[oid.hex]

@@ -54,7 +54,6 @@ def run_policy_experiment(seed: int = 37) -> Dict:
 
     elapsed = gdn.run(legit(), host=moderator.host)
     record("moderator creates package", "accepted", elapsed, "accepted")
-    gdn.settle(2.0)
 
     gos = gdn.object_servers["gos-r0-0"]
     target_oid = moderator.catalog["/apps/net/legit"]["oid"]

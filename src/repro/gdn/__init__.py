@@ -1,23 +1,1 @@
 """The Globe Distribution Network application (paper §2, §4)."""
-
-from .browser import Browser, HttpResponse, nearest_access_point
-from .deployment import GdnDeployment
-from .httpd import (DEFAULT_CACHE_TTL, GdnHttpd, HTTP_PORT, parse_gdn_url,
-                    render_listing)
-from .maintainer import MaintainerTool, MaintenanceError
-from .moderator import ModerationError, ModeratorTool
-from .package import HISTORY_RETENTION, PACKAGE_IMPL_ID, PackageSemantics
-from .scenario import ObjectUsage, ReplicationScenario, ScenarioAdvisor
-from .search import SEARCH_PORT, SearchService
-
-__all__ = [
-    "Browser", "HttpResponse", "nearest_access_point",
-    "GdnDeployment",
-    "DEFAULT_CACHE_TTL", "GdnHttpd", "HTTP_PORT", "parse_gdn_url",
-    "render_listing",
-    "MaintainerTool", "MaintenanceError",
-    "ModerationError", "ModeratorTool",
-    "HISTORY_RETENTION", "PACKAGE_IMPL_ID", "PackageSemantics",
-    "ObjectUsage", "ReplicationScenario", "ScenarioAdvisor",
-    "SEARCH_PORT", "SearchService",
-]

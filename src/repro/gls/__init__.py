@@ -1,13 +1,1 @@
 """The Globe Location Service (paper §3.5): OID -> contact addresses."""
-
-from .auth import sign_mutation, verify_mutation
-from .node import (GLS_PORT, DirectoryNode, GlsNodeError, NodeHandle)
-from .records import NodeRecord
-from .service import GlsClient, GlsError
-from .tree import GlsTree
-
-__all__ = [
-    "sign_mutation", "verify_mutation",
-    "GLS_PORT", "DirectoryNode", "GlsNodeError", "NodeHandle",
-    "NodeRecord", "GlsClient", "GlsError", "GlsTree",
-]

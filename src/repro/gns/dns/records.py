@@ -112,7 +112,3 @@ class ResourceRecord:
 
     def __hash__(self) -> int:
         return hash((self.name, self.rtype, self.ttl, self.data))
-
-    def __repr__(self) -> str:
-        return ("RR(%s %s %ds %r)"
-                % (self.name or ".", self.rtype.value, self.ttl, self.data))

@@ -19,8 +19,8 @@ Protocol methods (datagram RPC on port 53):
   changed.  Fallback rule: the whole zone (``zone``) is sent instead
   when the request carries no ``serial`` (the requester has no copy),
   when the zone's journal no longer reaches back to it
-  (:data:`~.zone.JOURNAL_DEPTH`), or when it is a serial this server
-  never issued (it lost its own state).
+  (:data:`~repro.core.journal.JOURNAL_DEPTH`), or when it is a serial
+  this server never issued (it lost its own state).
 
 Datagrams are lost, repeated and overtaken, so the serial numbers carry
 the ordering, not the transport: a secondary applies a change set only

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ...core.journal import JOURNAL_DEPTH, Journal
+from ...core.journal import Journal
 from .records import (DnsError, RRType, ResourceRecord, is_subdomain,
                       normalize_name, parent_name)
 
-__all__ = ["Zone", "Rcode", "ZoneAnswer", "JOURNAL_DEPTH"]
+__all__ = ["Zone", "Rcode", "ZoneAnswer"]
 
 
 class Rcode:

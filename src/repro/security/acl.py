@@ -62,8 +62,6 @@ class PrincipalRegistry:
         self._roles.get(principal, set()).discard(role)
 
     def roles_of(self, principal: Optional[str]) -> Set[Role]:
-        if principal is None:
-            return set()
         return set(self._roles.get(principal, set()))
 
     def has_role(self, principal: Optional[str], *roles: Role) -> bool:
@@ -78,8 +76,6 @@ class PrincipalRegistry:
         self._maintained.setdefault(principal, set()).add(oid_hex)
 
     def maintains(self, principal: Optional[str], oid_hex: str) -> bool:
-        if principal is None:
-            return False
         return oid_hex in self._maintained.get(principal, set())
 
 

@@ -119,7 +119,6 @@ class Event:
         #: ``None`` once processed: the callbacks have run.
         self.callbacks: Optional[list] = []
         self._value: Any = _PENDING
-        self._ok: Optional[bool] = None
         # A failure that nobody waits on should not pass silently; the
         # simulator surfaces unhandled failures when it processes them.
         self._defused = False
@@ -172,7 +171,6 @@ class Event:
             if self._ok:
                 bridge.succeed(self._value)
             else:
-                self._defused = True
                 bridge._defused = True
                 bridge.fail(self._value)
 
@@ -194,7 +192,7 @@ class Timeout(Event):
     timeout never fires and never runs its callbacks.
     """
 
-    __slots__ = ("delay", "_entry")
+    __slots__ = ("_entry",)
 
     def __init__(self, sim: "Simulator", delay: float,
                  at: Optional[float] = None, seq: Optional[int] = None):
@@ -217,13 +215,9 @@ class Timeout(Event):
             if delay < 0:
                 raise SimulationError("negative delay: %r" % (delay,))
             at = sim.now + delay
-        else:
-            delay = at - sim.now
-            if delay < 0:
-                raise SimulationError(
-                    "cannot schedule at %r, before now" % (at,))
+        elif at < sim.now:
+            raise SimulationError("cannot schedule at %r, before now" % (at,))
         super().__init__(sim)
-        self.delay = delay
         self._entry = sim._enqueue_abs(self, at, seq)
 
     def succeed(self, value: Any = None) -> "Event":  # pragma: no cover
@@ -337,8 +331,6 @@ class Process(Event):
         generator the caller already started has just yielded: the
         process waits on it instead of kicking the generator off."""
         super().__init__(sim)
-        if not hasattr(generator, "send"):
-            raise SimulationError("process() requires a generator")
         self._generator = generator
         self._owner: Optional[dict] = None
         self._waiting_on: Optional[Event] = target
@@ -349,7 +341,7 @@ class Process(Event):
         elif not isinstance(target, Event):
             raise SimulationError(
                 "process yielded %r, expected an Event" % (target,))
-        target.add_callback(self._resume)
+        target.add_callback(self._step)
 
     @property
     def alive(self) -> bool:
@@ -383,7 +375,6 @@ class Process(Event):
         """Leave the owner's set; fire only if failed or waited on."""
         if self._owner is not None:
             self._owner.pop(self, None)
-            self._owner = None
         if not ok:
             self.fail(value)
         elif self.callbacks:
@@ -398,7 +389,7 @@ class Process(Event):
         waiting = self._waiting_on
         if waiting is not None and waiting.callbacks is not None:
             try:
-                waiting.callbacks.remove(self._resume)
+                waiting.callbacks.remove(self._step)
             except ValueError:
                 pass
             # A timer nobody watches any more (the common case when a
@@ -406,15 +397,8 @@ class Process(Event):
             # until its deadline; withdraw it instead.
             if not waiting.callbacks and type(waiting) is Timeout:
                 waiting.cancel()
-        self._waiting_on = None
-
-    def _resume(self, event: Event) -> None:
-        self._waiting_on = None
-        self._step(event)
 
     def _step(self, event: Event) -> None:
-        if self._value is not _PENDING:  # inline `triggered` (hot path)
-            return
         try:
             if event._ok:
                 target = self._generator.send(event._value)
@@ -445,7 +429,7 @@ class Process(Event):
             self._end(False, error)
             return
         self._waiting_on = target
-        target.add_callback(self._resume)
+        target.add_callback(self._step)
 
 
 class AnyOf(Event):
@@ -459,8 +443,6 @@ class AnyOf(Event):
         super().__init__(sim)
         self._events = list(events)
         for event in self._events:
-            if event.sim is not sim:
-                raise SimulationError("events belong to different simulators")
             event.add_callback(self._on_fire)
         if not self._events:
             self.succeed({})
@@ -605,11 +587,8 @@ class Resource:
     def release(self) -> None:
         if self._in_use <= 0:
             raise SimulationError("release() without acquire()")
-        while self._waiters:
-            waiter = self._waiters.popleft()
-            if waiter.triggered:
-                continue
-            waiter.succeed()
+        if self._waiters:
+            self._waiters.popleft().succeed()
             return
         self._in_use -= 1
 

@@ -36,13 +36,11 @@ _CONTAINER_ITEM_OVERHEAD = CONTAINER_ITEM_OVERHEAD
 def encoded_size(value: Any) -> int:
     """Estimated on-the-wire size of ``value`` in bytes (sans framing).
 
-    Deterministic, order-independent for dicts, and total: unknown
-    object types are charged a flat record cost based on their repr
-    length, so simulations never crash on exotic payloads.
-
-    This runs for every message the simulator carries, so the common
-    shapes (str / int / dict / list of those) take exact-type fast
-    paths before falling back to the general ``isinstance`` ladder.
+    Deterministic, order-independent for dicts, and total: a value of
+    any other type (a subclass, a set, an object) is charged a flat
+    record cost based on its repr length, so simulations never crash
+    on exotic payloads.  This runs for every message the simulator
+    carries, so types are matched exactly, not with ``isinstance``.
     """
     kind = type(value)
     if kind is str:
@@ -64,24 +62,6 @@ def encoded_size(value: Any) -> int:
         return total
     if kind is bytes:
         return len(value)
-    # General (and rare) cases: None, bools, subclasses, sets, objects.
-    if value is None or isinstance(value, bool):
+    if value is None or kind is bool:
         return 1
-    if isinstance(value, (int, float)):
-        return _SCALAR_SIZE
-    if isinstance(value, bytes):
-        return len(value)
-    if isinstance(value, str):
-        return len(value.encode("utf-8"))
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return sum(encoded_size(item) + _CONTAINER_ITEM_OVERHEAD
-                   for item in value)
-    if isinstance(value, dict):
-        return sum(encoded_size(key) + encoded_size(val)
-                   + 2 * _CONTAINER_ITEM_OVERHEAD
-                   for key, val in value.items())
-    # Objects may advertise their own wire size.
-    wire_size = getattr(value, "wire_size", None)
-    if wire_size is not None:
-        return int(wire_size() if callable(wire_size) else wire_size)
     return len(repr(value).encode("utf-8"))

@@ -71,7 +71,6 @@ class Domain:
             self._lineage = parent._lineage + (self,)
             self._path = (name if parent.parent is None
                           else parent._path + "/" + name)
-        self._region: Optional["Domain"] = None
         if parent is not None:
             if name in parent.children:
                 raise TopologyError(
@@ -91,32 +90,13 @@ class Domain:
             node = node.parent
 
     def region(self) -> "Domain":
-        """The ``Level.REGION`` ancestor, derived defensively.
-
-        On a full five-level hierarchy this is the world-root's child
-        above this domain.  Shallower trees (hand-built domains without
-        the full chain) fall back to the topmost ancestor below the
-        root, or to ``self`` when the domain stands alone — callers get
-        a usable grouping key instead of an IndexError.
-
-        The result is memoised on first call: ancestry is immutable,
-        and ``RequestStream.reads_by_region`` resolves a region per
-        request.
-        """
-        region = self._region
-        if region is None:
-            region = self._resolve_region()
-            self._region = region
-        return region
-
-    def _resolve_region(self) -> "Domain":
-        candidate = self
-        for node in self.ancestors():
-            if node.level == Level.REGION:
-                return node
-            if node.parent is not None:
-                candidate = node
-        return candidate
+        """The topmost ancestor below the root: on a full five-level
+        hierarchy, the ``Level.REGION`` ancestor.  Shallower trees
+        (hand-built domains without the full chain) get the same rule,
+        or ``self`` when the domain stands alone, so callers always get
+        a usable grouping key."""
+        lineage = self._lineage
+        return lineage[1] if len(lineage) > 1 else self
 
     def sites(self) -> Iterator["Domain"]:
         """All leaf (site) domains under this domain, in insertion order."""
@@ -131,9 +111,6 @@ class Domain:
         yield self
         for child in self.children.values():
             yield from child.subtree()
-
-    def __repr__(self) -> str:
-        return "Domain(%r, %s)" % (self.path or "<world>", self.level.name)
 
 
 class Topology:

@@ -362,6 +362,10 @@ class TcpListener:
         return self._pending.get()
 
     def close(self) -> None:
+        """Unbind; closing again leaves the port to whoever holds it
+        now."""
+        if self.closed:
+            return
         self.closed = True
         self.host._tcp_listeners.pop(self.port, None)
 

@@ -65,8 +65,6 @@ class DiurnalProfile:
     def __init__(self, multipliers: Sequence[float],
                  period: float = 86400.0):
         values = [float(m) for m in multipliers]
-        if not values:
-            raise ValueError("need at least one multiplier slot")
         if any(m < 0 for m in values):
             raise ValueError("multipliers cannot be negative")
         if not any(values):
@@ -160,10 +158,7 @@ class AggregatedPopulation:
         self.profile = profile
         self._thinking = clients
         self._in_flight = 0
-        self._start = 0.0
-        self._deadline = 0.0
         self._issue_timer: Optional[Timeout] = None
-        self._done: Optional[Event] = None
 
     # -- the driver process ---------------------------------------------
 
@@ -175,9 +170,8 @@ class AggregatedPopulation:
         self._deadline = sim.now + self.duration
         sim.timeout_at(self._deadline).add_callback(self._on_deadline)
         self._rearm()
-        if self._thinking > 0 or self._in_flight > 0:
-            self._done = sim.event()
-            yield self._done
+        self._done = sim.event()  # clients >= 1 are thinking
+        yield self._done
 
     # -- issuing ---------------------------------------------------------
 
@@ -211,7 +205,6 @@ class AggregatedPopulation:
         timer = self._issue_timer
         if timer is not None:
             timer.cancel()
-            self._issue_timer = None
         if self._thinking <= 0 or not self._may_issue():
             return
         sim = self.sim
@@ -238,15 +231,12 @@ class AggregatedPopulation:
         self._issue_timer = timer
 
     def _on_boundary(self, _event: Event) -> None:
-        self._issue_timer = None
         self._rearm()
 
     def _on_issue(self, _event: Event) -> None:
-        self._issue_timer = None
         self._thinking -= 1
         self._launch(self._draw_arrival())
         self._rearm()
-        self._check_done()
 
     # -- lifecycle --------------------------------------------------------
 
@@ -258,15 +248,11 @@ class AggregatedPopulation:
         timer = self._issue_timer
         if timer is not None:
             timer.cancel()
-            self._issue_timer = None
         self._check_done()
 
     def _check_done(self) -> None:
-        if self._thinking == 0 and self._in_flight == 0 \
-                and self._done is not None:
-            done = self._done
-            self._done = None
-            done.succeed()
+        if self._thinking == 0 and self._in_flight == 0:
+            self._done.succeed()
 
 
 class CohortScenario(ClosedLoopScenario):

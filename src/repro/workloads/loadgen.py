@@ -103,11 +103,6 @@ class Arrival:
         #: request kind, "read" or "write" (traces and mixes set it).
         self.kind = kind
 
-    def __repr__(self) -> str:
-        return ("Arrival(#%d %.3fs %s obj%d @ %s)"
-                % (self.index, self.time, self.kind, self.rank,
-                   getattr(self.site, "path", self.site) or "-"))
-
 
 def draw(mix: Optional[Any], rng: random.Random) -> Tuple[int, str]:
     """One ``(rank, kind)`` draw: from ``mix`` (an object with
@@ -324,7 +319,7 @@ class LoadStats:
         :class:`~repro.analysis.telemetry.PhaseWindow`: count deltas,
         the latency histogram of completions in the window, and
         throughput over the window's span."""
-        latency = window.delta(self.latency.name)
+        latency = window.delta(self.prefix + ".latency")
         duration = window.duration or 0.0
         ok = window.delta(self.prefix + ".ok")
         return {

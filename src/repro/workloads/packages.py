@@ -29,9 +29,7 @@ def synthetic_file(label: str, size: int) -> bytes:
     zero fill keeps generation cheap at megabyte scale.
     """
     prefix = hashlib.sha256(label.encode("utf-8")).digest()
-    if size <= len(prefix):
-        return prefix[:size]
-    return prefix + b"\x00" * (size - len(prefix))
+    return prefix[:size] + b"\x00" * (size - len(prefix))
 
 
 class PackageSpec:

@@ -24,17 +24,9 @@ class RequestStream:
     .Arrival`\\ s plus per-object usage summaries."""
 
     def __init__(self, requests: List[Arrival]):
-        # Generated and replayed streams are already time-ordered;
-        # verify that in one linear pass and only pay the sort for the
-        # genuinely unsorted caller.
-        previous = float("-inf")
-        for request in requests:
-            if request.time < previous:
-                self.requests = sorted(requests, key=lambda r: r.time)
-                break
-            previous = request.time
-        else:
-            self.requests = list(requests)
+        # Stable, and linear on the already time-ordered streams that
+        # generators and replays produce.
+        self.requests = sorted(requests, key=lambda r: r.time)
 
     def __iter__(self) -> Iterator[Arrival]:
         return iter(self.requests)
@@ -71,7 +63,6 @@ class ClientPopulation:
                  rng: random.Random, alpha: float = 1.0,
                  home_share: float = 0.7,
                  write_fraction: Optional[List[float]] = None):
-        self.topology = topology
         self.rng = rng
         self.home_share = home_share
         self.regions = list(topology.world.children.values())

@@ -208,9 +208,10 @@ class Scenario:
     engine: it spawns them, waits for all of them (and their
     in-flight requests), and returns the elapsed simulated seconds.
     Phase windows come from a :class:`Soak` around the scenario.
+    The open- and closed-loop constructors take a ``label`` naming the
+    load for its caller (``gdnbench`` passes its workload's name); the
+    engine reads none.
     """
-
-    label = "scenario"
 
     def build(self, sim: Simulator, request: RequestFn,
               rng: random.Random, stats: LoadStats) -> List[Generator]:
@@ -259,7 +260,6 @@ class OpenLoopScenario(Scenario):
         self.count = count
         self.sites = list(sites) if sites is not None else None
         self.mix = mix
-        self.label = label
 
     def build(self, sim: Simulator, request: RequestFn,
               rng: random.Random, stats: LoadStats) -> List[Generator]:
@@ -290,15 +290,13 @@ class TraceScenario(Scenario):
     """
 
     def __init__(self, events: Iterable[Arrival],
-                 pacing: str = "trace",
-                 label: str = "trace"):
+                 pacing: str = "trace"):
         self.events = sorted(events, key=lambda event: event.time)
         if not self.events:
             raise ValueError("trace is empty")
         if pacing not in ("trace", "sequential"):
             raise ValueError("pacing must be 'trace' or 'sequential'")
         self.pacing = pacing
-        self.label = label
 
     def arrivals(self, sim: Simulator) -> List[Arrival]:
         """The trace as issued: times offset by ``sim.now``."""
@@ -356,7 +354,6 @@ class ClosedLoopScenario(Scenario):
         self.sites = list(sites) if sites is not None else None
         self.mix = mix
         self.think = think
-        self.label = label
 
     @property
     def count(self) -> Optional[int]:
@@ -434,9 +431,6 @@ class HybridScenario(Scenario):
     does not care how the system is coping — all accounted in the
     same :class:`LoadStats`.
     """
-
-    #: A hybrid scenario is the load a soak drives.
-    label = "soak"
 
     def __init__(self, scenarios: Sequence[Scenario]):
         if not scenarios:
@@ -618,8 +612,7 @@ class Soak:
             self.scenario.drive(self.world.sim, self.request,
                                 rng=self.rng, stats=self.stats))
         elapsed = self.world.run_until(driver, limit=limit)
-        if self.settle > 0:
-            self.world.run(until=self.world.now + self.settle)
+        self.world.run(until=self.world.now + self.settle)
         if marker is not None:
             # A mark past the end of the run must not open a window
             # in whatever drives the world next.

@@ -25,8 +25,6 @@ class ZipfSampler:
             raise ValueError("need at least one item")
         if alpha < 0:
             raise ValueError("alpha must be non-negative")
-        self.n = n
-        self.alpha = alpha
         self.rng = rng or random.Random()
         weights = [1.0 / (rank + 1) ** alpha for rank in range(n)]
         total = sum(weights)

@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.analysis.metrics import Series, percentile
-from repro.analysis.tables import Table, format_bytes, format_seconds
+from repro.analysis.tables import (Table, format_bytes, format_rate,
+                                   format_seconds)
 from repro.analysis.telemetry import MetricsRegistry
 from repro.sim.network import TrafficMeter
 from repro.sim.topology import Level
@@ -70,9 +71,14 @@ def test_format_helpers():
     assert format_bytes(512) == "512 B"
     assert format_bytes(2048) == "2.0 KiB"
     assert format_bytes(5 * 1024 * 1024) == "5.0 MiB"
+    assert (format_bytes(1023), format_bytes(1024)) == ("1023 B", "1.0 KiB")
+    assert (format_rate(99.95), format_rate(100.0)) == ("100.0/s", "100/s")
     assert format_seconds(0.0000005) == "0 µs"
     assert format_seconds(0.002) == "2.0 ms"
     assert format_seconds(1.5) == "1.50 s"
+    # Each unit starts at its own boundary.
+    assert format_seconds(1e-3) == "1.0 ms"
+    assert format_seconds(1.0) == "1.00 s"
 
 
 def test_table_rendering():

@@ -83,7 +83,7 @@ def test_histogram_quantiles_match_sorted_percentiles_within_5pct():
     percentiles on 10^4 samples (heavy-tailed, like latencies)."""
     rng = random.Random(1234)
     samples = [rng.lognormvariate(0.0, 1.5) for _ in range(10_000)]
-    hist = Histogram("lat")
+    hist = Histogram()
     record_all(hist, samples)
     assert hist.count == len(samples)
     assert hist.mean == pytest.approx(sum(samples) / len(samples))
@@ -97,7 +97,7 @@ def test_histogram_quantiles_match_sorted_percentiles_within_5pct():
 
 
 def test_histogram_memory_is_bounded_by_buckets_not_samples():
-    hist = Histogram("lat", max_error=0.01)
+    hist = Histogram(max_error=0.01)
     rng = random.Random(7)
     for _ in range(50_000):
         hist.record(rng.uniform(1e-4, 10.0))
@@ -107,7 +107,7 @@ def test_histogram_memory_is_bounded_by_buckets_not_samples():
 
 
 def test_histogram_empty_is_all_zeros_not_errors():
-    hist = Histogram("empty")
+    hist = Histogram()
     assert hist.count == 0
     assert hist.mean == 0.0
     assert hist.p(95) == 0.0
@@ -117,7 +117,7 @@ def test_histogram_empty_is_all_zeros_not_errors():
 
 
 def test_histogram_zero_and_negative_values():
-    hist = Histogram("h")
+    hist = Histogram()
     record_all(hist, [0.0, 0.0, 0.0, 5.0])
     assert hist.count == 4
     assert hist.p(50) == 0.0
@@ -127,9 +127,9 @@ def test_histogram_zero_and_negative_values():
 
 def test_histogram_state_is_a_determinism_fingerprint():
     values = [0.1, 0.2, 0.30000001, 4.0]
-    a = Histogram("a")
+    a = Histogram()
     record_all(a, values)
-    b = Histogram("b")
+    b = Histogram()
     record_all(b, values)
     assert a.state() == b.state()
     b.record(0.2)
@@ -211,3 +211,48 @@ def test_phase_chain_tiles_the_run_and_sums_to_totals():
     for inside in latencies:
         buckets.update(inside._buckets)
     assert buckets == hist._buckets
+
+
+def test_an_open_window_has_no_duration_yet():
+    registry = MetricsRegistry()
+    window = registry.window("w", now=1.0)
+    assert window.duration is None
+    assert window.close(now=3.0).duration == 2.0
+
+
+@pytest.mark.parametrize("max_error", [0.0, 1.0])
+def test_a_histogram_error_bound_must_lie_strictly_between_0_and_1(
+        max_error):
+    with pytest.raises(TelemetryError, match="max_error"):
+        Histogram(max_error=max_error)
+
+
+def test_a_quantile_the_zero_bucket_reaches_is_zero():
+    hist = Histogram()
+    hist.record(0.0)
+    hist.record(5.0)
+    assert hist.p(50) == 0.0
+
+
+def test_a_window_delta_keeps_its_zero_samples():
+    registry = MetricsRegistry()
+    hist = registry.histogram("lat")
+    hist.record(3.0)
+    window = registry.window("w", now=0.0)
+    hist.record(0.0)
+    hist.record(5.0)
+    delta = window.close(now=1.0).delta("lat")
+    assert (delta.count, delta.minimum, delta.p(50)) == (2, 0.0, 0.0)
+
+
+def test_an_untimed_window_summarises_with_no_duration():
+    from repro.workloads.loadgen import LoadStats
+
+    registry = MetricsRegistry()
+    stats = LoadStats(registry=registry)
+    window = registry.window("w")
+    stats.note_issued()
+    stats.note_ok(0.5)
+    summary = stats.phase_summary(window.close())
+    assert (summary["duration"], summary["ok"], summary["throughput"]) \
+        == (0.0, 1, 0.0)

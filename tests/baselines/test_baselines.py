@@ -24,7 +24,7 @@ def run(world, generator, host, limit=1e7):
 
 def test_www_serves_documents(world):
     origin = world.host("www-origin", "r0/c0/m0/s0")
-    server = WwwServer(world, origin)
+    server = WwwServer(origin)
     server.publish("/doc", b"hello web")
     server.start()
     user = world.host("user", "r1/c0/m0/s0")
@@ -42,7 +42,7 @@ def test_www_serves_documents(world):
 
 def test_www_missing_document(world):
     origin = world.host("www-origin", "r0/c0/m0/s0")
-    server = WwwServer(world, origin)
+    server = WwwServer(origin)
     server.start()
     user = world.host("user", "r0/c0/m0/s1")
     client = WwwClient(world, user, server)
@@ -56,7 +56,7 @@ def test_www_missing_document(world):
 
 def test_www_all_traffic_hits_origin(world):
     origin = world.host("www-origin", "r0/c0/m0/s0")
-    server = WwwServer(world, origin)
+    server = WwwServer(origin)
     server.publish("/doc", b"d" * 10_000)
     server.start()
     for index, site in enumerate(["r0/c0/m0/s1", "r1/c0/m0/s0",
@@ -98,6 +98,16 @@ def test_mirror_sync_and_local_fetch(world):
     assert status == 200
     assert size == 50_000
     assert elapsed < 0.2  # served inside the region
+
+    def fetch_missing():
+        status, _body, _elapsed = yield from network.fetch(user, "/nope")
+        return status
+
+    assert run(world, fetch_missing(), user) == 404
+    # Each fetch and the sync closed the connection they opened.
+    world.run(until=world.now + 1.0)
+    assert (len(user._connections), len(mirror_host._connections)) \
+        == (0, 0)
 
 
 def test_mirror_staleness_window(world):

@@ -29,3 +29,7 @@ def test_interface_per_class():
 def test_interface_of_direct():
     interface = Interface.of(Counter)
     assert sorted(interface.methods) == ["increment", "value"]
+    spec = interface.spec("increment")
+    assert (spec.name, spec.mode) == ("increment", Mode.WRITE)
+    with pytest.raises(IdlError, match="on interface Counter"):
+        interface.spec("nonexistent")

@@ -64,6 +64,7 @@ def test_contact_address_wire_round_trip():
     restored = ContactAddress.from_wire(address.to_wire())
     assert restored == address
     assert restored.key() == ("gos-1", 7100, "master")
+    assert address != address.to_wire()  # not an address
 
 
 def test_contact_address_default_impl_id():
@@ -74,3 +75,10 @@ def test_contact_address_default_impl_id():
 def test_contact_address_missing_field_rejected():
     with pytest.raises(IdError):
         ContactAddress.from_wire({"host": "h"})
+
+
+def test_one_shard_holds_every_object():
+    oid = oid_from_seed("gimp")
+    assert oid.shard(1) == 0
+    with pytest.raises(IdError):
+        oid.shard(0)

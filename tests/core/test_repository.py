@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.repository import (Implementation, ImplementationRepository,
                                    RepositoryError)
+from repro.sim.serde import HEADER_OVERHEAD
 from repro.sim.topology import Level, Topology
 from repro.sim.world import World
 from tests.util import KvStore
@@ -65,7 +66,9 @@ def test_load_charges_transfer_from_nearest_repo(repo, world):
     city_delay = world.network.transfer_delay(
         host.site, near.site, 40_000)
     assert duration < 2 * city_delay + 0.01
-    assert world.network.meter.bytes_by_level[Level.CITY] >= 40_000
+    # The request (framing and the implementation's id), then the code.
+    assert world.network.meter.bytes_by_level[Level.CITY] \
+        == HEADER_OVERHEAD + len("test.kv") + 40_000
     assert world.network.meter.bytes_by_level[Level.WORLD] == 0
 
 

@@ -302,3 +302,19 @@ def test_representatives_sharing_a_channel_do_not_block_each_other(bed):
     bed.run(use(), host=runtime.host)
     assert finished == ["size", "put"]
     assert runtime.pool.opens == 1
+
+
+def test_a_binding_is_reused_until_it_is_older_than_its_ttl(bed):
+    server_lr = _object_on(bed)
+    runtime = bed.runtime("client-1", "r0/c0/m0/s1")
+    runtime.binding_ttl = 5.0
+
+    def use():
+        first = yield from runtime.bind(server_lr.oid)
+        yield bed.world.sim.timeout(5.0)
+        at_ttl = yield from runtime.bind(server_lr.oid)
+        yield bed.world.sim.timeout(0.5)
+        past_ttl = yield from runtime.bind(server_lr.oid)
+        return at_ttl is first, past_ttl is first
+
+    assert bed.run(use(), host=runtime.host) == (True, False)

@@ -163,3 +163,134 @@ def test_a3_driver():
     udp, tcp = result["rows"]
     assert tcp["latency"].mean > udp["latency"].mean
     assert "UDP" in ablations.format_transport(result)
+
+
+def test_e5_claims_need_a_strict_margin():
+    def row(strategy, mean, replicas):
+        return {"strategy": strategy, "replicas": replicas,
+                "latency": SimpleNamespace(mean=mean)}
+
+    tied = {"rows": [row("Adaptive", 0.6, 3), row("NoRepl", 1.0, 1),
+                     row("ReplAll", 0.5, 3)]}
+    with pytest.raises(AssertionError):
+        e5_adaptive.assert_faster_than_no_replication(tied)
+    with pytest.raises(AssertionError):
+        e5_adaptive.assert_fewer_replicas(tied)
+    # The table's check holds each clause.
+    slow = {"rows": [row("Adaptive", 0.6, 2), row("NoRepl", 1.0, 1),
+                     row("ReplAll", 0.5, 3)]}
+    crowded = {"rows": [row("Adaptive", 0.5, 3), row("NoRepl", 1.0, 1),
+                        row("ReplAll", 0.5, 3)]}
+    for result in (slow, crowded):
+        with pytest.raises(AssertionError):
+            e5_adaptive.assert_shape(result)
+
+
+def test_e6_claims_need_a_strict_margin():
+    def row(load, records, total, mean):
+        return {"root_load_max": load, "root_records_max": records,
+                "root_records_total": total,
+                "latency": SimpleNamespace(mean=mean)}
+
+    good = [row(10, 8, 10, 1.0), row(5, 4, 10, 1.2)]
+    e6_partitioning.assert_shape({"rows": good})
+    for tied in ([good[0], row(10, 4, 10, 1.2)],
+                 [good[0], row(5, 10, 10, 1.2)],
+                 [good[0], row(5, 4, 10, 1.5)]):
+        with pytest.raises(AssertionError):
+            e6_partitioning.assert_shape({"rows": tied})
+
+
+def test_e10_claims_hold_each_bound():
+    def row(replicate, offered, achieved, mean):
+        return {"replicate": replicate, "offered": offered,
+                "achieved": achieved, "latency": SimpleNamespace(mean=mean)}
+
+    def result(low_single=None, low_replicated=None, worst_single=None,
+               worst_replicated=None):
+        return {"capacity_one": 20.0, "rows": [
+            low_single or row(False, 10.0, 11.0, 1.0),
+            worst_single or row(False, 40.0, 20.0, 8.0),
+            low_replicated or row(True, 10.0, 9.0, 1.4),
+            worst_replicated or row(True, 40.0, 39.0, 3.0)]}
+
+    # Each bound met with a margin, and the low-load one exactly.
+    e10_load_scaling.assert_shape(result())
+    for broken in (
+            result(worst_single=row(False, 20.0, 20.0, 8.0)),
+            result(worst_replicated=row(True, 40.0, 39.0, 4.0)),
+            result(worst_replicated=row(True, 40.0, 20.0, 3.0)),
+            result(low_single=row(False, 20.0, 15.0, 1.0)),
+            result(low_replicated=row(True, 10.0, 9.0, 1.5))):
+        with pytest.raises(AssertionError):
+            e10_load_scaling.assert_shape(broken)
+
+
+def _mean(value):
+    return SimpleNamespace(mean=value)
+
+
+def test_the_claims_of_e1_e3_e4_e7_and_the_ablations_at_their_bounds():
+    """Each claim clause at the value where it flips: a strict bound
+    fails there, an inclusive one holds."""
+    def e1(same_site, cross_world):
+        return {"rows": [
+            {"representative": "cache role (fresh copy)", "read_small": 0.0},
+            {"representative": "client role, same site",
+             "read_small": same_site},
+            {"representative": "client role, cross world",
+             "read_small": cross_world}]}
+
+    def e3(setup_gdn):
+        return {"rows": [
+            {"latency": _mean(1.0), "serving_wan": 10, "setup_wan": 0},
+            {"latency": _mean(1.0), "serving_wan": 10, "setup_wan": 5},
+            {"latency": _mean(0.5), "serving_wan": 5,
+             "setup_wan": setup_gdn}]}
+
+    def e4(plain, one_way, two_way, integrity):
+        return {"rows": [dict(zip(("handshake", "large"), row))
+                         for row in (plain, one_way, two_way, integrity)]}
+
+    def e7(warm):
+        return {"batching": [], "name_count": 1, "warm": _mean(warm),
+                "cold": _mean(1.0), "load": {}, "server_regions": [],
+                "servers": [], "stable_after_move": True}
+
+    def a2(update, hops):
+        return {"rows": [{"update": _mean(1.0), "hops": _mean(2.0)},
+                         {"update": _mean(update), "hops": _mean(hops)}]}
+
+    def a3(latency, size):
+        return {"rows": [{"latency": _mean(1.0), "bytes": 10},
+                         {"latency": _mean(latency), "bytes": size}]}
+
+    holds = [(e1_dso_invocation.assert_shape, e1(0.01, 1.01)),
+             (e3_end_to_end.assert_shape, e3(5)),
+             (e4_security.assert_shape, e4((1, 1), (2, 1), (2, 2),
+                                          (2, 1.5))),
+             (e7_gns_resolution.assert_shape, e7(0.1)),
+             (ablations.assert_mobility_shape, a2(0.5, 2.0)),
+             (ablations.assert_transport_shape, a3(1.6, 11))]
+    fails = [(e1_dso_invocation.assert_shape, e1(0.0, 1.0)),
+             (e1_dso_invocation.assert_shape, e1(0.01, 1.0)),
+             (e4_security.assert_shape, e4((1, 1), (1, 1), (2, 2),
+                                          (2, 1.5))),
+             (e4_security.assert_shape, e4((1, 1), (2, 1), (1, 1),
+                                          (2, 1.5))),
+             (e4_security.assert_shape, e4((1, 1), (2, 1), (2, 2),
+                                          (2, 2))),
+             (e4_security.assert_shape, e4((1, 1), (2, 1), (2, 1),
+                                          (2, 0.5))),
+             (e7_gns_resolution.assert_shape, e7(0.2)),
+             (ablations.assert_consistency_shape,
+              {"rows": [{"stale": 0}, {"stale": 0}]}),
+             (ablations.assert_mobility_shape, a2(1.0, 1.0)),
+             (ablations.assert_mobility_shape, a2(0.5, 2.5)),
+             (ablations.assert_transport_shape, a3(1.5, 11)),
+             (ablations.assert_transport_shape, a3(1.6, 10))]
+    for check, result in holds:
+        check(result)
+    for check, result in fails:
+        with pytest.raises(AssertionError):
+            check(result)

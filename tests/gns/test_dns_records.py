@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.core.journal import JOURNAL_DEPTH
 from repro.gns.dns.records import (DnsError, ResourceRecord, RRType,
                                    is_subdomain, normalize_name, parent_name)
-from repro.gns.dns.zone import JOURNAL_DEPTH, Rcode, Zone
+from repro.gns.dns.zone import Rcode, Zone
 
 
 # -- names -------------------------------------------------------------------
@@ -272,3 +273,11 @@ def test_changes_before_the_first_commit_ride_in_the_first_delta(zone):
     assert len(delta["changes"]) == 3
     copy.apply_delta(delta)
     assert (copy.serial, _records(copy)) == (zone.serial, _records(zone))
+
+
+def test_a_name_of_253_characters_is_the_longest_accepted():
+    longest = ".".join(["a" * 63] * 3 + ["b" * 61])
+    assert len(longest) == 253
+    assert normalize_name(longest) == longest
+    with pytest.raises(DnsError, match="too long"):
+        normalize_name(longest + "b")

@@ -48,3 +48,10 @@ def test_signature_ignores_field_order():
     a = sign_message({"zone": "z", "adds": [], "deletes": []}, key)
     b = sign_message({"deletes": [], "adds": [], "zone": "z"}, key)
     assert a["tsig"]["mac"] == b["tsig"]["mac"]
+
+
+def test_a_signature_survives_reordered_keys_inside_a_list():
+    key = TsigKey("gdn-key", b"secret")
+    signed = sign_message({"adds": [{"name": "x", "ttl": 60}]}, key)
+    signed["adds"] = [{"ttl": 60, "name": "x"}]
+    assert verify_message(signed, _keyring(key))

@@ -14,10 +14,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import journal as journal_module
+from repro.core.journal import JOURNAL_DEPTH
 from repro.gns.dns.records import ResourceRecord, RRType
 from repro.gns.dns.server import DNS_PORT, AuthoritativeServer
 from repro.gns.dns.tsig import TsigKey, TsigKeyring, sign_message
-from repro.gns.dns.zone import JOURNAL_DEPTH, Zone
+from repro.gns.dns.zone import Zone
 from repro.sim.network import LinkParameters
 from repro.sim.rpc import UdpRpcClient
 from repro.sim.topology import Topology

@@ -56,6 +56,11 @@ def test_wire_round_trip(ca):
     assert restored.wire_size() >= 700
     with pytest.raises(CertificateError):
         Certificate.from_wire({"subject": "x"})
+    # Each field of the wrong type is refused on its own.
+    for field, wrong in (("subject", 1), ("issuer", 1), ("signature", "1")):
+        with pytest.raises(CertificateError, match="wrong type"):
+            Certificate.from_wire(dict(certificate.to_wire(),
+                                       **{field: wrong}))
 
 
 def test_credentials_trust(ca):
@@ -66,3 +71,15 @@ def test_credentials_trust(ca):
     mallory = Credentials.issue_for("mallory", other_ca, random.Random(9))
     assert not alice.trusts(mallory.certificate)
 
+
+
+def test_a_package_grant_makes_a_maintainer_of_that_package_only():
+    from repro.security.acl import PrincipalRegistry
+
+    registry = PrincipalRegistry()
+    registry.grant_package("alice", "ab" * 20)
+    assert registry.has_role("alice", Role.MAINTAINER)
+    assert registry.maintains("alice", "ab" * 20)
+    assert not registry.maintains("alice", "cd" * 20)
+    assert not registry.maintains(None, "ab" * 20)
+    assert registry.roles_of(None) == set()

@@ -348,8 +348,6 @@ def test_ordered_pool_rejects_negative_delay_without_poisoning():
 class _Reply:
     """A reply object a weak reference can watch."""
 
-    wire_size = 64
-
 
 @pytest.mark.parametrize("transport", ["udp", "channel"])
 def test_a_returned_call_frees_its_reply_before_the_deadline(transport):
@@ -387,3 +385,16 @@ def test_a_returned_call_frees_its_reply_before_the_deadline(transport):
     gc.collect()
     (ref,) = replies
     assert ref() is None
+
+
+def test_a_world_reports_its_kernel_and_shared_pool_in_its_registry():
+    from repro.sim.world import World
+
+    world = World(seed=1)
+    fired = []
+    shared_pool(world.sim).add(lambda: fired.append(world.now), 1.0)
+    world.run()
+    assert fired == [1.0]
+    assert world.metrics.get("kernel.events_processed").value \
+        == world.sim.events_processed > 0
+    assert world.metrics.get("kernel.deadline_pool.armed").value == 1

@@ -94,3 +94,13 @@ def test_overlapping_partitions_of_one_domain_heal_with_the_last():
     assert [(t, kind) for t, kind, _ in injector.log] == [
         (0.0, "partition"), (5.0, "partition"), (10.0, "heal"),
         (15.0, "heal")]
+
+
+def test_a_crash_due_now_arms_no_timer_and_loss_is_logged(world):
+    host = world.host("victim", "r0/c0/m0/s0")
+    injector = FailureInjector(world)
+    injector.crash_restart(host, crash_at=0.0, restart_at=1.0)
+    world.run(until=0.5)
+    assert not host.up and world.sim.timers_scheduled == 1
+    injector.set_loss(Level.CITY, 0.25)
+    assert injector.log[-1] == (0.5, "loss=0.25", "CITY")

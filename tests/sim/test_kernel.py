@@ -835,3 +835,172 @@ def test_reserved_seq_merges_with_run_queue_ties():
 
     sim.run_until_complete(sim.process(driver()))
     assert order == ["reserved-tie", "triggered"]
+
+
+def test_yielding_an_already_processed_failure_throws_it():
+    sim = Simulator()
+    failed = sim.event()
+    failed.fail(ValueError("late"))
+    failed.defuse()
+    sim.run()
+
+    def proc():
+        try:
+            yield failed
+        except ValueError as error:
+            return str(error)
+
+    process = sim.process(proc())
+    sim.run()
+    assert process.value == "late"
+
+
+def test_run_until_fires_an_event_due_at_that_instant():
+    sim = Simulator()
+    fired = []
+    sim.timeout(5.0).add_callback(lambda _event: fired.append(sim.now))
+    sim.run(until=5.0)
+    assert fired == [5.0]
+
+
+
+def test_a_process_yielding_a_non_event_fails_and_is_closed():
+    sim = Simulator()
+    log = []
+
+    def proc():
+        try:
+            yield 42
+        finally:
+            log.append("closed")
+
+    process = sim.process(proc())
+    process.defuse()
+    sim.run()
+    assert log == ["closed"]
+    with pytest.raises(SimulationError, match="expected an Event"):
+        process.value
+
+
+def test_a_timer_at_an_instant_already_passed_is_refused():
+    sim = Simulator()
+    sim.run(until=2.0)
+    with pytest.raises(SimulationError, match="before now"):
+        sim.timeout_at(1.0)
+
+
+def test_the_value_of_a_pending_event_is_refused():
+    with pytest.raises(SimulationError, match="not been triggered"):
+        Simulator().event().value
+
+
+def test_the_peak_heap_size_counts_the_most_timers_pending_at_once():
+    sim = Simulator()
+    for delay in (1.0, 2.0, 3.0):
+        sim.timeout(delay)
+    sim.run()
+    sim.timeout(1.0)
+    assert sim.peak_heap_size == 3
+
+
+def test_the_kernel_counters_are_read_through_the_registry():
+    from repro.analysis.telemetry import MetricsRegistry
+
+    sim = Simulator()
+    registry = MetricsRegistry()
+    sim.bind_metrics(registry)
+    sim.timeout(1.0)
+    sim.timeout(2.0).cancel()
+    sim.event().succeed()
+    sim.run()
+    assert [registry.get("kernel." + name).value for name in (
+        "events_processed", "timers_scheduled", "timers_cancelled")] \
+        == [2, 2, 1]
+
+
+def test_any_of_fails_with_its_first_child_failure():
+    sim = Simulator()
+    failing = sim.event()
+
+    def proc():
+        try:
+            yield AnyOf(sim, [failing, sim.timeout(5.0)])
+        except ValueError as error:
+            return str(error)
+
+    process = sim.process(proc())
+    failing.fail(ValueError("first"))
+    sim.run()
+    assert process.value == "first"
+
+
+def test_a_child_failing_after_any_of_fired_is_defused():
+    sim = Simulator()
+    late = sim.event()
+
+    def proc():
+        fired = yield AnyOf(sim, [sim.timeout(1.0), late])
+        yield sim.timeout(1.0)
+        late.fail(ValueError("nobody waits"))
+        return len(fired)
+
+    process = sim.process(proc())
+    sim.run()
+    assert process.value == 1
+
+
+def test_killing_a_finished_process_keeps_its_value():
+    sim = Simulator()
+
+    def proc():
+        yield sim.timeout(1.0)
+        return 5
+
+    process = sim.process(proc())
+    sim.run()
+    process.kill()
+    assert process.value == 5
+
+
+def test_an_event_fails_once_and_only_with_an_exception():
+    event = Simulator().event()
+    with pytest.raises(SimulationError, match="requires an exception"):
+        event.fail("not an exception")
+    event.fail(ValueError("once"))
+    with pytest.raises(SimulationError, match="already triggered"):
+        event.fail(ValueError("twice"))
+
+
+def test_cancelled_timers_are_compacted_once_they_are_half_the_heap():
+    sim = Simulator()
+    keep = sim.timeout(1.0)
+    sim.timeout(2.0).cancel()
+    assert (sim.stale_timer_count, sim.heap_size) == (0, 1)
+    assert keep.cancel() and sim.heap_size == 0
+
+
+def test_a_resource_needs_room_for_one_holder():
+    with pytest.raises(SimulationError, match="capacity"):
+        Simulator().resource(0)
+
+
+def test_a_fired_timer_is_freed_by_reference_counting_alone():
+    # Its heap entry must let go of it: a timer -> entry -> timer cycle
+    # would wait for the cycle collector, and a run fires millions.
+    import gc
+
+    from repro.sim.kernel import Timeout
+
+    def live_timers():
+        return sum(type(thing) is Timeout for thing in gc.get_objects())
+
+    sim = Simulator()
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_timers()
+        sim.timeout(1.0)
+        sim.run()
+        assert live_timers() == before
+    finally:
+        gc.enable()

@@ -1554,3 +1554,26 @@ def test_pool_close_closes_every_channel(world):
     assert len(pool._channels) == 0
     assert (len(a._connections), len(a._processes)) == (0, 0)
     assert (len(b._connections), len(b._processes)) == baseline
+
+
+@pytest.mark.parametrize("how", ["stop", "crash"])
+def test_a_second_stop_leaves_the_port_to_its_new_server(world, how):
+    # Server A on port 80 is stopped (or its host crashes), B takes the
+    # port, then A is stopped again: B must still accept connections.
+    a = world.host("client", "r0/c0/m0/s0")
+    b = world.host("srv", "r0/c1/m0/s0")
+    first = _echo_server(world, b, port=80)
+    if how == "stop":
+        first.stop()
+    else:
+        b.crash()
+        b.restart()
+    second = _echo_server(world, b, port=80)
+    first.stop()
+    assert not second._listener.closed
+
+    def client():
+        value = yield from rpc.call(a, b, 80, "echo", {"text": "hi"})
+        return value
+
+    assert world.run_until(a.spawn(client()), limit=100) == "hi"

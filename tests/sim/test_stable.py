@@ -27,6 +27,8 @@ def test_load_returns_a_copy_of_the_saved_record_after_read_latency():
     other = StableStore(world, disk, "gos-0", "gls")
     assert _run(world, other.load("oid-1")) is None
     assert (store.writes, store.reads) == (1, 3)
+    assert _run(world, store.load_all()) == {"oid-1": {"version": 3}}
+    assert store.reads == 4
 
 
 def test_wipe_destroys_one_hosts_disk_only():
@@ -41,3 +43,13 @@ def test_wipe_destroys_one_hosts_disk_only():
     assert _run(world, lost.load("oid-1")) is None
     assert _run(world, lost.load_all()) == {}
     assert _run(world, kept.load("oid-1")) == {"v": 2}
+
+
+def test_remove_deletes_the_record_after_write_latency():
+    world = World(topology=Topology.balanced(1, 1, 1, 1), seed=1)
+    store = StableStore(world, DiskStore(), "gos-0", "replicas")
+    _run(world, store.save("oid-1", {"version": 3}))
+    _run(world, store.remove("oid-1"))
+    assert world.now == 2 * DISK_WRITE_LATENCY
+    assert _run(world, store.load("oid-1")) is None
+    assert store.writes == 2

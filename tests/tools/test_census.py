@@ -674,11 +674,18 @@ def test_state_counts_a_self_load_only_for_the_loading_class_and_its_kin(
     # of the same name; Child's self.shared clears its base's store; a
     # load through another receiver (mirror.hits) counts by name.  The
     # unused ``os`` fails the check; ``List``, used in a quoted
-    # annotation, and a package __init__'s re-export do not.
+    # annotation, does not.  In a package __init__, a submodule load
+    # and a name a test imports from the package count as used; a
+    # re-export nothing imports from it fails, ``__all__`` or not.
     package = tmp_path / "src" / "fixture_pkg"
     package.mkdir(parents=True)
-    (package / "__init__.py").write_text("from .mod import Child\n")
+    (package / "__init__.py").write_text(
+        "from . import mod\nfrom .mod import Child, Mirror\n"
+        "__all__ = [\"Child\", \"Mirror\"]\n")
     (package / "mod.py").write_text(KIN_MODULE)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_pkg.py").write_text(
+        "from fixture_pkg import Child\n")
     (tmp_path / "keep.txt").write_text("")
     monkeypatch.setattr(census, "KEEP_FILE", tmp_path / "keep.txt")
     src = str(tmp_path / "src")
@@ -689,7 +696,8 @@ def test_state_counts_a_self_load_only_for_the_loading_class_and_its_kin(
         "census: 1 of 4 attributes stored under %s never loaded in src, "
         "examples, gdnbench, tests" % src,
     ]
-    assert out[2:4] == [
+    assert out[2:5] == [
+        "fixture_pkg/__init__.py:2  import Mirror",
         "fixture_pkg/mod.py:1  import os",
-        "census: 1 names imported under %s and never used" % src,
+        "census: 2 names imported under %s and never used" % src,
     ]

@@ -1,5 +1,6 @@
 """tools/mutants.py on a fixture tree: which mutants do the tests kill?"""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -108,6 +109,44 @@ def test_the_sweep_kills_the_planted_and_the_looping_mutant(tmp_path):
             "tests)  kept: equivalent: x * 2 is 0 when x is 0"
             % GUARD.digest) in out
     assert "fixture_pkg/mod.py:18 +1->+0  count_up  hung" in out
+
+
+CACHED = '''\
+import functools
+
+from fixture_pkg import mod
+
+
+@functools.lru_cache(maxsize=None)
+def shared():
+    return mod.double(3)
+
+
+def test_first_reader():
+    assert shared() == 6
+
+
+def test_second_reader():
+    assert shared() == 6
+'''
+
+
+def test_the_map_credits_a_cached_call_to_every_test_that_reads_it(
+        tmp_path):
+    _tree(tmp_path)
+    (tmp_path / "tests" / "test_cached.py").write_text(CACHED)
+    done = subprocess.run(
+        [sys.executable, str(MUTANTS), "--root", str(tmp_path),
+         "--build-map", str(tmp_path / "reach.json"), "--",
+         "tests/test_cached.py"], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(tmp_path / "src")),
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        timeout=120)
+    assert done.returncode == 0, done.stdout
+    reach = json.loads((tmp_path / "reach.json").read_text())
+    assert reach["reach"]["fixture_pkg/mod.py:double"] == [
+        "tests/test_cached.py::test_first_reader",
+        "tests/test_cached.py::test_second_reader"]
 
 
 def test_check_fails_on_a_stale_or_refused_keep_line(tmp_path, capsys):

@@ -311,5 +311,4 @@ def trace_replay(name: str, topology=None) -> TraceScenario:
     return TraceScenario(
         [Arrival(index, float(raw["time"]), site(raw["site"]),
                  int(raw["object"]), raw["kind"])
-         for index, raw in enumerate(raws)],
-        label="trace:%s" % name)
+         for index, raw in enumerate(raws)])

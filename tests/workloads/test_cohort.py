@@ -186,6 +186,12 @@ def test_profile_slots_and_boundaries():
     assert profile.multiplier_at(0.0) == 0.0
     assert profile.multiplier_at(15.0) == 1.0
     assert profile.multiplier_at(45.0) == 0.0  # wraps into slot 0
+    # Just short of the period, float division lands on slot 3 == len.
+    thirds = DiurnalProfile([0.0, 0.0, 1.0], period=1.0)
+    assert thirds.multiplier_at(0.9999999999999999) == 1.0
+    # 7 slot widths of 1/3 round to this very offset: the next
+    # boundary is the 8th.
+    assert thirds.next_boundary(2.333333333333333) == 8 * (1.0 / 3.0)
     assert profile.next_boundary(0.0) == 10.0
     assert profile.next_boundary(10.0) == 20.0
     assert profile.next_boundary(39.9) == pytest.approx(40.0)
@@ -247,6 +253,8 @@ def test_cohort_scenario_validation():
         CohortScenario(1, -1.0, duration=1.0, profile=FLAT)
     with pytest.raises(ValueError):
         CohortScenario(1, 1.0, duration=1.0, profile=FLAT, cohort_size=0)
+    assert CohortScenario(1, 1.0, duration=1.0, profile=FLAT,
+                          cohort_size=1).cohort_size == 1
     with pytest.raises(TypeError):
         CohortScenario(1, 1.0, duration=1.0, profile=FLAT, think="fixed")
     with pytest.raises(ValueError, match="ClosedLoopScenario"):
@@ -254,4 +262,90 @@ def test_cohort_scenario_validation():
     with pytest.raises(ValueError, match="ClosedLoopScenario"):
         AggregatedPopulation(None, None, random.Random(0), None, 1, 0.0,
                              LoadStats(), 1.0, FLAT)
+    with pytest.raises(ValueError, match="client"):
+        AggregatedPopulation(None, None, random.Random(0), None, 0, 1.0,
+                             LoadStats(), 1.0, FLAT)
     assert CohortScenario(3, 1.0, duration=2.0, profile=FLAT).count is None
+
+
+def test_a_request_ending_on_the_deadline_returns_no_thinker():
+    # Every request waits until the deadline itself: the thinkers
+    # retire there first, and no client comes back to issue again.
+    world = World(topology=Topology.balanced(1, 1, 1, 1), seed=3)
+    sim = world.sim
+
+    def until_deadline(arrival):
+        yield sim.timeout_at(10.0)
+        return True
+
+    stats = LoadStats()
+    cohort = AggregatedPopulation(
+        sim, until_deadline, random.Random(8), None, clients=20,
+        think_time=5.0, stats=stats, duration=10.0, profile=FLAT)
+    world.run_until(sim.process(cohort.run()), limit=1e9)
+    assert world.now == 10.0
+    assert 0 < stats.issued == stats.ok <= 20
+
+
+def _cohort_drive(profile, duration, rng=None, clients=200):
+    """Drive one cohort of ``clients`` to its deadline; the issue times
+    and the simulator."""
+    world = World(topology=Topology.balanced(1, 1, 1, 1), seed=3)
+    sim = world.sim
+    issued = []
+
+    def do_one(arrival):
+        issued.append(sim.now)
+        yield sim.timeout(0.001)
+        return True
+
+    cohort = AggregatedPopulation(
+        sim, do_one, rng or random.Random(8), None, clients=clients,
+        think_time=20.0, stats=LoadStats(), duration=duration,
+        profile=profile)
+    world.run_until(sim.process(cohort.run()), limit=1e9)
+    return issued, sim
+
+
+def test_a_dead_slot_issues_nothing_and_leaves_no_timer_behind():
+    # Live from 0 to 5, dead from 5: the deadline at 8 falls in the
+    # dead slot, whose wake-up at its boundary (10) it withdraws.
+    issued, sim = _cohort_drive(DiurnalProfile([1.0, 0.0], period=10.0),
+                                8.0)
+    assert issued and max(issued) < 5.0
+    assert sim.heap_size == 0
+    # Dead first, live from 5: the cohort wakes at the boundary.
+    issued, _sim = _cohort_drive(DiurnalProfile([0.0, 1.0], period=10.0),
+                                 10.0)
+    assert issued and min(issued) >= 5.0
+
+
+def test_no_request_is_issued_at_or_after_the_deadline():
+    issued, sim = _cohort_drive(FLAT, 30.0)
+    assert issued and max(issued) < 30.0
+    assert sim.heap_size == 0
+
+
+class _GapsOfOneSlot(random.Random):
+    """Every think gap drawn is exactly one slot wide."""
+
+    def expovariate(self, rate):
+        return 0.5
+
+
+def test_a_gap_reaching_the_slot_boundary_is_redrawn_there():
+    # Each gap ends exactly on the next boundary, so each is redrawn
+    # at the boundary and none is ever issued.
+    issued, _sim = _cohort_drive(DiurnalProfile([1.0, 1.0], period=1.0),
+                                 3.0, rng=_GapsOfOneSlot(1), clients=1)
+    assert issued == []
+
+
+def test_a_sinusoidal_floor_lies_in_0_to_1():
+    assert DiurnalProfile.sinusoidal(slots=2, floor=1.0).multipliers \
+        == [1.0, 1.0]
+    assert min(DiurnalProfile.sinusoidal(slots=2, floor=0.0).multipliers) \
+        == pytest.approx(0.5)
+    for floor in (-0.1, 1.1):
+        with pytest.raises(ValueError, match="floor"):
+            DiurnalProfile.sinusoidal(floor=floor)

@@ -202,3 +202,30 @@ def test_loadgen_10k_requests_leave_no_stale_timers():
     assert world.sim.heap_size == 0
     # The heap never grew anywhere near one-entry-per-request.
     assert world.sim.peak_heap_size < 1000
+
+
+class _Fixed(random.Random):
+    """Every ``random()`` draw is 0.0 and every gap 0.5 s."""
+
+    def random(self):
+        return 0.0
+
+    def expovariate(self, rate):
+        return 0.5
+
+
+def test_a_flash_crowd_redraws_each_gap_that_reaches_a_rate_change():
+    # Gaps of 0.5 s; the spike runs from 1 to 2: the gaps ending on 1
+    # and on 2 are redrawn from there, and none after 2 is.
+    schedule = FlashCrowdSchedule(1.0, 10.0, spike_start=1.0,
+                                  spike_duration=1.0)
+    assert list(schedule.times(4, 0.0, _Fixed())) == [0.5, 1.5, 2.5, 3.0]
+    FlashCrowdSchedule(1.0, 10.0, spike_start=0.0, spike_duration=1.0)
+    with pytest.raises(ValueError):
+        FlashCrowdSchedule(0.0, 10.0, spike_start=0.0, spike_duration=1.0)
+    with pytest.raises(ValueError):
+        PoissonSchedule(0.0)
+
+
+def test_a_zero_write_fraction_draws_no_write_even_on_a_zero_draw():
+    assert RequestMix(1).draw(_Fixed()) == (0, "read")

@@ -245,6 +245,8 @@ def test_hybrid_runs_everything_into_shared_stats():
     assert by_label == {"open": 20, "closed": 10}
     with pytest.raises(ValueError):
         HybridScenario([])
+    bounded = ClosedLoopScenario(clients=1, think_time=1.0, duration=5.0)
+    assert HybridScenario([scenario, bounded]).count is None
 
 
 def test_scenario_determinism_same_seed():
@@ -473,7 +475,7 @@ def test_soak_phase_windows_capture_fault_degradation():
     assert sum(row["issued"] for row in rows.values()) == stats.issued
     assert sum(row["ok"] for row in rows.values()) == stats.ok
     assert sum(row["failed"] for row in rows.values()) == stats.failed
-    latency_counts = [report.phases[i].delta(stats.latency.name).count
+    latency_counts = [report.phases[i].delta(stats.prefix + ".latency").count
                       for i in range(3)]
     assert sum(latency_counts) == stats.latency.count
     # Network counters share the same windows: the fault window saw
@@ -532,9 +534,11 @@ def test_closed_loop_duration_zero_progress_raises_not_hangs():
         yield  # pragma: no cover - marks this as a generator
 
     scenario = ClosedLoopScenario(clients=1, think_time=0.0, duration=1.0)
+    stats = LoadStats()
     with pytest.raises(ValueError, match="no simulated-time progress"):
         sim.run_until_complete(
-            sim.process(scenario.drive(sim, instant)), 1e9)
+            sim.process(scenario.drive(sim, instant, stats=stats)), 1e9)
+    assert stats.issued == 1000
 
 
 def test_soak_phases_exclude_foreign_open_windows():
@@ -809,3 +813,63 @@ def test_loadgen_10k_guarded_calls_drain_pools_and_heap():
     assert len(shared_pool(world.sim)) == 0
     assert world.sim.stale_timer_count == 0
     assert world.sim.heap_size == 0
+
+
+def _timed_request(sim, seconds):
+    def request(arrival):
+        if seconds:
+            yield sim.timeout(seconds)
+        return True
+    return request
+
+
+def test_a_closed_loop_stops_at_a_think_that_ends_on_its_deadline():
+    # Wakes at 1 and 2 issue; the wake due at 3 is the deadline itself.
+    sim = Simulator()
+    scenario = ClosedLoopScenario(clients=1, think_time=1.0, think="fixed",
+                                  duration=3.0)
+    stats, elapsed = _drive(sim, scenario, _timed_request(sim, 0.0))
+    assert (stats.issued, elapsed) == (2, 3.0)
+
+
+def test_a_closed_loop_arms_no_timer_it_does_not_wait_on():
+    # A request ending on the deadline needs no wait for it, and zero
+    # think time needs no zero-second timer.
+    sim = Simulator()
+    scenario = ClosedLoopScenario(clients=1, think_time=1.0, think="fixed",
+                                  duration=2.0)
+    stats, _elapsed = _drive(sim, scenario, _timed_request(sim, 1.0))
+    assert (stats.issued, sim.timers_scheduled) == (1, 2)
+    sim = Simulator()
+    scenario = ClosedLoopScenario(clients=1, think_time=0.0,
+                                  requests_per_client=2)
+    stats, _elapsed = _drive(sim, scenario, _timed_request(sim, 1.0))
+    assert (stats.issued, sim.timers_scheduled) == (2, 2)
+
+
+def test_an_open_loop_burst_at_its_start_arms_no_timer():
+    sim = Simulator()
+    scenario = OpenLoopScenario(BurstSchedule(), 3)
+    stats, _elapsed = _drive(sim, scenario, _timed_request(sim, 0.0))
+    assert (stats.issued, sim.timers_scheduled) == (3, 0)
+
+
+def test_a_phase_mark_due_now_opens_its_window_without_a_timer():
+    from repro.analysis.telemetry import MetricsRegistry
+    from repro.workloads.scenario import _phase_driver
+
+    sim = Simulator()
+    registry = MetricsRegistry()
+    sim.process(_phase_driver(sim, registry, [(0.0, "now"), (2.0, "later")]))
+    sim.run()
+    assert sim.timers_scheduled == 1
+    assert [window.label for window in registry.phases] == ["now"]
+    assert registry.current_phase.label == "later"
+
+
+def test_a_sequential_trace_counts_each_request_issued():
+    sim = Simulator()
+    trace = TraceScenario([Arrival(index, float(index), "r0/c0/m0/s0", 0)
+                           for index in range(3)], pacing="sequential")
+    stats, _elapsed = _drive(sim, trace, _timed_request(sim, 1.0))
+    assert (stats.issued, stats.ok) == (3, 3)

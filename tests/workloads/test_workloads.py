@@ -176,8 +176,8 @@ def test_request_region_derived_defensively():
 
 
 def test_request_stream_skips_sort_when_already_ordered():
-    # RequestStream keeps already-ordered input as-is (no re-sort) and
-    # still sorts genuinely unordered input.
+    # RequestStream keeps already-ordered input in its order (a stable
+    # sort) and sorts unordered input.
     from repro.workloads.loadgen import Arrival
     from repro.workloads.population import RequestStream
 
@@ -195,3 +195,52 @@ def test_request_stream_skips_sort_when_already_ordered():
                 for i, t in enumerate([5, 2, 9, 1, 7])]
     resorted = RequestStream(shuffled)
     assert [request.time for request in resorted] == [1.0, 2.0, 5.0, 7.0, 9.0]
+
+
+class _FixedDraws(random.Random):
+    """A stream whose every ``random()`` draw is ``draw`` (and every
+    document size 10 kB: a normal variate from a fixed draw may never
+    be accepted)."""
+
+    def __init__(self, draw):
+        super().__init__(1)
+        self.draw = draw
+
+    def random(self):
+        return self.draw
+
+    def lognormvariate(self, mu, sigma):
+        return 10_000.0
+
+
+def test_a_draw_equal_to_a_share_falls_outside_it():
+    topology = Topology.balanced(4, 1, 1, 1)
+    population = ClientPopulation(topology, 4, _FixedDraws(0.75),
+                                  home_share=0.75)
+    stream = population.generate(5)
+    assert all(request.site.region()
+               is not population.home_region[request.rank]
+               for request in stream)
+    never = ClientPopulation(topology, 4, _FixedDraws(0.0),
+                             write_fraction=[0.0] * 4)
+    assert {request.kind for request in never.generate(5)} == {"read"}
+
+
+def test_a_web_document_draw_on_a_class_bound_takes_the_next_class():
+    from repro.workloads.webtrace import HOT_FRACTION, OCCASIONAL_FRACTION
+
+    topology = Topology.balanced(2, 1, 1, 1)
+    for draw, update_class in (
+            (HOT_FRACTION, "occasional"),
+            (HOT_FRACTION + OCCASIONAL_FRACTION, "static")):
+        documents, _stream = make_web_trace(topology, _FixedDraws(draw),
+                                            document_count=2,
+                                            request_count=2)
+        assert {document.update_class for document in documents} \
+            == {update_class}
+
+
+def test_zipf_draws_the_last_rank_when_float_drift_leaves_the_cdf_short():
+    # Seven equal weights sum to 1 - 2**-52; the largest draw is above.
+    sampler = ZipfSampler(7, alpha=0.0)
+    assert sampler.sample(_FixedDraws(1.0 - 2.0 ** -53)) == 6

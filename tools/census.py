@@ -80,8 +80,10 @@ class name), so one class's read of a common name hides no other
 class's write-only twin; a load through any other receiver is matched
 by name, as calls are, and so is a string constant (a ``getattr`` by
 name) except inside ``__slots__`` or ``__all__``.  It also lists every
-name a module under ``src/`` imports and never uses (a package
-``__init__``'s re-exports and ``__future__`` imports are exempt).
+name a module under ``src/`` imports and never uses (``__future__``
+imports and an ``__init__``'s ``from . import submodule`` are exempt;
+another name an ``__init__`` imports counts as used where a program,
+example or test imports it from the package).
 
     PYTHONPATH=src python3 tools/census.py --state [--check]
 
@@ -806,20 +808,45 @@ def write_only_state(src: pathlib.Path) -> Tuple[int, List[Stored]]:
     return len(stored), unloaded
 
 
+def imported_from(trees: List[pathlib.Path]) -> Set[Tuple[str, str]]:
+    """``(module, name)`` of each absolute ``from module import name``
+    in ``trees``."""
+    found: Set[Tuple[str, str]] = set()
+    for tree in trees:
+        for file in sorted(tree.rglob("*.py")):
+            for node in ast.walk(ast.parse(file.read_text(), str(file))):
+                if isinstance(node, ast.ImportFrom) and node.level == 0:
+                    found.update((node.module, alias.name)
+                                 for alias in node.names)
+    return found
+
+
 def unused_imports(src: pathlib.Path) -> List[Tuple[str, int, str]]:
     """``(real path, line, name)`` of each name a module under ``src``
-    imports and never uses (a package ``__init__`` re-exports, and a
-    ``__future__`` import is a directive; both are exempt).  A string
-    that parses as an expression (a quoted annotation) uses its
-    names."""
+    imports and never uses.  A ``__future__`` import is a directive, and
+    a package ``__init__``'s ``from . import submodule`` loads it; both
+    are exempt.  Any other name an ``__init__`` imports counts as used
+    only where a tree of :data:`READER_TREES` imports it from the
+    package.  A string that parses as an expression (a quoted
+    annotation) uses its names, except in ``__all__``, which exports
+    them."""
     found = []
+    packages = imported_from([src.parent / name for name in READER_TREES
+                              if (src.parent / name).is_dir()])
     for file in sorted(src.rglob("*.py")):
-        if file.name == "__init__.py":
-            continue
+        package = (".".join(file.parent.relative_to(src).parts)
+                   if file.name == "__init__.py" else None)
         tree = ast.parse(file.read_text(), str(file))
+        tree.body = [statement for statement in tree.body
+                     if not (isinstance(statement, ast.Assign) and any(
+                         getattr(target, "id", None) == "__all__"
+                         for target in statement.targets))]
         imported: Dict[str, int] = {}
         used: Set[str] = set()
         for node in ast.walk(tree):
+            if package and isinstance(node, ast.ImportFrom) \
+                    and node.level == 1 and node.module is None:
+                continue
             if isinstance(node, (ast.Import, ast.ImportFrom)) \
                     and getattr(node, "module", "") != "__future__":
                 for alias in node.names:
@@ -836,7 +863,8 @@ def unused_imports(src: pathlib.Path) -> List[Tuple[str, int, str]]:
                 used.update(name.id for name in ast.walk(quoted)
                             if isinstance(name, ast.Name))
         found.extend((os.path.realpath(file), line, name)
-                     for name, line in imported.items() if name not in used)
+                     for name, line in imported.items()
+                     if name not in used and (package, name) not in packages)
     return sorted(found)
 
 

@@ -30,11 +30,16 @@ under ``src/`` to the tests that reach it, with
 runs only the tests that reach its function (the whole suite if none
 does), fastest first, with ``-x``.  Before the first mutant the whole suite runs once in that
 order, unmutated, and must pass: a test that fails only after some
-other test would kill every mutant it is selected for.  A run that outlasts ``60 s + 3 x`` the tests' profiled time,
-or a test that outlasts ``30 s + 3 x`` the slowest one's (each at most
-``--timeout``), is *hung* and counts as killed.  A mutant whose tests
-cannot even be collected is killed too (*error*).  The hook cannot see what a test runs in a child
-interpreter; the report names each test that started one.
+other test would kill every mutant it is selected for.  Tests that
+outlast ``60 s + 3 x`` their profiled time, or a test that outlasts
+``30 s + 3 x`` the slowest one's (each at most ``--timeout``, and
+neither counting the interpreter's start or the collection), are
+*hung* and count as killed.  A mutant whose tests cannot even be
+collected is killed too (*error*).  The hook cannot see what a test
+runs in a child interpreter; the report names each test that started
+one.  While the map is built, each ``functools`` cache defined under
+``tests/`` is emptied before every test, so a run the suite shares
+between tests is credited to each test that reads it.
 ``--validate N`` re-runs N swept mutants, half of them survivors where
 there are enough, against the whole suite and reports how often the
 two verdicts agree.
@@ -44,10 +49,10 @@ survivor as ``path:line operator #digest`` with its original and
 mutated source, and the wall time; the digest is eight hex digits of
 the sha256 of the source lines the change spans and of the change,
 whitespace collapsed, so a keep line names a statement and its change,
-not only a line.  Budget: the full sweep of :data:`SCOPE`
-(~1 880 mutants) took 39 minutes on a 2-core machine with the default
-2 workers, the reach map and the unmutated run included; 60 minutes is
-the budget and 2 hours the limit.  A survivor may be kept by a line
+not only a line.  Budget: the full sweep of :data:`SCOPE` (3 166
+mutants in 74 files) took 99 minutes on a 2-core machine with the
+default 2 workers, beside an A/B benchmark run, the reach map (~3.5
+minutes) and the unmutated run included; 2 hours is the limit.  A survivor may be kept by a line
 ``path:line operator #digest  kind: reason`` (two or more spaces
 apart, the path relative to ``src/``) in :data:`KEEP_FILE`, of an accepted kind
 (:data:`ACCEPTED_KIND`):
@@ -91,25 +96,10 @@ from typing import Dict, Iterator, List, NamedTuple, Set, Tuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-#: What the sweep mutates, relative to ``src/``: the protocol cores,
-#: then the request path from the browser to the wire (the kernel stays
-#: out: nearly every test reaches it, so each of its mutants would
-#: cost close to the whole suite).
-SCOPE = ("repro/core/replication", "repro/core/journal.py",
-         "repro/gos/server.py", "repro/gls/node.py",
-         "repro/gns/dns/zone.py", "repro/gns/dns/server.py",
-         "repro/gns/dns/resolver.py", "repro/gdn/cache.py",
-         "repro/gdn/transfer.py", "repro/sim/deadlines.py",
-         "repro/sim/retry.py", "repro/sim/rpc.py",
-         "repro/gdn/httpd.py", "repro/gdn/browser.py",
-         "repro/gdn/moderator.py", "repro/gdn/deployment.py",
-         "repro/gdn/package.py", "repro/gdn/search.py",
-         "repro/gdn/maintainer.py", "repro/gdn/scenario.py",
-         "repro/gls/service.py", "repro/gls/tree.py",
-         "repro/gls/records.py", "repro/gls/auth.py",
-         "repro/gns/authority.py", "repro/gns/gns.py",
-         "repro/security/tls.py", "repro/sim/transport.py",
-         "repro/sim/network.py")
+#: What the sweep mutates, relative to ``src/``: all of it.  A kernel
+#: mutant reaches nearly every test, but the tests run fastest first
+#: with ``-x``, so the cheapest one that notices it stops the run.
+SCOPE = ("repro",)
 
 #: Why each surviving mutant stays (see ``--check``).
 KEEP_FILE = ROOT / "tools" / "mutants_keep.txt"
@@ -329,16 +319,33 @@ def all_mutants(src: pathlib.Path, files: List[str]) -> List[Mutant]:
 
 # -- the reach map ----------------------------------------------------------
 
+def clear_test_caches(tests: str) -> None:
+    """Empty each ``functools`` cache defined in a module under
+    ``tests``, so that a result the suite shares between tests is
+    computed again, and profiled, for every test that reads it."""
+    for module in list(sys.modules.values()):
+        path = os.path.realpath(getattr(module, "__file__", None) or "/")
+        if not path.startswith(tests + os.sep):
+            continue
+        for value in list(vars(module).values()):
+            if (getattr(value, "__module__", None) == module.__name__
+                    and callable(getattr(value, "cache_clear", None))):
+                value.cache_clear()
+
+
 class ReachPlugin:
     """A pytest plugin: runs each test under :func:`census.called_code`
     and records the functions under ``src`` it reached, its duration,
-    and whether it started a child interpreter."""
+    and whether it started a child interpreter.  The tests' own caches
+    are emptied before each (:func:`clear_test_caches`): a shared run
+    is credited to every test that reads it, not only to the first."""
 
     def __init__(self, src: pathlib.Path):
         self.census = _census()
         self.defined = {key: function.qualname for key, function
                         in self.census.functions(src).items()}
         self.base = os.path.realpath(src)
+        self.tests_dir = os.path.realpath(src.parent / "tests")
         self.popen = (os.path.realpath(subprocess.__file__),
                       subprocess.Popen.__init__.__code__.co_firstlineno)
         self.tests: Dict[str, float] = {}
@@ -349,6 +356,7 @@ class ReachPlugin:
         from _pytest.runner import runtestprotocol
         item.ihook.pytest_runtest_logstart(nodeid=item.nodeid,
                                            location=item.location)
+        clear_test_caches(self.tests_dir)
         began = time.perf_counter()
         keys = self.census.called_code(
             lambda: runtestprotocol(item, nextitem=nextitem, log=True))
@@ -409,24 +417,47 @@ def build_map_in(workdir: pathlib.Path, pytest_args: List[str]) -> dict:
 
 # -- running mutants --------------------------------------------------------
 
-#: A mutant's pytest exits with this status when one test outlives
-#: :data:`TEST_TIMEOUT_ENV` seconds (see :func:`timeout_plugin`).
+#: A mutant's pytest exits with this status when its tests outlive
+#: :data:`RUN_TIMEOUT_ENV` seconds or one test :data:`TEST_TIMEOUT_ENV`
+#: (see :func:`timeout_plugin`).
 HUNG_EXIT = 86
+RUN_TIMEOUT_ENV = "MUTANTS_RUN_TIMEOUT"
 TEST_TIMEOUT_ENV = "MUTANTS_TEST_TIMEOUT"
 
+#: How long a mutant's pytest may take to start and collect its tests,
+#: which its time limits do not count, before the run is stopped as
+#: hung from outside.
+START_LIMIT = 120.0
 
-def timeout_plugin(seconds: float):
-    """A pytest plugin for a mutant's run: a test still running after
-    ``seconds`` ends the whole run with :data:`HUNG_EXIT`, so a hang
-    costs one test's limit, not the run's."""
+
+def _alarm(seconds: float) -> threading.Timer:
+    timer = threading.Timer(seconds, os._exit, (HUNG_EXIT,))
+    timer.daemon = True
+    timer.start()
+    return timer
+
+
+def timeout_plugin(run: float, test: float):
+    """A pytest plugin for a mutant's run: its tests still running
+    ``run`` seconds after the first began, or one test after ``test``
+    seconds, end the run with :data:`HUNG_EXIT`.  A hang costs one
+    test's limit, not the run's, and neither limit counts the
+    interpreter's start or the collection, so a slow start on a busy
+    machine stops no run."""
     import pytest
 
     class TestTimeout:
         @pytest.hookimpl(wrapper=True)
+        def pytest_runtestloop(self, session):
+            timer = _alarm(run)
+            try:
+                return (yield)
+            finally:
+                timer.cancel()
+
+        @pytest.hookimpl(wrapper=True)
         def pytest_runtest_protocol(self, item, nextitem):
-            timer = threading.Timer(seconds, os._exit, (HUNG_EXIT,))
-            timer.daemon = True
-            timer.start()
+            timer = _alarm(test)
             try:
                 return (yield)
             finally:
@@ -437,10 +468,11 @@ def timeout_plugin(seconds: float):
 
 def pytest_configure(config) -> None:
     """Loaded as a plugin (``-p mutants``): arm :func:`timeout_plugin`
-    when :data:`TEST_TIMEOUT_ENV` is set."""
-    seconds = os.environ.get(TEST_TIMEOUT_ENV)
-    if seconds:
-        config.pluginmanager.register(timeout_plugin(float(seconds)))
+    when :data:`RUN_TIMEOUT_ENV` is set."""
+    if RUN_TIMEOUT_ENV in os.environ:
+        config.pluginmanager.register(timeout_plugin(
+            float(os.environ[RUN_TIMEOUT_ENV]),
+            float(os.environ[TEST_TIMEOUT_ENV])))
 
 
 class Verdict(NamedTuple):
@@ -459,10 +491,12 @@ def _pytest_command(workdir: pathlib.Path, tests: List[str]) -> List[str]:
 def run_tests(workdir: pathlib.Path, tests: List[str], timeout: float,
               test_timeout: float) -> Tuple[str, str]:
     """(``killed``, ``hung``, ``error`` or ``survived``, output tail) of
-    one pytest run of ``tests`` in ``workdir``: hung if the run takes
-    ``timeout`` seconds or one test ``test_timeout``."""
+    one pytest run of ``tests`` in ``workdir``: hung if the tests take
+    ``timeout`` seconds, one test ``test_timeout``, or the start and
+    collection :data:`START_LIMIT`."""
     env = dict(os.environ, CI="1", PYTHONPATH=os.pathsep.join(
         (str(workdir / "src"), str(pathlib.Path(__file__).resolve().parent))))
+    env[RUN_TIMEOUT_ENV] = str(timeout)
     env[TEST_TIMEOUT_ENV] = str(test_timeout)
     with tempfile.TemporaryFile("w+") as output:
         process = subprocess.Popen(_pytest_command(workdir, tests),
@@ -471,7 +505,7 @@ def run_tests(workdir: pathlib.Path, tests: List[str], timeout: float,
                                    stderr=subprocess.STDOUT,
                                    start_new_session=True)
         try:
-            code = process.wait(timeout=timeout)
+            code = process.wait(timeout=START_LIMIT + timeout)
         except subprocess.TimeoutExpired:
             os.killpg(process.pid, signal.SIGKILL)
             process.wait()
