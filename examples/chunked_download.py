@@ -87,9 +87,7 @@ def run_act(title, fault, new_browser_on_restart=False):
     # seconds, so a fault two seconds in lands mid-transfer at either
     # scale.
     if fault == "crash":
-        injector.crash_restart(gos.host, base + 2.0, base + 8.0,
-                               recover=lambda: gos.host.spawn(
-                                   gos.recover()))
+        injector.crash_restart(gos.host, base + 2.0, base + 8.0)
     elif fault == "partition":
         injector.partition_domain(world.topology.site(CLIENT_SITE),
                                   base + 2.0, 12.0)

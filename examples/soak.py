@@ -109,10 +109,8 @@ def main():
     soak = Soak(gdn.world, scenario, one_request,
                 rng=gdn.world.rng_for("soak"), stats=stats, settle=15.0)
     base = gdn.world.now
-    victim = gdn.object_servers["gos-r1-0"]
-    soak.crash_restart(victim.host, crash_at=base + 3.0,
-                       restart_at=base + 5.5,
-                       recover=lambda: gdn.recover_gos("gos-r1-0"))
+    victim = gdn.object_servers["gos-r1-0"].host
+    soak.crash_restart(victim, crash_at=base + 3.0, restart_at=base + 5.5)
     cut_off = topology.domain("r2/c1")  # a client-only country
     soak.partition(cut_off, start=base + 7.0, duration=3.0)
 
@@ -141,7 +139,8 @@ def main():
 
     soak.invariant("master/slave replicas converged", replicas_converged)
     soak.invariant("crashed server recovered and serving",
-                   lambda: victim.host.up and len(victim.replicas) > 0)
+                   lambda: victim.up and len(
+                       gdn.object_servers["gos-r1-0"].replicas) > 0)
 
     meter = gdn.world.network.meter
 

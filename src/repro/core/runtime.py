@@ -44,7 +44,7 @@ class Runtime:
     a new representative but opens no connection unless the GLS now
     names a peer this address space has no channel to.  The pool holds
     at most one channel per (peer host, port) ever contacted, until
-    :meth:`unbind_all`.
+    its host crashes.
     """
 
     def __init__(self, world, host: Host, location_service,
@@ -132,9 +132,3 @@ class Runtime:
         representative = self.bound.pop(oid, None)
         if representative is not None:
             representative.detach()
-
-    def unbind_all(self) -> None:
-        """Drop every binding and close the address space's channels."""
-        for oid in list(self.bound):
-            self.unbind(oid)
-        self.pool.close()

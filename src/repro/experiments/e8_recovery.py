@@ -10,9 +10,9 @@ replica's machine mid-workload and measure:
   on the crashed machine, and a browser has no other access point, so
   every download of that phase fails (rebinding to a live replica is
   what an HTTPD does when its replica dies, and E8 has no such user),
-* the recovery: after reboot the GOS reconstructs its replicas from
-  stable storage, slaves re-join their master and catch up on writes
-  missed while down,
+* the recovery: the reboot rebuilds the GOS from stable storage (its
+  slaves re-join their master and catch up on writes missed while
+  down) and the access point with empty caches,
 * a GLS directory-node crash and recovery from its persisted records.
 """
 
@@ -42,7 +42,7 @@ def run_recovery_experiment(seed: int = 31, downloads: int = 30) -> Dict:
                                          cache_ttl=5.0)), host=moderator.host)
     gdn.settle(5.0)
 
-    slave = gdn.object_servers["gos-r1-0"]
+    slave_host = gdn.object_servers["gos-r1-0"].host
     browser = gdn.add_browser("user", "r1/c1/m0/s1")  # near the slave
     ok_before = Series("before")
     failures_during = 0
@@ -71,8 +71,7 @@ def run_recovery_experiment(seed: int = 31, downloads: int = 30) -> Dict:
     gdn.run(phase(ok_before, downloads), host=browser.host)
 
     # Phase 2: the slave's machine (GOS + colocated HTTPD) dies.
-    crash_time = gdn.world.now
-    slave.host.crash()
+    slave_host.crash()
     gdn.run(phase(None, downloads), host=browser.host)
 
     # While down, the master takes a write the slave must catch up on.
@@ -81,8 +80,9 @@ def run_recovery_experiment(seed: int = 31, downloads: int = 30) -> Dict:
         host=moderator.host)
 
     # Phase 3: reboot + recovery, then downloads again.
-    gdn.recover_gos("gos-r1-0")
-    recovery_time = gdn.world.now
+    slave_host.restart()
+    slave = gdn.object_servers["gos-r1-0"]  # the new incarnation
+    gdn.world.run_until(slave.recovery)
     gdn.run(phase(ok_after, downloads), host=browser.host)
 
     slave_lr = slave.replicas[oid.hex]
@@ -94,7 +94,8 @@ def run_recovery_experiment(seed: int = 31, downloads: int = 30) -> Dict:
     records_before = len(leaf.records)
     leaf.host.crash()
     leaf.host.restart()
-    gdn.run(leaf.recover())
+    leaf = gdn.gls.node_for("r0/c0/m0/s0", oid.hex)  # the new incarnation
+    gdn.world.run_until(leaf.recovery)
     gls_recovered = len(leaf.records) == records_before and records_before > 0
 
     return {
@@ -103,7 +104,6 @@ def run_recovery_experiment(seed: int = 31, downloads: int = 30) -> Dict:
         "failures_during": failures_during,
         "ok_during": ok_during,
         "after": ok_after,
-        "downtime": recovery_time - crash_time,
         "slave_caught_up": caught_up,
         "gls_records_recovered": gls_recovered,
     }

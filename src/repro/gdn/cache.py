@@ -55,7 +55,7 @@ immediately, not after a TTL.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Generator, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 from ..sim.kernel import Simulator, Singleflight
 from ..sim.rpc import RpcTimeout
@@ -110,6 +110,9 @@ class GlsLookupCache:
     wrong-distance replica ordering.
     """
 
+    COUNTS = ("hits", "misses", "stale_served", "coalesced", "evictions",
+              "upstream.lookups")
+
     def __init__(self, sim: Simulator, upstream,
                  ttl: float = 60.0,
                  capacity: int = 1024,
@@ -138,23 +141,23 @@ class GlsLookupCache:
 
     # -- telemetry -------------------------------------------------------
 
-    def bind_metrics(self, registry, prefix: str) -> None:
-        """Expose the plain-int accounting as function-backed
-        instruments (the lookup hot path never touches one).  The
-        deployment binds each per-host cache once, when it makes it."""
-        registry.counter(prefix + ".hits", fn=lambda: self.hits)
-        registry.counter(prefix + ".misses", fn=lambda: self.misses)
-        registry.counter(prefix + ".stale_served",
-                         fn=lambda: self.stale_served)
-        registry.counter(prefix + ".coalesced", fn=lambda: self.coalesced)
-        registry.counter(prefix + ".evictions", fn=lambda: self.evictions)
-        flights = self.flights
-        registry.gauge(prefix + ".inflight", fn=lambda: flights.inflight)
-        registry.gauge(prefix + ".waiters", fn=lambda: flights.parked)
-        upstream_lookups = getattr(self.upstream, "lookups", None)
-        if upstream_lookups is not None:
+    @staticmethod
+    def bind_metrics(registry, prefix: str,
+                     current: Callable[[], "GlsLookupCache"]) -> None:
+        """Expose the plain-int accounting of ``current()``, the host's
+        cache now, as function-backed instruments (the lookup hot path
+        never touches one)."""
+        for name in ("hits", "misses", "stale_served", "coalesced",
+                     "evictions"):
+            registry.counter("%s.%s" % (prefix, name),
+                             fn=lambda name=name: getattr(current(), name))
+        registry.gauge(prefix + ".inflight",
+                       fn=lambda: current().flights.inflight)
+        registry.gauge(prefix + ".waiters",
+                       fn=lambda: current().flights.parked)
+        if getattr(current().upstream, "lookups", None) is not None:
             registry.counter(prefix + ".upstream_lookups",
-                             fn=lambda: self.upstream.lookups)
+                             fn=lambda: current().upstream.lookups)
 
     # -- the cached lookup ----------------------------------------------
 

@@ -16,10 +16,15 @@ before the first request and where each part runs, and
 the paper's baseline layout.  Actors that join during a run — browsers,
 proxies, maintainers, a late object server — are added to the built
 deployment with its ``add_*`` methods.
+
+Each daemon's construction below is its boot, installed on its host
+(:meth:`~repro.sim.transport.Host.install`): a restarted host runs it
+again, and the deployment's containers hold the incarnation now.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Generator, List, Optional, Union
 
 from ..core.repository import Implementation, ImplementationRepository
@@ -31,13 +36,13 @@ from ..gns.dns.records import ResourceRecord, RRType
 from ..gns.dns.resolver import CachingResolver
 from ..gns.dns.server import DNS_PORT, AuthoritativeServer
 from ..gns.dns.tsig import TsigKey, TsigKeyring
+from ..gns.dns.zone import Zone
 from ..gns.gns import DEFAULT_GDN_ZONE, GlobeNameService
 from ..gos.server import DEFAULT_GOS_PORT, GlobeObjectServer
 from ..security.acl import GdnPolicy, PrincipalRegistry, Role, role_attribute
 from ..security.certs import CertificateAuthority, Credentials
 from ..security.tls import client_wrapper, server_factory
 from ..sim.network import LinkParameters
-from ..sim.stable import DiskStore
 from ..sim.topology import Domain, Topology
 from ..sim.transport import Host
 from ..sim.world import World
@@ -137,7 +142,6 @@ class GdnDeployment:
         self.world = World(topology=topology or Topology.balanced(2, 2, 2, 2),
                            params=link_params, seed=seed)
         self.secure = secure
-        self.disk = DiskStore()
         self.zone = DEFAULT_GDN_ZONE
 
         # -- security infrastructure (§6) --------------------------------
@@ -160,7 +164,7 @@ class GdnDeployment:
 
         # -- naming + location infrastructure -------------------------------
         self._build_dns()
-        self.gls = GlsTree(self.world, auth_key=self.gls_key, disk=self.disk)
+        self.gls = GlsTree(self.world, auth_key=self.gls_key)
         self.repository = ImplementationRepository(self.world)
         self.repository.register(Implementation(
             PACKAGE_IMPL_ID, PackageSemantics, code_size=80_000))
@@ -168,19 +172,17 @@ class GdnDeployment:
             self.repository.add_repository_host(self.world.host(
                 "implrepo-%d" % index, self._first_site(region)))
         first_site = self._first_site(self._regions()[0])
-        host = self.world.host("gns-authority", first_site)
-        self.authority = NamingAuthority(
-            self.world, host, primary=self.dns_primary.endpoint,
+        authority = self.world.host("gns-authority", first_site)
+        authority.install(lambda: self._keep("authority", NamingAuthority(
+            self.world, authority, primary=self.dns_primary.endpoint,
             tsig_key=self.tsig_key, zone=self.zone,
-            channel_factory=self._server_tls(host, "required"),
+            channel_factory=self._server_tls(authority, "required"),
             authorizer=self.policy and self.policy.authority_authorizer,
-            batch_window=batch_window)
-        self.authority.start()
-        host = self.world.host("gdn-search", first_site)
-        self.search = SearchService(
-            host, channel_factory=self._server_tls(host, "optional"),
-            authorizer=self.policy and self.policy.authority_authorizer)
-        self.search.start()
+            batch_window=batch_window)))
+        search = self.world.host("gdn-search", first_site)
+        search.install(lambda: self._keep("search", SearchService(
+            search, channel_factory=self._server_tls(search, "optional"),
+            authorizer=self.policy and self.policy.authority_authorizer)))
 
         # -- flash-crowd serving layer (GLS-lookup cache) ------------------
         self._cache_options = None if gls_cache is None else dict(gls_cache)
@@ -227,6 +229,12 @@ class GdnDeployment:
 
     # -- infrastructure construction -----------------------------------------
 
+    def _keep(self, attr: str, daemon):
+        """Start ``daemon`` and keep it as ``self.<attr>``."""
+        daemon.start()
+        setattr(self, attr, daemon)
+        return daemon
+
     @property
     def metrics(self):
         """The world's :class:`MetricsRegistry` — every component added
@@ -241,52 +249,54 @@ class GdnDeployment:
         return next(domain.sites())
 
     def _build_dns(self) -> None:
+        """The root and TLD servers, the GDN Zone's primary and one
+        secondary per further region, each installed on its host."""
         world = self.world
         regions = self._regions()
         keyring = TsigKeyring()
         keyring.add(self.tsig_key)
-
-        root_host = world.host("dns-root", self._first_site(regions[0]))
-        self.dns_root = AuthoritativeServer(world, root_host)
-        from ..gns.dns.zone import Zone
-        root_zone = Zone("", primary_host=root_host.name)
         tld = self.zone.split(".")[-1]
-        tld_site = self._first_site(regions[min(1, len(regions) - 1)])
-        tld_host = world.host("dns-tld", tld_site)
-        root_zone.add_record(ResourceRecord(tld, RRType.NS, 86400,
-                                            tld_host.name))
-        self.dns_root.add_primary_zone(root_zone)
-        self.dns_root.start()
-
-        self.dns_tld = AuthoritativeServer(world, tld_host)
-        tld_zone = Zone(tld, primary_host=tld_host.name)
-        primary_host = world.host("dns-gdn-primary",
-                                  self._first_site(regions[0]))
-        tld_zone.add_record(ResourceRecord(self.zone, RRType.NS, 3600,
-                                           primary_host.name))
-        self.dns_secondaries: List[AuthoritativeServer] = []
-        secondary_endpoints = []
-        for index, region in enumerate(regions[1:], start=1):
-            sec_host = world.host("dns-gdn-sec%d" % index,
+        root = world.host("dns-root", self._first_site(regions[0]))
+        tld_host = world.host("dns-tld", self._first_site(
+            regions[min(1, len(regions) - 1)]))
+        primary = world.host("dns-gdn-primary", self._first_site(regions[0]))
+        secondaries = [world.host("dns-gdn-sec%d" % index,
                                   self._first_site(region))
-            tld_zone.add_record(ResourceRecord(self.zone, RRType.NS, 3600,
-                                               sec_host.name))
-            secondary_endpoints.append((sec_host.name, DNS_PORT))
-            secondary = AuthoritativeServer(world, sec_host, keyring=keyring)
-            secondary.add_secondary_zone(self.zone,
-                                         (primary_host.name, DNS_PORT))
-            secondary.start()
-            self.dns_secondaries.append(secondary)
-        self.dns_tld.add_primary_zone(tld_zone)
-        self.dns_tld.start()
+                       for index, region in enumerate(regions[1:], start=1)]
+        self.dns_secondaries = [None] * len(secondaries)
 
-        self.dns_primary = AuthoritativeServer(world, primary_host,
-                                               keyring=keyring)
-        gdn_zone = Zone(self.zone, primary_host=primary_host.name)
-        self.dns_primary.add_primary_zone(gdn_zone,
-                                          secondaries=secondary_endpoints)
-        self.dns_primary.start()
-        self.root_hints = [(root_host.name, DNS_PORT)]
+        def boot(host: Host, attr: str, origin: Optional[str], delegate,
+                 ttl: int) -> AuthoritativeServer:
+            """The name server on ``host``, kept as ``self.<attr>``: the
+            primary of ``origin``, delegating its child zone to the
+            ``delegate`` hosts, or a secondary of the GDN Zone."""
+            gdn_zone = host is primary or origin is None
+            server = AuthoritativeServer(
+                world, host, keyring=keyring if gdn_zone else None)
+            if origin is None:
+                server.add_secondary_zone(self.zone,
+                                          (primary.name, DNS_PORT))
+                self.dns_secondaries[secondaries.index(host)] = server
+            else:
+                zone = Zone(origin, primary_host=host.name)
+                child = tld if host is root else self.zone
+                for target in delegate:
+                    zone.add_record(ResourceRecord(child, RRType.NS, ttl,
+                                                   target.name))
+                server.add_primary_zone(zone, secondaries=[
+                    (sec.name, DNS_PORT) for sec in secondaries]
+                    if gdn_zone else None)
+                setattr(self, attr, server)
+            server.start()
+            return server
+
+        root.install(partial(boot, root, "dns_root", "", [tld_host], 86400))
+        for host in secondaries:
+            host.install(partial(boot, host, "dns_secondaries", None, (), 0))
+        tld_host.install(partial(boot, tld_host, "dns_tld", tld,
+                                 [primary] + secondaries, 3600))
+        primary.install(partial(boot, primary, "dns_primary", self.zone, [], 0))
+        self.root_hints = [(root.name, DNS_PORT)]
 
     # -- principals (§6.1) ---------------------------------------------------
 
@@ -334,35 +344,43 @@ class GdnDeployment:
                          auth_key=self.gls_key if authenticated else None,
                          retry_policy=self.retry_policy)
 
-    def _lookup_cache(self, host: Host,
-                      upstream: GlsClient) -> Optional[GlsLookupCache]:
+    def _lookup_cache(self, host: Host, authenticated: bool
+                      ) -> Optional[GlsLookupCache]:
         """The host's GLS-lookup cache (None when caching is off).
 
         One cache per host, shared by every component there: wire
         lists are nearest-first *per fetching host*, so per-host is
         the widest safe sharing — and it means a colocated GOS's
         register/unregister invalidates the very entry its HTTPD
-        serves, instead of waiting out a TTL."""
+        serves, instead of waiting out a TTL.  The first component to
+        ask installs it, over a GLS client of its own."""
         if self._cache_options is None:
             return None
-        cache = self.lookup_caches.get(host.name)
-        if cache is None:
-            cache = GlsLookupCache(self.world.sim, upstream,
-                                   **self._cache_options)
-            cache.bind_metrics(self.world.metrics,
-                               prefix="gls_cache.%s" % host.name)
-            self.lookup_caches[host.name] = cache
-        return cache
+        if host.name not in self.lookup_caches:
+            def boot() -> GlsLookupCache:
+                cache = GlsLookupCache(
+                    self.world.sim, self._gls_client(host, authenticated),
+                    **self._cache_options)
+                self.lookup_caches[host.name] = cache
+                return cache
+
+            host.install(boot)
+            GlsLookupCache.bind_metrics(
+                self.world.metrics, "gls_cache.%s" % host.name,
+                lambda: self.lookup_caches[host.name])
+        return self.lookup_caches[host.name]
 
     def _runtime(self, host: Host, gdn_host: bool,
                  binding_ttl: Optional[float] = None) -> Runtime:
         """An HTTPD's (``gdn_host``) or a user-machine proxy's runtime."""
         wrapper = (self._client_tls(host.name, Role.GDN_HOST) if gdn_host
                    else self._client_tls(None, Role.USER))
-        client = self._gls_client(host, authenticated=gdn_host)
+        cache = self._lookup_cache(host, authenticated=gdn_host)
+        client = (self._gls_client(host, authenticated=gdn_host)
+                  if cache is None else cache.upstream)
         return Runtime(self.world, host, client, self.repository,
                        channel_wrapper=wrapper, binding_ttl=binding_ttl,
-                       lookup_cache=self._lookup_cache(host, client))
+                       lookup_cache=cache)
 
     def _tool_runtime(self, host: Host, role: Role) -> Runtime:
         """A moderator's or maintainer's runtime: channels under its
@@ -380,21 +398,24 @@ class GdnDeployment:
                 port: int = DEFAULT_GOS_PORT) -> GlobeObjectServer:
         """Add a Globe Object Server at ``site``."""
         host = self.world.host(name, site)
-        factory = self._server_tls(host, "optional")
-        client = self._gls_client(host, authenticated=True)
-        # Not ``cache or client``: a cache is falsy while it is empty.
-        cache = self._lookup_cache(host, client)
-        gos = GlobeObjectServer(
-            self.world, host, self.repository,
-            client if cache is None else cache, port=port,
-            channel_factory=factory,
-            channel_wrapper=self._client_tls(host.name, Role.GDN_HOST),
-            authorizer=self.policy and self.policy.gos_authorizer,
-            disk=self.disk)
-        gos.start()
-        gos.bind_metrics(self.world.metrics, prefix="gos.%s" % name)
+
+        def boot() -> GlobeObjectServer:
+            cache = self._lookup_cache(host, authenticated=True)
+            gos = GlobeObjectServer(
+                self.world, host, self.repository,
+                self._gls_client(host, authenticated=True)
+                if cache is None else cache, port=port,
+                channel_factory=self._server_tls(host, "optional"),
+                channel_wrapper=self._client_tls(host.name, Role.GDN_HOST),
+                authorizer=self.policy and self.policy.gos_authorizer)
+            gos.start()
+            self.object_servers[name] = gos
+            return gos
+
+        gos = host.install(boot)
+        self.metrics.counter("gos.%s.requests_served" % name, fn=lambda:
+                             self.object_servers[name].requests_served)
         self.repository.preload(host, PACKAGE_IMPL_ID)
-        self.object_servers[name] = gos
         return gos
 
     def add_httpd(self, name: str, site: Union[str, Domain, None] = None,
@@ -415,19 +436,29 @@ class GdnDeployment:
             host = self.world.host(name, site)
         else:
             raise ValueError("need a site or a GOS to colocate with")
-        httpd = GdnHttpd(self.world, host,
-                         self._runtime(host, gdn_host=True,
-                                       binding_ttl=binding_ttl),
-                         self._name_service(host), port=port,
-                         channel_factory=self._server_tls(host, "none"),
-                         cache_policy=cache_policy,
-                         search_endpoint=(self.search.host.name,
-                                          self.search.port),
-                         concurrency=concurrency,
-                         service_time=service_time)
-        httpd.start()
-        httpd.bind_metrics(self.world.metrics, prefix="httpd.%s" % name)
-        self.httpds.append(httpd)
+        index = len(self.httpds)
+        self.httpds.append(None)
+
+        def boot() -> GdnHttpd:
+            httpd = GdnHttpd(self.world, host,
+                             self._runtime(host, gdn_host=True,
+                                           binding_ttl=binding_ttl),
+                             self._name_service(host), port=port,
+                             channel_factory=self._server_tls(host, "none"),
+                             cache_policy=cache_policy,
+                             search_endpoint=(self.search.host.name,
+                                              self.search.port),
+                             concurrency=concurrency,
+                             service_time=service_time)
+            httpd.start()
+            self.httpds[index] = httpd
+            return httpd
+
+        httpd = host.install(boot)
+        for count in ("bytes_served", "errors"):
+            self.metrics.counter(
+                "httpd.%s.%s" % (name, count),
+                fn=lambda count=count: getattr(self.httpds[index], count))
         return httpd
 
     def add_proxy(self, name: str, site: Union[str, Domain],
@@ -435,24 +466,32 @@ class GdnDeployment:
         """Add a GDN-proxy on a user machine (§4): same software, no
         GDN credentials, plain HTTP toward the local browser."""
         host = self.world.host(name, site)
-        proxy = GdnHttpd(self.world, host,
-                         self._runtime(host, gdn_host=False),
-                         self._name_service(host), port=port)
-        proxy.start()
-        return proxy
+
+        def boot() -> GdnHttpd:
+            proxy = GdnHttpd(self.world, host,
+                             self._runtime(host, gdn_host=False),
+                             self._name_service(host), port=port)
+            proxy.start()
+            return proxy
+
+        return host.install(boot)
 
     def add_moderator(self, name: str, site: Union[str, Domain]
                       ) -> ModeratorTool:
         """Add a moderator (tool + credentials + registry entry)."""
         host = self.world.host(name, site)
-        tool = ModeratorTool(
-            self.world, host, self._tool_runtime(host, Role.MODERATOR),
-            self.object_servers,
-            (self.authority.host.name, self.authority.port),
-            self._name_service(host),
-            search_endpoint=(self.search.host.name, self.search.port))
-        self.moderators[name] = tool
-        return tool
+
+        def boot() -> ModeratorTool:
+            tool = ModeratorTool(
+                self.world, host, self._tool_runtime(host, Role.MODERATOR),
+                self.object_servers,
+                (self.authority.host.name, self.authority.port),
+                self._name_service(host),
+                search_endpoint=(self.search.host.name, self.search.port))
+            self.moderators[name] = tool
+            return tool
+
+        return host.install(boot)
 
     def add_maintainer(self, name: str, site: Union[str, Domain],
                        maintains: Optional[List[str]] = None):
@@ -464,10 +503,11 @@ class GdnDeployment:
         from .maintainer import MaintainerTool
 
         host = self.world.host(name, site)
-        runtime = self._tool_runtime(host, Role.MAINTAINER)
         for oid_hex in maintains or []:
             self.grant_maintainer(name, oid_hex)
-        return MaintainerTool(host, runtime, self._name_service(host))
+        return host.install(lambda: MaintainerTool(
+            host, self._tool_runtime(host, Role.MAINTAINER),
+            self._name_service(host)))
 
     def grant_maintainer(self, principal: str, oid_hex: str) -> None:
         """Administrator action: extend a maintainer's package set."""
@@ -512,23 +552,6 @@ class GdnDeployment:
             region = gos.host.site.region()
             mapping.setdefault(region.path, name)
         return mapping
-
-    def recover_gos(self, name: str) -> None:
-        """Reboot recovery of an object-server machine (§4).
-
-        Restarts the host if needed, reconstructs the GOS's replicas
-        from stable storage, and restarts any colocated HTTPDs (whose
-        in-memory bindings died with the address space).
-        """
-        gos = self.object_servers[name]
-        host = gos.host
-        if not host.up:
-            host.restart()
-        self.run(gos.recover(), host=host)
-        for httpd in self.httpds:
-            if httpd.host is host:
-                httpd.runtime.unbind_all()
-                httpd.start()
 
     # -- execution helpers -------------------------------------------------------
 

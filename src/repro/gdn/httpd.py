@@ -182,6 +182,8 @@ def render_listing(object_name: str, entries: list) -> str:
 class GdnHttpd:
     """A GDN-enabled HTTP daemon bound to one host."""
 
+    COUNTS = ("requests_served", "bytes_served", "errors")
+
     def __init__(self, world: World, host: Host, runtime: Runtime,
                  name_service, port: int = HTTP_PORT,
                  channel_factory: Optional[Callable] = None,
@@ -225,14 +227,6 @@ class GdnHttpd:
     def stop(self) -> None:
         if self._server is not None:
             self._server.stop()
-            self._server = None
-
-    def bind_metrics(self, registry, prefix: str) -> None:
-        """Expose the bytes and errors served as function-backed
-        instruments."""
-        registry.counter(prefix + ".bytes_served",
-                         fn=lambda: self.bytes_served)
-        registry.counter(prefix + ".errors", fn=lambda: self.errors)
 
     # -- request handling ------------------------------------------------------
 

@@ -55,7 +55,6 @@ class SearchService:
     def stop(self) -> None:
         if self._server is not None:
             self._server.stop()
-            self._server = None
 
     # -- index maintenance ---------------------------------------------------
 

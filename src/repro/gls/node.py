@@ -28,6 +28,9 @@ per hop: each node calls the next and answers its caller once the rest
 of the chain has.  Over connections (ablation A3, ``transport="tcp"``)
 every hop is a nested call, lookups included.
 
+A node writes each record to disk before it answers, and a restarted
+one reloads them (§7: "persistent storage of the state of a node").
+
 Invariant maintained throughout: **a node holds a record for an OID if
 and only if its parent (transitively up to the root) holds a forwarding
 pointer leading to it.**  Pointer propagation therefore stops as soon
@@ -41,7 +44,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..core.ids import ObjectId
 from ..sim.rpc import Forward, RpcContext, UdpRpcClient, UdpRpcServer
-from ..sim.stable import DiskStore, StableStore
+from ..sim.stable import StableStore
 from ..sim.topology import Domain, Level
 from ..sim.transport import Host
 from ..sim.world import World
@@ -84,10 +87,12 @@ class NodeHandle:
 class DirectoryNode:
     """One directory (sub)node: records, pointers, and the protocol."""
 
+    COUNTS = ("lookups_handled", "inserts_handled", "deletes_handled",
+              "pointer_updates", "rejected_mutations")
+
     def __init__(self, world: World, host: Host, domain: Domain,
                  index: int = 0, port: int = GLS_PORT,
                  auth_key: Optional[bytes] = None,
-                 disk: Optional[DiskStore] = None,
                  transport: str = "udp"):
         if transport not in ("udp", "tcp"):
             raise GlsNodeError("transport must be 'udp' or 'tcp'")
@@ -101,8 +106,7 @@ class DirectoryNode:
         self.transport = transport
         self.records: Dict[str, NodeRecord] = {}
         self.persistence = StableStore(
-            world, disk if disk is not None else DiskStore(), host.name,
-            namespace="gls:%s:%d" % (domain.path, index))
+            host, namespace="gls:%s:%d" % (domain.path, index))
         self._rng = world.rng_for("gls-node-%s-%d" % (domain.path, index))
         # Load counters: E6 and the tree's gls.requests instrument
         # read their sum, requests_handled.
@@ -111,6 +115,7 @@ class DirectoryNode:
         self.deletes_handled = 0
         self.pointer_updates = 0
         self.rejected_mutations = 0
+        self.recovery = None  # a restarted host's reload (_reload)
 
     @property
     def level(self) -> Level:
@@ -139,17 +144,15 @@ class DirectoryNode:
         self._server = server
         self._client = UdpRpcClient(self.host, timeout=_NODE_RPC_TIMEOUT,
                                     retries=_NODE_RPC_RETRIES)
+        if self.host.incarnation:
+            self.recovery = self.host.spawn(self._reload())
 
     def stop(self) -> None:
         self._server.stop()
         self._client.close()
 
-    def recover(self) -> Generator:
-        """Reload records from stable storage after a host reboot (§7:
-        the GLS supports "persistent storage of the state of a
-        directory node" plus "a simple crash recovery mechanism")."""
-        self.records.clear()
-        self.start()
+    def _reload(self) -> Generator:
+        """Reload the records the disk holds."""
         stored = yield from self.persistence.load_all()
         for oid_hex, wire in stored.items():
             self.records[oid_hex] = NodeRecord.from_wire(wire)

@@ -45,7 +45,9 @@ class GlsClient:
         self.leaf: NodeHandle = tree.leaf_handle(host.site)
         self._client = UdpRpcClient(host, timeout=8.0, retries=2,
                                     policy=retry_policy)
-        self._rng = world.rng_for("gls-client-%s" % host.name)
+        # OIDs come from here: a restarted host's stream is its own.
+        self._rng = world.rng_for("gls-client-%s%s" % (
+            host.name, "/%d" % host.incarnation if host.incarnation else ""))
         self.lookups = 0
 
     def _call(self, handle: NodeHandle, oid_hex: str, method: str,

@@ -4,15 +4,15 @@
 domain in the hierarchy we associate a directory node."  The tree
 builder creates one logical node per topology domain (site up to the
 world root), optionally partitioned into hash-sliced subnodes, places
-subnode hosts on sites inside the domain, and wires parent/child
-handles.
+subnode hosts on sites inside the domain, and installs each subnode,
+wired to its parent and children, on its host.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional
 
-from ..sim.stable import DiskStore
 from ..sim.topology import Domain
 from ..sim.world import World
 from .node import GLS_PORT, DirectoryNode, NodeHandle
@@ -27,7 +27,6 @@ class GlsTree:
                  partition: Optional[Dict[str, int]] = None,
                  auth_key: Optional[bytes] = None,
                  port: int = GLS_PORT,
-                 disk: Optional[DiskStore] = None,
                  transport: str = "udp"):
         """``partition`` maps a domain path (e.g. ``""`` for the root)
         to its subnode count, one for an unlisted domain; ``transport``
@@ -36,7 +35,6 @@ class GlsTree:
         self.partition = partition or {}
         self.auth_key = auth_key
         self.port = port
-        self.disk = disk if disk is not None else DiskStore()
         self.transport = transport
         #: domain path -> list of subnodes (the logical node).
         self.nodes: Dict[str, List[DirectoryNode]] = {}
@@ -56,36 +54,35 @@ class GlsTree:
     def _build(self) -> None:
         topology = self.world.topology
         domains = list(topology.world.subtree())
-        # Create subnode hosts and nodes, leaves last so parents exist
-        # first for wiring convenience (order is irrelevant otherwise).
+        hosts = {}
         for domain in domains:
-            count = self._subnode_count(domain)
             sites = list(domain.sites())
-            subnodes = []
-            endpoints = []
-            for index in range(count):
-                site = sites[index % len(sites)]
-                host = self.world.host(self._host_name(domain, index), site)
-                node = DirectoryNode(self.world, host, domain, index=index,
-                                     port=self.port, auth_key=self.auth_key,
-                                     disk=self.disk,
-                                     transport=self.transport)
-                subnodes.append(node)
-                endpoints.append((host.name, self.port))
-            self.nodes[domain.path] = subnodes
-            self.handles[domain.path] = NodeHandle(domain.path, endpoints)
-        # Wire parents and children, then start.
+            hosts[domain.path] = [
+                self.world.host(self._host_name(domain, index),
+                                sites[index % len(sites)])
+                for index in range(self._subnode_count(domain))]
+            self.handles[domain.path] = NodeHandle(
+                domain.path, [(host.name, self.port)
+                              for host in hosts[domain.path]])
+            self.nodes[domain.path] = [None] * len(hosts[domain.path])
         for domain in domains:
-            handle_children = {
-                child.path: self.handles[child.path]
-                for child in domain.children.values()}
-            parent_handle = (self.handles[domain.parent.path]
-                             if domain.parent is not None else None)
-            for node in self.nodes[domain.path]:
-                node.parent = parent_handle
-                node.children = dict(handle_children)
-                node.start()
+            for index, host in enumerate(hosts[domain.path]):
+                host.install(partial(self._boot, domain, index, host))
         self.bind_metrics(self.world.metrics)
+
+    def _boot(self, domain: Domain, index: int, host) -> DirectoryNode:
+        """Subnode ``index`` of ``domain``'s node on ``host``: wired to
+        its parent's and children's handles and started."""
+        node = DirectoryNode(self.world, host, domain, index=index,
+                             port=self.port, auth_key=self.auth_key,
+                             transport=self.transport)
+        node.parent = (self.handles[domain.parent.path]
+                       if domain.parent is not None else None)
+        node.children = {child.path: self.handles[child.path]
+                         for child in domain.children.values()}
+        node.start()
+        self.nodes[domain.path][index] = node
+        return node
 
     def bind_metrics(self, registry, prefix: str = "gls") -> None:
         """Tree-wide request and record totals."""

@@ -98,7 +98,6 @@ class NamingAuthority:
     def stop(self) -> None:
         if self._server is not None:
             self._server.stop()
-            self._server = None
 
     # -- request handling ----------------------------------------------------------
 

@@ -31,6 +31,11 @@ is a late answer and is dropped — unless it answers a request made
 primary is the authority, so the copy follows it back.  (A primary
 that lost its serial must not climb past its secondaries unnoticed:
 run a refresh interval, or let one NOTIFY through before it does.)
+
+A primary writes a zone to disk behind each UPDATE's reply; restarted,
+it reloads it without its journal, and a secondary fetches it whole.
+A crash inside that write loses the UPDATE on the primary alone: the
+primary that lost its serial above, a hole nothing closes yet.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 from ...sim.kernel import Process
 from ...sim.rpc import RpcContext, UdpRpcClient, UdpRpcServer
+from ...sim.stable import StableStore
 from ...sim.transport import Host
 from ...sim.world import World
 from .records import (DnsError, RRType, ResourceRecord, is_subdomain,
@@ -53,6 +59,10 @@ DNS_PORT = 53
 
 class AuthoritativeServer:
     """A DNS server daemon hosting primary and secondary zones."""
+
+    COUNTS = ("queries_served", "updates_applied", "updates_rejected",
+              "transfers_served", "full_transfers", "records_sent",
+              "transfers_fetched", "records_applied")
 
     def __init__(self, world: World, host: Host, port: int = DNS_PORT,
                  keyring: Optional[TsigKeyring] = None,
@@ -74,6 +84,8 @@ class AuthoritativeServer:
         self._server: Optional[UdpRpcServer] = None
         self._client: Optional[UdpRpcClient] = None
         self._refresher: Optional[Process] = None
+        self.persistence = StableStore(host, "dns")
+        self.recovery = None  # a restarted host's reload (_reload)
         self.queries_served = 0
         self.updates_applied = 0
         self.updates_rejected = 0
@@ -99,6 +111,16 @@ class AuthoritativeServer:
         self._client = UdpRpcClient(self.host, timeout=3.0, retries=2)
         if self.refresh_interval is not None:
             self._refresher = self.host.spawn(self._refresh_loop())
+        if self.host.incarnation:
+            self.recovery = self.host.spawn(self._reload())
+
+    def _reload(self) -> Generator:
+        """Primary zones from disk, then secondary ones by transfer."""
+        stored = yield from self.persistence.load_all()
+        for origin, wire in stored.items():
+            if self.roles.get(origin) == "primary":
+                self.zones[origin] = Zone.from_wire(wire)
+        yield from self.initial_transfers()
 
     def _refresh_loop(self) -> Generator:
         """Periodically bring each secondary zone up to its primary's
@@ -213,6 +235,7 @@ class AuthoritativeServer:
         self.updates_applied += 1
         for endpoint in self.secondaries.get(origin, []):
             self.host.spawn(self._notify_one(endpoint, origin, serial))
+        self.host.spawn(self.persistence.save(origin, zone.to_wire()))
         return {"rcode": Rcode.NOERROR, "serial": serial}
 
     def _reject_update(self, rcode: str) -> dict:

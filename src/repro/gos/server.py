@@ -19,17 +19,15 @@ leave it open.
 
 Persistence (§4): "Globe Object Servers allow replicas to save their
 state during a reboot and reconstruct themselves afterwards."  Replica
-state is checkpointed to the ``gos`` namespace of the host's simulated
-disk (a :class:`~repro.sim.stable.StableStore`), write-through: when a
+state is checkpointed to the ``gos`` namespace of the host's disk (a
+:class:`~repro.sim.stable.StableStore`), write-through: when a
 replica is created, after every message that changed its state or its
 peer list (a write, a state push, a join or a leave), and at
 :meth:`GlobeObjectServer.shutdown`.  A message is answered before its
 checkpoint reaches the disk, so a crash can still lose the last
 ``DISK_WRITE_LATENCY`` of changes; a master's incarnation epoch covers
-what its slaves saw of them.
-:meth:`GlobeObjectServer.recover` reconstructs all replicas after a
-host reboot — slaves additionally re-join their master to catch up on
-writes missed while down.
+what its slaves saw of them.  A restarted server reloads every replica
+(:meth:`GlobeObjectServer._reload`).
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from ..core.marshal import pack, unpack
 from ..core.replication.base import PROTOCOLS, ReplicationError
 from ..core.repository import ImplementationRepository
 from ..sim.rpc import ChannelPool, RpcContext, RpcServer
-from ..sim.stable import DiskStore, StableStore
+from ..sim.stable import StableStore
 from ..sim.transport import Host
 from ..sim.world import World
 
@@ -73,8 +71,10 @@ class GlobeObjectServer:
     masters keeps one connection to each slave server (and a slave
     server one to each master server), not N.  The pool holds at most
     one channel per peer server contacted, until :meth:`shutdown`; a
-    host crash breaks them all and recovery reopens on demand.
+    host crash ends the server with them.
     """
+
+    COUNTS = ("_server.requests_served",)
 
     def __init__(self, world: World, host: Host,
                  repository: ImplementationRepository,
@@ -82,8 +82,7 @@ class GlobeObjectServer:
                  port: int = DEFAULT_GOS_PORT,
                  channel_factory: Optional[Callable] = None,
                  channel_wrapper: Optional[Callable] = None,
-                 authorizer: Optional[Callable[[RpcContext, str], bool]] = None,
-                 disk: Optional[DiskStore] = None):
+                 authorizer: Optional[Callable[[RpcContext, str], bool]] = None):
         self.world = world
         self.host = host
         self.repository = repository
@@ -96,49 +95,32 @@ class GlobeObjectServer:
         #: through the client-side ``channel_wrapper``.
         self.pool = ChannelPool(host, channel_wrapper)
         self.authorizer = authorizer
-        self.persistence = StableStore(
-            world, disk if disk is not None else DiskStore(), host.name,
-            "gos")
+        self.persistence = StableStore(host, "gos")
         self.replicas: Dict[str, LocalRepresentative] = {}
         self._records: Dict[str, dict] = {}
-        self._server: Optional[RpcServer] = None
-        #: Requests served across server incarnations (survives the
-        #: restart that replaces ``self._server`` after a crash).
-        self._requests_baseline = 0
-
-    @property
-    def requests_served(self) -> int:
-        return self._requests_baseline + (
-            self._server.requests_served if self._server is not None else 0)
-
-    def bind_metrics(self, registry, prefix: str) -> None:
-        """The server's request counter in the world registry."""
-        registry.counter(prefix + ".requests_served",
-                         fn=lambda: self.requests_served)
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def start(self) -> None:
-        """Start serving (host must be up)."""
-        if self._server is not None:
-            # Crash recovery replaces the server without a stop();
-            # keep the cumulative request count monotone.
-            self._requests_baseline += self._server.requests_served
-        server = RpcServer(self.host, self.port,
-                           channel_factory=self.channel_factory)
+        server = RpcServer(host, port, channel_factory=channel_factory)
         server.register("dso_message", self._handle_dso_message)
         server.register("create_object", self._handle_create_object)
         server.register("create_replica", self._handle_create_replica)
         server.register("remove_replica", self._handle_remove_replica)
         server.register("ping", lambda ctx, args: "pong")
-        server.start()
         self._server = server
+        self.recovery = None  # a restarted host's reload (_reload)
+
+    @property
+    def requests_served(self) -> int:
+        return self._server.requests_served
+
+    # -- lifecycle ------------------------------------------------------------
+
+    def start(self) -> None:
+        """Start serving (host must be up), reloading if restarted."""
+        self._server.start()
+        if self.host.incarnation:
+            self.recovery = self.host.spawn(self._reload())
 
     def stop(self) -> None:
-        if self._server is not None:
-            self._requests_baseline += self._server.requests_served
-            self._server.stop()
-            self._server = None
+        self._server.stop()
 
     def shutdown(self) -> Generator:
         """Graceful shutdown: checkpoint every replica, stop serving."""
@@ -152,16 +134,14 @@ class GlobeObjectServer:
         self.pool.close()
         self.stop()
 
-    def recover(self) -> Generator:
-        """Reconstruct replicas from stable storage after a reboot.
+    def _reload(self) -> Generator:
+        """Reconstruct the replicas the disk holds.
 
         The paper: object servers "allow replicas to save their state
         during a reboot and reconstruct themselves afterwards".  Slaves
         re-join their master, so state missed while down is recovered
         even from a stale checkpoint.
         """
-        self.replicas.clear()
-        self.start()
         records = yield from self.persistence.load_all()
         self._records = records
         for oid_hex, record in records.items():

@@ -8,7 +8,7 @@ measure recovery behaviour (experiment E8) deterministically.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, Optional
+from typing import Dict, Generator
 
 from .topology import Domain, Level
 from .transport import Host
@@ -44,17 +44,13 @@ class FailureInjector:
 
     # -- host failures ------------------------------------------------------
 
-    def crash_restart(self, host: Host, crash_at: float, restart_at: float,
-                      recover: Optional[Callable[[], None]] = None) -> None:
-        """Hard-crash ``host`` at ``crash_at``, restart it at
-        ``restart_at`` and then run ``recover()``.
-
-        ``recover`` is where a component re-creates its daemons — e.g.
-        ``gos.restart()`` reloads replica state from the persistence
-        substrate, reproducing §4's reboot-reconstruction requirement.
-        When windows on one host overlap, the host comes back (and
-        ``recover`` runs, once) only when the last of them closes: the
-        ``recover`` of that window is the one that runs.
+    def crash_restart(self, host: Host, crash_at: float,
+                      restart_at: float) -> None:
+        """Hard-crash ``host`` at ``crash_at`` and restart it, its
+        daemons rebuilt from their configuration and disk
+        (:meth:`~repro.sim.transport.Host.restart`), at ``restart_at``.
+        When windows on one host overlap, the host comes back only when
+        the last of them closes.
         """
         if restart_at <= crash_at:
             raise ValueError("restart must come after crash")
@@ -72,8 +68,6 @@ class FailureInjector:
             if self._crashes[host]:
                 return  # another window still holds the host down
             host.restart()
-            if recover is not None:
-                recover()
         self.world.sim.process(crash())
         self.world.sim.process(restart())
 

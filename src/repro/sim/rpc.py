@@ -687,25 +687,6 @@ class UdpRpcClient:
             rng = self._jitter_rng = self.policy.make_rng(self.host.name)
         return rng
 
-    def _ensure_open(self) -> None:
-        """Re-open the socket after a host crash+restart destroyed it.
-
-        Waiters parked on the old socket can never be answered (their
-        request ids die with it), so they are failed immediately with
-        :class:`ConnectionClosed` rather than left to stall until
-        their retry timers expire.  Pre-defused: waiters whose caller
-        process died with the host pass silently.
-        """
-        if self._socket.closed and self.host.up:
-            self._socket = self.host.udp_socket()
-            orphans, self._pending = self._pending, {}
-            self.host.spawn(self._dispatch_loop(self._socket))
-            for waiter in orphans.values():
-                if not waiter.triggered:
-                    waiter.defuse()
-                    waiter.fail(
-                        ConnectionClosed("socket lost in host restart"))
-
     def _dispatch_loop(self, socket: UdpSocket) -> Generator:
         while True:
             try:
@@ -726,7 +707,6 @@ class UdpRpcClient:
         is a fresh request id, so a late reply to an earlier attempt
         is ignored.
         """
-        self._ensure_open()
         args = args if args is not None else {}
         # Measured once (and the constant method/src part only on the
         # first call per method); every retry re-sends a same-sized
@@ -745,11 +725,6 @@ class UdpRpcClient:
                 delay = policy.retry_delay(attempt, self._jitter)
                 if delay > 0.0:
                     yield self.sim.timeout(delay)
-                # The socket may have died *during* this call (a crash
-                # + restart while the previous attempt's deadline ran):
-                # re-check per attempt, or send_to below raises against
-                # a dead socket the client could have replaced.
-                self._ensure_open()
             request_id = next(_request_ids)
             request = {"id": request_id, "method": method,
                        "args": args, "src": self.host.name}
@@ -760,9 +735,7 @@ class UdpRpcClient:
             except Exception:
                 # A synchronous send failure (socket closed by a crash
                 # or HostDown) means no reply can ever match this
-                # waiter; leaving it registered would strand it in
-                # _pending until the next _ensure_open sweep fails an
-                # event nobody waits on.
+                # waiter: it must not stay registered in _pending.
                 self._pending.pop(request_id, None)
                 raise
             if attempt:

@@ -1,46 +1,32 @@
-"""Simulated stable storage (per-host disks that survive crashes).
+"""Simulated stable storage: the disk of a host, which outlives crashes.
 
-Host crashes destroy every address space on the machine but not its
-disk.  Daemons that must reconstruct state after a reboot — Globe
-Object Servers (§4) and GLS directory nodes (§7: "persistent storage of
-the state of a directory node") — write through a :class:`StableStore`
-namespace on their host's :class:`DiskStore`.
+A host crash destroys every address space on the machine but not its
+disk (``Host.disk``).  A restarted host's daemons are built again from
+their configuration and their :class:`StableStore` namespaces: object
+servers reload their replicas (§4), GLS directory nodes their records
+(§7) and a DNS primary its zones; what no disk holds comes back empty.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional
+from copy import deepcopy
+from typing import Any, Dict, Generator
 
-__all__ = ["DiskStore", "StableStore", "DISK_WRITE_LATENCY",
-           "DISK_READ_LATENCY"]
+__all__ = ["StableStore", "DISK_WRITE_LATENCY", "DISK_READ_LATENCY"]
 
 #: Simulated latency of a stable write / read, seconds.
 DISK_WRITE_LATENCY = 0.005
 DISK_READ_LATENCY = 0.002
 
 
-class DiskStore:
-    """Stable storage shared by all hosts of a world, keyed per host."""
-
-    def __init__(self):
-        self._disks: Dict[str, Dict[str, dict]] = {}
-
-    def disk(self, host_name: str) -> Dict[str, dict]:
-        return self._disks.setdefault(host_name, {})
-
-    def wipe(self, host_name: str) -> None:
-        """Destroy a host's disk (models media loss, used in tests)."""
-        self._disks.pop(host_name, None)
-
-
 class StableStore:
-    """One daemon's namespaced view of its host's disk."""
+    """One daemon's namespaced view of its host's disk.
 
-    def __init__(self, world, store: DiskStore, host_name: str,
-                 namespace: str):
-        self.world = world
-        self.store = store
-        self.host_name = host_name
+    A record saved belongs to the disk, and a reload gets a deep copy:
+    no two incarnations share a part of one."""
+
+    def __init__(self, host, namespace: str):
+        self.host = host
         self.namespace = namespace
         self.writes = 0
         self.reads = 0
@@ -50,26 +36,20 @@ class StableStore:
 
     def save(self, key: str, record: dict) -> Generator:
         """Write one record through to disk (simulated latency)."""
-        yield self.world.sim.timeout(DISK_WRITE_LATENCY)
-        self.store.disk(self.host_name)[self._key(key)] = dict(record)
+        yield self.host.sim.timeout(DISK_WRITE_LATENCY)
+        self.host.disk[self._key(key)] = dict(record)
         self.writes += 1
-
-    def load(self, key: str) -> Generator[Any, Any, Optional[dict]]:
-        yield self.world.sim.timeout(DISK_READ_LATENCY)
-        self.reads += 1
-        record = self.store.disk(self.host_name).get(self._key(key))
-        return dict(record) if record is not None else None
 
     def load_all(self) -> Generator[Any, Any, Dict[str, dict]]:
         """All records in this namespace."""
-        yield self.world.sim.timeout(DISK_READ_LATENCY)
+        yield self.host.sim.timeout(DISK_READ_LATENCY)
         self.reads += 1
         prefix = "%s/" % self.namespace
-        disk = self.store.disk(self.host_name)
-        return {key[len(prefix):]: dict(value)
-                for key, value in disk.items() if key.startswith(prefix)}
+        return {key[len(prefix):]: deepcopy(value)
+                for key, value in self.host.disk.items()
+                if key.startswith(prefix)}
 
     def remove(self, key: str) -> Generator:
-        yield self.world.sim.timeout(DISK_WRITE_LATENCY)
-        self.store.disk(self.host_name).pop(self._key(key), None)
+        yield self.host.sim.timeout(DISK_WRITE_LATENCY)
+        self.host.disk.pop(self._key(key), None)
         self.writes += 1

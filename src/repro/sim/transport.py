@@ -1,10 +1,9 @@
 """Hosts and transport: UDP-like datagrams and TCP-like connections.
 
 A :class:`Host` is a named machine attached to a site domain.  It owns
-sockets, listeners, connections and processes; crashing a host kills
-all of them (and ``restart`` brings the machine back empty, so daemons
-must explicitly recover — which is exactly what the paper requires of
-Globe Object Servers, §4).
+sockets, listeners, connections, processes, daemons and a disk;
+crashing a host ends all of them but the disk, and ``restart`` builds
+its daemons again from their configuration and the disk (§4).
 
 Two transports are provided, matching the paper's usage:
 
@@ -25,7 +24,8 @@ back-to-back pipelining of large transfers.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Generator, Optional
+from functools import reduce
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 from .deadlines import shared_pool
 from .kernel import Event, Process, Simulator, Store
@@ -90,8 +90,16 @@ class Datagram:
                 % (self.src_host.name, self.src_port, self.size))
 
 
+def _counter(daemon, path: str) -> tuple:
+    """(object, attribute) of the counter at a dotted ``path``."""
+    *owners, name = path.split(".")
+    return reduce(getattr, owners, daemon), name
+
+
 class Host:
-    """A machine attached to a site, owning sockets and processes."""
+    """A machine attached to a site, owning sockets and processes.  A
+    daemon class names in ``COUNTS`` the counters observers read: a new
+    incarnation starts from the old one's, so none falls."""
 
     def __init__(self, network: Network, name: str, site: Domain):
         self.network = network
@@ -99,6 +107,11 @@ class Host:
         self.name = name
         self.site = site
         self.up = True
+        self.incarnation = 0  # restarts so far
+        #: Stable storage (key -> record), which a crash leaves as it is.
+        self.disk: Dict[str, dict] = {}
+        #: [boot, its daemon, or while down the daemon's counts], in order.
+        self._installed: List[list] = []
         self._udp_ports: Dict[int, "UdpSocket"] = {}
         self._tcp_listeners: Dict[int, "TcpListener"] = {}
         # Insertion-ordered sets (dict keys): a process exit or a
@@ -139,8 +152,16 @@ class Host:
 
     # -- lifecycle --------------------------------------------------------
 
+    def install(self, boot: Callable[[], Any]) -> Any:
+        """Run ``boot``, which builds and starts one daemon, now and at
+        every :meth:`restart`, in install order; return the daemon."""
+        daemon = boot()
+        self._installed.append([boot, daemon])
+        return daemon
+
     def crash(self) -> None:
-        """Hard-stop the machine: processes killed, endpoints destroyed."""
+        """Hard-stop the machine: processes killed, endpoints destroyed,
+        daemons dropped."""
         if not self.up:
             return
         self.up = False
@@ -153,11 +174,24 @@ class Host:
             socket.close()
         for listener in list(self._tcp_listeners.values()):
             listener.close()
+        for entry in self._installed:
+            entry[1] = {path: getattr(*_counter(entry[1], path))
+                        for path in getattr(entry[1], "COUNTS", ())}
 
     def restart(self) -> None:
-        """Bring the machine back up, empty.  Daemons must be restarted."""
+        """Bring a crashed machine back up as its next incarnation:
+        every installed boot runs again."""
+        if self.up:
+            return
         self.up = True
+        self.incarnation += 1
         self.network.set_host_down(self.name, False)
+        for entry in self._installed:
+            counts = entry[1]
+            entry[1] = daemon = entry[0]()
+            for path, count in counts.items():
+                owner, name = _counter(daemon, path)
+                setattr(owner, name, getattr(owner, name) + count)
 
     def _require_up(self) -> None:
         if not self.up:

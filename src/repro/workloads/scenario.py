@@ -558,9 +558,9 @@ class Soak:
 
     # -- fault schedule (thin FailureInjector passthroughs) -------------
 
-    def crash_restart(self, host: Host, crash_at: float, restart_at: float,
-                      recover: Optional[Callable[[], None]] = None) -> None:
-        self.injector.crash_restart(host, crash_at, restart_at, recover)
+    def crash_restart(self, host: Host, crash_at: float,
+                      restart_at: float) -> None:
+        self.injector.crash_restart(host, crash_at, restart_at)
         self._fault_spans.append((crash_at, restart_at))
 
     def partition(self, domain: Domain, start: float,

@@ -237,30 +237,6 @@ def test_detach_leaves_other_representatives_calls_in_flight(bed):
     assert (runtime.pool.opens, len(runtime.pool._channels)) == (1, 1)
 
 
-def test_unbind_all_closes_every_channel(bed):
-    near = bed.gos("gos-1", "r0/c0/m0/s0")
-    far = bed.gos("gos-2", "r1/c0/m0/s0")
-    bed.world.run()
-    baseline = [(len(gos.host._connections), len(gos.host._processes))
-                for gos in (near, far)]
-    objects = _objects_on(bed, near, 2) + _objects_on(bed, far, 2)
-    runtime = bed.runtime("client-1", "r0/c0/m0/s1")
-
-    def use():
-        for server_lr in objects:
-            lr = yield from runtime.bind(server_lr.oid)
-            yield from lr.invoke("size")
-        assert len(runtime.pool._channels) == 2
-        runtime.unbind_all()
-
-    bed.run(use(), host=runtime.host)
-    bed.world.run()                      # FINs land, serve loops end
-    assert not runtime.bound and len(runtime.pool._channels) == 0
-    assert not runtime.host._connections and not runtime.host._processes
-    assert [(len(gos.host._connections), len(gos.host._processes))
-            for gos in (near, far)] == baseline
-
-
 def test_representatives_sharing_a_channel_do_not_block_each_other(bed):
     """Two representatives' calls travel one channel to one object
     server.  The first is a write the slave must forward to a master

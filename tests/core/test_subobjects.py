@@ -86,9 +86,7 @@ def test_comm_reconnects_after_peer_restart():
 
     lr = bed.run(phase_one(), host=runtime.host)
     bed.run(gos._checkpoint_one(server_lr.oid.hex))  # persist the put
-    gos.host.crash()
-    gos.host.restart()
-    bed.run(gos.recover())
+    bed.restart(gos)
 
     def phase_two():
         # Same bound representative: the comm subobject notices the

@@ -438,7 +438,7 @@ def test_register_invalidates_entry():
 def test_bind_metrics_exposes_counters_and_gauges():
     sim, upstream, cache = build()
     registry = MetricsRegistry()
-    cache.bind_metrics(registry, "cache")
+    GlsLookupCache.bind_metrics(registry, "cache", lambda: cache)
     run_lookup(sim, cache, "oid-1")
     run_lookup(sim, cache, "oid-1")
     assert registry.get("cache.hits").value == 1

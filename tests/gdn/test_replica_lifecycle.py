@@ -149,5 +149,6 @@ def test_a_master_drops_a_slave_whose_leave_was_lost():
     # The master's checkpoint no longer carries the dead slave either.
     master_gos.host.crash()
     master_gos.host.restart()
-    gdn.run(master_gos.recover(), host=master_gos.host)
+    master_gos = gdn.object_servers[master_gos.host.name]
+    gdn.world.run_until(master_gos.recovery)
     assert master_gos.replicas[oid.hex].replication.slaves == {}

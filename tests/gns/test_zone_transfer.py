@@ -55,33 +55,43 @@ class Bed:
         self.world = World(topology=Topology.balanced(2, 1, 1, 2), seed=seed,
                            params=LinkParameters(jitter_fraction=jitter))
         self.refresh_interval = refresh_interval
+        self.initial = initial
         self.primary_host = self.world.host("dns-primary", PRIMARY_SITE)
         self.secondary_host = self.world.host("dns-secondary", SECONDARY_SITE)
-        zone = Zone(ZONE, primary_host="dns-primary")
-        for label in initial:
-            zone.add_record(ResourceRecord.from_wire(txt(label)))
-        self.primary = self.start_primary(zone)
-        self.secondary = self.start_secondary()
+        self.primary_host.install(self.start_primary)
+        self.secondary_host.install(self.start_secondary)
+        self.world.run_until(self.secondary_host.spawn(
+            self.secondary.initial_transfers()), limit=1e6)
         self.client = UdpRpcClient(self.world.host("updater", CLIENT_SITE))
 
-    def start_primary(self, zone):
+    def start_primary(self):
+        zone = Zone(ZONE, primary_host="dns-primary")
+        for label in self.initial:
+            zone.add_record(ResourceRecord.from_wire(txt(label)))
         keyring = TsigKeyring()
         keyring.add(KEY)
-        server = AuthoritativeServer(self.world, self.primary_host,
-                                     keyring=keyring)
-        server.add_primary_zone(zone,
-                                secondaries=[("dns-secondary", DNS_PORT)])
-        server.start()
-        return server
+        self.primary = AuthoritativeServer(self.world, self.primary_host,
+                                           keyring=keyring)
+        self.primary.add_primary_zone(
+            zone, secondaries=[("dns-secondary", DNS_PORT)])
+        self.primary.start()
+        return self.primary
 
     def start_secondary(self):
-        server = AuthoritativeServer(self.world, self.secondary_host,
-                                     refresh_interval=self.refresh_interval)
-        server.add_secondary_zone(ZONE, ("dns-primary", DNS_PORT))
-        server.start()
-        self.world.run_until(
-            self.secondary_host.spawn(server.initial_transfers()), limit=1e6)
-        return server
+        self.secondary = AuthoritativeServer(
+            self.world, self.secondary_host,
+            refresh_interval=self.refresh_interval)
+        self.secondary.add_secondary_zone(ZONE, ("dns-primary", DNS_PORT))
+        self.secondary.start()
+        return self.secondary
+
+    def restart(self, host):
+        """Restart a crashed server host and wait out its server's
+        reload: a primary's zone from disk, a secondary's transfer."""
+        host.restart()
+        server = self.primary if host is self.primary_host \
+            else self.secondary
+        self.world.run_until(server.recovery, limit=1e6)
 
     def update(self, adds=(), deletes=()):
         message = {"zone": ZONE, "adds": list(adds),
@@ -213,8 +223,7 @@ def test_restarted_secondary_starts_from_a_full_transfer():
     bed.secondary_host.crash()
     bed.update(adds=[txt("c")])
     bed.settle()
-    bed.secondary_host.restart()
-    bed.secondary = bed.start_secondary()  # no copy
+    bed.restart(bed.secondary_host)  # no copy: a full transfer
     assert bed.in_sync()
     assert bed.primary.full_transfers == 2
     bed.update(adds=[txt("d")])
@@ -223,15 +232,14 @@ def test_restarted_secondary_starts_from_a_full_transfer():
     assert bed.primary.full_transfers == 2
 
 
-def _restart_primary(bed, serial=None):
-    """The primary comes back with its records but no journal, under
-    the serial it had (``None``) or one it was reset to."""
-    wire = bed.primary.zones[ZONE].to_wire()
-    if serial is not None:
-        wire["serial"] = serial
+def _restart_primary(bed, media_loss=False):
+    """The primary comes back with what its disk holds: its records
+    and serial but no journal — or, after media loss, the zone as
+    configured, at serial 1 (a primary that lost its serial)."""
     bed.primary_host.crash()
-    bed.primary_host.restart()
-    bed.primary = bed.start_primary(Zone.from_wire(wire))
+    if media_loss:
+        bed.primary_host.disk.clear()
+    bed.restart(bed.primary_host)
 
 
 def test_restarted_primary_keeping_its_serial():
@@ -242,8 +250,9 @@ def test_restarted_primary_keeping_its_serial():
     bed.update(adds=[txt("c")])
     bed.settle()
     assert bed.in_sync()
-    # The new journal starts where the copy stands: no full transfer.
-    assert bed.primary.full_transfers == 0
+    # The new journal starts where the copy stands: no full transfer
+    # but the initial sync (a count carries over the restart).
+    assert bed.primary.full_transfers == 1
 
 
 def test_restarted_primary_with_a_secondary_behind_its_new_journal():
@@ -256,7 +265,7 @@ def test_restarted_primary_with_a_secondary_behind_its_new_journal():
     bed.update(adds=[txt("c")])
     bed.settle()
     assert bed.in_sync()
-    assert bed.primary.full_transfers == 1
+    assert bed.primary.full_transfers == 2  # the initial sync, and one
 
 
 def test_restarted_primary_with_its_serial_reset():
@@ -265,7 +274,7 @@ def test_restarted_primary_with_its_serial_reset():
         bed.update(adds=[txt(label)])
     bed.settle()
     old_serial = bed.secondary.zones[ZONE].serial
-    _restart_primary(bed, serial=1)
+    _restart_primary(bed, media_loss=True)
     serial = bed.update(deletes=["b"], adds=[txt("e")])
     assert serial < old_serial
     bed.settle()
@@ -282,7 +291,7 @@ def test_serial_reset_is_also_found_by_the_refresh_loop():
     for label in "bcd":
         bed.update(adds=[txt(label)])
     bed.settle()
-    _restart_primary(bed, serial=1)
+    _restart_primary(bed, media_loss=True)
     bed.primary.secondaries[ZONE] = []  # no NOTIFY: refresh only
     bed.update(deletes=["c"])
     bed.settle(45.0)

@@ -60,9 +60,7 @@ def test_master_remembers_slaves_across_reboot(bed):
     _write(bed, master_gos, master_lr.oid, "before", "1")
     bed.world.run(until=bed.world.now + 5)
 
-    master_gos.host.crash()
-    master_gos.host.restart()
-    bed.run(master_gos.recover())
+    master_gos = bed.restart(master_gos)
     recovered = master_gos.replicas[master_lr.oid.hex]
     # The slave list survived the reboot...
     assert recovered.replication.slaves
@@ -82,9 +80,7 @@ def test_master_version_is_monotonic_across_reboot(bed):
         .replication.version
     assert version_before == 3
 
-    master_gos.host.crash()
-    master_gos.host.restart()
-    bed.run(master_gos.recover())
+    master_gos = bed.restart(master_gos)
     recovered = master_gos.replicas[master_lr.oid.hex]
     # Write-through persisted every increment: no rollback, and
     # the slave (also at 3) will accept the next push (version 4).
@@ -121,9 +117,7 @@ def _crash_between_push_and_checkpoint():
 
 
 def _restart(bed):
-    bed.master_gos.host.crash()
-    bed.master_gos.host.restart()
-    bed.run(bed.master_gos.recover(), host=bed.master_gos.host)
+    bed.restart(bed.master_gos)
 
 
 def test_master_recovered_from_before_its_last_write_is_followed():

@@ -57,10 +57,14 @@ def test_requests_served_counts_across_a_crash_and_restart(bed):
     assert ping() == "pong"
     assert gos.requests_served == 1
     gos.host.crash()
+    gos.host.crash()  # a second crash of a down host changes nothing
     gos.host.restart()
-    gos.start()  # recovery replaces the server, not the count
+    gos.host.restart()  # nor does restarting a host that is up
+    new = bed.object_servers["gos-1"]
+    assert new is not gos  # a new server, which takes over the count
+    assert new.requests_served == 1
     assert ping() == "pong"
-    assert gos.requests_served == 2
+    assert new.requests_served == 2
 
 
 def test_a_replica_that_fails_to_join_leaves_no_record(bed):
@@ -129,10 +133,9 @@ def test_recovery_keeps_only_what_was_stored(bed):
     lr = bed.run(gos.create_local_replica(
         None, "test.kv", "client_server", "server"))
     gos.replicas["ghost"] = gos._records["ghost"] = None  # never stored
-    gos.host.crash()
-    gos.host.restart()
-    bed.run(gos.recover(), host=gos.host)
+    gos = bed.restart(gos)
     assert list(gos.replicas) == list(gos._records) == [lr.oid.hex]
+    assert gos.persistence.reads == 1
 
 
 def test_a_replica_added_and_removed_over_rpc_joins_and_leaves(bed):
@@ -281,13 +284,7 @@ def test_graceful_shutdown_and_recover_preserves_state(bed):
         return lr.oid
 
     oid = bed.run(create_and_fill())
-    gos.host.crash()
-    gos.host.restart()
-
-    def recover():
-        yield from gos.recover()
-
-    bed.run(recover())
+    gos = bed.restart(gos)
     assert gos.replicas[oid.hex].semantics.data == {"persist": "me"}
 
 
@@ -302,9 +299,7 @@ def test_crash_without_checkpoint_recovers_creation_time_state(bed):
         return lr.oid
 
     oid = bed.run(create())
-    gos.host.crash()
-    gos.host.restart()
-    bed.run(gos.recover())
+    gos = bed.restart(gos)
     # The uncheckpointed write is gone; the replica itself survived.
     assert oid.hex in gos.replicas
     assert gos.replicas[oid.hex].semantics.data == {}
@@ -328,7 +323,8 @@ def test_recovered_slave_rejoins_and_catches_up(bed):
     master_lr.semantics.put("while-down", "missed")
     master_lr.replication.version += 1
     slave_gos.host.restart()
-    bed.run(slave_gos.recover())
+    slave_gos = bed.object_servers["gos-slave"]
+    bed.world.run_until(slave_gos.recovery)
     slave_lr = slave_gos.replicas[master_lr.oid.hex]
     assert slave_lr.semantics.data == {"while-down": "missed"}
     assert slave_lr.replication.version == master_lr.replication.version

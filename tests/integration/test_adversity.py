@@ -91,12 +91,11 @@ def test_scheduled_crash_restart_with_injector(gdn):
     injector = FailureInjector(deployment.world)
     start = deployment.world.now
     injector.crash_restart(slave.host, crash_at=start + 5.0,
-                           restart_at=start + 10.0,
-                           recover=lambda: deployment.recover_gos(
-                               "gos-r1-0"))
+                           restart_at=start + 10.0)
     deployment.world.run(until=start + 20.0)
     assert slave.host.up
-    assert oid.hex in slave.replicas
+    recovered = deployment.object_servers["gos-r1-0"]
+    assert recovered is not slave and oid.hex in recovered.replicas
 
 
 def test_dns_spoofing_misdirects_but_cannot_forge(gdn):
@@ -145,24 +144,20 @@ def test_dns_spoofing_misdirects_but_cannot_forge(gdn):
 def test_overlapping_crash_windows_hold_the_host_down_until_the_last():
     # Regression: the first window's restart brought the host back
     # while the second still held it down, and the second restart then
-    # ran recover() on a live host: "TCP port 7100 already listening".
+    # rebuilt the daemons of a live host: "TCP port 7100 already
+    # listening".
     deployment = GdnDeployment.from_spec(
         {**standard_spec(2, 2, 2, 2), "seed": 3, "secure": False})
     gos = deployment.object_servers["gos-r0-0"]
     injector = FailureInjector(deployment.world)
-    recovered = []
-
-    def recover():
-        recovered.append(deployment.world.now)
-        deployment.recover_gos("gos-r0-0")
-
     t0 = deployment.world.now
-    injector.crash_restart(gos.host, t0 + 1.0, t0 + 10.0, recover)
-    injector.crash_restart(gos.host, t0 + 5.0, t0 + 15.0, recover)
+    injector.crash_restart(gos.host, t0 + 1.0, t0 + 10.0)
+    injector.crash_restart(gos.host, t0 + 5.0, t0 + 15.0)
     deployment.world.run(until=t0 + 12.0)
     assert not gos.host.up
     deployment.world.run(until=t0 + 20.0)
     assert gos.host.up
-    assert recovered == [t0 + 15.0]
+    assert gos.host.incarnation == 1  # one restart, at t0 + 15
+    assert deployment.object_servers["gos-r0-0"].recovery.triggered
     assert [kind for _t, kind, _host in injector.log] == [
         "crash", "crash", "restart", "restart"]

@@ -173,8 +173,7 @@ def _run_soak(resume, fault, policy=None, budget_burst=16.0, seed=13,
                 rng=gdn.world.rng_for("chunked-soak"))
     base = gdn.world.now
     if fault == "crash":
-        soak.crash_restart(gos.host, base + FAULT_AT, base + FAULT_ENDS,
-                           recover=lambda: gos.host.spawn(gos.recover()))
+        soak.crash_restart(gos.host, base + FAULT_AT, base + FAULT_ENDS)
     elif fault == "partition":
         for start, duration in partitions:
             soak.partition(gdn.world.topology.site("r1/c0/m0/s0"),

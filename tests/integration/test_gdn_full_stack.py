@@ -174,7 +174,9 @@ def test_gos_crash_recovery_keeps_package_available(gdn):
     deployment, _moderator, oid = gdn
     slave = deployment.object_servers["gos-r1-0"]
     slave.host.crash()
-    deployment.recover_gos("gos-r1-0")
+    slave.host.restart()
+    slave = deployment.object_servers["gos-r1-0"]
+    deployment.world.run_until(slave.recovery)
     assert oid.hex in slave.replicas
     # And a user in that region can still download.
     browser = deployment.add_browser("user-after-crash", "r1/c1/m0/s1")

@@ -156,7 +156,7 @@ def test_history_is_the_same_at_every_replica_and_after_recovery():
     gdn = package.gdn
     for name in ("gos-0", "gos-2"):
         gdn.object_servers[name].host.crash()
-        gdn.recover_gos(name)
+        gdn.object_servers[name].host.restart()
     gdn.settle(5.0)
     for name in ("gos-0", "gos-2"):
         assert package.replica(name).semantics.getHistory() == master

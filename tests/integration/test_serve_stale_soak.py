@@ -111,12 +111,10 @@ def _run_soak(gls_cache):
     # can talk to goes down for two minutes.  Replicas, DNS, and the
     # object servers all stay up — only location lookups suffer.
     base = gdn.world.now
-    sim = gdn.world.sim
     for httpd in gdn.httpds:
         for node in gdn.gls.nodes[httpd.host.site.path]:
-            soak.crash_restart(
-                node.host, base + CRASH_AFTER, base + RESTART_AFTER,
-                recover=lambda n=node: sim.process(n.recover()))
+            soak.crash_restart(node.host, base + CRASH_AFTER,
+                               base + RESTART_AFTER)
     serve_stale_invariant(soak, gdn.lookup_caches,
                           require_stale_hits=bool(gls_cache))
     report = soak.run()

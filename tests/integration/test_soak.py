@@ -61,11 +61,11 @@ def test_gdn_soak():
                                                        spec.largest_file)
             outcomes["ok" if response.ok else "bad"] += 1
             if count == 60:
-                # Mid-run: crash and recover one replica host.
+                # Mid-run: crash and restart one replica host.
                 victim = gdn.object_servers["gos-r1-0"]
                 victim.host.crash()
                 yield gdn.world.sim.timeout(2.0)
-                gdn.recover_gos("gos-r1-0")
+                victim.host.restart()
             if count % 29 == 11:
                 yield from moderator.update_package(
                     spec.name,

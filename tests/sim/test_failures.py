@@ -14,17 +14,17 @@ def world():
 
 def test_crash_and_restart_schedule(world):
     host = world.host("victim", "r0/c0/m0/s0")
+    booted = []
+    host.install(lambda: booted.append(world.now))
     injector = FailureInjector(world)
-    recovered = []
-    injector.crash_restart(host, crash_at=5.0, restart_at=10.0,
-                           recover=lambda: recovered.append(world.now))
+    injector.crash_restart(host, crash_at=5.0, restart_at=10.0)
     world.run(until=4.0)
     assert host.up
     world.run(until=6.0)
     assert not host.up
     world.run(until=11.0)
     assert host.up
-    assert recovered == [10.0]
+    assert booted == [0.0, 10.0]  # at install, then at the restart
     assert [(t, kind) for t, kind, _ in injector.log] == [
         (5.0, "crash"), (10.0, "restart")]
 

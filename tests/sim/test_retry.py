@@ -257,9 +257,9 @@ def test_budget_shared_across_clients_caps_system_retries(world):
 
 
 def test_crash_mid_retry_does_not_count_unsent_retry(world):
-    # Regression: retries_sent was incremented before _ensure_open /
-    # send_to could fail on a socket a crash had closed, counting a
-    # retry that never left the host.
+    # Regression: retries_sent was incremented before send_to could
+    # fail on a socket a crash had closed, counting a retry that never
+    # left the host.
     from repro.sim.transport import TransportError
 
     a = world.host("client", "r0/c0/m0/s0")

@@ -527,47 +527,43 @@ def test_udp_rpc_times_out_against_dead_host(world):
 
 
 def test_udp_restart_fails_orphaned_waiters(world):
-    # Regression: _ensure_open() used to clear _pending silently after
-    # a host restart, leaving surviving callers to stall until their
-    # retry timers expired.  They must fail immediately instead.
-    from repro.sim.transport import ConnectionClosed
-
+    # A crash ends the client's address space: a restarted host's
+    # daemons build new clients, and the old one never opens a socket
+    # again.  A call that outlived the crash (its caller is not on the
+    # host) fails at its next send; a call made after the restart fails
+    # at once.  Nothing is left pending.
     a = world.host("client", "r0/c0/m0/s0")
     b = world.host("node", "r0/c0/m0/s1")  # never started: no replies
-    client = UdpRpcClient(a, timeout=30.0, retries=0)
+    client = UdpRpcClient(a, timeout=0.5, retries=2)
     outcome = []
 
-    def stranded():
+    def call():
         try:
             yield from client.call(b, 5300, "lookup", {"key": "x"})
-        except ConnectionClosed:
-            outcome.append(("failed fast", world.now))
-        except RpcTimeout:
-            outcome.append(("stalled until timeout", world.now))
+        except TransportError:
+            outcome.append(world.now)
 
-    # Survives the crash: not registered with host a.
-    world.sim.process(stranded())
+    world.sim.process(call())  # survives the crash: not on host a
 
     def chaos():
-        yield world.sim.timeout(1.0)
+        yield world.sim.timeout(0.2)
         a.crash()
         a.restart()
         yield world.sim.timeout(1.0)
-        # The next call re-opens the socket and must evict the orphan.
-        try:
-            yield from client.call(b, 5300, "lookup", {"key": "y"})
-        except RpcTimeout:
-            pass
+        yield from call()
 
-    proc = world.sim.process(chaos())
-    world.run_until(proc, limit=100)
-    assert outcome == [("failed fast", 2.0)]
+    world.run_until(world.sim.process(chaos()), limit=100)
+    assert outcome == [0.5, 1.2]  # the first's retry, the second's send
+    assert client._socket.closed and client.retries_sent == 0
+    assert client._pending == {}
+    assert pending_deadlines(client.deadline_pool) == 0
 
 
 def test_udp_restart_fails_the_waiter_of_a_caller_that_died_quietly(world):
     # The caller died with its host, so nobody waits on its waiter any
-    # more: the re-opened socket fails it without the failure surfacing
-    # as an unhandled one.
+    # more: its deadline leaves the pool with it, no failure surfaces
+    # when that deadline would have passed, and the old client fails a
+    # call made after the restart at once.
     a = world.host("client", "r0/c0/m0/s0")
     b = world.host("node", "r0/c0/m0/s1")  # never started: no replies
     client = UdpRpcClient(a, timeout=30.0, retries=0)
@@ -577,14 +573,56 @@ def test_udp_restart_fails_the_waiter_of_a_caller_that_died_quietly(world):
         yield world.sim.timeout(1.0)
         a.crash()
         a.restart()
+        assert pending_deadlines(client.deadline_pool) == 0
         yield world.sim.timeout(1.0)
         try:
             yield from client.call(b, 5300, "lookup", {"key": "y"})
-        except RpcTimeout:
-            return "timed out at %.1f" % world.now
+        except TransportError:
+            return "failed at %.1f" % world.now
 
     proc = world.sim.process(chaos())
-    assert world.run_until(proc, limit=100) == "timed out at 32.0"
+    assert world.run_until(proc, limit=100) == "failed at 2.0"
+    world.run()  # past the dead caller's deadline (31.0): nothing raises
+    assert world.now < 31.0 and client.timeouts_hit == 0
+
+
+def test_udp_crash_restart_mid_retry_recovers(world):
+    # A daemon installed on the host calls while the server is still
+    # down; the host crashes and restarts while that first attempt is
+    # pending.  The new incarnation builds a client of its own, whose
+    # retry reaches the server that came up meanwhile; the old
+    # incarnation's call dies with its host.
+    a = world.host("client", "r0/c0/m0/s0")
+    b = world.host("node", "r0/c0/m0/s1")
+    clients, result = [], []
+
+    def boot():
+        client = UdpRpcClient(a, timeout=0.5, retries=2)
+        clients.append(client)
+
+        def caller():
+            value = yield from client.call(b, 5300, "lookup", {"key": "ab"})
+            result.append((value, a.incarnation))
+
+        a.spawn(caller())
+        return client
+
+    a.install(boot)
+
+    def chaos():
+        yield world.sim.timeout(0.2)
+        a.crash()
+        a.restart()
+        yield world.sim.timeout(0.1)
+        _udp_server(world, b)  # up before the new first attempt's deadline
+
+    world.run_until(world.sim.process(chaos()), limit=100)
+    world.run()
+    old, new = clients
+    assert result == [({"found": "AB"}, 1)]
+    assert old.retries_sent == 0 and old._socket.closed
+    assert new.retries_sent == 1 and new._pending == {}
+    assert pending_deadlines(new.deadline_pool) == 0
 
 
 def _crash_as_the_waiter_fails(world, host, at, caller):
@@ -839,9 +877,8 @@ def test_udp_retry_resends_same_sized_envelope(world, monkeypatch):
 
 def test_udp_send_failure_does_not_leak_waiter(world):
     # Regression: a synchronous send_to failure (socket destroyed by a
-    # crash, no restart yet) used to leave the fresh waiter registered
-    # in _pending, where the next _ensure_open sweep would fail an
-    # event nobody waits on.
+    # crash) used to leave the fresh waiter registered in _pending,
+    # where nothing would ever answer or fail it.
     from repro.sim.transport import TransportError
 
     a = world.host("client", "r0/c0/m0/s0")
@@ -861,38 +898,6 @@ def test_udp_send_failure_does_not_leak_waiter(world):
     assert outcome == ["send failed"]
     assert client._pending == {}
     assert pending_deadlines(client.deadline_pool) == 0
-
-
-def test_udp_crash_restart_mid_retry_recovers(world):
-    # Regression: _ensure_open ran only once per call, so a crash +
-    # restart while the first attempt's deadline was pending made the
-    # retry loop raise against the destroyed socket instead of
-    # re-opening and retrying.
-    a = world.host("client", "r0/c0/m0/s0")
-    b = world.host("node", "r0/c0/m0/s1")
-    client = UdpRpcClient(a, timeout=0.5, retries=2)
-    result = []
-
-    def caller():
-        value = yield from client.call(b, 5300, "lookup", {"key": "ab"})
-        result.append((value, world.now))
-
-    world.sim.process(caller())  # survives the crash below
-
-    def chaos():
-        yield world.sim.timeout(0.2)
-        a.crash()
-        a.restart()
-        # The server comes up before the first attempt's deadline, so
-        # the *second* attempt (sent on a re-opened socket) succeeds.
-        _udp_server(world, b)
-
-    proc = world.sim.process(chaos())
-    world.run_until(proc, limit=100)
-    world.run()
-    assert result and result[0][0] == {"found": "AB"}
-    assert client.retries_sent == 1
-    assert client._pending == {}
 
 
 def test_udp_server_stop_mid_serve_is_not_counted(world):

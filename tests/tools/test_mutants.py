@@ -131,22 +131,72 @@ def test_second_reader():
 '''
 
 
-def test_the_map_credits_a_cached_call_to_every_test_that_reads_it(
-        tmp_path):
+NAMES = '''\
+NAMES = {}
+
+
+def register(name):
+    NAMES[name] = len(NAMES)
+
+
+def lookup(name):
+    return NAMES[name]
+
+
+register("alpha")
+'''
+
+USERS = '''\
+from fixture_pkg import names
+
+
+def test_first_user():
+    assert names.lookup("alpha") == 0
+
+
+def test_second_user():
+    assert names.lookup("alpha") == 0
+
+
+def test_no_user():
+    assert True
+'''
+
+
+@pytest.fixture(scope="module")
+def reach_map(tmp_path_factory):
+    """The reach map of one fixture tree whose tests share a cached
+    call and use a module that registers a name at import: one map
+    build, a child interpreter, serves both tests below."""
+    tmp_path = tmp_path_factory.mktemp("reach")
     _tree(tmp_path)
+    (tmp_path / "src" / "fixture_pkg" / "names.py").write_text(NAMES)
     (tmp_path / "tests" / "test_cached.py").write_text(CACHED)
+    (tmp_path / "tests" / "test_names.py").write_text(USERS)
     done = subprocess.run(
         [sys.executable, str(MUTANTS), "--root", str(tmp_path),
          "--build-map", str(tmp_path / "reach.json"), "--",
-         "tests/test_cached.py"], cwd=tmp_path,
+         "tests/test_cached.py", "tests/test_names.py"], cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=str(tmp_path / "src")),
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         timeout=120)
     assert done.returncode == 0, done.stdout
-    reach = json.loads((tmp_path / "reach.json").read_text())
-    assert reach["reach"]["fixture_pkg/mod.py:double"] == [
+    return json.loads((tmp_path / "reach.json").read_text())
+
+
+def test_the_map_credits_a_cached_call_to_every_test_that_reads_it(
+        reach_map):
+    assert reach_map["reach"]["fixture_pkg/mod.py:double"] == [
         "tests/test_cached.py::test_first_reader",
         "tests/test_cached.py::test_second_reader"]
+
+
+def test_the_map_credits_an_import_time_call_to_every_test_of_its_module(
+        reach_map):
+    # register ran once, while the test module was collected.
+    assert reach_map["reach"]["fixture_pkg/names.py:register"] == [
+        "tests/test_names.py::test_first_user",
+        "tests/test_names.py::test_second_user"]
 
 
 def test_check_fails_on_a_stale_or_refused_keep_line(tmp_path, capsys):

@@ -133,19 +133,32 @@ class GlobeBed:
         self.repository = ImplementationRepository(self.world)
         self.repository.register(Implementation("test.kv", KvStore,
                                                 code_size=10_000))
-        self.disk = None
+        #: name -> the object server's incarnation running now.
+        self.object_servers = {}
 
     def gos(self, name, site, port=7100, **kwargs):
+        """An object server installed on a new host ``name``: a restart
+        of the host builds it again (find it in ``object_servers``)."""
         from repro.gos.server import GlobeObjectServer
-        from repro.sim.stable import DiskStore
 
-        if self.disk is None:
-            self.disk = DiskStore()
         host = self.world.host(name, site)
-        server = GlobeObjectServer(self.world, host, self.repository,
-                                   self.gls, port=port, disk=self.disk,
-                                   **kwargs)
-        server.start()
+
+        def boot():
+            server = GlobeObjectServer(self.world, host, self.repository,
+                                       self.gls, port=port, **kwargs)
+            server.start()
+            self.object_servers[name] = server
+            return server
+
+        return host.install(boot)
+
+    def restart(self, server):
+        """Crash ``server``'s host, restart it and wait out the new
+        incarnation's reload; return the new incarnation."""
+        server.host.crash()
+        server.host.restart()
+        server = self.object_servers[server.host.name]
+        self.world.run_until(server.recovery, limit=self.world.now + 1e6)
         return server
 
     def runtime(self, host_name, site):
@@ -199,8 +212,8 @@ class PackageBed(GlobeBed):
         self.repository.register(Implementation(
             PACKAGE_IMPL_ID, PackageSemantics, code_size=10_000))
         self.cache_ttl = cache_ttl
-        self.master_gos = self.gos("gos-master", self.MASTER_SITE)
-        self.slave_gos = self.gos("gos-slave", self.SLAVE_SITE)
+        self.gos("gos-master", self.MASTER_SITE)
+        self.gos("gos-slave", self.SLAVE_SITE)
 
         def build():
             master = yield from self.master_gos.create_local_replica(
@@ -214,6 +227,14 @@ class PackageBed(GlobeBed):
         self.writer = self.runtime("writer", "r0/c0/m0/s1")
         self.reader = self.runtime("reader", "r1/c0/m0/s1")
         self.gls.sort_site = self.reader.host.site
+
+    @property
+    def master_gos(self):
+        return self.object_servers["gos-master"]
+
+    @property
+    def slave_gos(self):
+        return self.object_servers["gos-slave"]
 
     @property
     def master(self):
@@ -251,9 +272,7 @@ class PackageBed(GlobeBed):
     def restart_slave(self):
         """Crash the slave's machine and bring it back: its object
         server reconstructs the slave, which re-joins the master."""
-        self.slave_gos.host.crash()
-        self.slave_gos.host.restart()
-        self.run(self.slave_gos.recover(), host=self.slave_gos.host)
+        self.restart(self.slave_gos)
 
 
 def package_contents(lr):

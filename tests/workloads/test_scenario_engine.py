@@ -276,10 +276,14 @@ def _echo_world():
     world = World(topology=Topology.balanced(1, 1, 1, 2), seed=21)
     client_host = world.host("client", "r0/c0/m0/s0")
     server_host = world.host("server", "r0/c0/m0/s1")
-    server = UdpRpcServer(server_host, 5300)
-    server.register("echo", lambda ctx, args: args["x"])
-    server.start()
-    return world, client_host, server_host, server
+
+    def boot():
+        server = UdpRpcServer(server_host, 5300)
+        server.register("echo", lambda ctx, args: args["x"])
+        server.start()
+        return server
+
+    return world, client_host, server_host, server_host.install(boot)
 
 
 def test_soak_injects_faults_and_checks_invariants():
@@ -299,7 +303,7 @@ def test_soak_injects_faults_and_checks_invariants():
     # x 0.5s), so early-outage calls genuinely fail while late ones
     # are saved by a retry landing after the restart.
     soak.crash_restart(server_host, crash_at=base + 2.0,
-                       restart_at=base + 4.5, recover=server.start)
+                       restart_at=base + 4.5)
     soak.invariant("all accounted",
                    lambda: stats.finished == 60)
     soak.invariant("some failed during the outage",

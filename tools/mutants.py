@@ -39,7 +39,11 @@ collected is killed too (*error*).  The hook cannot see what a test
 runs in a child interpreter; the report names each test that started
 one.  While the map is built, each ``functools`` cache defined under
 ``tests/`` is emptied before every test, so a run the suite shares
-between tests is credited to each test that reads it.
+between tests is credited to each test that reads it; and a function
+that runs while a module under ``src/`` is imported (a registration at
+import, e.g. ``Interface.of`` for each semantics class) is credited to
+every test that reaches a function of that module, not only to the
+test that happened to import it first.
 ``--validate N`` re-runs N swept mutants, half of them survivors where
 there are enough, against the whole suite and reports how often the
 two verdicts agree.
@@ -79,6 +83,7 @@ import argparse
 import ast
 import collections
 import hashlib
+import importlib.machinery
 import json
 import os
 import pathlib
@@ -351,6 +356,39 @@ class ReachPlugin:
         self.tests: Dict[str, float] = {}
         self.reach: Dict[str, Set[str]] = collections.defaultdict(set)
         self.children: List[str] = []
+        #: module path under ``src`` -> the functions its import ran.
+        self.imported: Dict[str, Set] = collections.defaultdict(set)
+        sys.meta_path.insert(0, self)
+
+    def find_spec(self, name, path, target=None):
+        """As a finder first on ``sys.meta_path``: a module under
+        ``src`` is found as usual, and its loader records what the
+        module's code calls while it runs (a nested import's too)."""
+        spec = importlib.machinery.PathFinder.find_spec(name, path, target)
+        origin = os.path.realpath(getattr(spec, "origin", None) or "/")
+        if spec is None or not origin.startswith(self.base + os.sep):
+            return None
+        run = spec.loader.exec_module
+
+        def exec_module(module):
+            self.imported[os.path.relpath(origin, self.base)] |= \
+                self.census.called_code(lambda: run(module))
+
+        spec.loader.exec_module = exec_module
+        return spec
+
+    def credit_imports(self) -> None:
+        """Credit what each module's import ran to every test that
+        reaches a function of that module."""
+        for module, keys in self.imported.items():
+            users = set().union(*(
+                tests for function, tests in self.reach.items()
+                if function.split(":")[0] == module))
+            for key in keys:
+                qualname = self.defined.get(key)
+                if qualname is not None and users:
+                    self.reach["%s:%s" % (os.path.relpath(key[0], self.base),
+                                          qualname)] |= users
 
     def pytest_runtest_protocol(self, item, nextitem):
         from _pytest.runner import runtestprotocol
@@ -389,8 +427,10 @@ def build_map(root: pathlib.Path, pytest_args: List[str]) -> dict:
                                str(root)] + pytest_args, plugins=[plugin])
     finally:
         os.chdir(cwd)
+        sys.meta_path.remove(plugin)
     if outcome != 0:
         raise SystemExit(outcome)
+    plugin.credit_imports()
     return {"tests": plugin.tests,
             "reach": {key: sorted(tests) for key, tests
                       in plugin.reach.items()},
