@@ -26,7 +26,7 @@ from ..gdn.moderator import ModerationError
 from ..gdn.scenario import ReplicationScenario
 from ..gls.service import GlsClient, GlsError
 from ..gns.dns.zone import Rcode
-from ..security.tls import HandshakeError, client_wrapper
+from ..security.tls import client_wrapper
 from ..sim import rpc
 from ..workloads.packages import synthetic_file
 
@@ -149,7 +149,7 @@ def run_policy_experiment(seed: int = 37) -> Dict:
                 mitm_host, gos.host, gos.port, "create_object", {},
                 channel_wrapper=client_wrapper(credentials=rogue_creds))
             return "accepted", gdn.world.now - start
-        except (HandshakeError, Exception):  # noqa: BLE001
+        except Exception:  # noqa: BLE001
             return "refused", gdn.world.now - start
 
     outcome, elapsed = gdn.run(attack_tls(), host=mitm_host)

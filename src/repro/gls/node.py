@@ -28,8 +28,8 @@ per hop: each node calls the next and answers its caller once the rest
 of the chain has.  Over connections (ablation A3, ``transport="tcp"``)
 every hop is a nested call, lookups included.
 
-A node writes each record to disk before it answers, and a restarted
-one reloads them (§7: "persistent storage of the state of a node").
+A node writes each record to disk before it answers; a restarted one
+serves once reloaded (§7: "persistent storage of the state of a node").
 
 Invariant maintained throughout: **a node holds a record for an OID if
 and only if its parent (transitively up to the root) holds a forwarding
@@ -43,7 +43,8 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..core.ids import ObjectId
-from ..sim.rpc import Forward, RpcContext, UdpRpcClient, UdpRpcServer
+from ..sim.rpc import (Forward, RpcContext, RpcServer, UdpRpcClient,
+                       UdpRpcServer, call)
 from ..sim.stable import StableStore
 from ..sim.topology import Domain, Level
 from ..sim.transport import Host
@@ -132,7 +133,6 @@ class DirectoryNode:
         if self.transport == "udp":
             server = UdpRpcServer(self.host, self.port)
         else:
-            from ..sim.rpc import RpcServer
             server = RpcServer(self.host, self.port)
         server.register("lookup", self._handle_lookup)
         server.register("lookup_down", self._handle_lookup_down)
@@ -140,22 +140,25 @@ class DirectoryNode:
         server.register("insert_pointer", self._handle_insert_pointer)
         server.register("delete", self._handle_delete)
         server.register("delete_pointer", self._handle_delete_pointer)
-        server.start()
         self._server = server
         self._client = UdpRpcClient(self.host, timeout=_NODE_RPC_TIMEOUT,
                                     retries=_NODE_RPC_RETRIES)
         if self.host.incarnation:
             self.recovery = self.host.spawn(self._reload())
+        else:
+            server.start()
 
     def stop(self) -> None:
         self._server.stop()
         self._client.close()
 
     def _reload(self) -> Generator:
-        """Reload the records the disk holds."""
+        """Reload the records the disk holds, then serve: the reload
+        would undo a mutation served before it."""
         stored = yield from self.persistence.load_all()
         for oid_hex, wire in stored.items():
             self.records[oid_hex] = NodeRecord.from_wire(wire)
+        self._server.start()
 
     # -- helpers -------------------------------------------------------------
 
@@ -171,9 +174,7 @@ class DirectoryNode:
               args: dict) -> Generator[Any, Any, Any]:
         target, port = self._endpoint(handle, oid_hex)
         if self.transport == "tcp":
-            from ..sim import rpc as _rpc
-            value = yield from _rpc.call(self.host, target, port, method,
-                                         args)
+            value = yield from call(self.host, target, port, method, args)
         else:
             value = yield from self._client.call(target, port, method, args)
         return value

@@ -19,15 +19,15 @@ leave it open.
 
 Persistence (§4): "Globe Object Servers allow replicas to save their
 state during a reboot and reconstruct themselves afterwards."  Replica
-state is checkpointed to the ``gos`` namespace of the host's disk (a
-:class:`~repro.sim.stable.StableStore`), write-through: when a
-replica is created, after every message that changed its state or its
-peer list (a write, a state push, a join or a leave), and at
-:meth:`GlobeObjectServer.shutdown`.  A message is answered before its
-checkpoint reaches the disk, so a crash can still lose the last
-``DISK_WRITE_LATENCY`` of changes; a master's incarnation epoch covers
-what its slaves saw of them.  A restarted server reloads every replica
-(:meth:`GlobeObjectServer._reload`).
+state is checkpointed write-through to the ``gos`` namespace of the
+host's disk (a :class:`~repro.sim.stable.StableStore`): at creation,
+after every message that changed its state or peer list (a write, a
+state push, a join or a leave), and at :meth:`GlobeObjectServer.shutdown`.
+A message is answered before its checkpoint is on disk, so a write
+acknowledged to its writer survives every crash of its master but one
+less than ``DISK_WRITE_LATENCY`` (5 ms) after the acknowledgement; a
+master's incarnation epoch covers what its slaves saw of such a write.
+A restarted server reloads every replica (:meth:`GlobeObjectServer._reload`).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Any, Callable, Dict, Generator, Optional
 from ..core.ids import ContactAddress, ObjectId
 from ..core.local_repr import LocalRepresentative
 from ..core.marshal import pack, unpack
-from ..core.replication.base import PROTOCOLS, ReplicationError
+from ..core.replication.base import PROTOCOLS
 from ..core.repository import ImplementationRepository
 from ..sim.rpc import ChannelPool, RpcContext, RpcServer
 from ..sim.stable import StableStore
@@ -135,16 +135,14 @@ class GlobeObjectServer:
         self.stop()
 
     def _reload(self) -> Generator:
-        """Reconstruct the replicas the disk holds.
-
-        The paper: object servers "allow replicas to save their state
-        during a reboot and reconstruct themselves afterwards".  Slaves
+        """Reconstruct the replicas the disk holds (§4).  Slaves
         re-join their master, so state missed while down is recovered
-        even from a stale checkpoint.
+        even from a stale checkpoint.  The server serves meanwhile, and
+        a remove_replica may drop a record the loop has passed: the
+        loop walks a copy.
         """
-        records = yield from self.persistence.load_all()
-        self._records = records
-        for oid_hex, record in records.items():
+        self._records = yield from self.persistence.load_all()
+        for oid_hex, record in list(self._records.items()):
             yield from self._reconstruct(oid_hex, record)
 
     # -- replica construction ---------------------------------------------
@@ -194,9 +192,6 @@ class GlobeObjectServer:
             oid = ObjectId.from_hex(oid_hex)
         representative = yield from self._compose_replica(
             oid, impl_id, protocol, role, master_wire)
-        if not allocate:
-            yield from self.location_service.register(
-                oid.hex, representative.contact_address.to_wire())
         # Recorded before the join: a push that beats the state the
         # join brings is taken, not refused (_handle_dso_message).
         self._records[oid.hex] = {
@@ -209,6 +204,9 @@ class GlobeObjectServer:
             raise
         self.replicas[oid.hex] = representative
         yield from self._checkpoint_one(oid.hex)
+        if not allocate:  # once on disk, where a reload registers it again
+            yield from self.location_service.register(
+                oid.hex, representative.contact_address.to_wire())
         return representative
 
     def _reconstruct(self, oid_hex: str, record: dict) -> Generator:
@@ -232,7 +230,7 @@ class GlobeObjectServer:
             # Re-join the master to catch up on missed updates.
             try:
                 yield from representative.start()
-            except (ReplicationError, Exception):  # noqa: BLE001
+            except Exception:  # noqa: BLE001
                 pass  # master may be down; checkpointed state stands
         self.replicas[oid_hex] = representative
         yield from self.location_service.register(

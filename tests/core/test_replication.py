@@ -255,6 +255,7 @@ def test_slave_forwards_writes_when_master_unknown(bed):
 
 
 def test_reads_fail_over_to_surviving_replica(bed):
+    # Kept beside the crash-point sweep: downtime (the slave's host).
     # The bound (nearest) replica dies mid-session; reads are
     # idempotent, so the client proxy re-pins to the next contact
     # address instead of surfacing a transport error.

@@ -117,6 +117,7 @@ def test_dropping_a_replica_invalidates_its_hosts_lookup_cache_at_once():
 
 
 def test_a_master_drops_a_slave_whose_leave_was_lost():
+    # Kept beside the crash-point sweep: a partition.
     # The master's site is cut off while drop_replica runs, so the
     # dropped slave's leave never arrives.  Its object server answers
     # the next push with "no replica here", and the master drops it

@@ -73,16 +73,34 @@ def test_a_node_refuses_a_pointer_from_a_domain_not_its_child(deployment):
 
 
 def test_recovery_keeps_only_the_stored_records(deployment):
+    """A restarted node holds what its disk held, and the mutations
+    that reached it while it reloaded: it serves them after the reload
+    (their clients retry), which would otherwise undo them."""
+    # Kept beside the crash-point sweep: a unit of one daemon.
     from repro.gls.records import NodeRecord
 
     world, tree = deployment
-    node = tree.node_for("r0/c0/m0/s0", oid_from_seed("x").hex)
+    first, second, third = (world.host(name, "r0/c0/m0/s0")
+                            for name in ("gos-1", "gos-2", "gos-3"))
+    oid_hex = run(world, GlsClient(world, first, tree).register(
+        None, ca_wire(world, first)), host=first)
+    leaving = GlsClient(world, second, tree)
+    run(world, leaving.register(oid_hex, ca_wire(world, second)),
+        host=second)
+    node = tree.node_for("r0/c0/m0/s0", oid_hex)
     node.records["never-stored"] = NodeRecord()
     node.host.crash()
     node.host.restart()
-    node = tree.node_for("r0/c0/m0/s0", oid_from_seed("x").hex)
-    world.run_until(node.recovery, limit=world.now + 1e6)
+    joined = third.spawn(GlsClient(world, third, tree).register(
+        oid_hex, ca_wire(world, third)))
+    left = second.spawn(leaving.unregister(oid_hex,
+                                           ca_wire(world, second)))
+    world.run_until(joined)
+    world.run_until(left)
+    node = tree.node_for("r0/c0/m0/s0", oid_hex)
     assert "never-stored" not in node.records
+    assert [wire["host"] for wire in
+            node.records[oid_hex].contact_addresses] == ["gos-1", "gos-3"]
 
 
 def test_tree_has_a_node_per_domain(deployment):
@@ -326,27 +344,6 @@ def test_unauthorized_registration_rejected():
     assert leaf.rejected_mutations == 3
 
 
-def test_node_crash_recovery_restores_records(deployment):
-    world, tree = deployment
-    gos_host = world.host("gos-1", "r0/c0/m0/s0")
-    client = GlsClient(world, gos_host, tree)
-    oid_hex = run(world, client.register(None, ca_wire(world, gos_host)),
-                  host=gos_host)
-
-    leaf = tree.node_for("r0/c0/m0/s0", oid_hex)
-    leaf.host.crash()
-    leaf.host.restart()
-    leaf = tree.node_for("r0/c0/m0/s0", oid_hex)
-    assert leaf.records == {}  # nothing but the disk outlives the crash
-    world.run_until(leaf.recovery, limit=world.now + 1e6)
-    assert oid_hex in leaf.records
-    # And lookups work again end-to-end.
-    user = world.host("user-1", "r0/c0/m0/s1")
-    user_client = GlsClient(world, user, tree)
-    reply = run(world, user_client.lookup_detailed(oid_hex), host=user)
-    assert reply["cas"][0]["host"] == "gos-1"
-
-
 def test_allocated_oids_are_unique(deployment):
     world, tree = deployment
     gos_host = world.host("gos-1", "r0/c0/m0/s0")
@@ -481,6 +478,7 @@ def test_a_node_that_crashes_its_own_host_mid_walk_is_killed(deployment):
     handler, started in the arrival's frame, is killed at its first
     wait, at the crash instant; the walk ends in the callers' retries
     and nothing is left behind."""
+    # Kept beside the crash-point sweep: a unit of one daemon.
     from repro.sim.rpc import RpcTimeout
 
     world, tree = deployment

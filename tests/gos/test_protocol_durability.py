@@ -7,6 +7,10 @@ checkpoints next to semantics state, and the object server's
 write-through checkpoints make the master's counter monotonic across
 crashes — except for a crash between a write's push and its
 checkpoint, which the master's incarnation epoch covers.
+
+A single crash at any event of a package's life is the crash-point
+sweep's (``tests/integration/test_crash_points.py``); what stays here
+needs what the sweep does not do.
 """
 
 import pytest
@@ -55,23 +59,9 @@ def _write(bed, master_gos, oid, key, value):
     bed.run(drive(), host=client)
 
 
-def test_master_remembers_slaves_across_reboot(bed):
-    master_gos, slave_gos, master_lr = _build_pair(bed)
-    _write(bed, master_gos, master_lr.oid, "before", "1")
-    bed.world.run(until=bed.world.now + 5)
-
-    master_gos = bed.restart(master_gos)
-    recovered = master_gos.replicas[master_lr.oid.hex]
-    # The slave list survived the reboot...
-    assert recovered.replication.slaves
-    # ...so post-recovery writes still reach the slave.
-    _write(bed, master_gos, master_lr.oid, "after", "2")
-    bed.world.run(until=bed.world.now + 5)
-    slave_lr = slave_gos.replicas[master_lr.oid.hex]
-    assert slave_lr.semantics.get("after") == "2"
-
-
 def test_master_version_is_monotonic_across_reboot(bed):
+    # Kept beside the crash-point sweep: a unit of one master's
+    # version across its reboot (the sweep compares replicas).
     master_gos, slave_gos, master_lr = _build_pair(bed)
     for index in range(3):
         _write(bed, master_gos, master_lr.oid, "k%d" % index, "v")
@@ -99,10 +89,14 @@ class _SameSiteBed(PackageBed):
     SLAVE_SITE = PackageBed.MASTER_SITE
 
 
-def _crash_between_push_and_checkpoint():
+def test_a_recovered_master_is_a_new_incarnation_even_twice():
     """The master answers a write, its slave has it, and the master
-    crashes while that write's checkpoint is still on its way to disk.
-    It comes back one version behind the slave."""
+    crashes while that write's checkpoint is still on its way to disk:
+    it comes back one version behind the slave, as a new incarnation.
+    Recovery makes that incarnation durable before the master serves,
+    so a second crash before any write cannot bring back the first
+    recovery's epoch."""
+    # Kept beside the crash-point sweep: two crashes.
     bed = _SameSiteBed()
     bed.write("addFile", path="a", data=b"kept")
     bed.settle()
@@ -110,38 +104,12 @@ def _crash_between_push_and_checkpoint():
     # master sent it: the push has landed, the checkpoint has not.
     bed.write("addFile", path="b", data=b"forgotten")
     assert bed.slave.semantics.getFileContents("b") == b"forgotten"
-    _restart(bed)
+    bed.restart(bed.master_gos)
     assert bed.master.replication.version == \
         bed.slave.replication.version - 1
-    return bed
-
-
-def _restart(bed):
-    bed.restart(bed.master_gos)
-
-
-def test_master_recovered_from_before_its_last_write_is_followed():
-    """The recovered master issues the slave's version again for a
-    different write: the slave must follow it there, not keep the
-    write the master has forgotten."""
-    bed = _crash_between_push_and_checkpoint()
-    bed.write("addFile", path="c", data=b"new")
-    bed.settle()
-    master, slave = bed.master.semantics, bed.slave.semantics
-    assert "b" not in master._files
-    assert slave.snapshot_state()["files"] == master.snapshot_state()["files"]
-    assert slave.getHistory() == master.getHistory()
-    assert bed.slave.replication.epoch == bed.master.replication.epoch
-
-
-def test_a_recovered_master_is_a_new_incarnation_even_twice():
-    """Recovery makes the new incarnation durable before the master
-    serves, so a second crash before any write cannot bring back the
-    first recovery's epoch."""
-    bed = _crash_between_push_and_checkpoint()
     epoch = bed.master.replication.epoch
     assert epoch == 1
-    _restart(bed)
+    bed.restart(bed.master_gos)
     assert bed.master.replication.epoch == epoch + 1
     bed.write("addFile", path="c", data=b"new")
     bed.settle()

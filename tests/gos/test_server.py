@@ -47,6 +47,7 @@ def test_control_commands_over_rpc(bed):
 
 
 def test_requests_served_counts_across_a_crash_and_restart(bed):
+    # Kept beside the crash-point sweep: a unit of one daemon's counts.
     gos = bed.gos("gos-1", "r0/c0/m0/s0")
     tool = bed.world.host("modtool", "r0/c0/m0/s1")
 
@@ -68,6 +69,7 @@ def test_requests_served_counts_across_a_crash_and_restart(bed):
 
 
 def test_a_replica_that_fails_to_join_leaves_no_record(bed):
+    # Kept beside the crash-point sweep: downtime (the master's host).
     gos = bed.gos("gos-1", "r0/c0/m0/s0")
     home = bed.gos("gos-2", "r0/c0/m0/s1")
     master = bed.run(home.create_local_replica(
@@ -129,13 +131,25 @@ def test_shutdown_leaves_the_master_and_stops_serving(bed):
 
 
 def test_recovery_keeps_only_what_was_stored(bed):
+    # Kept beside the crash-point sweep: a unit of one daemon.  Two
+    # masters: each reload saves its new epoch, so the reload waits on
+    # the disk after bringing back the first, and a remove_replica
+    # served then must leave the rest of the reload whole.
     gos = bed.gos("gos-1", "r0/c0/m0/s0")
-    lr = bed.run(gos.create_local_replica(
-        None, "test.kv", "client_server", "server"))
+    oids = [bed.run(gos.create_local_replica(
+        None, "test.kv", "master_slave", "master")).oid.hex
+        for _ in range(2)]
     gos.replicas["ghost"] = gos._records["ghost"] = None  # never stored
-    gos = bed.restart(gos)
-    assert list(gos.replicas) == list(gos._records) == [lr.oid.hex]
-    assert gos.persistence.reads == 1
+    gos.host.crash()
+    gos.host.restart()
+    gos = bed.object_servers["gos-1"]
+    while not gos.replicas:
+        bed.world.sim.step()
+    assert list(gos.replicas) == oids[:1] and gos.recovery.alive
+    gos.host.spawn(gos._handle_remove_replica(None, {"oid": oids[0]}))
+    bed.world.run()
+    assert list(gos.replicas) == list(gos._records) == oids[1:]
+    assert gos.persistence.reads == 1 and bed.gls.records[oids[0]] == []
 
 
 def test_a_replica_added_and_removed_over_rpc_joins_and_leaves(bed):
@@ -274,6 +288,7 @@ def test_authorizer_blocks_write_invocations_but_not_reads(bed):
 
 
 def test_graceful_shutdown_and_recover_preserves_state(bed):
+    # Kept beside the crash-point sweep: a unit of one daemon.
     gos = bed.gos("gos-1", "r0/c0/m0/s0")
 
     def create_and_fill():
@@ -289,6 +304,7 @@ def test_graceful_shutdown_and_recover_preserves_state(bed):
 
 
 def test_crash_without_checkpoint_recovers_creation_time_state(bed):
+    # Kept beside the crash-point sweep: a unit of one daemon.
     gos = bed.gos("gos-1", "r0/c0/m0/s0")
 
     def create():
@@ -306,6 +322,7 @@ def test_crash_without_checkpoint_recovers_creation_time_state(bed):
 
 
 def test_recovered_slave_rejoins_and_catches_up(bed):
+    # Kept beside the crash-point sweep: downtime with writes.
     master_gos = bed.gos("gos-master", "r0/c0/m0/s0")
     slave_gos = bed.gos("gos-slave", "r1/c0/m0/s0")
 

@@ -170,21 +170,6 @@ def test_anonymous_user_cannot_write_through_gos(gdn):
     assert outcome != "accepted"
 
 
-def test_gos_crash_recovery_keeps_package_available(gdn):
-    deployment, _moderator, oid = gdn
-    slave = deployment.object_servers["gos-r1-0"]
-    slave.host.crash()
-    slave.host.restart()
-    slave = deployment.object_servers["gos-r1-0"]
-    deployment.world.run_until(slave.recovery)
-    assert oid.hex in slave.replicas
-    # And a user in that region can still download.
-    browser = deployment.add_browser("user-after-crash", "r1/c1/m0/s1")
-
-    assert deployment.run(browser.download("/apps/graphics/Gimp", "README"),
-                          host=browser.host).ok
-
-
 def test_package_removal_cleans_name_and_replicas(gdn):
     deployment, moderator, _oid = gdn
     scenario = ReplicationScenario.single_server("gos-r0-0")

@@ -142,6 +142,7 @@ def test_one_more_write_costs_the_same_after_10_and_200_writes(monkeypatch):
 
 
 def test_history_is_the_same_at_every_replica_and_after_recovery():
+    # Kept beside the crash-point sweep: two crashes.
     package = _Package()
     package.write(12)
     package.read()
