@@ -7,13 +7,19 @@ more directory subnodes.  Each subnode is made responsible for a
 specific part of the object-identifier space via a special hashing
 technique and can run on a separate machine."
 
-We register a population of objects from sites all over the world and
-then resolve them from *distant* clients (forcing walks through the
-root), with the root (and region) logical nodes split into
+We register a population of objects from the sites of region r0 and
+then resolve them from a *distant* client in r1 (forcing walks through
+the root), with the root (and region) logical nodes split into
 k ∈ {1, 2, 4, 8} subnodes.  Reported per k: per-subnode request load
 and record count at the root (max and mean), plus total lookup latency
 (which should stay flat — partitioning relieves load without changing
 path lengths).
+
+The root's slices are location-aware (see :mod:`repro.gls.tree`): an
+OID lands on a root subnode nearest its creator, so r0's objects load
+only the root subnodes in r0.  That is the trade-off: at k = 2 (one
+subnode per region) this r0-only population relieves nothing, while
+k = 4 and k = 8 still spread it over r0's two and four subnodes.
 """
 
 from __future__ import annotations

@@ -164,7 +164,9 @@ class GdnDeployment:
 
         # -- naming + location infrastructure -------------------------------
         self._build_dns()
-        self.gls = GlsTree(self.world, auth_key=self.gls_key)
+        # One root subnode per region, each on its region's first site.
+        self.gls = GlsTree(self.world, partition={"": len(self._regions())},
+                           auth_key=self.gls_key)
         self.repository = ImplementationRepository(self.world)
         self.repository.register(Implementation(
             PACKAGE_IMPL_ID, PackageSemantics, code_size=80_000))

@@ -3,7 +3,11 @@
 Each domain in the hierarchy has a logical directory node; a logical
 node may be *partitioned* into several subnodes, each responsible for a
 hash-slice of the OID space and running on its own machine ("Exploiting
-Location Awareness…", cited as the solution to root-node load).
+Location Awareness…", cited as the solution to root-node load).  The
+tree places the subnodes on the node's child domains, and the root's
+slices are location-aware: the GLS allocates each OID (§6.1) so that
+its root slice is one of the root subnodes nearest its creator (see
+:mod:`repro.gls.tree`).
 
 The wire protocol between client ↔ node and node ↔ node is datagram RPC
 (§6.3: the GLS "is based on UDP" for efficiency):

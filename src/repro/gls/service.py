@@ -14,7 +14,7 @@ from typing import Any, Dict, Generator, List, Optional
 
 from ..core.ids import ObjectId
 from ..sim.rpc import RpcFault, UdpRpcClient
-from ..sim.topology import Domain, TopologyError, nearest_first
+from ..sim.topology import Domain, Topology, TopologyError, nearest_first
 from ..sim.transport import Host
 from ..sim.world import World
 from .auth import sign_mutation
@@ -43,6 +43,15 @@ class GlsClient:
         self.auth_key = auth_key
         self.transport = tree.transport
         self.leaf: NodeHandle = tree.leaf_handle(host.site)
+        # The root subnodes nearest this host: an OID it allocates lands
+        # in one of their slices (see register).
+        self._root = tree.handles[""]
+        separation = {endpoint: Topology.separation(
+            host.site, world.hosts[endpoint[0]].site)
+            for endpoint in self._root.endpoints}
+        nearest = min(separation.values())
+        self._home = {endpoint for endpoint, level in separation.items()
+                      if level == nearest}
         self._client = UdpRpcClient(host, timeout=8.0, retries=2,
                                     policy=retry_policy)
         # OIDs come from here: a restarted host's stream is its own.
@@ -102,10 +111,15 @@ class GlsClient:
         """Insert a contact address; allocates an OID when none given.
 
         Paper §6.1: "As part of the registration, an object identifier
-        is allocated for the DSO by the GLS."
+        is allocated for the DSO by the GLS."  The stub draws from its
+        own stream until the root slice of a draw is one of the root
+        subnodes nearest this host; with an unpartitioned root the
+        first draw stands.
         """
         if oid_hex is None:
             oid_hex = ObjectId.generate(self._rng).hex
+            while self._root.pick(oid_hex) not in self._home:
+                oid_hex = ObjectId.generate(self._rng).hex
         args = {"oid": oid_hex, "ca": ca_wire, "store_level": store_level}
         if self.auth_key is not None:
             args["auth"] = sign_mutation(self.auth_key, "insert", oid_hex,

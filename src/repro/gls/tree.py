@@ -6,6 +6,24 @@ builder creates one logical node per topology domain (site up to the
 world root), optionally partitioned into hash-sliced subnodes, places
 subnode hosts on sites inside the domain, and installs each subnode,
 wired to its parent and children, on its host.
+
+Placement: subnode i of a domain's node runs on the first site of the
+domain's child i mod n (n children; a site's node on the site itself),
+so an unpartitioned node sits on its domain's first site and a
+partitioned one spreads over its children.  Partitioned into one
+subnode per region (as :class:`~repro.gdn.deployment.GdnDeployment`
+builds it), the root has a subnode in every region.
+
+The root is location-aware (§3.5's "special hashing technique"): a
+:class:`~repro.gls.service.GlsClient` draws OIDs until the root slice
+of one is a subnode nearest the registering host.  With a root subnode
+in every region, a registration's pointer chain ends in its own region,
+and a lookup from another region turns there, crossing WORLD once going
+up and once with the answer, not a third time via a root elsewhere.
+Only the root: every level hashes the same ``ObjectId.shard``, so with
+equal subnode counts at two partitioned levels one slice index decides
+both, and a creator in r0's second country would need it even for the
+root and odd for r0's node, which no OID satisfies.
 """
 
 from __future__ import annotations
@@ -56,10 +74,10 @@ class GlsTree:
         domains = list(topology.world.subtree())
         hosts = {}
         for domain in domains:
-            sites = list(domain.sites())
+            children = list(domain.children.values()) or [domain]
             hosts[domain.path] = [
                 self.world.host(self._host_name(domain, index),
-                                sites[index % len(sites)])
+                                next(children[index % len(children)].sites()))
                 for index in range(self._subnode_count(domain))]
             self.handles[domain.path] = NodeHandle(
                 domain.path, [(host.name, self.port)

@@ -32,9 +32,14 @@ primary is the authority, so the copy follows it back.  (A primary
 that lost its serial must not climb past its secondaries unnoticed:
 run a refresh interval, or let one NOTIFY through before it does.)
 
-A primary writes a zone to disk behind each UPDATE's reply; restarted,
-it reloads it without its journal, and a secondary fetches it whole.
-A crash inside that write loses the UPDATE on the primary alone: the
+A primary writes one record to disk behind each UPDATE's reply: the
+change set the UPDATE sealed, in a slot of its own (the serial modulo
+:data:`~repro.core.journal.JOURNAL_DEPTH`), and the whole zone instead
+at every ``JOURNAL_DEPTH``-th serial, so a write costs what changed.
+Restarted, it loads the newest whole zone (or the zone as configured),
+replays the stored change sets that follow it up to the first gap, and
+serves the result without a journal; a secondary fetches it whole.  A
+crash inside that write loses the UPDATE on the primary alone: the
 primary that lost its serial above, a hole nothing closes yet.
 """
 
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Tuple
 
+from ...core.journal import JOURNAL_DEPTH
 from ...sim.kernel import Process
 from ...sim.rpc import RpcContext, UdpRpcClient, UdpRpcServer
 from ...sim.stable import StableStore
@@ -55,6 +61,11 @@ from .zone import Rcode, Zone
 __all__ = ["AuthoritativeServer", "DNS_PORT"]
 
 DNS_PORT = 53
+
+
+def _delta_key(origin: str, serial: int) -> str:
+    """The disk slot of ``origin``'s change set to ``serial``."""
+    return "%s#%d" % (origin, serial % JOURNAL_DEPTH)
 
 
 class AuthoritativeServer:
@@ -117,9 +128,19 @@ class AuthoritativeServer:
     def _reload(self) -> Generator:
         """Primary zones from disk, then secondary ones by transfer."""
         stored = yield from self.persistence.load_all()
-        for origin, wire in stored.items():
-            if self.roles.get(origin) == "primary":
-                self.zones[origin] = Zone.from_wire(wire)
+        for origin, role in self.roles.items():
+            if role != "primary":
+                continue
+            wire = stored.get(origin)
+            zone = self.zones[origin] if wire is None else Zone.from_wire(wire)
+            base = zone.serial
+            delta = stored.get(_delta_key(origin, base + 1))
+            while delta is not None and delta["serial"] == zone.serial + 1:
+                zone.apply_delta(delta)
+                delta = stored.get(_delta_key(origin, zone.serial + 1))
+            if zone.serial != base:  # served without the replay's journal
+                zone = Zone.from_wire(zone.to_wire())
+            self.zones[origin] = zone
         yield from self.initial_transfers()
 
     def _refresh_loop(self) -> Generator:
@@ -235,7 +256,12 @@ class AuthoritativeServer:
         self.updates_applied += 1
         for endpoint in self.secondaries.get(origin, []):
             self.host.spawn(self._notify_one(endpoint, origin, serial))
-        self.host.spawn(self.persistence.save(origin, zone.to_wire()))
+        if serial % JOURNAL_DEPTH:
+            key = _delta_key(origin, serial)
+            record = zone.deltas_since(serial - 1)[0]
+        else:
+            key, record = origin, zone.to_wire()
+        self.host.spawn(self.persistence.save(key, record))
         return {"rcode": Rcode.NOERROR, "serial": serial}
 
     def _reject_update(self, rcode: str) -> dict:

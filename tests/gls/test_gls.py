@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.ids import ContactAddress
+from repro.core.ids import ContactAddress, ObjectId
+from repro.gdn.deployment import GdnDeployment
 from repro.gls.service import GlsClient, GlsError
 from repro.gls.tree import GlsTree
 from repro.sim.topology import Level, Topology
@@ -291,21 +292,82 @@ def test_store_level_places_address_at_intermediate_node(deployment):
 
 
 def test_partitioned_root_spreads_records(deployment_seed=33):
+    """The root's slices follow location: a registrar's OIDs land only
+    on the root subnodes nearest it, spread over them, and registrars
+    in every region fill every subnode."""
     world = make_world(seed=deployment_seed)
     tree = GlsTree(world, partition={"": 4})
-    assert len(tree.root_nodes()) == 4
-    gos_host = world.host("gos-1", "r0/c0/m0/s0")
-    client = GlsClient(world, gos_host, tree)
+    roots = tree.root_nodes()
+    assert [node.host.site.path for node in roots] \
+        == ["r0/c0/m0/s0", "r1/c0/m0/s0"] * 2
+    for region in ("r0", "r1"):
+        gos_host = world.host("gos-" + region, region + "/c1/m1/s1")
+        client = GlsClient(world, gos_host, tree)
+        before = [len(node.records) for node in roots]
 
-    def register_many():
-        for i in range(40):
-            yield from client.register(None, ca_wire(world, gos_host))
+        def register_many():
+            for i in range(20):
+                yield from client.register(None, ca_wire(world, gos_host))
 
-    run(world, register_many(), host=gos_host)
-    counts = [len(node.records) for node in tree.root_nodes()]
-    assert sum(counts) == 40
-    assert max(counts) < 40  # actually spread over subnodes
-    assert min(counts) > 0
+        run(world, register_many(), host=gos_host)
+        added = [len(node.records) - count
+                 for node, count in zip(roots, before)]
+        assert sum(added) == 20
+        assert [count > 0 for count in added] \
+            == [node.host.site.path.startswith(region) for node in roots]
+    assert min(len(node.records) for node in roots) > 0
+
+
+@pytest.mark.parametrize("topology", [(1, 2, 1, 1), (2, 2, 1, 2),
+                                      (3, 1, 2, 1)],
+                         ids=lambda counts: "x".join(map(str, counts)))
+@pytest.mark.parametrize("k", range(1, 9))
+def test_allocation_lands_on_a_nearest_root_subnode(topology, k):
+    world = World(topology=Topology.balanced(*topology), seed=3)
+    tree = GlsTree(world, partition={"": k})
+    roots = tree.root_nodes()
+    for index, region in enumerate(world.topology.world.children.values()):
+        site = list(region.sites())[-1]
+        host = world.host("gos-%d" % index, site)
+        client = GlsClient(world, host, tree)
+
+        def register_three():
+            oids = []
+            for _ in range(3):
+                oids.append((yield from client.register(
+                    None, ca_wire(world, host))))
+            return oids
+
+        oids = run(world, register_three(), host=host)
+        nearest = min(Topology.separation(site, node.host.site)
+                      for node in roots)
+        for oid_hex in oids:
+            node = tree.node_for("", oid_hex)
+            assert Topology.separation(site, node.host.site) == nearest
+            assert oid_hex in node.records
+        if k == 1:  # an unpartitioned root: every first draw stands
+            rng = world.rng_for("gls-client-" + host.name)
+            assert oids == [ObjectId.generate(rng).hex for _ in oids]
+
+
+def test_a_first_lookup_a_region_away_crosses_world_twice():
+    """An object created in r2 and looked up from r1: the walk turns at
+    the root subnode in r2 and the answer comes back, two WORLD
+    crossings (the root in r0 would make them three)."""
+    gdn = GdnDeployment.from_spec({"topology": [3, 1, 1, 2], "seed": 1,
+                                   "secure": False})
+    world = gdn.world
+    creator = world.host("gos-creator", "r2/c0/m0/s1")
+    user = world.host("user", "r1/c0/m0/s1")
+    oid_hex = run(world, GlsClient(world, creator, gdn.gls).register(
+        None, ca_wire(world, creator)), host=creator)
+    gdn.settle()
+    crossings = world.network.meter.messages_by_level[Level.WORLD]
+    reply = run(world, GlsClient(world, user, gdn.gls).lookup_detailed(
+        oid_hex), host=user)
+    assert reply["cas"][0]["host"] == "gos-creator"
+    assert world.network.meter.messages_by_level[Level.WORLD] \
+        - crossings == 2
 
 
 def test_unauthorized_registration_rejected():

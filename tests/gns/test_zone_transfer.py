@@ -298,6 +298,63 @@ def test_serial_reset_is_also_found_by_the_refresh_loop():
     assert bed.in_sync()
 
 
+def _records_per_write(bed):
+    """Record the primary's disk writes: the records each one carries
+    (a change set's changes, or a whole zone's records)."""
+    persistence = bed.primary.persistence
+    counts, save = [], persistence.save
+
+    def recording_save(key, record):
+        counts.append(len(record.get("changes", record.get("records", ()))))
+        return save(key, record)
+
+    persistence.save = recording_save
+    return counts
+
+
+@pytest.mark.parametrize("names", [32, 256])
+def test_an_update_writes_what_it_changed_to_disk(names):
+    bed = Bed(initial=())
+    counts = _records_per_write(bed)
+    for index in range(names):
+        bed.update(adds=[txt("n%d" % index)])
+    assert len(counts) == names  # one write per UPDATE
+    # Its own record, whatever the zone holds; the whole zone only at
+    # every JOURNAL_DEPTH-th serial.
+    assert sorted(counts)[names // 2] == 1
+    assert sum(count > 1 for count in counts) == (names + 1) // JOURNAL_DEPTH
+
+
+def test_restarted_primary_replays_its_stored_change_sets():
+    bed = Bed()
+    for index in range(2 * JOURNAL_DEPTH + 5):
+        bed.update(adds=[txt("n%d" % index)],
+                   deletes=["n%d" % (index - 3)] if index % 7 == 3 else ())
+    bed.settle()
+    before, full_transfers = contents(bed.primary), bed.primary.full_transfers
+    _restart_primary(bed)
+    assert contents(bed.primary) == before
+    # Served without the replay's journal, like a zone loaded whole.
+    assert bed.primary.zones[ZONE].deltas_since(before[1] - 1) is None
+    bed.update(adds=[txt("last")])
+    bed.settle()
+    assert bed.in_sync()
+    assert bed.primary.full_transfers == full_transfers
+
+
+def test_restarted_primary_stops_at_the_first_missing_change_set():
+    bed = Bed()
+    serials = [bed.update(adds=[txt("n%d" % index)]) for index in range(6)]
+    bed.settle()
+    bed.primary_host.crash()
+    del bed.primary_host.disk["dns/%s#%d" % (ZONE, serials[3])]
+    bed.restart(bed.primary_host)
+    zone = bed.primary.zones[ZONE]
+    assert zone.serial == serials[2]
+    assert zone.rrset("n2." + ZONE, RRType.TXT)
+    assert not zone.rrset("n4." + ZONE, RRType.TXT)
+
+
 # -- (5) a transfer cut mid-flight --------------------------------------------
 
 def test_transfer_cut_mid_flight_leaves_a_consistent_older_copy():
