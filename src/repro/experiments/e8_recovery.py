@@ -82,7 +82,7 @@ def run_recovery_experiment(seed: int = 31, downloads: int = 30) -> Dict:
     # Phase 3: reboot + recovery, then downloads again.
     slave_host.restart()
     slave = gdn.object_servers["gos-r1-0"]  # the new incarnation
-    gdn.world.run_until(slave.recovery)
+    gdn.world.run_until(slave.host.recovery)
     gdn.run(phase(ok_after, downloads), host=browser.host)
 
     slave_lr = slave.replicas[oid.hex]
@@ -95,7 +95,7 @@ def run_recovery_experiment(seed: int = 31, downloads: int = 30) -> Dict:
     leaf.host.crash()
     leaf.host.restart()
     leaf = gdn.gls.node_for("r0/c0/m0/s0", oid.hex)  # the new incarnation
-    gdn.world.run_until(leaf.recovery)
+    gdn.world.run_until(leaf.host.recovery)
     gls_recovered = len(leaf.records) == records_before and records_before > 0
 
     return {

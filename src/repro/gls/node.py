@@ -120,7 +120,6 @@ class DirectoryNode:
         self.deletes_handled = 0
         self.pointer_updates = 0
         self.rejected_mutations = 0
-        self.recovery = None  # a restarted host's reload (_reload)
 
     @property
     def level(self) -> Level:
@@ -147,22 +146,18 @@ class DirectoryNode:
         self._server = server
         self._client = UdpRpcClient(self.host, timeout=_NODE_RPC_TIMEOUT,
                                     retries=_NODE_RPC_RETRIES)
-        if self.host.incarnation:
-            self.recovery = self.host.spawn(self._reload())
-        else:
-            server.start()
+        server.start()
 
     def stop(self) -> None:
         self._server.stop()
         self._client.close()
 
-    def _reload(self) -> Generator:
-        """Reload the records the disk holds, then serve: the reload
-        would undo a mutation served before it."""
+    def reload(self) -> Generator:
+        """Reload the records the disk holds; nothing to fetch."""
         stored = yield from self.persistence.load_all()
         for oid_hex, wire in stored.items():
             self.records[oid_hex] = NodeRecord.from_wire(wire)
-        self._server.start()
+        return []
 
     # -- helpers -------------------------------------------------------------
 

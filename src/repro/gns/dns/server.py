@@ -96,7 +96,6 @@ class AuthoritativeServer:
         self._client: Optional[UdpRpcClient] = None
         self._refresher: Optional[Process] = None
         self.persistence = StableStore(host, "dns")
-        self.recovery = None  # a restarted host's reload (_reload)
         self.queries_served = 0
         self.updates_applied = 0
         self.updates_rejected = 0
@@ -122,11 +121,9 @@ class AuthoritativeServer:
         self._client = UdpRpcClient(self.host, timeout=3.0, retries=2)
         if self.refresh_interval is not None:
             self._refresher = self.host.spawn(self._refresh_loop())
-        if self.host.incarnation:
-            self.recovery = self.host.spawn(self._reload())
 
-    def _reload(self) -> Generator:
-        """Primary zones from disk, then secondary ones by transfer."""
+    def reload(self) -> Generator:
+        """Primary zones from disk; return the secondaries' transfers."""
         stored = yield from self.persistence.load_all()
         for origin, role in self.roles.items():
             if role != "primary":
@@ -141,7 +138,7 @@ class AuthoritativeServer:
             if zone.serial != base:  # served without the replay's journal
                 zone = Zone.from_wire(zone.to_wire())
             self.zones[origin] = zone
-        yield from self.initial_transfers()
+        return [self.initial_transfers()]
 
     def _refresh_loop(self) -> Generator:
         """Periodically bring each secondary zone up to its primary's

@@ -27,7 +27,7 @@ A message is answered before its checkpoint is on disk, so a write
 acknowledged to its writer survives every crash of its master but one
 less than ``DISK_WRITE_LATENCY`` (5 ms) after the acknowledgement; a
 master's incarnation epoch covers what its slaves saw of such a write.
-A restarted server reloads every replica (:meth:`GlobeObjectServer._reload`).
+A restarted server reloads every replica (:meth:`GlobeObjectServer.reload`).
 """
 
 from __future__ import annotations
@@ -105,7 +105,6 @@ class GlobeObjectServer:
         server.register("remove_replica", self._handle_remove_replica)
         server.register("ping", lambda ctx, args: "pong")
         self._server = server
-        self.recovery = None  # a restarted host's reload (_reload)
 
     @property
     def requests_served(self) -> int:
@@ -114,10 +113,8 @@ class GlobeObjectServer:
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> None:
-        """Start serving (host must be up), reloading if restarted."""
+        """Start serving (host must be up)."""
         self._server.start()
-        if self.host.incarnation:
-            self.recovery = self.host.spawn(self._reload())
 
     def stop(self) -> None:
         self._server.stop()
@@ -134,16 +131,16 @@ class GlobeObjectServer:
         self.pool.close()
         self.stop()
 
-    def _reload(self) -> Generator:
-        """Reconstruct the replicas the disk holds (§4).  Slaves
-        re-join their master, so state missed while down is recovered
-        even from a stale checkpoint.  The server serves meanwhile, and
-        a remove_replica may drop a record the loop has passed: the
-        loop walks a copy.
-        """
+    def reload(self) -> Generator:
+        """Reconstruct the replicas the disk holds (§4); return each
+        one's re-registration with the GLS, a slave's after it re-joins
+        its master, which recovers state missed while down even from a
+        stale checkpoint."""
         self._records = yield from self.persistence.load_all()
-        for oid_hex, record in list(self._records.items()):
-            yield from self._reconstruct(oid_hex, record)
+        fetches = []
+        for oid_hex, record in self._records.items():
+            fetches.append((yield from self._reconstruct(oid_hex, record)))
+        return fetches
 
     # -- replica construction ---------------------------------------------
 
@@ -226,15 +223,21 @@ class GlobeObjectServer:
             # crash would bring back this incarnation's number for the
             # next one.
             yield from self._save(oid_hex, representative)
-        if record["role"] == "slave":
+        if record["role"] != "slave":
+            self.replicas[oid_hex] = representative
+        return self._rejoin(oid_hex, representative)
+
+    def _rejoin(self, oid_hex: str, replica: LocalRepresentative) -> Generator:
+        if replica.contact_address.role == "slave":
             # Re-join the master to catch up on missed updates.
             try:
-                yield from representative.start()
+                yield from replica.start()
             except Exception:  # noqa: BLE001
                 pass  # master may be down; checkpointed state stands
-        self.replicas[oid_hex] = representative
-        yield from self.location_service.register(
-            oid_hex, representative.contact_address.to_wire())
+            self.replicas[oid_hex] = replica
+        if self.replicas.get(oid_hex) is replica:  # not removed meanwhile
+            yield from self.location_service.register(
+                oid_hex, replica.contact_address.to_wire())
 
     # -- checkpointing -----------------------------------------------------
 

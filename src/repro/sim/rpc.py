@@ -312,6 +312,8 @@ class RpcServer:
             self._listener.close()
 
     def _accept_loop(self, listener) -> Generator:
+        if self.host.reloaded is not None:  # see Host.restart
+            yield self.host.reloaded
         while True:
             try:
                 conn = yield listener.accept()
@@ -602,6 +604,8 @@ class UdpRpcServer:
             self._socket.close()
 
     def _serve_loop(self, socket: UdpSocket) -> Generator:
+        if self.host.reloaded is not None:  # see Host.restart
+            yield self.host.reloaded
         while True:
             try:
                 datagram = yield socket.recv()

@@ -1,10 +1,10 @@
 """Simulated stable storage: the disk of a host, which outlives crashes.
 
 A host crash destroys every address space on the machine but not its
-disk (``Host.disk``).  A restarted host's daemons are built again from
-their configuration and their :class:`StableStore` namespaces: object
-servers reload their replicas (§4), GLS directory nodes their records
-(§7) and a DNS primary its zones; what no disk holds comes back empty.
+disk (``Host.disk``).  A restarted host's daemons are built again and
+read their :class:`StableStore` namespaces before it answers: object
+servers their replicas (§4), GLS directory nodes their records (§7)
+and a DNS primary its zones; what no disk holds comes back empty.
 """
 
 from __future__ import annotations

@@ -99,7 +99,10 @@ def _counter(daemon, path: str) -> tuple:
 class Host:
     """A machine attached to a site, owning sockets and processes.  A
     daemon class names in ``COUNTS`` the counters observers read: a new
-    incarnation starts from the old one's, so none falls."""
+    incarnation starts from the old one's, so none falls.  A restart
+    runs the boots, then ``recovery``: each daemon's ``reload()``, which
+    reads its disk and waits on no other host, then ``reloaded`` (the
+    RPC servers' cue to serve), then the fetches the reloads returned."""
 
     def __init__(self, network: Network, name: str, site: Domain):
         self.network = network
@@ -108,6 +111,7 @@ class Host:
         self.site = site
         self.up = True
         self.incarnation = 0  # restarts so far
+        self.recovery = self.reloaded = None  # see restart
         #: Stable storage (key -> record), which a crash leaves as it is.
         self.disk: Dict[str, dict] = {}
         #: [boot, its daemon, or while down the daemon's counts], in order.
@@ -180,11 +184,12 @@ class Host:
 
     def restart(self) -> None:
         """Bring a crashed machine back up as its next incarnation:
-        every installed boot runs again."""
+        every installed boot runs again, then :attr:`recovery`."""
         if self.up:
             return
         self.up = True
         self.incarnation += 1
+        self.reloaded = self.sim.event()
         self.network.set_host_down(self.name, False)
         for entry in self._installed:
             counts = entry[1]
@@ -192,6 +197,16 @@ class Host:
             for path, count in counts.items():
                 owner, name = _counter(daemon, path)
                 setattr(owner, name, getattr(owner, name) + count)
+        self.recovery = self.spawn(self._recover())
+
+    def _recover(self) -> Generator:
+        fetches = []
+        for _boot, daemon in self._installed:
+            if hasattr(daemon, "reload"):
+                fetches += yield from daemon.reload()
+        self.reloaded.succeed()
+        for fetch in fetches:
+            yield from fetch
 
     def _require_up(self) -> None:
         if not self.up:

@@ -151,5 +151,5 @@ def test_a_master_drops_a_slave_whose_leave_was_lost():
     master_gos.host.crash()
     master_gos.host.restart()
     master_gos = gdn.object_servers[master_gos.host.name]
-    gdn.world.run_until(master_gos.recovery)
+    gdn.world.run_until(master_gos.host.recovery)
     assert master_gos.replicas[oid.hex].replication.slaves == {}

@@ -75,8 +75,8 @@ def test_a_node_refuses_a_pointer_from_a_domain_not_its_child(deployment):
 
 def test_recovery_keeps_only_the_stored_records(deployment):
     """A restarted node holds what its disk held, and the mutations
-    that reached it while it reloaded: it serves them after the reload
-    (their clients retry), which would otherwise undo them."""
+    that reached it while it reloaded: its host answers them after the
+    reload, which would otherwise undo them."""
     # Kept beside the crash-point sweep: a unit of one daemon.
     from repro.gls.records import NodeRecord
 

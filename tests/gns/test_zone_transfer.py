@@ -89,9 +89,7 @@ class Bed:
         """Restart a crashed server host and wait out its server's
         reload: a primary's zone from disk, a secondary's transfer."""
         host.restart()
-        server = self.primary if host is self.primary_host \
-            else self.secondary
-        self.world.run_until(server.recovery, limit=1e6)
+        self.world.run_until(host.recovery, limit=1e6)
 
     def update(self, adds=(), deletes=()):
         message = {"zone": ZONE, "adds": list(adds),
@@ -353,6 +351,47 @@ def test_restarted_primary_stops_at_the_first_missing_change_set():
     assert zone.serial == serials[2]
     assert zone.rrset("n2." + ZONE, RRType.TXT)
     assert not zone.rrset("n4." + ZONE, RRType.TXT)
+
+
+def test_an_update_reaching_a_restarted_primary_is_applied_to_its_reloaded_zone():
+    """The Naming Authority's UPDATE for a third name is in flight when
+    the GDN Zone's primary crashes and comes straight back: the UPDATE
+    reaches the new incarnation, which must apply it onto the zone its
+    disk holds, under a serial above the stored ones.  Applied to the
+    zone as configured, it is acked under a serial the primary already
+    issued and overwrites that change set on disk, and the copies end
+    at one serial with different names.  The crash-point sweep crashes
+    no DNS host and its story sends no UPDATE, so no tool found this."""
+    from repro.gdn.deployment import GdnDeployment, standard_spec
+    from repro.gns.gns import object_name_to_dns
+    from repro.sim import rpc
+
+    gdn = GdnDeployment.from_spec({**standard_spec(2, 2, 1, 2), "seed": 4,
+                                   "secure": False})
+    authority = gdn.authority
+    tool = gdn.world.host("modtool", "r0/c0/m0/s1")
+    names = ["/apps/first", "/apps/second", "/apps/third"]
+
+    def add(name):
+        reply = yield from rpc.call(tool, authority.host, authority.port,
+                                    "add_name", {"name": name, "oid": "aa"})
+        return reply["serial"]
+
+    stored = [gdn.run(add(name), host=tool) for name in names[:2]]
+    gdn.settle()
+    third = tool.spawn(add(names[2]))
+    while not authority._client._pending:
+        gdn.world.sim.step()
+    gdn.dns_primary.host.crash()
+    gdn.dns_primary.host.restart()
+    gdn.settle(30.0)
+    assert third.value > max(stored)
+    for server in [gdn.dns_primary] + gdn.dns_secondaries:
+        zone = server.zones[gdn.zone]
+        assert zone.serial == third.value, server.host.name
+        for name in names:
+            assert zone.answer(object_name_to_dns(name, gdn.zone),
+                               RRType.TXT).answers, (server.host.name, name)
 
 
 # -- (5) a transfer cut mid-flight --------------------------------------------

@@ -133,9 +133,10 @@ def test_shutdown_leaves_the_master_and_stops_serving(bed):
 def test_recovery_keeps_only_what_was_stored(bed):
     # Kept beside the crash-point sweep: a unit of one daemon.  Two
     # masters: each reload saves its new epoch, so the reload waits on
-    # the disk after bringing back the first, and a remove_replica
-    # served then must leave the rest of the reload whole.
+    # the disk after bringing back the first.  A remove_replica sent
+    # then waits for the reload's end and leaves the reload whole.
     gos = bed.gos("gos-1", "r0/c0/m0/s0")
+    tool = bed.world.host("modtool", "r0/c0/m0/s0")
     oids = [bed.run(gos.create_local_replica(
         None, "test.kv", "master_slave", "master")).oid.hex
         for _ in range(2)]
@@ -145,9 +146,16 @@ def test_recovery_keeps_only_what_was_stored(bed):
     gos = bed.object_servers["gos-1"]
     while not gos.replicas:
         bed.world.sim.step()
-    assert list(gos.replicas) == oids[:1] and gos.recovery.alive
-    gos.host.spawn(gos._handle_remove_replica(None, {"oid": oids[0]}))
-    bed.world.run()
+    assert list(gos.replicas) == oids[:1] and gos.host.recovery.alive
+    removal = tool.spawn(rpc.call(tool, gos.host, gos.port,
+                                  "remove_replica", {"oid": oids[0]}))
+    bed.world.run(until=bed.world.now + 0.002)
+    # Connected, its request sent, and not accepted: the reload runs.
+    assert len(gos._server._listener._pending) == 1
+    assert gos.host.recovery.alive and gos.requests_served == 0
+    bed.world.run_until(gos.host.recovery)
+    assert removal.alive
+    assert bed.world.run_until(removal) == {"removed": oids[0]}
     assert list(gos.replicas) == list(gos._records) == oids[1:]
     assert gos.persistence.reads == 1 and bed.gls.records[oids[0]] == []
 
@@ -341,7 +349,7 @@ def test_recovered_slave_rejoins_and_catches_up(bed):
     master_lr.replication.version += 1
     slave_gos.host.restart()
     slave_gos = bed.object_servers["gos-slave"]
-    bed.world.run_until(slave_gos.recovery)
+    bed.world.run_until(slave_gos.host.recovery)
     slave_lr = slave_gos.replicas[master_lr.oid.hex]
     assert slave_lr.semantics.data == {"while-down": "missed"}
     assert slave_lr.replication.version == master_lr.replication.version

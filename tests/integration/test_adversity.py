@@ -158,6 +158,6 @@ def test_overlapping_crash_windows_hold_the_host_down_until_the_last():
     deployment.world.run(until=t0 + 20.0)
     assert gos.host.up
     assert gos.host.incarnation == 1  # one restart, at t0 + 15
-    assert deployment.object_servers["gos-r0-0"].recovery.triggered
+    assert gos.host.recovery.triggered
     assert [kind for _t, kind, _host in injector.log] == [
         "crash", "crash", "restart", "restart"]

@@ -287,6 +287,13 @@ def readers(story, host, crash_at):
     return found
 
 
+def writes(story, host, crash_at):
+    """Every write of the story is acked: a master that crashes and
+    comes straight back answers it from the replica it reloaded."""
+    return ["a write of the story failed: %s" % error
+            for error in story.failed]
+
+
 def baselines(story, host, crash_at):
     """The kernel's queues are empty; the simulator-wide deadline pool
     holds what it held before the story; every channel pool has no
@@ -307,7 +314,8 @@ def baselines(story, host, crash_at):
     return found
 
 
-INVARIANTS = (durability, convergence, gls, catalog, readers, baselines)
+INVARIANTS = (durability, convergence, gls, catalog, readers, writes,
+              baselines)
 CLEAN = {invariant.__name__: [] for invariant in INVARIANTS}
 
 
@@ -344,9 +352,8 @@ def sweep():
     sweep order: per invariant its violations; ``"ambiguous"``, the
     control commands that raised yet changed the world; ``"lost"``,
     the acked writes a master crash lost (``(contents, ms from the ack
-    to the crash)``); ``"refused"``, the story's writes that failed."""
-    found = {name: [] for name in list(CLEAN)
-             + ["ambiguous", "lost", "refused"]}
+    to the crash)``)."""
+    found = {name: [] for name in list(CLEAN) + ["ambiguous", "lost"]}
     for host in CRASHED:
         for k in range(story_events()):
             story, crash_at = crash_point(host, k)
@@ -355,7 +362,6 @@ def sweep():
                 (command, gos) for command, gos in COMMANDS
                 if story.outcomes.get(command) not in (None, "acked")])
             point["lost"] = losses(story, crash_at)
-            point["refused"] = story.failed
             for name, findings in point.items():
                 found[name].extend((host, k, finding)
                                    for finding in findings)

@@ -20,6 +20,8 @@ import random
 import types
 from collections import deque
 
+import pytest
+
 from repro.core.idl import Interface, MethodSpec
 from repro.core.repository import ImplementationRepository
 from repro.gdn.deployment import GdnDeployment, standard_spec
@@ -127,10 +129,9 @@ def test_a_restarted_host_holds_nothing_of_its_last_incarnation_but_its_disk():
             id(gdn.lookup_caches), id(shared_pool(gdn.world.sim))}
     slave_host = gdn.object_servers["gos-r1-0"].host
     leaf_host = gdn.gls.node_for("r1/c0/m0/s0", oid.hex).host
-    # The daemons as first built reload nothing.
-    assert [daemon.recovery for daemon in (
-        gdn.object_servers["gos-r1-0"], gdn.gls.node_for(
-            "r1/c0/m0/s0", oid.hex), gdn.dns_primary)] == [None] * 3
+    # The hosts as first built reload nothing.
+    assert [host.recovery for host in (
+        slave_host, leaf_host, gdn.dns_primary.host)] == [None] * 3
     hosts = {"GOS, HTTPD, runtime, resolver, lookup cache": slave_host,
              "GLS node": leaf_host,
              "DNS primary": gdn.dns_primary.host,
@@ -187,7 +188,7 @@ def test_a_crash_during_a_gos_reload_leaves_nothing_and_the_next_reloads_once():
     host.crash()
     bed.write("addFile", path="b", data=b"missed")  # while the slave is down
     host.restart()
-    reloading = bed.slave_gos
+    reloading, recovery = bed.slave_gos, host.recovery
     sim = bed.world.sim
     while not reloading._records:
         sim.step()  # up to the end of the disk read
@@ -195,16 +196,16 @@ def test_a_crash_during_a_gos_reload_leaves_nothing_and_the_next_reloads_once():
     # The disk is read, and the slave's re-join is not yet answered.
     assert reloading._records and reloading.replicas == {}
     host.crash()
-    assert reloading.recovery not in host._processes
-    assert reloading.recovery.triggered and not host._processes
+    assert recovery not in host._processes
+    assert recovery.triggered and not host._processes
     host.restart()
     gos = bed.slave_gos
-    bed.world.run_until(gos.recovery, limit=bed.world.now + 1e6)
+    bed.world.run_until(host.recovery, limit=bed.world.now + 1e6)
     bed.settle()
     assert list(gos.replicas) == [bed.oid.hex] and gos.persistence.reads == 1
     assert bed.slave.semantics.getFileContents("b") == b"missed"
     assert bed.slave.replication.version == bed.master.replication.version
-    assert reloading.recovery not in host._processes
+    assert recovery not in host._processes
     assert pending_deadlines(shared_pool(sim)) == 0
 
 
@@ -226,19 +227,108 @@ def test_a_crash_during_a_gls_reload_leaves_nothing_and_the_next_reloads_once():
     host = leaf.host
     host.crash()
     host.restart()
-    reloading = tree.node_for("r0/c0/m0/s0", oid_hex)
+    reloading, recovery = tree.node_for("r0/c0/m0/s0", oid_hex), host.recovery
     world.run(until=world.now + DISK_READ_LATENCY / 2)  # the read in flight
     host.crash()
     assert reloading.records == {} and not host._processes
-    assert reloading.recovery.triggered
+    assert recovery.triggered
     host.restart()
     leaf = tree.node_for("r0/c0/m0/s0", oid_hex)
-    world.run_until(leaf.recovery, limit=world.now + 1e6)
+    world.run_until(host.recovery, limit=world.now + 1e6)
     assert {key: record.to_wire() for key, record in leaf.records.items()} \
         == stored
     assert leaf.persistence.reads == 1 and reloading.persistence.reads == 0
-    assert reloading.recovery not in host._processes
+    assert recovery not in host._processes
     check_pointer_invariant(tree)
+
+
+@pytest.mark.parametrize("reloaded_first", ["master", "slave"])
+def test_two_hosts_holding_slaves_of_each_others_masters_restart_together(
+        reloaded_first):
+    # No reload waits on another host: each host's slave re-joins the
+    # other host's master, which answers once its own host has
+    # reloaded, so a reload that held its host through the re-join
+    # would wait for ever on the other.  ``reloaded_first`` is what
+    # the disk of the host that was up through the write brings back
+    # first (records reload in creation order).
+    from tests.util import GlobeBed
+
+    bed = GlobeBed()
+    east = bed.gos("gos-east", "r0/c0/m0/s0")
+    west = bed.gos("gos-west", "r1/c0/m0/s0")
+    runtime = bed.runtime("writer", "r1/c0/m0/s1")
+
+    def master_and_slave(home, away):
+        master = yield from home.create_local_replica(
+            None, "test.kv", "master_slave", "master")
+        yield from away.create_local_replica(
+            master.oid, "test.kv", "master_slave", "slave",
+            master=master.contact_address)
+        return master.oid
+
+    def write(oid, value):
+        representative = yield from runtime.bind(oid)
+        yield from representative.invoke("put", {"key": "k", "value": value})
+
+    pairs = [(east, west), (west, east)]
+    if reloaded_first == "master":
+        pairs.reverse()
+    oids = {home.host.name: bed.run(master_and_slave(home, away))
+            for home, away in pairs}
+    east_oid, west_oid = oids["gos-east"], oids["gos-west"]
+    bed.run(write(east_oid, "east"), host=runtime.host)
+    bed.run(write(west_oid, "west"), host=runtime.host)
+    bed.world.run(until=bed.world.now + 1.0)  # pushed to the slaves
+    east.host.crash()
+    bed.run(write(west_oid, "missed"), host=runtime.host)
+    bed.world.run(until=bed.world.now + 1.0)  # its checkpoint is on disk
+    west.host.crash()
+    east.host.restart()
+    west.host.restart()
+    for host in (east.host, west.host):
+        bed.world.run_until(host.recovery, limit=bed.world.now + 60.0)
+    east, west = bed.object_servers["gos-east"], bed.object_servers["gos-west"]
+    for oid, home, away, value in ((east_oid, east, west, "east"),
+                                   (west_oid, west, east, "missed")):
+        assert home.replicas[oid.hex].semantics.data == {"k": value}
+        assert away.replicas[oid.hex].semantics.data == {"k": value}
+
+
+def test_a_replica_removed_as_its_host_comes_back_stays_out_of_the_gls():
+    # A restarted GOS registers its replicas again one after another
+    # once its host answers; a remove_replica served before a
+    # replica's turn must not be undone by that registration.
+    from repro.sim import rpc
+
+    gdn = GdnDeployment.from_spec({
+        **standard_spec(2, 2, 1, 2), "seed": 4, "secure": False,
+        "moderators": {"mod": "r0/c0/m0/s1"}})
+    moderator = gdn.moderators["mod"]
+    scenario = ReplicationScenario.single_server("gos-r0-0")
+    kept, removed = (gdn.run(moderator.create_package(
+        "/apps/p%d" % index, {"f": b"x"}, scenario),
+        host=moderator.host).hex for index in range(2))
+    gdn.settle(5.0)
+    host = gdn.object_servers["gos-r0-0"].host
+    host.crash()
+    host.restart()
+    while not host.reloaded.triggered:
+        gdn.world.sim.step()
+    gos = gdn.object_servers["gos-r0-0"]
+    tool = gdn.world.host("tool", "r0/c0/m0/s0")
+    removal = tool.spawn(rpc.call(tool, host, gos.port, "remove_replica",
+                                  {"oid": removed}))
+    while removed in gos.replicas:
+        gdn.world.sim.step()
+    assert host.recovery.alive  # the registrations are still running
+    gdn.settle(30.0)
+    assert removal.value == {"removed": removed}
+    assert list(gos.replicas) == [kept]
+    for subnodes in gdn.gls.nodes.values():
+        for node in subnodes:
+            if removed in node.records:
+                assert not node.records[removed].contact_addresses, \
+                    node.host.name
 
 
 def test_a_restarted_object_server_allocates_no_oid_twice():

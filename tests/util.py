@@ -158,7 +158,8 @@ class GlobeBed:
         server.host.crash()
         server.host.restart()
         server = self.object_servers[server.host.name]
-        self.world.run_until(server.recovery, limit=self.world.now + 1e6)
+        self.world.run_until(server.host.recovery,
+                             limit=self.world.now + 1e6)
         return server
 
     def runtime(self, host_name, site):
